@@ -8,7 +8,12 @@ bit fiddling in one place.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -24,6 +29,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def select(mask: int, items: Iterable[T]) -> Iterator[T]:
+    """The items at the set bit positions of ``mask``, in increasing order.
+
+    The mask is decoded in C through its binary string, which on dense
+    masks is several times faster than :func:`iter_bits`.
+    """
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
 def pick_bit(mask: int, rng: random.Random) -> int:

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .bitset import mask_of
+from .bitset import mask_of, select
 from .errors import (
     InvalidHostError,
     InvalidInstanceError,
@@ -184,64 +185,32 @@ class PowerCycle:
 class GraphCollection:
     """m simple graphs on the shared vertex set {0, ..., n-1}.
 
-    Adjacency is stored as sorted neighbour tuples per vertex per graph;
-    per-graph bitmask rows are precomputed for the set-intersection heavy
-    operations.  Identical adjacency objects (e.g. m copies of K_n) share
-    one mask table.  Instances are immutable once constructed.
+    Graph c (1-based) is stored as one bitmask row per vertex: bit u of
+    ``masks[c - 1][v]`` is set exactly when uv is an edge.  Identical
+    adjacency objects (e.g. m copies of K_n) share one mask table.
+    Instances are immutable once constructed.
     """
 
-    __slots__ = ("n", "graphs", "masks")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, graphs: Sequence[Sequence[Sequence[int]]]):
         if n < 1:
             raise InvalidInstanceError(f"vertex count must be >= 1, got {n}")
         if len(graphs) < 1:
             raise InvalidInstanceError("a collection needs at least one graph")
-        norm: list[tuple[tuple[int, ...], ...]] = []
-        mask_cache: dict[int, tuple[int, ...]] = {}
-        mask_tables: list[tuple[int, ...]] = []
-        seen: dict[int, tuple[tuple[int, ...], ...]] = {}
+        tables: dict[int, tuple[int, ...]] = {}
+        masks = []
         for gi, adj in enumerate(graphs):
-            key = id(adj)
-            if key in seen:
-                norm.append(seen[key])
-                mask_tables.append(mask_cache[key])
-                continue
-            if len(adj) != n:
-                raise InvalidInstanceError(
-                    f"graph {gi + 1}: adjacency has {len(adj)} rows, expected {n}"
-                )
-            rows: list[tuple[int, ...]] = []
-            row_masks: list[int] = []
-            for v, nbrs in enumerate(adj):
-                t = tuple(sorted(nbrs))
-                if any(u == v for u in t):
-                    raise InvalidInstanceError(f"graph {gi + 1}: self-loop at vertex {v}")
-                if any(not (0 <= u < n) for u in t):
-                    raise InvalidInstanceError(f"graph {gi + 1}: endpoint out of range at vertex {v}")
-                if len(set(t)) != len(t):
-                    raise InvalidInstanceError(f"graph {gi + 1}: duplicate edge at vertex {v}")
-                rows.append(t)
-                row_masks.append(mask_of(t))
-            for v, nbrs in enumerate(rows):
-                for u in nbrs:
-                    if not (row_masks[u] >> v) & 1:
-                        raise InvalidInstanceError(
-                            f"graph {gi + 1}: asymmetric adjacency on edge ({u},{v})"
-                        )
-            frozen = tuple(rows)
-            table = tuple(row_masks)
-            seen[key] = frozen
-            mask_cache[key] = table
-            norm.append(frozen)
-            mask_tables.append(table)
+            table = tables.get(id(adj))
+            if table is None:
+                table = tables[id(adj)] = _mask_table(n, gi + 1, adj)
+            masks.append(table)
         self.n = n
-        self.graphs = tuple(norm)
-        self.masks = tuple(mask_tables)
+        self.masks = tuple(masks)
 
     @property
     def m(self) -> int:
-        return len(self.graphs)
+        return len(self.masks)
 
     def has_edge(self, colour: int, u: int, v: int) -> bool:
         return bool((self.masks[colour - 1][u] >> v) & 1)
@@ -250,7 +219,7 @@ class GraphCollection:
         return self.masks[colour - 1][v]
 
     def degree(self, colour: int, v: int) -> int:
-        return len(self.graphs[colour - 1][v])
+        return self.masks[colour - 1][v].bit_count()
 
     def degree_into(self, colour: int, v: int, vertex_mask: int) -> int:
         return (self.masks[colour - 1][v] & vertex_mask).bit_count()
@@ -270,21 +239,61 @@ class GraphCollection:
             graphs.append([sorted(s) for s in adj])
         return GraphCollection(n, graphs)
 
-    def edge_lists(self) -> list[list[tuple[int, int]]]:
+    def edge_lists(self) -> list[tuple[Edge, ...]]:
+        """Per graph, its edges (u, v) with u < v in lexicographic order.
+
+        Graphs that share a mask table share one edge tuple.
+        """
+        decoded: dict[int, tuple[Edge, ...]] = {}
         out = []
-        for adj in self.graphs:
-            out.append([(u, v) for u in range(self.n) for v in adj[u] if u < v])
+        for table in self.masks:
+            edges = decoded.get(id(table))
+            if edges is None:
+                edges = decoded[id(table)] = _edges_of(table)
+            out.append(edges)
         return out
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GraphCollection)
             and self.n == other.n
-            and self.graphs == other.graphs
+            and self.masks == other.masks
         )
 
     def __repr__(self) -> str:
         return f"GraphCollection(n={self.n}, m={self.m})"
+
+
+def _mask_table(n: int, g: int, adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Validated bitmask rows of graph ``g`` (1-based, for messages)."""
+    if len(adj) != n:
+        raise InvalidInstanceError(f"graph {g}: adjacency has {len(adj)} rows, expected {n}")
+    rows = []
+    for v, nbrs in enumerate(adj):
+        if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
+            raise InvalidInstanceError(f"graph {g}: endpoint out of range at vertex {v}")
+        row = mask_of(nbrs)
+        if (row >> v) & 1:
+            raise InvalidInstanceError(f"graph {g}: self-loop at vertex {v}")
+        if row.bit_count() != len(nbrs):
+            raise InvalidInstanceError(f"graph {g}: duplicate edge at vertex {v}")
+        rows.append(row)
+    for v, nbrs in enumerate(adj):
+        bit = 1 << v
+        for u in nbrs:
+            if not rows[u] & bit:
+                raise InvalidInstanceError(f"graph {g}: asymmetric adjacency on edge ({u},{v})")
+    return tuple(rows)
+
+
+def _edges_of(table: Sequence[int]) -> tuple[Edge, ...]:
+    """Edges (u, v), u < v, of one mask table; each endpoint is one shared
+    int object, so a dense table costs little beyond its pair tuples."""
+    ids = list(range(len(table)))
+    edges: list[Edge] = []
+    for u, row in enumerate(table):
+        edges.extend(zip(repeat(ids[u]), select(row >> u, ids[u:])))
+    return tuple(edges)
 
 
 class VerifyResult(NamedTuple):
@@ -328,7 +337,7 @@ def verify_coloured_embedding(
 
 def min_degree(collection: GraphCollection) -> int:
     """Minimum degree over all graphs and all vertices."""
-    return min(len(adj[v]) for adj in collection.graphs for v in range(collection.n))
+    return min(min(map(int.bit_count, table)) for table in collection.masks)
 
 
 def min_bipartite_degree(
@@ -402,6 +411,8 @@ def collection_from_dict(d: Mapping) -> GraphCollection:
         graphs = d["graphs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"instance file: missing/invalid field ({exc})") from exc
+    if not isinstance(graphs, list):
+        raise InvalidInstanceError("instance file: graphs must be a list of edge lists")
     if len(graphs) != m:
         raise InvalidInstanceError(f"instance file: m={m} but {len(graphs)} graphs present")
     edge_lists = []
@@ -425,16 +436,19 @@ def pattern_from_dict(d: Mapping) -> ColourPattern:
         h = d["host"]
         kind = _FILE_TO_KIND[h["kind"]]
         k = int(h["k"])
-    except (KeyError, TypeError) as exc:
+        if kind == CONNECTOR:
+            host = connector(int(h["a"]), int(h["b"]), k)
+        elif kind == POWER_PATH:
+            host = power_path(int(h["n_or_r"]), k)
+        else:
+            host = power_cycle(int(h["n_or_r"]), k)
+        entries = d.get("colours", [])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPatternError(f"pattern file: missing/invalid host field ({exc})") from exc
-    if kind == CONNECTOR:
-        host = connector(int(h["a"]), int(h["b"]), k)
-    elif kind == POWER_PATH:
-        host = power_path(int(h["n_or_r"]), k)
-    else:
-        host = power_cycle(int(h["n_or_r"]), k)
+    if not isinstance(entries, list):
+        raise InvalidPatternError("pattern file: colours must be a list of [i, j, colour] entries")
     colours: dict[Edge, int] = {}
-    for entry in d.get("colours", []):
+    for entry in entries:
         try:
             i, j, c = (int(x) for x in entry)
         except (TypeError, ValueError) as exc:

@@ -38,11 +38,6 @@ class NoPerfectMatchingError(HamPowerError):
     """The bipartite graph has no perfect matching."""
 
 
-class NoExtensionError(HamPowerError):
-    """A clique tiling cannot be extended: the auxiliary bipartite graph has
-    no perfect matching (signals violated degree hypotheses)."""
-
-
 class ConnectionFailedError(HamPowerError):
     """Greedy connector/extension ran out of candidates.
 

@@ -1,11 +1,11 @@
-"""Bipartite matching, clique-tiling extension, and perfect-matching sampling.
+"""Bipartite matching, the tiling-extension graph, and perfect-matching sampling.
 
-The tiling machinery turns "attach one more level to a family of partial
+:func:`tiling_graph` turns "attach one more level to a family of partial
 cliques" into a single bipartite matching problem: the auxiliary graph has
 one left vertex per tile, adjacent to a right vertex exactly when that
-vertex completes the tile (is adjacent to every tile member).  A perfect
-matching in the auxiliary graph extends a perfect K_k-tiling to a perfect
-K_{k+1}-tiling.
+vertex completes the tile (is adjacent to every tile member, each in the
+graph named for its position).  A perfect matching in the auxiliary graph
+extends a perfect K_k-tiling to a perfect K_{k+1}-tiling.
 
 Perfect matchings can be sampled exactly uniformly (sequential conditional
 sampling weighted by permanent counts, side length <= 24) or heuristically
@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .bitset import iter_bits, mask_of
-from .errors import (
-    InvalidInstanceError,
-    NoExtensionError,
-    NoPerfectMatchingError,
-    SizeLimitError,
-)
+from .bitset import iter_bits, mask_of, select
+from .core import GraphCollection
+from .errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 
 EXACT_SIDE_CAP = 24
 
@@ -54,59 +50,6 @@ class BipartiteGraph:
         return [mask_of(r) for r in self.adj]
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph stored as per-vertex neighbour bitmasks."""
-
-    n: int
-    masks: tuple[int, ...]
-
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
-        for (u, v) in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise InvalidInstanceError(f"bad edge ({u},{v}) for n={n}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.masks[u] >> v) & 1)
-
-    def neighbours(self, v: int) -> list[int]:
-        return list(iter_bits(self.masks[v]))
-
-
-@dataclass(frozen=True)
-class CliqueTiling:
-    """Pairwise-disjoint k-sets, each inducing a clique in the source graph."""
-
-    k: int
-    cliques: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def build(graph: Graph, k: int, cliques: Sequence[Iterable[int]]) -> "CliqueTiling":
-        norm = tuple(tuple(sorted(c)) for c in cliques)
-        seen: set[int] = set()
-        for tile in norm:
-            if len(tile) != k:
-                raise InvalidInstanceError(f"tile {tile} does not have size {k}")
-            if seen & set(tile):
-                raise InvalidInstanceError(f"tile {tile} overlaps a previous tile")
-            seen.update(tile)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if not graph.has_edge(tile[i], tile[j]):
-                        raise InvalidInstanceError(
-                            f"tile {tile} is not a clique: missing edge ({tile[i]},{tile[j]})"
-                        )
-        return CliqueTiling(k, norm)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(v for tile in self.cliques for v in tile)
-
-
 def _augment(adj: Sequence[Sequence[int]], u: int, match_right: list[int], seen: list[bool]) -> bool:
     for v in adj[u]:
         if not seen[v]:
@@ -132,53 +75,38 @@ def max_matching(b: BipartiteGraph) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_auxiliary_tiling_graph(
-    graph: Graph,
-    tiling: CliqueTiling,
-    b_vertices: Sequence[int],
+def tiling_graph(
+    collection: GraphCollection,
+    colours: Sequence[int],
+    tiles: Sequence[Sequence[int]],
+    right: Sequence[int],
 ) -> BipartiteGraph:
-    """Tiles on the left, ``b_vertices`` on the right; edge iff the right
-    vertex is adjacent to every tile member."""
-    support = tiling.support()
-    if support & set(b_vertices):
-        raise InvalidInstanceError("tiling support overlaps the right-hand vertex set")
-    b_mask = mask_of(b_vertices)
-    index_of = {v: i for i, v in enumerate(b_vertices)}
-    rows = []
-    for tile in tiling.cliques:
-        cand = b_mask
-        for u in tile:
-            cand &= graph.masks[u]
-        rows.append(tuple(sorted(index_of[v] for v in iter_bits(cand))))
-    return BipartiteGraph(len(tiling.cliques), len(b_vertices), tuple(rows))
+    """Auxiliary graph of one tiling-extension step.
 
-
-def extend_tiling(
-    graph: Graph,
-    a_vertices: Iterable[int],
-    b_vertices: Sequence[int],
-    tiling: CliqueTiling,
-) -> CliqueTiling:
-    """Extend a perfect K_k-tiling of G[A] to a perfect K_{k+1}-tiling of
-    G[A + B] by matching tiles to B-vertices in the auxiliary graph.
-
-    Raises :class:`NoExtensionError` when the auxiliary graph has no perfect
-    matching (the degree hypotheses were violated).
+    Tiles are the left vertices and ``right`` the right ones: tile t is
+    joined to ``right[i]`` when ``right[i]`` is adjacent to ``tiles[t][j]``
+    in graph ``colours[j]``, for every j.  A perfect matching attaches one
+    right vertex to every tile.
     """
-    a_set = set(a_vertices)
-    if tiling.support() != a_set:
-        raise InvalidInstanceError("tiling must cover A exactly")
-    if len(a_set) != tiling.k * len(b_vertices):
-        raise InvalidInstanceError("need |A| = k|B|")
-    aux = build_auxiliary_tiling_graph(graph, tiling, b_vertices)
-    matching = max_matching(aux)
-    if len(matching) < len(b_vertices):
-        raise NoExtensionError(
-            f"no perfect matching in the auxiliary graph "
-            f"(matched {len(matching)} of {len(b_vertices)} tiles)"
-        )
-    new_cliques = [tiling.cliques[t] + (b_vertices[v],) for (t, v) in matching]
-    return CliqueTiling.build(graph, tiling.k + 1, new_cliques)
+    if any(len(tile) != len(colours) for tile in tiles):
+        raise InvalidInstanceError(f"every tile needs {len(colours)} vertices, one per colour")
+    support = mask_of(v for tile in tiles for v in tile)
+    if support.bit_count() != len(tiles) * len(colours):
+        raise InvalidInstanceError("tiles must be pairwise disjoint")
+    right_mask = mask_of(right)
+    if support & right_mask:
+        raise InvalidInstanceError("tiles overlap the right-hand vertex set")
+    tables = [collection.masks[c - 1] for c in colours]
+    slot = [0] * collection.n
+    for i, v in enumerate(right):
+        slot[v] = i
+    rows = []
+    for tile in tiles:
+        cand = right_mask
+        for table, u in zip(tables, tile):
+            cand &= table[u]
+        rows.append(tuple(sorted(select(cand, slot))))
+    return BipartiteGraph(len(tiles), len(right), tuple(rows))
 
 
 def _count_completions(rows: Sequence[int], i: int, avail: int, memo: dict) -> int:

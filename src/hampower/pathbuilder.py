@@ -5,7 +5,8 @@ disjoint k-power paths, each visiting the parts in order, one path per
 round.  Within a round it grows all residual paths simultaneously, level by
 level: the partial paths restricted to the last (up to k) levels form a
 clique tiling, and attaching the next level is one perfect matching in the
-auxiliary tiling graph built from the pattern-specified colour graphs.
+auxiliary tiling graph (:func:`matching.tiling_graph`) built from the
+pattern-specified colour graphs.
 Before each matching, bipartite minimum degrees are checked against the
 (2w-1)/2w threshold (w = window size) that guarantees the matching exists;
 a breach aborts the round with full indices.  At the end of a round one of
@@ -33,7 +34,7 @@ from .errors import (
     NoMatchingError,
     NoPerfectMatchingError,
 )
-from .matching import BipartiteGraph, sample_perfect_matching
+from .matching import sample_perfect_matching, tiling_graph
 
 
 @dataclass
@@ -120,10 +121,10 @@ def _run_round(
     for lvl in range(1, r):
         win_lo = max(0, lvl - k)
         width = lvl - win_lo
+        colours = [pat.colour_of(j, lvl) for j in range(win_lo, lvl)]
 
         # threshold check on the colour graphs the pattern designates
-        for j in range(win_lo, lvl):
-            colour = pat.colour_of(j, lvl)
+        for j, colour in enumerate(colours, start=win_lo):
             d = _min_pair_degree(collection, colour, state.parts[j], state.parts[lvl])
             if 2 * width * d < (2 * width - 1) * n_i:
                 raise AbortError(
@@ -135,20 +136,7 @@ def _run_round(
                 )
 
         right = state.parts[lvl]
-        right_mask = mask_of(right)
-        index_of = {v: i for i, v in enumerate(right)}
-        rows = []
-        for chain in chains:
-            cand = right_mask
-            for j in range(win_lo, lvl):
-                cand &= collection.neighbour_mask(pat.colour_of(j, lvl), chain[j])
-            row = []
-            while cand:
-                low = cand & -cand
-                row.append(index_of[low.bit_length() - 1])
-                cand ^= low
-            rows.append(tuple(sorted(row)))
-        aux = BipartiteGraph(n_i, n_i, tuple(rows))
+        aux = tiling_graph(collection, colours, [chain[win_lo:] for chain in chains], right)
         try:
             matching = sample_perfect_matching(aux, rng, mode=sampler_mode)
         except NoPerfectMatchingError as exc:

@@ -222,17 +222,6 @@ def feasibility_floor(k: int, config: PipelineConfig) -> int:
     raise InfeasibleConfigError("no feasible n found in the probe range")
 
 
-def resolve_plan(n: int, k: int, config: PipelineConfig) -> Plan:
-    plans = candidate_plans(n, k, config)
-    if not plans:
-        floor = feasibility_floor(k, config)
-        raise InfeasibleConfigError(
-            f"n={n} is below the feasibility floor {floor} for this configuration",
-            floor=floor,
-        )
-    return plans[0]
-
-
 def layout_edge_partition(plan: Plan) -> dict[str, set]:
     """Exact colour-accounting partition of the host cycle's edges.
 

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from hampower.core import GraphCollection, host_edges
-from hampower.matching import BipartiteGraph, Graph, CliqueTiling
+from hampower.matching import BipartiteGraph
 
 
 def brute_max_matching_size(b: BipartiteGraph) -> int:
@@ -70,15 +70,14 @@ def naive_hamilton_power_exists(collection: GraphCollection, pattern) -> bool:
 def tiling_extension_instance(rng: random.Random, k: int, n: int):
     """Random instance meeting the tiling-extension degree bounds.
 
-    Returns (graph, a_vertices, b_vertices, tiling) on (k+1)n vertices:
-    A = 0..kn-1 carries a planted perfect K_k-tiling (consecutive blocks),
-    and the A-B bipartite part satisfies d(v, A) >= (1 - 1/2k) kn for all
-    v in B and d(u, B) >= (1 - 1/2k) n for all u in A.
+    Returns (collection, tiles): a one-graph collection on (k+1)n vertices
+    and a planted perfect K_k-tiling of A = 0..kn-1 by consecutive blocks.
+    The bipartite part between A and B = kn..(k+1)n-1 satisfies
+    d(v, A) >= (1 - 1/2k) kn for all v in B and d(u, B) >= (1 - 1/2k) n for
+    all u in A.
     """
     a_size = k * n
     total = a_size + n
-    a_vertices = list(range(a_size))
-    b_vertices = list(range(a_size, total))
     need_b = a_size - (a_size // (2 * k))  # ceil((1 - 1/2k) kn) via exact ints
     need_a = n - (n // (2 * k))
 
@@ -119,9 +118,23 @@ def tiling_extension_instance(rng: random.Random, k: int, n: int):
         tiles.append(block)
         for x, y in itertools.combinations(block, 2):
             edges.append((x, y))
-    graph = Graph.from_edges(total, edges)
-    tiling = CliqueTiling.build(graph, k, tiles)
-    return graph, a_vertices, b_vertices, tiling
+    return GraphCollection.from_edge_lists(total, [edges]), tiles
+
+
+def extend_tiles(tiles, right, pairs) -> list[list[int]]:
+    """Tile t extended by ``right[i]`` for every matched pair (t, i)."""
+    return [list(tiles[t]) + [right[i]] for t, i in pairs]
+
+
+def is_clique_tiling(collection: GraphCollection, cliques, vertices) -> bool:
+    """The cliques are pairwise disjoint, cover ``vertices`` exactly and are
+    cliques in graph 1 of the collection."""
+    covered = sorted(v for clique in cliques for v in clique)
+    return covered == sorted(vertices) and all(
+        collection.has_edge(1, x, y)
+        for clique in cliques
+        for x, y in itertools.combinations(clique, 2)
+    )
 
 
 def chi_square_statistic(observed: dict, total: int) -> float:

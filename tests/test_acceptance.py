@@ -16,6 +16,8 @@ from helpers import (
     brute_count_perfect_matchings,
     chi_square_critical,
     chi_square_statistic,
+    extend_tiles,
+    is_clique_tiling,
     random_bipartite,
     tiling_extension_instance,
 )
@@ -47,8 +49,8 @@ from hampower.instances import (
 from hampower.matching import (
     BipartiteGraph,
     count_perfect_matchings,
-    extend_tiling,
     sample_perfect_matching,
+    tiling_graph,
 )
 from hampower.oracle import FOUND, NONE, find_coloured_hamilton_power
 from hampower.pathbuilder import build_path_collection
@@ -102,10 +104,12 @@ def test_criterion_3_tiling_extension_guarantee():
             for seed in range(200):
                 rng = random.Random(3_000 + 211 * k + seed)
                 n = rng.randint(2, 40)
-                graph, a_vs, b_vs, tiling = tiling_extension_instance(rng, k, n)
-                extended = extend_tiling(graph, a_vs, b_vs, tiling)
-                flat = sorted(v for c in extended.cliques for v in c)
-                assert flat == list(range((k + 1) * n))
+                collection, tiles = tiling_extension_instance(rng, k, n)
+                right = list(range(k * n, (k + 1) * n))
+                aux = tiling_graph(collection, [1] * k, tiles, right)
+                pairs = sample_perfect_matching(aux, rng, "fast")
+                extended = extend_tiles(tiles, right, pairs)
+                assert is_clique_tiling(collection, extended, range((k + 1) * n))
                 successes += 1
             assert successes == 200
 

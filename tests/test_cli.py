@@ -136,11 +136,35 @@ class TestErrors:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_schema_error_exit_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        core.save_json(str(bad), {"n": 3, "m": 2, "graphs": [[]]})
-        code = cli.dispatch(["oracle", "--instance", str(bad), "--pattern", str(bad)])
-        assert code == 1
+    @pytest.mark.parametrize(
+        "file, field, value",
+        [
+            ("instance", "graphs", [[]]),
+            ("instance", "graphs", 5),
+            ("pattern", "host", {"kind": "cycle", "k": 2}),
+            ("pattern", "host", {"kind": "connector", "k": 2, "b": 1}),
+            ("pattern", "host", {"kind": "cycle", "n_or_r": "x", "k": 2}),
+            ("pattern", "host", {"kind": "cycle", "n_or_r": 5, "k": "x"}),
+            ("pattern", "colours", 5),
+            ("cycle", "vertices", 5),
+        ],
+        ids=["graphs-count", "graphs-int", "no-n_or_r", "connector-no-a", "n_or_r-text",
+             "k-text", "colours-int", "vertices-int"],
+    )
+    def test_schema_error_exit_1(self, tmp_path, capsys, file, field, value):
+        pattern = bijective_pattern(core.power_cycle(5, 2))
+        payloads = {
+            "instance": core.collection_to_dict(complete_collection(5, pattern.max_colour)),
+            "pattern": core.pattern_to_dict(pattern),
+            "cycle": {"k": 2, "vertices": list(range(5))},
+        }
+        payloads[file][field] = value
+        args = ["verify"]
+        for name, payload in payloads.items():
+            core.save_json(str(tmp_path / name), payload)
+            args += [f"--{name}", str(tmp_path / name)]
+        assert cli.dispatch(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExperiment:

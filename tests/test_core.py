@@ -91,9 +91,21 @@ class TestCollectionValidation:
         with pytest.raises(InvalidInstanceError):
             GraphCollection.from_edge_lists(3, [[(0, 5)]])
 
+    def test_rejects_duplicate_neighbour(self):
+        with pytest.raises(InvalidInstanceError, match="duplicate"):
+            GraphCollection(3, [[[1, 1], [0], []]])
+
+    def test_masks_hold_the_adjacency(self):
+        coll = GraphCollection(3, [[[1, 2], [0], [0]]])
+        assert coll.masks == ((0b110, 0b001, 0b001),)
+        assert [coll.degree(1, v) for v in range(3)] == [2, 1, 1]
+        assert coll.edge_lists() == [((0, 1), (0, 2))]
+
     def test_shared_adjacency_deduplicated(self):
         coll = complete_collection(20, 50)
         assert coll.masks[0] is coll.masks[49]
+        edge_lists = coll.edge_lists()
+        assert edge_lists[0] is edge_lists[49] and len(edge_lists[0]) == 190
 
 
 class TestPatternValidation:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hampower.bitset import mask_of
 from hampower.core import (
     collection_from_dict,
     collection_to_dict,
@@ -26,12 +27,12 @@ class TestCompleteCollection:
     def test_two_triangles(self):
         coll = complete_collection(3, 2)
         assert coll.m == 2
-        assert all(coll.graphs[g][v] == tuple(u for u in range(3) if u != v)
-                   for g in range(2) for v in range(3))
+        assert all(coll.neighbour_mask(c, v) == 0b111 ^ (1 << v)
+                   for c in (1, 2) for v in range(3))
 
     def test_single_vertex_is_edgeless(self):
         coll = complete_collection(1, 1)
-        assert coll.graphs[0][0] == ()
+        assert coll.degree(1, 0) == 0
 
     def test_min_degree(self):
         assert min_degree(complete_collection(13, 7)) == 12
@@ -98,23 +99,17 @@ class TestLowerBound:
         coll, pattern = lowerbound_construction(1, 3)
         assert coll.n == 6
         # G2 = two disjoint triangles plus a perfect matching between parts
-        g2_degrees = [len(coll.graphs[1][v]) for v in range(6)]
+        g2_degrees = [coll.degree(2, v) for v in range(6)]
         assert g2_degrees == [3] * 6
-        edges_between = [
-            (u, v)
-            for u in range(3)
-            for v in coll.graphs[1][u]
-            if v >= 3
-        ]
+        edges_between = [(u, v) for u in range(3) for v in range(3, 6) if coll.has_edge(2, u, v)]
         assert len(edges_between) == 3  # matching, not K_{3,3}
 
     def test_paired_part_bipartite_is_matching(self):
         for k, p in ((2, 3), (3, 3), (2, 4)):
             coll, _ = lowerbound_construction(k, p)
-            between = [
-                (u, v) for u in range(p) for v in coll.graphs[1][u] if p <= v < 2 * p
-            ]
-            assert len(between) == p
+            part_1 = mask_of(range(p, 2 * p))
+            between = sum(coll.degree_into(2, u, part_1) for u in range(p))
+            assert between == p
 
     def test_min_degree_formula(self):
         for k, p in ((1, 3), (2, 3), (2, 4), (3, 3), (4, 3)):

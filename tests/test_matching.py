@@ -10,24 +10,21 @@ from helpers import (
     brute_max_matching_size,
     chi_square_critical,
     chi_square_statistic,
+    extend_tiles,
+    is_clique_tiling,
     random_bipartite,
     tiling_extension_instance,
 )
-from hampower.errors import (
-    InvalidInstanceError,
-    NoExtensionError,
-    NoPerfectMatchingError,
-    SizeLimitError,
-)
+from hampower.bitset import iter_bits
+from hampower.core import GraphCollection
+from hampower.errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
+from hampower.instances import complete_collection
 from hampower.matching import (
     BipartiteGraph,
-    CliqueTiling,
-    Graph,
-    build_auxiliary_tiling_graph,
     count_perfect_matchings,
-    extend_tiling,
     max_matching,
     sample_perfect_matching,
+    tiling_graph,
 )
 
 
@@ -81,44 +78,51 @@ class TestMaxMatching:
 class TestAuxiliaryGraph:
     def test_singleton_tiles_reproduce_bipartite_restriction(self):
         rng = random.Random(22)
-        g = Graph.from_edges(
-            8, [(u, v) for u in range(4) for v in range(4, 8) if rng.random() < 0.6]
+        coll = GraphCollection.from_edge_lists(
+            8, [[(u, v) for u in range(4) for v in range(4, 8) if rng.random() < 0.6]]
         )
-        tiling = CliqueTiling.build(g, 1, [[u] for u in range(4)])
-        aux = build_auxiliary_tiling_graph(g, tiling, [4, 5, 6, 7])
+        aux = tiling_graph(coll, [1], [[u] for u in range(4)], [4, 5, 6, 7])
         for u in range(4):
-            assert aux.adj[u] == tuple(sorted(v - 4 for v in g.neighbours(u) if v >= 4))
+            assert aux.adj[u] == tuple(v - 4 for v in iter_bits(coll.neighbour_mask(1, u)))
 
     def test_complete_graph_gives_complete_bipartite(self):
-        g = Graph.from_edges(6, itertools.combinations(range(6), 2))
-        tiling = CliqueTiling.build(g, 2, [[0, 1], [2, 3]])
-        aux = build_auxiliary_tiling_graph(g, tiling, [4, 5])
+        aux = tiling_graph(complete_collection(6, 1), [1, 1], [[0, 1], [2, 3]], [4, 5])
         assert aux.adj == ((0, 1), (0, 1))
 
     def test_hand_instance(self):
         # tiles {0,1} and {2,3}; 4 sees all of the first tile, 5 all of the second
-        g = Graph.from_edges(6, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 5), (3, 5)])
-        tiling = CliqueTiling.build(g, 2, [[0, 1], [2, 3]])
-        aux = build_auxiliary_tiling_graph(g, tiling, [4, 5])
+        coll = GraphCollection.from_edge_lists(
+            6, [[(0, 1), (2, 3), (0, 4), (1, 4), (2, 5), (3, 5)]]
+        )
+        aux = tiling_graph(coll, [1, 1], [[0, 1], [2, 3]], [4, 5])
+        assert aux.adj == ((0,), (1,))
+
+    def test_colour_per_tile_position(self):
+        # graph 1 joins 4 to the first position of each tile and 5 to the
+        # second; graph 2 the other way round
+        g1 = [(0, 4), (2, 4), (1, 5), (3, 5)]
+        g2 = [(0, 5), (2, 5), (1, 4), (3, 4)]
+        coll = GraphCollection.from_edge_lists(6, [g1, g2])
+        tiles = [[0, 1], [2, 3]]
+        assert tiling_graph(coll, [1, 2], tiles, [4, 5]).adj == ((0,), (0,))
+        assert tiling_graph(coll, [2, 1], tiles, [4, 5]).adj == ((1,), (1,))
+        assert tiling_graph(coll, [1, 1], tiles, [4, 5]).adj == ((), ())
+
+    def test_right_vertices_indexed_in_given_order(self):
+        coll = GraphCollection.from_edge_lists(5, [[(0, 4), (1, 2)]])
+        aux = tiling_graph(coll, [1], [[0], [1]], [4, 2, 3])
         assert aux.adj == ((0,), (1,))
 
     def test_overlap_rejected(self):
-        g = Graph.from_edges(4, [(0, 1)])
-        tiling = CliqueTiling.build(g, 2, [[0, 1]])
+        coll = GraphCollection.from_edge_lists(4, [[(0, 1)]])
         with pytest.raises(InvalidInstanceError):
-            build_auxiliary_tiling_graph(g, tiling, [1, 2])
+            tiling_graph(coll, [1, 1], [[0, 1]], [1, 2])
 
 
 class TestCliqueTiling:
-    def test_non_clique_rejected(self):
-        g = Graph.from_edges(4, [(0, 1)])
-        with pytest.raises(InvalidInstanceError):
-            CliqueTiling.build(g, 2, [[2, 3]])
-
     def test_overlapping_tiles_rejected(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2)])
         with pytest.raises(InvalidInstanceError):
-            CliqueTiling.build(g, 2, [[0, 1], [1, 2]])
+            tiling_graph(complete_collection(5, 1), [1, 1], [[0, 1], [1, 2]], [3, 4])
 
 
 class TestExtendTiling:
@@ -127,35 +131,39 @@ class TestExtendTiling:
         for k in (1, 2, 3):
             n = 4
             total = (k + 1) * n
-            g = Graph.from_edges(total, itertools.combinations(range(total), 2))
+            coll = complete_collection(total, 1)
             tiles = [list(range(t * k, (t + 1) * k)) for t in range(n)]
-            tiling = CliqueTiling.build(g, k, tiles)
-            extended = extend_tiling(g, range(k * n), list(range(k * n, total)), tiling)
-            assert extended.k == k + 1
-            flat = sorted(v for c in extended.cliques for v in c)
-            assert flat == list(range(total))
+            right = list(range(k * n, total))
+            aux = tiling_graph(coll, [1] * k, tiles, right)
+            extended = extend_tiles(tiles, right, sample_perfect_matching(aux, rng, "fast"))
+            assert all(len(c) == k + 1 for c in extended)
+            assert is_clique_tiling(coll, extended, range(total))
 
     def test_degree_hypotheses_imply_success(self):
         rng = random.Random(24)
         for k in (1, 2, 3):
             for _ in range(25):
                 n = rng.randint(2, 12)
-                g, a_vs, b_vs, tiling = tiling_extension_instance(rng, k, n)
-                extended = extend_tiling(g, a_vs, b_vs, tiling)
-                flat = sorted(v for c in extended.cliques for v in c)
-                assert flat == sorted(a_vs) + sorted(b_vs)
+                coll, tiles = tiling_extension_instance(rng, k, n)
+                right = list(range(k * n, (k + 1) * n))
+                aux = tiling_graph(coll, [1] * k, tiles, right)
+                extended = extend_tiles(tiles, right, sample_perfect_matching(aux, rng, "fast"))
+                assert is_clique_tiling(coll, extended, range((k + 1) * n))
 
     def test_no_cross_edges_fails(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        tiling = CliqueTiling.build(g, 2, [[0, 1]])
-        with pytest.raises(NoExtensionError):
-            extend_tiling(g, [0, 1], [2], tiling)
+        coll = GraphCollection.from_edge_lists(3, [[(0, 1)]])
+        aux = tiling_graph(coll, [1, 1], [[0, 1]], [2])
+        for mode in ("exact", "fast"):
+            with pytest.raises(NoPerfectMatchingError):
+                sample_perfect_matching(aux, random.Random(0), mode)
 
     def test_size_precondition(self):
-        g = Graph.from_edges(6, [(0, 1)])
-        tiling = CliqueTiling.build(g, 2, [[0, 1]])
+        coll = complete_collection(6, 1)
         with pytest.raises(InvalidInstanceError):
-            extend_tiling(g, [0, 1], [2, 3, 4], tiling)
+            tiling_graph(coll, [1, 1], [[0]], [3])  # a tile needs one vertex per colour
+        aux = tiling_graph(coll, [1, 1], [[0, 1]], [2, 3, 4])
+        with pytest.raises(NoPerfectMatchingError):  # one tile cannot take three vertices
+            sample_perfect_matching(aux, random.Random(0), "fast")
 
 
 class TestCountPerfectMatchings:

@@ -25,7 +25,6 @@ from hampower.pipeline import (
     derive_rng,
     feasibility_floor,
     layout_edge_partition,
-    resolve_plan,
     sample_reservoir,
     solve,
 )
@@ -49,8 +48,9 @@ class TestConfig:
 
 class TestPlan:
     def test_feasibility_floor_reported(self):
+        pattern = random_pattern(power_cycle(5, 2), 1, random.Random(0))
         with pytest.raises(InfeasibleConfigError) as err:
-            resolve_plan(5, 2, CONFIG)
+            solve(complete_collection(5, 1), pattern, CONFIG)
         assert err.value.floor == 6
 
     def test_floor_matches_probe(self):
@@ -58,7 +58,7 @@ class TestPlan:
 
     def test_plan_identities(self):
         for n in (6, 10, 23, 40, 60, 77, 120):
-            plan = resolve_plan(n, 2, CONFIG)
+            plan = candidate_plans(n, 2, CONFIG)[0]
             # vertex conservation
             assert plan.n == plan.a + plan.z_size + plan.s * plan.r + plan.c
             # reservoir interior budget
@@ -71,11 +71,10 @@ class TestPlan:
         for k in (1, 2, 3):
             cfg = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=k + 5)
             for n in range(2 * k + 1, 90):
-                try:
-                    plan = resolve_plan(n, k, cfg)
-                except InfeasibleConfigError:
+                plans = candidate_plans(n, k, cfg)
+                if not plans:
                     continue
-                families = layout_edge_partition(plan)  # raises on any overlap/gap
+                families = layout_edge_partition(plans[0])  # raises on any overlap/gap
                 total = sum(len(f) for f in families.values())
                 assert total == k * n
                 checked += 1
