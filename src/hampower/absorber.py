@@ -32,7 +32,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .bitset import mask_of, pick_bit
+from .bitset import iter_bits, mask_of, pick_bit
 from .connectors import ConnectorRequest, embed_connector
 from .core import (
     ColourPattern,
@@ -304,38 +304,38 @@ def embed_by_degeneracy(
 class Template:
     """Bipartite template on (U + W, X): |U| = 2s, |W| = s+t, |X| = 3s.
 
-    Left indices 0..2s-1 are U and 2s..3s+t-1 are W; ``adj`` maps each left
-    index to its X-neighbours.  The robust property: for every s-subset W'
-    of W, the subgraph on (U + W', X) has a perfect matching.  Degenerate
-    s = 0 templates (no gadgets to drive) are permitted with empty parts.
+    Left indices 0..2s-1 are U and 2s..3s+t-1 are W; ``rows`` holds one
+    X-neighbour mask per left index (bit x set when it is adjacent to X
+    vertex x).  The robust property: for every s-subset W' of W, the
+    subgraph on (U + W', X) has a perfect matching.  Degenerate s = 0
+    templates (no gadgets to drive) are permitted with empty parts.
     """
 
     s: int
     t: int
-    adj: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
     verified: str = "unverified"
 
     def __post_init__(self) -> None:
         if self.s < 0 or self.t < 0:
             raise TemplateError("template sizes must be non-negative")
         if self.s == 0:
-            if self.adj:
+            if self.rows:
                 raise TemplateError("an s=0 template must be empty")
             return
         if self.t < 1:
             raise TemplateError("template needs t = eps*s >= 1")
-        if len(self.adj) != 3 * self.s + self.t:
+        if len(self.rows) != 3 * self.s + self.t:
             raise TemplateError("template adjacency must cover U and W")
-        degrees = [0] * (3 * self.s)
-        for row in self.adj:
-            for x in row:
-                if not (0 <= x < 3 * self.s):
-                    raise TemplateError("template neighbour out of range")
-                degrees[x] += 1
-        for left, row in enumerate(self.adj):
-            if not (2 <= len(row) <= 40):
-                raise TemplateError(f"left vertex {left} has degree {len(row)} outside [2, 40]")
-        for x, d in enumerate(degrees):
+        outside = ~self.x_mask
+        for left, row in enumerate(self.rows):
+            if row < 0 or row & outside:
+                raise TemplateError("template neighbour out of range")
+            if not (2 <= row.bit_count() <= 40):
+                raise TemplateError(
+                    f"left vertex {left} has degree {row.bit_count()} outside [2, 40]"
+                )
+        for x, d in enumerate(self.x_degrees()):
             if not (2 <= d <= 40):
                 raise TemplateError(f"X-vertex {x} has degree {d} outside [2, 40]")
 
@@ -356,27 +356,27 @@ class Template:
         return 3 * self.s
 
     @property
+    def x_mask(self) -> int:
+        return (1 << self.n_x) - 1
+
+    @property
     def eps(self) -> Fraction:
         return Fraction(self.t, self.s) if self.s else Fraction(0)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(r) for r in self.adj)
+        return sum(map(int.bit_count, self.rows))
 
     def x_degrees(self) -> list[int]:
-        degrees = [0] * self.n_x
-        for row in self.adj:
-            for x in row:
-                degrees[x] += 1
-        return degrees
+        return [len(ns) for ns in self.x_neighbourhoods()]
 
     def x_neighbourhoods(self) -> list[tuple[int, ...]]:
         """Left-index neighbourhood of each X vertex, sorted."""
         out: list[list[int]] = [[] for _ in range(self.n_x)]
-        for left, row in enumerate(self.adj):
-            for x in row:
+        for left, row in enumerate(self.rows):
+            for x in iter_bits(row):
                 out[x].append(left)
-        return [tuple(sorted(ns)) for ns in out]
+        return [tuple(ns) for ns in out]
 
     def robust_matching(self, w_locals: Iterable[int]) -> Optional[list[tuple[int, int]]]:
         """Perfect matching of (U + W', X) as (left_index, x) pairs, or None.
@@ -387,7 +387,7 @@ class Template:
         if len(chosen) != self.s or any(not (0 <= w < self.n_w) for w in chosen):
             raise InvalidInstanceError("robust_matching needs s distinct W-local indices")
         left_ids = list(range(self.n_u)) + [self.n_u + w for w in chosen]
-        sub = BipartiteGraph(len(left_ids), self.n_x, tuple(self.adj[l] for l in left_ids))
+        sub = BipartiteGraph(tuple(self.rows[l] for l in left_ids), self.x_mask)
         pairs = max_matching(sub)
         if len(pairs) < self.n_x:
             return None
@@ -398,15 +398,17 @@ def template_edge_count(s: int, t: int) -> int:
     """Edge count of the deterministic template skeleton for given (s, t).
 
     The randomised builder permutes labels only, so this is exact; the
-    pipeline planner uses it before any template is actually built.
+    pipeline planner uses it before any template is actually built.  U
+    contributes 4s edges; W vertex i sees the clipped window of X-slots
+    max(0, i-t)..min(s-1, i), and a window of width 1 gets one padding edge.
+    The widths sum to s(t+1).  Every window has width 1 when s = 1 or
+    t = 0; otherwise only the first and the last have.
     """
     if s == 0:
         return 0
-    total = 4 * s
-    for i in range(s + t):
-        width = min(s - 1, i) - max(0, i - t) + 1
-        total += width + (1 if width == 1 else 0)
-    return total
+    if s == 1 or t == 0:
+        return 2 * s * (t + 1) + 4 * s
+    return s * (t + 5) + 2
 
 
 def build_template(
@@ -444,8 +446,8 @@ def build_template(
     exhaustive = verify == "exhaustive" or (verify == "auto" and n_subsets <= 4096)
 
     for _ in range(32):
-        adj = _random_template_adjacency(s, t, rng)
-        template = Template(s, t, adj, verified="exhaustive" if exhaustive else "sampled")
+        rows = _random_template_adjacency(s, t, rng)
+        template = Template(s, t, rows, verified="exhaustive" if exhaustive else "sampled")
         if template.edge_count != template_edge_count(s, t):
             raise HamPowerError("internal error: template edge count drifted from the skeleton")
         if _certify(template, rng, exhaustive):
@@ -460,7 +462,7 @@ def _subset_count(n: int, k: int) -> int:
     return out
 
 
-def _random_template_adjacency(s: int, t: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+def _random_template_adjacency(s: int, t: int, rng: random.Random) -> tuple[int, ...]:
     xs = list(range(3 * s))
     rng.shuffle(xs)
     x_m, x_w = xs[: 2 * s], xs[2 * s:]
@@ -492,8 +494,7 @@ def _random_template_adjacency(s: int, t: int, rng: random.Random) -> tuple[tupl
             w_adj[w].add(x)
             xm_load[x] += 1
 
-    rows = [tuple(sorted(r)) for r in u_adj] + [tuple(sorted(r)) for r in w_adj]
-    return tuple(rows)
+    return tuple(mask_of(r) for r in u_adj + w_adj)
 
 
 def _certify(template: Template, rng: random.Random, exhaustive: bool) -> bool:

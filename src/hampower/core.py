@@ -194,10 +194,7 @@ class GraphCollection:
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, graphs: Sequence[Sequence[Sequence[int]]]):
-        if n < 1:
-            raise InvalidInstanceError(f"vertex count must be >= 1, got {n}")
-        if len(graphs) < 1:
-            raise InvalidInstanceError("a collection needs at least one graph")
+        _check_sizes(n, len(graphs))
         tables: dict[int, tuple[int, ...]] = {}
         masks = []
         for gi, adj in enumerate(graphs):
@@ -224,20 +221,24 @@ class GraphCollection:
     def degree_into(self, colour: int, v: int, vertex_mask: int) -> int:
         return (self.masks[colour - 1][v] & vertex_mask).bit_count()
 
-    @staticmethod
-    def from_edge_lists(n: int, edge_lists: Sequence[Iterable[tuple[int, int]]]) -> "GraphCollection":
-        graphs = []
+    @classmethod
+    def from_edge_lists(cls, n: int, edge_lists: Sequence[Iterable[tuple[int, int]]]) -> "GraphCollection":
+        """Collection from one edge list per graph; graphs with equal edge
+        lists share one mask table."""
+        _check_sizes(n, len(edge_lists))
+        built: list[tuple[list[Edge], tuple[int, ...]]] = []
+        masks = []
         for edges in edge_lists:
-            adj: list[set[int]] = [set() for _ in range(n)]
-            for (u, v) in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InvalidInstanceError(f"edge ({u},{v}) out of range for n={n}")
-                if u == v:
-                    raise InvalidInstanceError(f"self-loop ({u},{v})")
-                adj[u].add(v)
-                adj[v].add(u)
-            graphs.append([sorted(s) for s in adj])
-        return GraphCollection(n, graphs)
+            edges = list(edges)
+            table = next((t for prior, t in built if prior == edges), None)
+            if table is None:
+                table = _table_of_edges(n, edges)
+                built.append((edges, table))
+            masks.append(table)
+        out = cls.__new__(cls)
+        out.n = n
+        out.masks = tuple(masks)
+        return out
 
     def edge_lists(self) -> list[tuple[Edge, ...]]:
         """Per graph, its edges (u, v) with u < v in lexicographic order.
@@ -262,6 +263,26 @@ class GraphCollection:
 
     def __repr__(self) -> str:
         return f"GraphCollection(n={self.n}, m={self.m})"
+
+
+def _check_sizes(n: int, m: int) -> None:
+    if n < 1:
+        raise InvalidInstanceError(f"vertex count must be >= 1, got {n}")
+    if m < 1:
+        raise InvalidInstanceError("a collection needs at least one graph")
+
+
+def _table_of_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Bitmask rows of the graph with these edges; repeats are merged."""
+    rows = [0] * n
+    for (u, v) in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInstanceError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InvalidInstanceError(f"self-loop ({u},{v})")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
 
 
 def _mask_table(n: int, g: int, adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -415,8 +436,12 @@ def collection_from_dict(d: Mapping) -> GraphCollection:
         raise InvalidInstanceError("instance file: graphs must be a list of edge lists")
     if len(graphs) != m:
         raise InvalidInstanceError(f"instance file: m={m} but {len(graphs)} graphs present")
-    edge_lists = []
+    edge_lists: list[list[Edge]] = []
     for gi, edges in enumerate(graphs):
+        same = next((j for j in range(gi) if graphs[j] == edges), None)
+        if same is not None:  # decode a repeated graph once
+            edge_lists.append(edge_lists[same])
+            continue
         try:
             edge_lists.append([(int(u), int(v)) for (u, v) in edges])
         except (TypeError, ValueError) as exc:

@@ -1,5 +1,10 @@
 """Bipartite matching, the tiling-extension graph, and perfect-matching sampling.
 
+A :class:`BipartiteGraph` is one neighbour bitmask per left vertex plus the
+mask of its right vertices.  Right vertices keep the ids the caller gives
+them (the path builder uses global vertex ids), and every function here
+returns (left index, right vertex id) pairs.
+
 :func:`tiling_graph` turns "attach one more level to a family of partial
 cliques" into a single bipartite matching problem: the auxiliary graph has
 one left vertex per tile, adjacent to a right vertex exactly when that
@@ -7,9 +12,12 @@ vertex completes the tile (is adjacent to every tile member, each in the
 graph named for its position).  A perfect matching in the auxiliary graph
 extends a perfect K_k-tiling to a perfect K_{k+1}-tiling.
 
-Perfect matchings can be sampled exactly uniformly (sequential conditional
-sampling weighted by permanent counts, side length <= 24) or heuristically
-(randomised-order augmenting search, near-uniform, cheap at any size).
+Augmenting paths are searched depth first with an explicit stack, so their
+length is not bounded by the interpreter's recursion limit.  Perfect
+matchings can be sampled exactly uniformly (sequential conditional sampling
+weighted by permanent counts, side length <= 24) or heuristically
+(augmenting search from the left vertices in random order, each trying its
+neighbours in a random order; near-uniform, cheap at any size).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitset import iter_bits, mask_of, select
+from .bitset import iter_bits, mask_of, pick_bit
 from .core import GraphCollection
 from .errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 
@@ -27,52 +35,82 @@ EXACT_SIDE_CAP = 24
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Left/right sizes plus sorted right-neighbour tuples per left vertex."""
+    """Left vertices 0..n_left-1; bit v of ``rows[u]`` is set when left
+    vertex u is adjacent to right vertex v.  ``right`` is the mask of the
+    right vertices, and every row is a subset of it."""
 
-    n_left: int
-    n_right: int
-    adj: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+    right: int
 
     def __post_init__(self) -> None:
-        if len(self.adj) != self.n_left:
-            raise InvalidInstanceError("bipartite adjacency must have one row per left vertex")
-        for u, row in enumerate(self.adj):
-            if any(not (0 <= v < self.n_right) for v in row):
-                raise InvalidInstanceError(f"left vertex {u}: neighbour id out of range")
-            if list(row) != sorted(set(row)):
-                raise InvalidInstanceError(f"left vertex {u}: neighbours must be sorted and distinct")
+        if self.right < 0:
+            raise InvalidInstanceError("the right vertex mask must be non-negative")
+        outside = ~self.right
+        for u, row in enumerate(self.rows):
+            if row < 0 or row & outside:
+                raise InvalidInstanceError(f"left vertex {u}: neighbour outside the right set")
+
+    @property
+    def n_left(self) -> int:
+        return len(self.rows)
+
+    @property
+    def n_right(self) -> int:
+        return self.right.bit_count()
 
     @property
     def edge_count(self) -> int:
-        return sum(len(r) for r in self.adj)
-
-    def rows(self) -> list[int]:
-        return [mask_of(r) for r in self.adj]
+        return sum(map(int.bit_count, self.rows))
 
 
-def _augment(adj: Sequence[Sequence[int]], u: int, match_right: list[int], seen: list[bool]) -> bool:
-    for v in adj[u]:
-        if not seen[v]:
-            seen[v] = True
-            if match_right[v] == -1 or _augment(adj, match_right[v], match_right, seen):
-                match_right[v] = u
-                return True
-    return False
+def _augment(rows: Sequence[int], root: int, owner: dict[int, int], free: int) -> int:
+    """Augmenting path from the unmatched left vertex ``root``, applied to
+    ``owner`` (matched right vertex -> left vertex); returns the free right
+    vertex it ends at, or -1 when there is none.
+
+    Depth first with an explicit stack and ``seen`` kept as a mask: a left
+    vertex with a free neighbour takes the lowest one, otherwise the search
+    descends through its lowest unseen neighbour.
+    """
+    lefts = [root]
+    rights: list[int] = []
+    seen = 0
+    x = root
+    while True:
+        hit = rows[x] & free
+        if hit:
+            rights.append((hit & -hit).bit_length() - 1)
+            owner.update(zip(rights, lefts))  # each left vertex takes the next right one
+            return rights[-1]
+        cand = rows[x] & ~seen
+        if cand:
+            low = cand & -cand
+            seen |= low
+            v = low.bit_length() - 1
+            rights.append(v)
+            x = owner[v]
+            lefts.append(x)
+        else:
+            lefts.pop()
+            if not rights:
+                return -1
+            rights.pop()
+            x = lefts[-1]
 
 
 def max_matching(b: BipartiteGraph) -> list[tuple[int, int]]:
-    """Maximum-cardinality matching as sorted (left, right) pairs.
+    """Maximum-cardinality matching as (left, right) pairs sorted by left.
 
-    Plain augmenting-path search; deterministic for a fixed adjacency
-    ordering.
+    One augmenting search per left vertex, in index order; deterministic.
     """
-    match_right = [-1] * b.n_right
-    for u in range(b.n_left):
-        seen = [False] * b.n_right
-        _augment(b.adj, u, match_right, seen)
-    pairs = [(u, v) for v, u in enumerate(match_right) if u != -1]
-    pairs.sort()
-    return pairs
+    rows = b.rows
+    owner: dict[int, int] = {}
+    free = b.right
+    for u in range(len(rows)):
+        v = _augment(rows, u, owner, free)
+        if v >= 0:
+            free ^= 1 << v
+    return sorted((u, v) for v, u in owner.items())
 
 
 def tiling_graph(
@@ -83,10 +121,10 @@ def tiling_graph(
 ) -> BipartiteGraph:
     """Auxiliary graph of one tiling-extension step.
 
-    Tiles are the left vertices and ``right`` the right ones: tile t is
-    joined to ``right[i]`` when ``right[i]`` is adjacent to ``tiles[t][j]``
-    in graph ``colours[j]``, for every j.  A perfect matching attaches one
-    right vertex to every tile.
+    Tiles are the left vertices and ``right`` the right ones, by their
+    vertex ids: tile t is joined to v in ``right`` when v is adjacent to
+    ``tiles[t][j]`` in graph ``colours[j]``, for every j.  A perfect
+    matching attaches one right vertex to every tile.
     """
     if any(len(tile) != len(colours) for tile in tiles):
         raise InvalidInstanceError(f"every tile needs {len(colours)} vertices, one per colour")
@@ -97,16 +135,13 @@ def tiling_graph(
     if support & right_mask:
         raise InvalidInstanceError("tiles overlap the right-hand vertex set")
     tables = [collection.masks[c - 1] for c in colours]
-    slot = [0] * collection.n
-    for i, v in enumerate(right):
-        slot[v] = i
     rows = []
     for tile in tiles:
         cand = right_mask
         for table, u in zip(tables, tile):
             cand &= table[u]
-        rows.append(tuple(sorted(select(cand, slot))))
-    return BipartiteGraph(len(tiles), len(right), tuple(rows))
+        rows.append(cand)
+    return BipartiteGraph(tuple(rows), right_mask)
 
 
 def _count_completions(rows: Sequence[int], i: int, avail: int, memo: dict) -> int:
@@ -134,8 +169,106 @@ def count_perfect_matchings(b: BipartiteGraph) -> int:
         raise SizeLimitError("perfect-matching count needs equal sides")
     if b.n_left > EXACT_SIDE_CAP:
         raise SizeLimitError(f"side {b.n_left} exceeds the exact cap {EXACT_SIDE_CAP}")
-    rows = b.rows()
-    return _count_completions(rows, 0, (1 << b.n_right) - 1, {})
+    return _count_completions(b.rows, 0, b.right, {})
+
+
+def _sample_exact(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]:
+    n = b.n_left
+    if n > EXACT_SIDE_CAP:
+        raise SizeLimitError(f"side {n} exceeds the exact cap {EXACT_SIDE_CAP}")
+    rows = b.rows
+    memo: dict = {}
+    avail = b.right
+    if _count_completions(rows, 0, avail, memo) == 0:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    pairs = []
+    for i in range(n):
+        weights = []
+        for v in iter_bits(rows[i] & avail):
+            weights.append((v, _count_completions(rows, i + 1, avail ^ (1 << v), memo)))
+        draw = rng.randrange(sum(w for _, w in weights))
+        acc = 0
+        for v, w in weights:
+            acc += w
+            if draw < acc:
+                pairs.append((i, v))
+                avail ^= 1 << v
+                break
+    return pairs
+
+
+def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]:
+    """Augmenting search from the left vertices in uniformly random order,
+    each left vertex trying its neighbours in a uniformly random order.
+
+    A left vertex's neighbour order is drawn lazily: ``drawn[u]`` is the
+    prefix drawn so far and ``undrawn[u]`` the mask of the rest.  The search
+    walks the prefix (skipping seen vertices) and draws the next neighbour,
+    uniformly from the rest, only when the prefix runs out, so the output
+    has the same law as when every row is shuffled up front.
+    """
+    rows = b.rows
+    n = len(rows)
+    ids = list(iter_bits(b.right))
+    id_bits = n.bit_length()
+    order = list(range(n))
+    rng.shuffle(order)
+    drawn: list[list[int]] = [[] for _ in range(n)]
+    undrawn = list(rows)
+    n_undrawn = [row.bit_count() for row in rows]
+    owner: dict[int, int] = {}
+    for root in order:
+        seen = 0
+        # the path so far, and where each of its left vertices but the last
+        # resumes its prefix; x is the last left vertex, i its position
+        lefts, rights, resume = [root], [], []
+        x, i = root, 0
+        while True:
+            prefix = drawn[x]
+            v = -1
+            while i < len(prefix):
+                w = prefix[i]
+                i += 1
+                if not (seen >> w) & 1:
+                    v = w
+                    break
+            else:  # prefix used up: draw further neighbours
+                while n_undrawn[x]:
+                    rest = undrawn[x]
+                    if 2 * n_undrawn[x] >= n:
+                        # rejection over the positions of all right vertices:
+                        # at this density at least a quarter of tries hit
+                        while True:
+                            j = rng.getrandbits(id_bits)
+                            if j < n and (rest >> ids[j]) & 1:
+                                w = ids[j]
+                                break
+                    else:
+                        w = pick_bit(rest, rng)
+                    undrawn[x] = rest ^ (1 << w)
+                    n_undrawn[x] -= 1
+                    prefix.append(w)
+                    i += 1
+                    if not (seen >> w) & 1:
+                        v = w
+                        break
+            if v < 0:  # x has nothing left to try: back up
+                lefts.pop()
+                if not rights:
+                    raise NoPerfectMatchingError("graph has no perfect matching")
+                rights.pop()
+                x, i = lefts[-1], resume.pop()
+                continue
+            seen |= 1 << v
+            rights.append(v)
+            u = owner.get(v)
+            if u is None:
+                owner.update(zip(rights, lefts))  # each left vertex takes the next right one
+                break
+            resume.append(i)
+            lefts.append(u)
+            x, i = u, 0
+    return sorted((u, v) for v, u in owner.items())
 
 
 def sample_perfect_matching(
@@ -143,58 +276,19 @@ def sample_perfect_matching(
     rng: random.Random,
     mode: str = "exact",
 ) -> list[tuple[int, int]]:
-    """Sample a perfect matching.
+    """Sample a perfect matching as (left, right) pairs sorted by left.
 
     ``exact`` draws exactly uniformly over all perfect matchings by
     sequential conditional sampling with permanent counts (sides <= 24).
-    ``fast`` shuffles the vertex orders and runs augmenting-path search; it
-    returns a valid perfect matching whose distribution is only
-    heuristically close to uniform.
+    ``fast`` runs augmenting-path search from the left vertices in random
+    order, each left vertex trying its neighbours in a random order drawn
+    lazily as the search reaches them; it returns a valid perfect matching
+    whose distribution is only heuristically close to uniform.
     """
     if b.n_left != b.n_right:
         raise NoPerfectMatchingError("perfect matching needs equal sides")
-    n = b.n_left
     if mode == "exact":
-        if n > EXACT_SIDE_CAP:
-            raise SizeLimitError(f"side {n} exceeds the exact cap {EXACT_SIDE_CAP}")
-        rows = b.rows()
-        memo: dict = {}
-        avail = (1 << n) - 1
-        total = _count_completions(rows, 0, avail, memo)
-        if total == 0:
-            raise NoPerfectMatchingError("graph has no perfect matching")
-        pairs = []
-        for i in range(n):
-            weights = []
-            cand = rows[i] & avail
-            for v in iter_bits(cand):
-                weights.append((v, _count_completions(rows, i + 1, avail ^ (1 << v), memo)))
-            draw = rng.randrange(sum(w for _, w in weights))
-            acc = 0
-            for v, w in weights:
-                acc += w
-                if draw < acc:
-                    pairs.append((i, v))
-                    avail ^= 1 << v
-                    break
-        return pairs
+        return _sample_exact(b, rng)
     if mode == "fast":
-        order = list(range(n))
-        rng.shuffle(order)
-        shuffled = []
-        for u in range(n):
-            row = list(b.adj[u])
-            rng.shuffle(row)
-            shuffled.append(row)
-        match_right = [-1] * n
-        size = 0
-        for u in order:
-            seen = [False] * n
-            if _augment(shuffled, u, match_right, seen):
-                size += 1
-        if size < n:
-            raise NoPerfectMatchingError("graph has no perfect matching")
-        pairs = [(u, v) for v, u in enumerate(match_right)]
-        pairs.sort()
-        return pairs
+        return _sample_fast(b, rng)
     raise InvalidInstanceError(f"unknown sampling mode {mode!r}")

@@ -135,8 +135,8 @@ def _run_round(
                     pair=(j, lvl),
                 )
 
-        right = state.parts[lvl]
-        aux = tiling_graph(collection, colours, [chain[win_lo:] for chain in chains], right)
+        tiles = [chain[win_lo:] for chain in chains]
+        aux = tiling_graph(collection, colours, tiles, state.parts[lvl])
         try:
             matching = sample_perfect_matching(aux, rng, mode=sampler_mode)
         except NoPerfectMatchingError as exc:
@@ -146,8 +146,8 @@ def _run_round(
                 step=step,
                 level=lvl,
             ) from exc
-        for (t_idx, v_idx) in matching:
-            chains[t_idx].append(right[v_idx])
+        for (t_idx, v) in matching:
+            chains[t_idx].append(v)
 
         _assert_window_tiling(collection, pat, chains, lvl, k, step)
     return chains

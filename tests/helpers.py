@@ -9,14 +9,33 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 from hampower.core import GraphCollection, host_edges
 from hampower.matching import BipartiteGraph
 
 
+def bipartite(adj, n_right: int) -> BipartiteGraph:
+    """Bipartite graph on right vertices 0..n_right-1 from neighbour tuples."""
+    rows = []
+    for row in adj:
+        mask = 0
+        for v in row:
+            mask |= 1 << v
+        rows.append(mask)
+    return BipartiteGraph(tuple(rows), (1 << n_right) - 1)
+
+
+def neighbours(mask: int) -> list[int]:
+    """Set bit positions of a mask, in increasing order."""
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
 def brute_max_matching_size(b: BipartiteGraph) -> int:
     """Exhaustive branch-and-bound maximum matching size."""
     best = 0
+    adj = [neighbours(row) for row in b.rows]
 
     def rec(u: int, used: int, size: int) -> None:
         nonlocal best
@@ -25,7 +44,7 @@ def brute_max_matching_size(b: BipartiteGraph) -> int:
         if u == b.n_left:
             best = max(best, size)
             return
-        for v in b.adj[u]:
+        for v in adj[u]:
             if not (used >> v) & 1:
                 rec(u + 1, used | (1 << v), size + 1)
         rec(u + 1, used, size)
@@ -37,20 +56,49 @@ def brute_max_matching_size(b: BipartiteGraph) -> int:
 def brute_count_perfect_matchings(b: BipartiteGraph) -> int:
     """Permanent by scanning all permutations (sides <= 7)."""
     assert b.n_left == b.n_right <= 7
-    n = b.n_left
-    rows = [set(r) for r in b.adj]
+    rows = [set(neighbours(row)) for row in b.rows]
     return sum(
         1
-        for perm in itertools.permutations(range(n))
-        if all(perm[i] in rows[i] for i in range(n))
+        for perm in itertools.permutations(neighbours(b.right))
+        if all(perm[i] in rows[i] for i in range(b.n_left))
     )
 
 
 def random_bipartite(rng: random.Random, n_left: int, n_right: int, p: float) -> BipartiteGraph:
-    adj = tuple(
-        tuple(v for v in range(n_right) if rng.random() < p) for _ in range(n_left)
-    )
-    return BipartiteGraph(n_left, n_right, adj)
+    adj = [[v for v in range(n_right) if rng.random() < p] for _ in range(n_left)]
+    return bipartite(adj, n_right)
+
+
+def fast_sampler_law(b: BipartiteGraph) -> dict[tuple, Fraction]:
+    """Exact output law of the ``fast`` sampler on a small graph (<= 4x4).
+
+    Enumerates every order of the left vertices and every order of each
+    left vertex's neighbours, all equally likely, and runs a plain
+    recursive augmenting search for each; an outcome is the sorted tuple of
+    (left, right) pairs, or None when some left vertex stays unmatched.
+    """
+    n = b.n_left
+    assert n == b.n_right <= 4
+    row_orders = [list(itertools.permutations(neighbours(row))) for row in b.rows]
+    counts: Counter = Counter()
+    for order in itertools.permutations(range(n)):
+        for rows in itertools.product(*row_orders):
+            owner: dict[int, int] = {}
+
+            def augment(u: int, seen: set) -> bool:
+                for v in rows[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        if v not in owner or augment(owner[v], seen):
+                            owner[v] = u
+                            return True
+                return False
+
+            matched = [augment(u, set()) for u in order]
+            outcome = tuple(sorted((u, v) for v, u in owner.items())) if all(matched) else None
+            counts[outcome] += 1
+    total = sum(counts.values())
+    return {outcome: Fraction(c, total) for outcome, c in counts.items()}
 
 
 def naive_hamilton_power_exists(collection: GraphCollection, pattern) -> bool:
@@ -121,9 +169,9 @@ def tiling_extension_instance(rng: random.Random, k: int, n: int):
     return GraphCollection.from_edge_lists(total, [edges]), tiles
 
 
-def extend_tiles(tiles, right, pairs) -> list[list[int]]:
-    """Tile t extended by ``right[i]`` for every matched pair (t, i)."""
-    return [list(tiles[t]) + [right[i]] for t, i in pairs]
+def extend_tiles(tiles, pairs) -> list[list[int]]:
+    """Tile t extended by v for every matched pair (t, v)."""
+    return [list(tiles[t]) + [v] for t, v in pairs]
 
 
 def is_clique_tiling(collection: GraphCollection, cliques, vertices) -> bool:
@@ -141,6 +189,30 @@ def chi_square_statistic(observed: dict, total: int) -> float:
     outcomes = len(observed)
     expected = total / outcomes
     return sum((c - expected) ** 2 / expected for c in observed.values())
+
+
+def chi_square_against(observed: dict, law: dict, total: int) -> float:
+    """Pearson statistic of observed counts against a given law; an outcome
+    the law does not have is an infinite statistic."""
+    if not set(observed) <= set(law):
+        return float("inf")
+    return sum(
+        (observed.get(outcome, 0) - total * p) ** 2 / (total * p)
+        for outcome, p in law.items()
+    )
+
+
+def template_edge_count_by_windows(s: int, t: int) -> int:
+    """Template skeleton edge count summed window by window: 4s for U, and
+    for each W vertex its clipped window width, plus one padding edge when
+    that width is 1."""
+    if s == 0:
+        return 0
+    total = 4 * s
+    for i in range(s + t):
+        width = min(s - 1, i) - max(0, i - t) + 1
+        total += width + (1 if width == 1 else 0)
+    return total
 
 
 def chi_square_critical(df: int, significance: float = 0.01) -> float:

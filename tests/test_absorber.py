@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import template_edge_count_by_windows
 from hampower.absorber import (
     AbsorbingStructure,
     Template,
@@ -205,14 +206,19 @@ class TestTemplate:
         for s, t in ((1, 1), (2, 1), (3, 2), (5, 1), (6, 3), (4, 10)):
             template = build_template(s, Fraction(t, s), rng)
             assert all(2 <= d <= 40 for d in template.x_degrees())
-            assert all(2 <= len(row) <= 40 for row in template.adj)
+            assert all(2 <= row.bit_count() <= 40 for row in template.rows)
             assert template.edge_count == template_edge_count(s, t)
+
+    def test_edge_count_closed_form(self):
+        for s in range(200):
+            for t in range(80):
+                assert template_edge_count(s, t) == template_edge_count_by_windows(s, t), (s, t)
 
     def test_isolated_x_vertex_rejected(self):
         # s=1, t=1: X = {0,1,2}; leave X-vertex 2 untouched
-        adj = ((0, 1), (0, 1), (0, 1), (0, 1))
+        rows = (0b011,) * 4
         with pytest.raises(TemplateError):
-            Template(1, 1, adj)
+            Template(1, 1, rows)
 
     def test_oversized_t_rejected(self):
         with pytest.raises(TemplateError):

@@ -108,7 +108,7 @@ def test_criterion_3_tiling_extension_guarantee():
                 right = list(range(k * n, (k + 1) * n))
                 aux = tiling_graph(collection, [1] * k, tiles, right)
                 pairs = sample_perfect_matching(aux, rng, "fast")
-                extended = extend_tiles(tiles, right, pairs)
+                extended = extend_tiles(tiles, pairs)
                 assert is_clique_tiling(collection, extended, range((k + 1) * n))
                 successes += 1
             assert successes == 200
@@ -230,7 +230,7 @@ def test_criterion_8_end_to_end():
 
 def test_criterion_9_sampler_uniformity():
     with criterion(9, "exact sampler: K33 chi-square; permanent vs brute force", 30.0):
-        k33 = BipartiteGraph(3, 3, tuple((0, 1, 2) for _ in range(3)))
+        k33 = BipartiteGraph((0b111,) * 3, 0b111)
         assert count_perfect_matchings(k33) == 6
         rng = random.Random(9_000)
         freq = Counter(

@@ -107,6 +107,27 @@ class TestCollectionValidation:
         edge_lists = coll.edge_lists()
         assert edge_lists[0] is edge_lists[49] and len(edge_lists[0]) == 190
 
+    def test_rejects_self_loop_edge(self):
+        with pytest.raises(InvalidInstanceError, match="self-loop"):
+            GraphCollection.from_edge_lists(3, [[(0, 1), (2, 2)]])
+
+    def test_rejects_negative_endpoint(self):
+        with pytest.raises(InvalidInstanceError, match="out of range"):
+            GraphCollection.from_edge_lists(3, [[(-1, 1)]])
+
+    def test_edge_lists_build_masks(self):
+        coll = GraphCollection.from_edge_lists(4, [[(0, 1), (2, 1), (1, 0)], [(3, 0)]])
+        assert coll.masks == ((0b0010, 0b0101, 0b0010, 0), (0b1000, 0, 0, 0b0001))
+        assert coll == GraphCollection(4, [[[1], [0, 2], [1], []], [[3], [], [], [0]]])
+
+    def test_loaded_copies_share_one_table(self):
+        original = complete_collection(12, 4)
+        loaded = collection_from_dict(collection_to_dict(original))
+        assert loaded == original
+        assert len({id(table) for table in loaded.masks}) == 1
+        distinct = GraphCollection.from_edge_lists(3, [[(0, 1)], [(1, 2)], [(0, 1)]])
+        assert distinct.masks[0] is distinct.masks[2] and distinct.masks[0] != distinct.masks[1]
+
 
 class TestPatternValidation:
     def test_domain_must_match_exactly(self):

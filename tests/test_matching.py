@@ -1,21 +1,24 @@
-import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    bipartite,
     brute_count_perfect_matchings,
     brute_max_matching_size,
+    chi_square_against,
     chi_square_critical,
     chi_square_statistic,
     extend_tiles,
+    fast_sampler_law,
     is_clique_tiling,
     random_bipartite,
     tiling_extension_instance,
 )
-from hampower.bitset import iter_bits
+from hampower.bitset import mask_of
 from hampower.core import GraphCollection
 from hampower.errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 from hampower.instances import complete_collection
@@ -29,7 +32,12 @@ from hampower.matching import (
 
 
 def complete_bipartite(n: int) -> BipartiteGraph:
-    return BipartiteGraph(n, n, tuple(tuple(range(n)) for _ in range(n)))
+    return bipartite([range(n)] * n, n)
+
+
+def chain(n: int) -> BipartiteGraph:
+    """Left i adjacent to right i-1 and i."""
+    return bipartite([[i - 1, i] if i else [0] for i in range(n)], n)
 
 
 class TestMaxMatching:
@@ -37,7 +45,7 @@ class TestMaxMatching:
         assert len(max_matching(complete_bipartite(4))) == 4
 
     def test_no_edges(self):
-        b = BipartiteGraph(3, 3, ((), (), ()))
+        b = bipartite([(), (), ()], 3)
         assert max_matching(b) == []
 
     def test_matches_brute_force_on_random_graphs(self):
@@ -54,7 +62,7 @@ class TestMaxMatching:
             pairs = max_matching(b)
             assert len({u for u, _ in pairs}) == len(pairs)
             assert len({v for _, v in pairs}) == len(pairs)
-            assert all(v in b.adj[u] for (u, v) in pairs)
+            assert all((b.rows[u] >> v) & 1 for (u, v) in pairs)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
@@ -67,12 +75,37 @@ class TestMaxMatching:
         last = 0
         for (u, v) in pairs[:18]:
             present[u][v] = True
-            b = BipartiteGraph(
-                n, n, tuple(tuple(v for v in range(n) if present[u][v]) for u in range(n))
-            )
+            b = bipartite([[v for v in range(n) if present[u][v]] for u in range(n)], n)
             size = len(max_matching(b))
             assert size >= last
             last = size
+
+    def test_deep_augmenting_path(self):
+        # left i < n-1 sees right i and i+1, and the last left vertex only
+        # right 0: its augmenting path runs through every other left vertex
+        n = 1200
+        b = bipartite([[i, i + 1] for i in range(n - 1)] + [[0]], n)
+        pairs = max_matching(b)
+        assert pairs == [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+
+    def test_long_chain(self):
+        assert max_matching(chain(1200)) == [(i, i) for i in range(1200)]
+
+
+class TestBipartiteGraph:
+    def test_sizes_and_edge_count(self):
+        b = BipartiteGraph((mask_of([3, 5]), 1 << 5), mask_of([3, 5, 9]))
+        assert (b.n_left, b.n_right, b.edge_count) == (2, 3, 3)
+
+    def test_row_outside_right_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            BipartiteGraph((mask_of([1, 2]),), mask_of([1]))
+
+    def test_negative_masks_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            BipartiteGraph((-1,), 1)
+        with pytest.raises(InvalidInstanceError):
+            BipartiteGraph((), -1)
 
 
 class TestAuxiliaryGraph:
@@ -82,12 +115,13 @@ class TestAuxiliaryGraph:
             8, [[(u, v) for u in range(4) for v in range(4, 8) if rng.random() < 0.6]]
         )
         aux = tiling_graph(coll, [1], [[u] for u in range(4)], [4, 5, 6, 7])
+        assert aux.right == mask_of([4, 5, 6, 7])
         for u in range(4):
-            assert aux.adj[u] == tuple(v - 4 for v in iter_bits(coll.neighbour_mask(1, u)))
+            assert aux.rows[u] == coll.neighbour_mask(1, u)
 
     def test_complete_graph_gives_complete_bipartite(self):
         aux = tiling_graph(complete_collection(6, 1), [1, 1], [[0, 1], [2, 3]], [4, 5])
-        assert aux.adj == ((0, 1), (0, 1))
+        assert aux.rows == (mask_of([4, 5]), mask_of([4, 5]))
 
     def test_hand_instance(self):
         # tiles {0,1} and {2,3}; 4 sees all of the first tile, 5 all of the second
@@ -95,7 +129,7 @@ class TestAuxiliaryGraph:
             6, [[(0, 1), (2, 3), (0, 4), (1, 4), (2, 5), (3, 5)]]
         )
         aux = tiling_graph(coll, [1, 1], [[0, 1], [2, 3]], [4, 5])
-        assert aux.adj == ((0,), (1,))
+        assert aux.rows == (1 << 4, 1 << 5)
 
     def test_colour_per_tile_position(self):
         # graph 1 joins 4 to the first position of each tile and 5 to the
@@ -104,14 +138,16 @@ class TestAuxiliaryGraph:
         g2 = [(0, 5), (2, 5), (1, 4), (3, 4)]
         coll = GraphCollection.from_edge_lists(6, [g1, g2])
         tiles = [[0, 1], [2, 3]]
-        assert tiling_graph(coll, [1, 2], tiles, [4, 5]).adj == ((0,), (0,))
-        assert tiling_graph(coll, [2, 1], tiles, [4, 5]).adj == ((1,), (1,))
-        assert tiling_graph(coll, [1, 1], tiles, [4, 5]).adj == ((), ())
+        assert tiling_graph(coll, [1, 2], tiles, [4, 5]).rows == (1 << 4, 1 << 4)
+        assert tiling_graph(coll, [2, 1], tiles, [4, 5]).rows == (1 << 5, 1 << 5)
+        assert tiling_graph(coll, [1, 1], tiles, [4, 5]).rows == (0, 0)
 
-    def test_right_vertices_indexed_in_given_order(self):
+    def test_right_vertices_keep_their_ids(self):
         coll = GraphCollection.from_edge_lists(5, [[(0, 4), (1, 2)]])
         aux = tiling_graph(coll, [1], [[0], [1]], [4, 2, 3])
-        assert aux.adj == ((0,), (1,))
+        assert aux.rows == (1 << 4, 1 << 2)
+        assert aux.right == mask_of([2, 3, 4])
+        assert max_matching(aux) == [(0, 4), (1, 2)]
 
     def test_overlap_rejected(self):
         coll = GraphCollection.from_edge_lists(4, [[(0, 1)]])
@@ -135,7 +171,7 @@ class TestExtendTiling:
             tiles = [list(range(t * k, (t + 1) * k)) for t in range(n)]
             right = list(range(k * n, total))
             aux = tiling_graph(coll, [1] * k, tiles, right)
-            extended = extend_tiles(tiles, right, sample_perfect_matching(aux, rng, "fast"))
+            extended = extend_tiles(tiles, sample_perfect_matching(aux, rng, "fast"))
             assert all(len(c) == k + 1 for c in extended)
             assert is_clique_tiling(coll, extended, range(total))
 
@@ -147,7 +183,7 @@ class TestExtendTiling:
                 coll, tiles = tiling_extension_instance(rng, k, n)
                 right = list(range(k * n, (k + 1) * n))
                 aux = tiling_graph(coll, [1] * k, tiles, right)
-                extended = extend_tiles(tiles, right, sample_perfect_matching(aux, rng, "fast"))
+                extended = extend_tiles(tiles, sample_perfect_matching(aux, rng, "fast"))
                 assert is_clique_tiling(coll, extended, range((k + 1) * n))
 
     def test_no_cross_edges_fails(self):
@@ -171,12 +207,12 @@ class TestCountPerfectMatchings:
         assert count_perfect_matchings(complete_bipartite(3)) == 6
 
     def test_unique_matching_graph(self):
-        b = BipartiteGraph(3, 3, ((0,), (1,), (2,)))
+        b = bipartite([(0,), (1,), (2,)], 3)
         assert count_perfect_matchings(b) == 1
 
     def test_c8_as_bipartite_cycle(self):
         # left i adjacent to right i and i+1 (mod 4): exactly two matchings
-        b = BipartiteGraph(4, 4, tuple(tuple(sorted({i, (i + 1) % 4})) for i in range(4)))
+        b = bipartite([{i, (i + 1) % 4} for i in range(4)], 4)
         assert count_perfect_matchings(b) == 2
 
     def test_agrees_with_brute_force(self):
@@ -188,7 +224,7 @@ class TestCountPerfectMatchings:
 
     def test_unequal_sides_rejected(self):
         with pytest.raises(SizeLimitError):
-            count_perfect_matchings(BipartiteGraph(2, 3, ((0,), (1,))))
+            count_perfect_matchings(bipartite([(0,), (1,)], 3))
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
@@ -197,7 +233,7 @@ class TestCountPerfectMatchings:
 
 class TestSamplePerfectMatching:
     def test_unique_matching_both_modes(self):
-        b = BipartiteGraph(3, 3, ((2,), (0,), (1,)))
+        b = bipartite([(2,), (0,), (1,)], 3)
         expected = [(0, 2), (1, 0), (2, 1)]
         rng = random.Random(26)
         for mode in ("exact", "fast"):
@@ -205,7 +241,7 @@ class TestSamplePerfectMatching:
                 assert sorted(sample_perfect_matching(b, rng, mode)) == expected
 
     def test_no_matching_raises(self):
-        b = BipartiteGraph(2, 2, ((0,), (0,)))
+        b = bipartite([(0,), (0,)], 2)
         rng = random.Random(27)
         for mode in ("exact", "fast"):
             with pytest.raises(NoPerfectMatchingError):
@@ -249,6 +285,36 @@ class TestSamplePerfectMatching:
             if total > 1:
                 stat = chi_square_statistic(freq, draws)
                 assert stat < chi_square_critical(total - 1, 0.01)
+
+    def test_fast_mode_follows_its_law(self):
+        # the fast sampler's exact law, by enumerating every left order and
+        # every neighbour order, on two asymmetric 4x4 graphs
+        graphs = [
+            bipartite([(0, 1, 2), (0, 1), (1, 2, 3), (2, 3)], 4),
+            bipartite([(0, 1), (0, 2, 3), (1, 3), (0, 1, 2)], 4),
+        ]
+        for seed, b in enumerate(graphs, start=32):
+            law = fast_sampler_law(b)
+            assert None not in law and len(law) == count_perfect_matchings(b)
+            assert len(set(law.values())) > 1  # not the uniform law
+            rng = random.Random(seed)
+            draws = 20_000
+            freq = Counter(tuple(sample_perfect_matching(b, rng, "fast")) for _ in range(draws))
+            stat = chi_square_against(freq, law, draws)
+            assert stat < chi_square_critical(len(law) - 1, 0.01)
+
+    def test_fast_mode_uniform_on_k33(self):
+        b = complete_bipartite(3)
+        assert set(fast_sampler_law(b).values()) == {Fraction(1, 6)}
+        rng = random.Random(34)
+        freq = Counter(tuple(sample_perfect_matching(b, rng, "fast")) for _ in range(6000))
+        assert len(freq) == 6
+        assert chi_square_statistic(freq, 6000) < chi_square_critical(5, 0.01)
+
+    def test_fast_mode_deep_augmenting_paths(self):
+        b = chain(1200)
+        pairs = sample_perfect_matching(b, random.Random(35), "fast")
+        assert pairs == [(i, i) for i in range(1200)]
 
     def test_fast_mode_returns_valid_matchings(self):
         rng = random.Random(31)
