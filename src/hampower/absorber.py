@@ -32,7 +32,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .bitset import iter_bits, mask_of, pick_bit
+from .bitset import mask_of, pick_bit, select
 from .connectors import ConnectorRequest, embed_connector
 from .core import (
     ColourPattern,
@@ -374,7 +374,7 @@ class Template:
         """Left-index neighbourhood of each X vertex, sorted."""
         out: list[list[int]] = [[] for _ in range(self.n_x)]
         for left, row in enumerate(self.rows):
-            for x in iter_bits(row):
+            for x in select(row, itertools.count()):
                 out[x].append(left)
         return [tuple(ns) for ns in out]
 

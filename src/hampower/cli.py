@@ -284,7 +284,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -25,13 +25,15 @@ reflection are handled by callers (the oracle searches over placements).
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bitset import mask_of, select
 from .errors import (
+    HamPowerError,
     InvalidHostError,
     InvalidInstanceError,
     InvalidPatternError,
@@ -186,21 +188,22 @@ class GraphCollection:
     """m simple graphs on the shared vertex set {0, ..., n-1}.
 
     Graph c (1-based) is stored as one bitmask row per vertex: bit u of
-    ``masks[c - 1][v]`` is set exactly when uv is an edge.  Identical
-    adjacency objects (e.g. m copies of K_n) share one mask table.
+    ``masks[c - 1][v]`` is set exactly when uv is an edge.  ``tables`` gives
+    those rows, one sequence of n ints per graph; a table object passed
+    more than once (e.g. m copies of K_n) is checked once and shared.
     Instances are immutable once constructed.
     """
 
     __slots__ = ("n", "masks")
 
-    def __init__(self, n: int, graphs: Sequence[Sequence[Sequence[int]]]):
-        _check_sizes(n, len(graphs))
-        tables: dict[int, tuple[int, ...]] = {}
+    def __init__(self, n: int, tables: Sequence[Sequence[int]]):
+        _check_sizes(n, len(tables))
+        checked: dict[int, tuple[int, ...]] = {}
         masks = []
-        for gi, adj in enumerate(graphs):
-            table = tables.get(id(adj))
+        for gi, rows in enumerate(tables):
+            table = checked.get(id(rows))
             if table is None:
-                table = tables[id(adj)] = _mask_table(n, gi + 1, adj)
+                table = checked[id(rows)] = _checked_table(n, gi + 1, rows)
             masks.append(table)
         self.n = n
         self.masks = tuple(masks)
@@ -227,18 +230,15 @@ class GraphCollection:
         lists share one mask table."""
         _check_sizes(n, len(edge_lists))
         built: list[tuple[list[Edge], tuple[int, ...]]] = []
-        masks = []
+        tables = []
         for edges in edge_lists:
             edges = list(edges)
             table = next((t for prior, t in built if prior == edges), None)
             if table is None:
                 table = _table_of_edges(n, edges)
                 built.append((edges, table))
-            masks.append(table)
-        out = cls.__new__(cls)
-        out.n = n
-        out.masks = tuple(masks)
-        return out
+            tables.append(table)
+        return cls(n, tables)
 
     def edge_lists(self) -> list[tuple[Edge, ...]]:
         """Per graph, its edges (u, v) with u < v in lexicographic order.
@@ -285,26 +285,31 @@ def _table_of_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]
     return tuple(rows)
 
 
-def _mask_table(n: int, g: int, adj: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Validated bitmask rows of graph ``g`` (1-based, for messages)."""
-    if len(adj) != n:
-        raise InvalidInstanceError(f"graph {g}: adjacency has {len(adj)} rows, expected {n}")
-    rows = []
-    for v, nbrs in enumerate(adj):
-        if nbrs and (min(nbrs) < 0 or max(nbrs) >= n):
-            raise InvalidInstanceError(f"graph {g}: endpoint out of range at vertex {v}")
-        row = mask_of(nbrs)
-        if (row >> v) & 1:
-            raise InvalidInstanceError(f"graph {g}: self-loop at vertex {v}")
-        if row.bit_count() != len(nbrs):
-            raise InvalidInstanceError(f"graph {g}: duplicate edge at vertex {v}")
-        rows.append(row)
-    for v, nbrs in enumerate(adj):
-        bit = 1 << v
-        for u in nbrs:
-            if not rows[u] & bit:
-                raise InvalidInstanceError(f"graph {g}: asymmetric adjacency on edge ({u},{v})")
-    return tuple(rows)
+def _checked_table(n: int, g: int, rows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of graph ``g`` (1-based, for messages) as a tuple, checked
+    to be the bitmask rows of a simple graph on n vertices."""
+    rows = tuple(rows)
+    if len(rows) != n:
+        raise InvalidInstanceError(f"graph {g}: {len(rows)} mask rows, expected {n}")
+    for v, row in enumerate(rows):
+        if type(row) is not int:
+            raise InvalidInstanceError(f"graph {g}: row {v} is not an int mask ({row!r})")
+    if min(rows) < 0 or max(rows).bit_length() > n:
+        v = next(v for v, row in enumerate(rows) if row < 0 or row.bit_length() > n)
+        raise InvalidInstanceError(f"graph {g}: endpoint out of range at vertex {v}")
+    # the adjacency matrix as one string: row v is flat[v*n:(v+1)*n], its
+    # column v is the stride slice flat[v::n], and its diagonal flat[::n+1]
+    width = f"0{n}b"
+    flat = "".join([format(row, width)[::-1] for row in rows])
+    v = flat[:: n + 1].find("1")
+    if v >= 0:
+        raise InvalidInstanceError(f"graph {g}: self-loop at vertex {v}")
+    for v in range(n):
+        row, column = flat[v * n:(v + 1) * n], flat[v::n]
+        if row != column:
+            u = next(u for u in range(n) if row[u] != column[u])
+            raise InvalidInstanceError(f"graph {g}: asymmetric adjacency on edge ({u},{v})")
+    return rows
 
 
 def _edges_of(table: Sequence[int]) -> tuple[Edge, ...]:
@@ -425,13 +430,25 @@ def collection_to_dict(c: GraphCollection) -> dict:
     return {"n": c.n, "m": c.m, "graphs": c.edge_lists()}
 
 
+def _json_int(value: object, error: type[HamPowerError], what: str) -> int:
+    """``value`` if it is a JSON integer (an ``int``, not a ``bool``);
+    otherwise raise ``error``."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _only_ints(values: Iterable[object]) -> bool:
+    return set(map(type, values)) <= {int}
+
+
 def collection_from_dict(d: Mapping) -> GraphCollection:
     try:
-        n = int(d["n"])
-        m = int(d["m"])
-        graphs = d["graphs"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, m, graphs = d["n"], d["m"], d["graphs"]
+    except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"instance file: missing/invalid field ({exc})") from exc
+    n = _json_int(n, InvalidInstanceError, "instance file: n")
+    m = _json_int(m, InvalidInstanceError, "instance file: m")
     if not isinstance(graphs, list):
         raise InvalidInstanceError("instance file: graphs must be a list of edge lists")
     if len(graphs) != m:
@@ -443,9 +460,12 @@ def collection_from_dict(d: Mapping) -> GraphCollection:
             edge_lists.append(edge_lists[same])
             continue
         try:
-            edge_lists.append([(int(u), int(v)) for (u, v) in edges])
+            pairs = [(u, v) for (u, v) in edges]
         except (TypeError, ValueError) as exc:
             raise InvalidInstanceError(f"instance file: graph {gi + 1} has a malformed edge") from exc
+        if not _only_ints(chain.from_iterable(pairs)):
+            raise InvalidInstanceError(f"instance file: graph {gi + 1} has a non-integer endpoint")
+        edge_lists.append(pairs)
     return GraphCollection.from_edge_lists(n, edge_lists)
 
 
@@ -457,27 +477,32 @@ def pattern_to_dict(p: ColourPattern) -> dict:
 
 
 def pattern_from_dict(d: Mapping) -> ColourPattern:
+    def host_int(field: str) -> int:
+        return _json_int(h[field], InvalidPatternError, f"pattern file: host {field}")
+
     try:
         h = d["host"]
         kind = _FILE_TO_KIND[h["kind"]]
-        k = int(h["k"])
+        k = host_int("k")
         if kind == CONNECTOR:
-            host = connector(int(h["a"]), int(h["b"]), k)
+            host = connector(host_int("a"), host_int("b"), k)
         elif kind == POWER_PATH:
-            host = power_path(int(h["n_or_r"]), k)
+            host = power_path(host_int("n_or_r"), k)
         else:
-            host = power_cycle(int(h["n_or_r"]), k)
+            host = power_cycle(host_int("n_or_r"), k)
         entries = d.get("colours", [])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidPatternError(f"pattern file: missing/invalid host field ({exc})") from exc
     if not isinstance(entries, list):
         raise InvalidPatternError("pattern file: colours must be a list of [i, j, colour] entries")
     colours: dict[Edge, int] = {}
     for entry in entries:
         try:
-            i, j, c = (int(x) for x in entry)
+            i, j, c = entry
         except (TypeError, ValueError) as exc:
-            raise InvalidPatternError(f"pattern file: malformed colour entry {entry!r}") from exc
+            raise InvalidPatternError(f"pattern file: malformed colour entry {reprlib.repr(entry)}") from exc
+        if not _only_ints((i, j, c)):
+            raise InvalidPatternError(f"pattern file: non-integer colour entry {reprlib.repr(entry)}")
         e = canonical_edge(i, j)
         if e in colours:
             raise InvalidPatternError(f"pattern file: host edge {e} coloured twice")
@@ -491,9 +516,13 @@ def cycle_to_dict(c: PowerCycle) -> dict:
 
 def cycle_from_dict(d: Mapping) -> PowerCycle:
     try:
-        return PowerCycle(int(d["k"]), tuple(int(v) for v in d["vertices"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        k, vertices = d["k"], tuple(d["vertices"])
+    except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"cycle file: missing/invalid field ({exc})") from exc
+    k = _json_int(k, InvalidInstanceError, "cycle file: k")
+    if not _only_ints(vertices):
+        raise InvalidInstanceError("cycle file: vertices must be integers")
+    return PowerCycle(k, vertices)
 
 
 def save_json(path: str, payload: dict) -> None:

@@ -10,6 +10,9 @@ colour-2 connector window, under which no compatible Hamilton power exists).
 from __future__ import annotations
 
 import random
+from itertools import count
+
+from .bitset import select
 from .core import (
     ColourPattern,
     GraphCollection,
@@ -35,15 +38,21 @@ __all__ = [
 
 
 def complete_collection(n: int, m: int) -> GraphCollection:
-    """m copies of K_n (a single adjacency table shared by reference)."""
+    """m copies of K_n (a single mask table shared by reference)."""
     if n < 1 or m < 1:
         raise InvalidInstanceError("complete_collection needs n >= 1 and m >= 1")
-    adj = [[u for u in range(n) if u != v] for v in range(n)]
-    return GraphCollection(n, [adj] * m)
+    full = (1 << n) - 1
+    rows = [full ^ (1 << v) for v in range(n)]
+    return GraphCollection(n, [rows] * m)
 
 
 def _rpartite_parts(r: int, part_size: int) -> list[list[int]]:
     return [list(range(i * part_size, (i + 1) * part_size)) for i in range(r)]
+
+
+def _part_masks(r: int, part_size: int) -> list[int]:
+    block = (1 << part_size) - 1
+    return [block << (i * part_size) for i in range(r)]
 
 
 def complete_rpartite_collection(
@@ -52,11 +61,10 @@ def complete_rpartite_collection(
     """m copies of the complete r-partite graph on balanced parts."""
     parts = _rpartite_parts(r, part_size)
     n = r * part_size
-    adj = [
-        [u for u in range(n) if u // part_size != v // part_size]
-        for v in range(n)
-    ]
-    return GraphCollection(n, [adj] * m), parts
+    full = (1 << n) - 1
+    part_masks = _part_masks(r, part_size)
+    rows = [full ^ part_masks[v // part_size] for v in range(n)]
+    return GraphCollection(n, [rows] * m), parts
 
 
 def random_rpartite_collection(
@@ -75,28 +83,30 @@ def random_rpartite_collection(
     if not (0.0 <= delta_frac <= 1.0):
         raise InvalidInstanceError("delta_frac must lie in [0, 1]")
     parts = _rpartite_parts(r, part_size)
+    part_masks = _part_masks(r, part_size)
     n = r * part_size
     target = 0 if delta_frac <= 0 else min(part_size, int(delta_frac * part_size - 1e-9) + 1)
-    graphs = []
+    tables = []
     for _ in range(m):
-        adj: list[set[int]] = [set() for _ in range(n)]
+        rows = [0] * n
         for pi in range(r):
             for pj in range(pi + 1, r):
                 for u in parts[pi]:
                     for v in parts[pj]:
                         if rng.random() < delta_frac:
-                            adj[u].add(v)
-                            adj[v].add(u)
-                for side, other in ((parts[pi], parts[pj]), (parts[pj], parts[pi])):
-                    for u in side:
-                        have = [v for v in other if v in adj[u]]
-                        if len(have) < target:
-                            missing = [v for v in other if v not in adj[u]]
-                            for v in rng.sample(missing, target - len(have)):
-                                adj[u].add(v)
-                                adj[v].add(u)
-        graphs.append([sorted(s) for s in adj])
-    return GraphCollection(n, graphs), parts
+                            rows[u] |= 1 << v
+                            rows[v] |= 1 << u
+                for side, other in ((pi, pj), (pj, pi)):
+                    for u in parts[side]:
+                        have = rows[u] & part_masks[other]
+                        short = target - have.bit_count()
+                        if short > 0:
+                            missing = list(select(part_masks[other] ^ have, count()))
+                            for v in rng.sample(missing, short):
+                                rows[u] |= 1 << v
+                                rows[v] |= 1 << u
+        tables.append(rows)
+    return GraphCollection(n, tables), parts
 
 
 def random_min_degree_collection(
@@ -111,22 +121,24 @@ def random_min_degree_collection(
     if not (0.0 <= delta_frac <= 1.0):
         raise InvalidInstanceError("delta_frac must lie in [0, 1]")
     target = 0 if delta_frac <= 0 else min(n - 1, int(delta_frac * n - 1e-9) + 1)
-    graphs = []
+    full = (1 << n) - 1
+    tables = []
     for _ in range(m):
-        adj: list[set[int]] = [set() for _ in range(n)]
+        rows = [0] * n
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < delta_frac:
-                    adj[u].add(v)
-                    adj[v].add(u)
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
         for u in range(n):
-            if len(adj[u]) < target:
-                missing = [v for v in range(n) if v != u and v not in adj[u]]
-                for v in rng.sample(missing, target - len(adj[u])):
-                    adj[u].add(v)
-                    adj[v].add(u)
-        graphs.append([sorted(s) for s in adj])
-    return GraphCollection(n, graphs)
+            short = target - rows[u].bit_count()
+            if short > 0:
+                missing = list(select(full ^ rows[u] ^ (1 << u), count()))
+                for v in rng.sample(missing, short):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        tables.append(rows)
+    return GraphCollection(n, tables)
 
 
 def lowerbound_construction(
@@ -153,31 +165,26 @@ def lowerbound_construction(
     if orientation not in ("figure", "text"):
         raise InvalidInstanceError(f"unknown orientation {orientation!r}")
     n = p * (k + 1)
-    part_of = lambda v: v // p
-    g1 = [[u for u in range(n) if part_of(u) != part_of(v)] for v in range(n)]
+    full = (1 << n) - 1
+    part_masks = _part_masks(k + 1, p)
+    g1 = [full ^ part_masks[v // p] for v in range(n)]
 
-    paired = 2 * ((k + 1) // 2)  # parts 0..paired-1 come in pairs
-    g2: list[set[int]] = [set() for _ in range(n)]
+    # G2: parts 0..paired-1 come in pairs (2i, 2i+1); a vertex of a paired
+    # part sees its own part, only its copy in the partner part, and every
+    # vertex outside the pair
+    paired = 2 * ((k + 1) // 2)
+    g2 = []
     for v in range(n):
-        pv = part_of(v)
-        for u in range(v + 1, n):
-            pu = part_of(u)
-            if pu == pv:
-                continue
-            if pu < paired and pv < paired and pu // 2 == pv // 2:
-                if u % p == v % p:  # identity matching between paired parts
-                    g2[v].add(u)
-                    g2[u].add(v)
-            else:
-                g2[v].add(u)
-                g2[u].add(v)
-    for part in range(paired):
-        base = part * p
-        for i in range(p):
-            for j in range(i + 1, p):
-                g2[base + i].add(base + j)
-                g2[base + j].add(base + i)
-    collection = GraphCollection(n, [g1, [sorted(s) for s in g2]])
+        part = v // p
+        if part < paired:
+            partner = part ^ 1
+            outside = full ^ part_masks[part] ^ part_masks[partner]
+            own = part_masks[part] ^ (1 << v)
+            copy = 1 << (partner * p + v % p)
+            g2.append(outside | own | copy)
+        else:
+            g2.append(g1[v])
+    collection = GraphCollection(n, [g1, g2])
 
     host = power_cycle(n, k)
     window = 2 * k + 1

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
-from .bitset import iter_bits, mask_of, pick_bit
+from .bitset import mask_of, pick_bit, select
 from .core import GraphCollection
 from .errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 
@@ -184,7 +185,7 @@ def _sample_exact(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]
     pairs = []
     for i in range(n):
         weights = []
-        for v in iter_bits(rows[i] & avail):
+        for v in select(rows[i] & avail, count()):
             weights.append((v, _count_completions(rows, i + 1, avail ^ (1 << v), memo)))
         draw = rng.randrange(sum(w for _, w in weights))
         acc = 0
@@ -209,7 +210,7 @@ def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]
     """
     rows = b.rows
     n = len(rows)
-    ids = list(iter_bits(b.right))
+    ids = list(select(b.right, count()))
     id_bits = n.bit_length()
     order = list(range(n))
     rng.shuffle(order)

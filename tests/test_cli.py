@@ -129,6 +129,18 @@ class TestErrors:
         )
         assert code == 1
 
+    def test_directory_path_exit_1(self, tmp_path, capsys):
+        code = cli.dispatch(["oracle", "--instance", str(tmp_path), "--pattern", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("file error: ")
+
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"n": 3, "note": "caf\u00e9"}'.encode("latin-1"))
+        code = cli.dispatch(["oracle", "--instance", str(bad), "--pattern", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("file error: ")
+
     def test_malformed_json_exit_1_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 3,\n  "m": }')
@@ -147,9 +159,11 @@ class TestErrors:
             ("pattern", "host", {"kind": "cycle", "n_or_r": 5, "k": "x"}),
             ("pattern", "colours", 5),
             ("cycle", "vertices", 5),
+            ("instance", "n", float("inf")),
+            ("cycle", "k", float("inf")),
         ],
         ids=["graphs-count", "graphs-int", "no-n_or_r", "connector-no-a", "n_or_r-text",
-             "k-text", "colours-int", "vertices-int"],
+             "k-text", "colours-int", "vertices-int", "n-infinity", "k-infinity"],
     )
     def test_schema_error_exit_1(self, tmp_path, capsys, file, field, value):
         pattern = bijective_pattern(core.power_cycle(5, 2))

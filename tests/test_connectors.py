@@ -16,23 +16,24 @@ from hampower.instances import complete_collection, random_pattern
 
 def high_z_degree_collection(rng, n, z_size, m, floor):
     """Every vertex of every graph gets at least ``floor`` neighbours in Z = 0..z_size-1."""
-    graphs = []
+    z_mask = (1 << z_size) - 1
+    tables = []
     for _ in range(m):
-        adj = [set() for _ in range(n)]
+        rows = [0] * n
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < 0.9:
-                    adj[u].add(v)
-                    adj[v].add(u)
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
         for v in range(n):
-            have = sum(1 for u in adj[v] if u < z_size)
+            have = (rows[v] & z_mask).bit_count()
             if have < floor:
-                missing = [u for u in range(z_size) if u != v and u not in adj[v]]
+                missing = [u for u in range(z_size) if u != v and not (rows[v] >> u) & 1]
                 for u in rng.sample(missing, floor - have):
-                    adj[v].add(u)
-                    adj[u].add(v)
-        graphs.append([sorted(s) for s in adj])
-    return GraphCollection(n, graphs)
+                    rows[v] |= 1 << u
+                    rows[u] |= 1 << v
+        tables.append(rows)
+    return GraphCollection(n, tables)
 
 
 class TestEmbedConnector:

@@ -24,6 +24,7 @@ from hampower.core import (
     verify_coloured_embedding,
 )
 from hampower.errors import (
+    HamPowerError,
     InvalidHostError,
     InvalidInstanceError,
     InvalidPatternError,
@@ -79,27 +80,52 @@ class TestHostEdges:
 
 
 class TestCollectionValidation:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((0b010, 0b001), "2 mask rows, expected 3"),
+            ((0b010, 0b001, -1), "out of range at vertex 2"),
+            ((0b1010, 0b001, 0), "out of range at vertex 0"),
+            ((0b011, 0b001, 0), "self-loop at vertex 0"),
+            ((0b010, 0b000, 0), r"asymmetric adjacency on edge \(1,0\)"),
+            ((0b010, 0b001, 0.0), "row 2 is not an int mask"),
+            ((0b010, True, 0), "row 1 is not an int mask"),
+        ],
+        ids=["row-count", "negative", "bit-beyond-n", "self-loop", "asymmetric", "float", "bool"],
+    )
+    def test_rejects_bad_mask_rows(self, rows, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            GraphCollection(3, [rows])
+
     def test_rejects_self_loop(self):
-        with pytest.raises(InvalidInstanceError):
-            GraphCollection(3, [[[0], [], []]])
+        # a wide table: the check reads the diagonal of the whole matrix
+        complete = complete_collection(70, 1).masks[0]
+        rows = list(complete)
+        rows[66] |= 1 << 66
+        with pytest.raises(InvalidInstanceError, match="graph 2: self-loop at vertex 66"):
+            GraphCollection(70, [complete, rows])
 
     def test_rejects_asymmetric_adjacency(self):
-        with pytest.raises(InvalidInstanceError):
-            GraphCollection(3, [[[1], [], []]])
+        # edge 68-3 listed only at vertex 68, far into a wide table
+        rows = [0] * 70
+        rows[68] = 1 << 3
+        with pytest.raises(InvalidInstanceError, match=r"asymmetric adjacency on edge \(68,3\)"):
+            GraphCollection(70, [rows])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInstanceError):
             GraphCollection.from_edge_lists(3, [[(0, 5)]])
 
-    def test_rejects_duplicate_neighbour(self):
-        with pytest.raises(InvalidInstanceError, match="duplicate"):
-            GraphCollection(3, [[[1, 1], [0], []]])
-
     def test_masks_hold_the_adjacency(self):
-        coll = GraphCollection(3, [[[1, 2], [0], [0]]])
+        coll = GraphCollection(3, [[0b110, 0b001, 0b001]])
         assert coll.masks == ((0b110, 0b001, 0b001),)
         assert [coll.degree(1, v) for v in range(3)] == [2, 1, 1]
         assert coll.edge_lists() == [((0, 1), (0, 2))]
+
+    def test_table_passed_twice_is_shared(self):
+        rows = [0b110, 0b001, 0b001]
+        coll = GraphCollection(3, [rows, [0b010, 0b001, 0], rows])
+        assert coll.masks[0] is coll.masks[2] and coll.masks[0] != coll.masks[1]
 
     def test_shared_adjacency_deduplicated(self):
         coll = complete_collection(20, 50)
@@ -118,7 +144,7 @@ class TestCollectionValidation:
     def test_edge_lists_build_masks(self):
         coll = GraphCollection.from_edge_lists(4, [[(0, 1), (2, 1), (1, 0)], [(3, 0)]])
         assert coll.masks == ((0b0010, 0b0101, 0b0010, 0), (0b1000, 0, 0, 0b0001))
-        assert coll == GraphCollection(4, [[[1], [0, 2], [1], []], [[3], [], [], [0]]])
+        assert coll == GraphCollection(4, [[0b0010, 0b0101, 0b0010, 0], [0b1000, 0, 0, 0b0001]])
 
     def test_loaded_copies_share_one_table(self):
         original = complete_collection(12, 4)
@@ -308,6 +334,131 @@ class TestSerialization:
         payload["colours"].append([0, 1, 2])
         with pytest.raises(InvalidPatternError):
             pattern_from_dict(payload)
+
+
+    @pytest.mark.parametrize(
+        "loader, doc, error",
+        [
+            (collection_from_dict, {"n": float("inf"), "m": 1, "graphs": [[]]}, InvalidInstanceError),
+            (collection_from_dict, {"n": 3.0, "m": 1, "graphs": [[]]}, InvalidInstanceError),
+            (collection_from_dict, {"n": 3, "m": True, "graphs": [[]]}, InvalidInstanceError),
+            (collection_from_dict, {"n": 3, "m": 1, "graphs": [[[0, 1.5]]]}, InvalidInstanceError),
+            (collection_from_dict, {"n": 3, "m": 1, "graphs": [["12"]]}, InvalidInstanceError),
+            (pattern_from_dict, {"host": {"kind": "path", "n_or_r": float("inf"), "k": 1}},
+             InvalidPatternError),
+            (pattern_from_dict, {"host": {"kind": "path", "n_or_r": 2, "k": 1},
+                                 "colours": [[0, 1, 1.0]]}, InvalidPatternError),
+            (pattern_from_dict, {"host": {"kind": "path", "n_or_r": 2, "k": 1},
+                                 "colours": ["011"]}, InvalidPatternError),
+            (cycle_from_dict, {"k": float("nan"), "vertices": [0, 1, 2]}, InvalidInstanceError),
+            (cycle_from_dict, {"k": 1, "vertices": [0, 1, "2"]}, InvalidInstanceError),
+        ],
+        ids=["n-infinity", "n-float", "m-bool", "edge-float", "edge-text", "n_or_r-infinity",
+             "colour-float", "entry-text", "k-nan", "vertex-text"],
+    )
+    def test_non_integer_fields_rejected(self, loader, doc, error):
+        with pytest.raises(error, match="integer"):
+            loader(doc)
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(max_value=64) | st.floats() | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    max_leaves=20,
+)
+
+
+# values that are almost what a loader expects: non-integral numbers,
+# booleans, numeric text, empty containers
+NEAR_VALUES = st.sampled_from(
+    [float("inf"), float("-inf"), float("nan"), 1.5, 2.0, True, False, None, "1", "12", [], {}]
+) | st.integers(-2, 64) | JSON_VALUES
+
+
+@st.composite
+def instance_docs(draw):
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    graphs = draw(st.lists(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=8),
+                           min_size=1, max_size=3))
+    return {"n": n, "m": len(graphs), "graphs": graphs}
+
+
+@st.composite
+def pattern_docs(draw):
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["cycle", "path", "connector"]))
+    if kind == "cycle":
+        host = power_cycle(draw(st.integers(2 * k + 1, 12)), k)
+    elif kind == "path":
+        host = power_path(draw(st.integers(1, 12)), k)
+    else:
+        host = connector(draw(st.integers(1, k)), draw(st.integers(1, k)), k)
+    return pattern_to_dict(random_pattern(host, 3, random.Random(draw(st.integers(0, 99)))))
+
+
+@st.composite
+def cycle_docs(draw):
+    k = draw(st.integers(1, 3))
+    vertices = draw(st.permutations(range(draw(st.integers(2 * k + 1, 12)))))
+    return {"k": k, "vertices": list(vertices)}
+
+
+@st.composite
+def near_valid(draw, docs):
+    """A valid document with up to three values, anywhere in it, replaced
+    by near or arbitrary JSON values."""
+    doc = draw(docs)
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            node[key] = draw(NEAR_VALUES)
+            break
+    return doc
+
+
+LOADERS = {
+    "collection": (collection_from_dict, instance_docs()),
+    "pattern": (pattern_from_dict, pattern_docs()),
+    "cycle": (cycle_from_dict, cycle_docs()),
+}
+
+
+class TestLoaderFuzz:
+    """The loaders return or raise a HamPowerError, never anything else.
+    Sizes and vertex ids stay at 64 or below."""
+
+    @pytest.mark.parametrize("name", list(LOADERS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_json(self, name, data):
+        loader, _ = LOADERS[name]
+        try:
+            loader(data.draw(JSON_VALUES))
+        except HamPowerError:
+            pass
+
+    @pytest.mark.parametrize("name", list(LOADERS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_near_valid_documents(self, name, data):
+        loader, docs = LOADERS[name]
+        try:
+            loader(data.draw(near_valid(docs)))
+        except HamPowerError:
+            pass
 
 
 class TestVerifyEdgeCases:

@@ -4,6 +4,7 @@ import pytest
 
 from hampower.bitset import mask_of
 from hampower.core import (
+    GraphCollection,
     collection_from_dict,
     collection_to_dict,
     host_edges,
@@ -36,6 +37,21 @@ class TestCompleteCollection:
 
     def test_min_degree(self):
         assert min_degree(complete_collection(13, 7)) == 12
+
+
+class TestMaskTables:
+    def test_complete_collection_matches_listed_edges(self):
+        for n in (1, 2, 7, 70):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            assert complete_collection(n, 3) == GraphCollection.from_edge_lists(n, [edges] * 3)
+
+    def test_complete_rpartite_matches_listed_edges(self):
+        for r, part_size in ((2, 1), (3, 4), (5, 15)):
+            n = r * part_size
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if u // part_size != v // part_size]
+            coll, _ = complete_rpartite_collection(r, part_size, 2)
+            assert coll == GraphCollection.from_edge_lists(n, [edges] * 2)
 
 
 class TestRandomMinDegree:
