@@ -12,7 +12,6 @@ from .core import (
     PowerPath,
     connector,
     host_edges,
-    min_bipartite_degree,
     min_degree,
     power_cycle,
     power_path,
@@ -35,7 +34,6 @@ __all__ = [
     "count_coloured_hamilton_powers",
     "find_coloured_hamilton_power",
     "host_edges",
-    "min_bipartite_degree",
     "min_degree",
     "power_cycle",
     "power_path",

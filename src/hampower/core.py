@@ -31,7 +31,7 @@ from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .bitset import mask_of, select
+from .bitset import select
 from .errors import (
     HamPowerError,
     InvalidHostError,
@@ -191,22 +191,30 @@ class GraphCollection:
     ``masks[c - 1][v]`` is set exactly when uv is an edge.  ``tables`` gives
     those rows, one sequence of n ints per graph; a table object passed
     more than once (e.g. m copies of K_n) is checked once and shared.
+
+    ``min_degrees[c - 1]`` is the minimum degree δ_c of graph c, computed
+    once per distinct table.  It certifies degrees into any vertex set
+    without a scan: a vertex has at most n - 1 - δ_c non-neighbours, so
+    for a set S not containing v, |N_c(v) ∩ S| >= |S| - (n - 1 - δ_c).
+    The reservoir and path-builder guards settle whole colours this way.
     Instances are immutable once constructed.
     """
 
-    __slots__ = ("n", "masks")
+    __slots__ = ("n", "masks", "min_degrees")
 
     def __init__(self, n: int, tables: Sequence[Sequence[int]]):
         _check_sizes(n, len(tables))
-        checked: dict[int, tuple[int, ...]] = {}
-        masks = []
+        checked: dict[int, tuple[tuple[int, ...], int]] = {}
+        masks, min_degrees = [], []
         for gi, rows in enumerate(tables):
-            table = checked.get(id(rows))
-            if table is None:
-                table = checked[id(rows)] = _checked_table(n, gi + 1, rows)
-            masks.append(table)
+            entry = checked.get(id(rows))
+            if entry is None:
+                entry = checked[id(rows)] = _checked_table(n, gi + 1, rows)
+            masks.append(entry[0])
+            min_degrees.append(entry[1])
         self.n = n
         self.masks = tuple(masks)
+        self.min_degrees = tuple(min_degrees)
 
     @property
     def m(self) -> int:
@@ -285,9 +293,10 @@ def _table_of_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]
     return tuple(rows)
 
 
-def _checked_table(n: int, g: int, rows: Sequence[int]) -> tuple[int, ...]:
+def _checked_table(n: int, g: int, rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The rows of graph ``g`` (1-based, for messages) as a tuple, checked
-    to be the bitmask rows of a simple graph on n vertices."""
+    to be the bitmask rows of a simple graph on n vertices, and the
+    graph's minimum degree."""
     rows = tuple(rows)
     if len(rows) != n:
         raise InvalidInstanceError(f"graph {g}: {len(rows)} mask rows, expected {n}")
@@ -309,7 +318,7 @@ def _checked_table(n: int, g: int, rows: Sequence[int]) -> tuple[int, ...]:
         if row != column:
             u = next(u for u in range(n) if row[u] != column[u])
             raise InvalidInstanceError(f"graph {g}: asymmetric adjacency on edge ({u},{v})")
-    return rows
+    return rows, min(map(int.bit_count, rows))
 
 
 def _edges_of(table: Sequence[int]) -> tuple[Edge, ...]:
@@ -363,32 +372,7 @@ def verify_coloured_embedding(
 
 def min_degree(collection: GraphCollection) -> int:
     """Minimum degree over all graphs and all vertices."""
-    return min(min(map(int.bit_count, table)) for table in collection.masks)
-
-
-def min_bipartite_degree(
-    collection: GraphCollection,
-    a_side: Iterable[int],
-    b_side: Iterable[int],
-) -> int:
-    """Minimum over all graphs of the induced-bipartite minimum degree.
-
-    For each graph, every vertex of A is measured into B and vice versa.
-    A and B must be disjoint and non-empty.
-    """
-    a_list, b_list = list(a_side), list(b_side)
-    if not a_list or not b_list:
-        raise InvalidInstanceError("min_bipartite_degree: empty side")
-    if set(a_list) & set(b_list):
-        raise InvalidInstanceError("min_bipartite_degree: sides must be disjoint")
-    a_mask, b_mask = mask_of(a_list), mask_of(b_list)
-    best = collection.n
-    for c in range(1, collection.m + 1):
-        for v in a_list:
-            best = min(best, collection.degree_into(c, v, b_mask))
-        for v in b_list:
-            best = min(best, collection.degree_into(c, v, a_mask))
-    return best
+    return min(collection.min_degrees)
 
 
 def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -> ColourPattern:
@@ -422,6 +406,12 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
 
 # --- instance / pattern / cycle file formats (JSON text) ------------------
 
+# The largest vertex count an instance file, and the largest host order a
+# pattern file, may declare.  The loaders reject larger sizes before they
+# allocate anything by them: checking one graph on n vertices builds an
+# n^2-character adjacency string (100 MB at this limit).
+MAX_FILE_ORDER = 10_000
+
 _KIND_TO_FILE = {POWER_PATH: "path", POWER_CYCLE: "cycle", CONNECTOR: "connector"}
 _FILE_TO_KIND = {v: k for k, v in _KIND_TO_FILE.items()}
 
@@ -449,6 +439,8 @@ def collection_from_dict(d: Mapping) -> GraphCollection:
         raise InvalidInstanceError(f"instance file: missing/invalid field ({exc})") from exc
     n = _json_int(n, InvalidInstanceError, "instance file: n")
     m = _json_int(m, InvalidInstanceError, "instance file: m")
+    if n > MAX_FILE_ORDER:
+        raise InvalidInstanceError(f"instance file: n={n} exceeds the limit {MAX_FILE_ORDER}")
     if not isinstance(graphs, list):
         raise InvalidInstanceError("instance file: graphs must be a list of edge lists")
     if len(graphs) != m:
@@ -493,6 +485,10 @@ def pattern_from_dict(d: Mapping) -> ColourPattern:
         entries = d.get("colours", [])
     except (KeyError, TypeError) as exc:
         raise InvalidPatternError(f"pattern file: missing/invalid host field ({exc})") from exc
+    if host.order > MAX_FILE_ORDER:
+        raise InvalidPatternError(
+            f"pattern file: host order {host.order} exceeds the limit {MAX_FILE_ORDER}"
+        )
     if not isinstance(entries, list):
         raise InvalidPatternError("pattern file: colours must be a list of [i, j, colour] entries")
     colours: dict[Edge, int] = {}
@@ -507,7 +503,26 @@ def pattern_from_dict(d: Mapping) -> ColourPattern:
         if e in colours:
             raise InvalidPatternError(f"pattern file: host edge {e} coloured twice")
         colours[e] = c
+    # a dense host (k near its order) has ~order^2/2 edges: reject a file
+    # that cannot cover them before the pattern lists them
+    expected = _host_edge_count(host)
+    if len(colours) < expected:
+        raise InvalidPatternError(
+            f"pattern domain mismatch: {expected} host edges, {len(colours)} coloured"
+        )
     return ColourPattern(host, colours)
+
+
+def _host_edge_count(host: HostTemplate) -> int:
+    """``len(host_edges(host))`` without listing the edges."""
+    n, k = host.order, host.k
+    if host.kind == POWER_CYCLE:
+        return n * k
+    d = min(k, n - 1)  # edges at distance 1..d, n - j of them at distance j
+    count = d * n - d * (d + 1) // 2
+    if host.kind == CONNECTOR:  # the end blocks (a, b <= k) are cliques
+        count -= host.a * (host.a - 1) // 2 + host.b * (host.b - 1) // 2
+    return count
 
 
 def cycle_to_dict(c: PowerCycle) -> dict:

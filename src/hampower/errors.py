@@ -86,8 +86,9 @@ class TemplateError(HamPowerError):
 class ReservoirError(HamPowerError):
     """Reservoir sampling exhausted its retries.
 
-    ``worst`` is ``(vertex, colour, observed_fraction)`` for the vertex/graph
-    pair with the lowest degree fraction seen in the final attempt.
+    ``worst`` is ``(vertex, colour, observed_fraction)`` for the first
+    vertex/graph pair that failed the degree test in the final attempt, in
+    (colour, vertex) scan order; it need not hold the lowest fraction.
     """
 
     def __init__(self, message: str, worst: tuple[int, int, float] | None = None):

@@ -15,7 +15,7 @@ extends a perfect K_k-tiling to a perfect K_{k+1}-tiling.
 Augmenting paths are searched depth first with an explicit stack, so their
 length is not bounded by the interpreter's recursion limit.  Perfect
 matchings can be sampled exactly uniformly (sequential conditional sampling
-weighted by permanent counts, side length <= 24) or heuristically
+weighted by permanent counts, side length <= EXACT_SIDE_CAP) or heuristically
 (augmenting search from the left vertices in random order, each trying its
 neighbours in a random order; near-uniform, cheap at any size).
 """
@@ -31,7 +31,11 @@ from .bitset import mask_of, pick_bit, select
 from .core import GraphCollection
 from .errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 
-EXACT_SIDE_CAP = 24
+# Largest side of an exact count or sample.  The subset dynamic programme
+# grows about 2.2x per vertex: one count_perfect_matchings call on K_{s,s}
+# took 0.36-0.39 s at s = 17, 0.84-0.89 s at s = 18 and 2.0 s at s = 19
+# (CPython 3.11, one core of a shared two-core x86-64 machine).
+EXACT_SIDE_CAP = 18
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def _count_completions(rows: Sequence[int], i: int, avail: int, memo: dict) -> i
 def count_perfect_matchings(b: BipartiteGraph) -> int:
     """Exact perfect-matching count (the permanent of the biadjacency
     matrix), via subset dynamic programming.  Sides must be equal and at
-    most 24."""
+    most EXACT_SIDE_CAP."""
     if b.n_left != b.n_right:
         raise SizeLimitError("perfect-matching count needs equal sides")
     if b.n_left > EXACT_SIDE_CAP:
@@ -280,7 +284,8 @@ def sample_perfect_matching(
     """Sample a perfect matching as (left, right) pairs sorted by left.
 
     ``exact`` draws exactly uniformly over all perfect matchings by
-    sequential conditional sampling with permanent counts (sides <= 24).
+    sequential conditional sampling with permanent counts (sides at most
+    ``EXACT_SIDE_CAP``).
     ``fast`` runs augmenting-path search from the left vertices in random
     order, each left vertex trying its neighbours in a random order drawn
     lazily as the search reaches them; it returns a valid perfect matching

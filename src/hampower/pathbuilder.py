@@ -9,7 +9,10 @@ auxiliary tiling graph (:func:`matching.tiling_graph`) built from the
 pattern-specified colour graphs.
 Before each matching, bipartite minimum degrees are checked against the
 (2w-1)/2w threshold (w = window size) that guarantees the matching exists;
-a breach aborts the round with full indices.  At the end of a round one of
+a breach aborts the round with full indices.  A pair is settled without a
+scan when colour c's minimum degree δ_c already implies the threshold: each
+vertex misses at most n - 1 - δ_c others, so its degree into a part of
+size n_i is at least n_i - (n - 1 - δ_c).  At the end of a round one of
 the finished paths is removed uniformly at random and kept.
 """
 
@@ -123,8 +126,12 @@ def _run_round(
         width = lvl - win_lo
         colours = [pat.colour_of(j, lvl) for j in range(win_lo, lvl)]
 
-        # threshold check on the colour graphs the pattern designates
+        # threshold check on the colour graphs the pattern designates,
+        # skipped where the colour's minimum degree certifies it
         for j, colour in enumerate(colours, start=win_lo):
+            floor = n_i - (collection.n - 1 - collection.min_degrees[colour - 1])
+            if 2 * width * floor >= (2 * width - 1) * n_i:
+                continue
             d = _min_pair_degree(collection, colour, state.parts[j], state.parts[lvl])
             if 2 * width * d < (2 * width - 1) * n_i:
                 raise AbortError(

@@ -281,8 +281,17 @@ def sample_reservoir(
     The fraction for a vertex v into a set S is measured against the
     possible neighbours |S - {v}| (a member of S cannot be adjacent to
     itself), so complete collections are accepted at any size.  Raises
-    :class:`ReservoirError` carrying the worst (vertex, colour, fraction)
-    seen in the final attempt.
+    :class:`ReservoirError` carrying the first failing (vertex, colour,
+    fraction) of the final attempt, in (colour, vertex) scan order.
+
+    Colours are first settled from their minimum degree δ_c alone: a vertex
+    has at most n - 1 - δ_c non-neighbours, so it has at least
+    cap - (n - 1 - δ_c) neighbours among any cap possible ones.  A colour
+    whose bound passes the scan's own test at every capacity a vertex can
+    see (|Z| or |Z| - 1 into Z, n - |Z| - 1 or n - |Z| into the rest)
+    passes for every Z and is not scanned.  The other colours are scanned
+    in order, so the random stream, the result and the error are those of
+    a full scan.
     """
     n = collection.n
     if size > n:
@@ -290,13 +299,19 @@ def sample_reservoir(
     if size < 1 or size >= n:
         raise InvalidInstanceError("reservoir must be a proper non-empty subset")
     thr = 1 - 1 / (2 * k) + alpha / 2
+    caps = (size, size - 1, n - size - 1, n - size)
+    scanned = [
+        colour
+        for colour, delta in enumerate(collection.min_degrees, start=1)
+        if any(cap - (n - 1 - delta) < thr * cap - 1e-9 for cap in caps)
+    ]
     failure: Optional[tuple[int, int, float]] = None
     for _ in range(max_retries):
         z = frozenset(rng.sample(range(n), size))
         z_mask = mask_of(z)
         comp_mask = ((1 << n) - 1) & ~z_mask
         failure = None
-        for colour in range(1, collection.m + 1):
+        for colour in scanned:
             for v in range(n):
                 in_z = (z_mask >> v) & 1
                 cap_in = size - in_z

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hampower import core
 from hampower.core import (
+    MAX_FILE_ORDER,
     ColourPattern,
     GraphCollection,
     PowerCycle,
@@ -14,7 +16,6 @@ from hampower.core import (
     cycle_from_dict,
     cycle_to_dict,
     host_edges,
-    min_bipartite_degree,
     min_degree,
     pattern_from_dict,
     pattern_to_dict,
@@ -22,6 +23,7 @@ from hampower.core import (
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
+    _host_edge_count,
 )
 from hampower.errors import (
     HamPowerError,
@@ -30,7 +32,13 @@ from hampower.errors import (
     InvalidPatternError,
     VerificationInputError,
 )
-from hampower.instances import complete_collection, lowerbound_construction, random_pattern
+from hampower.instances import (
+    complete_collection,
+    lowerbound_construction,
+    random_min_degree_collection,
+    random_pattern,
+)
+from hampower.pathbuilder import _min_pair_degree
 
 
 class TestHostEdges:
@@ -77,6 +85,14 @@ class TestHostEdges:
     def test_path_edge_count_formula(self, k, extra):
         r = k + 1 + extra
         assert len(host_edges(power_path(r, k))) == k * r - k * (k + 1) // 2
+
+    def test_edge_count_without_listing(self):
+        hosts = [power_cycle(n, k) for k in (1, 2, 3) for n in range(2 * k + 1, 12)]
+        hosts += [power_path(n, k) for k in (1, 2, 3, 5) for n in range(1, 12)]
+        hosts += [connector(a, b, k) for k in (1, 2, 3) for a in range(1, k + 1)
+                  for b in range(1, k + 1)]
+        for host in hosts:
+            assert _host_edge_count(host) == len(host_edges(host)), host
 
 
 class TestCollectionValidation:
@@ -261,14 +277,35 @@ class TestDegrees:
 
     def test_bipartite_degree_complete(self):
         coll = complete_collection(10, 2)
-        assert min_bipartite_degree(coll, range(4), range(4, 10)) == 4
+        for colour in (1, 2):
+            assert _min_pair_degree(coll, colour, range(4), range(4, 10)) == 4
 
-    def test_bipartite_degree_empty_side_raises(self):
-        coll = complete_collection(4, 1)
-        with pytest.raises(InvalidInstanceError):
-            min_bipartite_degree(coll, [], [1, 2])
-        with pytest.raises(InvalidInstanceError):
-            min_bipartite_degree(coll, [0, 1], [1, 2])
+    def test_min_degrees_match_vertex_counts(self):
+        rng = random.Random(5)
+        coll = random_min_degree_collection(40, 5, 0.7, rng)
+        for colour in range(1, coll.m + 1):
+            assert coll.min_degrees[colour - 1] == min(
+                sum(coll.has_edge(colour, v, u) for u in range(40)) for v in range(40)
+            )
+        assert min_degree(coll) == min(coll.min_degrees)
+
+    def test_shared_table_gives_one_computation(self, monkeypatch):
+        calls = []
+        checked_table = core._checked_table
+
+        def counted(*args):
+            calls.append(args[1])
+            return checked_table(*args)
+
+        monkeypatch.setattr(core, "_checked_table", counted)
+        star = (0b11110,) + (0b00001,) * 4  # K_{1,4} centred at 0
+        path = (0b00010, 0b00101, 0b01010, 0b10100, 0b01000)
+        coll = GraphCollection(5, [star, path, star, star])
+        assert calls == [1, 2]
+        assert coll.min_degrees == (1, 1, 1, 1)
+        assert coll.min_degrees == tuple(
+            min(coll.degree(c, v) for v in range(5)) for c in range(1, 5)
+        )
 
 
 class TestRestrictPattern:
@@ -328,6 +365,32 @@ class TestSerialization:
         cycle = PowerCycle(2, tuple(range(7)))
         assert cycle_from_dict(cycle_to_dict(cycle)) == cycle
 
+    @pytest.mark.parametrize("n", [MAX_FILE_ORDER + 1, 10**9])
+    def test_instance_above_the_size_limit_rejected(self, n):
+        with pytest.raises(InvalidInstanceError, match="exceeds the limit"):
+            collection_from_dict({"n": n, "m": 1, "graphs": [[]]})
+
+    @pytest.mark.parametrize("host", [
+        {"kind": "path", "n_or_r": MAX_FILE_ORDER + 1, "k": 1, "a": 0, "b": 0},
+        {"kind": "cycle", "n_or_r": 10**9, "k": 2, "a": 0, "b": 0},
+        {"kind": "connector", "n_or_r": 0, "k": 10**9, "a": 1, "b": 1},
+    ])
+    def test_pattern_above_the_size_limit_rejected(self, host):
+        with pytest.raises(InvalidPatternError, match="exceeds the limit"):
+            pattern_from_dict({"host": host, "colours": [[0, 1, 1]]})
+
+    def test_pattern_at_the_size_limit_loads(self):
+        pattern = ColourPattern(
+            power_path(MAX_FILE_ORDER, 1), {(i, i + 1): 1 for i in range(MAX_FILE_ORDER - 1)}
+        )
+        assert pattern_from_dict(pattern_to_dict(pattern)) == pattern
+
+    def test_dense_host_without_its_colours_rejected(self):
+        # power_path(10^4, 10^4 - 1) has ~5 * 10^7 edges: rejected by count
+        host = {"kind": "path", "n_or_r": MAX_FILE_ORDER, "k": MAX_FILE_ORDER - 1, "a": 0, "b": 0}
+        with pytest.raises(InvalidPatternError, match="49995000 host edges, 1 coloured"):
+            pattern_from_dict({"host": host, "colours": [[0, 1, 1]]})
+
     def test_double_coloured_edge_rejected(self):
         rng = random.Random(10)
         payload = pattern_to_dict(random_pattern(power_path(4, 1), 2, rng))
@@ -362,7 +425,8 @@ class TestSerialization:
 
 
 JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers(max_value=64) | st.floats() | st.text(max_size=6)
+    st.none() | st.booleans() | st.integers(max_value=64)
+    | st.integers(min_value=MAX_FILE_ORDER + 1) | st.floats() | st.text(max_size=6)
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -376,7 +440,7 @@ JSON_VALUES = st.recursive(
 # booleans, numeric text, empty containers
 NEAR_VALUES = st.sampled_from(
     [float("inf"), float("-inf"), float("nan"), 1.5, 2.0, True, False, None, "1", "12", [], {}]
-) | st.integers(-2, 64) | JSON_VALUES
+) | st.integers(-2, 64) | st.integers(MAX_FILE_ORDER + 1, 10**12) | JSON_VALUES
 
 
 @st.composite
@@ -438,7 +502,8 @@ LOADERS = {
 
 class TestLoaderFuzz:
     """The loaders return or raise a HamPowerError, never anything else.
-    Sizes and vertex ids stay at 64 or below."""
+    Sizes and vertex ids are at most 64, or above ``MAX_FILE_ORDER``, which
+    the loaders must reject before allocating by them."""
 
     @pytest.mark.parametrize("name", list(LOADERS))
     @given(data=st.data())

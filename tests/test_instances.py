@@ -22,6 +22,7 @@ from hampower.instances import (
     random_min_degree_collection,
     random_rpartite_collection,
 )
+from hampower.pathbuilder import _min_pair_degree
 
 
 class TestCompleteCollection:
@@ -82,11 +83,10 @@ class TestRPartite:
     def test_random_rpartite_pair_floor(self):
         rng = random.Random(101)
         coll, parts = random_rpartite_collection(4, 8, 2, 0.75, rng)
-        from hampower.core import min_bipartite_degree
-
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert min_bipartite_degree(coll, parts[i], parts[j]) >= 6
+        for colour in (1, 2):
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    assert _min_pair_degree(coll, colour, parts[i], parts[j]) >= 6
 
     def test_full_density_is_complete_rpartite(self):
         rng = random.Random(102)

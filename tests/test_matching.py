@@ -23,6 +23,7 @@ from hampower.core import GraphCollection
 from hampower.errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 from hampower.instances import complete_collection
 from hampower.matching import (
+    EXACT_SIDE_CAP,
     BipartiteGraph,
     count_perfect_matchings,
     max_matching,
@@ -228,7 +229,9 @@ class TestCountPerfectMatchings:
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
-            count_perfect_matchings(complete_bipartite(25))
+            count_perfect_matchings(complete_bipartite(EXACT_SIDE_CAP + 1))
+        with pytest.raises(SizeLimitError):
+            sample_perfect_matching(complete_bipartite(EXACT_SIDE_CAP + 1), random.Random(0), "exact")
 
 
 class TestSamplePerfectMatching:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import without_certificate
 from hampower.core import (
     ColourPattern,
     GraphCollection,
@@ -75,6 +76,41 @@ class TestBuildPathCollection:
             build_path_collection(coll, parts, [pattern], 1, rng)
         assert err.value.step == 1
         assert err.value.pair == (0, 1)
+
+    def test_certificate_keeps_every_abort(self):
+        # colour 1 is K_32, certified at every step; colour 2 is K_32 minus
+        # a perfect matching across parts 0-1 and 2-3, certified while
+        # n_i >= 4 and scanned after; colour 3 is a random 4-partite graph,
+        # always scanned.  Aborts come at several steps, in colours 2 and 3.
+        part_size, r = 8, 4
+        n = part_size * r
+        full = (1 << n) - 1
+        rows = {
+            1: [full ^ (1 << v) for v in range(n)],
+            2: [full ^ (1 << v) ^ (1 << (v ^ 8)) for v in range(n)],
+        }
+        outcomes = []
+        for seed in range(20):
+            rng = random.Random(seed)
+            density = 0.9 if seed % 2 else 0.8
+            degraded, parts = random_rpartite_collection(r, part_size, 1, density, rng)
+            coll = GraphCollection(n, [rows[1], rows[2], degraded.masks[0]])
+            patterns = [random_pattern(power_path(r, 2), 3, rng) for _ in range(8)]
+            runs = []
+            for instance in (coll, without_certificate(coll)):
+                local = random.Random(seed)
+                try:
+                    paths = build_path_collection(instance, parts, patterns, 8, local)
+                    run = ("built", [p.vertices for p in paths])
+                except AbortError as exc:
+                    run = ("aborted", exc.step, exc.level, exc.pair, str(exc))
+                runs.append((run, local.getstate()))
+            assert runs[0] == runs[1]
+            outcomes.append(runs[0][0])
+        aborts = [run for run in outcomes if run[0] == "aborted"]
+        assert len({run[1] for run in aborts}) >= 2
+        assert {run[4].split(" colour ")[1].split()[0] for run in aborts} == {"2", "3"}
+        assert any(run[0] == "built" for run in outcomes)
 
     def test_random_rpartite_high_density(self):
         rng = random.Random(85)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import sample_reservoir_by_scan, without_certificate
 from hampower.core import (
     GraphCollection,
     power_cycle,
@@ -108,6 +109,103 @@ class TestSampleReservoir:
             except ReservoirError:
                 pass
         assert accepted_fast >= 48
+
+
+def _reservoir_outcome(sampler, collection, size, alpha, k, seed, retries):
+    """What a reservoir call returns or raises, and the rng state after it."""
+    rng = random.Random(seed)
+    try:
+        outcome = ("accepted", sampler(collection, size, alpha, k, rng, max_retries=retries))
+    except ReservoirError as exc:
+        outcome = ("rejected", exc.worst, str(exc))
+    return outcome, rng.getstate()
+
+
+def _complete_rows(n):
+    full = (1 << n) - 1
+    return [full ^ (1 << v) for v in range(n)]
+
+
+def _reservoir_case(name):
+    """(collection, size, alpha, k) of one named certificate case."""
+    rng = random.Random(name)
+    if name == "certified":
+        return complete_collection(30, 4), 8, 0.2, 2
+    if name == "uncertified":
+        return random_min_degree_collection(30, 4, 0.8, rng), 8, 0.2, 2
+    dense = random_min_degree_collection(30, 3, 0.9, rng).masks
+    mixed = GraphCollection(30, [_complete_rows(30), *dense, _complete_rows(30)])
+    if name == "mixed":
+        return mixed, 8, 0.1, 2
+    if name == "threshold above 1":  # 1 - 1/6 + 0.25: every colour fails
+        return mixed, 8, 0.5, 3
+    if name == "single-vertex reservoir":
+        return mixed, 1, 0.1, 2
+    if name.startswith("tight"):
+        # K_12 minus a perfect matching, threshold 3/4: the bound passes at
+        # capacities 4 and 8 but not 3, so the scan decides; a vertex fails
+        # exactly when its one non-neighbour is on its side
+        rows = [((1 << 12) - 1) ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(12)]
+        return GraphCollection(12, [rows] * 2), (4 if name == "tight" else 8), 0.0, 2
+    # vertex 0 isolated in colour 3, after two certified colours
+    isolated = [0] + [((1 << 10) - 2) ^ (1 << v) for v in range(1, 10)]
+    return GraphCollection(10, [_complete_rows(10)] * 2 + [isolated]), 4, 0.2, 2
+
+
+class TestReservoirCertificate:
+    """The minimum-degree certificate only skips colours that cannot fail:
+    the result, the error and the random stream are those of a full scan."""
+
+    @pytest.mark.parametrize("name", [
+        "certified", "uncertified", "mixed", "threshold above 1",
+        "single-vertex reservoir", "isolated vertex", "tight", "tight complement",
+    ])
+    def test_matches_full_scan(self, name):
+        collection, size, alpha, k = _reservoir_case(name)
+        outcomes = set()
+        for seed in range(10):
+            for retries in (1, 3):
+                expected = _reservoir_outcome(
+                    sample_reservoir_by_scan, collection, size, alpha, k, seed, retries
+                )
+                assert _reservoir_outcome(
+                    sample_reservoir, collection, size, alpha, k, seed, retries
+                ) == expected
+                assert _reservoir_outcome(
+                    sample_reservoir, without_certificate(collection), size, alpha, k, seed, retries
+                ) == expected
+                outcomes.add(expected[0][0])
+        if name == "certified":
+            assert outcomes == {"accepted"}
+        if name in ("threshold above 1", "isolated vertex"):
+            assert outcomes == {"rejected"}
+        if name.startswith("tight"):
+            assert outcomes == {"accepted", "rejected"}
+
+    def test_isolated_vertex_reported_in_its_colour(self):
+        collection, size, alpha, k = _reservoir_case("isolated vertex")
+        with pytest.raises(ReservoirError) as err:
+            sample_reservoir(collection, size, alpha, k, random.Random(0), max_retries=2)
+        assert err.value.worst[:2] == (0, 3)
+
+    def test_matches_full_scan_near_the_bound(self):
+        # small graphs whose minimum degree sits near the certificate's
+        # bound, at every reservoir size
+        rng = random.Random(17)
+        both = set()
+        for trial in range(400):
+            n = rng.randint(3, 12)
+            tables = [
+                random_min_degree_collection(n, 1, rng.uniform(0.5, 1.0), rng).masks[0]
+                for _ in range(rng.randint(1, 3))
+            ]
+            collection = GraphCollection(n, tables)
+            args = (rng.randint(1, n - 1), rng.choice([0.0, 0.1, 0.2, 0.5]), rng.randint(1, 3))
+            retries = rng.randint(1, 3)
+            expected = _reservoir_outcome(sample_reservoir_by_scan, collection, *args, trial, retries)
+            assert _reservoir_outcome(sample_reservoir, collection, *args, trial, retries) == expected
+            both.add(expected[0][0])
+        assert both == {"accepted", "rejected"}
 
 
 class TestSolve:
