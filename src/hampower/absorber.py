@@ -212,27 +212,6 @@ def coloured_graph_of(blueprint: GadgetBlueprint) -> ColouredGraph:
     return ColouredGraph(blueprint.vertices, dict(blueprint.edges))
 
 
-def _peel_order(graph: ColouredGraph, initial: Sequence[int]) -> list[int]:
-    """Degeneracy ordering with ``initial`` first: peel minimum-degree
-    vertices (outside the initial segment) from the back."""
-    nbrs: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for (u, v) in graph.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    fixed = set(initial)
-    alive = set(graph.vertices)
-    suffix: list[int] = []
-    while len(alive) > len(fixed):
-        v = min(
-            (v for v in alive if v not in fixed),
-            key=lambda v: (len(nbrs[v] & alive), v),
-        )
-        suffix.append(v)
-        alive.remove(v)
-    suffix.reverse()
-    return list(initial) + suffix
-
-
 def embed_by_degeneracy(
     collection: GraphCollection,
     graph: ColouredGraph,
@@ -242,15 +221,15 @@ def embed_by_degeneracy(
     avoid: Iterable[int],
     degeneracy: int,
     rng: random.Random,
-    order: Optional[Sequence[int]] = None,
+    order: Sequence[int],
 ) -> dict[int, int]:
     """Greedy coloured embedding in a degeneracy order.
 
     ``initial`` must be an independent set of ``graph`` pre-mapped by
     ``images``; all remaining vertices are mapped injectively into ``pool``
-    minus ``avoid``, choosing uniformly among feasible images.  The ordering
-    (computed if not supplied) must give every vertex at most ``degeneracy``
-    earlier neighbours.
+    minus ``avoid``, choosing uniformly among feasible images.  ``order``
+    must start with ``initial``, cover the graph and give every vertex at
+    most ``degeneracy`` earlier neighbours.
     """
     initial = list(initial)
     initial_set = set(initial)
@@ -262,8 +241,6 @@ def embed_by_degeneracy(
     if len(set(images.values())) != len(images):
         raise InvalidInstanceError("initial images must be injective")
 
-    if order is None:
-        order = _peel_order(graph, initial)
     if list(order[: len(initial)]) != initial or sorted(order) != sorted(graph.vertices):
         raise InvalidInstanceError("order must start with the initial segment and cover the graph")
 

@@ -240,7 +240,7 @@ def _cmd_experiment(args) -> int:
                 stage_reached = "plan"
             except StageFailedError as exc:
                 stage_reached = exc.stage
-                retries = config.max_retries
+                retries = exc.attempts
             except HamPowerError:
                 stage_reached = "error"
             runtime_ms = int((time.perf_counter() - started) * 1000)

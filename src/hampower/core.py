@@ -193,10 +193,7 @@ class GraphCollection:
     more than once (e.g. m copies of K_n) is checked once and shared.
 
     ``min_degrees[c - 1]`` is the minimum degree δ_c of graph c, computed
-    once per distinct table.  It certifies degrees into any vertex set
-    without a scan: a vertex has at most n - 1 - δ_c non-neighbours, so
-    for a set S not containing v, |N_c(v) ∩ S| >= |S| - (n - 1 - δ_c).
-    The reservoir and path-builder guards settle whole colours this way.
+    once per distinct table; :func:`min_degree` reads it.
     Instances are immutable once constructed.
     """
 

@@ -58,20 +58,11 @@ class EmbeddingFailedError(HamPowerError):
         self.vertex = vertex
 
 
-class AbortError(HamPowerError):
-    """Path builder abort: a bipartite minimum-degree threshold was breached."""
-
-    def __init__(self, message: str, step: int, level: int, pair: tuple[int, int]):
-        super().__init__(message)
-        self.step = step
-        self.level = level
-        self.pair = pair
-
-
 class NoMatchingError(HamPowerError):
-    """Path builder failed to find a perfect matching even though the degree
-    thresholds held.  Flagged as anomalous, since the tiling-extension
-    guarantee should preclude it."""
+    """Path builder found no perfect matching in the auxiliary tiling graph
+    while attaching a level: the residual parts admit no extension of the
+    current tiling in the pattern's colours.  ``step`` is the round (path)
+    number and ``level`` the part being attached."""
 
     def __init__(self, message: str, step: int, level: int):
         super().__init__(message)
@@ -83,19 +74,6 @@ class TemplateError(HamPowerError):
     """Robustly matchable template construction or certification failed."""
 
 
-class ReservoirError(HamPowerError):
-    """Reservoir sampling exhausted its retries.
-
-    ``worst`` is ``(vertex, colour, observed_fraction)`` for the first
-    vertex/graph pair that failed the degree test in the final attempt, in
-    (colour, vertex) scan order; it need not hold the lowest fraction.
-    """
-
-    def __init__(self, message: str, worst: tuple[int, int, float] | None = None):
-        super().__init__(message)
-        self.worst = worst
-
-
 class InfeasibleConfigError(HamPowerError):
     """Instance too small for the requested pipeline configuration."""
 
@@ -105,10 +83,14 @@ class InfeasibleConfigError(HamPowerError):
 
 
 class StageFailedError(HamPowerError):
-    """A pipeline stage failed after exhausting its retries."""
+    """A pipeline stage failed after exhausting its retries.
 
-    def __init__(self, stage: str, cause: Exception, summary: str = ""):
+    ``cause`` is the error of the last attempt and ``attempts`` the number
+    of attempts the stage made."""
+
+    def __init__(self, stage: str, cause: Exception, attempts: int, summary: str = ""):
         super().__init__(f"stage '{stage}' failed: {cause}" + (f" [{summary}]" if summary else ""))
         self.stage = stage
         self.cause = cause
         self.summary = summary
+        self.attempts = attempts

@@ -7,13 +7,12 @@ level: the partial paths restricted to the last (up to k) levels form a
 clique tiling, and attaching the next level is one perfect matching in the
 auxiliary tiling graph (:func:`matching.tiling_graph`) built from the
 pattern-specified colour graphs.
-Before each matching, bipartite minimum degrees are checked against the
-(2w-1)/2w threshold (w = window size) that guarantees the matching exists;
-a breach aborts the round with full indices.  A pair is settled without a
-scan when colour c's minimum degree δ_c already implies the threshold: each
-vertex misses at most n - 1 - δ_c others, so its degree into a part of
-size n_i is at least n_i - (n - 1 - δ_c).  At the end of a round one of
-the finished paths is removed uniformly at random and kept.
+The matching is sampled directly: a part pair whose minimum degree reaches
+(2w-1)/2w of n_i (w = window size) guarantees it exists, but pairs below
+that bound usually have one too, so the sampler's own search decides and a
+level without a perfect matching aborts the round with its step and level.
+At the end of a round one of the finished paths is removed uniformly at
+random and kept.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitset import mask_of
 from .core import (
     ColourPattern,
     GraphCollection,
@@ -30,13 +28,7 @@ from .core import (
     power_path,
     verify_coloured_embedding,
 )
-from .errors import (
-    AbortError,
-    HamPowerError,
-    InvalidInstanceError,
-    NoMatchingError,
-    NoPerfectMatchingError,
-)
+from .errors import HamPowerError, InvalidInstanceError, NoMatchingError, NoPerfectMatchingError
 from .matching import sample_perfect_matching, tiling_graph
 
 
@@ -65,9 +57,8 @@ def build_path_collection(
 
     ``parts`` are r pairwise-disjoint vertex sets of equal size; pattern i
     must live on power_path(r, k) and colours index into the collection.
-    Raises :class:`AbortError` when a degree threshold fails (with step,
-    level and part pair) and :class:`NoMatchingError` if a matching is
-    missing despite the thresholds holding.
+    Raises :class:`NoMatchingError` (with step and level) when a level has
+    no perfect matching to attach it.
     """
     if len(patterns) != s:
         raise InvalidInstanceError(f"expected {s} patterns, got {len(patterns)}")
@@ -119,37 +110,17 @@ def _run_round(
     sampler_mode: str,
 ) -> list[list[int]]:
     """Grow n_i disjoint coloured paths across all r parts."""
-    n_i = state.n_i
     chains: list[list[int]] = [[v] for v in state.parts[0]]
     for lvl in range(1, r):
         win_lo = max(0, lvl - k)
-        width = lvl - win_lo
         colours = [pat.colour_of(j, lvl) for j in range(win_lo, lvl)]
-
-        # threshold check on the colour graphs the pattern designates,
-        # skipped where the colour's minimum degree certifies it
-        for j, colour in enumerate(colours, start=win_lo):
-            floor = n_i - (collection.n - 1 - collection.min_degrees[colour - 1])
-            if 2 * width * floor >= (2 * width - 1) * n_i:
-                continue
-            d = _min_pair_degree(collection, colour, state.parts[j], state.parts[lvl])
-            if 2 * width * d < (2 * width - 1) * n_i:
-                raise AbortError(
-                    f"step {step}: min degree {d} between parts {j} and {lvl} in "
-                    f"colour {colour} is below {(2 * width - 1)}/{2 * width} of n_i={n_i}",
-                    step=step,
-                    level=lvl,
-                    pair=(j, lvl),
-                )
-
         tiles = [chain[win_lo:] for chain in chains]
         aux = tiling_graph(collection, colours, tiles, state.parts[lvl])
         try:
             matching = sample_perfect_matching(aux, rng, mode=sampler_mode)
         except NoPerfectMatchingError as exc:
             raise NoMatchingError(
-                f"step {step}: no perfect matching while attaching level {lvl} "
-                f"although the degree thresholds held (anomalous)",
+                f"step {step}: no perfect matching while attaching level {lvl}",
                 step=step,
                 level=lvl,
             ) from exc
@@ -158,14 +129,6 @@ def _run_round(
 
         _assert_window_tiling(collection, pat, chains, lvl, k, step)
     return chains
-
-
-def _min_pair_degree(
-    collection: GraphCollection, colour: int, a_side: Sequence[int], b_side: Sequence[int]
-) -> int:
-    a_mask, b_mask = mask_of(a_side), mask_of(b_side)
-    d = min(collection.degree_into(colour, v, b_mask) for v in a_side)
-    return min(d, min(collection.degree_into(colour, v, a_mask) for v in b_side))
 
 
 def _assert_window_tiling(

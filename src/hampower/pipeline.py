@@ -21,6 +21,11 @@ the whole ranked candidate list and fall back to the next plan when one
 plan's stages exhaust their retries; strict runs take the first plan only,
 one attempt per stage.
 
+No stage is gated on a degree condition.  The reservoir is one uniform
+draw, and the path builder samples each matching directly; a stage fails
+only when its own construction does (a connector or gadget finds no image,
+a level has no perfect matching), and the final cycle is re-verified.
+
 Before anything random happens, each plan's layout is checked by set
 arithmetic: the absorber window, the s path windows, the s+1+c connector
 windows and the greedy back-edges must partition the host cycle's edge set
@@ -45,7 +50,6 @@ from .absorber import (
     expected_absorbed_size,
     template_edge_count,
 )
-from .bitset import mask_of
 from .connectors import ConnectorRequest, embed_connector, extend_by_one
 from .core import (
     POWER_CYCLE,
@@ -65,9 +69,9 @@ from .errors import (
     HamPowerError,
     InfeasibleConfigError,
     InvalidInstanceError,
-    ReservoirError,
     StageFailedError,
 )
+from .matching import EXACT_SIDE_CAP
 from .pathbuilder import build_path_collection
 
 BEST_EFFORT = "best-effort"
@@ -76,7 +80,11 @@ STRICT = "strict"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Explicit constant knobs replacing the asymptotic hierarchy."""
+    """Explicit constant knobs replacing the asymptotic hierarchy.
+
+    ``alpha`` only enters the hierarchy check ``gamma < beta < alpha``; no
+    stage reads it.  It is kept so that existing configurations stay valid.
+    """
 
     alpha: float
     beta: float
@@ -187,9 +195,12 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
     the reservoir surplus lands nearest floor(gamma*n).  The template-free
     plan is additionally backed off through smaller path counts down to a
     pure-sweep plan.  Best-effort runs fall back along this list when a
-    plan's stages keep failing (small reservoirs admit no degree
-    concentration on random instances, and small residual parts can starve
-    the path builder).
+    plan's stages keep failing (a connector finds no image in a small
+    reservoir, or a level of the path builder has no perfect matching).
+
+    In ``exact`` sampler mode a plan with builder paths is dropped when its
+    part size n1, the side of the builder's first matching, exceeds
+    ``EXACT_SIDE_CAP``: the exact sampler would refuse it.
     """
     if n < 3 * k:  # the closing connector's end windows must not collide
         return []
@@ -211,6 +222,8 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
         sweep_only = _best_plan_for(n, k, config, 0, s_force=0)
         if sweep_only is not None and sweep_only not in plans:
             plans.append(sweep_only)
+    if config.sampler_mode == "exact":
+        plans = [p for p in plans if p.s == 0 or p.n1 <= EXACT_SIDE_CAP]
     return plans
 
 
@@ -266,73 +279,21 @@ def layout_edge_partition(plan: Plan) -> dict[str, set]:
     return families
 
 
-def sample_reservoir(
-    collection: GraphCollection,
-    size: int,
-    alpha: float,
-    k: int,
-    rng: random.Random,
-    max_retries: int = 8,
-) -> frozenset[int]:
-    """Uniform random vertex subset, resampled until every vertex of every
-    graph keeps degree fraction >= 1 - 1/2k + alpha/2 both into the subset
-    and into its complement.
+def sample_reservoir(n: int, size: int, rng: random.Random) -> frozenset[int]:
+    """Uniform random proper non-empty subset of {0, ..., n-1} of the given
+    size: one draw, no degree test.
 
-    The fraction for a vertex v into a set S is measured against the
-    possible neighbours |S - {v}| (a member of S cannot be adjacent to
-    itself), so complete collections are accepted at any size.  Raises
-    :class:`ReservoirError` carrying the first failing (vertex, colour,
-    fraction) of the final attempt, in (colour, vertex) scan order.
-
-    Colours are first settled from their minimum degree δ_c alone: a vertex
-    has at most n - 1 - δ_c non-neighbours, so it has at least
-    cap - (n - 1 - δ_c) neighbours among any cap possible ones.  A colour
-    whose bound passes the scan's own test at every capacity a vertex can
-    see (|Z| or |Z| - 1 into Z, n - |Z| - 1 or n - |Z| into the rest)
-    passes for every Z and is not scanned.  The other colours are scanned
-    in order, so the random stream, the result and the error are those of
-    a full scan.
+    The paper's reservoir conditions hold with high probability for a random
+    subset of a dense collection, so the draw is not gated on them; the
+    stages that use the reservoir (absorber, connect, absorb) fail with
+    typed errors when this draw does not serve, and the plan falls back as
+    for any other stage failure.
     """
-    n = collection.n
     if size > n:
         raise InvalidInstanceError(f"reservoir size {size} exceeds n={n}")
     if size < 1 or size >= n:
         raise InvalidInstanceError("reservoir must be a proper non-empty subset")
-    thr = 1 - 1 / (2 * k) + alpha / 2
-    caps = (size, size - 1, n - size - 1, n - size)
-    scanned = [
-        colour
-        for colour, delta in enumerate(collection.min_degrees, start=1)
-        if any(cap - (n - 1 - delta) < thr * cap - 1e-9 for cap in caps)
-    ]
-    failure: Optional[tuple[int, int, float]] = None
-    for _ in range(max_retries):
-        z = frozenset(rng.sample(range(n), size))
-        z_mask = mask_of(z)
-        comp_mask = ((1 << n) - 1) & ~z_mask
-        failure = None
-        for colour in scanned:
-            for v in range(n):
-                in_z = (z_mask >> v) & 1
-                cap_in = size - in_z
-                cap_out = (n - size) - (1 - in_z)
-                d_in = collection.degree_into(colour, v, z_mask)
-                if d_in < thr * cap_in - 1e-9:
-                    failure = (v, colour, d_in / cap_in if cap_in else 0.0)
-                    break
-                d_out = collection.degree_into(colour, v, comp_mask)
-                if d_out < thr * cap_out - 1e-9:
-                    failure = (v, colour, d_out / cap_out if cap_out else 0.0)
-                    break
-            if failure:
-                break
-        if failure is None:
-            return z
-    raise ReservoirError(
-        f"reservoir sampling failed after {max_retries} attempts "
-        f"(worst: vertex {failure[0]}, colour {failure[1]}, fraction {failure[2]:.3f})",
-        worst=failure,
-    )
+    return frozenset(rng.sample(range(n), size))
 
 
 def solve(
@@ -418,15 +379,11 @@ def _solve_with_plan(
                 }
             )
             return out
-        raise StageFailedError(name, last if last else HamPowerError("unknown"), summary=f"plan={asdict(plan)}")
+        raise StageFailedError(
+            name, last if last else HamPowerError("unknown"), tries, summary=f"plan={asdict(plan)}"
+        )
 
-    reservoir = run_stage(
-        "reservoir",
-        lambda rng: sample_reservoir(
-            collection, plan.z_size, config.alpha, k, rng, max_retries=attempts
-        ),
-        tries=1,
-    )
+    reservoir = run_stage("reservoir", lambda rng: sample_reservoir(n, plan.z_size, rng), tries=1)
     z1, z2 = run_stage("endpoints", lambda rng: tuple(rng.sample(sorted(reservoir), 2)))
 
     def stage_absorber(rng: random.Random) -> AbsorbingStructure:

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from hampower.bitset import mask_of
 from hampower.core import GraphCollection, host_edges
-from hampower.errors import InvalidInstanceError, ReservoirError
 from hampower.matching import BipartiteGraph
 
 
@@ -223,55 +222,11 @@ def chi_square_critical(df: int, significance: float = 0.01) -> float:
     return float(chi2.ppf(1.0 - significance, df))
 
 
-def without_certificate(collection: GraphCollection) -> GraphCollection:
-    """The same graphs with every minimum degree reported as 0, so that no
-    degree certificate holds and every stage guard scans every vertex."""
-    plain = GraphCollection(collection.n, collection.masks)
-    plain.min_degrees = (0,) * plain.m
-    return plain
-
-
-def sample_reservoir_by_scan(
-    collection: GraphCollection,
-    size: int,
-    alpha: float,
-    k: int,
-    rng: random.Random,
-    max_retries: int = 8,
-) -> frozenset[int]:
-    """Reference reservoir sampler: the same draws and degree test as
-    ``pipeline.sample_reservoir``, scanning every vertex of every colour."""
-    n = collection.n
-    if size > n:
-        raise InvalidInstanceError(f"reservoir size {size} exceeds n={n}")
-    if size < 1 or size >= n:
-        raise InvalidInstanceError("reservoir must be a proper non-empty subset")
-    thr = 1 - 1 / (2 * k) + alpha / 2
-    failure = None
-    for _ in range(max_retries):
-        z = frozenset(rng.sample(range(n), size))
-        z_mask = mask_of(z)
-        comp_mask = ((1 << n) - 1) & ~z_mask
-        failure = None
-        for colour in range(1, collection.m + 1):
-            for v in range(n):
-                in_z = (z_mask >> v) & 1
-                cap_in = size - in_z
-                cap_out = (n - size) - (1 - in_z)
-                d_in = collection.degree_into(colour, v, z_mask)
-                if d_in < thr * cap_in - 1e-9:
-                    failure = (v, colour, d_in / cap_in if cap_in else 0.0)
-                    break
-                d_out = collection.degree_into(colour, v, comp_mask)
-                if d_out < thr * cap_out - 1e-9:
-                    failure = (v, colour, d_out / cap_out if cap_out else 0.0)
-                    break
-            if failure:
-                break
-        if failure is None:
-            return z
-    raise ReservoirError(
-        f"reservoir sampling failed after {max_retries} attempts "
-        f"(worst: vertex {failure[0]}, colour {failure[1]}, fraction {failure[2]:.3f})",
-        worst=failure,
-    )
+def min_pair_degree(
+    collection: GraphCollection, colour: int, a_side, b_side
+) -> int:
+    """Minimum degree of the bipartite subgraph of one colour between two
+    disjoint vertex sets, over the vertices of both sides."""
+    a_mask, b_mask = mask_of(a_side), mask_of(b_side)
+    d = min(collection.degree_into(colour, v, b_mask) for v in a_side)
+    return min(d, min(collection.degree_into(colour, v, a_mask) for v in b_side))

@@ -162,7 +162,7 @@ class TestEmbedByDegeneracy:
         graph = ColouredGraph((0, 1), {(0, 1): 1})
         rng = random.Random(60)
         mapped = embed_by_degeneracy(
-            coll, graph, [0], {0: 3}, range(10), [3], 1, rng
+            coll, graph, [0], {0: 3}, range(10), [3], 1, rng, order=[0, 1]
         )
         assert mapped[0] == 3 and mapped[1] != 3
 
@@ -185,7 +185,7 @@ class TestEmbedByDegeneracy:
         coll = complete_collection(10, 2)
         graph = ColouredGraph((0, 1, 2), {(0, 1): 1, (0, 2): 1})
         with pytest.raises(EmbeddingFailedError):
-            embed_by_degeneracy(coll, graph, [0], {0: 9}, [8], [], 1, rng)
+            embed_by_degeneracy(coll, graph, [0], {0: 9}, [8], [], 1, rng, order=[0, 1, 2])
 
 
 class TestTemplate:

@@ -1,3 +1,4 @@
+import csv
 import json
 import time
 
@@ -206,6 +207,20 @@ class TestExperiment:
         fixed_clock["t"] = 0.0
         assert cli.dispatch(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_strict_failure_reports_the_attempts_made(self, tmp_path, fixed_clock):
+        # strict mode runs each stage once, so a failed trial made one attempt
+        out = tmp_path / "strict.csv"
+        code = cli.dispatch(
+            ["experiment", "sweep", "--k", "2", "--n", "40",
+             "--delta-from", "0.6", "--delta-to", "0.6", "--delta-step", "0.1",
+             "--trials", "4", "--seed", "3", "--mode", "strict", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            failed = [row for row in csv.DictReader(fh) if row["success"] == "0"]
+        assert failed
+        assert all(row["nodes_or_retries"] == "1" for row in failed)
 
     def test_solve_outputs_deterministic_bytes(self, tmp_path, fixed_clock):
         inst = tmp_path / "inst.json"

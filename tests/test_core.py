@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import min_pair_degree
 from hampower import core
 from hampower.core import (
     MAX_FILE_ORDER,
@@ -38,7 +39,6 @@ from hampower.instances import (
     random_min_degree_collection,
     random_pattern,
 )
-from hampower.pathbuilder import _min_pair_degree
 
 
 class TestHostEdges:
@@ -278,7 +278,7 @@ class TestDegrees:
     def test_bipartite_degree_complete(self):
         coll = complete_collection(10, 2)
         for colour in (1, 2):
-            assert _min_pair_degree(coll, colour, range(4), range(4, 10)) == 4
+            assert min_pair_degree(coll, colour, range(4), range(4, 10)) == 4
 
     def test_min_degrees_match_vertex_counts(self):
         rng = random.Random(5)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import min_pair_degree
 from hampower.bitset import mask_of
 from hampower.core import (
     GraphCollection,
@@ -22,7 +23,6 @@ from hampower.instances import (
     random_min_degree_collection,
     random_rpartite_collection,
 )
-from hampower.pathbuilder import _min_pair_degree
 
 
 class TestCompleteCollection:
@@ -86,7 +86,7 @@ class TestRPartite:
         for colour in (1, 2):
             for i in range(4):
                 for j in range(i + 1, 4):
-                    assert _min_pair_degree(coll, colour, parts[i], parts[j]) >= 6
+                    assert min_pair_degree(coll, colour, parts[i], parts[j]) >= 6
 
     def test_full_density_is_complete_rpartite(self):
         rng = random.Random(102)

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from helpers import without_certificate
 from hampower.core import (
     ColourPattern,
     GraphCollection,
@@ -10,13 +9,34 @@ from hampower.core import (
     power_path,
     verify_coloured_embedding,
 )
-from hampower.errors import AbortError, InvalidInstanceError
+from hampower.errors import InvalidInstanceError, NoMatchingError
 from hampower.instances import (
     complete_rpartite_collection,
     random_pattern,
     random_rpartite_collection,
 )
 from hampower.pathbuilder import build_path_collection
+
+
+def _three_parts_with_sparse_pair(cross):
+    """Parts {0..3}, {4..7}, {8..11}; colour 2 is complete 3-partite, colour 1
+    the same except that parts 0 and 1 are joined by ``cross`` only."""
+    parts = [list(range(4)), list(range(4, 8)), list(range(8, 12))]
+    full = [
+        (u, v)
+        for i in range(3)
+        for j in range(i + 1, 3)
+        for u in parts[i]
+        for v in parts[j]
+    ]
+    sparse = [e for e in full if not (e[0] < 4 and 4 <= e[1] < 8)] + list(cross)
+    return parts, GraphCollection.from_edge_lists(12, [sparse, full])
+
+
+def _pattern_with_sparse_pair():
+    colours = {e: 2 for e in host_edges(power_path(3, 2))}
+    colours[(0, 1)] = 1
+    return ColourPattern(power_path(3, 2), colours)
 
 
 class TestBuildPathCollection:
@@ -55,62 +75,30 @@ class TestBuildPathCollection:
         assert used == {v for part in parts for v in part}
 
     def test_abort_on_degraded_pair(self):
-        # colour 1 between parts 0 and 1 is a sparse matching: threshold breached
-        part_size = 4
-        parts = [list(range(4)), list(range(4, 8)), list(range(8, 12))]
-        full = [
-            (u, v)
-            for i in range(3)
-            for j in range(i + 1, 3)
-            for u in parts[i]
-            for v in parts[j]
-        ]
-        sparse = [e for e in full if not (e[0] < 4 and 4 <= e[1] < 8)]
-        sparse += [(u, u + 4) for u in range(4)]  # only a perfect matching across (0,1)
-        coll = GraphCollection.from_edge_lists(12, [sparse, full])
-        rng = random.Random(84)
-        pattern_colours = {e: 2 for e in host_edges(power_path(3, 2))}
-        pattern_colours[(0, 1)] = 1
-        pattern = ColourPattern(power_path(3, 2), pattern_colours)
-        with pytest.raises(AbortError) as err:
-            build_path_collection(coll, parts, [pattern], 1, rng)
-        assert err.value.step == 1
-        assert err.value.pair == (0, 1)
+        # colour 1 between parts 0 and 1 is only a perfect matching, far
+        # below the (2w-1)/2w degree bound; the matching exists, so the
+        # builder does not abort and returns a verified path
+        parts, coll = _three_parts_with_sparse_pair([(u, u + 4) for u in range(4)])
+        pattern = _pattern_with_sparse_pair()
+        for mode in ("fast", "exact"):
+            [path] = build_path_collection(
+                coll, parts, [pattern], 1, random.Random(84), sampler_mode=mode
+            )
+            assert verify_coloured_embedding(coll, pattern, path.vertices).ok
+            assert path.vertices[1] - path.vertices[0] == 4
 
-    def test_certificate_keeps_every_abort(self):
-        # colour 1 is K_32, certified at every step; colour 2 is K_32 minus
-        # a perfect matching across parts 0-1 and 2-3, certified while
-        # n_i >= 4 and scanned after; colour 3 is a random 4-partite graph,
-        # always scanned.  Aborts come at several steps, in colours 2 and 3.
-        part_size, r = 8, 4
-        n = part_size * r
-        full = (1 << n) - 1
-        rows = {
-            1: [full ^ (1 << v) for v in range(n)],
-            2: [full ^ (1 << v) ^ (1 << (v ^ 8)) for v in range(n)],
-        }
-        outcomes = []
-        for seed in range(20):
-            rng = random.Random(seed)
-            density = 0.9 if seed % 2 else 0.8
-            degraded, parts = random_rpartite_collection(r, part_size, 1, density, rng)
-            coll = GraphCollection(n, [rows[1], rows[2], degraded.masks[0]])
-            patterns = [random_pattern(power_path(r, 2), 3, rng) for _ in range(8)]
-            runs = []
-            for instance in (coll, without_certificate(coll)):
-                local = random.Random(seed)
-                try:
-                    paths = build_path_collection(instance, parts, patterns, 8, local)
-                    run = ("built", [p.vertices for p in paths])
-                except AbortError as exc:
-                    run = ("aborted", exc.step, exc.level, exc.pair, str(exc))
-                runs.append((run, local.getstate()))
-            assert runs[0] == runs[1]
-            outcomes.append(runs[0][0])
-        aborts = [run for run in outcomes if run[0] == "aborted"]
-        assert len({run[1] for run in aborts}) >= 2
-        assert {run[4].split(" colour ")[1].split()[0] for run in aborts} == {"2", "3"}
-        assert any(run[0] == "built" for run in outcomes)
+    def test_hall_violation_raises_no_matching(self):
+        # in colour 1, part 0's vertices 0 and 1 both see only vertex 4 of
+        # part 1: no perfect matching attaches level 1
+        cross = [(0, 4), (1, 4), (2, 6), (3, 7), (2, 5)]
+        parts, coll = _three_parts_with_sparse_pair(cross)
+        for mode in ("fast", "exact"):
+            with pytest.raises(NoMatchingError) as err:
+                build_path_collection(
+                    coll, parts, [_pattern_with_sparse_pair()], 1, random.Random(85),
+                    sampler_mode=mode,
+                )
+            assert (err.value.step, err.value.level) == (1, 1)
 
     def test_random_rpartite_high_density(self):
         rng = random.Random(85)
@@ -121,7 +109,7 @@ class TestBuildPathCollection:
             patterns = [random_pattern(power_path(5, 2), 4, local) for _ in range(6)]
             try:
                 paths = build_path_collection(coll, parts, patterns, 6, local)
-            except AbortError:
+            except NoMatchingError:
                 continue
             assert all(
                 verify_coloured_embedding(coll, pat, p.vertices).ok

@@ -1,17 +1,19 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from helpers import sample_reservoir_by_scan, without_certificate
 from hampower.core import (
+    ColourPattern,
     GraphCollection,
+    host_edges,
     power_cycle,
     verify_coloured_embedding,
 )
 from hampower.errors import (
     InfeasibleConfigError,
     InvalidInstanceError,
-    ReservoirError,
+    StageFailedError,
 )
 from hampower.instances import (
     bijective_pattern,
@@ -19,6 +21,7 @@ from hampower.instances import (
     random_min_degree_collection,
     random_pattern,
 )
+from hampower.matching import EXACT_SIDE_CAP
 from hampower.pipeline import (
     PipelineConfig,
     Plan,
@@ -31,6 +34,7 @@ from hampower.pipeline import (
 )
 
 CONFIG = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=0)
+CONFIG_K3 = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=8, seed=0)
 
 
 class TestConfig:
@@ -84,128 +88,79 @@ class TestPlan:
 
 class TestSampleReservoir:
     def test_complete_collection_accepts_first_sample(self):
-        coll = complete_collection(20, 3)
-        rng = random.Random(1)
-        z = sample_reservoir(coll, 6, 0.2, 2, rng, max_retries=1)
-        assert len(z) == 6
+        # one uniform draw: the first rng.sample, whatever the graphs
+        z = sample_reservoir(20, 6, random.Random(1))
+        assert z == frozenset(random.Random(1).sample(range(20), 6))
+
+    @pytest.mark.parametrize("size", [0, 20, 21])
+    def test_size_must_give_a_proper_subset(self, size):
+        with pytest.raises(InvalidInstanceError):
+            sample_reservoir(20, size, random.Random(1))
 
     def test_isolated_vertex_always_rejected(self):
-        edge_lists = [[(u, v) for u in range(1, 10) for v in range(u + 1, 10)]]
-        coll = GraphCollection.from_edge_lists(10, edge_lists)  # vertex 0 isolated
-        rng = random.Random(2)
-        with pytest.raises(ReservoirError) as err:
-            sample_reservoir(coll, 4, 0.2, 2, rng, max_retries=5)
-        assert err.value.worst[0] == 0
+        # vertex 0 has no edge in any colour, so no Hamilton power exists:
+        # the draw does not look at the graphs, and the stages that use it
+        # must reject every attempt instead of returning a cycle
+        coll = GraphCollection(60, [_isolated_vertex_rows(60)] * 3)
+        for seed in range(3):
+            rng = random.Random(seed)
+            pattern = random_pattern(power_cycle(60, 2), 3, rng)
+            for mode in ("strict", "best-effort"):
+                cfg = replace(CONFIG, seed=seed, mode=mode)
+                with pytest.raises(StageFailedError):
+                    solve(coll, pattern, cfg)
 
     def test_dense_random_collections_accept_within_three_retries(self):
-        # delta >= (1 - 1/2k + alpha) n with k=2, alpha=0.2: fraction 0.95
+        # delta >= (1 - 1/2k + alpha) n with k=2, alpha=0.2: fraction 0.95;
+        # with three attempts per stage, the first plan's reservoir serves
         accepted_fast = 0
+        cfg = replace(CONFIG, max_retries=3)
         for seed in range(50):
             rng = random.Random(200 + seed)
             coll = random_min_degree_collection(200, 2, 0.95, rng)
-            try:
-                sample_reservoir(coll, 40, 0.2, 2, rng, max_retries=3)
+            pattern = random_pattern(power_cycle(200, 2), 2, rng)
+            cycle, trace = solve(coll, pattern, replace(cfg, seed=seed))
+            assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
+            if trace["plan_index"] == 0:
                 accepted_fast += 1
-            except ReservoirError:
-                pass
         assert accepted_fast >= 48
 
 
-def _reservoir_outcome(sampler, collection, size, alpha, k, seed, retries):
-    """What a reservoir call returns or raises, and the rng state after it."""
-    rng = random.Random(seed)
-    try:
-        outcome = ("accepted", sampler(collection, size, alpha, k, rng, max_retries=retries))
-    except ReservoirError as exc:
-        outcome = ("rejected", exc.worst, str(exc))
-    return outcome, rng.getstate()
-
-
-def _complete_rows(n):
-    full = (1 << n) - 1
-    return [full ^ (1 << v) for v in range(n)]
-
-
-def _reservoir_case(name):
-    """(collection, size, alpha, k) of one named certificate case."""
-    rng = random.Random(name)
-    if name == "certified":
-        return complete_collection(30, 4), 8, 0.2, 2
-    if name == "uncertified":
-        return random_min_degree_collection(30, 4, 0.8, rng), 8, 0.2, 2
-    dense = random_min_degree_collection(30, 3, 0.9, rng).masks
-    mixed = GraphCollection(30, [_complete_rows(30), *dense, _complete_rows(30)])
-    if name == "mixed":
-        return mixed, 8, 0.1, 2
-    if name == "threshold above 1":  # 1 - 1/6 + 0.25: every colour fails
-        return mixed, 8, 0.5, 3
-    if name == "single-vertex reservoir":
-        return mixed, 1, 0.1, 2
-    if name.startswith("tight"):
-        # K_12 minus a perfect matching, threshold 3/4: the bound passes at
-        # capacities 4 and 8 but not 3, so the scan decides; a vertex fails
-        # exactly when its one non-neighbour is on its side
-        rows = [((1 << 12) - 1) ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(12)]
-        return GraphCollection(12, [rows] * 2), (4 if name == "tight" else 8), 0.0, 2
-    # vertex 0 isolated in colour 3, after two certified colours
-    isolated = [0] + [((1 << 10) - 2) ^ (1 << v) for v in range(1, 10)]
-    return GraphCollection(10, [_complete_rows(10)] * 2 + [isolated]), 4, 0.2, 2
+def _isolated_vertex_rows(n):
+    """Mask rows of K_n with vertex 0 made isolated."""
+    rest = ((1 << n) - 1) ^ 1
+    return [0] + [rest ^ (1 << v) for v in range(1, n)]
 
 
 class TestReservoirCertificate:
-    """The minimum-degree certificate only skips colours that cannot fail:
-    the result, the error and the random stream are those of a full scan."""
-
-    @pytest.mark.parametrize("name", [
-        "certified", "uncertified", "mixed", "threshold above 1",
-        "single-vertex reservoir", "isolated vertex", "tight", "tight complement",
-    ])
-    def test_matches_full_scan(self, name):
-        collection, size, alpha, k = _reservoir_case(name)
-        outcomes = set()
-        for seed in range(10):
-            for retries in (1, 3):
-                expected = _reservoir_outcome(
-                    sample_reservoir_by_scan, collection, size, alpha, k, seed, retries
-                )
-                assert _reservoir_outcome(
-                    sample_reservoir, collection, size, alpha, k, seed, retries
-                ) == expected
-                assert _reservoir_outcome(
-                    sample_reservoir, without_certificate(collection), size, alpha, k, seed, retries
-                ) == expected
-                outcomes.add(expected[0][0])
-        if name == "certified":
-            assert outcomes == {"accepted"}
-        if name in ("threshold above 1", "isolated vertex"):
-            assert outcomes == {"rejected"}
-        if name.startswith("tight"):
-            assert outcomes == {"accepted", "rejected"}
+    """No degree scan certifies the reservoir: the attempts of the stages
+    that use it do, so a degree defect counts only where the pattern needs it."""
 
     def test_isolated_vertex_reported_in_its_colour(self):
-        collection, size, alpha, k = _reservoir_case("isolated vertex")
-        with pytest.raises(ReservoirError) as err:
-            sample_reservoir(collection, size, alpha, k, random.Random(0), max_retries=2)
-        assert err.value.worst[:2] == (0, 3)
-
-    def test_matches_full_scan_near_the_bound(self):
-        # small graphs whose minimum degree sits near the certificate's
-        # bound, at every reservoir size
-        rng = random.Random(17)
-        both = set()
-        for trial in range(400):
-            n = rng.randint(3, 12)
-            tables = [
-                random_min_degree_collection(n, 1, rng.uniform(0.5, 1.0), rng).masks[0]
-                for _ in range(rng.randint(1, 3))
-            ]
-            collection = GraphCollection(n, tables)
-            args = (rng.randint(1, n - 1), rng.choice([0.0, 0.1, 0.2, 0.5]), rng.randint(1, 3))
-            retries = rng.randint(1, 3)
-            expected = _reservoir_outcome(sample_reservoir_by_scan, collection, *args, trial, retries)
-            assert _reservoir_outcome(sample_reservoir, collection, *args, trial, retries) == expected
-            both.add(expected[0][0])
-        assert both == {"accepted", "rejected"}
+        # vertex 0 is isolated in colour 3 only, after two complete colours:
+        # a pattern that needs colour 3 everywhere is rejected, one that
+        # avoids colour 3 solves on its first plan, and a mixed pattern keeps
+        # colour 3 away from vertex 0
+        n = 60
+        complete = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+        coll = GraphCollection(n, [complete, complete, _isolated_vertex_rows(n)])
+        host = power_cycle(n, 2)
+        only_3 = ColourPattern(host, {e: 3 for e in host_edges(host)})
+        with pytest.raises(StageFailedError):
+            solve(coll, only_3, CONFIG)
+        for seed in range(3):
+            rng = random.Random(seed)
+            for colours in (2, 3):
+                pattern = random_pattern(host, colours, rng)
+                cycle, trace = solve(coll, pattern, replace(CONFIG, seed=seed))
+                assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
+                if colours == 2:
+                    assert trace["plan_index"] == 0
+                at = cycle.vertices.index(0)
+                assert all(
+                    pattern.colours[e] != 3
+                    for e in host_edges(host) if at in e
+                )
 
 
 class TestSolve:
@@ -296,20 +251,54 @@ class TestSolve:
         assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
 
     def test_plan_fallback_on_random_collection(self):
-        # the beta-sized absorber plan has a tiny reservoir that cannot pass
-        # the degree check on a random instance; solve must back off to a
+        # at min degree 0.8n with one attempt per stage, plan 0's absorber
+        # finds no connector image and the path-builder plans that follow
+        # meet levels without a perfect matching; solve must back off to a
         # later plan instead of giving up
-        rng = random.Random(43)
+        rng = random.Random(5)
         n, k = 120, 2
-        coll = random_min_degree_collection(n, 12, 0.96, rng)
+        coll = random_min_degree_collection(n, 12, 0.8, rng)
         pattern = random_pattern(power_cycle(n, k), 12, rng)
         cfg = PipelineConfig(
-            alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=7, max_retries=10
+            alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=5, max_retries=1
         )
         cycle, trace = solve(coll, pattern, cfg)
         assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
-        assert trace["plan_index"] >= 1
-        assert trace["plan_fallbacks"]
+        assert trace["plan_index"] == len(trace["plan_fallbacks"]) >= 2
+        stages = [f["stage"] for f in trace["plan_fallbacks"]]
+        assert stages[0] == "absorber" and "paths" in stages[1:]
+        assert all(
+            "no perfect matching" in f["error"]
+            for f in trace["plan_fallbacks"] if f["stage"] == "paths"
+        )
+
+    def test_dense_random_solves_on_first_plan(self):
+        # min degree 0.9n in 300 graphs on 150 vertices: no reservoir passes
+        # a per-vertex degree gate over 45 000 vertex-colour pairs, but the
+        # first plan's connectors and absorber embed
+        rng = random.Random(0)
+        coll = random_min_degree_collection(150, 300, 0.9, rng)
+        pattern = bijective_pattern(power_cycle(150, 2), rng)
+        cycle, trace = solve(coll, pattern, CONFIG)
+        assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
+        assert trace["plan_index"] == 0
+        assert trace["plan_fallbacks"] == []
+
+    def test_exact_mode_plans_fit_the_exact_cap(self):
+        # at n = 260, k = 3 the first fast-mode plan has builder parts of 19
+        # vertices, one more than the exact sampler takes
+        rng = random.Random(0)
+        pattern = random_pattern(power_cycle(260, 3), 4, rng)
+        coll = complete_collection(260, 4)
+        fast = candidate_plans(260, 3, CONFIG_K3)
+        exact_cfg = replace(CONFIG_K3, sampler_mode="exact")
+        exact = candidate_plans(260, 3, exact_cfg)
+        assert fast[0].s >= 1 and fast[0].n1 > EXACT_SIDE_CAP
+        assert exact == [p for p in fast if p.s == 0 or p.n1 <= EXACT_SIDE_CAP]
+        cycle, trace = solve(coll, pattern, exact_cfg)
+        assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
+        assert trace["plan"]["s"] >= 1
+        assert not any("exact cap" in f["error"] for f in trace["plan_fallbacks"])
 
     def test_candidate_plans_ordering(self):
         plans = candidate_plans(300, 2, CONFIG)
