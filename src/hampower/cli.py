@@ -155,6 +155,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise UsageError("--budget must be non-negative")
     collection = _load_instance(args.instance)
     pattern = _load_pattern(args.pattern)
     if args.count:

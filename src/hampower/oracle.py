@@ -9,7 +9,19 @@ under the reflection through position 0, mirrored assignments are cut by
 requiring the position-(n-1) vertex to exceed the position-1 vertex; for
 general patterns that rule is unsound and is skipped.  Candidates are tried
 in ascending residual degree in the colour of the next cycle edge.
-Intended for n up to about 14.
+
+The search is iterative, one stack frame per placed position, so no order
+reaches Python's recursion limit.  A node is one vertex placed at one
+position, and ``SearchStats.nodes`` counts each node once in the order of a
+plain depth-first recursion, including a node whose next position has no
+candidate.  A frame intersects the rows its children share once; each
+child then costs one AND with its predecessor's row.  Only one vertex is
+left for the last position, so a completed cycle is counted without a
+frame of its own.
+
+Exhaustive runs stay practical only at small n: the lower-bound instances
+at n = 12 take up to 777 720 nodes.  Budgeted runs work at every order up
+to ``core.MAX_FILE_ORDER``.
 """
 
 from __future__ import annotations
@@ -73,63 +85,91 @@ def _run(
         raise InvalidInstanceError("oracle needs a power-cycle pattern")
     if pattern.host.order != collection.n:
         raise InvalidInstanceError("pattern order must equal the vertex count")
+    if pattern.max_colour > collection.m:
+        raise InvalidInstanceError("pattern colours exceed the number of graphs")
     n = collection.n
+    last = n - 1
     stats = SearchStats()
     started = time.perf_counter()
-    back = _back_constraints(pattern)
-    next_colour = [pattern.colour_of(p, (p + 1) % n) for p in range(n)]
     full = (1 << n) - 1
+    masks = collection.masks
+    # next_rows[p] is the table of the colour of host edge (p, p+1): it
+    # orders p's candidates, and its row at the vertex placed at p checks
+    # position p+1.  The other rows position p is checked against belong to
+    # positions placed before p-1: fixed[p] lists them as (q, table) pairs.
+    next_rows = [masks[pattern.colour_of(p, (p + 1) % n) - 1] for p in range(n)]
+    fixed = [
+        [(q, masks[c - 1]) for q, c in back if q < p - 1]
+        for p, back in enumerate(_back_constraints(pattern))
+    ]
+    assignment = [0] * n
 
-    assignment = [-1] * n
-    state = {"used": 0, "count": 0, "found": None, "truncated": False}
-
-    def dfs(p: int) -> bool:  # True = stop the whole search
-        if p == n:
-            state["count"] += 1
-            if state["found"] is None:
-                state["found"] = assignment.copy()
-            return not count_all
-        cand = full & ~state["used"]
-        for (q, colour) in back[p]:
-            cand &= collection.neighbour_mask(colour, assignment[q])
-        if use_reflection and p == n - 1 and n >= 3:
-            cand &= ~((1 << (assignment[1] + 1)) - 1)
-        if cand == 0:
-            return False
-        live = ~state["used"] & full
-        key_colour = next_colour[p]
-        ordered = []
-        c = cand
-        while c:
-            low = c & -c
+    def frame(p: int, cand: int, live: int) -> tuple:
+        """Position p's frame: the vertices unused before p, the rows that
+        every child at p+1 shares, the table whose row at p's vertex
+        completes a child's check, and p's candidates by ascending residual
+        degree."""
+        key, ordered = next_rows[p], []
+        while cand:
+            low = cand & -cand
             v = low.bit_length() - 1
-            ordered.append(((collection.neighbour_mask(key_colour, v) & live).bit_count(), v))
-            c ^= low
+            ordered.append(((key[v] & live).bit_count(), v))
+            cand ^= low
         ordered.sort()
-        for (_, v) in ordered:
-            if budget is not None and stats.nodes >= budget:
-                state["truncated"] = True
-                return True
-            stats.nodes += 1
-            stats.max_depth = max(stats.max_depth, p + 1)
-            assignment[p] = v
-            state["used"] |= 1 << v
-            stop = dfs(p + 1)
-            state["used"] &= ~(1 << v)
-            assignment[p] = -1
-            if stop:
-                return True
-        return False
+        base = live
+        for q, rows in fixed[p + 1]:
+            base &= rows[assignment[q]]
+        return p, live, base, key, iter(ordered)
 
-    dfs(0)
+    limit = -1 if budget is None else max(budget, 0)
+    nodes = count = 0
+    truncated = False
+    found = None
+    stack = [frame(0, full, full)]
+    # a frame's first candidate is a node unless the budget stops the
+    # search before it
+    max_depth = 1 if limit else 0
+    while stack:
+        p, live, base, key, siblings = stack[-1]
+        for _, v in siblings:
+            if nodes == limit:
+                truncated = True
+                stack.clear()
+                break
+            nodes += 1
+            cand = base & key[v]
+            if not cand:
+                continue
+            assignment[p] = v
+            if p + 1 < last:
+                stack.append(frame(p + 1, cand, live ^ (1 << v)))
+                if p + 2 > max_depth and nodes != limit:
+                    max_depth = p + 2
+                break
+            # one vertex is left for the last position: cand is that vertex,
+            # and placing it completes the cycle
+            if use_reflection and not cand >> (assignment[1] + 1):
+                continue
+            if nodes == limit:
+                truncated = True
+                stack.clear()
+                break
+            nodes += 1
+            count += 1
+            max_depth = n
+            if not count_all:
+                assignment[last] = cand.bit_length() - 1
+                found = assignment
+                stack.clear()
+                break
+        else:
+            stack.pop()
+
+    stats.nodes, stats.max_depth = nodes, max_depth
     stats.elapsed = time.perf_counter() - started
-    if state["truncated"]:
-        stats.result = UNKNOWN
-    elif state["found"] is not None:
-        stats.result = FOUND
-    else:
-        stats.result = NONE
-    return state["found"], state["count"], stats
+    # a count run has its result from the count; a find run counts at most 1
+    stats.result = UNKNOWN if truncated else FOUND if count else NONE
+    return found, count, stats
 
 
 def find_coloured_hamilton_power(
@@ -175,6 +215,4 @@ def count_coloured_hamilton_powers(
     _, count, stats = _run(
         collection, pattern, budget, count_all=True, use_reflection=False
     )
-    if stats.result != UNKNOWN:
-        stats.result = FOUND if count else NONE
     return count, stats

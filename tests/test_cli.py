@@ -149,6 +149,29 @@ class TestErrors:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_oracle_pattern_colour_beyond_instance_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        pat = tmp_path / "pat.json"
+        pattern = bijective_pattern(core.power_cycle(5, 2))
+        write_instance(inst, complete_collection(5, pattern.max_colour - 1))
+        write_pattern(pat, pattern)
+        for extra in ([], ["--count"]):
+            code = cli.dispatch(["oracle", "--instance", str(inst), "--pattern", str(pat), *extra])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: pattern colours exceed")
+
+    def test_oracle_negative_budget_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        pat = tmp_path / "pat.json"
+        write_instance(inst, complete_collection(5, 10))
+        write_pattern(pat, bijective_pattern(core.power_cycle(5, 2)))
+        args = ["oracle", "--instance", str(inst), "--pattern", str(pat), "--budget"]
+        assert cli.dispatch(args + ["-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --budget") and captured.out == ""
+        assert cli.dispatch(args + ["0"]) == 2  # a zero budget stays legal
+        assert "UNKNOWN (budget exhausted after 0 nodes)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "file, field, value",
         [

@@ -42,8 +42,7 @@ class TestFind:
         pattern = random_pattern(power_cycle(9, 2), 3, rng)
         cycle, stats = find_coloured_hamilton_power(coll, pattern, budget=3)
         assert cycle is None
-        assert stats.result == UNKNOWN
-        assert stats.nodes == 3
+        assert (stats.result, stats.nodes, stats.max_depth) == (UNKNOWN, 3, 3)
 
     def test_agrees_with_naive_permutation_scan(self):
         hits = 0
@@ -85,6 +84,8 @@ class TestFind:
 
 
 class TestLowerBoundInstances:
+    # (result, nodes, max_depth) pins the search itself: the candidate
+    # order, the pruning and the node count are all part of its contract
     def test_k1_p3_none(self):
         for orientation in ("figure", "text"):
             coll, pattern = lowerbound_construction(1, 3, orientation)
@@ -94,20 +95,22 @@ class TestLowerBoundInstances:
     def test_k2_p3_none_figure(self):
         coll, pattern = lowerbound_construction(2, 3, "figure")
         _, stats = find_coloured_hamilton_power(coll, pattern)
-        assert stats.result == NONE
+        assert (stats.result, stats.nodes, stats.max_depth) == (NONE, 4953, 8)
 
     def test_k2_p3_all_colour_one_found(self):
         coll, pattern = lowerbound_construction(2, 3)
         ones = ColourPattern(pattern.host, {e: 1 for e in host_edges(pattern.host)})
         cycle, stats = find_coloured_hamilton_power(coll, ones)
-        assert stats.result == FOUND
+        assert (stats.result, stats.nodes, stats.max_depth) == (FOUND, 9, 9)
+        assert cycle.vertices == (0, 3, 6, 1, 4, 7, 2, 5, 8)
         assert verify_coloured_embedding(coll, ones, cycle.vertices).ok
 
     def test_larger_family_members_also_none(self):
-        for (k, p) in ((3, 3), (1, 5), (2, 4)):
+        pinned = {(3, 3): (214_992, 10), (1, 5): (55_620, 9), (2, 4): (281_532, 11)}
+        for (k, p), (nodes, max_depth) in pinned.items():
             coll, pattern = lowerbound_construction(k, p, "figure")
             _, stats = find_coloured_hamilton_power(coll, pattern)
-            assert stats.result == NONE, (k, p)
+            assert (stats.result, stats.nodes, stats.max_depth) == (NONE, nodes, max_depth), (k, p)
 
 
 class TestCount:
@@ -126,8 +129,7 @@ class TestCount:
         coll = complete_collection(5, 3)
         pattern = random_pattern(power_cycle(5, 2), 3, rng)
         count, stats = count_coloured_hamilton_powers(coll, pattern)
-        assert count == 120
-        assert stats.result == FOUND
+        assert (count, stats.nodes, stats.max_depth, stats.result) == (120, 325, 5, FOUND)
 
     def test_lowerbound_counts_zero(self):
         coll, pattern = lowerbound_construction(2, 3, "figure")
@@ -138,8 +140,25 @@ class TestCount:
         coll = complete_collection(6, 2)
         rng = random.Random(94)
         pattern = random_pattern(power_cycle(6, 2), 2, rng)
-        count, stats = count_coloured_hamilton_powers(coll, pattern, budget=10)
-        assert stats.result == UNKNOWN
+        pinned = {1: (0, 1, 1), 10: (2, 10, 6), 100: (36, 100, 6)}
+        for budget, (partial, nodes, max_depth) in pinned.items():
+            count, stats = count_coloured_hamilton_powers(coll, pattern, budget=budget)
+            assert (count, stats.nodes, stats.max_depth, stats.result) == (
+                partial, nodes, max_depth, UNKNOWN
+            ), budget
+
+
+class TestLargeOrder:
+    def test_budgeted_search_at_order_1200(self):
+        # one stack frame per position: a search as deep as n needs no
+        # recursion, so the budget, not the interpreter, ends it
+        coll = complete_collection(1200, 1)
+        pattern = random_pattern(power_cycle(1200, 2), 1, random.Random(96))
+        cycle, stats = find_coloured_hamilton_power(coll, pattern, budget=2400)
+        assert stats.result == FOUND and stats.max_depth == 1200
+        assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
+        count, stats = count_coloured_hamilton_powers(coll, pattern, budget=2400)
+        assert stats.result == UNKNOWN and stats.nodes == 2400 and count >= 1
 
 
 class TestOraclePipelineConsistency:
@@ -160,3 +179,12 @@ class TestInputValidation:
         pattern = random_pattern(power_cycle(6, 2), 2, random.Random(95))
         with pytest.raises(InvalidInstanceError):
             find_coloured_hamilton_power(coll, pattern)
+
+    def test_colours_beyond_collection_rejected(self):
+        coll = complete_collection(6, 2)
+        pattern = ColourPattern(
+            power_cycle(6, 2), {e: 3 for e in host_edges(power_cycle(6, 2))}
+        )
+        for search in (find_coloured_hamilton_power, count_coloured_hamilton_powers):
+            with pytest.raises(InvalidInstanceError, match="pattern colours exceed"):
+                search(coll, pattern)
