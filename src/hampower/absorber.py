@@ -12,7 +12,10 @@ corresponding a-edge).  Absorbing a_i means substituting c_j for a_j
 
 The gadget has degeneracy k+2 with the A-vertices first (this fails for
 k = 1, which is why gadgets require k >= 2), so it can be embedded greedily
-and robustly wherever every colour-specific degree is high enough.
+and robustly wherever every colour-specific degree is high enough.  Its
+skeleton (ids, layout, and the host edge whose colour each gadget edge
+takes) depends on (k, ell) only, so it is built and degeneracy-checked once
+per shape, and each gadget only looks up its colours.
 
 A *robustly matchable template* converts "absorb any s-subset of the
 reservoir" into one matching computation: it is a bounded-degree bipartite
@@ -20,14 +23,18 @@ graph on (U + W, X) with |U| = 2s, |W| = s + t, |X| = 3s such that every
 s-subset W' of W admits a perfect matching in B[U + W', X].  One gadget is
 built per X-vertex (with the template neighbourhood as its flexible set),
 gadgets are chained by connectors, and absorbing a set Z' reduces to
-reading off the robust matching for W' = Z'.
+reading off the robust matching for W' = Z'.  Matchings search the U rows
+first, and those are the same for every W', so each template matches U
+once; a subset's matching copies that state and augments from the roots of
+W' alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -53,7 +60,7 @@ from .errors import (
     InvalidPatternError,
     TemplateError,
 )
-from .matching import BipartiteGraph, max_matching
+from .matching import BipartiteGraph, augment, max_matching
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +120,8 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
     """Construct the gadget for a path pattern of order (2k+1)*ell.
 
     Requires k >= 2 (the gadget lacks the needed degeneracy when k = 1) and
-    ell >= 2.
+    ell >= 2.  The skeleton depends on (k, ell) only and is built and
+    checked once per shape (:func:`_gadget_shape`); this fills in colours.
     """
     if k < 2:
         raise InvalidInstanceError(f"absorbing gadgets need k >= 2, got k={k}")
@@ -122,7 +130,20 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
     r = (2 * k + 1) * ell
     if pattern.host != power_path(r, k):
         raise InvalidPatternError(f"gadget pattern must live on power_path({r},{k})")
+    shape = _gadget_shape(k, ell)
+    colours = pattern.colours
+    return replace(
+        shape, edges=MappingProxyType({e: colours[src] for e, src in shape.edges.items()})
+    )
 
+
+@functools.lru_cache(maxsize=256)  # every ell in 2..40 at several k
+def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
+    """The uncoloured (k, ell) gadget: a blueprint whose edge values are
+    the host edges (p, q) of power_path((2k+1)*ell, k) whose colours the
+    edges take, with its degeneracy checked.  Template degrees are at most
+    40, so the pipeline needs few shapes."""
+    r = (2 * k + 1) * ell
     a_ids = tuple(range(ell))
     b_ids = tuple(range(ell, ell + 2 * k * ell))
     c_ids = tuple(range(ell + 2 * k * ell, ell + 2 * k * ell + ell - 1))
@@ -138,18 +159,18 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
         raise HamPowerError("internal error: gadget sequence has the wrong length")
 
     position = {v: p for p, v in enumerate(seq)}
-    edges: dict[Edge, int] = {}
-    for (p, q) in host_edges(pattern.host):
-        edges[canonical_edge(seq[p], seq[q])] = pattern.colours[(p, q)]
+    edges: dict[Edge, Edge] = {}
+    for (p, q) in host_edges(power_path(r, k)):
+        edges[canonical_edge(seq[p], seq[q])] = (p, q)
 
     # c_i inherits the neighbourhoods (and edge colours) of a_i and a_{i+1}
     for i in range(1, ell):
         c = c_ids[i - 1]
         for a in (a_ids[i - 1], a_ids[i]):
-            for (x, y), colour in list(edges.items()):
+            for (x, y), source in list(edges.items()):
                 if x == a or y == a:
                     other = y if x == a else x
-                    edges[canonical_edge(c, other)] = colour
+                    edges[canonical_edge(c, other)] = source
 
     blueprint = GadgetBlueprint(
         k, ell, a_ids, b_ids, c_ids, tuple(seq),
@@ -355,20 +376,41 @@ class Template:
                 out[x].append(left)
         return [tuple(ns) for ns in out]
 
-    def robust_matching(self, w_locals: Iterable[int]) -> Optional[list[tuple[int, int]]]:
-        """Perfect matching of (U + W', X) as (left_index, x) pairs, or None.
+    @functools.cached_property
+    def _u_matching(self) -> tuple[dict[int, int], int]:
+        """Maximum matching of (U, X) as (X vertex -> left index, mask of
+        the X vertices it leaves free): the state every subset's matching
+        reaches after the U rows, which it searches first."""
+        pairs = max_matching(BipartiteGraph(self.rows[: self.n_u], self.x_mask))
+        owner = {x: u for u, x in pairs}
+        return owner, self.x_mask ^ mask_of(owner)
 
-        ``w_locals`` are W-local indices (0-based within W) of size s.
+    def robust_matching(self, w_locals: Iterable[int]) -> Optional[list[tuple[int, int]]]:
+        """Perfect matching of (U + W', X) as (left_index, x) pairs sorted
+        by left index, or None.
+
+        ``w_locals`` are W-local indices (0-based within W) of size s.  The
+        result is :func:`max_matching` of B[U + W', X] with U first and W'
+        in increasing order: the U matching is computed once per template,
+        and only the roots of W' are augmented per call.
         """
         chosen = sorted(w_locals)
-        if len(chosen) != self.s or any(not (0 <= w < self.n_w) for w in chosen):
+        if (
+            len(chosen) != self.s
+            or len(set(chosen)) != self.s
+            or any(not (0 <= w < self.n_w) for w in chosen)
+        ):
             raise InvalidInstanceError("robust_matching needs s distinct W-local indices")
-        left_ids = list(range(self.n_u)) + [self.n_u + w for w in chosen]
-        sub = BipartiteGraph(tuple(self.rows[l] for l in left_ids), self.x_mask)
-        pairs = max_matching(sub)
-        if len(pairs) < self.n_x:
+        u_owner, free = self._u_matching
+        if len(u_owner) < self.n_u:
             return None
-        return [(left_ids[u], x) for (u, x) in pairs]
+        owner = dict(u_owner)
+        for w in chosen:
+            x = augment(self.rows, self.n_u + w, owner, free)
+            if x < 0:
+                return None
+            free ^= 1 << x
+        return sorted(zip(owner.values(), owner))
 
 
 def template_edge_count(s: int, t: int) -> int:
@@ -404,7 +446,10 @@ def build_template(
 
     ``verify``: "exhaustive" checks every s-subset of W via matching;
     "sampled" checks 1000 random subsets; "auto" picks exhaustive when the
-    subset count is at most 4096.  Construction restarts on a failed check.
+    subset count is at most 4096.  Every check goes through
+    :meth:`Template.robust_matching`, which matches U once per template and
+    augments only the subset's W roots.  Construction restarts on a failed
+    check.
     """
     if s < 1:
         raise TemplateError("build_template needs s >= 1")

@@ -33,6 +33,22 @@ def select(mask: int, items: Iterable[T]) -> Iterator[T]:
 
 
 def pick_bit(mask: int, rng: random.Random) -> int:
-    """Uniformly random set bit of a nonzero mask."""
+    """Uniformly random set bit of a nonzero mask.
+
+    One ``randrange`` draw picks the rank of the bit.  The mask is then
+    halved, keeping the half that holds that rank, until at most 64 bits
+    are left, so only a word is decoded instead of the whole mask.
+    """
     idx = rng.randrange(mask.bit_count())
-    return next(islice(select(mask, count()), idx, None))
+    base = 0
+    while (width := mask.bit_length()) > 64:
+        half = width >> 1
+        low = mask & ((1 << half) - 1)
+        below = low.bit_count()
+        if idx < below:
+            mask = low
+        else:
+            idx -= below
+            mask >>= half
+            base += half
+    return next(islice(select(mask, count(base)), idx, None))

@@ -68,7 +68,7 @@ class BipartiteGraph:
         return sum(map(int.bit_count, self.rows))
 
 
-def _augment(rows: Sequence[int], root: int, owner: dict[int, int], free: int) -> int:
+def augment(rows: Sequence[int], root: int, owner: dict[int, int], free: int) -> int:
     """Augmenting path from the unmatched left vertex ``root``, applied to
     ``owner`` (matched right vertex -> left vertex); returns the free right
     vertex it ends at, or -1 when there is none.
@@ -112,7 +112,7 @@ def max_matching(b: BipartiteGraph) -> list[tuple[int, int]]:
     owner: dict[int, int] = {}
     free = b.right
     for u in range(len(rows)):
-        v = _augment(rows, u, owner, free)
+        v = augment(rows, u, owner, free)
         if v >= 0:
             free ^= 1 << v
     return sorted((u, v) for v, u in owner.items())

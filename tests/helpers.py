@@ -2,7 +2,11 @@
 
 Everything here is deliberately independent of the library's own search
 paths: matchings by exhaustive recursion, permanents by permutation
-enumeration, Hamilton powers by permutation scan.
+enumeration, Hamilton powers by permutation scan.  The ``reference_*``
+functions are the plain from-scratch forms of computations the library
+shortcuts (a bit walk over the whole mask, one ``max_matching`` per
+template subset, one gadget built per pattern); the shortcuts must agree
+with them exactly.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from hampower.bitset import mask_of
-from hampower.core import GraphCollection, host_edges
-from hampower.matching import BipartiteGraph
+from hampower.absorber import GadgetBlueprint
+from hampower.bitset import mask_of, select
+from hampower.core import GraphCollection, canonical_edge, host_edges
+from hampower.matching import BipartiteGraph, max_matching
 
 
 def bipartite(adj, n_right: int) -> BipartiteGraph:
@@ -230,3 +235,47 @@ def min_pair_degree(
     a_mask, b_mask = mask_of(a_side), mask_of(b_side)
     d = min(collection.degree_into(colour, v, b_mask) for v in a_side)
     return min(d, min(collection.degree_into(colour, v, a_mask) for v in b_side))
+
+
+def reference_pick_bit(mask: int, rng: random.Random) -> int:
+    """Uniformly random set bit: one ``randrange`` draw for its rank, then
+    a walk over every set bit of the mask."""
+    idx = rng.randrange(mask.bit_count())
+    return next(itertools.islice(select(mask, itertools.count()), idx, None))
+
+
+def reference_robust_matching(template, w_locals):
+    """Matching of (U + W', X) from scratch: ``max_matching`` on the
+    bipartite graph of the U rows and the chosen W rows, mapped back to
+    template left indices; None when it is not perfect."""
+    chosen = sorted(w_locals)
+    left_ids = list(range(template.n_u)) + [template.n_u + w for w in chosen]
+    sub = BipartiteGraph(tuple(template.rows[l] for l in left_ids), template.x_mask)
+    pairs = max_matching(sub)
+    if len(pairs) < template.n_x:
+        return None
+    return [(left_ids[u], x) for (u, x) in pairs]
+
+
+def reference_gadget_blueprint(k: int, ell: int, pattern) -> GadgetBlueprint:
+    """The (k, ell) absorbing gadget built from scratch for one pattern: B
+    in order with a_i after b_{(2i-1)k}, the pattern's colours on the path
+    edges, then c_i given the edges of a_i and a_{i+1} with their colours."""
+    a_ids = tuple(range(ell))
+    b_ids = tuple(range(ell, ell + 2 * k * ell))
+    c_ids = tuple(range(ell + 2 * k * ell, ell + 2 * k * ell + ell - 1))
+    seq = []
+    for j in range(1, 2 * k * ell + 1):
+        seq.append(b_ids[j - 1])
+        if j % (2 * k) == k:
+            seq.append(a_ids[j // (2 * k)])
+    edges = {}
+    for (p, q) in host_edges(pattern.host):
+        edges[canonical_edge(seq[p], seq[q])] = pattern.colours[(p, q)]
+    for i in range(1, ell):
+        for a in (a_ids[i - 1], a_ids[i]):
+            for (x, y), colour in list(edges.items()):
+                if a in (x, y):
+                    edges[canonical_edge(c_ids[i - 1], y if x == a else x)] = colour
+    position = {v: p for p, v in enumerate(seq)}
+    return GadgetBlueprint(k, ell, a_ids, b_ids, c_ids, tuple(seq), edges, position)

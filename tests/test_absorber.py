@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import template_edge_count_by_windows
+from helpers import (
+    reference_gadget_blueprint,
+    reference_robust_matching,
+    template_edge_count_by_windows,
+)
 from hampower.absorber import (
     AbsorbingStructure,
     Template,
@@ -19,6 +23,7 @@ from hampower.absorber import (
     template_edge_count,
 )
 from hampower.absorber import ColouredGraph
+from hampower.bitset import mask_of
 from hampower.core import canonical_edge, power_path, verify_coloured_embedding
 from hampower.errors import (
     EmbeddingFailedError,
@@ -99,6 +104,34 @@ class TestGadgetBlueprint:
                     back = sum(1 for (u, _) in bp.neighbours_with_colours(v) if u in seen)
                     assert back <= k + 2
                     seen.add(v)
+
+    def test_matches_from_scratch_reference(self):
+        rng = random.Random(58)
+        for k in (2, 3, 4):
+            for ell in range(2, 41):
+                pattern = random_pattern(power_path((2 * k + 1) * ell, k), 5, rng)
+                bp = build_gadget_blueprint(k, ell, pattern)
+                ref = reference_gadget_blueprint(k, ell, pattern)
+                assert list(bp.edges.items()) == list(ref.edges.items()), (k, ell)
+                assert dict(bp.position) == ref.position
+                assert bp.base_sequence == ref.base_sequence
+                assert bp.degeneracy_order() == ref.degeneracy_order()
+                assert bp.vertices == ref.vertices
+
+    def test_blueprints_of_one_shape_share_no_mutable_mapping(self):
+        rng = random.Random(59)
+        host = power_path(15, 2)
+        first, second = random_pattern(host, 6, rng), random_pattern(host, 6, rng)
+        assert first.colours != second.colours
+        bp1 = build_gadget_blueprint(2, 3, first)
+        bp2 = build_gadget_blueprint(2, 3, second)
+        assert bp1.edges is not bp2.edges
+        for bp in (bp1, bp2):
+            for mapping in (bp.edges, bp.position):
+                with pytest.raises(TypeError):
+                    mapping[next(iter(mapping))] = 1
+        assert dict(bp1.edges) == reference_gadget_blueprint(2, 3, first).edges
+        assert dict(bp2.edges) == reference_gadget_blueprint(2, 3, second).edges
 
 
 class TestAbsorbSequence:
@@ -223,6 +256,58 @@ class TestTemplate:
     def test_oversized_t_rejected(self):
         with pytest.raises(TemplateError):
             build_template(2, Fraction(40, 2), random.Random(66))
+
+    def test_repeated_w_index_rejected(self):
+        template = build_template(3, Fraction(2, 3), random.Random(0))
+        with pytest.raises(InvalidInstanceError):
+            template.robust_matching([0, 0, 1])
+
+
+def random_uncertified_template(s, t, rng):
+    """Template with random rows of degree 2 or 3, robust or not."""
+    while True:
+        rows = tuple(
+            mask_of(rng.sample(range(3 * s), min(3 * s, rng.randint(2, 3))))
+            for _ in range(3 * s + t)
+        )
+        try:
+            return Template(s, t, rows)
+        except TemplateError:
+            continue
+
+
+class TestRobustMatchingWarmStart:
+    """``robust_matching`` reuses one U matching per template; it must
+    return what a fresh ``max_matching`` of B[U + W', X] returns."""
+
+    def test_every_subset_of_small_templates(self):
+        rng = random.Random(67)
+        outcomes = set()
+        for s in range(1, 7):
+            for t in range(1, 7):
+                certified = build_template(s, Fraction(t, s), rng)
+                for template in (certified, random_uncertified_template(s, t, rng)):
+                    for chosen in itertools.combinations(range(s + t), s):
+                        got = template.robust_matching(chosen)
+                        assert got == reference_robust_matching(template, chosen), (s, t, chosen)
+                        outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", [68, 69])
+    def test_sampled_subsets_of_the_largest_template(self, seed):
+        rng = random.Random(seed)
+        template = build_template(26, Fraction(39, 26), rng)
+        for _ in range(2000):
+            chosen = rng.sample(range(65), 26)
+            assert template.robust_matching(chosen) == reference_robust_matching(template, chosen)
+
+    def test_unsaturable_u_side(self):
+        # s=2, t=1: the four U rows all lie inside X-vertices {0, 1, 2}
+        rows = (0b011, 0b110, 0b101, 0b011) + (0b111000,) * 3
+        template = Template(2, 1, rows)
+        for chosen in itertools.combinations(range(3), 2):
+            assert template.robust_matching(chosen) is None
+            assert reference_robust_matching(template, chosen) is None
 
 
 def small_structure(seed=70, s=3, k=2, m=5):

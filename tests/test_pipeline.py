@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -344,6 +345,26 @@ class TestSolve:
                 assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
                 solved += 1
         assert solved > 60
+
+
+class TestGoldenOutput:
+    """Cycles pinned by digest, on plans with a real template absorber
+    (s_t >= 1): a change to any stage's output or random draws shows here
+    as a different cycle."""
+
+    @pytest.mark.parametrize(
+        "k, seed, digest",
+        [
+            (2, 7, "4d01f96dd338d5f8d894ebd8b12543138e3a1233da1e1ace12599a0f83acbb9b"),
+            (3, 8, "aad775984742c72546cbd0529c899c286a6af8299a7337372ef06e0aac619822"),
+        ],
+    )
+    def test_cycle_digest_with_template_absorber(self, k, seed, digest):
+        coll = complete_collection(600, 4)
+        pattern = random_pattern(power_cycle(600, k), 4, random.Random(seed))
+        cycle, trace = solve(coll, pattern, replace(CONFIG, seed=seed))
+        assert trace["plan"]["s_t"] >= 1
+        assert hashlib.sha256(repr(cycle.vertices).encode()).hexdigest() == digest
 
 
 class TestMoreValidation:
