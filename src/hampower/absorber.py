@@ -13,9 +13,13 @@ corresponding a-edge).  Absorbing a_i means substituting c_j for a_j
 The gadget has degeneracy k+2 with the A-vertices first (this fails for
 k = 1, which is why gadgets require k >= 2), so it can be embedded greedily
 and robustly wherever every colour-specific degree is high enough.  Its
-skeleton (ids, layout, and the host edge whose colour each gadget edge
-takes) depends on (k, ell) only, so it is built and degeneracy-checked once
-per shape, and each gadget only looks up its colours.
+skeleton (ids, layout, the host edge whose colour each gadget edge takes,
+and the degeneracy order after A with each vertex's at most k+2 earlier
+neighbours) depends on (k, ell) only, so it is built and checked once per
+shape, and each gadget only looks up its colours.  The embedding walks
+that stored order over int masks: the pool of free vertices is one mask,
+and each vertex's candidates are that pool intersected with the colour
+neighbourhood masks of its earlier neighbours' images.
 
 A *robustly matchable template* converts "absorb any s-subset of the
 reservoir" into one matching computation: it is a bounded-degree bipartite
@@ -40,7 +44,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bitset import mask_of, pick_bit, select
-from .connectors import ConnectorRequest, embed_connector
+from .connectors import embed_connector
 from .core import (
     ColourPattern,
     Edge,
@@ -74,6 +78,8 @@ class GadgetBlueprint:
     Ids: A = 0..ell-1, B = ell..ell+2k*ell-1, C = the remaining ell-1.
     ``base_sequence`` is the underlying path layout over A and B;
     ``position`` maps each A/B id to its sequence position.
+    ``back_neighbours`` is the degeneracy order after A: each B/C id with
+    its at most k+2 earlier neighbours, as (neighbour, edge) pairs.
     """
 
     k: int
@@ -84,6 +90,7 @@ class GadgetBlueprint:
     base_sequence: tuple[int, ...]
     edges: Mapping[Edge, int]
     position: Mapping[int, int]
+    back_neighbours: tuple[tuple[int, tuple[tuple[int, Edge], ...]], ...]
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -92,28 +99,6 @@ class GadgetBlueprint:
     @property
     def r_vertices(self) -> tuple[int, ...]:
         return self.b_vertices + self.c_vertices
-
-    def neighbours_with_colours(self, v: int) -> list[tuple[int, int]]:
-        out = []
-        for (x, y), c in self.edges.items():
-            if x == v:
-                out.append((y, c))
-            elif y == v:
-                out.append((x, c))
-        return out
-
-    def degeneracy_order(self) -> list[int]:
-        """Ordering with all of A first in which every vertex has at most
-        k+2 earlier neighbours."""
-        k, ell = self.k, self.ell
-        b = lambda j: self.b_vertices[j - 1]  # 1-based
-        order = list(self.a_vertices)
-        for i in range(1, ell):
-            order.extend(b(j) for j in range((2 * i - 2) * k + 1, (2 * i - 1) * k + 1))
-            order.append(self.c_vertices[i - 1])
-            order.extend(b(j) for j in range((2 * i - 1) * k + 1, 2 * i * k + 1))
-        order.extend(b(j) for j in range(2 * k * (ell - 1) + 1, 2 * k * ell + 1))
-        return order
 
 
 def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBlueprint:
@@ -141,8 +126,8 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
 def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
     """The uncoloured (k, ell) gadget: a blueprint whose edge values are
     the host edges (p, q) of power_path((2k+1)*ell, k) whose colours the
-    edges take, with its degeneracy checked.  Template degrees are at most
-    40, so the pipeline needs few shapes."""
+    edges take, with its degeneracy order and back-neighbours.  Template
+    degrees are at most 40, so the pipeline needs few shapes."""
     r = (2 * k + 1) * ell
     a_ids = tuple(range(ell))
     b_ids = tuple(range(ell, ell + 2 * k * ell))
@@ -172,27 +157,44 @@ def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
                     other = y if x == a else x
                     edges[canonical_edge(c, other)] = source
 
-    blueprint = GadgetBlueprint(
+    # A first, then per i: the B run before a_i's slot, c_i, the B run after
+    b = lambda j: b_ids[j - 1]  # 1-based
+    order = list(a_ids)
+    for i in range(1, ell):
+        order.extend(b(j) for j in range((2 * i - 2) * k + 1, (2 * i - 1) * k + 1))
+        order.append(c_ids[i - 1])
+        order.extend(b(j) for j in range((2 * i - 1) * k + 1, 2 * i * k + 1))
+    order.extend(b(j) for j in range(2 * k * (ell - 1) + 1, 2 * k * ell + 1))
+
+    return GadgetBlueprint(
         k, ell, a_ids, b_ids, c_ids, tuple(seq),
         MappingProxyType(edges), MappingProxyType(position),
+        _back_neighbours(k, ell, order, edges),
     )
-    _check_degeneracy(blueprint)
-    return blueprint
 
 
-def _check_degeneracy(blueprint: GadgetBlueprint) -> None:
-    order = blueprint.degeneracy_order()
-    if sorted(order) != sorted(blueprint.vertices):
+def _back_neighbours(
+    k: int, ell: int, order: Sequence[int], edges: Iterable[Edge]
+) -> tuple[tuple[int, tuple[tuple[int, Edge], ...]], ...]:
+    """Each vertex of ``order`` after its first ell (A) with its earlier
+    neighbours and the edges to them.  Raises unless ``order`` lists every
+    gadget vertex once, no edge lies inside A, and no vertex has more than
+    k+2 earlier neighbours."""
+    if sorted(order) != list(range(2 * (k + 1) * ell - 1)):
         raise HamPowerError("internal error: degeneracy order does not cover the gadget")
-    seen: set[int] = set()
-    cap = blueprint.k + 2
-    for v in order:
-        back = sum(1 for (u, _) in blueprint.neighbours_with_colours(v) if u in seen)
-        if back > cap:
+    rank = {v: i for i, v in enumerate(order)}
+    back: dict[int, list[tuple[int, Edge]]] = {v: [] for v in order}
+    for e in edges:
+        earlier, later = sorted(e, key=rank.__getitem__)
+        back[later].append((earlier, e))
+    if any(back[v] for v in order[:ell]):
+        raise HamPowerError("internal error: gadget has an edge inside A")
+    for v in order[ell:]:
+        if len(back[v]) > k + 2:
             raise HamPowerError(
-                f"internal error: gadget vertex {v} has {back} > k+2 earlier neighbours"
+                f"internal error: gadget vertex {v} has {len(back[v])} > k+2 earlier neighbours"
             )
-        seen.add(v)
+    return tuple((v, tuple(back[v])) for v in order[ell:])
 
 
 def gadget_absorb_sequence(blueprint: GadgetBlueprint, i: int) -> tuple[int, ...]:
@@ -221,76 +223,34 @@ def gadget_absorb_sequence(blueprint: GadgetBlueprint, i: int) -> tuple[int, ...
 # degeneracy-ordered greedy embedding
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColouredGraph:
-    """Abstract edge-coloured graph handed to the greedy embedder."""
-
-    vertices: tuple[int, ...]
-    edges: Mapping[Edge, int]
-
-
-def coloured_graph_of(blueprint: GadgetBlueprint) -> ColouredGraph:
-    return ColouredGraph(blueprint.vertices, dict(blueprint.edges))
-
-
 def embed_by_degeneracy(
     collection: GraphCollection,
-    graph: ColouredGraph,
-    initial: Sequence[int],
-    images: Mapping[int, int],
-    pool: Iterable[int],
-    avoid: Iterable[int],
-    degeneracy: int,
+    blueprint: GadgetBlueprint,
+    flexible: Sequence[int],
+    pool: int,
     rng: random.Random,
-    order: Sequence[int],
 ) -> dict[int, int]:
-    """Greedy coloured embedding in a degeneracy order.
+    """Greedy coloured embedding of a gadget in its degeneracy order.
 
-    ``initial`` must be an independent set of ``graph`` pre-mapped by
-    ``images``; all remaining vertices are mapped injectively into ``pool``
-    minus ``avoid``, choosing uniformly among feasible images.  ``order``
-    must start with ``initial``, cover the graph and give every vertex at
-    most ``degeneracy`` earlier neighbours.
+    A is mapped onto ``flexible`` (aligned with ``blueprint.a_vertices``).
+    Every other vertex, in the order of ``blueprint.back_neighbours``, goes
+    to a uniformly random member of the ``pool`` mask joined in the right
+    colour to the images of its earlier neighbours; images are distinct and
+    never flexible.  Raises :class:`EmbeddingFailedError` naming the first
+    vertex left without a candidate.
     """
-    initial = list(initial)
-    initial_set = set(initial)
-    for (u, v) in graph.edges:
-        if u in initial_set and v in initial_set:
-            raise InvalidInstanceError("initial segment must be independent")
-    if set(images) != initial_set:
-        raise InvalidInstanceError("images must map exactly the initial segment")
-    if len(set(images.values())) != len(images):
-        raise InvalidInstanceError("initial images must be injective")
-
-    if list(order[: len(initial)]) != initial or sorted(order) != sorted(graph.vertices):
-        raise InvalidInstanceError("order must start with the initial segment and cover the graph")
-
-    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
-    for (u, v), c in graph.edges.items():
-        nbrs[u].append((v, c))
-        nbrs[v].append((u, c))
-
-    placed_pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        back = sum(1 for (u, _) in nbrs[v] if placed_pos[u] < i)
-        if back > degeneracy:
-            raise InvalidInstanceError(
-                f"ordering gives vertex {v} back-degree {back} > {degeneracy}"
-            )
-
-    mapped = dict(images)
-    used = mask_of(mapped.values())
-    base_pool = mask_of(pool) & ~mask_of(avoid)
-    for v in order[len(initial):]:
-        cand = base_pool & ~used
-        for (u, colour) in nbrs[v]:
-            if u in mapped:
-                cand &= collection.neighbour_mask(colour, mapped[u])
+    mapped = dict(zip(blueprint.a_vertices, flexible))
+    colours = blueprint.edges
+    pool &= ~mask_of(flexible)
+    for v, back in blueprint.back_neighbours:
+        cand = pool
+        for u, e in back:
+            cand &= collection.neighbour_mask(colours[e], mapped[u])
         if cand == 0:
             raise EmbeddingFailedError(f"no image available for vertex {v}", vertex=v)
         img = pick_bit(cand, rng)
         mapped[v] = img
-        used |= 1 << img
+        pool &= ~(1 << img)
     return mapped
 
 
@@ -356,10 +316,6 @@ class Template:
     @property
     def x_mask(self) -> int:
         return (1 << self.n_x) - 1
-
-    @property
-    def eps(self) -> Fraction:
-        return Fraction(self.t, self.s) if self.s else Fraction(0)
 
     @property
     def edge_count(self) -> int:
@@ -430,12 +386,7 @@ def template_edge_count(s: int, t: int) -> int:
     return s * (t + 5) + 2
 
 
-def build_template(
-    s: int,
-    eps: float | Fraction,
-    rng: random.Random,
-    verify: str = "auto",
-) -> Template:
+def build_template(s: int, eps: float | Fraction, rng: random.Random) -> Template:
     """Randomised bounded-degree template construction with certification.
 
     ``eps * s`` must be a positive integer t <= 39 (X-degrees are capped at
@@ -444,12 +395,11 @@ def build_template(
     remaining s X-vertices (w_i adjacent to x_{i-t}..x_i, clipped), padded
     so every degree is at least 2.  Labels are randomly permuted.
 
-    ``verify``: "exhaustive" checks every s-subset of W via matching;
-    "sampled" checks 1000 random subsets; "auto" picks exhaustive when the
-    subset count is at most 4096.  Every check goes through
-    :meth:`Template.robust_matching`, which matches U once per template and
-    augments only the subset's W roots.  Construction restarts on a failed
-    check.
+    Certification checks every s-subset of W via matching when there are at
+    most 4096 of them, and 1000 random subsets otherwise.  Every check goes
+    through :meth:`Template.robust_matching`, which matches U once per
+    template and augments only the subset's W roots.  Construction restarts
+    on a failed check.
     """
     if s < 1:
         raise TemplateError("build_template needs s >= 1")
@@ -461,11 +411,7 @@ def build_template(
         raise TemplateError(
             f"this construction needs eps*s <= 39 to respect the degree cap (got {t})"
         )
-    if verify not in ("auto", "exhaustive", "sampled"):
-        raise TemplateError(f"unknown verification mode {verify!r}")
-
-    n_subsets = _subset_count(s + t, s)
-    exhaustive = verify == "exhaustive" or (verify == "auto" and n_subsets <= 4096)
+    exhaustive = _subset_count(s + t, s) <= 4096
 
     for _ in range(32):
         rows = _random_template_adjacency(s, t, rng)
@@ -664,8 +610,8 @@ def build_absorbing_structure(
 
     _assert_absorber_partition(pattern, x_degrees, gadget_starts, connector_starts, m_abs, k)
 
-    all_vertices = range(collection.n)
-    used: set[int] = set(y_tuple) | set(z_set)
+    full = (1 << collection.n) - 1
+    used = mask_of(y_tuple) | mask_of(z_set)
 
     gadgets: list[EmbeddedGadget] = []
     for i in range(3 * s):
@@ -676,40 +622,20 @@ def build_absorbing_structure(
         actual = tuple(
             y_tuple[l] if l < 2 * s else w_tuple[l - 2 * s] for l in left_ids
         )
-        images = {blueprint.a_vertices[j]: actual[j] for j in range(ell)}
-        mapped = embed_by_degeneracy(
-            collection,
-            coloured_graph_of(blueprint),
-            blueprint.a_vertices,
-            images,
-            all_vertices,
-            used - set(actual),
-            k + 2,
-            rng,
-            order=blueprint.degeneracy_order(),
-        )
+        mapped = embed_by_degeneracy(collection, blueprint, actual, full & ~used, rng)
         body = {v: mapped[v] for v in blueprint.r_vertices}
-        used.update(body.values())
+        used |= mask_of(body.values())
         gadgets.append(
             EmbeddedGadget(blueprint, MappingProxyType(body), actual, left_ids, gadget_starts[i])
         )
 
-    pool = frozenset(all_vertices) - z_set - set(y_tuple)
     connectors_out: list[tuple[int, ...]] = []
     for idx in range(3 * s + 1):
-        if idx == 0:
-            w_path = PowerPath(k, (z1,))
-        else:
-            w_path = PowerPath(k, gadgets[idx - 1].fixed_last_k())
-        if idx == 3 * s:
-            y_path = PowerPath(k, (z2,))
-        else:
-            y_path = PowerPath(k, gadgets[idx].fixed_first_k())
-        host = connector(w_path.order, y_path.order, k)
-        sub = restrict_pattern(pattern, connector_starts[idx] - w_path.order, host)
-        request = ConnectorRequest(w_path, y_path, sub, pool, frozenset(used))
-        internals = embed_connector(collection, request, rng)
-        used.update(internals)
+        w = (z1,) if idx == 0 else gadgets[idx - 1].fixed_last_k()
+        y = (z2,) if idx == 3 * s else gadgets[idx].fixed_first_k()
+        sub = restrict_pattern(pattern, connector_starts[idx] - len(w), connector(len(w), len(y), k))
+        internals = embed_connector(collection, w, y, sub, full & ~used, rng)
+        used |= mask_of(internals)
         connectors_out.append(internals)
 
     absorbed = (

@@ -1,17 +1,17 @@
 """Greedy embedding of coloured connectors through a reservoir.
 
-A connector joins the tail of one k-power path to the head of another
-through k fresh internal vertices.  Each internal vertex is constrained by
-at most 2k already-placed vertices (its within-k predecessors on both
-sides); the candidate set is the intersection of the corresponding
-colour-specific neighbourhoods inside the reservoir.  Candidates are drawn
-uniformly at random so reservoir usage spreads out.
+A connector joins the tail ``w`` of one k-power path to the head ``y`` of
+another through k fresh internal vertices.  Each internal vertex is
+constrained by at most 2k already-placed vertices (its within-k
+predecessors on both sides); the candidate set is the intersection of the
+corresponding colour-specific neighbourhood masks with the ``pool`` mask of
+vertices still free.  End vertices are never candidates, wherever they lie.
+Candidates are drawn uniformly at random so reservoir usage spreads out.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import mask_of, pick_bit
@@ -26,69 +26,46 @@ from .core import (
 from .errors import ConnectionFailedError, HamPowerError, InvalidInstanceError
 
 
-@dataclass(frozen=True)
-class ConnectorRequest:
-    """One connection job: join the end of ``w`` to the start of ``y``.
-
-    ``w`` carries the last <= k vertices of the path being extended and
-    ``y`` the first <= k vertices of the path being joined to; the pattern's
-    host must be connector(|w|, |y|, k).  ``reservoir`` is the candidate
-    pool for internal vertices and ``avoid`` is excluded from it.  Endpoint
-    vertices may live anywhere (including inside the reservoir): they are
-    never candidates.
-    """
-
-    w: PowerPath
-    y: PowerPath
-    pattern: ColourPattern
-    reservoir: frozenset[int]
-    avoid: frozenset[int]
-
-    def __post_init__(self) -> None:
-        host = self.pattern.host
-        if host.kind != CONNECTOR:
-            raise InvalidInstanceError("connector request needs a connector-host pattern")
-        if self.w.k != host.k or self.y.k != host.k:
-            raise InvalidInstanceError("end path powers must match the connector power")
-        if host.a != self.w.order or host.b != self.y.order:
-            raise InvalidInstanceError(
-                f"connector host is ({host.a},{host.b}) but ends have "
-                f"({self.w.order},{self.y.order}) vertices"
-            )
-        if set(self.w.vertices) & set(self.y.vertices):
-            raise InvalidInstanceError("connector ends must be vertex-disjoint")
-
-
 def embed_connector(
     collection: GraphCollection,
-    request: ConnectorRequest,
+    w: Sequence[int],
+    y: Sequence[int],
+    pattern: ColourPattern,
+    pool: int,
     rng: random.Random,
 ) -> tuple[int, ...]:
     """Pick the k internal vertices of a coloured connector, left to right.
 
-    Returns the internal vertices in host order.  Raises
+    ``w`` holds the last <= k vertices of the path being extended and ``y``
+    the first <= k vertices of the path being joined to; the pattern's host
+    must be connector(|w|, |y|, k).  Internal vertices are drawn from the
+    ``pool`` mask.  Returns the internal vertices in host order.  Raises
     :class:`ConnectionFailedError` naming the first internal position whose
     candidate set is empty.  Every successful output re-verifies against the
     pattern before being returned.
     """
-    host = request.pattern.host
+    host = pattern.host
+    if host.kind != CONNECTOR:
+        raise InvalidInstanceError("connector embedding needs a connector-host pattern")
     a, b, k = host.a, host.b, host.k
-    placed: dict[int, int] = {}
-    for i, v in enumerate(request.w.vertices):
-        placed[i] = v
-    for i, v in enumerate(request.y.vertices):
-        placed[a + k + i] = v
-
-    end_mask = mask_of(request.w.vertices) | mask_of(request.y.vertices)
-    pool = mask_of(request.reservoir) & ~mask_of(request.avoid) & ~end_mask
+    if (a, b) != (len(w), len(y)):
+        raise InvalidInstanceError(
+            f"connector host is ({a},{b}) but ends have ({len(w)},{len(y)}) vertices"
+        )
+    end_mask = mask_of(w) | mask_of(y)
+    if end_mask.bit_count() != a + b:
+        raise InvalidInstanceError("connector ends must be distinct and vertex-disjoint")
+    placed = dict(enumerate(w))
+    placed.update((a + k + i, v) for i, v in enumerate(y))
+    pool &= ~end_mask
 
     constraints: dict[int, list[tuple[int, int]]] = {p: [] for p in range(a, a + k)}
     for (i, j) in host_edges(host):
         # attribute each edge to its later-placed internal endpoint
         if a <= j < a + k:
-            constraints[j].append((i, request.pattern.colours[(i, j)]))
+            constraints[j].append((i, pattern.colours[(i, j)]))
         elif a <= i < a + k:
-            constraints[i].append((j, request.pattern.colours[(i, j)]))
+            constraints[i].append((j, pattern.colours[(i, j)]))
 
     internals: list[int] = []
     for p in range(a, a + k):
@@ -106,10 +83,7 @@ def embed_connector(
         internals.append(v)
         pool &= ~(1 << v)
 
-    sequence = (
-        list(request.w.vertices) + internals + list(request.y.vertices)
-    )
-    result = verify_coloured_embedding(collection, request.pattern, sequence)
+    result = verify_coloured_embedding(collection, pattern, [*w, *internals, *y])
     if not result.ok:  # greedy construction realises every edge it checked
         raise HamPowerError(f"internal error: connector failed verification at {result.violation}")
     return tuple(internals)
@@ -119,25 +93,23 @@ def extend_by_one(
     collection: GraphCollection,
     path: PowerPath,
     colours: Sequence[int],
-    reservoir: frozenset[int],
-    avoid: frozenset[int],
+    pool: int,
     rng: random.Random,
 ) -> int:
     """Append one vertex to a k-power path.
 
     ``colours[j]`` is the required colour of the edge from the j-th of the
     last k path vertices (farthest first) to the new vertex.  The new vertex
-    is drawn uniformly from the feasible subset of ``reservoir`` minus
-    ``avoid``.
+    is drawn uniformly from the feasible members of the ``pool`` mask that
+    are not on the path.
     """
     k = path.k
     if path.order < k:
         raise InvalidInstanceError(f"path must have at least k={k} vertices")
     if len(colours) != k:
         raise InvalidInstanceError(f"need exactly k={k} edge colours, got {len(colours)}")
-    tail = path.vertices[-k:]
-    cand = mask_of(reservoir) & ~mask_of(avoid) & ~mask_of(path.vertices)
-    for u, colour in zip(tail, colours):
+    cand = pool & ~mask_of(path.vertices)
+    for u, colour in zip(path.vertices[-k:], colours):
         cand &= collection.neighbour_mask(colour, u)
     if cand == 0:
         raise ConnectionFailedError("no candidate vertex extends the path", position=None)

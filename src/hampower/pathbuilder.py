@@ -18,7 +18,6 @@ random and kept.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -30,19 +29,6 @@ from .core import (
 )
 from .errors import HamPowerError, InvalidInstanceError, NoMatchingError, NoPerfectMatchingError
 from .matching import sample_perfect_matching, tiling_graph
-
-
-@dataclass
-class PartitionState:
-    """Residual parts during a run: equal sizes n_i, shrinking by one per step."""
-
-    parts: list[list[int]]
-    step: int
-    n_i: int
-
-    def check(self) -> None:
-        if any(len(p) != self.n_i for p in self.parts):
-            raise HamPowerError("internal error: residual parts lost equal sizes")
 
 
 def build_path_collection(
@@ -82,26 +68,27 @@ def build_path_collection(
         if pat.max_colour > collection.m:
             raise InvalidInstanceError(f"pattern {i + 1} uses a colour beyond m={collection.m}")
 
-    state = PartitionState([sorted(p) for p in parts], 0, n1)
+    # the residual parts keep equal sizes n_i, shrinking by one per step
+    residual = [sorted(p) for p in parts]
     out: list[PowerPath] = []
     for step, pat in enumerate(patterns, start=1):
-        state.step = step
-        state.check()
-        chains = _run_round(collection, state, pat, k, r, step, rng, sampler_mode)
-        chosen = chains[rng.randrange(state.n_i)]
+        n_i = n1 - step + 1
+        if any(len(p) != n_i for p in residual):
+            raise HamPowerError("internal error: residual parts lost equal sizes")
+        chains = _run_round(collection, residual, pat, k, r, step, rng, sampler_mode)
+        chosen = chains[rng.randrange(n_i)]
         result = verify_coloured_embedding(collection, pat, chosen)
         if not result.ok:
             raise HamPowerError(f"internal error: round {step} path fails at {result.violation}")
         out.append(PowerPath(k, tuple(chosen)))
         for j in range(r):
-            state.parts[j].remove(chosen[j])
-        state.n_i -= 1
+            residual[j].remove(chosen[j])
     return out
 
 
 def _run_round(
     collection: GraphCollection,
-    state: PartitionState,
+    parts: Sequence[Sequence[int]],
     pat: ColourPattern,
     k: int,
     r: int,
@@ -110,12 +97,12 @@ def _run_round(
     sampler_mode: str,
 ) -> list[list[int]]:
     """Grow n_i disjoint coloured paths across all r parts."""
-    chains: list[list[int]] = [[v] for v in state.parts[0]]
+    chains: list[list[int]] = [[v] for v in parts[0]]
     for lvl in range(1, r):
         win_lo = max(0, lvl - k)
         colours = [pat.colour_of(j, lvl) for j in range(win_lo, lvl)]
         tiles = [chain[win_lo:] for chain in chains]
-        aux = tiling_graph(collection, colours, tiles, state.parts[lvl])
+        aux = tiling_graph(collection, colours, tiles, parts[lvl])
         try:
             matching = sample_perfect_matching(aux, rng, mode=sampler_mode)
         except NoPerfectMatchingError as exc:

@@ -35,6 +35,7 @@ exactly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -50,7 +51,8 @@ from .absorber import (
     expected_absorbed_size,
     template_edge_count,
 )
-from .connectors import ConnectorRequest, embed_connector, extend_by_one
+from .bitset import mask_of, select
+from .connectors import embed_connector, extend_by_one
 from .core import (
     POWER_CYCLE,
     ColourPattern,
@@ -423,7 +425,7 @@ def _solve_with_plan(
 
     def stage_connect(rng: random.Random) -> tuple[list[Optional[int]], frozenset[int]]:
         placement: list[Optional[int]] = [None] * n
-        avail = set(reservoir) - {z1, z2}
+        avail = mask_of(reservoir) & ~(1 << z1) & ~(1 << z2)
         running = list(structure.boundary_last_k())
 
         def place(pos: int, v: int) -> None:
@@ -433,13 +435,11 @@ def _solve_with_plan(
 
         for i in range(1, plan.s + 1):
             path = paths[i - 1]
-            w = PowerPath(k, tuple(running[-k:]))
-            y = PowerPath(k, path.vertices[:k])
             sub = restrict_pattern(pattern, plan.connector_window_start(i), connector(k, k, k))
             internals = embed_connector(
-                collection, ConnectorRequest(w, y, sub, frozenset(avail), frozenset()), rng
+                collection, running[-k:], path.vertices[:k], sub, avail, rng
             )
-            avail.difference_update(internals)
+            avail &= ~mask_of(internals)
             base = plan.connector_window_start(i) + k
             for off, v in enumerate(internals):
                 place(base + off, v)
@@ -454,14 +454,9 @@ def _solve_with_plan(
         rng.shuffle(leftovers)
         for j, v in enumerate(leftovers):
             start = plan.sweep_base + j * (k + 1)
-            w = PowerPath(k, tuple(running[-k:]))
             sub = restrict_pattern(pattern, start - k, connector(k, 1, k))
-            internals = embed_connector(
-                collection,
-                ConnectorRequest(w, PowerPath(k, (v,)), sub, frozenset(avail), frozenset()),
-                rng,
-            )
-            avail.difference_update(internals)
+            internals = embed_connector(collection, running[-k:], (v,), sub, avail, rng)
+            avail &= ~mask_of(internals)
             for off, u in enumerate(internals):
                 place(start + off, u)
             place(start + k, v)
@@ -471,28 +466,23 @@ def _solve_with_plan(
         for idx in range(plan.g):
             p = plan.greedy_base + idx
             colours = [pattern.colour_of(p - k + j, p) for j in range(k)]
-            z = extend_by_one(
-                collection, PowerPath(k, tuple(running[-k:])), colours,
-                frozenset(avail), frozenset(), rng,
-            )
-            avail.remove(z)
+            z = extend_by_one(collection, PowerPath(k, tuple(running[-k:])), colours, avail, rng)
+            avail &= ~(1 << z)
             place(p, z)
             running.append(z)
 
-        if len(avail) != plan.s_t + k:
+        if avail.bit_count() != plan.s_t + k:
             raise HamPowerError("internal error: reservoir accounting before the final connector")
-        w = PowerPath(k, tuple(running[-k:]))
-        y = PowerPath(k, structure.boundary_first_k())
         sub = restrict_pattern(pattern, n - 2 * k, connector(k, k, k))
         internals = embed_connector(
-            collection, ConnectorRequest(w, y, sub, frozenset(avail), frozenset()), rng
+            collection, running[-k:], structure.boundary_first_k(), sub, avail, rng
         )
-        avail.difference_update(internals)
+        avail &= ~mask_of(internals)
         for off, v in enumerate(internals):
             place(n - k + off, v)
-        if len(avail) != plan.s_t:
+        if avail.bit_count() != plan.s_t:
             raise HamPowerError("internal error: reservoir residue is not exactly s_t")
-        return placement, frozenset(avail)
+        return placement, frozenset(select(avail, itertools.count()))
 
     placement, z_prime = run_stage("connect", stage_connect)
 

@@ -260,7 +260,10 @@ def reference_robust_matching(template, w_locals):
 def reference_gadget_blueprint(k: int, ell: int, pattern) -> GadgetBlueprint:
     """The (k, ell) absorbing gadget built from scratch for one pattern: B
     in order with a_i after b_{(2i-1)k}, the pattern's colours on the path
-    edges, then c_i given the edges of a_i and a_{i+1} with their colours."""
+    edges, then c_i given the edges of a_i and a_{i+1} with their colours.
+    The embedding order is A, then the base sequence with c_i in place of
+    a_i (i < ell) and a_ell left out; each vertex after A lists the edges
+    to earlier vertices in edge order."""
     a_ids = tuple(range(ell))
     b_ids = tuple(range(ell, ell + 2 * k * ell))
     c_ids = tuple(range(ell + 2 * k * ell, ell + 2 * k * ell + ell - 1))
@@ -278,4 +281,16 @@ def reference_gadget_blueprint(k: int, ell: int, pattern) -> GadgetBlueprint:
                 if a in (x, y):
                     edges[canonical_edge(c_ids[i - 1], y if x == a else x)] = colour
     position = {v: p for p, v in enumerate(seq)}
-    return GadgetBlueprint(k, ell, a_ids, b_ids, c_ids, tuple(seq), edges, position)
+    c_of = {a_ids[i]: c_ids[i] for i in range(ell - 1)}
+    order = list(a_ids) + [c_of.get(v, v) for v in seq if v != a_ids[-1]]
+    back = []
+    for i in range(ell, len(order)):
+        v = order[i]
+        earlier = set(order[:i])
+        back.append((v, tuple(
+            (x if y == v else y, (x, y)) for (x, y) in edges
+            if v in (x, y) and (x if y == v else y) in earlier
+        )))
+    return GadgetBlueprint(
+        k, ell, a_ids, b_ids, c_ids, tuple(seq), edges, position, tuple(back)
+    )

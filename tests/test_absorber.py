@@ -16,17 +16,17 @@ from hampower.absorber import (
     build_absorbing_structure,
     build_gadget_blueprint,
     build_template,
-    coloured_graph_of,
     embed_by_degeneracy,
     expected_absorbed_size,
     gadget_absorb_sequence,
     template_edge_count,
 )
-from hampower.absorber import ColouredGraph
+from hampower.absorber import _back_neighbours
 from hampower.bitset import mask_of
-from hampower.core import canonical_edge, power_path, verify_coloured_embedding
+from hampower.core import GraphCollection, canonical_edge, power_path, verify_coloured_embedding
 from hampower.errors import (
     EmbeddingFailedError,
+    HamPowerError,
     InvalidInstanceError,
     TemplateError,
 )
@@ -97,13 +97,31 @@ class TestGadgetBlueprint:
             for ell in (2, 3, 4, 5):
                 pattern = random_pattern(power_path((2 * k + 1) * ell, k), 5, rng)
                 bp = build_gadget_blueprint(k, ell, pattern)
-                order = bp.degeneracy_order()
-                assert order[: ell] == list(bp.a_vertices)
-                seen = set()
-                for v in order:
-                    back = sum(1 for (u, _) in bp.neighbours_with_colours(v) if u in seen)
-                    assert back <= k + 2
+                order = list(bp.a_vertices) + [v for v, _ in bp.back_neighbours]
+                assert sorted(order) == sorted(bp.vertices)
+                seen = set(bp.a_vertices)
+                for v, back in bp.back_neighbours:
+                    assert len(back) <= k + 2
+                    assert all(e == canonical_edge(u, v) and e in bp.edges for u, e in back)
+                    earlier = {u for e in bp.edges if v in e for u in e if u in seen}
+                    assert {u for u, _ in back} == earlier
                     seen.add(v)
+
+    def test_back_neighbour_checks_raise(self):
+        # k=2, ell=2: A = {0, 1}, nine more vertices 2..10
+        order = list(range(11))
+        with pytest.raises(HamPowerError):
+            _back_neighbours(2, 2, order[:-1], [])  # order misses a vertex
+        with pytest.raises(HamPowerError):
+            _back_neighbours(2, 2, order[:-1] + [9], [])  # order repeats a vertex
+        with pytest.raises(HamPowerError):
+            _back_neighbours(2, 2, order, [(0, 1)])  # edge inside A
+        star = [(u, 10) for u in range(5)]
+        with pytest.raises(HamPowerError):
+            _back_neighbours(2, 2, order, star)  # 5 > k+2 earlier neighbours
+        assert _back_neighbours(2, 2, order, star[1:])[-1] == (
+            10, tuple((u, (u, 10)) for u in range(1, 5))
+        )
 
     def test_matches_from_scratch_reference(self):
         rng = random.Random(58)
@@ -115,7 +133,7 @@ class TestGadgetBlueprint:
                 assert list(bp.edges.items()) == list(ref.edges.items()), (k, ell)
                 assert dict(bp.position) == ref.position
                 assert bp.base_sequence == ref.base_sequence
-                assert bp.degeneracy_order() == ref.degeneracy_order()
+                assert bp.back_neighbours == ref.back_neighbours
                 assert bp.vertices == ref.vertices
 
     def test_blueprints_of_one_shape_share_no_mutable_mapping(self):
@@ -191,40 +209,55 @@ class TestAbsorbSequence:
 
 class TestEmbedByDegeneracy:
     def test_single_edge(self):
-        coll = complete_collection(10, 2)
-        graph = ColouredGraph((0, 1), {(0, 1): 1})
+        # one colour; A goes to the flexible images 0 and 1, and when 0 keeps
+        # only 12 of its edges, a_1's gadget neighbours take their ends
         rng = random.Random(60)
-        mapped = embed_by_degeneracy(
-            coll, graph, [0], {0: 3}, range(10), [3], 1, rng, order=[0, 1]
-        )
-        assert mapped[0] == 3 and mapped[1] != 3
+        pattern = random_pattern(power_path(10, 2), 1, rng)
+        bp = build_gadget_blueprint(2, 2, pattern)
+        a1 = bp.a_vertices[0]
+        n = 40
+        edges = [(u, v) for u in range(2, n) for v in range(u + 1, n)]
+        edges += [(0, v) for v in range(2, n)] + [(1, v) for v in range(2, n)]
+        coll = GraphCollection.from_edge_lists(n, [edges])
+        mapped = embed_by_degeneracy(coll, bp, (0, 1), mask_of(range(n)), rng)
+        assert mapped[bp.a_vertices[0]] == 0 and mapped[bp.a_vertices[1]] == 1
+        assert sorted(mapped.values()) == sorted(set(mapped.values()))
+        for (u, v), c in bp.edges.items():
+            assert coll.has_edge(c, mapped[u], mapped[v])
+        a1_nbrs = [u for e in bp.edges if a1 in e for u in e if u != a1]
+        keep = set(range(7, 19))
+        few = [(u, v) for (u, v) in edges if u != 0] + [(0, v) for v in keep]
+        coll = GraphCollection.from_edge_lists(n, [few])
+        for _ in range(10):
+            mapped = embed_by_degeneracy(coll, bp, (0, 1), mask_of(range(n)), rng)
+            assert {mapped[u] for u in a1_nbrs} <= keep
 
     def test_gadget_embeds_into_complete_collection(self):
         rng = random.Random(61)
         coll = complete_collection(100, 6)
         pattern = random_pattern(power_path(20, 2), 6, rng)
         bp = build_gadget_blueprint(2, 4, pattern)
-        images = {a: i for i, a in enumerate(bp.a_vertices)}
-        mapped = embed_by_degeneracy(
-            coll, coloured_graph_of(bp), bp.a_vertices, images,
-            range(100), [], 4, rng, order=bp.degeneracy_order(),
-        )
+        mapped = embed_by_degeneracy(coll, bp, (0, 1, 2, 3), mask_of(range(100)), rng)
+        assert [mapped[a] for a in bp.a_vertices] == [0, 1, 2, 3]
         assert len(set(mapped.values())) == len(bp.vertices)
         for (u, v), c in bp.edges.items():
             assert coll.has_edge(c, mapped[u], mapped[v])
 
     def test_pigeonhole_failure(self):
+        # the pool holds the flexible images and one more vertex: the
+        # second vertex after A finds no image
         rng = random.Random(62)
         coll = complete_collection(10, 2)
-        graph = ColouredGraph((0, 1, 2), {(0, 1): 1, (0, 2): 1})
-        with pytest.raises(EmbeddingFailedError):
-            embed_by_degeneracy(coll, graph, [0], {0: 9}, [8], [], 1, rng, order=[0, 1, 2])
+        bp = build_gadget_blueprint(2, 2, random_pattern(power_path(10, 2), 2, rng))
+        with pytest.raises(EmbeddingFailedError) as err:
+            embed_by_degeneracy(coll, bp, (8, 9), mask_of({7, 8, 9}), rng)
+        assert err.value.vertex == bp.back_neighbours[1][0]
 
 
 class TestTemplate:
     def test_exhaustive_s3(self):
         rng = random.Random(63)
-        template = build_template(3, Fraction(1, 3), rng, verify="exhaustive")
+        template = build_template(3, Fraction(1, 3), rng)
         assert template.s == 3 and template.t == 1
         assert template.verified == "exhaustive"
         for chosen in itertools.combinations(range(4), 3):
@@ -312,7 +345,7 @@ class TestRobustMatchingWarmStart:
 
 def small_structure(seed=70, s=3, k=2, m=5):
     rng = random.Random(seed)
-    template = build_template(s, Fraction(1, s), rng, verify="exhaustive")
+    template = build_template(s, Fraction(1, s), rng)
     b = template.edge_count
     a = expected_absorbed_size(k, s, b)
     m_abs = a + s + 2
@@ -378,7 +411,7 @@ class TestAbsorbingStructure:
         # t = 2: ten admissible reservoir subsets, all must absorb
         rng = random.Random(158)
         s, k, m = 3, 2, 5
-        template = build_template(s, Fraction(2, 3), rng, verify="exhaustive")
+        template = build_template(s, Fraction(2, 3), rng)
         b = template.edge_count
         a = expected_absorbed_size(k, s, b)
         m_abs = a + s + 2
@@ -396,7 +429,7 @@ class TestAbsorbingStructure:
     def test_structure_at_power_three(self):
         rng = random.Random(159)
         s, k, m = 2, 3, 4
-        template = build_template(s, Fraction(1, 2), rng, verify="exhaustive")
+        template = build_template(s, Fraction(1, 2), rng)
         b = template.edge_count
         a = expected_absorbed_size(k, s, b)
         m_abs = a + s + 2

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from hampower.bitset import mask_of
-from hampower.connectors import ConnectorRequest, embed_connector, extend_by_one
+from hampower.connectors import embed_connector, extend_by_one
 from hampower.core import (
     GraphCollection,
     PowerPath,
     connector,
+    power_path,
     verify_coloured_embedding,
 )
 from hampower.errors import ConnectionFailedError, InvalidInstanceError
@@ -45,8 +46,7 @@ class TestEmbedConnector:
             w = PowerPath(k, tuple(range(a)))
             y = PowerPath(k, tuple(range(a, a + b)))
             reservoir = frozenset(range(10, 20))
-            req = ConnectorRequest(w, y, pattern, reservoir, frozenset())
-            internals = embed_connector(coll, req, rng)
+            internals = embed_connector(coll, w.vertices, y.vertices, pattern, mask_of(reservoir), rng)
             assert len(internals) == k
             assert set(internals) <= reservoir
             sequence = list(w.vertices) + list(internals) + list(y.vertices)
@@ -57,16 +57,10 @@ class TestEmbedConnector:
         k = 2
         coll = complete_collection(10, 2)
         pattern = random_pattern(connector(2, 2, k), 2, rng)
-        req = ConnectorRequest(
-            PowerPath(k, (0, 1)),
-            PowerPath(k, (2, 3)),
-            pattern,
-            frozenset({8}),  # k - 1 vertices available
-            frozenset(),
-        )
+        pool = mask_of({8})  # k - 1 vertices available
         with pytest.raises(ConnectionFailedError) as err:
-            embed_connector(coll, req, rng)
-        assert err.value.position is not None
+            embed_connector(coll, (0, 1), (2, 3), pattern, pool, rng)
+        assert err.value.position == 3  # the second internal position
 
     def test_avoid_set_respected(self):
         rng = random.Random(42)
@@ -75,9 +69,18 @@ class TestEmbedConnector:
         pattern = random_pattern(connector(2, 2, k), 2, rng)
         reservoir = frozenset(range(6, 12))
         avoid = frozenset(range(6, 10))
-        req = ConnectorRequest(PowerPath(k, (0, 1)), PowerPath(k, (2, 3)), pattern, reservoir, avoid)
-        internals = embed_connector(coll, req, rng)
+        pool = mask_of(reservoir) & ~mask_of(avoid)
+        internals = embed_connector(coll, (0, 1), (2, 3), pattern, pool, rng)
         assert set(internals) == {10, 11}
+
+    def test_end_vertices_never_candidates(self):
+        rng = random.Random(45)
+        k = 2
+        coll = complete_collection(8, 2)
+        pattern = random_pattern(connector(2, 2, k), 2, rng)
+        for _ in range(20):
+            internals = embed_connector(coll, (0, 1), (2, 3), pattern, mask_of(range(6)), rng)
+            assert set(internals) == {4, 5}
 
     def test_random_collections_meeting_degree_hypotheses(self):
         # alpha = 0.2, k = 2, |Z| = 60, |U cap Z| < alpha |Z|
@@ -92,8 +95,8 @@ class TestEmbedConnector:
             y = PowerPath(k, (62, 63))
             reservoir = frozenset(range(z_size))
             avoid = frozenset(rng.sample(range(z_size), 11))
-            req = ConnectorRequest(w, y, pattern, reservoir, avoid)
-            internals = embed_connector(coll, req, rng)
+            pool = mask_of(reservoir) & ~mask_of(avoid)
+            internals = embed_connector(coll, w.vertices, y.vertices, pattern, pool, rng)
             sequence = list(w.vertices) + list(internals) + list(y.vertices)
             assert verify_coloured_embedding(coll, pattern, sequence).ok
             assert set(internals) <= reservoir - avoid
@@ -105,10 +108,10 @@ class TestEmbedConnector:
         coll = complete_collection(8, 2)
         pattern = random_pattern(connector(2, 2, 2), 2, rng)
         with pytest.raises(InvalidInstanceError):
-            ConnectorRequest(
-                PowerPath(2, (0,)), PowerPath(2, (2, 3)), pattern,
-                frozenset(range(4, 8)), frozenset(),
-            )
+            embed_connector(coll, (0,), (2, 3), pattern, mask_of(range(4, 8)), rng)
+        path_pattern = random_pattern(power_path(6, 2), 2, rng)
+        with pytest.raises(InvalidInstanceError):
+            embed_connector(coll, (0, 1), (2, 3), path_pattern, mask_of(range(4, 8)), rng)
 
 
 class TestExtendByOne:
@@ -116,16 +119,19 @@ class TestExtendByOne:
         coll = complete_collection(10, 3)
         path = PowerPath(2, (0, 1, 2))
         reservoir = frozenset(range(5, 10))
-        a = extend_by_one(coll, path, [1, 2], reservoir, frozenset(), random.Random(7))
-        b = extend_by_one(coll, path, [1, 2], reservoir, frozenset(), random.Random(7))
+        a = extend_by_one(coll, path, [1, 2], mask_of(reservoir), random.Random(7))
+        b = extend_by_one(coll, path, [1, 2], mask_of(reservoir), random.Random(7))
         assert a == b and a in reservoir
 
     def test_everything_avoided_fails(self):
         coll = complete_collection(8, 1)
         path = PowerPath(2, (0, 1))
-        reservoir = frozenset({5, 6})
+        pool = mask_of({5, 6}) & ~mask_of({5, 6})
         with pytest.raises(ConnectionFailedError):
-            extend_by_one(coll, path, [1, 1], reservoir, frozenset({5, 6}), random.Random(8))
+            extend_by_one(coll, path, [1, 1], pool, random.Random(8))
+        # path vertices are never candidates, even inside the pool
+        with pytest.raises(ConnectionFailedError):
+            extend_by_one(coll, path, [1, 1], mask_of({0, 1}), random.Random(8))
 
     def test_unique_candidate_instance(self):
         # colours (1, 2) on the two new edges; only vertex 5 satisfies both
@@ -135,7 +141,7 @@ class TestExtendByOne:
         coll = GraphCollection.from_edge_lists(n, [g1, g2])
         path = PowerPath(2, (0, 1))
         reservoir = frozenset({2, 3, 4, 5})
-        chosen = extend_by_one(coll, path, [1, 2], reservoir, frozenset(), random.Random(9))
+        chosen = extend_by_one(coll, path, [1, 2], mask_of(reservoir), random.Random(9))
         # cross-check by direct enumeration of the definition
         feasible = [
             z for z in reservoir
@@ -151,10 +157,10 @@ class TestExtendByOne:
         g2 = [(1, 4)]
         coll = GraphCollection.from_edge_lists(n, [g1, g2])
         path = PowerPath(2, (0, 1))
-        chosen = extend_by_one(coll, path, [1, 2], frozenset({2, 3, 4}), frozenset(), random.Random(10))
+        chosen = extend_by_one(coll, path, [1, 2], mask_of({2, 3, 4}), random.Random(10))
         assert chosen == 4
         with pytest.raises(ConnectionFailedError):
-            extend_by_one(coll, path, [2, 1], frozenset({2, 3, 4}), frozenset(), random.Random(10))
+            extend_by_one(coll, path, [2, 1], mask_of({2, 3, 4}), random.Random(10))
 
 
 class TestRequestValidation:
@@ -163,7 +169,11 @@ class TestRequestValidation:
         coll = complete_collection(8, 2)
         pattern = random_pattern(connector(2, 2, 2), 2, rng)
         with pytest.raises(InvalidInstanceError):
-            ConnectorRequest(
-                PowerPath(2, (0, 1)), PowerPath(2, (1, 2)), pattern,
-                frozenset(range(4, 8)), frozenset(),
-            )
+            embed_connector(coll, (0, 1), (1, 2), pattern, mask_of(range(4, 8)), rng)
+
+    def test_repeated_end_vertex_rejected(self):
+        rng = random.Random(46)
+        coll = complete_collection(8, 2)
+        pattern = random_pattern(connector(2, 2, 2), 2, rng)
+        with pytest.raises(InvalidInstanceError):
+            embed_connector(coll, (0, 0), (2, 3), pattern, mask_of(range(4, 8)), rng)

@@ -366,6 +366,27 @@ class TestGoldenOutput:
         assert trace["plan"]["s_t"] >= 1
         assert hashlib.sha256(repr(cycle.vertices).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "k, delta, seed, r, digest",
+        [
+            (2, 0.95, 1, 7, "b77c32b27bd5102aad4e0cd3fe703df2f0feb8b45a68c89d679c4552b51dcd84"),
+            (3, 0.9, 2, 8, "d527657310e7823e9187e0b19fdaf3fc3be05ca9e562cc7e7b54e04cb4a8aa55"),
+        ],
+    )
+    def test_cycle_digest_on_random_collection(self, k, delta, seed, r, digest):
+        # in copies of K_n every neighbour mask is full, so a dropped colour
+        # constraint only changes the output on a collection with non-edges
+        rng = random.Random(seed)
+        coll = random_min_degree_collection(150, 4, delta, rng)
+        pattern = random_pattern(power_cycle(150, k), 4, rng)
+        cycle, trace = solve(coll, pattern, replace(CONFIG, seed=seed, r=r))
+        attempts = {stage["name"]: stage["attempts"] for stage in trace["stages"]}
+        if k == 2:
+            assert trace["plan"]["s_t"] == 1
+        else:
+            assert trace["plan"]["s"] == 9 and attempts["connect"] > 1
+        assert hashlib.sha256(repr(cycle.vertices).encode()).hexdigest() == digest
+
 
 class TestMoreValidation:
     def test_r_below_k_plus_one_rejected(self):
