@@ -27,19 +27,22 @@ graph on (U + W, X) with |U| = 2s, |W| = s + t, |X| = 3s such that every
 s-subset W' of W admits a perfect matching in B[U + W', X].  One gadget is
 built per X-vertex (with the template neighbourhood as its flexible set),
 gadgets are chained by connectors, and absorbing a set Z' reduces to
-reading off the robust matching for W' = Z'.  Matchings search the U rows
-first, and those are the same for every W', so each template matches U
-once; a subset's matching copies that state and augments from the roots of
-W' alone.
+reading off the robust matching for W' = Z'.  The template is robust by
+construction: its layout gives every W' a perfect matching (a window
+witness, see :func:`build_template`), which certification checks edge by
+edge, or by matching every W' where there are at most 4096.  Matchings
+search the U rows first, and those are the same for every W', so each
+template matches U once; a subset's matching copies that state and augments
+from the roots of W' alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -282,7 +285,7 @@ class Template:
                 raise TemplateError("an s=0 template must be empty")
             return
         if self.t < 1:
-            raise TemplateError("template needs t = eps*s >= 1")
+            raise TemplateError("template needs t >= 1")
         if len(self.rows) != 3 * self.s + self.t:
             raise TemplateError("template adjacency must cover U and W")
         outside = ~self.x_mask
@@ -386,95 +389,95 @@ def template_edge_count(s: int, t: int) -> int:
     return s * (t + 5) + 2
 
 
-def build_template(s: int, eps: float | Fraction, rng: random.Random) -> Template:
-    """Randomised bounded-degree template construction with certification.
+def build_template(s: int, t: int, rng: random.Random) -> Template:
+    """Randomised bounded-degree template, certified by its own layout.
 
-    ``eps * s`` must be a positive integer t <= 39 (X-degrees are capped at
-    40).  The skeleton: two cyclic perfect matchings from U onto a random
-    2s-subset of X, plus a sliding-window bipartite graph from W onto the
-    remaining s X-vertices (w_i adjacent to x_{i-t}..x_i, clipped), padded
-    so every degree is at least 2.  Labels are randomly permuted.
-
-    Certification checks every s-subset of W via matching when there are at
-    most 4096 of them, and 1000 random subsets otherwise.  Every check goes
-    through :meth:`Template.robust_matching`, which matches U once per
-    template and augments only the subset's W roots.  Construction restarts
-    on a failed check.
+    Needs 1 <= t <= 39 (X-degrees are capped at 40).  The skeleton: two
+    cyclic perfect matchings from U onto a random 2s-subset x_m of X, and a
+    sliding window from W onto the other s X-vertices x_w (W slot i sees x_w
+    slots max(0, i-t)..min(s-1, i)), padded so every degree is at least 2.
+    It proves itself robust: sort any W' by slot as i_0 < ... < i_{s-1};
+    then m <= i_m <= m + t, so x_w slot m is in i_m's window, and U matches
+    onto x_m.  Padding only adds edges.  Certification matches every W'
+    through :meth:`Template.robust_matching` where C(s+t, s) <= 4096
+    ("exhaustive"), and otherwise tests each witness edge ("constructive").
+    Neither can fail on this skeleton, so a failure is an internal error.
     """
     if s < 1:
         raise TemplateError("build_template needs s >= 1")
-    t_exact = Fraction(eps) * s if isinstance(eps, Fraction) else eps * s
-    t = int(round(float(t_exact)))
-    if abs(float(t_exact) - t) > 1e-9 or t < 1:
-        raise TemplateError(f"eps*s must be a positive integer, got {float(t_exact)}")
+    if t < 1:
+        raise TemplateError(f"template needs t >= 1, got {t}")
     if t > 39:
         raise TemplateError(
-            f"this construction needs eps*s <= 39 to respect the degree cap (got {t})"
+            f"this construction needs t <= 39 to respect the degree cap (got {t})"
         )
-    exhaustive = _subset_count(s + t, s) <= 4096
-
-    for _ in range(32):
-        rows = _random_template_adjacency(s, t, rng)
-        template = Template(s, t, rows, verified="exhaustive" if exhaustive else "sampled")
-        if template.edge_count != template_edge_count(s, t):
-            raise HamPowerError("internal error: template edge count drifted from the skeleton")
-        if _certify(template, rng, exhaustive):
-            return template
-    raise TemplateError(f"template certification failed repeatedly for s={s}, t={t}")
-
-
-def _subset_count(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    rows, layout = _random_template_adjacency(s, t, rng)
+    exhaustive = math.comb(s + t, s) <= 4096
+    template = Template(s, t, rows, verified="exhaustive" if exhaustive else "constructive")
+    if template.edge_count != template_edge_count(s, t):
+        raise HamPowerError("internal error: template edge count drifted from the skeleton")
+    if exhaustive:
+        subsets = itertools.combinations(range(s + t), s)
+        certified = all(template.robust_matching(chosen) is not None for chosen in subsets)
+    else:
+        certified = _window_witness_present(s, t, rows, layout)
+    if not certified:
+        raise HamPowerError(f"internal error: template s={s}, t={t} failed its certificate")
+    return template
 
 
-def _random_template_adjacency(s: int, t: int, rng: random.Random) -> tuple[int, ...]:
+def _random_template_adjacency(
+    s: int, t: int, rng: random.Random
+) -> tuple[tuple[int, ...], tuple[list[int], ...]]:
+    """Skeleton rows and their layout (x_m, perm, x_w, w_slots, xw_slots):
+    X split into the U block x_m and the W block x_w, the cyclic order of
+    x_m, and the slot orders of W and x_w."""
     xs = list(range(3 * s))
     rng.shuffle(xs)
     x_m, x_w = xs[: 2 * s], xs[2 * s:]
-
     perm = list(range(2 * s))
     rng.shuffle(perm)
-    u_adj: list[set[int]] = [set() for _ in range(2 * s)]
-    for u in range(2 * s):
-        u_adj[u].add(x_m[perm[u]])
-        u_adj[u].add(x_m[perm[(u + 1) % (2 * s)]])
+    rows = [1 << x_m[perm[u]] | 1 << x_m[perm[(u + 1) % (2 * s)]] for u in range(2 * s)]
 
     w_slots = list(range(s + t))
     rng.shuffle(w_slots)
     xw_slots = list(range(s))
     rng.shuffle(xw_slots)
-    w_adj: list[set[int]] = [set() for _ in range(s + t)]
+    rows += [0] * (s + t)
     for i in range(s + t):
-        lo, hi = max(0, i - t), min(s - 1, i)
-        for j in range(lo, hi + 1):
-            w_adj[w_slots[i]].add(x_w[xw_slots[j]])
+        for j in range(max(0, i - t), min(s - 1, i) + 1):
+            rows[2 * s + w_slots[i]] |= 1 << x_w[xw_slots[j]]
 
     # pad degree-1 W vertices with a balanced extra edge into the U-side block
     xm_load = {x: 2 for x in x_m}
-    for w in range(s + t):
-        if len(w_adj[w]) < 2:
+    for w in range(2 * s, 3 * s + t):
+        if rows[w].bit_count() < 2:
             lowest = min(xm_load.values())
-            choices = [x for x in x_m if xm_load[x] == lowest and x not in w_adj[w]]
-            x = rng.choice(choices if choices else [x for x in x_m if x not in w_adj[w]])
-            w_adj[w].add(x)
+            choices = [x for x in x_m if xm_load[x] == lowest and not rows[w] >> x & 1]
+            x = rng.choice(choices if choices else [x for x in x_m if not rows[w] >> x & 1])
+            rows[w] |= 1 << x
             xm_load[x] += 1
+    return tuple(rows), (x_m, perm, x_w, w_slots, xw_slots)
 
-    return tuple(mask_of(r) for r in u_adj + w_adj)
 
-
-def _certify(template: Template, rng: random.Random, exhaustive: bool) -> bool:
-    s, t = template.s, template.t
-    if exhaustive:
-        subsets: Iterable[tuple[int, ...]] = itertools.combinations(range(s + t), s)
-    else:
-        subsets = (tuple(rng.sample(range(s + t), s)) for _ in range(1000))
-    for chosen in subsets:
-        if template.robust_matching(chosen) is None:
-            return False
-    return True
+def _window_witness_present(
+    s: int, t: int, rows: Sequence[int], layout: tuple[list[int], ...]
+) -> bool:
+    """Whether ``rows`` hold every edge of the window witness: both cyclic
+    edges of each U vertex and every W window edge, on a layout whose x_m
+    and x_w split X and whose orders are permutations."""
+    x_m, perm, x_w, w_slots, xw_slots = layout
+    if len(x_m) != 2 * s or sorted(x_m + x_w) != list(range(3 * s)) or (
+        sorted(perm), sorted(w_slots), sorted(xw_slots)
+    ) != (list(range(2 * s)), list(range(s + t)), list(range(s))):
+        return False
+    u_edges = ((u, x_m[perm[v % (2 * s)]]) for u in range(2 * s) for v in (u, u + 1))
+    w_edges = (
+        (2 * s + w_slots[i], x_w[xw_slots[j]])
+        for i in range(s + t)
+        for j in range(max(0, i - t), min(s - 1, i) + 1)
+    )
+    return all(rows[left] >> x & 1 for left, x in itertools.chain(u_edges, w_edges))
 
 
 # --------------------------------------------------------------------------

@@ -226,9 +226,6 @@ class GraphCollection:
     def degree(self, colour: int, v: int) -> int:
         return self.masks[colour - 1][v].bit_count()
 
-    def degree_into(self, colour: int, v: int, vertex_mask: int) -> int:
-        return (self.masks[colour - 1][v] & vertex_mask).bit_count()
-
     @classmethod
     def from_edge_lists(cls, n: int, edge_lists: Sequence[Iterable[tuple[int, int]]]) -> "GraphCollection":
         """Collection from one edge list per graph; graphs with equal edge

@@ -39,7 +39,6 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .absorber import (
@@ -390,7 +389,7 @@ def _solve_with_plan(
 
     def stage_absorber(rng: random.Random) -> AbsorbingStructure:
         if plan.s_t >= 1:
-            template = build_template(plan.s_t, Fraction(plan.w_extra, plan.s_t), rng)
+            template = build_template(plan.s_t, plan.w_extra, rng)
             if template.edge_count != plan.b:
                 raise HamPowerError("internal error: template edge count diverged from the plan")
         else:

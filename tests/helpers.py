@@ -233,8 +233,8 @@ def min_pair_degree(
     """Minimum degree of the bipartite subgraph of one colour between two
     disjoint vertex sets, over the vertices of both sides."""
     a_mask, b_mask = mask_of(a_side), mask_of(b_side)
-    d = min(collection.degree_into(colour, v, b_mask) for v in a_side)
-    return min(d, min(collection.degree_into(colour, v, a_mask) for v in b_side))
+    d = min((collection.neighbour_mask(colour, v) & b_mask).bit_count() for v in a_side)
+    return min(d, min((collection.neighbour_mask(colour, v) & a_mask).bit_count() for v in b_side))
 
 
 def reference_pick_bit(mask: int, rng: random.Random) -> int:

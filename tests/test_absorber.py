@@ -1,6 +1,6 @@
 import itertools
+import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -21,7 +21,11 @@ from hampower.absorber import (
     gadget_absorb_sequence,
     template_edge_count,
 )
-from hampower.absorber import _back_neighbours
+from hampower.absorber import (
+    _back_neighbours,
+    _random_template_adjacency,
+    _window_witness_present,
+)
 from hampower.bitset import mask_of
 from hampower.core import GraphCollection, canonical_edge, power_path, verify_coloured_embedding
 from hampower.errors import (
@@ -257,20 +261,49 @@ class TestEmbedByDegeneracy:
 class TestTemplate:
     def test_exhaustive_s3(self):
         rng = random.Random(63)
-        template = build_template(3, Fraction(1, 3), rng)
+        template = build_template(3, 1, rng)
         assert template.s == 3 and template.t == 1
         assert template.verified == "exhaustive"
         for chosen in itertools.combinations(range(4), 3):
             assert template.robust_matching(chosen) is not None
 
-    def test_non_integral_eps_rejected(self):
-        with pytest.raises(TemplateError):
-            build_template(3, 0.3, random.Random(64))
+    def test_certificate_labels(self):
+        rng = random.Random(64)
+        for s, t in ((3, 1), (4, 21), (5, 10), (26, 9), (26, 39)):
+            template = build_template(s, t, rng)
+            expected = "exhaustive" if math.comb(s + t, s) <= 4096 else "constructive"
+            assert template.verified == expected, (s, t)
+
+    def test_broken_copies_fail_the_certificate(self):
+        s, t = 26, 9
+        rows, layout = _random_template_adjacency(s, t, random.Random(72))
+        x_m, perm, x_w, w_slots, xw_slots = layout
+        assert _window_witness_present(s, t, rows, layout)
+        window = list(rows)
+        slot = 2 * s + w_slots[t]  # a slot with a full window of t + 1
+        window[slot] &= ~(1 << x_w[xw_slots[0]])
+        cycle = list(rows)
+        cycle[5] &= ~(1 << x_m[perm[6]])  # u=5's second cyclic edge
+        for broken in (window, cycle):
+            assert broken != list(rows)
+            assert not _window_witness_present(s, t, broken, layout)
+
+    def test_window_witness_matches_every_sampled_subset(self):
+        s, t = 26, 39
+        rng = random.Random(73)
+        rows, (x_m, perm, x_w, w_slots, xw_slots) = _random_template_adjacency(s, t, rng)
+        slot_of = {w: i for i, w in enumerate(w_slots)}
+        u_pairs = [(u, x_m[perm[u]]) for u in range(2 * s)]
+        for _ in range(500):
+            by_slot = sorted(rng.sample(range(s + t), s), key=slot_of.__getitem__)
+            pairs = u_pairs + [(2 * s + w, x_w[xw_slots[m]]) for m, w in enumerate(by_slot)]
+            assert sorted(x for _, x in pairs) == list(range(3 * s))
+            assert all(rows[left] >> x & 1 for left, x in pairs)
 
     def test_degrees_within_bounds(self):
         rng = random.Random(65)
         for s, t in ((1, 1), (2, 1), (3, 2), (5, 1), (6, 3), (4, 10)):
-            template = build_template(s, Fraction(t, s), rng)
+            template = build_template(s, t, rng)
             assert all(2 <= d <= 40 for d in template.x_degrees())
             assert all(2 <= row.bit_count() <= 40 for row in template.rows)
             assert template.edge_count == template_edge_count(s, t)
@@ -288,10 +321,10 @@ class TestTemplate:
 
     def test_oversized_t_rejected(self):
         with pytest.raises(TemplateError):
-            build_template(2, Fraction(40, 2), random.Random(66))
+            build_template(2, 40, random.Random(66))
 
     def test_repeated_w_index_rejected(self):
-        template = build_template(3, Fraction(2, 3), random.Random(0))
+        template = build_template(3, 2, random.Random(0))
         with pytest.raises(InvalidInstanceError):
             template.robust_matching([0, 0, 1])
 
@@ -318,7 +351,7 @@ class TestRobustMatchingWarmStart:
         outcomes = set()
         for s in range(1, 7):
             for t in range(1, 7):
-                certified = build_template(s, Fraction(t, s), rng)
+                certified = build_template(s, t, rng)
                 for template in (certified, random_uncertified_template(s, t, rng)):
                     for chosen in itertools.combinations(range(s + t), s):
                         got = template.robust_matching(chosen)
@@ -329,7 +362,7 @@ class TestRobustMatchingWarmStart:
     @pytest.mark.parametrize("seed", [68, 69])
     def test_sampled_subsets_of_the_largest_template(self, seed):
         rng = random.Random(seed)
-        template = build_template(26, Fraction(39, 26), rng)
+        template = build_template(26, 39, rng)
         for _ in range(2000):
             chosen = rng.sample(range(65), 26)
             assert template.robust_matching(chosen) == reference_robust_matching(template, chosen)
@@ -345,7 +378,7 @@ class TestRobustMatchingWarmStart:
 
 def small_structure(seed=70, s=3, k=2, m=5):
     rng = random.Random(seed)
-    template = build_template(s, Fraction(1, s), rng)
+    template = build_template(s, 1, rng)
     b = template.edge_count
     a = expected_absorbed_size(k, s, b)
     m_abs = a + s + 2
@@ -411,7 +444,7 @@ class TestAbsorbingStructure:
         # t = 2: ten admissible reservoir subsets, all must absorb
         rng = random.Random(158)
         s, k, m = 3, 2, 5
-        template = build_template(s, Fraction(2, 3), rng)
+        template = build_template(s, 2, rng)
         b = template.edge_count
         a = expected_absorbed_size(k, s, b)
         m_abs = a + s + 2
@@ -429,7 +462,7 @@ class TestAbsorbingStructure:
     def test_structure_at_power_three(self):
         rng = random.Random(159)
         s, k, m = 2, 3, 4
-        template = build_template(s, Fraction(1, 2), rng)
+        template = build_template(s, 1, rng)
         b = template.edge_count
         a = expected_absorbed_size(k, s, b)
         m_abs = a + s + 2

@@ -10,7 +10,6 @@ import random
 import time
 from collections import Counter
 from contextlib import contextmanager
-from fractions import Fraction
 
 from helpers import (
     brute_count_perfect_matchings,
@@ -172,7 +171,7 @@ def test_criterion_6_template_certification():
     with criterion(6, "templates for s in {3..6}, eps*s = 1: exhaustive robustness", 30.0):
         rng = random.Random(6_000)
         for s in (3, 4, 5, 6):
-            template = build_template(s, Fraction(1, s), rng)
+            template = build_template(s, 1, rng)
             assert template.verified == "exhaustive"
             assert all(2 <= d <= 40 for d in template.x_degrees())
             for chosen in itertools.combinations(range(s + 1), s):
@@ -183,7 +182,7 @@ def test_criterion_7_absorbing_structure_scaled():
     with criterion(7, "absorbing structure k=2, s=3: size formula, all Z' absorb", 10.0):
         k, s, m = 2, 3, 5
         rng = random.Random(7_000)
-        template = build_template(s, Fraction(1, s), rng)
+        template = build_template(s, 1, rng)
         b = template.edge_count
         a = expected_absorbed_size(k, s, b)
         m_abs = a + s + 2

@@ -355,7 +355,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "k, seed, digest",
         [
-            (2, 7, "4d01f96dd338d5f8d894ebd8b12543138e3a1233da1e1ace12599a0f83acbb9b"),
+            (2, 7, "166fb32da12b5ed867c9b251c4e41e368dfe87604f65b9af60f5178cad5dc860"),
             (3, 8, "aad775984742c72546cbd0529c899c286a6af8299a7337372ef06e0aac619822"),
         ],
     )
