@@ -24,6 +24,7 @@ reflection are handled by callers (the oracle searches over placements).
 
 from __future__ import annotations
 
+import functools
 import json
 import reprlib
 from dataclasses import dataclass
@@ -102,17 +103,32 @@ def host_edges(host: HostTemplate) -> list[Edge]:
     """Canonical edge list of a host, sorted lexicographically.
 
     Connector edges are the power-path edges minus those inside the first
-    ``a`` and inside the last ``b`` positions.
+    ``a`` and inside the last ``b`` positions.  The list is the caller's own
+    copy.
     """
+    return list(_host_edges(host))
+
+
+# A solve meets a few dozen hosts (its cycle, the absorbing and builder
+# paths, the connector shapes, one path per gadget size) and most of them
+# many times; C_2000^2's 4000 edges cost about 0.5 MB as tuple and set.
+@functools.lru_cache(maxsize=128)
+def _host_edges(host: HostTemplate) -> tuple[Edge, ...]:
+    """:func:`host_edges` as a shared tuple, built once per host."""
     n, k = host.order, host.k
     if host.kind == POWER_CYCLE:
         edges = {canonical_edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)}
-        return sorted(edges)
+        return tuple(sorted(edges))
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
     if host.kind == CONNECTOR:
         a, b = host.a, host.b
         edges = [(i, j) for (i, j) in edges if not (j < a or i >= n - b)]
-    return edges
+    return tuple(edges)
+
+
+@functools.lru_cache(maxsize=128)
+def _host_edge_set(host: HostTemplate) -> frozenset[Edge]:
+    return frozenset(_host_edges(host))
 
 
 @dataclass(frozen=True, eq=True)
@@ -123,11 +139,11 @@ class ColourPattern:
     colours: Mapping[Edge, int]
 
     def __post_init__(self) -> None:
-        expected = host_edges(self.host)
-        got = set(self.colours)
-        if got != set(expected):
-            missing = set(expected) - got
-            extra = got - set(expected)
+        expected = _host_edge_set(self.host)
+        if len(self.colours) != len(expected) or not expected.issuperset(self.colours):
+            got = set(self.colours)
+            missing = expected - got
+            extra = got - expected
             raise InvalidPatternError(
                 f"pattern domain mismatch: {len(missing)} host edges missing, "
                 f"{len(extra)} extraneous (e.g. missing={sorted(missing)[:3]}, "
@@ -355,12 +371,11 @@ def verify_coloured_embedding(
     for v in vertices:
         if not (0 <= v < collection.n):
             raise VerificationInputError(f"vertex {v} out of range for n={collection.n}")
-    for (i, j) in host_edges(host):
-        c = pattern.colours[(i, j)]
-        if c > collection.m:
-            return VerifyResult(False, (i, j))
-        if not collection.has_edge(c, vertices[i], vertices[j]):
-            return VerifyResult(False, (i, j))
+    colours, masks, m = pattern.colours, collection.masks, collection.m
+    for e in _host_edges(host):
+        c = colours[e]
+        if c > m or not (masks[c - 1][vertices[e[0]]] >> vertices[e[1]]) & 1:
+            return VerifyResult(False, e)
     return VerifyResult(True, None)
 
 
@@ -389,13 +404,15 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
             raise InvalidPatternError(
                 f"window [{start}, {start + target.order}) out of range for order {src.order}"
             )
-        pos = lambda i: start + i
+    n, off, colours = src.order, start % src.order, pattern.colours
+    edges = _host_edges(target)
+    if off + target.order <= n:  # no wrap: shifted edges stay canonical
+        window = {(i, j): colours[off + i, off + j] for (i, j) in edges}
     else:
-        pos = lambda i: (start + i) % src.order
-    colours = {
-        (i, j): pattern.colour_of(pos(i), pos(j)) for (i, j) in host_edges(target)
-    }
-    return ColourPattern(target, colours)
+        window = {
+            (i, j): colours[canonical_edge((off + i) % n, (off + j) % n)] for (i, j) in edges
+        }
+    return ColourPattern(target, window)
 
 
 # --- instance / pattern / cycle file formats (JSON text) ------------------

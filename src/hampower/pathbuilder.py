@@ -128,12 +128,15 @@ def _assert_window_tiling(
 ) -> None:
     """Each chain's trailing window must be a clique in the pattern colours."""
     lo = max(0, lvl - k + 1)
+    pairs = [
+        (p, q, collection.masks[pat.colours[p, q] - 1])
+        for p in range(lo, lvl + 1)
+        for q in range(p + 1, lvl + 1)
+    ]
     for chain in chains:
-        for p in range(lo, lvl + 1):
-            for q in range(p + 1, lvl + 1):
-                colour = pat.colour_of(p, q)
-                if not collection.has_edge(colour, chain[p], chain[q]):
-                    raise HamPowerError(
-                        f"internal error: step {step} tiling invariant broken at "
-                        f"levels ({p},{q})"
-                    )
+        for (p, q, rows) in pairs:
+            if not (rows[chain[p]] >> chain[q]) & 1:
+                raise HamPowerError(
+                    f"internal error: step {step} tiling invariant broken at "
+                    f"levels ({p},{q})"
+                )

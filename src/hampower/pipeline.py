@@ -161,20 +161,36 @@ def _best_plan_for(
 ) -> Optional[Plan]:
     r = config.r
     t_target = max(1, int(config.gamma * n))
-    t_lo, t_hi = (k, n) if s_t == 0 else (1, 39)
+    if s_t == 0:
+        # a = k for every t, so navail = n - k - 2 - t.  g >= 0 needs
+        # t >= (s+c+1)k, where s+c = navail - s(r-1) is at least navail/r
+        # (s <= navail/r) and at least navail - s_force(r-1): every t below
+        # the bounds these give has g < 0.
+        free = n - k - 2
+        t_lo = max(k, -(-k * (free + r) // (r + k)))
+        if s_force is not None:
+            t_lo = max(t_lo, -(-k * (free - s_force * (r - 1) + 1) // (k + 1)))
+        t_hi = n
+    else:
+        t_lo, t_hi = 1, 39
     best: Optional[tuple] = None
     for t in range(t_lo, t_hi + 1):
         b = template_edge_count(s_t, t)
         a = expected_absorbed_size(k, s_t, b)
         m_abs = a + s_t + 2
         navail = n - a - (s_t + t + 2)
-        if navail < 0:
-            continue
+        if navail < 0:  # a never falls as t grows, so navail falls strictly: all later t fail
+            break
         n1 = navail // r
         s_cap = min(n1, int((1 - config.epsilon) * n1 + 1e-9))
         s = min(s_cap, navail // r)
         if s_force is not None:
             s = min(s, s_force)
+        if best is not None:
+            if s < best[0]:  # s never grows with t, so no later t matches the best's s
+                break
+            if t - t_target >= -best[1]:  # no later t is nearer t_target; ties keep the smaller t
+                break
         c = navail - s * r
         g = t - (s + c + 1) * k
         if g < 0:

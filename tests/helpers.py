@@ -5,7 +5,8 @@ paths: matchings by exhaustive recursion, permanents by permutation
 enumeration, Hamilton powers by permutation scan.  The ``reference_*``
 functions are the plain from-scratch forms of computations the library
 shortcuts (a bit walk over the whole mask, one ``max_matching`` per
-template subset, one gadget built per pattern); the shortcuts must agree
+template subset, one gadget built per pattern, every t the planner could
+try); the shortcuts must agree
 with them exactly.
 """
 
@@ -15,11 +16,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
-from hampower.absorber import GadgetBlueprint
+from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_edge_count
 from hampower.bitset import mask_of, select
 from hampower.core import GraphCollection, canonical_edge, host_edges
-from hampower.matching import BipartiteGraph, max_matching
+from hampower.matching import EXACT_SIDE_CAP, BipartiteGraph, max_matching
+from hampower.pipeline import PipelineConfig, Plan
 
 
 def bipartite(adj, n_right: int) -> BipartiteGraph:
@@ -294,3 +297,63 @@ def reference_gadget_blueprint(k: int, ell: int, pattern) -> GadgetBlueprint:
     return GadgetBlueprint(
         k, ell, a_ids, b_ids, c_ids, tuple(seq), edges, position, tuple(back)
     )
+
+
+def _reference_best_plan_for(
+    n: int, k: int, config: PipelineConfig, s_t: int, s_force: Optional[int] = None
+) -> Optional[Plan]:
+    r = config.r
+    t_target = max(1, int(config.gamma * n))
+    t_lo, t_hi = (k, n) if s_t == 0 else (1, 39)
+    best: Optional[tuple] = None
+    for t in range(t_lo, t_hi + 1):
+        b = template_edge_count(s_t, t)
+        a = expected_absorbed_size(k, s_t, b)
+        m_abs = a + s_t + 2
+        navail = n - a - (s_t + t + 2)
+        if navail < 0:
+            continue
+        n1 = navail // r
+        s_cap = min(n1, int((1 - config.epsilon) * n1 + 1e-9))
+        s = min(s_cap, navail // r)
+        if s_force is not None:
+            s = min(s, s_force)
+        c = navail - s * r
+        g = t - (s + c + 1) * k
+        if g < 0:
+            continue
+        cand = (s, -abs(t - t_target), -t, s_t, t, b, a, m_abs, c, g, n1)
+        if best is None or cand > best:
+            best = cand
+    if best is None:
+        return None
+    s, _, _, s_t_, t, b, a, m_abs, c, g, n1 = best
+    return Plan(n, k, r, s_t_, t, b, a, m_abs, s, c, g, n1)
+
+
+def reference_candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
+    """``candidate_plans`` with the full t-scan: every t in range is tried,
+    with no early exit, and the best by the same ranking key is kept."""
+    if n < 3 * k:  # the closing connector's end windows must not collide
+        return []
+    plans: list[Plan] = []
+    s_t_max = int(config.beta * n) if k >= 2 else 0  # gadgets need k >= 2
+    for s_t in range(s_t_max, 0, -1):
+        plan = _reference_best_plan_for(n, k, config, s_t)
+        if plan is not None:
+            plans.append(plan)
+    base = _reference_best_plan_for(n, k, config, 0)
+    if base is not None:
+        plans.append(base)
+        s_next = base.s // 2
+        while s_next > 0:
+            plan = _reference_best_plan_for(n, k, config, 0, s_force=s_next)
+            if plan is not None and plan not in plans:
+                plans.append(plan)
+            s_next //= 2
+        sweep_only = _reference_best_plan_for(n, k, config, 0, s_force=0)
+        if sweep_only is not None and sweep_only not in plans:
+            plans.append(sweep_only)
+    if config.sampler_mode == "exact":
+        plans = [p for p in plans if p.s == 0 or p.n1 <= EXACT_SIDE_CAP]
+    return plans

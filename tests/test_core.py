@@ -61,6 +61,17 @@ class TestHostEdges:
         for k in (1, 2, 5):
             assert host_edges(power_path(1, k)) == []
 
+    def test_returned_list_is_the_callers_own(self):
+        for host in (power_cycle(9, 2), power_path(5, 2), connector(2, 2, 2)):
+            first = host_edges(host)
+            kept = list(first)
+            first.append((0, 0))
+            first.reverse()
+            second = host_edges(host)
+            assert second == kept and second is not first
+            second.clear()
+            assert host_edges(host) == kept
+
     def test_sorted_and_duplicate_free(self):
         for host in (power_cycle(7, 3), power_path(9, 2), connector(2, 1, 2)):
             edges = host_edges(host)
@@ -186,6 +197,20 @@ class TestPatternValidation:
         host = power_path(3, 1)
         with pytest.raises(InvalidPatternError):
             ColourPattern(host, {(0, 1): 0, (1, 2): 1})
+
+    @pytest.mark.parametrize("host", [power_path(6, 2), power_cycle(9, 2), connector(2, 1, 2)])
+    def test_domain_checked_against_a_cached_host(self, host):
+        edges = host_edges(host)
+        ColourPattern(host, dict.fromkeys(edges, 1))  # the host's edges are cached now
+        outside = (0, host.order - 1) if host.kind != "power_cycle" else (0, 4)
+        assert outside not in edges
+        for colours in (
+            dict.fromkeys(edges[1:], 1),                 # one edge missing
+            dict.fromkeys(edges + [outside], 1),         # one edge extra
+            dict.fromkeys(edges[1:] + [outside], 1),     # as many edges, one swapped
+        ):
+            with pytest.raises(InvalidPatternError, match="domain mismatch"):
+                ColourPattern(host, colours)
 
 
 class TestVerify:
@@ -335,6 +360,31 @@ class TestRestrictPattern:
         sub = restrict_pattern(pattern, 4, connector(2, 2, 2))
         assert (0, 1) not in sub.colours  # end-block edges dropped
         assert sub.colour_of(1, 2) == pattern.colour_of(5, 6)
+
+    @pytest.mark.parametrize(
+        "source, start, target",
+        [
+            (power_cycle(12, 2), 3, power_path(5, 2)),
+            (power_cycle(12, 2), 9, power_path(6, 2)),      # wraps
+            (power_cycle(12, 2), -2, connector(2, 1, 2)),   # wraps from a negative start
+            (power_cycle(11, 3), 5, connector(3, 3, 3)),
+            (power_cycle(11, 3), 0, power_path(11, 3)),     # the whole cycle
+            (power_path(10, 3), 2, connector(1, 3, 3)),
+            (power_path(10, 3), 0, power_path(10, 3)),
+        ],
+    )
+    def test_matches_a_build_from_listed_edges(self, source, start, target):
+        pattern = random_pattern(source, 5, random.Random(start))
+        n, k, a, b = target.order, target.k, target.a, target.b
+        listed = [
+            (i, j) for i in range(n) for j in range(i + 1, min(i + k + 1, n))
+            if not (j < a or i >= n - b)  # a connector drops its end blocks
+        ]
+        colours = {
+            (i, j): pattern.colour_of((start + i) % source.order, (start + j) % source.order)
+            for (i, j) in listed
+        }
+        assert restrict_pattern(pattern, start, target) == ColourPattern(target, colours)
 
     def test_out_of_range_window_rejected(self):
         rng = random.Random(7)
@@ -534,6 +584,23 @@ class TestVerifyEdgeCases:
         pattern = random_pattern(power_path(3, 1), 1, random.Random(11))
         with _pytest.raises(VerificationInputError):
             verify_coloured_embedding(coll, pattern, [0, 1, 9])
+
+    def test_first_offending_edge_in_canonical_order(self):
+        # graph 2 misses every edge at vertex 5, graph 3 is empty
+        n = 8
+        full = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        coll = GraphCollection.from_edge_lists(n, [full, [e for e in full if 5 not in e], []])
+        host = power_cycle(n, 2)
+        rng = random.Random(12)
+        for _ in range(30):
+            pattern = random_pattern(host, 3, rng)
+            vertices = rng.sample(range(n), n)
+            bad = [
+                (i, j) for (i, j) in host_edges(host)
+                if not coll.has_edge(pattern.colours[(i, j)], vertices[i], vertices[j])
+            ]
+            result = verify_coloured_embedding(coll, pattern, vertices)
+            assert result == (not bad, bad[0] if bad else None)
 
     def test_colour_beyond_m_reported_not_raised(self):
         coll = complete_collection(4, 1)

@@ -9,13 +9,13 @@ from hampower.core import (
     power_path,
     verify_coloured_embedding,
 )
-from hampower.errors import InvalidInstanceError, NoMatchingError
+from hampower.errors import HamPowerError, InvalidInstanceError, NoMatchingError
 from hampower.instances import (
     complete_rpartite_collection,
     random_pattern,
     random_rpartite_collection,
 )
-from hampower.pathbuilder import build_path_collection
+from hampower.pathbuilder import _assert_window_tiling, build_path_collection
 
 
 def _three_parts_with_sparse_pair(cross):
@@ -131,3 +131,22 @@ class TestBuildPathCollection:
         patterns = [random_pattern(power_path(4, 2), 3, rng) for _ in range(2)]
         paths = build_path_collection(coll, parts, patterns, 2, rng, sampler_mode="exact")
         assert len(paths) == 2
+
+
+class TestWindowTilingCheck:
+    def test_names_the_first_broken_pair_of_the_first_broken_chain(self):
+        # colour 2 misses 3-5 and 4-5 (chain 1's pairs (0,2) and (1,2)) and
+        # 6-7 (chain 2's pair (0,1)); chains are checked one at a time
+        full = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+        holes = {(3, 5), (4, 5), (6, 7)}
+        coll = GraphCollection.from_edge_lists(9, [full, [e for e in full if e not in holes]])
+        pattern = ColourPattern(power_path(3, 3), dict.fromkeys(host_edges(power_path(3, 3)), 2))
+        chains = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        first = r"^internal error: step 7 tiling invariant broken at levels \(0,2\)$"
+        with pytest.raises(HamPowerError, match=first):
+            _assert_window_tiling(coll, pattern, chains, 2, 3, 7)
+        _assert_window_tiling(coll, pattern, chains[:1], 2, 3, 7)
+        # with k = 2 the window at level 2 is levels 1..2 only
+        with pytest.raises(HamPowerError, match=r"levels \(1,2\)$"):
+            _assert_window_tiling(coll, pattern, chains, 2, 2, 7)
+        _assert_window_tiling(coll, pattern, chains[2:], 2, 2, 7)

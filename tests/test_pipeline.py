@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import reference_candidate_plans
 from hampower.core import (
     ColourPattern,
     GraphCollection,
@@ -85,6 +86,35 @@ class TestPlan:
                 assert total == k * n
                 checked += 1
         assert checked > 150
+
+
+# every n up to 400, then the sizes the benchmarks and sweeps use
+PLANNER_NS = [*range(3, 401), 500, 777, 1000, 1200, 1500, 2000, 3000, 5000]
+
+
+def _planner_configs(k: int) -> list[PipelineConfig]:
+    return [
+        CONFIG,
+        replace(CONFIG, r=k + 1),
+        replace(CONFIG, epsilon=0.5, r=8),
+        # t_target = 0.3 n is past t's cap of 39 for n >= 133, and at k = 1
+        # past the first feasible t of s_t = 0, so that several t tie on s
+        PipelineConfig(alpha=0.5, beta=0.32, gamma=0.3, epsilon=0.1, r=7),
+    ]
+
+
+class TestPlannerScan:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bounded_scan_matches_the_full_scan(self, k):
+        for config in _planner_configs(k):
+            exact = replace(config, sampler_mode="exact")
+            for n in PLANNER_NS:
+                full = reference_candidate_plans(n, k, config)
+                assert candidate_plans(n, k, config) == full, (n, config)
+                # the reference's exact-mode list is this filter of the same scan
+                assert candidate_plans(n, k, exact) == [
+                    p for p in full if p.s == 0 or p.n1 <= EXACT_SIDE_CAP
+                ], (n, config)
 
 
 class TestSampleReservoir:
