@@ -16,7 +16,7 @@ import time
 from typing import Sequence
 
 from . import core, instances, oracle, pipeline
-from .errors import HamPowerError, InfeasibleConfigError, StageFailedError
+from .errors import HamPowerError, InfeasibleConfigError, InvalidInstanceError, StageFailedError
 
 CSV_FIELDS = [
     "seed", "n", "k", "r", "delta_frac", "mode",
@@ -178,6 +178,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.generator in ("complete", "random") and args.n > core.MAX_FILE_ORDER:
+        # the loaders would refuse the file, so do not build it
+        raise InvalidInstanceError(
+            f"--n {args.n} exceeds the instance file limit {core.MAX_FILE_ORDER}"
+        )
     if args.generator == "complete":
         collection = instances.complete_collection(args.n, args.m)
         core.save_json(args.out_instance, core.collection_to_dict(collection))

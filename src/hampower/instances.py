@@ -5,12 +5,19 @@ with a minimum-degree floor, r-partite collections with per-pair bipartite
 degree floors, and the two-colour lower-bound family (a complete balanced
 multipartite graph paired with its matching-thinned companion plus a short
 colour-2 connector window, under which no compatible Hamilton power exists).
+
+The random generators keep one draw order, so a seed gives the same
+collection in every version: per graph, one ``rng.random()`` per vertex pair,
+then the repair's ``rng.sample`` calls.  The draws are made in C, a row or a
+part-pair block at a time, and kept as bytes of 0/1 flags until they are
+read back as mask rows.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import count
+from itertools import count, repeat, starmap
+from operator import lt
 
 from .bitset import select
 from .core import (
@@ -37,10 +44,33 @@ __all__ = [
 ]
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _check_counts(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise InvalidInstanceError(f"{name} must be >= 1, got {value}")
+
+
+def _draw_flags(rng: random.Random, size: int, density: float) -> bytes:
+    """``size`` Bernoulli flags, one ``rng.random()`` call each, in order:
+    flag i is 1 exactly when the i-th draw is below ``density``.
+
+    ``operator.lt`` is the ``<`` of a Python loop, so an int density
+    compares as it would there.
+    """
+    return bytes(map(lt, starmap(rng.random, repeat((), size)), repeat(density)))
+
+
+def _mask_of_flags(flags: bytes | bytearray) -> int:
+    """The mask whose bit i is ``flags[i]`` (non-empty 0/1 flags)."""
+    return int(flags[::-1].translate(_FLAG_DIGITS), 2)
+
+
 def complete_collection(n: int, m: int) -> GraphCollection:
     """m copies of K_n (a single mask table shared by reference)."""
-    if n < 1 or m < 1:
-        raise InvalidInstanceError("complete_collection needs n >= 1 and m >= 1")
+    _check_counts(n=n, m=m)
     full = (1 << n) - 1
     rows = [full ^ (1 << v) for v in range(n)]
     return GraphCollection(n, [rows] * m)
@@ -59,6 +89,7 @@ def complete_rpartite_collection(
     r: int, part_size: int, m: int
 ) -> tuple[GraphCollection, list[list[int]]]:
     """m copies of the complete r-partite graph on balanced parts."""
+    _check_counts(r=r, part_size=part_size, m=m)
     parts = _rpartite_parts(r, part_size)
     n = r * part_size
     full = (1 << n) - 1
@@ -78,10 +109,16 @@ def random_rpartite_collection(
     ceil(delta_frac * part_size) in every graph.
 
     Each cross-part bipartite graph is sampled edge-independently at density
-    ``delta_frac`` and then repaired upward until the floor holds.
+    ``delta_frac`` and then repaired upward until the floor holds.  Per graph
+    and per part pair (i, j), i < j, in lexicographic order: one
+    ``rng.random()`` per vertex pair (u, v), u in part i and v in part j, in
+    lexicographic order (edge when the draw is below ``delta_frac``), then
+    the pair's repair, one ``rng.sample`` per short vertex of part i and
+    then of part j.
     """
     if not (0.0 <= delta_frac <= 1.0):
         raise InvalidInstanceError("delta_frac must lie in [0, 1]")
+    _check_counts(r=r, part_size=part_size, m=m)
     parts = _rpartite_parts(r, part_size)
     part_masks = _part_masks(r, part_size)
     n = r * part_size
@@ -91,11 +128,17 @@ def random_rpartite_collection(
         rows = [0] * n
         for pi in range(r):
             for pj in range(pi + 1, r):
-                for u in parts[pi]:
-                    for v in parts[pj]:
-                        if rng.random() < delta_frac:
-                            rows[u] |= 1 << v
-                            rows[v] |= 1 << u
+                # flags[a * part_size + b]: edge from the a-th vertex of part
+                # pi to the b-th of part pj; a row slice and a strided column
+                # slice give the two sides' masks
+                flags = _draw_flags(rng, part_size * part_size, delta_frac)
+                for a in range(part_size):
+                    rows[pi * part_size + a] |= (
+                        _mask_of_flags(flags[a * part_size:(a + 1) * part_size]) << (pj * part_size)
+                    )
+                    rows[pj * part_size + a] |= (
+                        _mask_of_flags(flags[a::part_size]) << (pi * part_size)
+                    )
                 for side, other in ((pi, pj), (pj, pi)):
                     for u in parts[side]:
                         have = rows[u] & part_masks[other]
@@ -117,19 +160,27 @@ def random_min_degree_collection(
 ) -> GraphCollection:
     """Each graph: independent edge sampling at density ``delta_frac``, then
     greedy edge additions until the minimum degree reaches
-    min(ceil(delta_frac * n), n-1)."""
+    min(ceil(delta_frac * n), n-1).
+
+    Per graph: one ``rng.random()`` per vertex pair (u, v), u < v, in
+    lexicographic order (edge when the draw is below ``delta_frac``), then
+    one ``rng.sample`` per vertex u below the target degree, in increasing u.
+    """
     if not (0.0 <= delta_frac <= 1.0):
         raise InvalidInstanceError("delta_frac must lie in [0, 1]")
+    _check_counts(n=n, m=m)
     target = 0 if delta_frac <= 0 else min(n - 1, int(delta_frac * n - 1e-9) + 1)
     full = (1 << n) - 1
     tables = []
     for _ in range(m):
-        rows = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < delta_frac:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
+        # adjacency[u * n + v] is 1 when uv is an edge: row u's draws go into
+        # its row and, by one strided slice, into column u
+        adjacency = bytearray(n * n)
+        for u in range(n - 1):
+            flags = _draw_flags(rng, n - 1 - u, delta_frac)
+            adjacency[u * n + u + 1:(u + 1) * n] = flags
+            adjacency[(u + 1) * n + u::n] = flags
+        rows = [_mask_of_flags(adjacency[u * n:(u + 1) * n]) for u in range(n)]
         for u in range(n):
             short = target - rows[u].bit_count()
             if short > 0:

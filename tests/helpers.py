@@ -6,8 +6,8 @@ enumeration, Hamilton powers by permutation scan.  The ``reference_*``
 functions are the plain from-scratch forms of computations the library
 shortcuts (a bit walk over the whole mask, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
-try); the shortcuts must agree
-with them exactly.
+try, one interpreted ``rng.random()`` per vertex pair); the shortcuts must
+agree with them exactly.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_edge_count
 from hampower.bitset import mask_of, select
 from hampower.core import GraphCollection, canonical_edge, host_edges
+from hampower.errors import InvalidInstanceError
 from hampower.matching import EXACT_SIDE_CAP, BipartiteGraph, max_matching
 from hampower.pipeline import PipelineConfig, Plan
 
@@ -357,3 +359,65 @@ def reference_candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Pl
     if config.sampler_mode == "exact":
         plans = [p for p in plans if p.s == 0 or p.n1 <= EXACT_SIDE_CAP]
     return plans
+
+
+def reference_random_rpartite_collection(
+    r: int, part_size: int, m: int, delta_frac: float, rng: random.Random
+) -> tuple[GraphCollection, list[list[int]]]:
+    """``random_rpartite_collection`` with one interpreted ``rng.random()``
+    per cross-part vertex pair, written into the rows bit by bit."""
+    if not (0.0 <= delta_frac <= 1.0):
+        raise InvalidInstanceError("delta_frac must lie in [0, 1]")
+    parts = [list(range(i * part_size, (i + 1) * part_size)) for i in range(r)]
+    part_masks = [((1 << part_size) - 1) << (i * part_size) for i in range(r)]
+    n = r * part_size
+    target = 0 if delta_frac <= 0 else min(part_size, int(delta_frac * part_size - 1e-9) + 1)
+    tables = []
+    for _ in range(m):
+        rows = [0] * n
+        for pi in range(r):
+            for pj in range(pi + 1, r):
+                for u in parts[pi]:
+                    for v in parts[pj]:
+                        if rng.random() < delta_frac:
+                            rows[u] |= 1 << v
+                            rows[v] |= 1 << u
+                for side, other in ((pi, pj), (pj, pi)):
+                    for u in parts[side]:
+                        have = rows[u] & part_masks[other]
+                        short = target - have.bit_count()
+                        if short > 0:
+                            missing = list(select(part_masks[other] ^ have, count()))
+                            for v in rng.sample(missing, short):
+                                rows[u] |= 1 << v
+                                rows[v] |= 1 << u
+        tables.append(rows)
+    return GraphCollection(n, tables), parts
+
+
+def reference_random_min_degree_collection(
+    n: int, m: int, delta_frac: float, rng: random.Random
+) -> GraphCollection:
+    """``random_min_degree_collection`` with one interpreted
+    ``rng.random()`` per vertex pair, written into the rows bit by bit."""
+    if not (0.0 <= delta_frac <= 1.0):
+        raise InvalidInstanceError("delta_frac must lie in [0, 1]")
+    target = 0 if delta_frac <= 0 else min(n - 1, int(delta_frac * n - 1e-9) + 1)
+    full = (1 << n) - 1
+    tables = []
+    for _ in range(m):
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < delta_frac:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        for u in range(n):
+            short = target - rows[u].bit_count()
+            if short > 0:
+                missing = list(select(full ^ rows[u] ^ (1 << u), count()))
+                for v in rng.sample(missing, short):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        tables.append(rows)
+    return GraphCollection(n, tables)

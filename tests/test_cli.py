@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hampower import cli, core
+from hampower import cli, core, instances
 from hampower.instances import bijective_pattern, complete_collection
 
 
@@ -171,6 +171,55 @@ class TestErrors:
         assert captured.err.startswith("usage error: --budget") and captured.out == ""
         assert cli.dispatch(args + ["0"]) == 2  # a zero budget stays legal
         assert "UNKNOWN (budget exhausted after 0 nodes)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "--n", "-1", "--m", "2", "--delta", "0.5"],
+            ["random", "--n", "0", "--m", "2", "--delta", "0.5"],
+            ["random", "--n", "5", "--m", "0", "--delta", "0.5"],
+            ["complete", "--n", "-1", "--m", "1"],
+            ["complete", "--n", "5", "--m", "0"],
+        ],
+        ids=["random-negative-n", "random-zero-n", "random-zero-m", "complete-negative-n",
+             "complete-zero-m"],
+    )
+    def test_gen_bad_size_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "inst.json"
+        assert cli.dispatch(["gen", *argv, "--out-instance", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator", ["complete", "random"])
+    def test_gen_order_above_file_limit_exit_1(self, tmp_path, capsys, monkeypatch, generator):
+        def refuse(*args):
+            raise AssertionError("a generator ran on an order the loaders refuse")
+
+        monkeypatch.setattr(instances, "complete_collection", refuse)
+        monkeypatch.setattr(instances, "random_min_degree_collection", refuse)
+        out = tmp_path / "inst.json"
+        argv = ["gen", generator, "--n", str(core.MAX_FILE_ORDER + 1), "--m", "1",
+                "--out-instance", str(out)]
+        if generator == "random":
+            argv += ["--delta", "0.5"]
+        assert cli.dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: --n {core.MAX_FILE_ORDER + 1} exceeds the instance file limit"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator", ["complete", "random"])
+    def test_gen_order_at_file_limit_is_written(self, tmp_path, monkeypatch, generator):
+        monkeypatch.setattr(core, "MAX_FILE_ORDER", 6)
+        extra = ["--delta", "0.5"] if generator == "random" else []
+        at, above = tmp_path / "at.json", tmp_path / "above.json"
+        assert cli.dispatch(["gen", generator, "--n", "6", "--m", "2", *extra,
+                             "--out-instance", str(at)]) == 0
+        assert core.collection_from_dict(core.load_json(str(at))).n == 6
+        assert cli.dispatch(["gen", generator, "--n", "7", "--m", "2", *extra,
+                             "--out-instance", str(above)]) == 1
+        assert not above.exists()
 
     @pytest.mark.parametrize(
         "file, field, value",

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from helpers import min_pair_degree
+from helpers import (
+    min_pair_degree,
+    reference_random_min_degree_collection,
+    reference_random_rpartite_collection,
+)
 from hampower.bitset import mask_of
 from hampower.core import (
     GraphCollection,
@@ -72,6 +76,71 @@ class TestRandomMinDegree:
         n = 12
         coll = random_min_degree_collection(n, 1, (n - 1) / n, rng)
         assert min_degree(coll) == n - 1
+
+
+class TestSizeErrors:
+    """Sizes are checked before any draw, with a typed error."""
+
+    @pytest.mark.parametrize("n, m", [(-1, 1), (0, 1), (3, 0), (3, -2)])
+    def test_random_min_degree(self, n, m):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError):
+            random_min_degree_collection(n, m, 0.5, rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("r, part_size, m", [(0, 3, 1), (-1, 3, 1), (2, 0, 1), (2, -1, 1),
+                                                 (2, 3, 0)])
+    def test_rpartite(self, r, part_size, m):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError):
+            random_rpartite_collection(r, part_size, m, 0.5, rng)
+        assert rng.getstate() == state
+        with pytest.raises(InvalidInstanceError):
+            complete_rpartite_collection(r, part_size, m)
+
+    @pytest.mark.parametrize("n, m", [(-1, 1), (0, 1), (3, 0)])
+    def test_complete(self, n, m):
+        with pytest.raises(InvalidInstanceError):
+            complete_collection(n, m)
+
+
+def _densities(size: int) -> list:
+    # int and float forms of 0 and 1 both, and the fraction that makes the
+    # floor size - 1
+    return [0, 1, 0.0, 0.5, 0.95, 1.0, (size - 1) / size]
+
+
+class TestDrawsMatchReference:
+    """The generators make the reference loops' draws in the same order:
+    equal collections and equal rng states after the call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 150])
+    def test_random_min_degree(self, n):
+        for m in (1, 3):
+            for seed in range(5):
+                for delta in _densities(n):
+                    got_rng, want_rng = random.Random(seed), random.Random(seed)
+                    got = random_min_degree_collection(n, m, delta, got_rng)
+                    want = reference_random_min_degree_collection(n, m, delta, want_rng)
+                    assert got == want, (n, m, seed, delta)
+                    assert got_rng.getstate() == want_rng.getstate(), (n, m, seed, delta)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_random_rpartite(self, r):
+        for part_size in (1, 2, 7, 16):
+            for m in (1, 3):
+                for seed in range(5):
+                    for delta in _densities(part_size):
+                        got_rng, want_rng = random.Random(seed), random.Random(seed)
+                        got = random_rpartite_collection(r, part_size, m, delta, got_rng)
+                        want = reference_random_rpartite_collection(
+                            r, part_size, m, delta, want_rng
+                        )
+                        case = (r, part_size, m, seed, delta)
+                        assert got == want, case
+                        assert got_rng.getstate() == want_rng.getstate(), case
 
 
 class TestRPartite:
