@@ -52,6 +52,7 @@ from .core import (
     ColourPattern,
     Edge,
     GraphCollection,
+    HostTemplate,
     PowerPath,
     canonical_edge,
     connector,
@@ -611,7 +612,9 @@ def build_absorbing_structure(
     if cursor + 1 != m_abs:
         raise HamPowerError("internal error: absorber layout does not fill the path")
 
-    _assert_absorber_partition(pattern, x_degrees, gadget_starts, connector_starts, m_abs, k)
+    _assert_absorber_partition(
+        pattern.host, tuple(x_degrees), tuple(gadget_starts), tuple(connector_starts), k
+    )
 
     full = (1 << collection.n) - 1
     used = mask_of(y_tuple) | mask_of(z_set)
@@ -666,15 +669,20 @@ def build_absorbing_structure(
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _assert_absorber_partition(
-    pattern: ColourPattern,
-    x_degrees: Sequence[int],
-    gadget_starts: Sequence[int],
-    connector_starts: Sequence[int],
-    m_abs: int,
+    host: HostTemplate,
+    x_degrees: tuple[int, ...],
+    gadget_starts: tuple[int, ...],
+    connector_starts: tuple[int, ...],
     k: int,
 ) -> None:
-    """The gadget windows plus connector hosts must tile the path edges."""
+    """The gadget windows plus connector hosts must tile the path edges.
+
+    The layout is fixed by k and the gadget sizes, so each layout is
+    checked once per process; a broken one raises on every call (an
+    exception is not cached).
+    """
     covered: set[Edge] = set()
     total = 0
 
@@ -695,11 +703,10 @@ def _assert_absorber_partition(
     for idx, start in enumerate(connector_starts):
         a_len = 1 if idx == 0 else k
         b_len = 1 if idx == len(connector_starts) - 1 else k
-        host = connector(a_len, b_len, k)
         shift = start - a_len
-        add((shift + p, shift + q) for (p, q) in host_edges(host))
+        add((shift + p, shift + q) for (p, q) in host_edges(connector(a_len, b_len, k)))
 
-    expected = set(host_edges(pattern.host))
+    expected = set(host_edges(host))
     if covered != expected:
         raise HamPowerError(
             f"internal error: absorber windows cover {total} edges, host has {len(expected)}"

@@ -2,15 +2,18 @@
 
 A :class:`BipartiteGraph` is one neighbour bitmask per left vertex plus the
 mask of its right vertices.  Right vertices keep the ids the caller gives
-them (the path builder uses global vertex ids), and every function here
-returns (left index, right vertex id) pairs.
+them, and every function here returns (left index, right vertex id) pairs.
+The path builder numbers a part's vertices by their position in the part's
+sorted vertex list, so its right ids are small ints below the part size.
 
 :func:`tiling_graph` turns "attach one more level to a family of partial
 cliques" into a single bipartite matching problem: the auxiliary graph has
 one left vertex per tile, adjacent to a right vertex exactly when that
 vertex completes the tile (is adjacent to every tile member, each in the
-graph named for its position).  A perfect matching in the auxiliary graph
-extends a perfect K_k-tiling to a perfect K_{k+1}-tiling.
+graph named for its position).  The caller hands it one row table per tile
+position, already read into the right vertices' ids.  A perfect matching in
+the auxiliary graph extends a perfect K_k-tiling to a perfect
+K_{k+1}-tiling.
 
 Augmenting paths are searched depth first with an explicit stack, so their
 length is not bounded by the interpreter's recursion limit.  Perfect
@@ -25,10 +28,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import count
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .bitset import mask_of, pick_bit, select
-from .core import GraphCollection
+from .bitset import pick_bit, select
 from .errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 
 # Largest side of an exact count or sample.  The subset dynamic programme
@@ -42,7 +44,9 @@ EXACT_SIDE_CAP = 18
 class BipartiteGraph:
     """Left vertices 0..n_left-1; bit v of ``rows[u]`` is set when left
     vertex u is adjacent to right vertex v.  ``right`` is the mask of the
-    right vertices, and every row is a subset of it."""
+    right vertices, and every row is a subset of it.  Right ids are
+    whatever the caller numbers them by: vertex ids, or positions within
+    one part in the path builder."""
 
     rows: tuple[int, ...]
     right: int
@@ -119,34 +123,33 @@ def max_matching(b: BipartiteGraph) -> list[tuple[int, int]]:
 
 
 def tiling_graph(
-    collection: GraphCollection,
-    colours: Sequence[int],
+    tables: Sequence[Mapping[int, int]],
     tiles: Sequence[Sequence[int]],
-    right: Sequence[int],
+    right: int,
 ) -> BipartiteGraph:
     """Auxiliary graph of one tiling-extension step.
 
-    Tiles are the left vertices and ``right`` the right ones, by their
-    vertex ids: tile t is joined to v in ``right`` when v is adjacent to
-    ``tiles[t][j]`` in graph ``colours[j]``, for every j.  A perfect
-    matching attaches one right vertex to every tile.
+    Tiles are the left vertices; ``right`` is the mask of the right ones.
+    ``tables[j]`` maps a vertex to its neighbour mask over the right ids in
+    the graph named for tile position j, so tile t is joined to right
+    vertex v when bit v is set in ``tables[j][tiles[t][j]]`` for every j.
+    A perfect matching attaches one right vertex to every tile.
+
+    Tiles are checked to be pairwise disjoint.  Tiles and right vertices may
+    be numbered in different id spaces, so keeping them apart is the
+    caller's part: the path builder requires pairwise-disjoint parts.
     """
-    if any(len(tile) != len(colours) for tile in tiles):
-        raise InvalidInstanceError(f"every tile needs {len(colours)} vertices, one per colour")
-    support = mask_of(v for tile in tiles for v in tile)
-    if support.bit_count() != len(tiles) * len(colours):
+    if any(len(tile) != len(tables) for tile in tiles):
+        raise InvalidInstanceError(f"every tile needs {len(tables)} vertices, one per colour")
+    if len({v for tile in tiles for v in tile}) != len(tiles) * len(tables):
         raise InvalidInstanceError("tiles must be pairwise disjoint")
-    right_mask = mask_of(right)
-    if support & right_mask:
-        raise InvalidInstanceError("tiles overlap the right-hand vertex set")
-    tables = [collection.masks[c - 1] for c in colours]
     rows = []
     for tile in tiles:
-        cand = right_mask
+        cand = right
         for table, u in zip(tables, tile):
             cand &= table[u]
         rows.append(cand)
-    return BipartiteGraph(tuple(rows), right_mask)
+    return BipartiteGraph(tuple(rows), right)
 
 
 def _count_completions(rows: Sequence[int], i: int, avail: int, memo: dict) -> int:
@@ -211,6 +214,9 @@ def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]
     walks the prefix (skipping seen vertices) and draws the next neighbour,
     uniformly from the rest, only when the prefix runs out, so the output
     has the same law as when every row is shuffled up front.
+
+    ``owner`` and ``seen`` are lists indexed by right id, so right ids
+    should be small: the path builder passes positions within a part.
     """
     rows = b.rows
     n = len(rows)
@@ -218,12 +224,12 @@ def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]
     id_bits = n.bit_length()
     order = list(range(n))
     rng.shuffle(order)
+    getrandbits = rng.getrandbits
     drawn: list[list[int]] = [[] for _ in range(n)]
     undrawn = list(rows)
-    n_undrawn = [row.bit_count() for row in rows]
-    owner: dict[int, int] = {}
+    owner = [-1] * b.right.bit_length()
+    seen = [-1] * len(owner)  # seen[v] == root: v is on this root's search
     for root in order:
-        seen = 0
         # the path so far, and where each of its left vertices but the last
         # resumes its prefix; x is the last left vertex, i its position
         lefts, rights, resume = [root], [], []
@@ -234,27 +240,24 @@ def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]
             while i < len(prefix):
                 w = prefix[i]
                 i += 1
-                if not (seen >> w) & 1:
+                if seen[w] != root:
                     v = w
                     break
             else:  # prefix used up: draw further neighbours
-                while n_undrawn[x]:
-                    rest = undrawn[x]
-                    if 2 * n_undrawn[x] >= n:
+                while rest := undrawn[x]:
+                    if 2 * rest.bit_count() >= n:
                         # rejection over the positions of all right vertices:
                         # at this density at least a quarter of tries hit
                         while True:
-                            j = rng.getrandbits(id_bits)
-                            if j < n and (rest >> ids[j]) & 1:
-                                w = ids[j]
+                            j = getrandbits(id_bits)
+                            if j < n and (rest >> (w := ids[j])) & 1:
                                 break
                     else:
                         w = pick_bit(rest, rng)
                     undrawn[x] = rest ^ (1 << w)
-                    n_undrawn[x] -= 1
                     prefix.append(w)
                     i += 1
-                    if not (seen >> w) & 1:
+                    if seen[w] != root:
                         v = w
                         break
             if v < 0:  # x has nothing left to try: back up
@@ -264,16 +267,17 @@ def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]
                 rights.pop()
                 x, i = lefts[-1], resume.pop()
                 continue
-            seen |= 1 << v
+            seen[v] = root
             rights.append(v)
-            u = owner.get(v)
-            if u is None:
-                owner.update(zip(rights, lefts))  # each left vertex takes the next right one
+            u = owner[v]
+            if u < 0:
+                for w, u in zip(rights, lefts):  # each left vertex takes the next right one
+                    owner[w] = u
                 break
             resume.append(i)
             lefts.append(u)
             x, i = u, 0
-    return sorted((u, v) for v, u in owner.items())
+    return sorted((u, v) for v, u in enumerate(owner) if u >= 0)
 
 
 def sample_perfect_matching(

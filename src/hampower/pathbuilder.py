@@ -13,13 +13,20 @@ that bound usually have one too, so the sampler's own search decides and a
 level without a perfect matching aborts the round with its step and level.
 At the end of a round one of the finished paths is removed uniformly at
 random and kept.
+
+Within one call the right-hand side of every matching is numbered by
+position in its part's sorted vertex list, so masks stay as wide as a part
+rather than the whole collection; matched positions are mapped back to
+vertex ids before every check.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
+from .bitset import select
 from .core import (
     ColourPattern,
     GraphCollection,
@@ -68,27 +75,73 @@ def build_path_collection(
         if pat.max_colour > collection.m:
             raise InvalidInstanceError(f"pattern {i + 1} uses a colour beyond m={collection.m}")
 
-    # the residual parts keep equal sizes n_i, shrinking by one per step
-    residual = [sorted(p) for p in parts]
+    # a vertex's local id is its position in its part's sorted vertex list;
+    # residual parts are masks of local ids and keep equal sizes n_i,
+    # shrinking by one per step
+    ids = [sorted(p) for p in parts]
+    local = {v: i for part in ids for i, v in enumerate(part)}
+    residual = [(1 << n1) - 1] * r
+    rows_into = _part_tables(collection, ids)
     out: list[PowerPath] = []
     for step, pat in enumerate(patterns, start=1):
         n_i = n1 - step + 1
-        if any(len(p) != n_i for p in residual):
+        if any(p.bit_count() != n_i for p in residual):
             raise HamPowerError("internal error: residual parts lost equal sizes")
-        chains = _run_round(collection, residual, pat, k, r, step, rng, sampler_mode)
+        chains = _run_round(collection, ids, residual, rows_into, pat, k, r, step, rng, sampler_mode)
         chosen = chains[rng.randrange(n_i)]
         result = verify_coloured_embedding(collection, pat, chosen)
         if not result.ok:
             raise HamPowerError(f"internal error: round {step} path fails at {result.violation}")
         out.append(PowerPath(k, tuple(chosen)))
         for j in range(r):
-            residual[j].remove(chosen[j])
+            residual[j] ^= 1 << local[chosen[j]]
     return out
+
+
+class _PartRows(dict):
+    """Colour-c neighbourhoods into one part, as masks over the part's local
+    ids, keyed by vertex and read from the collection on first use.
+
+    A row is gathered in C: ``bin`` of the collection row with a sentinel
+    bit above the top vertex (so every vertex has a fixed string index),
+    an ``itemgetter`` over the part's vertices from its last to its first,
+    and ``int(..., 2)``.
+    """
+
+    def __init__(self, table: Sequence[int], pick: Callable, top: int) -> None:
+        super().__init__()
+        self.table, self.pick, self.top = table, pick, top
+
+    def __missing__(self, u: int) -> int:
+        row = self[u] = int("".join(self.pick(bin(self.table[u] | self.top))), 2)
+        return row
+
+
+def _part_tables(
+    collection: GraphCollection, ids: Sequence[Sequence[int]]
+) -> Callable[[int, int], _PartRows]:
+    """``rows_into(c, j)``: the rows of colour c into part j, one table per
+    (c, j), kept for the caller's lifetime."""
+    n = collection.n
+    top = 1 << n
+    # bin(row | top) is "0b1" and then bits n-1 .. 0: bit v at index n + 2 - v
+    picks = [itemgetter(*[n + 2 - v for v in reversed(part)]) for part in ids]
+    tables: dict[tuple[int, int], _PartRows] = {}
+
+    def rows_into(c: int, j: int) -> _PartRows:
+        table = tables.get((c, j))
+        if table is None:
+            table = tables[c, j] = _PartRows(collection.masks[c - 1], picks[j], top)
+        return table
+
+    return rows_into
 
 
 def _run_round(
     collection: GraphCollection,
-    parts: Sequence[Sequence[int]],
+    ids: Sequence[Sequence[int]],
+    residual: Sequence[int],
+    rows_into: Callable[[int, int], _PartRows],
     pat: ColourPattern,
     k: int,
     r: int,
@@ -96,13 +149,13 @@ def _run_round(
     rng: random.Random,
     sampler_mode: str,
 ) -> list[list[int]]:
-    """Grow n_i disjoint coloured paths across all r parts."""
-    chains: list[list[int]] = [[v] for v in parts[0]]
+    """Grow n_i disjoint coloured paths across all r parts, as vertex ids."""
+    chains: list[list[int]] = [[v] for v in select(residual[0], ids[0])]
     for lvl in range(1, r):
         win_lo = max(0, lvl - k)
-        colours = [pat.colour_of(j, lvl) for j in range(win_lo, lvl)]
+        tables = [rows_into(pat.colour_of(j, lvl), lvl) for j in range(win_lo, lvl)]
         tiles = [chain[win_lo:] for chain in chains]
-        aux = tiling_graph(collection, colours, tiles, parts[lvl])
+        aux = tiling_graph(tables, tiles, residual[lvl])
         try:
             matching = sample_perfect_matching(aux, rng, mode=sampler_mode)
         except NoPerfectMatchingError as exc:
@@ -111,8 +164,9 @@ def _run_round(
                 step=step,
                 level=lvl,
             ) from exc
+        part = ids[lvl]
         for (t_idx, v) in matching:
-            chains[t_idx].append(v)
+            chains[t_idx].append(part[v])
 
         _assert_window_tiling(collection, pat, chains, lvl, k, step)
     return chains

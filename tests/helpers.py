@@ -6,8 +6,8 @@ enumeration, Hamilton powers by permutation scan.  The ``reference_*``
 functions are the plain from-scratch forms of computations the library
 shortcuts (a bit walk over the whole mask, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
-try, one interpreted ``rng.random()`` per vertex pair); the shortcuts must
-agree with them exactly.
+try, one interpreted ``rng.random()`` per vertex pair, a fast sampler with
+an ``owner`` dict); the shortcuts must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from itertools import count
 from typing import Optional
 
 from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_edge_count
-from hampower.bitset import mask_of, select
+from hampower.bitset import mask_of, pick_bit, select
 from hampower.core import GraphCollection, canonical_edge, host_edges
-from hampower.errors import InvalidInstanceError
+from hampower.errors import InvalidInstanceError, NoPerfectMatchingError
 from hampower.matching import EXACT_SIDE_CAP, BipartiteGraph, max_matching
 from hampower.pipeline import PipelineConfig, Plan
 
@@ -242,11 +242,95 @@ def min_pair_degree(
     return min(d, min((collection.neighbour_mask(colour, v) & a_mask).bit_count() for v in b_side))
 
 
+def colour_rows(collection: GraphCollection, colours) -> list[list[int]]:
+    """The mask tables of the named colours, one per tile position, as
+    ``tiling_graph`` takes them."""
+    return [collection.masks[c - 1] for c in colours]
+
+
 def reference_pick_bit(mask: int, rng: random.Random) -> int:
     """Uniformly random set bit: one ``randrange`` draw for its rank, then
     a walk over every set bit of the mask."""
     idx = rng.randrange(mask.bit_count())
     return next(itertools.islice(select(mask, itertools.count()), idx, None))
+
+
+def reference_sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]:
+    """``matching._sample_fast`` with an ``owner`` dict keyed by right id
+    and a separate count of each left vertex's undrawn neighbours; the
+    library's sampler must make exactly the same draws.
+
+    Augmenting search from the left vertices in uniformly random order,
+    each left vertex trying its neighbours in a uniformly random order.
+
+    A left vertex's neighbour order is drawn lazily: ``drawn[u]`` is the
+    prefix drawn so far and ``undrawn[u]`` the mask of the rest.  The search
+    walks the prefix (skipping seen vertices) and draws the next neighbour,
+    uniformly from the rest, only when the prefix runs out, so the output
+    has the same law as when every row is shuffled up front.
+    """
+    rows = b.rows
+    n = len(rows)
+    ids = list(select(b.right, count()))
+    id_bits = n.bit_length()
+    order = list(range(n))
+    rng.shuffle(order)
+    drawn: list[list[int]] = [[] for _ in range(n)]
+    undrawn = list(rows)
+    n_undrawn = [row.bit_count() for row in rows]
+    owner: dict[int, int] = {}
+    for root in order:
+        seen = 0
+        # the path so far, and where each of its left vertices but the last
+        # resumes its prefix; x is the last left vertex, i its position
+        lefts, rights, resume = [root], [], []
+        x, i = root, 0
+        while True:
+            prefix = drawn[x]
+            v = -1
+            while i < len(prefix):
+                w = prefix[i]
+                i += 1
+                if not (seen >> w) & 1:
+                    v = w
+                    break
+            else:  # prefix used up: draw further neighbours
+                while n_undrawn[x]:
+                    rest = undrawn[x]
+                    if 2 * n_undrawn[x] >= n:
+                        # rejection over the positions of all right vertices:
+                        # at this density at least a quarter of tries hit
+                        while True:
+                            j = rng.getrandbits(id_bits)
+                            if j < n and (rest >> ids[j]) & 1:
+                                w = ids[j]
+                                break
+                    else:
+                        w = pick_bit(rest, rng)
+                    undrawn[x] = rest ^ (1 << w)
+                    n_undrawn[x] -= 1
+                    prefix.append(w)
+                    i += 1
+                    if not (seen >> w) & 1:
+                        v = w
+                        break
+            if v < 0:  # x has nothing left to try: back up
+                lefts.pop()
+                if not rights:
+                    raise NoPerfectMatchingError("graph has no perfect matching")
+                rights.pop()
+                x, i = lefts[-1], resume.pop()
+                continue
+            seen |= 1 << v
+            rights.append(v)
+            u = owner.get(v)
+            if u is None:
+                owner.update(zip(rights, lefts))  # each left vertex takes the next right one
+                break
+            resume.append(i)
+            lefts.append(u)
+            x, i = u, 0
+    return sorted((u, v) for v, u in owner.items())
 
 
 def reference_robust_matching(template, w_locals):

@@ -22,6 +22,7 @@ from hampower.absorber import (
     template_edge_count,
 )
 from hampower.absorber import (
+    _assert_absorber_partition,
     _back_neighbours,
     _random_template_adjacency,
     _window_witness_present,
@@ -492,6 +493,42 @@ class TestAbsorbingStructure:
         path = absorb(structure, ())
         assert path.order == k + 2
         assert path.vertices[0] == 0 and path.vertices[-1] == 1
+
+
+def _absorber_layout(x_degrees, k):
+    """``_assert_absorber_partition``'s arguments for a chain of gadgets of
+    the given X-degrees, laid out as ``build_absorbing_structure`` does."""
+    gadget_starts, connector_starts = [], []
+    cursor = 1
+    for ell in x_degrees:
+        connector_starts.append(cursor)
+        gadget_starts.append(cursor + k)
+        cursor += k + (2 * k + 1) * ell
+    connector_starts.append(cursor)
+    host = power_path(cursor + k + 1, k)
+    return host, tuple(x_degrees), tuple(gadget_starts), tuple(connector_starts), k
+
+
+class TestAbsorberPartition:
+    def test_sound_layout_passes(self):
+        for k in (1, 2, 3):
+            _assert_absorber_partition(*_absorber_layout((2, 1, 3), k))
+
+    def test_doubled_edge_raises_on_every_call(self):
+        host, x_degrees, gadgets, connectors, k = _absorber_layout((2, 1, 3), 2)
+        # the second gadget one position early overlaps the connector before it
+        shifted = (gadgets[0], gadgets[1] - 1, gadgets[2])
+        for _ in range(2):
+            with pytest.raises(HamPowerError, match="assigned twice"):
+                _assert_absorber_partition(host, x_degrees, shifted, connectors, k)
+
+    def test_missing_edge_raises_on_every_call(self):
+        host, x_degrees, gadgets, connectors, k = _absorber_layout((2, 1, 3), 2)
+        # a host one position longer has k edges no window covers
+        longer = power_path(host.order + 1, k)
+        for _ in range(2):
+            with pytest.raises(HamPowerError, match="absorber windows cover"):
+                _assert_absorber_partition(longer, x_degrees, gadgets, connectors, k)
 
 
 class TestAbsorbValidation:

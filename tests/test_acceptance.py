@@ -15,6 +15,7 @@ from helpers import (
     brute_count_perfect_matchings,
     chi_square_critical,
     chi_square_statistic,
+    colour_rows,
     extend_tiles,
     is_clique_tiling,
     random_bipartite,
@@ -28,6 +29,7 @@ from hampower.absorber import (
     expected_absorbed_size,
     gadget_absorb_sequence,
 )
+from hampower.bitset import mask_of
 from hampower.core import (
     ColourPattern,
     canonical_edge,
@@ -105,7 +107,7 @@ def test_criterion_3_tiling_extension_guarantee():
                 n = rng.randint(2, 40)
                 collection, tiles = tiling_extension_instance(rng, k, n)
                 right = list(range(k * n, (k + 1) * n))
-                aux = tiling_graph(collection, [1] * k, tiles, right)
+                aux = tiling_graph(colour_rows(collection, [1] * k), tiles, mask_of(right))
                 pairs = sample_perfect_matching(aux, rng, "fast")
                 extended = extend_tiles(tiles, pairs)
                 assert is_clique_tiling(collection, extended, range((k + 1) * n))

@@ -12,13 +12,16 @@ from helpers import (
     chi_square_against,
     chi_square_critical,
     chi_square_statistic,
+    colour_rows,
     extend_tiles,
     fast_sampler_law,
     is_clique_tiling,
     random_bipartite,
+    reference_sample_fast,
     tiling_extension_instance,
 )
-from hampower.bitset import mask_of
+from hampower import matching
+from hampower.bitset import mask_of, pick_bit
 from hampower.core import GraphCollection
 from hampower.errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
 from hampower.instances import complete_collection
@@ -115,13 +118,14 @@ class TestAuxiliaryGraph:
         coll = GraphCollection.from_edge_lists(
             8, [[(u, v) for u in range(4) for v in range(4, 8) if rng.random() < 0.6]]
         )
-        aux = tiling_graph(coll, [1], [[u] for u in range(4)], [4, 5, 6, 7])
+        aux = tiling_graph(colour_rows(coll, [1]), [[u] for u in range(4)], mask_of(range(4, 8)))
         assert aux.right == mask_of([4, 5, 6, 7])
         for u in range(4):
             assert aux.rows[u] == coll.neighbour_mask(1, u)
 
     def test_complete_graph_gives_complete_bipartite(self):
-        aux = tiling_graph(complete_collection(6, 1), [1, 1], [[0, 1], [2, 3]], [4, 5])
+        rows = colour_rows(complete_collection(6, 1), [1, 1])
+        aux = tiling_graph(rows, [[0, 1], [2, 3]], mask_of([4, 5]))
         assert aux.rows == (mask_of([4, 5]), mask_of([4, 5]))
 
     def test_hand_instance(self):
@@ -129,7 +133,7 @@ class TestAuxiliaryGraph:
         coll = GraphCollection.from_edge_lists(
             6, [[(0, 1), (2, 3), (0, 4), (1, 4), (2, 5), (3, 5)]]
         )
-        aux = tiling_graph(coll, [1, 1], [[0, 1], [2, 3]], [4, 5])
+        aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1], [2, 3]], mask_of([4, 5]))
         assert aux.rows == (1 << 4, 1 << 5)
 
     def test_colour_per_tile_position(self):
@@ -139,27 +143,24 @@ class TestAuxiliaryGraph:
         g2 = [(0, 5), (2, 5), (1, 4), (3, 4)]
         coll = GraphCollection.from_edge_lists(6, [g1, g2])
         tiles = [[0, 1], [2, 3]]
-        assert tiling_graph(coll, [1, 2], tiles, [4, 5]).rows == (1 << 4, 1 << 4)
-        assert tiling_graph(coll, [2, 1], tiles, [4, 5]).rows == (1 << 5, 1 << 5)
-        assert tiling_graph(coll, [1, 1], tiles, [4, 5]).rows == (0, 0)
+        right = mask_of([4, 5])
+        assert tiling_graph(colour_rows(coll, [1, 2]), tiles, right).rows == (1 << 4, 1 << 4)
+        assert tiling_graph(colour_rows(coll, [2, 1]), tiles, right).rows == (1 << 5, 1 << 5)
+        assert tiling_graph(colour_rows(coll, [1, 1]), tiles, right).rows == (0, 0)
 
     def test_right_vertices_keep_their_ids(self):
         coll = GraphCollection.from_edge_lists(5, [[(0, 4), (1, 2)]])
-        aux = tiling_graph(coll, [1], [[0], [1]], [4, 2, 3])
+        aux = tiling_graph(colour_rows(coll, [1]), [[0], [1]], mask_of([4, 2, 3]))
         assert aux.rows == (1 << 4, 1 << 2)
         assert aux.right == mask_of([2, 3, 4])
         assert max_matching(aux) == [(0, 4), (1, 2)]
 
-    def test_overlap_rejected(self):
-        coll = GraphCollection.from_edge_lists(4, [[(0, 1)]])
-        with pytest.raises(InvalidInstanceError):
-            tiling_graph(coll, [1, 1], [[0, 1]], [1, 2])
-
 
 class TestCliqueTiling:
     def test_overlapping_tiles_rejected(self):
+        rows = colour_rows(complete_collection(5, 1), [1, 1])
         with pytest.raises(InvalidInstanceError):
-            tiling_graph(complete_collection(5, 1), [1, 1], [[0, 1], [1, 2]], [3, 4])
+            tiling_graph(rows, [[0, 1], [1, 2]], mask_of([3, 4]))
 
 
 class TestExtendTiling:
@@ -171,7 +172,7 @@ class TestExtendTiling:
             coll = complete_collection(total, 1)
             tiles = [list(range(t * k, (t + 1) * k)) for t in range(n)]
             right = list(range(k * n, total))
-            aux = tiling_graph(coll, [1] * k, tiles, right)
+            aux = tiling_graph(colour_rows(coll, [1] * k), tiles, mask_of(right))
             extended = extend_tiles(tiles, sample_perfect_matching(aux, rng, "fast"))
             assert all(len(c) == k + 1 for c in extended)
             assert is_clique_tiling(coll, extended, range(total))
@@ -183,13 +184,13 @@ class TestExtendTiling:
                 n = rng.randint(2, 12)
                 coll, tiles = tiling_extension_instance(rng, k, n)
                 right = list(range(k * n, (k + 1) * n))
-                aux = tiling_graph(coll, [1] * k, tiles, right)
+                aux = tiling_graph(colour_rows(coll, [1] * k), tiles, mask_of(right))
                 extended = extend_tiles(tiles, sample_perfect_matching(aux, rng, "fast"))
                 assert is_clique_tiling(coll, extended, range((k + 1) * n))
 
     def test_no_cross_edges_fails(self):
         coll = GraphCollection.from_edge_lists(3, [[(0, 1)]])
-        aux = tiling_graph(coll, [1, 1], [[0, 1]], [2])
+        aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1]], mask_of([2]))
         for mode in ("exact", "fast"):
             with pytest.raises(NoPerfectMatchingError):
                 sample_perfect_matching(aux, random.Random(0), mode)
@@ -197,8 +198,9 @@ class TestExtendTiling:
     def test_size_precondition(self):
         coll = complete_collection(6, 1)
         with pytest.raises(InvalidInstanceError):
-            tiling_graph(coll, [1, 1], [[0]], [3])  # a tile needs one vertex per colour
-        aux = tiling_graph(coll, [1, 1], [[0, 1]], [2, 3, 4])
+            # a tile needs one vertex per colour
+            tiling_graph(colour_rows(coll, [1, 1]), [[0]], mask_of([3]))
+        aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1]], mask_of([2, 3, 4]))
         with pytest.raises(NoPerfectMatchingError):  # one tile cannot take three vertices
             sample_perfect_matching(aux, random.Random(0), "fast")
 
@@ -327,6 +329,83 @@ class TestSamplePerfectMatching:
             pairs = sample_perfect_matching(b, rng, "fast")
             assert len(pairs) == n
             assert len({v for _, v in pairs}) == n
+
+
+def _planted(rng: random.Random, n: int, p: float, ids: list[int]) -> BipartiteGraph:
+    """n x n graph on right ids ``ids``: a random perfect matching plus each
+    other pair at density p."""
+    perm = rng.sample(range(n), n)
+    rows = tuple(
+        mask_of(ids[v] for v in range(n) if v == perm[u] or rng.random() < p) for u in range(n)
+    )
+    return BipartiteGraph(rows, mask_of(ids))
+
+
+def _outcome(sampler, b: BipartiteGraph, seed: int):
+    rng = random.Random(seed)
+    try:
+        result = sampler(b, rng)
+    except NoPerfectMatchingError as exc:
+        result = (type(exc), str(exc))
+    return result, rng.getstate()
+
+
+class TestFastSamplerMatchesReference:
+    """The fast sampler against ``helpers.reference_sample_fast``: equal
+    pairs (or the same error) and equal rng state after the call."""
+
+    def _agree(self, graphs):
+        for seed, b in enumerate(graphs):
+            assert _outcome(matching._sample_fast, b, seed) == _outcome(
+                reference_sample_fast, b, seed
+            )
+
+    def test_dense_rows_take_the_rejection_branch(self):
+        rng = random.Random(40)
+        graphs = [
+            _planted(rng, n, 0.9, list(range(n))) for n in (1, 2, 3, 7, 16, 33, 60) for _ in range(6)
+        ]
+        assert all(2 * row.bit_count() >= b.n_right for b in graphs[-6:] for row in b.rows)
+        self._agree(graphs)
+
+    def test_rows_below_half_the_side_take_pick_bit(self, monkeypatch):
+        picks = []
+
+        def counted(mask, rng):
+            picks.append(mask)
+            return pick_bit(mask, rng)
+
+        monkeypatch.setattr(matching, "pick_bit", counted)
+        rng = random.Random(41)
+        graphs = [
+            _planted(rng, n, 0.15, list(range(n))) for n in (4, 9, 20, 45, 61) for _ in range(6)
+        ]
+        self._agree(graphs)
+        assert picks
+
+    def test_right_ids_with_holes_up_to_1199(self):
+        rng = random.Random(42)
+        graphs = []
+        for n in (1, 5, 24, 61, 150):
+            for p in (0.1, 0.5, 0.95):
+                ids = sorted(rng.sample(range(1199), n - 1)) + [1199]
+                graphs.append(_planted(rng, n, p, ids))
+        assert max(b.right.bit_length() for b in graphs) == 1200
+        self._agree(graphs)
+
+    def test_no_perfect_matching_gives_the_same_error(self):
+        rng = random.Random(43)
+        graphs = []
+        for n in (2, 6, 17, 40):
+            for p in (0.2, 0.6, 0.95):
+                b = _planted(rng, n, p, sorted(rng.sample(range(300), n)))
+                # two left vertices confined to one right vertex: Hall fails
+                lone = b.rows[0] & -b.rows[0]
+                graphs.append(BipartiteGraph((lone, lone) + b.rows[2:], b.right))
+        for seed, b in enumerate(graphs):
+            outcome = _outcome(matching._sample_fast, b, seed)
+            assert outcome[0][0] is NoPerfectMatchingError
+            assert outcome == _outcome(reference_sample_fast, b, seed)
 
 
 class TestModeValidation:

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from hampower import pathbuilder
 from hampower.core import (
     ColourPattern,
     GraphCollection,
@@ -11,11 +13,13 @@ from hampower.core import (
 )
 from hampower.errors import HamPowerError, InvalidInstanceError, NoMatchingError
 from hampower.instances import (
+    complete_collection,
     complete_rpartite_collection,
+    random_min_degree_collection,
     random_pattern,
     random_rpartite_collection,
 )
-from hampower.pathbuilder import _assert_window_tiling, build_path_collection
+from hampower.pathbuilder import _assert_window_tiling, _part_tables, build_path_collection
 
 
 def _three_parts_with_sparse_pair(cross):
@@ -125,6 +129,13 @@ class TestBuildPathCollection:
         with pytest.raises(InvalidInstanceError):
             build_path_collection(coll, parts, patterns, 3, rng)
 
+    def test_overlapping_parts_rejected(self):
+        # disjoint parts are what keeps a level's tiles off its right side
+        coll = complete_collection(6, 1)
+        patterns = [random_pattern(power_path(3, 2), 1, random.Random(88))]
+        with pytest.raises(InvalidInstanceError, match="pairwise disjoint"):
+            build_path_collection(coll, [[0, 1], [2, 3], [3, 4]], patterns, 1, random.Random(88))
+
     def test_exact_sampler_mode(self):
         rng = random.Random(87)
         coll, parts = complete_rpartite_collection(4, 4, 3)
@@ -150,3 +161,69 @@ class TestWindowTilingCheck:
         with pytest.raises(HamPowerError, match=r"levels \(1,2\)$"):
             _assert_window_tiling(coll, pattern, chains, 2, 2, 7)
         _assert_window_tiling(coll, pattern, chains[2:], 2, 2, 7)
+
+
+class TestPartRows:
+    def test_gathered_rows_are_neighbours_by_position(self):
+        # parts with holes, including the lowest and the highest vertex id
+        rng = random.Random(89)
+        coll = random_min_degree_collection(40, 2, 0.5, rng)
+        parts = [
+            sorted(rng.sample(range(1, 39), 9)) + [39],
+            [0] + sorted(rng.sample(range(1, 39), 9)),
+        ]
+        rows_into = _part_tables(coll, parts)
+        for c in (1, 2):
+            for j, part in enumerate(parts):
+                table = rows_into(c, j)
+                assert rows_into(c, j) is table
+                for u in range(40):
+                    want = sum(1 << i for i, v in enumerate(part) if coll.has_edge(c, u, v))
+                    assert table[u] == want
+                assert len(table) == 40
+
+
+def _builder_digest(coll, r, k, n1, s, seed):
+    """Digest of the paths and the rng state after one builder call on r
+    random parts of n1 vertices drawn from the whole collection."""
+    rng = random.Random(seed)
+    pool = rng.sample(range(coll.n), r * n1)
+    parts = [sorted(pool[j * n1:(j + 1) * n1]) for j in range(r)]
+    patterns = [random_pattern(power_path(r, k), coll.m, rng) for _ in range(s)]
+    paths = build_path_collection(coll, parts, patterns, s, rng)
+    blob = repr(([p.vertices for p in paths], rng.getstate()))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestBuilderDigest:
+    """Whole builder calls pinned by digest, paths and final rng state: a
+    change to any draw or to which vertex a draw picks shows here."""
+
+    def test_parts_of_60_in_copies_of_k1200(self):
+        coll = complete_collection(1200, 4)
+        assert _builder_digest(coll, 7, 3, 60, 40, 14) == (
+            "97d74e5c02a216ccf4f89522e73b8a149f9d0a1f6d4cbe2c0155fe66bda8a1b4"
+        )
+
+    def test_random_collection_with_sparse_tiling_rows(self, monkeypatch):
+        sparse = []
+
+        def spy(aux, rng, mode):
+            sparse.append(any(2 * row.bit_count() < aux.n_right for row in aux.rows))
+            return sample(aux, rng, mode)
+
+        sample = pathbuilder.sample_perfect_matching
+        monkeypatch.setattr(pathbuilder, "sample_perfect_matching", spy)
+        coll = random_min_degree_collection(150, 4, 0.8, random.Random(0))
+        assert _builder_digest(coll, 5, 2, 24, 12, 0) == (
+            "34dbc2074c01af3565069ce5e1436ccdd665c86995b0921eeae67d3f7d597e4f"
+        )
+        # both branches of the fast sampler ran: some levels have a row
+        # below half the side, some do not
+        assert any(sparse) and not all(sparse)
+
+    def test_failure_names_the_same_step_and_level(self):
+        coll = random_min_degree_collection(150, 4, 0.6, random.Random(1))
+        with pytest.raises(NoMatchingError) as err:
+            _builder_digest(coll, 5, 2, 24, 12, 1)
+        assert (err.value.step, err.value.level) == (12, 2)

@@ -13,6 +13,7 @@ from hampower.core import (
     verify_coloured_embedding,
 )
 from hampower.errors import (
+    HamPowerError,
     InfeasibleConfigError,
     InvalidInstanceError,
     StageFailedError,
@@ -28,6 +29,7 @@ from hampower.pipeline import (
     PipelineConfig,
     Plan,
     candidate_plans,
+    check_layout,
     derive_rng,
     feasibility_floor,
     layout_edge_partition,
@@ -86,6 +88,28 @@ class TestPlan:
                 assert total == k * n
                 checked += 1
         assert checked > 150
+
+    def test_layout_checked_once_per_plan(self):
+        plan = candidate_plans(200, 3, CONFIG)[0]
+        check_layout(plan)
+        hits = check_layout.cache_info().hits
+        check_layout(replace(plan))
+        assert check_layout.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize(
+        "dg, message",
+        [(1, r"host edge \(\d+, \d+\) assigned twice \(at final\)"), (-1, "^layout error: 3 ")],
+    )
+    def test_broken_layout_raises_on_every_call(self, dg, message):
+        # one greedy extension too many runs into the final connector, one
+        # too few leaves the last greedy position's k back-edges uncovered
+        plan = candidate_plans(200, 3, CONFIG)[0]
+        assert plan.g == 2
+        check_layout(plan)
+        broken = replace(plan, g=plan.g + dg)
+        for _ in range(2):
+            with pytest.raises(HamPowerError, match=message):
+                check_layout(broken)
 
 
 # every n up to 400, then the sizes the benchmarks and sweeps use

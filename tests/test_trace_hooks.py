@@ -39,3 +39,19 @@ def test_solve_records_gadget_and_connector_spans():
     # 3 s_t + 1 connectors chain the absorber, then the connect stage's own
     assert summary.calls["connectors.embed"] > 3 * s_t + 1
     assert summary.raised["absorber.gadget_embed"] == summary.raised["connectors.embed"] == 0
+
+
+def test_solve_records_builder_and_sampler_spans():
+    # n = 200, k = 3: the first plan is all builder paths and sweep (s_t = 0)
+    coll = complete_collection(200, 4)
+    pattern = random_pattern(power_cycle(200, 3), 4, random.Random(4))
+    with spans.traced(spans.Tracer()) as tracer:
+        cycle, trace = pipeline.solve(coll, pattern, CONFIG)
+    summary = spans.Summary(tracer.take())
+    plan = trace["plan"]
+    attempts = {stage["name"]: stage["attempts"] for stage in trace["stages"]}
+    assert trace["plan_index"] == 0 and plan["s"] >= 1
+    assert summary.calls["pathbuilder.build"] == attempts["paths"] == 1
+    assert summary.calls["matching.sample"] == plan["s"] * (plan["r"] - 1)
+    assert summary.work["matching.sample"] > 0
+    assert summary.raised["pathbuilder.build"] == summary.raised["matching.sample"] == 0
