@@ -17,9 +17,9 @@ skeleton (ids, layout, the host edge whose colour each gadget edge takes,
 and the degeneracy order after A with each vertex's at most k+2 earlier
 neighbours) depends on (k, ell) only, so it is built and checked once per
 shape, and each gadget only looks up its colours.  The embedding walks
-that stored order over int masks: the pool of free vertices is one mask,
-and each vertex's candidates are that pool intersected with the colour
-neighbourhood masks of its earlier neighbours' images.
+that stored order with :func:`connectors.place_in_order`, the walk that
+also places connector internals, and the absorbing path's layout is
+checked once by :func:`core.check_edge_partition`.
 
 A *robustly matchable template* converts "absorb any s-subset of the
 reservoir" into one matching computation: it is a bounded-degree bipartite
@@ -46,8 +46,8 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .bitset import mask_of, pick_bit, select
-from .connectors import embed_connector
+from .bitset import mask_of, select
+from .connectors import embed_connector, place_in_order
 from .core import (
     ColourPattern,
     Edge,
@@ -55,11 +55,13 @@ from .core import (
     HostTemplate,
     PowerPath,
     canonical_edge,
+    check_edge_partition,
     connector,
     host_edges,
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
+    window_edges,
 )
 from .errors import (
     EmbeddingFailedError,
@@ -80,8 +82,7 @@ class GadgetBlueprint:
     """Edge-coloured absorbing gadget on abstract vertex ids.
 
     Ids: A = 0..ell-1, B = ell..ell+2k*ell-1, C = the remaining ell-1.
-    ``base_sequence`` is the underlying path layout over A and B;
-    ``position`` maps each A/B id to its sequence position.
+    ``base_sequence`` is the underlying path layout over A and B.
     ``back_neighbours`` is the degeneracy order after A: each B/C id with
     its at most k+2 earlier neighbours, as (neighbour, edge) pairs.
     """
@@ -93,7 +94,6 @@ class GadgetBlueprint:
     c_vertices: tuple[int, ...]
     base_sequence: tuple[int, ...]
     edges: Mapping[Edge, int]
-    position: Mapping[int, int]
     back_neighbours: tuple[tuple[int, tuple[tuple[int, Edge], ...]], ...]
 
     @property
@@ -147,7 +147,6 @@ def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
     if len(seq) != r:
         raise HamPowerError("internal error: gadget sequence has the wrong length")
 
-    position = {v: p for p, v in enumerate(seq)}
     edges: dict[Edge, Edge] = {}
     for (p, q) in host_edges(power_path(r, k)):
         edges[canonical_edge(seq[p], seq[q])] = (p, q)
@@ -172,8 +171,7 @@ def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
 
     return GadgetBlueprint(
         k, ell, a_ids, b_ids, c_ids, tuple(seq),
-        MappingProxyType(edges), MappingProxyType(position),
-        _back_neighbours(k, ell, order, edges),
+        MappingProxyType(edges), _back_neighbours(k, ell, order, edges),
     )
 
 
@@ -244,17 +242,10 @@ def embed_by_degeneracy(
     vertex left without a candidate.
     """
     mapped = dict(zip(blueprint.a_vertices, flexible))
-    colours = blueprint.edges
     pool &= ~mask_of(flexible)
-    for v, back in blueprint.back_neighbours:
-        cand = pool
-        for u, e in back:
-            cand &= collection.neighbour_mask(colours[e], mapped[u])
-        if cand == 0:
-            raise EmbeddingFailedError(f"no image available for vertex {v}", vertex=v)
-        img = pick_bit(cand, rng)
-        mapped[v] = img
-        pool &= ~(1 << img)
+    v = place_in_order(collection, blueprint.back_neighbours, blueprint.edges, mapped, pool, rng)
+    if v is not None:
+        raise EmbeddingFailedError(f"no image available for vertex {v}", vertex=v)
     return mapped
 
 
@@ -491,7 +482,6 @@ class EmbeddedGadget:
     images: Mapping[int, int]          # B and C ids -> actual vertices
     l_vertices: tuple[int, ...]        # actual flexible vertices, aligned with a_vertices
     l_left_indices: tuple[int, ...]    # template left indices, same alignment
-    start: int                         # host position of the gadget window
 
     def fixed_first_k(self) -> tuple[int, ...]:
         return tuple(self.images[v] for v in self.blueprint.base_sequence[: self.blueprint.k])
@@ -525,7 +515,6 @@ class AbsorbingStructure:
     pattern: ColourPattern
     z1: int
     z2: int
-    y_vertices: tuple[int, ...]
     w_vertices: tuple[int, ...]
     gadgets: tuple[EmbeddedGadget, ...]
     connectors: tuple[tuple[int, ...], ...]
@@ -632,7 +621,7 @@ def build_absorbing_structure(
         body = {v: mapped[v] for v in blueprint.r_vertices}
         used |= mask_of(body.values())
         gadgets.append(
-            EmbeddedGadget(blueprint, MappingProxyType(body), actual, left_ids, gadget_starts[i])
+            EmbeddedGadget(blueprint, MappingProxyType(body), actual, left_ids)
         )
 
     connectors_out: list[tuple[int, ...]] = []
@@ -661,7 +650,6 @@ def build_absorbing_structure(
         pattern=pattern,
         z1=z1,
         z2=z2,
-        y_vertices=y_tuple,
         w_vertices=w_tuple,
         gadgets=tuple(gadgets),
         connectors=tuple(connectors_out),
@@ -683,34 +671,16 @@ def _assert_absorber_partition(
     checked once per process; a broken one raises on every call (an
     exception is not cached).
     """
-    covered: set[Edge] = set()
-    total = 0
-
-    def add(edges: Iterable[Edge]) -> None:
-        nonlocal total
-        for e in edges:
-            if e in covered:
-                raise HamPowerError(f"internal error: host edge {e} assigned twice")
-            covered.add(e)
-            total += 1
-
-    for i, start in enumerate(gadget_starts):
-        order = (2 * k + 1) * x_degrees[i]
-        add(
-            (start + p, start + q)
-            for (p, q) in host_edges(power_path(order, k))
-        )
+    families = [
+        (f"gadget {i}", window_edges(power_path((2 * k + 1) * ell, k), start))
+        for i, (ell, start) in enumerate(zip(x_degrees, gadget_starts))
+    ]
     for idx, start in enumerate(connector_starts):
         a_len = 1 if idx == 0 else k
         b_len = 1 if idx == len(connector_starts) - 1 else k
-        shift = start - a_len
-        add((shift + p, shift + q) for (p, q) in host_edges(connector(a_len, b_len, k)))
-
-    expected = set(host_edges(host))
-    if covered != expected:
-        raise HamPowerError(
-            f"internal error: absorber windows cover {total} edges, host has {len(expected)}"
-        )
+        window = window_edges(connector(a_len, b_len, k), start - a_len)
+        families.append((f"connector {idx}", window))
+    check_edge_partition(host, families)
 
 
 def absorb(structure: AbsorbingStructure, z_prime: Iterable[int]) -> PowerPath:
@@ -728,21 +698,17 @@ def absorb(structure: AbsorbingStructure, z_prime: Iterable[int]) -> PowerPath:
     if not zp <= set(structure.w_vertices):
         raise InvalidInstanceError("Z' must lie inside the identified reservoir interior")
 
+    w_index = {v: i for i, v in enumerate(structure.w_vertices)}
+    pairs = structure.template.robust_matching(sorted(w_index[v] for v in zp))
+    if pairs is None:
+        raise HamPowerError("internal error: certified template failed to match Z'")
+    x_to_left = {x: left for (left, x) in pairs}
     path: list[int] = [structure.z1]
-    if s == 0:
-        path.extend(structure.connectors[0])
-    else:
-        w_index = {v: i for i, v in enumerate(structure.w_vertices)}
-        pairs = structure.template.robust_matching(sorted(w_index[v] for v in zp))
-        if pairs is None:
-            raise HamPowerError("internal error: certified template failed to match Z'")
-        x_to_left = {x: left for (left, x) in pairs}
-        for i, gadget in enumerate(structure.gadgets):
-            path.extend(structure.connectors[i])
-            left = x_to_left[i]
-            a_index = gadget.l_left_indices.index(left) + 1
-            path.extend(gadget.absorb_path(a_index))
-        path.extend(structure.connectors[-1])
+    for i, gadget in enumerate(structure.gadgets):
+        path.extend(structure.connectors[i])
+        a_index = gadget.l_left_indices.index(x_to_left[i]) + 1
+        path.extend(gadget.absorb_path(a_index))
+    path.extend(structure.connectors[-1])
     path.append(structure.z2)
 
     expected_cover = structure.absorbed_set | zp | {structure.z1, structure.z2}

@@ -37,17 +37,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hampower", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run the constructive solver")
+    # the solver flags that `solve` and `experiment sweep` share
+    solver = _Parser(add_help=False)
+    solver.add_argument("--alpha", type=float, default=0.2)
+    solver.add_argument("--beta", type=float, default=0.05)
+    solver.add_argument("--gamma", type=float, default=0.01)
+    solver.add_argument("--epsilon", type=float, default=0.1)
+    solver.add_argument("--seed", type=int, default=0)
+    solver.add_argument("--mode", choices=["strict", "best-effort"], default="best-effort")
+    solver.add_argument("--sampler", choices=["fast", "exact"], default="fast")
+
+    p_solve = sub.add_parser("solve", parents=[solver], help="run the constructive solver")
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--pattern", required=True)
-    p_solve.add_argument("--alpha", type=float, default=0.2)
-    p_solve.add_argument("--beta", type=float, default=0.05)
-    p_solve.add_argument("--gamma", type=float, default=0.01)
-    p_solve.add_argument("--epsilon", type=float, default=0.1)
     p_solve.add_argument("--r", type=int, default=7)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--mode", choices=["strict", "best-effort"], default="best-effort")
-    p_solve.add_argument("--sampler", choices=["fast", "exact"], default="fast")
     p_solve.add_argument("--retries", type=int, default=8)
     p_solve.add_argument("--out", required=True, help="cycle JSON output path")
     p_solve.add_argument("--trace", help="trace JSON output path (default: <out>.trace.json)")
@@ -87,21 +90,14 @@ def _build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="threshold sweep experiments")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
-    e_sweep = exp_sub.add_parser("sweep")
+    e_sweep = exp_sub.add_parser("sweep", parents=[solver])
     e_sweep.add_argument("--k", type=int, required=True)
     e_sweep.add_argument("--n", type=int, required=True)
     e_sweep.add_argument("--delta-from", type=float, required=True)
     e_sweep.add_argument("--delta-to", type=float, required=True)
     e_sweep.add_argument("--delta-step", type=float, required=True)
     e_sweep.add_argument("--trials", type=int, required=True)
-    e_sweep.add_argument("--seed", type=int, default=0)
-    e_sweep.add_argument("--alpha", type=float, default=0.2)
-    e_sweep.add_argument("--beta", type=float, default=0.05)
-    e_sweep.add_argument("--gamma", type=float, default=0.01)
-    e_sweep.add_argument("--epsilon", type=float, default=0.1)
     e_sweep.add_argument("--r", type=int, default=None, help="default k+5")
-    e_sweep.add_argument("--mode", choices=["strict", "best-effort"], default="best-effort")
-    e_sweep.add_argument("--sampler", choices=["fast", "exact"], default="fast")
     e_sweep.add_argument("--out", required=True, help="CSV output path")
     return parser
 
@@ -114,14 +110,19 @@ def _load_pattern(path: str) -> core.ColourPattern:
     return core.pattern_from_dict(core.load_json(path))
 
 
+def _config(args, **fields) -> pipeline.PipelineConfig:
+    """The solver configuration of the shared flags, updated by ``fields``."""
+    shared = dict(
+        alpha=args.alpha, beta=args.beta, gamma=args.gamma, epsilon=args.epsilon,
+        seed=args.seed, mode=args.mode, sampler_mode=args.sampler,
+    )
+    return pipeline.PipelineConfig(**{**shared, **fields})
+
+
 def _cmd_solve(args) -> int:
     collection = _load_instance(args.instance)
     pattern = _load_pattern(args.pattern)
-    config = pipeline.PipelineConfig(
-        alpha=args.alpha, beta=args.beta, gamma=args.gamma, epsilon=args.epsilon,
-        r=args.r, seed=args.seed, sampler_mode=args.sampler,
-        max_retries=args.retries, mode=args.mode,
-    )
+    config = _config(args, r=args.r, max_retries=args.retries)
     trace_path = args.trace or (args.out + ".trace.json")
     try:
         cycle, trace = pipeline.solve(collection, pattern, config)
@@ -229,11 +230,7 @@ def _cmd_experiment(args) -> int:
             trial_seed = rng.getrandbits(63)
             collection = instances.random_min_degree_collection(args.n, k * args.n, delta, rng)
             pattern = instances.bijective_pattern(core.power_cycle(args.n, k), rng)
-            config = pipeline.PipelineConfig(
-                alpha=args.alpha, beta=args.beta, gamma=args.gamma,
-                epsilon=args.epsilon, r=r, seed=trial_seed, mode=args.mode,
-                sampler_mode=args.sampler,
-            )
+            config = _config(args, r=r, seed=trial_seed)
             started = time.perf_counter()
             stage_reached = "plan"
             success = 0

@@ -1,29 +1,77 @@
-"""Greedy embedding of coloured connectors through a reservoir.
+"""Greedy placement of coloured connectors and absorbing gadgets.
 
-A connector joins the tail ``w`` of one k-power path to the head ``y`` of
-another through k fresh internal vertices.  Each internal vertex is
-constrained by at most 2k already-placed vertices (its within-k
-predecessors on both sides); the candidate set is the intersection of the
-corresponding colour-specific neighbourhood masks with the ``pool`` mask of
-vertices still free.  End vertices are never candidates, wherever they lie.
-Candidates are drawn uniformly at random so reservoir usage spreads out.
+:func:`place_in_order` places vertices one at a time: each one's candidates
+are the ``pool`` mask of free vertices intersected with the colour-specific
+neighbourhood masks of its few earlier neighbours' images, and it is drawn
+uniformly so reservoir usage spreads out.  A connector joins the tail ``w``
+of one k-power path to the head ``y`` of another through k internal
+vertices, placed left to right after both ends (an order built once per
+connector shape).  Colours outside 1..m are rejected before any draw.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .bitset import mask_of, pick_bit
 from .core import (
     CONNECTOR,
     ColourPattern,
+    Edge,
     GraphCollection,
     PowerPath,
+    connector,
     host_edges,
     verify_coloured_embedding,
 )
 from .errors import ConnectionFailedError, HamPowerError, InvalidInstanceError
+
+Order = Sequence[tuple[int, Sequence[tuple[int, Edge]]]]
+
+
+def _check_colours(collection: GraphCollection, colours: Iterable[int]) -> None:
+    if not (1 <= min(colours, default=1) and max(colours, default=1) <= collection.m):
+        raise InvalidInstanceError(f"edge colours must lie in 1..{collection.m}")
+
+
+def place_in_order(
+    collection: GraphCollection,
+    order: Order,
+    colours: Mapping[Edge, int],
+    placed: dict[int, int],
+    pool: int,
+    rng: random.Random,
+) -> Optional[int]:
+    """Place each id of ``order``, a list of (id, ((earlier id, key), ...)),
+    on a random member of the ``pool`` mask joined in colour ``colours[key]``
+    to each ``placed[earlier id]``, recording it in ``placed``.  Returns the
+    first id left without a candidate, or None."""
+    _check_colours(collection, colours.values())
+    masks = collection.masks
+    for v, back in order:
+        cand = pool
+        for u, key in back:
+            cand &= masks[colours[key] - 1][placed[u]]
+        if cand == 0:
+            return v
+        img = pick_bit(cand, rng)
+        placed[v] = img
+        pool &= ~(1 << img)
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _connector_order(a: int, b: int, k: int) -> Order:
+    """Connector(a, b, k)'s internal positions left to right, each with its
+    earlier-placed neighbours (both end blocks come first) and host edges."""
+    back: dict[int, list[tuple[int, Edge]]] = {p: [] for p in range(a, a + k)}
+    for (i, j) in host_edges(connector(a, b, k)):
+        # each edge goes to its later-placed endpoint: j if internal, else i
+        later, earlier = (j, i) if j < a + k else (i, j)
+        back[later].append((earlier, (i, j)))
+    return tuple((p, tuple(back[p])) for p in range(a, a + k))
 
 
 def embed_connector(
@@ -57,36 +105,19 @@ def embed_connector(
         raise InvalidInstanceError("connector ends must be distinct and vertex-disjoint")
     placed = dict(enumerate(w))
     placed.update((a + k + i, v) for i, v in enumerate(y))
-    pool &= ~end_mask
-
-    constraints: dict[int, list[tuple[int, int]]] = {p: [] for p in range(a, a + k)}
-    for (i, j) in host_edges(host):
-        # attribute each edge to its later-placed internal endpoint
-        if a <= j < a + k:
-            constraints[j].append((i, pattern.colours[(i, j)]))
-        elif a <= i < a + k:
-            constraints[i].append((j, pattern.colours[(i, j)]))
-
-    internals: list[int] = []
-    for p in range(a, a + k):
-        cand = pool
-        for (q, colour) in constraints[p]:
-            cand &= collection.neighbour_mask(colour, placed[q])
-        if cand == 0:
-            raise ConnectionFailedError(
-                f"no candidate for connector position {p} "
-                f"(internal {p - a + 1} of {k})",
-                position=p,
-            )
-        v = pick_bit(cand, rng)
-        placed[p] = v
-        internals.append(v)
-        pool &= ~(1 << v)
-
+    p = place_in_order(
+        collection, _connector_order(a, b, k), pattern.colours, placed, pool & ~end_mask, rng
+    )
+    if p is not None:
+        raise ConnectionFailedError(
+            f"no candidate for connector position {p} (internal {p - a + 1} of {k})",
+            position=p,
+        )
+    internals = tuple(placed[p] for p in range(a, a + k))
     result = verify_coloured_embedding(collection, pattern, [*w, *internals, *y])
     if not result.ok:  # greedy construction realises every edge it checked
         raise HamPowerError(f"internal error: connector failed verification at {result.violation}")
-    return tuple(internals)
+    return internals
 
 
 def extend_by_one(
@@ -108,6 +139,7 @@ def extend_by_one(
         raise InvalidInstanceError(f"path must have at least k={k} vertices")
     if len(colours) != k:
         raise InvalidInstanceError(f"need exactly k={k} edge colours, got {len(colours)}")
+    _check_colours(collection, colours)
     cand = pool & ~mask_of(path.vertices)
     for u, colour in zip(path.vertices[-k:], colours):
         cand &= collection.neighbour_mask(colour, u)

@@ -20,6 +20,8 @@ An ordered vertex list realises the pattern when every canonical host edge
 (i, j) of colour c maps to an edge of G_c.  Patterns are anchored: position 0
 of a vertex list always corresponds to host position 0; cycle rotation and
 reflection are handled by callers (the oracle searches over placements).
+The windows of a layout (the solver's cycle, the absorbing path) must tile
+its host's edges exactly: :func:`check_edge_partition`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import reprlib
 from dataclasses import dataclass
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .bitset import select
 from .errors import (
@@ -129,6 +131,35 @@ def _host_edges(host: HostTemplate) -> tuple[Edge, ...]:
 @functools.lru_cache(maxsize=128)
 def _host_edge_set(host: HostTemplate) -> frozenset[Edge]:
     return frozenset(_host_edges(host))
+
+
+def window_edges(target: HostTemplate, start: int) -> Iterator[Edge]:
+    """The edges a window of shape ``target`` at position ``start`` covers."""
+    return ((start + p, start + q) for (p, q) in _host_edges(target))
+
+
+def check_edge_partition(
+    host: HostTemplate, families: Iterable[tuple[str, Iterable[Edge]]]
+) -> None:
+    """Raise unless the (name, edges) families tile the host's edges exactly,
+    naming the family of an edge listed twice, or else counting the host
+    edges uncovered and the edges outside the host.  Positions wrap modulo
+    the order of a power cycle."""
+    n, wrap = host.order, host.kind == POWER_CYCLE
+    covered: set[Edge] = set()
+    for name, edges in families:
+        for (x, y) in edges:
+            e = canonical_edge(x % n, y % n) if wrap else canonical_edge(x, y)
+            if e in covered:
+                raise HamPowerError(f"layout error: host edge {e} assigned twice (at {name})")
+            covered.add(e)
+    expected = _host_edge_set(host)
+    if covered != expected:
+        missing, outside = expected - covered, covered - expected
+        raise HamPowerError(
+            f"layout error: {len(missing)} host edges uncovered, {len(outside)} outside "
+            f"the host (e.g. {sorted(missing)[:4] or sorted(outside)[:4]})"
+        )
 
 
 @dataclass(frozen=True, eq=True)

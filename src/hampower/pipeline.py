@@ -26,10 +26,10 @@ draw, and the path builder samples each matching directly; a stage fails
 only when its own construction does (a connector or gadget finds no image,
 a level has no perfect matching), and the final cycle is re-verified.
 
-Before anything random happens, each plan's layout is checked by set
-arithmetic: the absorber window, the s path windows, the s+1+c connector
-windows and the greedy back-edges must partition the host cycle's edge set
-exactly.
+Before anything random happens, each plan's layout is checked by
+:func:`core.check_edge_partition`: the absorber window, the s path windows,
+the s+1+c connector windows and the greedy back-edges must partition the
+host cycle's edge set exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .absorber import (
     AbsorbingStructure,
@@ -59,13 +59,13 @@ from .core import (
     GraphCollection,
     PowerCycle,
     PowerPath,
-    canonical_edge,
+    check_edge_partition,
     connector,
-    host_edges,
     power_cycle,
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
+    window_edges,
 )
 from .errors import (
     HamPowerError,
@@ -253,60 +253,30 @@ def feasibility_floor(k: int, config: PipelineConfig) -> int:
     raise InfeasibleConfigError("no feasible n found in the probe range")
 
 
-def layout_edge_partition(plan: Plan) -> dict[str, set]:
-    """Exact colour-accounting partition of the host cycle's edges.
-
-    Returns the named edge families; raises if any host edge would be
-    assigned twice or missed.  Runs on host indices only, before any
-    embedding work.
-    """
-    n, k = plan.n, plan.k
-    families: dict[str, set] = {}
-    seenall: set = set()
-
-    def add(name: str, edges: Iterable[tuple[int, int]]) -> None:
-        fam = families.setdefault(name, set())
-        for (x, y) in edges:
-            e = canonical_edge(x % n, y % n)
-            if e in seenall:
-                raise HamPowerError(f"layout error: host edge {e} assigned twice (at {name})")
-            seenall.add(e)
-            fam.add(e)
-
-    add("absorber", host_edges(power_path(plan.m_abs, k)))
-    for i in range(1, plan.s + 1):
-        shift = plan.connector_window_start(i)
-        add("connectors", ((shift + p, shift + q) for (p, q) in host_edges(connector(k, k, k))))
-        shift = plan.path_window_start(i)
-        add("paths", ((shift + p, shift + q) for (p, q) in host_edges(power_path(plan.r, k))))
-    for j in range(plan.c):
-        shift = plan.sweep_base + j * (k + 1) - k
-        add("sweep", ((shift + p, shift + q) for (p, q) in host_edges(connector(k, 1, k))))
-    for idx in range(plan.g):
-        p = plan.greedy_base + idx
-        add("greedy", ((p - d, p) for d in range(1, k + 1)))
-    shift = n - 2 * k
-    add("final", ((shift + p, shift + q) for (p, q) in host_edges(connector(k, k, k))))
-
-    expected = set(host_edges(power_cycle(n, k)))
-    if seenall != expected:
-        missing = expected - seenall
-        raise HamPowerError(
-            f"layout error: {len(missing)} host edges uncovered (e.g. {sorted(missing)[:4]})"
-        )
-    return families
-
-
 @functools.lru_cache(maxsize=16)
 def check_layout(plan: Plan) -> None:
-    """:func:`layout_edge_partition`'s verdict, once per plan.
+    """Raise unless the plan's windows tile the host cycle's edges exactly.
 
     The layout depends on the frozen plan alone, so repeated solves with
     one plan check it once.  A broken layout raises on every call (an
-    exception is not cached).  Only the verdict is kept: the families of
-    a C_1200^3 plan hold about 0.5 MB.
+    exception is not cached).  Only the verdict is kept: the covered edge
+    set of a C_1200^3 plan holds about 0.5 MB.
     """
-    layout_edge_partition(plan)
+    n, k = plan.n, plan.k
+    families = [("absorber", window_edges(power_path(plan.m_abs, k), 0))]
+    for i in range(1, plan.s + 1):
+        families += [
+            ("connectors", window_edges(connector(k, k, k), plan.connector_window_start(i))),
+            ("paths", window_edges(power_path(plan.r, k), plan.path_window_start(i))),
+        ]
+    families += [
+        ("sweep", window_edges(connector(k, 1, k), plan.sweep_base + j * (k + 1) - k))
+        for j in range(plan.c)
+    ]
+    greedy = range(plan.greedy_base, plan.greedy_base + plan.g)
+    families.append(("greedy", [(p - d, p) for p in greedy for d in range(1, k + 1)]))
+    families.append(("final", window_edges(connector(k, k, k), n - 2 * k)))
+    check_edge_partition(power_cycle(n, k), families)
 
 
 def sample_reservoir(n: int, size: int, rng: random.Random) -> frozenset[int]:

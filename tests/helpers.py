@@ -7,7 +7,8 @@ functions are the plain from-scratch forms of computations the library
 shortcuts (a bit walk over the whole mask, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
 try, one interpreted ``rng.random()`` per vertex pair, a fast sampler with
-an ``owner`` dict); the shortcuts must agree with them exactly.
+an ``owner`` dict, a connector's constraints listed per call); the
+shortcuts must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,19 @@ from typing import Optional
 
 from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_edge_count
 from hampower.bitset import mask_of, pick_bit, select
-from hampower.core import GraphCollection, canonical_edge, host_edges
-from hampower.errors import InvalidInstanceError, NoPerfectMatchingError
+from hampower.core import (
+    CONNECTOR,
+    GraphCollection,
+    canonical_edge,
+    host_edges,
+    verify_coloured_embedding,
+)
+from hampower.errors import (
+    ConnectionFailedError,
+    HamPowerError,
+    InvalidInstanceError,
+    NoPerfectMatchingError,
+)
 from hampower.matching import EXACT_SIDE_CAP, BipartiteGraph, max_matching
 from hampower.pipeline import PipelineConfig, Plan
 
@@ -369,7 +381,6 @@ def reference_gadget_blueprint(k: int, ell: int, pattern) -> GadgetBlueprint:
             for (x, y), colour in list(edges.items()):
                 if a in (x, y):
                     edges[canonical_edge(c_ids[i - 1], y if x == a else x)] = colour
-    position = {v: p for p, v in enumerate(seq)}
     c_of = {a_ids[i]: c_ids[i] for i in range(ell - 1)}
     order = list(a_ids) + [c_of.get(v, v) for v in seq if v != a_ids[-1]]
     back = []
@@ -381,7 +392,7 @@ def reference_gadget_blueprint(k: int, ell: int, pattern) -> GadgetBlueprint:
             if v in (x, y) and (x if y == v else y) in earlier
         )))
     return GadgetBlueprint(
-        k, ell, a_ids, b_ids, c_ids, tuple(seq), edges, position, tuple(back)
+        k, ell, a_ids, b_ids, c_ids, tuple(seq), edges, tuple(back)
     )
 
 
@@ -505,3 +516,52 @@ def reference_random_min_degree_collection(
                     rows[v] |= 1 << u
         tables.append(rows)
     return GraphCollection(n, tables)
+
+
+def reference_embed_connector(collection, w, y, pattern, pool, rng):
+    """``connectors.embed_connector`` with each internal position's
+    constraints listed from the host edges on every call, and its own
+    greedy loop."""
+    host = pattern.host
+    if host.kind != CONNECTOR:
+        raise InvalidInstanceError("connector embedding needs a connector-host pattern")
+    a, b, k = host.a, host.b, host.k
+    if (a, b) != (len(w), len(y)):
+        raise InvalidInstanceError(
+            f"connector host is ({a},{b}) but ends have ({len(w)},{len(y)}) vertices"
+        )
+    end_mask = mask_of(w) | mask_of(y)
+    if end_mask.bit_count() != a + b:
+        raise InvalidInstanceError("connector ends must be distinct and vertex-disjoint")
+    placed = dict(enumerate(w))
+    placed.update((a + k + i, v) for i, v in enumerate(y))
+    pool &= ~end_mask
+
+    constraints: dict[int, list[tuple[int, int]]] = {p: [] for p in range(a, a + k)}
+    for (i, j) in host_edges(host):
+        # attribute each edge to its later-placed internal endpoint
+        if a <= j < a + k:
+            constraints[j].append((i, pattern.colours[(i, j)]))
+        elif a <= i < a + k:
+            constraints[i].append((j, pattern.colours[(i, j)]))
+
+    internals: list[int] = []
+    for p in range(a, a + k):
+        cand = pool
+        for (q, colour) in constraints[p]:
+            cand &= collection.neighbour_mask(colour, placed[q])
+        if cand == 0:
+            raise ConnectionFailedError(
+                f"no candidate for connector position {p} "
+                f"(internal {p - a + 1} of {k})",
+                position=p,
+            )
+        v = pick_bit(cand, rng)
+        placed[p] = v
+        internals.append(v)
+        pool &= ~(1 << v)
+
+    result = verify_coloured_embedding(collection, pattern, [*w, *internals, *y])
+    if not result.ok:  # greedy construction realises every edge it checked
+        raise HamPowerError(f"internal error: connector failed verification at {result.violation}")
+    return tuple(internals)

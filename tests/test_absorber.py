@@ -136,7 +136,6 @@ class TestGadgetBlueprint:
                 bp = build_gadget_blueprint(k, ell, pattern)
                 ref = reference_gadget_blueprint(k, ell, pattern)
                 assert list(bp.edges.items()) == list(ref.edges.items()), (k, ell)
-                assert dict(bp.position) == ref.position
                 assert bp.base_sequence == ref.base_sequence
                 assert bp.back_neighbours == ref.back_neighbours
                 assert bp.vertices == ref.vertices
@@ -150,9 +149,8 @@ class TestGadgetBlueprint:
         bp2 = build_gadget_blueprint(2, 3, second)
         assert bp1.edges is not bp2.edges
         for bp in (bp1, bp2):
-            for mapping in (bp.edges, bp.position):
-                with pytest.raises(TypeError):
-                    mapping[next(iter(mapping))] = 1
+            with pytest.raises(TypeError):
+                bp.edges[next(iter(bp.edges))] = 1
         assert dict(bp1.edges) == reference_gadget_blueprint(2, 3, first).edges
         assert dict(bp2.edges) == reference_gadget_blueprint(2, 3, second).edges
 
@@ -526,9 +524,20 @@ class TestAbsorberPartition:
         host, x_degrees, gadgets, connectors, k = _absorber_layout((2, 1, 3), 2)
         # a host one position longer has k edges no window covers
         longer = power_path(host.order + 1, k)
+        message = "^layout error: 2 host edges uncovered, 0 outside"
         for _ in range(2):
-            with pytest.raises(HamPowerError, match="absorber windows cover"):
+            with pytest.raises(HamPowerError, match=message):
                 _assert_absorber_partition(longer, x_degrees, gadgets, connectors, k)
+
+    def test_window_past_the_path_end_raises_on_every_call(self):
+        host, x_degrees, gadgets, connectors, k = _absorber_layout((2, 1, 3), 2)
+        # on a host one position shorter, the last connector's window runs
+        # past the path end: its k edges into the last position lie outside
+        shorter = power_path(host.order - 1, k)
+        message = "^layout error: 0 host edges uncovered, 2 outside"
+        for _ in range(2):
+            with pytest.raises(HamPowerError, match=message):
+                _assert_absorber_partition(shorter, x_degrees, gadgets, connectors, k)
 
 
 class TestAbsorbValidation:

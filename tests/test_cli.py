@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from hampower import cli, core, instances
+from hampower import cli, core, instances, pipeline
+from hampower.errors import InfeasibleConfigError
 from hampower.instances import bijective_pattern, complete_collection
 
 
@@ -311,3 +312,62 @@ class TestExperiment:
             ) == 0
             outs.append((out.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
+
+
+# every flag that solve and experiment sweep share, at a value other than
+# its default, and the config fields it sets (the seed is checked apart)
+SHARED_FLAGS = [
+    "--alpha", "0.3", "--beta", "0.1", "--gamma", "0.02", "--epsilon", "0.2",
+    "--seed", "17", "--mode", "strict", "--sampler", "exact",
+]
+SHARED_FIELDS = dict(
+    alpha=0.3, beta=0.1, gamma=0.02, epsilon=0.2, mode="strict", sampler_mode="exact"
+)
+DEFAULT_FIELDS = dict(
+    alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, mode="best-effort", sampler_mode="fast"
+)
+
+
+class TestSharedSolverFlags:
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+
+        def fake_solve(collection, pattern, config):
+            seen.append(config)
+            raise InfeasibleConfigError("not solved here", floor=0)
+
+        monkeypatch.setattr(pipeline, "solve", fake_solve)
+        return seen
+
+    @pytest.mark.parametrize("flags, fields, seed", [
+        (SHARED_FLAGS, SHARED_FIELDS, 17), ([], DEFAULT_FIELDS, 0),
+    ])
+    def test_solve(self, tmp_path, configs, flags, fields, seed):
+        inst, pat = tmp_path / "inst.json", tmp_path / "pat.json"
+        pattern = bijective_pattern(core.power_cycle(10, 2))
+        write_instance(inst, complete_collection(10, pattern.max_colour))
+        write_pattern(pat, pattern)
+        code = cli.dispatch(
+            ["solve", "--instance", str(inst), "--pattern", str(pat),
+             "--out", str(tmp_path / "cycle.json"), *flags]
+        )
+        assert code == 2
+        (config,) = configs
+        assert {name: getattr(config, name) for name in fields} == fields
+        assert (config.seed, config.r, config.max_retries) == (seed, 7, 8)
+
+    @pytest.mark.parametrize("flags, fields, seed", [
+        (SHARED_FLAGS, SHARED_FIELDS, 17), ([], DEFAULT_FIELDS, 0),
+    ])
+    def test_sweep(self, tmp_path, configs, flags, fields, seed):
+        code = cli.dispatch(
+            ["experiment", "sweep", "--k", "2", "--n", "20", "--delta-from", "0.9",
+             "--delta-to", "0.9", "--delta-step", "0.1", "--trials", "1",
+             "--out", str(tmp_path / "sweep.csv"), *flags]
+        )
+        assert code == 0
+        (config,) = configs
+        assert {name: getattr(config, name) for name in fields} == fields
+        trial_seed = pipeline.derive_rng(seed, "experiment", 0, 0).getrandbits(63)
+        assert (config.seed, config.r) == (trial_seed, 7)

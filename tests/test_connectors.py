@@ -1,7 +1,11 @@
 import random
+from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
+from helpers import reference_embed_connector
+from hampower.absorber import build_gadget_blueprint, embed_by_degeneracy
 from hampower.bitset import mask_of
 from hampower.connectors import embed_connector, extend_by_one
 from hampower.core import (
@@ -12,7 +16,7 @@ from hampower.core import (
     verify_coloured_embedding,
 )
 from hampower.errors import ConnectionFailedError, InvalidInstanceError
-from hampower.instances import complete_collection, random_pattern
+from hampower.instances import complete_collection, random_min_degree_collection, random_pattern
 
 
 def high_z_degree_collection(rng, n, z_size, m, floor):
@@ -177,3 +181,79 @@ class TestRequestValidation:
         pattern = random_pattern(connector(2, 2, 2), 2, rng)
         with pytest.raises(InvalidInstanceError):
             embed_connector(coll, (0, 0), (2, 3), pattern, mask_of(range(4, 8)), rng)
+
+
+def _outcome(embed, *args):
+    try:
+        return "placed", embed(*args)
+    except ConnectionFailedError as exc:
+        return "failed", exc.position
+
+
+class TestMatchesReference:
+    def test_every_connector_shape_draws_as_the_reference(self):
+        # per shape and pool size, five random end pairs: pools of every
+        # free vertex succeed, pools of k to k+2 vertices often fail
+        rng = random.Random(47)
+        n, m = 24, 3
+        coll = random_min_degree_collection(n, m, 0.7, rng)
+        outcomes = set()
+        for k in (2, 3, 4):
+            for a in range(1, k + 1):
+                for b in range(1, k + 1):
+                    pattern = random_pattern(connector(a, b, k), m, rng)
+                    for size in (n, k + 2, k + 1, k):
+                        for _ in range(5):
+                            ends = rng.sample(range(n), a + b)
+                            pool = mask_of(rng.sample(range(n), size))
+                            seed = rng.getrandbits(32)
+                            got, want = random.Random(seed), random.Random(seed)
+                            args = (coll, ends[:a], ends[a:], pattern, pool)
+                            out = _outcome(embed_connector, *args, got)
+                            assert out == _outcome(reference_embed_connector, *args, want)
+                            assert got.getstate() == want.getstate()
+                            outcomes.add(out[0])
+        assert outcomes == {"placed", "failed"}
+
+
+def _recoloured(colours, colour):
+    """A read-only copy of ``colours`` with its first edge given ``colour``;
+    ``ColourPattern`` itself refuses colours below 1."""
+    out = dict(colours)
+    out[next(iter(out))] = colour
+    return MappingProxyType(out)
+
+
+class TestColoursOutsideRange:
+    # with m = 2, colour 0 would read graph 2 and colour -1 graph 1 (as
+    # masks[-1] and masks[-2]); colour 3 names no graph
+    @pytest.mark.parametrize("colour", [0, -1, 3])
+    def test_embed_connector(self, colour):
+        coll = complete_collection(12, 2)
+        pattern = random_pattern(connector(2, 2, 2), 2, random.Random(48))
+        object.__setattr__(pattern, "colours", _recoloured(pattern.colours, colour))
+        rng = random.Random(49)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError):
+            embed_connector(coll, (0, 1), (2, 3), pattern, mask_of(range(4, 12)), rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("colour", [0, -1, 3])
+    def test_embed_by_degeneracy(self, colour):
+        coll = complete_collection(40, 2)
+        bp = build_gadget_blueprint(2, 2, random_pattern(power_path(10, 2), 2, random.Random(50)))
+        bp = replace(bp, edges=_recoloured(bp.edges, colour))
+        rng = random.Random(51)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError):
+            embed_by_degeneracy(coll, bp, (0, 1), mask_of(range(40)), rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("colour", [0, -1, 3])
+    def test_extend_by_one(self, colour):
+        coll = complete_collection(10, 2)
+        rng = random.Random(52)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError):
+            extend_by_one(coll, PowerPath(2, (0, 1)), [colour, 2], mask_of(range(2, 10)), rng)
+        assert rng.getstate() == state

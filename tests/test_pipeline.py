@@ -32,7 +32,6 @@ from hampower.pipeline import (
     check_layout,
     derive_rng,
     feasibility_floor,
-    layout_edge_partition,
     sample_reservoir,
     solve,
 )
@@ -83,9 +82,7 @@ class TestPlan:
                 plans = candidate_plans(n, k, cfg)
                 if not plans:
                     continue
-                families = layout_edge_partition(plans[0])  # raises on any overlap/gap
-                total = sum(len(f) for f in families.values())
-                assert total == k * n
+                check_layout(plans[0])  # raises on any overlap or gap
                 checked += 1
         assert checked > 150
 
@@ -98,11 +95,16 @@ class TestPlan:
 
     @pytest.mark.parametrize(
         "dg, message",
-        [(1, r"host edge \(\d+, \d+\) assigned twice \(at final\)"), (-1, "^layout error: 3 ")],
+        [
+            (1, r"host edge \(\d+, \d+\) assigned twice \(at final\)"),
+            (-1, "^layout error: 3 "),
+            (7, r"host edge \(0, 1\) assigned twice \(at greedy\)"),
+        ],
     )
     def test_broken_layout_raises_on_every_call(self, dg, message):
         # one greedy extension too many runs into the final connector, one
-        # too few leaves the last greedy position's k back-edges uncovered
+        # too few leaves the last greedy position's k back-edges uncovered,
+        # and 2k+1 too many run past position n-1, wrap and meet the absorber
         plan = candidate_plans(200, 3, CONFIG)[0]
         assert plan.g == 2
         check_layout(plan)
