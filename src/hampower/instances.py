@@ -7,24 +7,28 @@ multipartite graph paired with its matching-thinned companion plus a short
 colour-2 connector window, under which no compatible Hamilton power exists).
 
 The random generators keep one draw order, so a seed gives the same
-collection in every version: per graph, one ``rng.random()`` per vertex pair,
-then the repair's ``rng.sample`` calls.  The draws are made in C, a row or a
-part-pair block at a time, and kept as bytes of 0/1 flags until they are
-read back as mask rows.
+collection in every version: per graph, one ``rng.random()`` draw per vertex
+pair, then the repair's ``rng.sample`` calls.  The pair draws of a graph (of
+a part-pair block, in the r-partite generator) are taken together from
+``rng.getrandbits``, 64 bits per pair, in chunks of at most 2**16 pairs.  For
+``random.Random`` itself, which is what every caller passes
+(``pipeline.derive_rng``, the benchmark workloads), that gives the flags and
+the final rng state of the ``rng.random()`` calls.  The flags are kept as
+bytes of 0/1 until they are read back as mask rows.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import count, repeat, starmap
-from operator import lt
+from functools import lru_cache
+from itertools import count
+from math import ceil
 
-from .bitset import select
+from .bitset import mask_of, select
 from .core import (
     ColourPattern,
     GraphCollection,
     HostTemplate,
-    canonical_edge,
     connector,
     host_edges,
     power_cycle,
@@ -46,6 +50,22 @@ __all__ = [
 
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
+# ``random()`` returns x / 2**53 for the 53-bit x = (w0 >> 5) << 26 | (w1 >>
+# 6), where w0, w1 are two consecutive 32-bit Mersenne outputs, and
+# ``getrandbits(64 * size)`` returns the same outputs in the same order, low
+# word first.  The top byte of w0 is x >> 45.
+_DRAW_CHUNK = 1 << 16
+_TIE = 2
+_LOW_BITS = 45
+
+
+@lru_cache(maxsize=16)
+def _top_byte_table(threshold: int) -> bytes:
+    """``translate`` table from the top byte of x to the flag x < threshold:
+    1 below the threshold's top byte, 0 above and ``_TIE`` when equal."""
+    top = threshold >> _LOW_BITS
+    return bytes(1 if b < top else _TIE if b == top else 0 for b in range(256))
+
 
 def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
@@ -54,18 +74,47 @@ def _check_counts(**counts: int) -> None:
 
 
 def _draw_flags(rng: random.Random, size: int, density: float) -> bytes:
-    """``size`` Bernoulli flags, one ``rng.random()`` call each, in order:
+    """``size`` Bernoulli flags, one per ``rng.random()`` draw, in order:
     flag i is 1 exactly when the i-th draw is below ``density``.
 
-    ``operator.lt`` is the ``<`` of a Python loop, so an int density
-    compares as it would there.
+    For ``random.Random`` itself the flags and the rng's final state equal
+    those of ``size`` ``rng.random()`` calls, though no such call is made:
+    each flag takes the 64 bits its call would, from one ``rng.getrandbits``
+    per chunk of at most ``_DRAW_CHUNK`` flags.  A draw x / 2**53 is below
+    ``density`` exactly when x < ceil(density * 2**53), which the top byte
+    of x decides through a table except when it ties with the threshold's
+    (about one draw in 256); a tie is decided from the full x.
     """
-    return bytes(map(lt, starmap(rng.random, repeat((), size)), repeat(density)))
+    threshold = ceil(density * (1 << 53))
+    table = _top_byte_table(threshold)
+    chunks = []
+    for start in range(0, size, _DRAW_CHUNK):
+        draws = min(_DRAW_CHUNK, size - start)
+        raw = rng.getrandbits(64 * draws).to_bytes(8 * draws, "little")
+        flags = raw[3::8].translate(table)
+        tie = flags.find(_TIE)
+        if tie >= 0:
+            flags = bytearray(flags)
+            while tie >= 0:
+                word = int.from_bytes(raw[8 * tie:8 * tie + 8], "little")
+                x = (word & 0xFFFFFFFF) >> 5 << 26 | word >> 38
+                flags[tie] = x < threshold
+                tie = flags.find(_TIE, tie + 1)
+        chunks.append(flags)
+    return b"".join(chunks)
 
 
 def _mask_of_flags(flags: bytes | bytearray) -> int:
     """The mask whose bit i is ``flags[i]`` (non-empty 0/1 flags)."""
     return int(flags[::-1].translate(_FLAG_DIGITS), 2)
+
+
+def _add_edges(rows: list[int], u: int, vertices: list[int]) -> None:
+    """Join u to each of ``vertices``: row u takes them in one OR."""
+    rows[u] |= mask_of(vertices)
+    bit = 1 << u
+    for v in vertices:
+        rows[v] |= bit
 
 
 def complete_collection(n: int, m: int) -> GraphCollection:
@@ -145,9 +194,7 @@ def random_rpartite_collection(
                         short = target - have.bit_count()
                         if short > 0:
                             missing = list(select(part_masks[other] ^ have, count()))
-                            for v in rng.sample(missing, short):
-                                rows[u] |= 1 << v
-                                rows[v] |= 1 << u
+                            _add_edges(rows, u, rng.sample(missing, short))
         tables.append(rows)
     return GraphCollection(n, tables), parts
 
@@ -173,21 +220,23 @@ def random_min_degree_collection(
     full = (1 << n) - 1
     tables = []
     for _ in range(m):
-        # adjacency[u * n + v] is 1 when uv is an edge: row u's draws go into
-        # its row and, by one strided slice, into column u
+        # flags hold the pairs (u, v), u < v, row after row; adjacency[u * n
+        # + v] is 1 when uv is an edge: row u's flags go into its row and, by
+        # one strided slice, into column u
+        flags = _draw_flags(rng, n * (n - 1) // 2, delta_frac)
         adjacency = bytearray(n * n)
+        start = 0
         for u in range(n - 1):
-            flags = _draw_flags(rng, n - 1 - u, delta_frac)
-            adjacency[u * n + u + 1:(u + 1) * n] = flags
-            adjacency[(u + 1) * n + u::n] = flags
+            row = flags[start:start + n - 1 - u]
+            start += n - 1 - u
+            adjacency[u * n + u + 1:(u + 1) * n] = row
+            adjacency[(u + 1) * n + u::n] = row
         rows = [_mask_of_flags(adjacency[u * n:(u + 1) * n]) for u in range(n)]
         for u in range(n):
             short = target - rows[u].bit_count()
             if short > 0:
                 missing = list(select(full ^ rows[u] ^ (1 << u), count()))
-                for v in rng.sample(missing, short):
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
+                _add_edges(rows, u, rng.sample(missing, short))
         tables.append(rows)
     return GraphCollection(n, tables)
 

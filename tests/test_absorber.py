@@ -10,7 +10,6 @@ from helpers import (
     template_edge_count_by_windows,
 )
 from hampower.absorber import (
-    AbsorbingStructure,
     Template,
     absorb,
     build_absorbing_structure,

@@ -20,6 +20,7 @@ from hampower.core import (
 )
 from hampower.errors import InvalidInstanceError
 from hampower.instances import (
+    _draw_flags,
     bijective_pattern,
     complete_collection,
     complete_rpartite_collection,
@@ -116,10 +117,14 @@ class TestDrawsMatchReference:
     """The generators make the reference loops' draws in the same order:
     equal collections and equal rng states after the call."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 150])
-    def test_random_min_degree(self, n):
-        for m in (1, 3):
-            for seed in range(5):
+    @pytest.mark.parametrize("n, ms, seeds", [
+        *(pytest.param(n, (1, 3), range(5), id=str(n)) for n in (1, 2, 3, 17, 64, 150)),
+        # 363 * 362 / 2 = 65 703 pairs: one graph's draws span two chunks
+        pytest.param(363, (1,), range(2), id="363"),
+    ])
+    def test_random_min_degree(self, n, ms, seeds):
+        for m in ms:
+            for seed in seeds:
                 for delta in _densities(n):
                     got_rng, want_rng = random.Random(seed), random.Random(seed)
                     got = random_min_degree_collection(n, m, delta, got_rng)
@@ -141,6 +146,39 @@ class TestDrawsMatchReference:
                         case = (r, part_size, m, seed, delta)
                         assert got == want, case
                         assert got_rng.getstate() == want_rng.getstate(), case
+
+
+CHUNK = 1 << 16
+
+
+class TestDrawFlags:
+    """``_draw_flags`` against one interpreted ``rng.random()`` per flag:
+    equal bytes and equal rng states after the call."""
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize(
+        "density", [0, 1, 0.0, 1.0, 0.5, 0.25, 1e-12, 1 - 2**-53, 0.95, 149 / 150]
+    )
+    def test_matches_random_calls(self, size, density):
+        for seed in range(2):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = _draw_flags(got_rng, size, density)
+            want = bytes(want_rng.random() < density for _ in range(size))
+            assert got == want, seed
+            assert got_rng.getstate() == want_rng.getstate(), seed
+
+    def test_threshold_at_a_draw(self):
+        # a density equal to a draw ties on its top byte and must read 0 for
+        # that draw; one draw's step above, 1
+        reference = random.Random(7)
+        draws = [reference.random() for _ in range(64)]
+        for i in (0, 31, 63):
+            for density, flag in ((draws[i], 0), (draws[i] + 2**-53, 1)):
+                got_rng, want_rng = random.Random(7), random.Random(7)
+                got = _draw_flags(got_rng, 64, density)
+                assert got[i] == flag, (i, density)
+                assert got == bytes(want_rng.random() < density for _ in range(64)), (i, density)
+                assert got_rng.getstate() == want_rng.getstate(), (i, density)
 
 
 class TestRPartite:

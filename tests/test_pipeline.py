@@ -27,10 +27,8 @@ from hampower.instances import (
 from hampower.matching import EXACT_SIDE_CAP
 from hampower.pipeline import (
     PipelineConfig,
-    Plan,
     candidate_plans,
     check_layout,
-    derive_rng,
     feasibility_floor,
     sample_reservoir,
     solve,
