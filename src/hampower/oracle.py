@@ -4,32 +4,51 @@ Patterns are anchored, so the search enumerates injective assignments of
 vertices to host positions 0..n-1 left to right (the position-0 vertex
 ranges over all n vertices), pruning a partial assignment as soon as any
 within-k host edge fails its colour's adjacency.  Wrap-around edges are
-checked when their later endpoint is placed.  When the pattern is invariant
-under the reflection through position 0, mirrored assignments are cut by
-requiring the position-(n-1) vertex to exceed the position-1 vertex; for
-general patterns that rule is unsound and is skipped.  Candidates are tried
-in ascending residual degree in the colour of the next cycle edge.
+checked when their later endpoint is placed.  Candidates are tried in
+ascending residual degree in the colour of the next cycle edge.
+
+Each twin class is tried once.  Vertices u and v are twins when
+N_c(u) - v = N_c(v) - u in every graph c of the collection, so swapping
+them maps placements that work to placements that work.  Twin classes are
+computed once per call; a position skips any candidate that has a smaller
+member of its class still unused, so the search visits only the canonical
+placements, those that place each class in ascending vertex order.  Every
+injective placement is one relabelling within classes away from exactly
+one canonical placement, so a count is the canonical count times the
+product of |C|! over the classes C.  On a collection without twins the
+search is the plain one.
+
+When the pattern is invariant under the reflection through position 0,
+mirrored assignments are cut by requiring the position-(n-1) vertex's
+class to come no earlier than the position-1 vertex's class (classes are
+ordered by their smallest vertex; without twins this is "the
+position-(n-1) vertex exceeds the position-1 vertex").  Reflecting a
+solution and making it canonical again keeps each position's class, so
+some canonical solution passes both cuts.  For general patterns the rule
+is unsound and is skipped.
 
 The search is iterative, one stack frame per placed position, so no order
 reaches Python's recursion limit.  A node is one vertex placed at one
-position, and ``SearchStats.nodes`` counts each node once in the order of a
-plain depth-first recursion, including a node whose next position has no
-candidate.  A frame intersects the rows its children share once; each
-child then costs one AND with its predecessor's row.  Only one vertex is
-left for the last position, so a completed cycle is counted without a
-frame of its own.
+position of a canonical partial placement, and ``SearchStats.nodes``
+counts each node once in the order of a plain depth-first recursion,
+including a node whose next position has no candidate.  A frame
+intersects the rows its children share once; each child then costs one
+AND with its predecessor's row.  Only one vertex is left for the last
+position, so a completed cycle is counted without a frame of its own.
 
 Exhaustive runs stay practical only at small n: the lower-bound instances
-at n = 12 take up to 777 720 nodes.  Budgeted runs work at every order up
+at n = 15 take up to 617 561 nodes.  Budgeted runs work at every order up
 to ``core.MAX_FILE_ORDER``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
 
+from .bitset import mask_of
 from .core import (
     POWER_CYCLE,
     ColourPattern,
@@ -74,6 +93,33 @@ def _reflection_symmetric(pattern: ColourPattern) -> bool:
     )
 
 
+def _twin_classes(collection: GraphCollection) -> list[list[int]]:
+    """The twin classes of the collection, each in ascending order, ordered
+    by their smallest vertex.
+
+    In one graph, u and v are twins exactly when their closed rows are equal
+    (adjacent twins) or their open rows are equal (non-adjacent twins), and
+    a vertex with a twin of one kind has none of the other.  A vertex's
+    label in one graph is the smallest vertex of its twin class there; the
+    classes of the collection group the vertices by their labels in every
+    graph.
+    """
+    labels: list[list[int]] = [[] for _ in range(collection.n)]
+    for rows in {id(rows): rows for rows in collection.masks}.values():
+        closed: dict[int, int] = {}
+        opened: dict[int, int] = {}
+        for v, row in enumerate(rows):
+            closed.setdefault(row | 1 << v, v)
+            opened.setdefault(row, v)
+        for v, row in enumerate(rows):
+            first = closed[row | 1 << v]
+            labels[v].append(first if first != v else opened[row])
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(tuple(label), []).append(v)
+    return list(classes.values())
+
+
 def _run(
     collection: GraphCollection,
     pattern: ColourPattern,
@@ -103,12 +149,28 @@ def _run(
         for p, back in enumerate(_back_constraints(pattern))
     ]
     assignment = [0] * n
+    # rep[v] is the smallest vertex of v's twin class, twins holds the
+    # classes of two or more vertices as masks, and orbit is the number of
+    # placements each canonical one stands for
+    rep = list(range(n))
+    twins = []
+    orbit = 1
+    for members in _twin_classes(collection):
+        if len(members) > 1:
+            twins.append(mask_of(members))
+            orbit *= math.factorial(len(members))
+            for v in members:
+                rep[v] = members[0]
 
     def frame(p: int, cand: int, live: int) -> tuple:
         """Position p's frame: the vertices unused before p, the rows that
         every child at p+1 shares, the table whose row at p's vertex
         completes a child's check, and p's candidates by ascending residual
-        degree."""
+        degree; of each twin class only its smallest unused vertex is a
+        candidate."""
+        for members in twins:
+            unused = live & members
+            cand &= ~(unused & (unused - 1))
         key, ordered = next_rows[p], []
         while cand:
             low = cand & -cand
@@ -148,7 +210,7 @@ def _run(
                 break
             # one vertex is left for the last position: cand is that vertex,
             # and placing it completes the cycle
-            if use_reflection and not cand >> (assignment[1] + 1):
+            if use_reflection and rep[cand.bit_length() - 1] < rep[assignment[1]]:
                 continue
             if nodes == limit:
                 truncated = True
@@ -169,7 +231,7 @@ def _run(
     stats.elapsed = time.perf_counter() - started
     # a count run has its result from the count; a find run counts at most 1
     stats.result = UNKNOWN if truncated else FOUND if count else NONE
-    return found, count, stats
+    return found, count * orbit, stats
 
 
 def find_coloured_hamilton_power(
@@ -208,9 +270,13 @@ def count_coloured_hamilton_powers(
 
     The count normalisation: every injective position-to-vertex assignment
     counts once, so one unlabelled cycle subgraph contributes up to 2n
-    placements (n rotations times two directions).  The reflection cut is
-    disabled here so the count is exact.  A hit node budget yields
-    ``stats.result == "unknown"`` with the partial count.
+    placements (n rotations times two directions).  The search enumerates
+    the canonical placements only (one per relabelling of twins within
+    their classes) and returns their number times the product of |C|!
+    over the twin classes C, which is the number of all placements.  The
+    reflection cut is disabled here so the count is exact.  A hit node
+    budget yields ``stats.result == "unknown"`` with the partial count,
+    the canonical placements completed so far times the same product.
     """
     _, count, stats = _run(
         collection, pattern, budget, count_all=True, use_reflection=False

@@ -124,18 +124,31 @@ def fast_sampler_law(b: BipartiteGraph) -> dict[tuple, Fraction]:
     return {outcome: Fraction(c, total) for outcome, c in counts.items()}
 
 
-def naive_hamilton_power_exists(collection: GraphCollection, pattern) -> bool:
-    """All-permutations existence check (n <= 8)."""
+def _naive_placements(collection: GraphCollection, pattern):
+    """Every permutation, read as a position-to-vertex assignment, that
+    realises the anchored pattern (n <= 8)."""
     n = pattern.host.order
     assert n <= 8
     edges = host_edges(pattern.host)
-    for perm in itertools.permutations(range(n)):
+    return (
+        perm
+        for perm in itertools.permutations(range(n))
         if all(
             collection.has_edge(pattern.colours[(i, j)], perm[i], perm[j])
             for (i, j) in edges
-        ):
-            return True
-    return False
+        )
+    )
+
+
+def naive_hamilton_power_exists(collection: GraphCollection, pattern) -> bool:
+    """All-permutations existence check (n <= 8)."""
+    return next(_naive_placements(collection, pattern), None) is not None
+
+
+def naive_hamilton_power_count(collection: GraphCollection, pattern) -> int:
+    """All-permutations count of the anchored placements, each injective
+    position-to-vertex assignment once (n <= 8)."""
+    return sum(1 for _ in _naive_placements(collection, pattern))
 
 
 def tiling_extension_instance(rng: random.Random, k: int, n: int):
