@@ -18,8 +18,11 @@ and the degeneracy order after A with each vertex's at most k+2 earlier
 neighbours) depends on (k, ell) only, so it is built and checked once per
 shape, and each gadget only looks up its colours.  The embedding walks
 that stored order with :func:`connectors.place_in_order`, the walk that
-also places connector internals, and the absorbing path's layout is
-checked once by :func:`core.check_edge_partition`.
+also places connector internals.
+
+The absorbing path is a :class:`core.Layout`, :func:`absorber_layout`,
+and its connectors are embedded by :func:`chain_connectors`, the loop that
+also joins the solver's cycle.
 
 A *robustly matchable template* converts "absorb any s-subset of the
 reservoir" into one matching computation: it is a bounded-degree bipartite
@@ -44,24 +47,24 @@ import math
 import random
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bitset import mask_of, select
 from .connectors import embed_connector, place_in_order
 from .core import (
+    CONNECTOR,
     ColourPattern,
     Edge,
     GraphCollection,
-    HostTemplate,
+    Layout,
     PowerPath,
+    Segment,
     canonical_edge,
-    check_edge_partition,
     connector,
     host_edges,
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
-    window_edges,
 )
 from .errors import (
     EmbeddingFailedError,
@@ -71,6 +74,8 @@ from .errors import (
     TemplateError,
 )
 from .matching import BipartiteGraph, augment, max_matching
+
+END, GADGET = "end", "gadget"  # the absorbing path's piece segments
 
 
 # --------------------------------------------------------------------------
@@ -483,12 +488,6 @@ class EmbeddedGadget:
     l_vertices: tuple[int, ...]        # actual flexible vertices, aligned with a_vertices
     l_left_indices: tuple[int, ...]    # template left indices, same alignment
 
-    def fixed_first_k(self) -> tuple[int, ...]:
-        return tuple(self.images[v] for v in self.blueprint.base_sequence[: self.blueprint.k])
-
-    def fixed_last_k(self) -> tuple[int, ...]:
-        return tuple(self.images[v] for v in self.blueprint.base_sequence[-self.blueprint.k:])
-
     def absorb_path(self, a_index: int) -> list[int]:
         """Realised absorb path for the a_index-th flexible vertex (1-based)."""
         flexible = self.l_vertices[a_index - 1]
@@ -503,10 +502,10 @@ class EmbeddedGadget:
 class AbsorbingStructure:
     """Everything needed to absorb any admissible reservoir subset.
 
-    The final path is [z1] + H_0 + P_1 + H_1 + ... + P_{3s} + H_{3s} + [z2],
-    where P_i is gadget i's absorb path for its matched vertex and the H_i
-    are the fixed connector internals.  The first and last k vertices are
-    independent of the absorbed subset.
+    ``placement`` is the absorbing path on ``layout``: z1, the connector
+    internals, z2 and each gadget's B vertices, with None at its A positions
+    until :func:`absorb` fills the gadget windows.  So the first and last k
+    vertices are independent of the absorbed subset.
     """
 
     k: int
@@ -517,22 +516,19 @@ class AbsorbingStructure:
     z2: int
     w_vertices: tuple[int, ...]
     gadgets: tuple[EmbeddedGadget, ...]
-    connectors: tuple[tuple[int, ...], ...]
+    layout: Layout
+    placement: tuple[Optional[int], ...]
     absorbed_set: frozenset[int]
 
     @property
     def a_size(self) -> int:
         return len(self.absorbed_set)
 
-    @property
-    def path_order(self) -> int:
-        return self.pattern.host.order
-
     def boundary_first_k(self) -> tuple[int, ...]:
-        return (self.z1,) + self.connectors[0][: self.k - 1]
+        return self.placement[: self.k]
 
     def boundary_last_k(self) -> tuple[int, ...]:
-        return self.connectors[-1][-(self.k - 1):] + (self.z2,) if self.k > 1 else (self.z2,)
+        return self.placement[-self.k:]
 
 
 def expected_absorbed_size(k: int, s: int, b: int) -> int:
@@ -583,61 +579,33 @@ def build_absorbing_structure(
         raise InvalidInstanceError("Y must avoid the reservoir")
     w_tuple = tuple(sorted(z_set - {z1, z2})) if s >= 1 else ()
 
-    x_degrees = template.x_degrees()
     x_nbrs = template.x_neighbourhoods()
-
-    # host layout: positions of each connector window and gadget window
-    gadget_starts: list[int] = []
-    connector_starts: list[int] = []
-    pos = 0  # z1
-    cursor = 1
-    for i in range(3 * s):
-        connector_starts.append(cursor)
-        cursor += k
-        gadget_starts.append(cursor)
-        cursor += (2 * k + 1) * x_degrees[i]
-    connector_starts.append(cursor)
-    cursor += k
-    if cursor + 1 != m_abs:
+    layout = absorber_layout(k, tuple(map(len, x_nbrs)))
+    if layout.host != pattern.host:
         raise HamPowerError("internal error: absorber layout does not fill the path")
-
-    _assert_absorber_partition(
-        pattern.host, tuple(x_degrees), tuple(gadget_starts), tuple(connector_starts), k
-    )
 
     full = (1 << collection.n) - 1
     used = mask_of(y_tuple) | mask_of(z_set)
+    placement: list[Optional[int]] = [None] * m_abs
+    placement[0], placement[-1] = z1, z2
+    u_and_w = y_tuple + w_tuple  # the actual vertices of the template's left indices
 
     gadgets: list[EmbeddedGadget] = []
-    for i in range(3 * s):
-        ell = x_degrees[i]
-        sub = restrict_pattern(pattern, gadget_starts[i], power_path((2 * k + 1) * ell, k))
-        blueprint = build_gadget_blueprint(k, ell, sub)
-        left_ids = x_nbrs[i]
-        actual = tuple(
-            y_tuple[l] if l < 2 * s else w_tuple[l - 2 * s] for l in left_ids
-        )
+    for seg, left_ids in zip(_gadget_segments(layout), x_nbrs):
+        sub = restrict_pattern(pattern, seg.start, seg.shape)
+        blueprint = build_gadget_blueprint(k, len(left_ids), sub)
+        actual = tuple(u_and_w[left] for left in left_ids)
         mapped = embed_by_degeneracy(collection, blueprint, actual, full & ~used, rng)
         body = {v: mapped[v] for v in blueprint.r_vertices}
         used |= mask_of(body.values())
-        gadgets.append(
-            EmbeddedGadget(blueprint, MappingProxyType(body), actual, left_ids)
-        )
+        gadgets.append(EmbeddedGadget(blueprint, MappingProxyType(body), actual, left_ids))
+        # every B position is fixed; the A positions wait for the absorbed vertices
+        placement[seg.start:seg.start + seg.shape.order] = map(body.get, blueprint.base_sequence)
 
-    connectors_out: list[tuple[int, ...]] = []
-    for idx in range(3 * s + 1):
-        w = (z1,) if idx == 0 else gadgets[idx - 1].fixed_last_k()
-        y = (z2,) if idx == 3 * s else gadgets[idx].fixed_first_k()
-        sub = restrict_pattern(pattern, connector_starts[idx] - len(w), connector(len(w), len(y), k))
-        internals = embed_connector(collection, w, y, sub, full & ~used, rng)
-        used |= mask_of(internals)
-        connectors_out.append(internals)
+    chain_connectors(collection, pattern, layout, placement, full & ~used, rng, embed_connector)
 
-    absorbed = (
-        set(y_tuple)
-        | {v for g in gadgets for v in g.images.values()}
-        | {v for c in connectors_out for v in c}
-    )
+    bodies = (g.images.values() for g in gadgets)
+    absorbed = set(y_tuple).union(placement[1:-1], *bodies) - {None}  # z1, z2 sit at the ends
     if len(absorbed) != a:
         raise HamPowerError(f"internal error: |A| = {len(absorbed)} != expected {a}")
     if absorbed & z_set:
@@ -652,35 +620,78 @@ def build_absorbing_structure(
         z2=z2,
         w_vertices=w_tuple,
         gadgets=tuple(gadgets),
-        connectors=tuple(connectors_out),
+        layout=layout,
+        placement=tuple(placement),
         absorbed_set=frozenset(absorbed),
     )
 
 
 @functools.lru_cache(maxsize=16)
-def _assert_absorber_partition(
-    host: HostTemplate,
-    x_degrees: tuple[int, ...],
-    gadget_starts: tuple[int, ...],
-    connector_starts: tuple[int, ...],
-    k: int,
-) -> None:
-    """The gadget windows plus connector hosts must tile the path edges.
-
-    The layout is fixed by k and the gadget sizes, so each layout is
-    checked once per process; a broken one raises on every call (an
-    exception is not cached).
-    """
-    families = [
-        (f"gadget {i}", window_edges(power_path((2 * k + 1) * ell, k), start))
-        for i, (ell, start) in enumerate(zip(x_degrees, gadget_starts))
+def absorber_layout(k: int, x_degrees: tuple[int, ...]) -> Layout:
+    """The absorbing path for gadgets of these X-degrees, built and checked
+    once per process: z1, a connector and a gadget window per gadget, then a
+    connector and z2."""
+    end = power_path(1, k)
+    segments = [Segment("z1", END, 0, end)]
+    pos, a = 1, 1  # the next free position; the order of the piece before, capped at k
+    for i, ell in enumerate(x_degrees):
+        segments += [
+            Segment(f"connector {i}", CONNECTOR, pos - a, connector(a, k, k)),
+            Segment(f"gadget {i}", GADGET, pos + k, power_path((2 * k + 1) * ell, k)),
+        ]
+        pos, a = pos + k + (2 * k + 1) * ell, k
+    segments += [
+        Segment(f"connector {len(x_degrees)}", CONNECTOR, pos - a, connector(a, 1, k)),
+        Segment("z2", END, pos + k, end),
     ]
-    for idx, start in enumerate(connector_starts):
-        a_len = 1 if idx == 0 else k
-        b_len = 1 if idx == len(connector_starts) - 1 else k
-        window = window_edges(connector(a_len, b_len, k), start - a_len)
-        families.append((f"connector {idx}", window))
-    check_edge_partition(host, families)
+    return Layout(power_path(pos + k + 1, k), tuple(segments))
+
+
+def _gadget_segments(layout: Layout) -> list[Segment]:
+    return [seg for seg in layout.segments if seg.kind == GADGET]
+
+
+def chain_connectors(
+    collection: GraphCollection,
+    pattern: ColourPattern,
+    layout: Layout,
+    placement: list[Optional[int]],
+    pool: int,
+    rng: random.Random,
+    embed: Callable[..., tuple[int, ...]],
+    fill: Optional[Callable[[Segment, int], int]] = None,
+) -> int:
+    """Embed the layout's connectors in host order; return the pool left.
+
+    A connector's ends are read from ``placement`` by host position (modulo
+    its length, so a cycle's closing connector wraps to the first piece) and
+    its internals, drawn from the ``pool`` mask by ``embed``, written back.
+    ``embed`` is :func:`connectors.embed_connector` as the caller's module
+    names it, where the benchmark's span hooks wrap it.  ``fill(segment,
+    pool) -> pool``, if given, places each other segment in host order, and
+    a connector is embedded once the piece after it is placed.
+    """
+    n = len(placement)
+
+    def join(seg: Segment) -> int:
+        a, k = seg.shape.a, seg.shape.k
+        ends = [placement[p % n] for p in range(seg.start, seg.start + seg.shape.order)]
+        sub = restrict_pattern(pattern, seg.start, seg.shape)
+        internals = embed(collection, ends[:a], ends[a + k:], sub, pool, rng)
+        for off, v in enumerate(internals):
+            placement[(seg.start + a + off) % n] = v
+        return pool & ~mask_of(internals)
+
+    pending: Optional[Segment] = None
+    for seg in layout.segments:
+        if seg.kind == CONNECTOR:
+            pending = seg
+            continue
+        if fill is not None:
+            pool = fill(seg, pool)
+        if pending is not None:
+            pool, pending = join(pending), None
+    return pool if pending is None else join(pending)
 
 
 def absorb(structure: AbsorbingStructure, z_prime: Iterable[int]) -> PowerPath:
@@ -703,16 +714,13 @@ def absorb(structure: AbsorbingStructure, z_prime: Iterable[int]) -> PowerPath:
     if pairs is None:
         raise HamPowerError("internal error: certified template failed to match Z'")
     x_to_left = {x: left for (left, x) in pairs}
-    path: list[int] = [structure.z1]
-    for i, gadget in enumerate(structure.gadgets):
-        path.extend(structure.connectors[i])
+    path = list(structure.placement)
+    for i, (gadget, seg) in enumerate(zip(structure.gadgets, _gadget_segments(structure.layout))):
         a_index = gadget.l_left_indices.index(x_to_left[i]) + 1
-        path.extend(gadget.absorb_path(a_index))
-    path.extend(structure.connectors[-1])
-    path.append(structure.z2)
+        path[seg.start:seg.start + seg.shape.order] = gadget.absorb_path(a_index)
 
     expected_cover = structure.absorbed_set | zp | {structure.z1, structure.z2}
-    if set(path) != expected_cover or len(path) != structure.path_order:
+    if set(path) != expected_cover or len(path) != structure.pattern.host.order:
         raise HamPowerError("internal error: absorb path does not cover A + Z' exactly")
     result = verify_coloured_embedding(structure.collection, structure.pattern, path)
     if not result.ok:

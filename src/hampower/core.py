@@ -20,8 +20,10 @@ An ordered vertex list realises the pattern when every canonical host edge
 (i, j) of colour c maps to an edge of G_c.  Patterns are anchored: position 0
 of a vertex list always corresponds to host position 0; cycle rotation and
 reflection are handled by callers (the oracle searches over placements).
-The windows of a layout (the solver's cycle, the absorbing path) must tile
-its host's edges exactly: :func:`check_edge_partition`.
+A *layout* (the solver's cycle, the absorbing path) is a host plus named
+segments in host order: pieces, the connectors that join them, and runs of
+one-vertex extensions.  Their edges must tile the host's edges exactly, which
+:func:`check_edge_partition` checks when a :class:`Layout` is made.
 """
 
 from __future__ import annotations
@@ -133,25 +135,56 @@ def _host_edge_set(host: HostTemplate) -> frozenset[Edge]:
     return frozenset(_host_edges(host))
 
 
-def window_edges(target: HostTemplate, start: int) -> Iterator[Edge]:
-    """The edges a window of shape ``target`` at position ``start`` covers."""
-    return ((start + p, start + q) for (p, q) in _host_edges(target))
+EXTEND = "extend"
 
 
-def check_edge_partition(
-    host: HostTemplate, families: Iterable[tuple[str, Iterable[Edge]]]
-) -> None:
-    """Raise unless the (name, edges) families tile the host's edges exactly,
-    naming the family of an edge listed twice, or else counting the host
+@dataclass(frozen=True)
+class Segment:
+    """A run of a layout's host positions; ``shape`` sits at ``start``.
+
+    A connector shape's window begins with the last ``shape.a`` positions of
+    the piece before it.  An EXTEND segment places its ``shape.order``
+    positions a vertex at a time, each joined to the k positions before it.
+    """
+
+    name: str
+    kind: str
+    start: int
+    shape: HostTemplate
+
+    def edges(self) -> Iterator[Edge]:
+        start, k = self.start, self.shape.k
+        if self.kind == EXTEND:
+            own = range(start, start + self.shape.order)
+            return ((p - d, p) for p in own for d in range(1, k + 1))
+        return ((start + p, start + q) for (p, q) in _host_edges(self.shape))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Named segments in host order whose edges tile the host's edges
+    exactly; :func:`check_edge_partition` checks this on construction."""
+
+    host: HostTemplate
+    segments: tuple[Segment, ...]
+
+    def __post_init__(self) -> None:
+        check_edge_partition(self)
+
+
+def check_edge_partition(layout: Layout) -> None:
+    """Raise unless the layout's segments tile its host's edges exactly,
+    naming the segment of an edge covered twice, or else counting the host
     edges uncovered and the edges outside the host.  Positions wrap modulo
     the order of a power cycle."""
+    host = layout.host
     n, wrap = host.order, host.kind == POWER_CYCLE
     covered: set[Edge] = set()
-    for name, edges in families:
-        for (x, y) in edges:
+    for seg in layout.segments:
+        for (x, y) in seg.edges():
             e = canonical_edge(x % n, y % n) if wrap else canonical_edge(x, y)
             if e in covered:
-                raise HamPowerError(f"layout error: host edge {e} assigned twice (at {name})")
+                raise HamPowerError(f"layout error: host edge {e} assigned twice (at {seg.name})")
             covered.add(e)
     expected = _host_edge_set(host)
     if covered != expected:

@@ -1,13 +1,14 @@
 """End-to-end solver: reservoir, absorber, path collection, connections,
 final absorption.
 
-The run follows a fixed layout of the cycle's host positions:
+The run follows a fixed layout of the cycle's host positions,
+:meth:`Plan.layout`, whose segments are, in host order:
 
-    [0, m_abs)                      absorbing path (z1 ... z2)
-    then for i = 1..s:              k connector internals, then path P_i (r)
-    then for j = 1..c:              k connector internals, then leftover v_j
-    then g single-vertex extensions from the reservoir
-    then k final connector internals, wrapping back to position 0
+    absorber        [0, m_abs)     the absorbing path z1 ... z2
+    connector i, path i            k internals, then builder path P_i (r), i = 1..s
+    sweep j, leftover j            k internals, then leftover v_j, j = 1..c
+    greedy                         g single-vertex extensions from the reservoir
+    final           [n - k, n)     k internals, wrapping back to position 0
 
 m_abs = a + s_t + 2 where a is the absorber size determined by the template
 edge count.  The asymptotic constant hierarchy is replaced by an explicit
@@ -27,9 +28,11 @@ only when its own construction does (a connector or gadget finds no image,
 a level has no perfect matching), and the final cycle is re-verified.
 
 Before anything random happens, each plan's layout is checked by
-:func:`core.check_edge_partition`: the absorber window, the s path windows,
-the s+1+c connector windows and the greedy back-edges must partition the
-host cycle's edge set exactly.
+:func:`core.check_edge_partition`: the segments' windows and the greedy
+back-edges must partition the host cycle's edge set exactly.  The connect
+stage joins the pieces with :func:`absorber.chain_connectors`, the loop
+that also joins the absorbing path, drawing the leftover order and the
+greedy vertices as the chain reaches them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .absorber import (
     AbsorbingStructure,
@@ -48,24 +51,27 @@ from .absorber import (
     absorb,
     build_absorbing_structure,
     build_template,
+    chain_connectors,
     expected_absorbed_size,
     template_edge_count,
 )
 from .bitset import mask_of, select
 from .connectors import embed_connector, extend_by_one
 from .core import (
+    CONNECTOR,
+    EXTEND,
     POWER_CYCLE,
     ColourPattern,
     GraphCollection,
+    Layout,
     PowerCycle,
     PowerPath,
-    check_edge_partition,
+    Segment,
     connector,
     power_cycle,
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
-    window_edges,
 )
 from .errors import (
     HamPowerError,
@@ -78,6 +84,7 @@ from .pathbuilder import build_path_collection
 
 BEST_EFFORT = "best-effort"
 STRICT = "strict"
+ABSORBER, PATH, LEFTOVER = "absorber", "path", "leftover"  # the cycle's piece segments
 
 
 @dataclass(frozen=True)
@@ -134,21 +141,26 @@ class Plan:
     def z_size(self) -> int:
         return self.s_t + self.w_extra + 2
 
-    def path_window_start(self, i: int) -> int:
-        """Host position of path P_i's first vertex (1-based i)."""
-        return self.m_abs + (i - 1) * (self.k + self.r) + self.k
-
-    def connector_window_start(self, i: int) -> int:
-        """Host position of connector i's S1 block (1-based i)."""
-        return self.m_abs + (i - 1) * (self.k + self.r) - self.k
-
-    @property
-    def sweep_base(self) -> int:
-        return self.m_abs + self.s * (self.k + self.r)
-
-    @property
-    def greedy_base(self) -> int:
-        return self.sweep_base + self.c * (self.k + 1)
+    @functools.lru_cache(maxsize=16)
+    def layout(self) -> Layout:
+        """The cycle's segments (see the module docstring), built and checked
+        once per plan; a broken layout raises on every call."""
+        k = self.k
+        segments = [Segment("absorber", ABSORBER, 0, power_path(self.m_abs, k))]
+        pos = self.m_abs  # the next free position
+        # s paths of r vertices, then c leftovers, each after its connector
+        for joint, kind, order, count in (("connector", PATH, self.r, self.s),
+                                          ("sweep", LEFTOVER, 1, self.c)):
+            for i in range(1, count + 1):
+                segments += [
+                    Segment(f"{joint} {i}", CONNECTOR, pos - k, connector(k, min(k, order), k)),
+                    Segment(f"{kind} {i}", kind, pos + k, power_path(order, k)),
+                ]
+                pos += k + order
+        if self.g:
+            segments.append(Segment("greedy", EXTEND, pos, power_path(self.g, k)))
+        segments.append(Segment("final", CONNECTOR, self.n - 2 * k, connector(k, k, k)))
+        return Layout(power_cycle(self.n, k), tuple(segments))
 
 
 def derive_rng(seed: int, *labels) -> random.Random:
@@ -253,32 +265,6 @@ def feasibility_floor(k: int, config: PipelineConfig) -> int:
     raise InfeasibleConfigError("no feasible n found in the probe range")
 
 
-@functools.lru_cache(maxsize=16)
-def check_layout(plan: Plan) -> None:
-    """Raise unless the plan's windows tile the host cycle's edges exactly.
-
-    The layout depends on the frozen plan alone, so repeated solves with
-    one plan check it once.  A broken layout raises on every call (an
-    exception is not cached).  Only the verdict is kept: the covered edge
-    set of a C_1200^3 plan holds about 0.5 MB.
-    """
-    n, k = plan.n, plan.k
-    families = [("absorber", window_edges(power_path(plan.m_abs, k), 0))]
-    for i in range(1, plan.s + 1):
-        families += [
-            ("connectors", window_edges(connector(k, k, k), plan.connector_window_start(i))),
-            ("paths", window_edges(power_path(plan.r, k), plan.path_window_start(i))),
-        ]
-    families += [
-        ("sweep", window_edges(connector(k, 1, k), plan.sweep_base + j * (k + 1) - k))
-        for j in range(plan.c)
-    ]
-    greedy = range(plan.greedy_base, plan.greedy_base + plan.g)
-    families.append(("greedy", [(p - d, p) for p in greedy for d in range(1, k + 1)]))
-    families.append(("final", window_edges(connector(k, k, k), n - 2 * k)))
-    check_edge_partition(power_cycle(n, k), families)
-
-
 def sample_reservoir(n: int, size: int, rng: random.Random) -> frozenset[int]:
     """Uniform random proper non-empty subset of {0, ..., n-1} of the given
     size: one draw, no degree test.
@@ -349,7 +335,7 @@ def _solve_with_plan(
     plan_index: int,
 ) -> tuple[PowerCycle, dict]:
     k, n = plan.k, plan.n
-    check_layout(plan)  # colour accounting, before any embedding
+    layout = plan.layout()  # checked before any embedding
 
     attempts = 1 if config.mode == STRICT else config.max_retries
     trace: dict = {
@@ -412,8 +398,9 @@ def _solve_with_plan(
         rng.shuffle(pool)
         parts = [sorted(pool[j * plan.n1:(j + 1) * plan.n1]) for j in range(plan.r)]
         pats = [
-            restrict_pattern(pattern, plan.path_window_start(i), power_path(plan.r, k))
-            for i in range(1, plan.s + 1)
+            restrict_pattern(pattern, seg.start, seg.shape)
+            for seg in layout.segments
+            if seg.kind == PATH
         ]
         return build_path_collection(
             collection, parts, pats, plan.s, rng, sampler_mode=config.sampler_mode
@@ -423,75 +410,45 @@ def _solve_with_plan(
 
     def stage_connect(rng: random.Random) -> tuple[list[Optional[int]], frozenset[int]]:
         placement: list[Optional[int]] = [None] * n
-        avail = mask_of(reservoir) & ~(1 << z1) & ~(1 << z2)
-        running = list(structure.boundary_last_k())
-
-        def place(pos: int, v: int) -> None:
-            if placement[pos] is not None:
-                raise HamPowerError(f"internal error: position {pos} placed twice")
-            placement[pos] = v
-
-        for i in range(1, plan.s + 1):
-            path = paths[i - 1]
-            sub = restrict_pattern(pattern, plan.connector_window_start(i), connector(k, k, k))
-            internals = embed_connector(
-                collection, running[-k:], path.vertices[:k], sub, avail, rng
-            )
-            avail &= ~mask_of(internals)
-            base = plan.connector_window_start(i) + k
-            for off, v in enumerate(internals):
-                place(base + off, v)
-            for off, v in enumerate(path.vertices):
-                place(plan.path_window_start(i) + off, v)
-            running = list(path.vertices)
-
-        covered = {v for p in paths for v in p.vertices}
-        leftovers = sorted(set(v_prime) - covered)
+        leftovers = sorted(set(v_prime).difference(*(path.vertices for path in paths)))
         if len(leftovers) != plan.c:
             raise HamPowerError("internal error: leftover count disagrees with the plan")
-        rng.shuffle(leftovers)
-        for j, v in enumerate(leftovers):
-            start = plan.sweep_base + j * (k + 1)
-            sub = restrict_pattern(pattern, start - k, connector(k, 1, k))
-            internals = embed_connector(collection, running[-k:], (v,), sub, avail, rng)
-            avail &= ~mask_of(internals)
-            for off, u in enumerate(internals):
-                place(start + off, u)
-            place(start + k, v)
-            running.extend(internals)
-            running.append(v)
 
-        for idx in range(plan.g):
-            p = plan.greedy_base + idx
-            colours = [pattern.colour_of(p - k + j, p) for j in range(k)]
-            z = extend_by_one(collection, PowerPath(k, tuple(running[-k:])), colours, avail, rng)
-            avail &= ~(1 << z)
-            place(p, z)
-            running.append(z)
+        def shuffled(items: list[int]) -> Iterator[tuple[int]]:
+            rng.shuffle(items)  # at the first leftover: after the path connectors
+            yield from ((v,) for v in items)
 
-        if avail.bit_count() != plan.s_t + k:
-            raise HamPowerError("internal error: reservoir accounting before the final connector")
-        sub = restrict_pattern(pattern, n - 2 * k, connector(k, k, k))
-        internals = embed_connector(
-            collection, running[-k:], structure.boundary_first_k(), sub, avail, rng
+        pieces = {
+            ABSORBER: iter([structure.placement]),
+            PATH: (path.vertices for path in paths),
+            LEFTOVER: shuffled(leftovers),
+        }
+
+        def fill(seg: Segment, pool: int) -> int:
+            if seg.kind != EXTEND:
+                piece = next(pieces[seg.kind])
+                placement[seg.start:seg.start + len(piece)] = piece
+                return pool
+            for p in range(seg.start, seg.start + seg.shape.order):  # the greedy padding
+                colours = [pattern.colour_of(p - k + j, p) for j in range(k)]
+                tail = PowerPath(k, tuple(placement[p - k:p]))
+                z = extend_by_one(collection, tail, colours, pool, rng)
+                pool &= ~(1 << z)
+                placement[p] = z
+            return pool
+
+        avail = mask_of(reservoir) & ~(1 << z1) & ~(1 << z2)
+        avail = chain_connectors(
+            collection, pattern, layout, placement, avail, rng, embed_connector, fill
         )
-        avail &= ~mask_of(internals)
-        for off, v in enumerate(internals):
-            place(n - k + off, v)
         if avail.bit_count() != plan.s_t:
             raise HamPowerError("internal error: reservoir residue is not exactly s_t")
         return placement, frozenset(select(avail, itertools.count()))
 
     placement, z_prime = run_stage("connect", stage_connect)
 
-    def stage_absorb(rng: random.Random) -> PowerPath:
-        return absorb(structure, z_prime)
-
-    absorber_path = run_stage("absorb", stage_absorb, tries=1)
-    for pos, v in enumerate(absorber_path.vertices):
-        if placement[pos] is not None:
-            raise HamPowerError(f"internal error: absorber position {pos} already placed")
-        placement[pos] = v
+    absorber_path = run_stage("absorb", lambda rng: absorb(structure, z_prime), tries=1)
+    placement[:plan.m_abs] = absorber_path.vertices
 
     if any(v is None for v in placement):
         raise HamPowerError("internal error: unfilled host positions remain")

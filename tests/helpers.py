@@ -8,7 +8,8 @@ shortcuts (a bit walk over the whole mask, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
 try, one interpreted ``rng.random()`` per vertex pair, a fast sampler with
 an ``owner`` dict, a connector's constraints listed per call); the
-shortcuts must agree with them exactly.
+shortcuts must agree with them exactly.  The cycle layout's segment starts
+are checked against the closed forms it was once computed by.
 """
 
 from __future__ import annotations
@@ -467,6 +468,43 @@ def reference_candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Pl
     if config.sampler_mode == "exact":
         plans = [p for p in plans if p.s == 0 or p.n1 <= EXACT_SIDE_CAP]
     return plans
+
+
+def path_window_start(plan: Plan, i: int) -> int:
+    """Host position of path P_i's first vertex (1-based i)."""
+    return plan.m_abs + (i - 1) * (plan.k + plan.r) + plan.k
+
+
+def connector_window_start(plan: Plan, i: int) -> int:
+    """Host position of connector i's S1 block (1-based i)."""
+    return plan.m_abs + (i - 1) * (plan.k + plan.r) - plan.k
+
+
+def sweep_base(plan: Plan) -> int:
+    return plan.m_abs + plan.s * (plan.k + plan.r)
+
+
+def greedy_base(plan: Plan) -> int:
+    return sweep_base(plan) + plan.c * (plan.k + 1)
+
+
+def reference_segment_starts(plan: Plan) -> list[tuple[str, int]]:
+    """(name, start) of each segment of ``Plan.layout()`` in host order,
+    from the closed forms above: each sweep connector's window begins k
+    before its internals at sweep_base + j(k+1), its leftover k after."""
+    k, n = plan.k, plan.n
+    out = [("absorber", 0)]
+    for i in range(1, plan.s + 1):
+        out += [
+            (f"connector {i}", connector_window_start(plan, i)),
+            (f"path {i}", path_window_start(plan, i)),
+        ]
+    for j in range(plan.c):
+        internals = sweep_base(plan) + j * (k + 1)
+        out += [(f"sweep {j + 1}", internals - k), (f"leftover {j + 1}", internals + k)]
+    if plan.g:
+        out.append(("greedy", greedy_base(plan)))
+    return out + [("final", n - 2 * k)]
 
 
 def reference_random_rpartite_collection(

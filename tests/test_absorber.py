@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from helpers import (
 from hampower.absorber import (
     Template,
     absorb,
+    absorber_layout,
     build_absorbing_structure,
     build_gadget_blueprint,
     build_template,
@@ -21,13 +23,18 @@ from hampower.absorber import (
     template_edge_count,
 )
 from hampower.absorber import (
-    _assert_absorber_partition,
     _back_neighbours,
     _random_template_adjacency,
     _window_witness_present,
 )
 from hampower.bitset import mask_of
-from hampower.core import GraphCollection, canonical_edge, power_path, verify_coloured_embedding
+from hampower.core import (
+    GraphCollection,
+    Layout,
+    canonical_edge,
+    power_path,
+    verify_coloured_embedding,
+)
 from hampower.errors import (
     EmbeddingFailedError,
     HamPowerError,
@@ -493,8 +500,10 @@ class TestAbsorbingStructure:
 
 
 def _absorber_layout(x_degrees, k):
-    """``_assert_absorber_partition``'s arguments for a chain of gadgets of
-    the given X-degrees, laid out as ``build_absorbing_structure`` does."""
+    """The host, gadget window starts and connector internal starts of a
+    chain of gadgets of the given X-degrees, by the closed forms: z1 at 0,
+    then per gadget k connector internals and (2k+1) ell gadget positions,
+    then k internals and z2."""
     gadget_starts, connector_starts = [], []
     cursor = 1
     for ell in x_degrees:
@@ -503,40 +512,53 @@ def _absorber_layout(x_degrees, k):
         cursor += k + (2 * k + 1) * ell
     connector_starts.append(cursor)
     host = power_path(cursor + k + 1, k)
-    return host, tuple(x_degrees), tuple(gadget_starts), tuple(connector_starts), k
+    return host, tuple(gadget_starts), tuple(connector_starts)
 
 
 class TestAbsorberPartition:
     def test_sound_layout_passes(self):
         for k in (1, 2, 3):
-            _assert_absorber_partition(*_absorber_layout((2, 1, 3), k))
+            for x_degrees in ((2, 1, 3), (), (4,)):
+                layout = absorber_layout(k, x_degrees)
+                host, gadgets, connectors = _absorber_layout(x_degrees, k)
+                assert layout.host == host
+                starts = {seg.name: seg.start for seg in layout.segments}
+                assert [starts[f"gadget {i}"] for i in range(len(gadgets))] == list(gadgets)
+                # each connector's window begins at the last <= k vertices before its internals
+                assert [
+                    starts[f"connector {i}"] + (1 if i == 0 else k) for i in range(len(connectors))
+                ] == list(connectors)
+                assert (starts["z1"], starts["z2"]) == (0, host.order - 1)
 
     def test_doubled_edge_raises_on_every_call(self):
-        host, x_degrees, gadgets, connectors, k = _absorber_layout((2, 1, 3), 2)
+        layout = absorber_layout(2, (2, 1, 3))
         # the second gadget one position early overlaps the connector before it
-        shifted = (gadgets[0], gadgets[1] - 1, gadgets[2])
+        shifted = tuple(
+            replace(seg, start=seg.start - 1) if seg.name == "gadget 1" else seg
+            for seg in layout.segments
+        )
         for _ in range(2):
             with pytest.raises(HamPowerError, match="assigned twice"):
-                _assert_absorber_partition(host, x_degrees, shifted, connectors, k)
+                Layout(layout.host, shifted)
 
     def test_missing_edge_raises_on_every_call(self):
-        host, x_degrees, gadgets, connectors, k = _absorber_layout((2, 1, 3), 2)
+        layout = absorber_layout(2, (2, 1, 3))
         # a host one position longer has k edges no window covers
-        longer = power_path(host.order + 1, k)
+        longer = power_path(layout.host.order + 1, 2)
         message = "^layout error: 2 host edges uncovered, 0 outside"
         for _ in range(2):
             with pytest.raises(HamPowerError, match=message):
-                _assert_absorber_partition(longer, x_degrees, gadgets, connectors, k)
+                Layout(longer, layout.segments)
 
     def test_window_past_the_path_end_raises_on_every_call(self):
-        host, x_degrees, gadgets, connectors, k = _absorber_layout((2, 1, 3), 2)
+        layout = absorber_layout(2, (2, 1, 3))
         # on a host one position shorter, the last connector's window runs
         # past the path end: its k edges into the last position lie outside
-        shorter = power_path(host.order - 1, k)
+        shorter = power_path(layout.host.order - 1, 2)
         message = "^layout error: 0 host edges uncovered, 2 outside"
         for _ in range(2):
             with pytest.raises(HamPowerError, match=message):
-                _assert_absorber_partition(shorter, x_degrees, gadgets, connectors, k)
+                Layout(shorter, layout.segments)
 
 
 class TestAbsorbValidation:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import reference_candidate_plans
+from helpers import reference_candidate_plans, reference_segment_starts
 from hampower.core import (
     ColourPattern,
     GraphCollection,
@@ -27,8 +27,8 @@ from hampower.instances import (
 from hampower.matching import EXACT_SIDE_CAP
 from hampower.pipeline import (
     PipelineConfig,
+    Plan,
     candidate_plans,
-    check_layout,
     feasibility_floor,
     sample_reservoir,
     solve,
@@ -74,22 +74,27 @@ class TestPlan:
 
     def test_layout_partition_exact_over_a_sweep(self):
         checked = 0
-        for k in (1, 2, 3):
-            cfg = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=k + 5)
-            for n in range(2 * k + 1, 90):
-                plans = candidate_plans(n, k, cfg)
-                if not plans:
-                    continue
-                check_layout(plans[0])  # raises on any overlap or gap
-                checked += 1
+        for plan in _sweep_first_plans():
+            plan.layout()  # raises on any overlap or gap
+            checked += 1
         assert checked > 150
+
+    def test_layout_starts_match_the_closed_forms(self):
+        plans = _sweep_first_plans()
+        for k in (2, 3):
+            for n in PLANNER_NS:
+                plans += candidate_plans(n, k, CONFIG)[:1]
+        assert len(plans) > 900
+        for plan in plans:
+            segments = plan.layout().segments
+            assert [(seg.name, seg.start) for seg in segments] == reference_segment_starts(plan)
 
     def test_layout_checked_once_per_plan(self):
         plan = candidate_plans(200, 3, CONFIG)[0]
-        check_layout(plan)
-        hits = check_layout.cache_info().hits
-        check_layout(replace(plan))
-        assert check_layout.cache_info().hits == hits + 1
+        plan.layout()
+        hits = Plan.layout.cache_info().hits
+        replace(plan).layout()
+        assert Plan.layout.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize(
         "dg, message",
@@ -105,11 +110,21 @@ class TestPlan:
         # and 2k+1 too many run past position n-1, wrap and meet the absorber
         plan = candidate_plans(200, 3, CONFIG)[0]
         assert plan.g == 2
-        check_layout(plan)
+        plan.layout()
         broken = replace(plan, g=plan.g + dg)
         for _ in range(2):
             with pytest.raises(HamPowerError, match=message):
-                check_layout(broken)
+                broken.layout()
+
+
+def _sweep_first_plans() -> list[Plan]:
+    """The first plan at every feasible n < 90 for k = 1, 2, 3."""
+    plans = []
+    for k in (1, 2, 3):
+        cfg = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=k + 5)
+        for n in range(2 * k + 1, 90):
+            plans += candidate_plans(n, k, cfg)[:1]
+    return plans
 
 
 # every n up to 400, then the sizes the benchmarks and sweeps use
