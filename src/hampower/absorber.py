@@ -33,17 +33,15 @@ gadgets are chained by connectors, and absorbing a set Z' reduces to
 reading off the robust matching for W' = Z'.  The template is robust by
 construction: its layout gives every W' a perfect matching (a window
 witness, see :func:`build_template`), which certification checks edge by
-edge, or by matching every W' where there are at most 4096.  Matchings
-search the U rows first, and those are the same for every W', so each
-template matches U once; a subset's matching copies that state and augments
-from the roots of W' alone.
+edge.  Matchings search the U rows first, and those are the same for every
+W', so each template matches U once; a subset's matching copies that state
+and augments from the roots of W' alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -272,7 +270,6 @@ class Template:
     s: int
     t: int
     rows: tuple[int, ...]
-    verified: str = "unverified"
 
     def __post_init__(self) -> None:
         if self.s < 0 or self.t < 0:
@@ -299,7 +296,7 @@ class Template:
 
     @staticmethod
     def empty() -> "Template":
-        return Template(0, 0, (), verified="trivial")
+        return Template(0, 0, ())
 
     @property
     def n_u(self) -> int:
@@ -395,10 +392,8 @@ def build_template(s: int, t: int, rng: random.Random) -> Template:
     slots max(0, i-t)..min(s-1, i)), padded so every degree is at least 2.
     It proves itself robust: sort any W' by slot as i_0 < ... < i_{s-1};
     then m <= i_m <= m + t, so x_w slot m is in i_m's window, and U matches
-    onto x_m.  Padding only adds edges.  Certification matches every W'
-    through :meth:`Template.robust_matching` where C(s+t, s) <= 4096
-    ("exhaustive"), and otherwise tests each witness edge ("constructive").
-    Neither can fail on this skeleton, so a failure is an internal error.
+    onto x_m.  Padding only adds edges.  Certification tests each witness
+    edge; it cannot fail on this skeleton, so a failure is an internal error.
     """
     if s < 1:
         raise TemplateError("build_template needs s >= 1")
@@ -409,16 +404,10 @@ def build_template(s: int, t: int, rng: random.Random) -> Template:
             f"this construction needs t <= 39 to respect the degree cap (got {t})"
         )
     rows, layout = _random_template_adjacency(s, t, rng)
-    exhaustive = math.comb(s + t, s) <= 4096
-    template = Template(s, t, rows, verified="exhaustive" if exhaustive else "constructive")
+    template = Template(s, t, rows)
     if template.edge_count != template_edge_count(s, t):
         raise HamPowerError("internal error: template edge count drifted from the skeleton")
-    if exhaustive:
-        subsets = itertools.combinations(range(s + t), s)
-        certified = all(template.robust_matching(chosen) is not None for chosen in subsets)
-    else:
-        certified = _window_witness_present(s, t, rows, layout)
-    if not certified:
+    if not _window_witness_present(s, t, rows, layout):
         raise HamPowerError(f"internal error: template s={s}, t={t} failed its certificate")
     return template
 

@@ -45,7 +45,6 @@ def _build_parser() -> _Parser:
     solver.add_argument("--epsilon", type=float, default=0.1)
     solver.add_argument("--seed", type=int, default=0)
     solver.add_argument("--mode", choices=["strict", "best-effort"], default="best-effort")
-    solver.add_argument("--sampler", choices=["fast", "exact"], default="fast")
 
     p_solve = sub.add_parser("solve", parents=[solver], help="run the constructive solver")
     p_solve.add_argument("--instance", required=True)
@@ -114,7 +113,7 @@ def _config(args, **fields) -> pipeline.PipelineConfig:
     """The solver configuration of the shared flags, updated by ``fields``."""
     shared = dict(
         alpha=args.alpha, beta=args.beta, gamma=args.gamma, epsilon=args.epsilon,
-        seed=args.seed, mode=args.mode, sampler_mode=args.sampler,
+        seed=args.seed, mode=args.mode,
     )
     return pipeline.PipelineConfig(**{**shared, **fields})
 

@@ -22,7 +22,8 @@ of a vertex list always corresponds to host position 0; cycle rotation and
 reflection are handled by callers (the oracle searches over placements).
 A *layout* (the solver's cycle, the absorbing path) is a host plus named
 segments in host order: pieces, the connectors that join them, and runs of
-one-vertex extensions.  Their edges must tile the host's edges exactly, which
+one-vertex extensions.  Their edges must tile the host's edges exactly, and
+the positions each one places must tile the host's positions, which
 :func:`check_edge_partition` checks when a :class:`Layout` is made.
 """
 
@@ -159,11 +160,20 @@ class Segment:
             return ((p - d, p) for p in own for d in range(1, k + 1))
         return ((start + p, start + q) for (p, q) in _host_edges(self.shape))
 
+    def positions(self) -> range:
+        """The host positions this segment places: a connector's k
+        internals, or every position of any other segment's window."""
+        if self.kind == CONNECTOR:
+            first = self.start + self.shape.a
+            return range(first, first + self.shape.k)
+        return range(self.start, self.start + self.shape.order)
+
 
 @dataclass(frozen=True)
 class Layout:
-    """Named segments in host order whose edges tile the host's edges
-    exactly; :func:`check_edge_partition` checks this on construction."""
+    """Named segments in host order whose edges tile the host's edges and
+    whose placed positions tile its positions, exactly;
+    :func:`check_edge_partition` checks this on construction."""
 
     host: HostTemplate
     segments: tuple[Segment, ...]
@@ -175,8 +185,10 @@ class Layout:
 def check_edge_partition(layout: Layout) -> None:
     """Raise unless the layout's segments tile its host's edges exactly,
     naming the segment of an edge covered twice, or else counting the host
-    edges uncovered and the edges outside the host.  Positions wrap modulo
-    the order of a power cycle."""
+    edges uncovered and the edges outside the host.  Then raise unless the
+    positions the segments place (:meth:`Segment.positions`) tile the
+    host's positions, which catches a segment without edges at a wrong
+    start.  Positions wrap modulo the order of a power cycle."""
     host = layout.host
     n, wrap = host.order, host.kind == POWER_CYCLE
     covered: set[Edge] = set()
@@ -193,6 +205,18 @@ def check_edge_partition(layout: Layout) -> None:
             f"layout error: {len(missing)} host edges uncovered, {len(outside)} outside "
             f"the host (e.g. {sorted(missing)[:4] or sorted(outside)[:4]})"
         )
+    placed: set[int] = set()
+    for seg in layout.segments:
+        for p in seg.positions():
+            q = p % n if wrap else p
+            if q in placed or not 0 <= q < n:
+                raise HamPowerError(
+                    f"layout error: host position {q} placed twice or outside the host "
+                    f"(at {seg.name})"
+                )
+            placed.add(q)
+    if len(placed) != n:
+        raise HamPowerError(f"layout error: {n - len(placed)} host positions unplaced")
 
 
 @dataclass(frozen=True, eq=True)

@@ -30,10 +30,6 @@ class VerificationInputError(HamPowerError):
     repeated vertices)."""
 
 
-class SizeLimitError(HamPowerError):
-    """Exact counting/sampling requested beyond the supported size cap."""
-
-
 class NoPerfectMatchingError(HamPowerError):
     """The bipartite graph has no perfect matching."""
 

@@ -287,19 +287,10 @@ def lowerbound_construction(
     collection = GraphCollection(n, [g1, g2])
 
     host = power_cycle(n, k)
-    window = 2 * k + 1
-    if orientation == "figure":
-        conn = connector(1, k, k)  # drop edges inside the trailing k positions
-        window_edges = {(i, j) for (i, j) in host_edges(conn)}
-    else:
-        conn = connector(k, 1, k)
-        window_edges = {(i, j) for (i, j) in host_edges(conn)}
-    colours = {}
-    for (i, j) in host_edges(host):
-        if i < window and j < window and (i, j) in window_edges:
-            colours[(i, j)] = 2
-        else:
-            colours[(i, j)] = 1
+    # "figure" drops the window edges inside the trailing k positions
+    conn = connector(1, k, k) if orientation == "figure" else connector(k, 1, k)
+    window_edges = set(host_edges(conn))
+    colours = {e: 2 if e in window_edges else 1 for e in host_edges(host)}
     return collection, ColourPattern(host, colours)
 
 

@@ -17,10 +17,9 @@ K_{k+1}-tiling.
 
 Augmenting paths are searched depth first with an explicit stack, so their
 length is not bounded by the interpreter's recursion limit.  Perfect
-matchings can be sampled exactly uniformly (sequential conditional sampling
-weighted by permanent counts, side length <= EXACT_SIDE_CAP) or heuristically
-(augmenting search from the left vertices in random order, each trying its
-neighbours in a random order; near-uniform, cheap at any size).
+matchings are sampled by augmenting search from the left vertices in random
+order, each trying its neighbours in a random order: close to uniform but
+not uniform, and cheap at any size.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ from itertools import count
 from typing import Mapping, Sequence
 
 from .bitset import pick_bit, select
-from .errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
-
-# Largest side of an exact count or sample.  The subset dynamic programme
-# grows about 2.2x per vertex: one count_perfect_matchings call on K_{s,s}
-# took 0.36-0.39 s at s = 17, 0.84-0.89 s at s = 18 and 2.0 s at s = 19
-# (CPython 3.11, one core of a shared two-core x86-64 machine).
-EXACT_SIDE_CAP = 18
+from .errors import InvalidInstanceError, NoPerfectMatchingError
 
 
 @dataclass(frozen=True)
@@ -152,62 +145,14 @@ def tiling_graph(
     return BipartiteGraph(tuple(rows), right)
 
 
-def _count_completions(rows: Sequence[int], i: int, avail: int, memo: dict) -> int:
-    if i == len(rows):
-        return 1
-    key = (i, avail)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    total = 0
-    cand = rows[i] & avail
-    while cand:
-        low = cand & -cand
-        total += _count_completions(rows, i + 1, avail ^ low, memo)
-        cand ^= low
-    memo[key] = total
-    return total
+def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]:
+    """Sample a perfect matching as (left, right) pairs sorted by left, or
+    raise :class:`NoPerfectMatchingError` when there is none.
 
-
-def count_perfect_matchings(b: BipartiteGraph) -> int:
-    """Exact perfect-matching count (the permanent of the biadjacency
-    matrix), via subset dynamic programming.  Sides must be equal and at
-    most EXACT_SIDE_CAP."""
-    if b.n_left != b.n_right:
-        raise SizeLimitError("perfect-matching count needs equal sides")
-    if b.n_left > EXACT_SIDE_CAP:
-        raise SizeLimitError(f"side {b.n_left} exceeds the exact cap {EXACT_SIDE_CAP}")
-    return _count_completions(b.rows, 0, b.right, {})
-
-
-def _sample_exact(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]:
-    n = b.n_left
-    if n > EXACT_SIDE_CAP:
-        raise SizeLimitError(f"side {n} exceeds the exact cap {EXACT_SIDE_CAP}")
-    rows = b.rows
-    memo: dict = {}
-    avail = b.right
-    if _count_completions(rows, 0, avail, memo) == 0:
-        raise NoPerfectMatchingError("graph has no perfect matching")
-    pairs = []
-    for i in range(n):
-        weights = []
-        for v in select(rows[i] & avail, count()):
-            weights.append((v, _count_completions(rows, i + 1, avail ^ (1 << v), memo)))
-        draw = rng.randrange(sum(w for _, w in weights))
-        acc = 0
-        for v, w in weights:
-            acc += w
-            if draw < acc:
-                pairs.append((i, v))
-                avail ^= 1 << v
-                break
-    return pairs
-
-
-def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]:
-    """Augmenting search from the left vertices in uniformly random order,
+    Augmenting search from the left vertices in uniformly random order,
     each left vertex trying its neighbours in a uniformly random order.
+    The result is a valid perfect matching whose law is close to uniform,
+    but not uniform.
 
     A left vertex's neighbour order is drawn lazily: ``drawn[u]`` is the
     prefix drawn so far and ``undrawn[u]`` the mask of the rest.  The search
@@ -218,6 +163,8 @@ def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]
     ``owner`` and ``seen`` are lists indexed by right id, so right ids
     should be small: the path builder passes positions within a part.
     """
+    if b.n_left != b.n_right:
+        raise NoPerfectMatchingError("perfect matching needs equal sides")
     rows = b.rows
     n = len(rows)
     ids = list(select(b.right, count()))
@@ -278,27 +225,3 @@ def _sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]
             lefts.append(u)
             x, i = u, 0
     return sorted((u, v) for v, u in enumerate(owner) if u >= 0)
-
-
-def sample_perfect_matching(
-    b: BipartiteGraph,
-    rng: random.Random,
-    mode: str = "exact",
-) -> list[tuple[int, int]]:
-    """Sample a perfect matching as (left, right) pairs sorted by left.
-
-    ``exact`` draws exactly uniformly over all perfect matchings by
-    sequential conditional sampling with permanent counts (sides at most
-    ``EXACT_SIDE_CAP``).
-    ``fast`` runs augmenting-path search from the left vertices in random
-    order, each left vertex trying its neighbours in a random order drawn
-    lazily as the search reaches them; it returns a valid perfect matching
-    whose distribution is only heuristically close to uniform.
-    """
-    if b.n_left != b.n_right:
-        raise NoPerfectMatchingError("perfect matching needs equal sides")
-    if mode == "exact":
-        return _sample_exact(b, rng)
-    if mode == "fast":
-        return _sample_fast(b, rng)
-    raise InvalidInstanceError(f"unknown sampling mode {mode!r}")

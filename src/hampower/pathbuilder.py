@@ -44,7 +44,6 @@ def build_path_collection(
     patterns: Sequence[ColourPattern],
     s: int,
     rng: random.Random,
-    sampler_mode: str = "fast",
 ) -> list[PowerPath]:
     """Produce s disjoint coloured k-power paths, one per pattern.
 
@@ -87,7 +86,7 @@ def build_path_collection(
         n_i = n1 - step + 1
         if any(p.bit_count() != n_i for p in residual):
             raise HamPowerError("internal error: residual parts lost equal sizes")
-        chains = _run_round(collection, ids, residual, rows_into, pat, k, r, step, rng, sampler_mode)
+        chains = _run_round(collection, ids, residual, rows_into, pat, k, r, step, rng)
         chosen = chains[rng.randrange(n_i)]
         result = verify_coloured_embedding(collection, pat, chosen)
         if not result.ok:
@@ -147,7 +146,6 @@ def _run_round(
     r: int,
     step: int,
     rng: random.Random,
-    sampler_mode: str,
 ) -> list[list[int]]:
     """Grow n_i disjoint coloured paths across all r parts, as vertex ids."""
     chains: list[list[int]] = [[v] for v in select(residual[0], ids[0])]
@@ -157,7 +155,7 @@ def _run_round(
         tiles = [chain[win_lo:] for chain in chains]
         aux = tiling_graph(tables, tiles, residual[lvl])
         try:
-            matching = sample_perfect_matching(aux, rng, mode=sampler_mode)
+            matching = sample_perfect_matching(aux, rng)
         except NoPerfectMatchingError as exc:
             raise NoMatchingError(
                 f"step {step}: no perfect matching while attaching level {lvl}",

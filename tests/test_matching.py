@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    EXACT_SIDE_CAP,
     bipartite,
     brute_count_perfect_matchings,
     brute_max_matching_size,
@@ -13,22 +14,22 @@ from helpers import (
     chi_square_critical,
     chi_square_statistic,
     colour_rows,
+    count_perfect_matchings,
     extend_tiles,
     fast_sampler_law,
     is_clique_tiling,
     random_bipartite,
     reference_sample_fast,
+    sample_exact,
     tiling_extension_instance,
 )
 from hampower import matching
 from hampower.bitset import mask_of, pick_bit
 from hampower.core import GraphCollection
-from hampower.errors import InvalidInstanceError, NoPerfectMatchingError, SizeLimitError
+from hampower.errors import InvalidInstanceError, NoPerfectMatchingError
 from hampower.instances import complete_collection
 from hampower.matching import (
-    EXACT_SIDE_CAP,
     BipartiteGraph,
-    count_perfect_matchings,
     max_matching,
     sample_perfect_matching,
     tiling_graph,
@@ -173,7 +174,7 @@ class TestExtendTiling:
             tiles = [list(range(t * k, (t + 1) * k)) for t in range(n)]
             right = list(range(k * n, total))
             aux = tiling_graph(colour_rows(coll, [1] * k), tiles, mask_of(right))
-            extended = extend_tiles(tiles, sample_perfect_matching(aux, rng, "fast"))
+            extended = extend_tiles(tiles, sample_perfect_matching(aux, rng))
             assert all(len(c) == k + 1 for c in extended)
             assert is_clique_tiling(coll, extended, range(total))
 
@@ -185,15 +186,14 @@ class TestExtendTiling:
                 coll, tiles = tiling_extension_instance(rng, k, n)
                 right = list(range(k * n, (k + 1) * n))
                 aux = tiling_graph(colour_rows(coll, [1] * k), tiles, mask_of(right))
-                extended = extend_tiles(tiles, sample_perfect_matching(aux, rng, "fast"))
+                extended = extend_tiles(tiles, sample_perfect_matching(aux, rng))
                 assert is_clique_tiling(coll, extended, range((k + 1) * n))
 
     def test_no_cross_edges_fails(self):
         coll = GraphCollection.from_edge_lists(3, [[(0, 1)]])
         aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1]], mask_of([2]))
-        for mode in ("exact", "fast"):
-            with pytest.raises(NoPerfectMatchingError):
-                sample_perfect_matching(aux, random.Random(0), mode)
+        with pytest.raises(NoPerfectMatchingError):
+            sample_perfect_matching(aux, random.Random(0))
 
     def test_size_precondition(self):
         coll = complete_collection(6, 1)
@@ -202,7 +202,7 @@ class TestExtendTiling:
             tiling_graph(colour_rows(coll, [1, 1]), [[0]], mask_of([3]))
         aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1]], mask_of([2, 3, 4]))
         with pytest.raises(NoPerfectMatchingError):  # one tile cannot take three vertices
-            sample_perfect_matching(aux, random.Random(0), "fast")
+            sample_perfect_matching(aux, random.Random(0))
 
 
 class TestCountPerfectMatchings:
@@ -226,14 +226,14 @@ class TestCountPerfectMatchings:
             assert count_perfect_matchings(b) == brute_count_perfect_matchings(b)
 
     def test_unequal_sides_rejected(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValueError):
             count_perfect_matchings(bipartite([(0,), (1,)], 3))
 
     def test_cap_enforced(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValueError):
             count_perfect_matchings(complete_bipartite(EXACT_SIDE_CAP + 1))
-        with pytest.raises(SizeLimitError):
-            sample_perfect_matching(complete_bipartite(EXACT_SIDE_CAP + 1), random.Random(0), "exact")
+        with pytest.raises(ValueError):
+            sample_exact(complete_bipartite(EXACT_SIDE_CAP + 1), random.Random(0))
 
 
 class TestSamplePerfectMatching:
@@ -241,37 +241,38 @@ class TestSamplePerfectMatching:
         b = bipartite([(2,), (0,), (1,)], 3)
         expected = [(0, 2), (1, 0), (2, 1)]
         rng = random.Random(26)
-        for mode in ("exact", "fast"):
+        for sampler in (sample_exact, sample_perfect_matching):
             for _ in range(5):
-                assert sorted(sample_perfect_matching(b, rng, mode)) == expected
+                assert sorted(sampler(b, rng)) == expected
 
     def test_no_matching_raises(self):
         b = bipartite([(0,), (0,)], 2)
         rng = random.Random(27)
-        for mode in ("exact", "fast"):
+        for sampler in (sample_exact, sample_perfect_matching):
             with pytest.raises(NoPerfectMatchingError):
-                sample_perfect_matching(b, rng, mode)
+                sampler(b, rng)
 
     def test_k22_frequencies(self):
         b = complete_bipartite(2)
         rng = random.Random(28)
         hits = sum(
             1 for _ in range(10_000)
-            if sample_perfect_matching(b, rng, "exact")[0] == (0, 0)
+            if sample_exact(b, rng)[0] == (0, 0)
         )
         assert abs(hits / 10_000 - 0.5) < 0.03
 
     def test_k33_chi_square_uniform(self):
         b = complete_bipartite(3)
         rng = random.Random(29)
-        freq = Counter(tuple(sample_perfect_matching(b, rng, "exact")) for _ in range(6000))
+        freq = Counter(tuple(sample_exact(b, rng)) for _ in range(6000))
         assert len(freq) == 6
         stat = chi_square_statistic(freq, 6000)
         assert stat < chi_square_critical(5, 0.01)
         assert all(0.12 * 6000 <= c <= 0.21 * 6000 for c in freq.values())
 
     def test_small_graph_uniformity_chi_square(self):
-        # exact mode against the enumerated matching set, fixed seed schedule
+        # the exact reference sampler against the enumerated matching set,
+        # fixed seed schedule
         rng_instances = random.Random(30)
         tested = 0
         seed = 1000
@@ -285,7 +286,7 @@ class TestSamplePerfectMatching:
             seed += 1
             rng = random.Random(seed)
             draws = 10_000
-            freq = Counter(tuple(sample_perfect_matching(b, rng, "exact")) for _ in range(draws))
+            freq = Counter(tuple(sample_exact(b, rng)) for _ in range(draws))
             assert len(freq) == total
             if total > 1:
                 stat = chi_square_statistic(freq, draws)
@@ -304,7 +305,7 @@ class TestSamplePerfectMatching:
             assert len(set(law.values())) > 1  # not the uniform law
             rng = random.Random(seed)
             draws = 20_000
-            freq = Counter(tuple(sample_perfect_matching(b, rng, "fast")) for _ in range(draws))
+            freq = Counter(tuple(sample_perfect_matching(b, rng)) for _ in range(draws))
             stat = chi_square_against(freq, law, draws)
             assert stat < chi_square_critical(len(law) - 1, 0.01)
 
@@ -312,13 +313,13 @@ class TestSamplePerfectMatching:
         b = complete_bipartite(3)
         assert set(fast_sampler_law(b).values()) == {Fraction(1, 6)}
         rng = random.Random(34)
-        freq = Counter(tuple(sample_perfect_matching(b, rng, "fast")) for _ in range(6000))
+        freq = Counter(tuple(sample_perfect_matching(b, rng)) for _ in range(6000))
         assert len(freq) == 6
         assert chi_square_statistic(freq, 6000) < chi_square_critical(5, 0.01)
 
     def test_fast_mode_deep_augmenting_paths(self):
         b = chain(1200)
-        pairs = sample_perfect_matching(b, random.Random(35), "fast")
+        pairs = sample_perfect_matching(b, random.Random(35))
         assert pairs == [(i, i) for i in range(1200)]
 
     def test_fast_mode_returns_valid_matchings(self):
@@ -326,7 +327,7 @@ class TestSamplePerfectMatching:
         for _ in range(50):
             n = rng.randint(2, 10)
             b = complete_bipartite(n)
-            pairs = sample_perfect_matching(b, rng, "fast")
+            pairs = sample_perfect_matching(b, rng)
             assert len(pairs) == n
             assert len({v for _, v in pairs}) == n
 
@@ -356,7 +357,7 @@ class TestFastSamplerMatchesReference:
 
     def _agree(self, graphs):
         for seed, b in enumerate(graphs):
-            assert _outcome(matching._sample_fast, b, seed) == _outcome(
+            assert _outcome(matching.sample_perfect_matching, b, seed) == _outcome(
                 reference_sample_fast, b, seed
             )
 
@@ -403,13 +404,6 @@ class TestFastSamplerMatchesReference:
                 lone = b.rows[0] & -b.rows[0]
                 graphs.append(BipartiteGraph((lone, lone) + b.rows[2:], b.right))
         for seed, b in enumerate(graphs):
-            outcome = _outcome(matching._sample_fast, b, seed)
+            outcome = _outcome(matching.sample_perfect_matching, b, seed)
             assert outcome[0][0] is NoPerfectMatchingError
             assert outcome == _outcome(reference_sample_fast, b, seed)
-
-
-class TestModeValidation:
-    def test_unknown_sampling_mode_rejected(self):
-        b = complete_bipartite(2)
-        with pytest.raises(InvalidInstanceError):
-            sample_perfect_matching(b, random.Random(0), "turbo")

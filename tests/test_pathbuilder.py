@@ -84,25 +84,18 @@ class TestBuildPathCollection:
         # builder does not abort and returns a verified path
         parts, coll = _three_parts_with_sparse_pair([(u, u + 4) for u in range(4)])
         pattern = _pattern_with_sparse_pair()
-        for mode in ("fast", "exact"):
-            [path] = build_path_collection(
-                coll, parts, [pattern], 1, random.Random(84), sampler_mode=mode
-            )
-            assert verify_coloured_embedding(coll, pattern, path.vertices).ok
-            assert path.vertices[1] - path.vertices[0] == 4
+        [path] = build_path_collection(coll, parts, [pattern], 1, random.Random(84))
+        assert verify_coloured_embedding(coll, pattern, path.vertices).ok
+        assert path.vertices[1] - path.vertices[0] == 4
 
     def test_hall_violation_raises_no_matching(self):
         # in colour 1, part 0's vertices 0 and 1 both see only vertex 4 of
         # part 1: no perfect matching attaches level 1
         cross = [(0, 4), (1, 4), (2, 6), (3, 7), (2, 5)]
         parts, coll = _three_parts_with_sparse_pair(cross)
-        for mode in ("fast", "exact"):
-            with pytest.raises(NoMatchingError) as err:
-                build_path_collection(
-                    coll, parts, [_pattern_with_sparse_pair()], 1, random.Random(85),
-                    sampler_mode=mode,
-                )
-            assert (err.value.step, err.value.level) == (1, 1)
+        with pytest.raises(NoMatchingError) as err:
+            build_path_collection(coll, parts, [_pattern_with_sparse_pair()], 1, random.Random(85))
+        assert (err.value.step, err.value.level) == (1, 1)
 
     def test_random_rpartite_high_density(self):
         rng = random.Random(85)
@@ -135,13 +128,6 @@ class TestBuildPathCollection:
         patterns = [random_pattern(power_path(3, 2), 1, random.Random(88))]
         with pytest.raises(InvalidInstanceError, match="pairwise disjoint"):
             build_path_collection(coll, [[0, 1], [2, 3], [3, 4]], patterns, 1, random.Random(88))
-
-    def test_exact_sampler_mode(self):
-        rng = random.Random(87)
-        coll, parts = complete_rpartite_collection(4, 4, 3)
-        patterns = [random_pattern(power_path(4, 2), 3, rng) for _ in range(2)]
-        paths = build_path_collection(coll, parts, patterns, 2, rng, sampler_mode="exact")
-        assert len(paths) == 2
 
 
 class TestWindowTilingCheck:
@@ -208,9 +194,9 @@ class TestBuilderDigest:
     def test_random_collection_with_sparse_tiling_rows(self, monkeypatch):
         sparse = []
 
-        def spy(aux, rng, mode):
+        def spy(aux, rng):
             sparse.append(any(2 * row.bit_count() < aux.n_right for row in aux.rows))
-            return sample(aux, rng, mode)
+            return sample(aux, rng)
 
         sample = pathbuilder.sample_perfect_matching
         monkeypatch.setattr(pathbuilder, "sample_perfect_matching", spy)

@@ -8,6 +8,7 @@ from helpers import reference_candidate_plans, reference_segment_starts
 from hampower.core import (
     ColourPattern,
     GraphCollection,
+    Layout,
     host_edges,
     power_cycle,
     verify_coloured_embedding,
@@ -24,7 +25,6 @@ from hampower.instances import (
     random_min_degree_collection,
     random_pattern,
 )
-from hampower.matching import EXACT_SIDE_CAP
 from hampower.pipeline import (
     PipelineConfig,
     Plan,
@@ -50,6 +50,11 @@ class TestConfig:
     def test_mode_validation(self):
         with pytest.raises(InvalidInstanceError):
             PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, mode="yolo")
+
+    @pytest.mark.parametrize("sampler", ["exact", "turbo"])
+    def test_fast_is_the_only_sampler_mode(self, sampler):
+        with pytest.raises(InvalidInstanceError, match="sampler mode must be 'fast'"):
+            replace(CONFIG, sampler_mode=sampler)
 
 
 class TestPlan:
@@ -116,6 +121,18 @@ class TestPlan:
             with pytest.raises(HamPowerError, match=message):
                 broken.layout()
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_shifted_leftover_raises(self, shift):
+        # a leftover has no edges of its own, so only its position shows
+        # the shift: it lands on an internal of the connector beside it
+        layout = candidate_plans(200, 3, CONFIG)[0].layout()
+        shifted = tuple(
+            replace(seg, start=seg.start + shift) if seg.name == "leftover 2" else seg
+            for seg in layout.segments
+        )
+        with pytest.raises(HamPowerError, match="^layout error: host position .* placed twice"):
+            Layout(layout.host, shifted)
+
 
 def _sweep_first_plans() -> list[Plan]:
     """The first plan at every feasible n < 90 for k = 1, 2, 3."""
@@ -146,14 +163,9 @@ class TestPlannerScan:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bounded_scan_matches_the_full_scan(self, k):
         for config in _planner_configs(k):
-            exact = replace(config, sampler_mode="exact")
             for n in PLANNER_NS:
                 full = reference_candidate_plans(n, k, config)
                 assert candidate_plans(n, k, config) == full, (n, config)
-                # the reference's exact-mode list is this filter of the same scan
-                assert candidate_plans(n, k, exact) == [
-                    p for p in full if p.s == 0 or p.n1 <= EXACT_SIDE_CAP
-                ], (n, config)
 
 
 class TestSampleReservoir:
@@ -353,22 +365,6 @@ class TestSolve:
         assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
         assert trace["plan_index"] == 0
         assert trace["plan_fallbacks"] == []
-
-    def test_exact_mode_plans_fit_the_exact_cap(self):
-        # at n = 260, k = 3 the first fast-mode plan has builder parts of 19
-        # vertices, one more than the exact sampler takes
-        rng = random.Random(0)
-        pattern = random_pattern(power_cycle(260, 3), 4, rng)
-        coll = complete_collection(260, 4)
-        fast = candidate_plans(260, 3, CONFIG_K3)
-        exact_cfg = replace(CONFIG_K3, sampler_mode="exact")
-        exact = candidate_plans(260, 3, exact_cfg)
-        assert fast[0].s >= 1 and fast[0].n1 > EXACT_SIDE_CAP
-        assert exact == [p for p in fast if p.s == 0 or p.n1 <= EXACT_SIDE_CAP]
-        cycle, trace = solve(coll, pattern, exact_cfg)
-        assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
-        assert trace["plan"]["s"] >= 1
-        assert not any("exact cap" in f["error"] for f in trace["plan_fallbacks"])
 
     def test_candidate_plans_ordering(self):
         plans = candidate_plans(300, 2, CONFIG)
