@@ -17,9 +17,11 @@ K_{k+1}-tiling.
 
 Augmenting paths are searched depth first with an explicit stack, so their
 length is not bounded by the interpreter's recursion limit.  Perfect
-matchings are sampled by augmenting search from the left vertices in random
-order, each trying its neighbours in a random order: close to uniform but
-not uniform, and cheap at any size.
+matchings are sampled by a randomised augmenting search from the left
+vertices in random order: a left vertex takes a uniformly random free
+neighbour when it has one, and otherwise the path steps through a uniformly
+random unseen neighbour.  The law is close to uniform but not uniform
+(uniform on complete bipartite graphs), and the search is cheap at any size.
 """
 
 from __future__ import annotations
@@ -149,19 +151,18 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     """Sample a perfect matching as (left, right) pairs sorted by left, or
     raise :class:`NoPerfectMatchingError` when there is none.
 
-    Augmenting search from the left vertices in uniformly random order,
-    each left vertex trying its neighbours in a uniformly random order.
-    The result is a valid perfect matching whose law is close to uniform,
-    but not uniform.
+    Randomised augmenting (Kuhn) search from the left vertices in uniformly
+    random order.  A left vertex the search reaches takes a uniformly random
+    free neighbour when it has one, and the path closes.  Otherwise the
+    search steps to a uniformly random unseen neighbour, which is owned, and
+    on to its owner; it backs up from a left vertex with no unseen neighbour
+    left.  ``seen`` is one mask per root and owners change only when a path
+    closes, so the search is complete: it raises exactly when the graph has
+    no perfect matching.  The law is close to uniform but not uniform; on a
+    complete bipartite graph it is uniform.
 
-    A left vertex's neighbour order is drawn lazily: ``drawn[u]`` is the
-    prefix drawn so far and ``undrawn[u]`` the mask of the rest.  The search
-    walks the prefix (skipping seen vertices) and draws the next neighbour,
-    uniformly from the rest, only when the prefix runs out, so the output
-    has the same law as when every row is shuffled up front.
-
-    ``owner`` and ``seen`` are lists indexed by right id, so right ids
-    should be small: the path builder passes positions within a part.
+    ``owner`` is a list indexed by right id, so right ids should be small:
+    the path builder passes positions within a part.
     """
     if b.n_left != b.n_right:
         raise NoPerfectMatchingError("perfect matching needs equal sides")
@@ -169,59 +170,45 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     n = len(rows)
     ids = list(select(b.right, count()))
     id_bits = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def pick(mask: int) -> int:
+        """Uniformly random set bit of a nonzero mask of right ids."""
+        if 2 * mask.bit_count() >= n:
+            # rejection over the positions of all right vertices: at this
+            # density at least a quarter of tries hit
+            while True:
+                j = getrandbits(id_bits)
+                if j < n and (mask >> (v := ids[j])) & 1:
+                    return v
+        return pick_bit(mask, rng)
+
     order = list(range(n))
     rng.shuffle(order)
-    getrandbits = rng.getrandbits
-    drawn: list[list[int]] = [[] for _ in range(n)]
-    undrawn = list(rows)
     owner = [-1] * b.right.bit_length()
-    seen = [-1] * len(owner)  # seen[v] == root: v is on this root's search
+    free = b.right
     for root in order:
-        # the path so far, and where each of its left vertices but the last
-        # resumes its prefix; x is the last left vertex, i its position
-        lefts, rights, resume = [root], [], []
-        x, i = root, 0
+        lefts, rights = [root], []
+        seen = 0
+        x = root
         while True:
-            prefix = drawn[x]
-            v = -1
-            while i < len(prefix):
-                w = prefix[i]
-                i += 1
-                if seen[w] != root:
-                    v = w
-                    break
-            else:  # prefix used up: draw further neighbours
-                while rest := undrawn[x]:
-                    if 2 * rest.bit_count() >= n:
-                        # rejection over the positions of all right vertices:
-                        # at this density at least a quarter of tries hit
-                        while True:
-                            j = getrandbits(id_bits)
-                            if j < n and (rest >> (w := ids[j])) & 1:
-                                break
-                    else:
-                        w = pick_bit(rest, rng)
-                    undrawn[x] = rest ^ (1 << w)
-                    prefix.append(w)
-                    i += 1
-                    if seen[w] != root:
-                        v = w
-                        break
-            if v < 0:  # x has nothing left to try: back up
+            if hit := rows[x] & free:
+                v = pick(hit)
+                free ^= 1 << v
+                rights.append(v)
+                for v, u in zip(rights, lefts):  # each left vertex takes the next right one
+                    owner[v] = u
+                break
+            if cand := rows[x] & ~seen:
+                v = pick(cand)
+                seen |= 1 << v
+                rights.append(v)
+                x = owner[v]
+                lefts.append(x)
+            else:  # x has nothing left to try: back up
                 lefts.pop()
                 if not rights:
                     raise NoPerfectMatchingError("graph has no perfect matching")
                 rights.pop()
-                x, i = lefts[-1], resume.pop()
-                continue
-            seen[v] = root
-            rights.append(v)
-            u = owner[v]
-            if u < 0:
-                for w, u in zip(rights, lefts):  # each left vertex takes the next right one
-                    owner[w] = u
-                break
-            resume.append(i)
-            lefts.append(u)
-            x, i = u, 0
+                x = lefts[-1]
     return sorted((u, v) for v, u in enumerate(owner) if u >= 0)

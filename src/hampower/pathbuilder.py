@@ -7,12 +7,16 @@ level: the partial paths restricted to the last (up to k) levels form a
 clique tiling, and attaching the next level is one perfect matching in the
 auxiliary tiling graph (:func:`matching.tiling_graph`) built from the
 pattern-specified colour graphs.
-The matching is sampled directly: a part pair whose minimum degree reaches
-(2w-1)/2w of n_i (w = window size) guarantees it exists, but pairs below
-that bound usually have one too, so the sampler's own search decides and a
-level without a perfect matching aborts the round with its step and level.
-At the end of a round one of the finished paths is removed uniformly at
-random and kept.
+The matching is sampled directly by :func:`matching.sample_perfect_matching`,
+a randomised augmenting search: a part pair whose minimum degree reaches
+(2w-1)/2w of n_i (w = window size) guarantees that a matching exists, but
+pairs below that bound usually have one too, so the sampler's own complete
+search decides, and a level without a perfect matching aborts the round
+with its step and level.
+After each level the new level's pairs with the k levels before it are
+checked to be edges in the pattern colours, so every host edge of a round
+is checked once.  At the end of a round one of the finished paths is
+removed uniformly at random and kept.
 
 Within one call the right-hand side of every matching is numbered by
 position in its part's sorted vertex list, so masks stay as wide as a part
@@ -178,17 +182,15 @@ def _assert_window_tiling(
     k: int,
     step: int,
 ) -> None:
-    """Each chain's trailing window must be a clique in the pattern colours."""
-    lo = max(0, lvl - k + 1)
-    pairs = [
-        (p, q, collection.masks[pat.colours[p, q] - 1])
-        for p in range(lo, lvl + 1)
-        for q in range(p + 1, lvl + 1)
-    ]
+    """Each chain's pairs (p, lvl), lvl - k <= p < lvl, must be edges in the
+    pattern colours: one check per level covers every host edge of the
+    round once."""
+    pairs = [(p, collection.masks[pat.colours[p, lvl] - 1]) for p in range(max(0, lvl - k), lvl)]
     for chain in chains:
-        for (p, q, rows) in pairs:
-            if not (rows[chain[p]] >> chain[q]) & 1:
+        v = chain[lvl]
+        for (p, rows) in pairs:
+            if not (rows[chain[p]] >> v) & 1:
                 raise HamPowerError(
                     f"internal error: step {step} tiling invariant broken at "
-                    f"levels ({p},{q})"
+                    f"levels ({p},{lvl})"
                 )

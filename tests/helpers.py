@@ -6,13 +6,14 @@ enumeration, Hamilton powers by permutation scan.  The ``reference_*``
 functions are the plain from-scratch forms of computations the library
 shortcuts (a bit walk over the whole mask, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
-try, one interpreted ``rng.random()`` per vertex pair, a fast sampler with
-an ``owner`` dict, a connector's constraints listed per call); the
-shortcuts must agree with them exactly.  The cycle layout's segment starts
-are checked against the closed forms it was once computed by.
+try, one interpreted ``rng.random()`` per vertex pair, a connector's
+constraints listed per call); the shortcuts must agree with them exactly.
+The cycle layout's segment starts are checked against the closed forms it
+was once computed by.
 ``count_perfect_matchings`` and ``sample_exact`` (permanents by subset
 dynamic programming, and the exactly uniform sampler they weight) are the
-reference law that the matching sampler's tests compare against.
+reference law that the matching sampler's tests compare against, and
+``fast_sampler_law`` enumerates the sampler's own law exactly.
 """
 
 from __future__ import annotations
@@ -163,36 +164,75 @@ def random_bipartite(rng: random.Random, n_left: int, n_right: int, p: float) ->
     return bipartite(adj, n_right)
 
 
-def fast_sampler_law(b: BipartiteGraph) -> dict[tuple, Fraction]:
-    """Exact output law of the ``fast`` sampler on a small graph (<= 4x4).
+class _Branch(Exception):
+    """A scripted run needs a choice its script does not hold yet; the
+    argument is the number of options of that choice."""
 
-    Enumerates every order of the left vertices and every order of each
-    left vertex's neighbours, all equally likely, and runs a plain
-    recursive augmenting search for each; an outcome is the sorted tuple of
-    (left, right) pairs, or None when some left vertex stays unmatched.
+
+def _scripted_sampler(b: BipartiteGraph, script: list[int]):
+    """One run of the matching sampler's search with every random choice
+    read from ``script`` (an index into the options); returns the outcome and
+    its probability, or raises :class:`_Branch` with the number of options
+    of the first choice past the script's end.
+
+    The root order is one uniform choice among all orders.  The search is a
+    plain recursive augmenting search: a left vertex with a free neighbour
+    takes a uniformly random one, otherwise it tries uniformly random unseen
+    neighbours, each through its owner, until one path closes.
     """
-    n = b.n_left
-    assert n == b.n_right <= 4
-    row_orders = [list(itertools.permutations(neighbours(row))) for row in b.rows]
-    counts: Counter = Counter()
-    for order in itertools.permutations(range(n)):
-        for rows in itertools.product(*row_orders):
-            owner: dict[int, int] = {}
+    choices = iter(script)
+    prob = Fraction(1)
 
-            def augment(u: int, seen: set) -> bool:
-                for v in rows[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        if v not in owner or augment(owner[v], seen):
-                            owner[v] = u
-                            return True
-                return False
+    def pick(options):
+        nonlocal prob
+        i = next(choices, None)
+        if i is None:
+            raise _Branch(len(options))
+        prob /= len(options)
+        return options[i]
 
-            matched = [augment(u, set()) for u in order]
-            outcome = tuple(sorted((u, v) for v, u in owner.items())) if all(matched) else None
-            counts[outcome] += 1
-    total = sum(counts.values())
-    return {outcome: Fraction(c, total) for outcome, c in counts.items()}
+    adj = [neighbours(row) for row in b.rows]
+    owner: dict[int, int] = {}
+
+    def augment(u: int, seen: set) -> bool:
+        free = [v for v in adj[u] if v not in owner]
+        if free:
+            owner[pick(free)] = u
+            return True
+        while unseen := [v for v in adj[u] if v not in seen]:
+            v = pick(unseen)
+            seen.add(v)
+            if augment(owner[v], seen):
+                owner[v] = u
+                return True
+        return False
+
+    order = pick(list(itertools.permutations(range(b.n_left))))
+    if not all(augment(u, set()) for u in order):
+        return None, prob
+    return tuple(sorted((u, v) for v, u in owner.items())), prob
+
+
+def fast_sampler_law(b: BipartiteGraph) -> dict[Optional[tuple], Fraction]:
+    """Exact output law of ``matching.sample_perfect_matching`` on a small
+    graph (sides <= 4).
+
+    Every script of choices is run, depth first, each extended by every
+    option of the choice it stops at; an outcome is the sorted tuple of
+    (left, right) pairs, or None when some root finds no augmenting path.
+    """
+    assert b.n_left == b.n_right <= 4
+    law: Counter = Counter()
+    scripts: list[list[int]] = [[]]
+    while scripts:
+        script = scripts.pop()
+        try:
+            outcome, prob = _scripted_sampler(b, script)
+        except _Branch as branch:
+            scripts.extend(script + [i] for i in range(branch.args[0]))
+            continue
+        law[outcome] += prob
+    return dict(law)
 
 
 def _naive_placements(collection: GraphCollection, pattern):
@@ -349,84 +389,6 @@ def reference_pick_bit(mask: int, rng: random.Random) -> int:
     a walk over every set bit of the mask."""
     idx = rng.randrange(mask.bit_count())
     return next(itertools.islice(select(mask, itertools.count()), idx, None))
-
-
-def reference_sample_fast(b: BipartiteGraph, rng: random.Random) -> list[tuple[int, int]]:
-    """``matching.sample_perfect_matching`` with an ``owner`` dict keyed by right id
-    and a separate count of each left vertex's undrawn neighbours; the
-    library's sampler must make exactly the same draws.
-
-    Augmenting search from the left vertices in uniformly random order,
-    each left vertex trying its neighbours in a uniformly random order.
-
-    A left vertex's neighbour order is drawn lazily: ``drawn[u]`` is the
-    prefix drawn so far and ``undrawn[u]`` the mask of the rest.  The search
-    walks the prefix (skipping seen vertices) and draws the next neighbour,
-    uniformly from the rest, only when the prefix runs out, so the output
-    has the same law as when every row is shuffled up front.
-    """
-    rows = b.rows
-    n = len(rows)
-    ids = list(select(b.right, count()))
-    id_bits = n.bit_length()
-    order = list(range(n))
-    rng.shuffle(order)
-    drawn: list[list[int]] = [[] for _ in range(n)]
-    undrawn = list(rows)
-    n_undrawn = [row.bit_count() for row in rows]
-    owner: dict[int, int] = {}
-    for root in order:
-        seen = 0
-        # the path so far, and where each of its left vertices but the last
-        # resumes its prefix; x is the last left vertex, i its position
-        lefts, rights, resume = [root], [], []
-        x, i = root, 0
-        while True:
-            prefix = drawn[x]
-            v = -1
-            while i < len(prefix):
-                w = prefix[i]
-                i += 1
-                if not (seen >> w) & 1:
-                    v = w
-                    break
-            else:  # prefix used up: draw further neighbours
-                while n_undrawn[x]:
-                    rest = undrawn[x]
-                    if 2 * n_undrawn[x] >= n:
-                        # rejection over the positions of all right vertices:
-                        # at this density at least a quarter of tries hit
-                        while True:
-                            j = rng.getrandbits(id_bits)
-                            if j < n and (rest >> ids[j]) & 1:
-                                w = ids[j]
-                                break
-                    else:
-                        w = pick_bit(rest, rng)
-                    undrawn[x] = rest ^ (1 << w)
-                    n_undrawn[x] -= 1
-                    prefix.append(w)
-                    i += 1
-                    if not (seen >> w) & 1:
-                        v = w
-                        break
-            if v < 0:  # x has nothing left to try: back up
-                lefts.pop()
-                if not rights:
-                    raise NoPerfectMatchingError("graph has no perfect matching")
-                rights.pop()
-                x, i = lefts[-1], resume.pop()
-                continue
-            seen |= 1 << v
-            rights.append(v)
-            u = owner.get(v)
-            if u is None:
-                owner.update(zip(rights, lefts))  # each left vertex takes the next right one
-                break
-            resume.append(i)
-            lefts.append(u)
-            x, i = u, 0
-    return sorted((u, v) for v, u in owner.items())
 
 
 def reference_robust_matching(template, w_locals):

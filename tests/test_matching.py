@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +21,12 @@ from helpers import (
     fast_sampler_law,
     is_clique_tiling,
     random_bipartite,
-    reference_sample_fast,
+    reference_pick_bit,
     sample_exact,
     tiling_extension_instance,
 )
 from hampower import matching
-from hampower.bitset import mask_of, pick_bit
+from hampower.bitset import mask_of, pick_bit, select
 from hampower.core import GraphCollection
 from hampower.errors import InvalidInstanceError, NoPerfectMatchingError
 from hampower.instances import complete_collection
@@ -293,8 +295,8 @@ class TestSamplePerfectMatching:
                 assert stat < chi_square_critical(total - 1, 0.01)
 
     def test_fast_mode_follows_its_law(self):
-        # the fast sampler's exact law, by enumerating every left order and
-        # every neighbour order, on two asymmetric 4x4 graphs
+        # the sampler's exact law, by enumerating every root order and every
+        # uniform pick of the search, on two asymmetric 4x4 graphs
         graphs = [
             bipartite([(0, 1, 2), (0, 1), (1, 2, 3), (2, 3)], 4),
             bipartite([(0, 1), (0, 2, 3), (1, 3), (0, 1, 2)], 4),
@@ -308,6 +310,13 @@ class TestSamplePerfectMatching:
             freq = Counter(tuple(sample_perfect_matching(b, rng)) for _ in range(draws))
             stat = chi_square_against(freq, law, draws)
             assert stat < chi_square_critical(len(law) - 1, 0.01)
+
+    def test_fast_mode_law_uniform_on_complete_bipartite(self):
+        # every root has a free neighbour and takes a uniform one
+        for n in range(1, 5):
+            law = fast_sampler_law(complete_bipartite(n))
+            assert len(law) == factorial(n)
+            assert set(law.values()) == {Fraction(1, factorial(n))}
 
     def test_fast_mode_uniform_on_k33(self):
         b = complete_bipartite(3)
@@ -332,78 +341,147 @@ class TestSamplePerfectMatching:
             assert len({v for _, v in pairs}) == n
 
 
-def _planted(rng: random.Random, n: int, p: float, ids: list[int]) -> BipartiteGraph:
-    """n x n graph on right ids ``ids``: a random perfect matching plus each
-    other pair at density p."""
-    perm = rng.sample(range(n), n)
+def _right_ids(rng: random.Random, n: int, holes: bool) -> list[int]:
+    """0..n-1, or n sorted ids with holes, the highest 1199."""
+    return sorted(rng.sample(range(1199), n - 1)) + [1199] if holes else list(range(n))
+
+
+def _random_graph(rng: random.Random, n: int, p: float, ids: list[int], planted: bool):
+    """n x n graph on right ids ``ids`` at density p, plus a random perfect
+    matching when ``planted``."""
+    perm = rng.sample(range(n), n) if planted else [-1] * n
     rows = tuple(
         mask_of(ids[v] for v in range(n) if v == perm[u] or rng.random() < p) for u in range(n)
     )
     return BipartiteGraph(rows, mask_of(ids))
 
 
-def _outcome(sampler, b: BipartiteGraph, seed: int):
+def _compact(b: BipartiteGraph) -> tuple[BipartiteGraph, list[int]]:
+    """The same graph on right ids 0..n-1 in the same order, and the ids."""
+    ids = list(select(b.right, count()))
+    pos = {v: i for i, v in enumerate(ids)}
+    rows = tuple(mask_of(pos[v] for v in select(row, count())) for row in b.rows)
+    return BipartiteGraph(rows, (1 << len(ids)) - 1), ids
+
+
+def _outcome(b: BipartiteGraph, seed: int):
     rng = random.Random(seed)
     try:
-        result = sampler(b, rng)
-    except NoPerfectMatchingError as exc:
-        result = (type(exc), str(exc))
-    return result, rng.getstate()
+        pairs = sample_perfect_matching(b, rng)
+    except NoPerfectMatchingError:
+        pairs = None
+    return pairs, rng.getstate()
+
+
+def _check_sampler(b: BipartiteGraph, seed: int) -> None:
+    """Raises exactly when ``max_matching`` is not perfect, otherwise returns
+    a perfect matching on edges of b; draws and rng state equal those on the
+    compacted ids."""
+    n = b.n_left
+    pairs, state = _outcome(b, seed)
+    assert (pairs is not None) == (len(max_matching(b)) == n)
+    if pairs is not None:
+        assert [u for u, _ in pairs] == list(range(n))
+        assert len({v for _, v in pairs}) == n
+        assert all((b.rows[u] >> v) & 1 for u, v in pairs)
+    compact, ids = _compact(b)
+    compact_pairs, compact_state = _outcome(compact, seed)
+    assert compact_state == state
+    assert pairs == (None if compact_pairs is None else [(u, ids[v]) for u, v in compact_pairs])
+
+
+class TestSamplerProperties:
+    """Sparse, dense and hole-y right ids up to 1199, with and without a
+    perfect matching: see ``_check_sampler``.  Both pick branches (rejection
+    over right positions, ``pick_bit``) draw by rank, so renumbering the
+    right ids in order changes no draw in either."""
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(1, 60),
+        st.sampled_from([0.03, 0.15, 0.5, 0.95]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, hrng, n, p, holes, planted):
+        rng = random.Random(hrng.getrandbits(32))
+        ids = _right_ids(rng, n, holes)
+        _check_sampler(_random_graph(rng, n, p, ids, planted), rng.getrandbits(32))
+
+    def test_families(self):
+        rng = random.Random(40)
+        seed = 0
+        for n in (1, 2, 7, 24, 61, 150):
+            for p in (0.1, 0.5, 0.95):
+                for holes in (False, True):
+                    b = _random_graph(rng, n, p, _right_ids(rng, n, holes), planted=True)
+                    # two left vertices confined to one right vertex: Hall fails
+                    lone = b.rows[0] & -b.rows[0]
+                    spoilt = BipartiteGraph((lone, lone) + b.rows[2:], b.right) if n > 1 else b
+                    for graph in (b, spoilt):
+                        seed += 1
+                        _check_sampler(graph, seed)
 
 
 class TestFastSamplerMatchesReference:
-    """The fast sampler against ``helpers.reference_sample_fast``: equal
-    pairs (or the same error) and equal rng state after the call."""
+    """The sampler against references, one test per branch of its uniform
+    pick: rejection over right positions while a mask holds at least half
+    the side, ``pick_bit`` below that."""
 
-    def _agree(self, graphs):
-        for seed, b in enumerate(graphs):
-            assert _outcome(matching.sample_perfect_matching, b, seed) == _outcome(
-                reference_sample_fast, b, seed
-            )
-
-    def test_dense_rows_take_the_rejection_branch(self):
-        rng = random.Random(40)
-        graphs = [
-            _planted(rng, n, 0.9, list(range(n))) for n in (1, 2, 3, 7, 16, 33, 60) for _ in range(6)
-        ]
-        assert all(2 * row.bit_count() >= b.n_right for b in graphs[-6:] for row in b.rows)
-        self._agree(graphs)
-
-    def test_rows_below_half_the_side_take_pick_bit(self, monkeypatch):
-        picks = []
+    @staticmethod
+    def _count_pick_bit(monkeypatch, pick=pick_bit) -> list[int]:
+        """The masks ``matching.pick_bit`` gets from now on, drawn by ``pick``."""
+        masks = []
 
         def counted(mask, rng):
-            picks.append(mask)
-            return pick_bit(mask, rng)
+            masks.append(mask)
+            return pick(mask, rng)
 
         monkeypatch.setattr(matching, "pick_bit", counted)
-        rng = random.Random(41)
-        graphs = [
-            _planted(rng, n, 0.15, list(range(n))) for n in (4, 9, 20, 45, 61) for _ in range(6)
-        ]
-        self._agree(graphs)
-        assert picks
+        return masks
 
-    def test_right_ids_with_holes_up_to_1199(self):
+    def test_dense_rows_take_the_rejection_branch(self, monkeypatch):
+        # draws follow the exact law (helpers.fast_sampler_law); every root
+        # picks at least once, so fewer pick_bit calls than roots means the
+        # rest took the rejection branch
+        masks = self._count_pick_bit(monkeypatch)
+        b = bipartite([(0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 3), (1, 2, 3)], 4)
+        law = fast_sampler_law(b)
         rng = random.Random(42)
-        graphs = []
-        for n in (1, 5, 24, 61, 150):
-            for p in (0.1, 0.5, 0.95):
-                ids = sorted(rng.sample(range(1199), n - 1)) + [1199]
-                graphs.append(_planted(rng, n, p, ids))
-        assert max(b.right.bit_length() for b in graphs) == 1200
-        self._agree(graphs)
+        draws = 20_000
+        freq = Counter(tuple(sample_perfect_matching(b, rng)) for _ in range(draws))
+        assert chi_square_against(freq, law, draws) < chi_square_critical(len(law) - 1, 0.01)
+        assert len(masks) < 4 * draws
+        assert all(2 * mask.bit_count() < 4 for mask in masks)
+        # on K_{n,n} every root takes a free neighbour: by rejection while at
+        # least half the side is free, by pick_bit after that
+        masks.clear()
+        n = 60
+        sample_perfect_matching(complete_bipartite(n), random.Random(41))
+        assert sorted(mask.bit_count() for mask in masks) == list(range(1, n // 2))
 
-    def test_no_perfect_matching_gives_the_same_error(self):
+    def test_rows_below_half_the_side_take_pick_bit(self, monkeypatch):
+        # rows of two of six right ids forming two 6-cycles: rotating either
+        # one is an automorphism, so the law is uniform on the 4 matchings;
+        # every pick goes to pick_bit, at least one per root
+        masks = self._count_pick_bit(monkeypatch)
+        b = bipartite([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6)
         rng = random.Random(43)
-        graphs = []
-        for n in (2, 6, 17, 40):
-            for p in (0.2, 0.6, 0.95):
-                b = _planted(rng, n, p, sorted(rng.sample(range(300), n)))
-                # two left vertices confined to one right vertex: Hall fails
-                lone = b.rows[0] & -b.rows[0]
-                graphs.append(BipartiteGraph((lone, lone) + b.rows[2:], b.right))
-        for seed, b in enumerate(graphs):
-            outcome = _outcome(matching.sample_perfect_matching, b, seed)
-            assert outcome[0][0] is NoPerfectMatchingError
-            assert outcome == _outcome(reference_sample_fast, b, seed)
+        draws = 20_000
+        freq = Counter(tuple(sample_perfect_matching(b, rng)) for _ in range(draws))
+        assert len(freq) == count_perfect_matchings(b) == 4
+        assert chi_square_statistic(freq, draws) < chi_square_critical(3, 0.01)
+        assert len(masks) >= 6 * draws
+        assert all(2 * mask.bit_count() < 6 for mask in masks)
+        # sparse rows on hole-y right ids up to 1199: the same pairs and rng
+        # state with pick_bit replaced by helpers.reference_pick_bit
+        gen = random.Random(44)
+        for n in (7, 24, 60):
+            b = _random_graph(gen, n, 0.04, _right_ids(gen, n, holes=True), planted=True)
+            monkeypatch.setattr(matching, "pick_bit", pick_bit)
+            ours = _outcome(b, n)
+            masks = self._count_pick_bit(monkeypatch, reference_pick_bit)
+            assert _outcome(b, n) == ours
+            assert len(masks) >= n
+            assert all(2 * mask.bit_count() < n for mask in masks)

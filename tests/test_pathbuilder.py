@@ -132,21 +132,28 @@ class TestBuildPathCollection:
 
 class TestWindowTilingCheck:
     def test_names_the_first_broken_pair_of_the_first_broken_chain(self):
-        # colour 2 misses 3-5 and 4-5 (chain 1's pairs (0,2) and (1,2)) and
-        # 6-7 (chain 2's pair (0,1)); chains are checked one at a time
-        full = [(u, v) for u in range(9) for v in range(u + 1, 9)]
-        holes = {(3, 5), (4, 5), (6, 7)}
-        coll = GraphCollection.from_edge_lists(9, [full, [e for e in full if e not in holes]])
-        pattern = ColourPattern(power_path(3, 3), dict.fromkeys(host_edges(power_path(3, 3)), 2))
-        chains = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-        first = r"^internal error: step 7 tiling invariant broken at levels \(0,2\)$"
+        # colour 2 misses 4-7 and 5-7 (chain 1's pairs (0,3) and (1,3)),
+        # 8-9 (chain 2's pair (0,1), checked at level 1, not at level 3)
+        # and 8-11 (chain 2's pair (0,3)); chains are checked one at a time
+        full = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        holes = {(4, 7), (5, 7), (8, 9), (8, 11)}
+        coll = GraphCollection.from_edge_lists(12, [full, [e for e in full if e not in holes]])
+        pattern = ColourPattern(power_path(4, 3), dict.fromkeys(host_edges(power_path(4, 3)), 2))
+        chains = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        first = r"^internal error: step 7 tiling invariant broken at levels \(0,3\)$"
         with pytest.raises(HamPowerError, match=first):
-            _assert_window_tiling(coll, pattern, chains, 2, 3, 7)
-        _assert_window_tiling(coll, pattern, chains[:1], 2, 3, 7)
-        # with k = 2 the window at level 2 is levels 1..2 only
-        with pytest.raises(HamPowerError, match=r"levels \(1,2\)$"):
-            _assert_window_tiling(coll, pattern, chains, 2, 2, 7)
-        _assert_window_tiling(coll, pattern, chains[2:], 2, 2, 7)
+            _assert_window_tiling(coll, pattern, chains, 3, 3, 7)
+        _assert_window_tiling(coll, pattern, chains[:1], 3, 3, 7)
+        # the pair k levels back is checked too
+        with pytest.raises(HamPowerError, match=r"levels \(0,3\)$"):
+            _assert_window_tiling(coll, pattern, chains[2:], 3, 3, 7)
+        # chain 2's older pair is checked when its level is attached
+        with pytest.raises(HamPowerError, match=r"levels \(0,1\)$"):
+            _assert_window_tiling(coll, pattern, chains[2:], 1, 3, 7)
+        # with k = 2 the pairs ending at level 3 start at level 1
+        with pytest.raises(HamPowerError, match=r"levels \(1,3\)$"):
+            _assert_window_tiling(coll, pattern, chains, 3, 2, 7)
+        _assert_window_tiling(coll, pattern, chains[2:], 3, 2, 7)
 
 
 class TestPartRows:
@@ -188,7 +195,7 @@ class TestBuilderDigest:
     def test_parts_of_60_in_copies_of_k1200(self):
         coll = complete_collection(1200, 4)
         assert _builder_digest(coll, 7, 3, 60, 40, 14) == (
-            "97d74e5c02a216ccf4f89522e73b8a149f9d0a1f6d4cbe2c0155fe66bda8a1b4"
+            "388ccf77bffbb44955ff1e6dfb0f06f86bdd5bcba74f2fc2c869b2628f1850c1"
         )
 
     def test_random_collection_with_sparse_tiling_rows(self, monkeypatch):
@@ -202,14 +209,15 @@ class TestBuilderDigest:
         monkeypatch.setattr(pathbuilder, "sample_perfect_matching", spy)
         coll = random_min_degree_collection(150, 4, 0.8, random.Random(0))
         assert _builder_digest(coll, 5, 2, 24, 12, 0) == (
-            "34dbc2074c01af3565069ce5e1436ccdd665c86995b0921eeae67d3f7d597e4f"
+            "0f60a4de1271225aaf4e367c5b8b5ec865f02a46ac741178e719349acec42567"
         )
-        # both branches of the fast sampler ran: some levels have a row
-        # below half the side, some do not
+        # both pick branches of the sampler ran: a level's first root picks
+        # from its whole row, and some levels have a row below half the
+        # side, some do not
         assert any(sparse) and not all(sparse)
 
     def test_failure_names_the_same_step_and_level(self):
         coll = random_min_degree_collection(150, 4, 0.6, random.Random(1))
         with pytest.raises(NoMatchingError) as err:
-            _builder_digest(coll, 5, 2, 24, 12, 1)
+            _builder_digest(coll, 5, 2, 24, 12, 2)
         assert (err.value.step, err.value.level) == (12, 2)

@@ -420,7 +420,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "k, seed, digest",
         [
-            (2, 7, "166fb32da12b5ed867c9b251c4e41e368dfe87604f65b9af60f5178cad5dc860"),
+            (2, 7, "08c5fe6262f4809ea7f0c31a727d5905c26b5185a485be86404b5ba7af7e89f9"),
             (3, 8, "aad775984742c72546cbd0529c899c286a6af8299a7337372ef06e0aac619822"),
         ],
     )
@@ -435,7 +435,7 @@ class TestGoldenOutput:
         "k, delta, seed, r, digest",
         [
             (2, 0.95, 1, 7, "b77c32b27bd5102aad4e0cd3fe703df2f0feb8b45a68c89d679c4552b51dcd84"),
-            (3, 0.9, 2, 8, "d527657310e7823e9187e0b19fdaf3fc3be05ca9e562cc7e7b54e04cb4a8aa55"),
+            (3, 0.9, 2, 8, "f65fad77114713dd3c29a36e674f7ad7e851e1430b6c728a06136c0abca94a05"),
         ],
     )
     def test_cycle_digest_on_random_collection(self, k, delta, seed, r, digest):
