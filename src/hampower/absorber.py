@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .bitset import mask_of, select
+from .bitset import lowest_bit, mask_of, select
 from .connectors import embed_connector, place_in_order
 from .core import (
     CONNECTOR,
@@ -65,6 +65,7 @@ from .core import (
     verify_coloured_embedding,
 )
 from .errors import (
+    ConnectionFailedError,
     EmbeddingFailedError,
     HamPowerError,
     InvalidInstanceError,
@@ -330,13 +331,14 @@ class Template:
         return [tuple(ns) for ns in out]
 
     @functools.cached_property
-    def _u_matching(self) -> tuple[dict[int, int], int]:
-        """Maximum matching of (U, X) as (X vertex -> left index, mask of
-        the X vertices it leaves free): the state every subset's matching
+    def _u_matching(self) -> tuple[list[int], int]:
+        """Maximum matching of (U, X) as (X vertex -> left index or -1, mask
+        of the X vertices it leaves free): the state every subset's matching
         reaches after the U rows, which it searches first."""
-        pairs = max_matching(BipartiteGraph(self.rows[: self.n_u], self.x_mask))
-        owner = {x: u for u, x in pairs}
-        return owner, self.x_mask ^ mask_of(owner)
+        owner, free = [-1] * self.n_x, self.x_mask
+        for u, x in max_matching(BipartiteGraph(self.rows[: self.n_u], self.x_mask)):
+            owner[x], free = u, free ^ (1 << x)
+        return owner, free
 
     def robust_matching(self, w_locals: Iterable[int]) -> Optional[list[tuple[int, int]]]:
         """Perfect matching of (U + W', X) as (left_index, x) pairs sorted
@@ -355,15 +357,15 @@ class Template:
         ):
             raise InvalidInstanceError("robust_matching needs s distinct W-local indices")
         u_owner, free = self._u_matching
-        if len(u_owner) < self.n_u:
+        if free.bit_count() > self.n_x - self.n_u:  # some U row is unmatched
             return None
-        owner = dict(u_owner)
+        owner = list(u_owner)
         for w in chosen:
-            x = augment(self.rows, self.n_u + w, owner, free)
+            x = augment(self.rows, self.n_u + w, owner, free, lowest_bit)
             if x < 0:
                 return None
             free ^= 1 << x
-        return sorted(zip(owner.values(), owner))
+        return sorted((u, x) for x, u in enumerate(owner) if u >= 0)
 
 
 def template_edge_count(s: int, t: int) -> int:
@@ -513,12 +515,6 @@ class AbsorbingStructure:
     def a_size(self) -> int:
         return len(self.absorbed_set)
 
-    def boundary_first_k(self) -> tuple[int, ...]:
-        return self.placement[: self.k]
-
-    def boundary_last_k(self) -> tuple[int, ...]:
-        return self.placement[-self.k:]
-
 
 def expected_absorbed_size(k: int, s: int, b: int) -> int:
     """|A| = (2k+1)b + (3s+1)k - s."""
@@ -658,7 +654,8 @@ def chain_connectors(
     ``embed`` is :func:`connectors.embed_connector` as the caller's module
     names it, where the benchmark's span hooks wrap it.  ``fill(segment,
     pool) -> pool``, if given, places each other segment in host order, and
-    a connector is embedded once the piece after it is placed.
+    a connector is embedded once the piece after it is placed.  A failed
+    connector's error gains its segment name and its pool's popcount.
     """
     n = len(placement)
 
@@ -666,7 +663,13 @@ def chain_connectors(
         a, k = seg.shape.a, seg.shape.k
         ends = [placement[p % n] for p in range(seg.start, seg.start + seg.shape.order)]
         sub = restrict_pattern(pattern, seg.start, seg.shape)
-        internals = embed(collection, ends[:a], ends[a + k:], sub, pool, rng)
+        try:
+            internals = embed(collection, ends[:a], ends[a + k:], sub, pool, rng)
+        except ConnectionFailedError as exc:
+            size = pool.bit_count()
+            raise ConnectionFailedError(
+                f"{exc} at {seg.name}, pool of {size}", exc.position, seg.name, size
+            ) from exc
         for off, v in enumerate(internals):
             placement[(seg.start + a + off) % n] = v
         return pool & ~mask_of(internals)

@@ -32,6 +32,10 @@ def select(mask: int, items: Iterable[T]) -> Iterator[T]:
     return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
 
 
+def lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def pick_bit(mask: int, rng: random.Random) -> int:
     """Uniformly random set bit of a nonzero mask.
 

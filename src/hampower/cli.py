@@ -178,11 +178,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.generator in ("complete", "random") and args.n > core.MAX_FILE_ORDER:
+    lower = args.generator == "lowerbound"
+    n = args.p * (args.k + 1) if lower else args.n
+    if n > core.MAX_FILE_ORDER:
         # the loaders would refuse the file, so do not build it
-        raise InvalidInstanceError(
-            f"--n {args.n} exceeds the instance file limit {core.MAX_FILE_ORDER}"
-        )
+        size = f"--k {args.k} --p {args.p} (n = {n})" if lower else f"--n {n}"
+        raise InvalidInstanceError(f"{size} exceeds the instance file limit {core.MAX_FILE_ORDER}")
     if args.generator == "complete":
         collection = instances.complete_collection(args.n, args.m)
         core.save_json(args.out_instance, core.collection_to_dict(collection))

@@ -38,12 +38,16 @@ class ConnectionFailedError(HamPowerError):
     """Greedy connector/extension ran out of candidates.
 
     ``position`` is the host position at which the candidate set became
-    empty, or ``None`` for a single-vertex extension step.
+    empty, or ``None`` for a single-vertex extension step.  A layout's
+    connector also names its ``segment`` and the popcount of its ``pool``.
     """
 
-    def __init__(self, message: str, position: int | None = None):
+    def __init__(self, message: str, position: int | None = None,
+                 segment: str | None = None, pool: int | None = None):
         super().__init__(message)
         self.position = position
+        self.segment = segment
+        self.pool = pool
 
 
 class EmbeddingFailedError(HamPowerError):

@@ -15,13 +15,13 @@ position, already read into the right vertices' ids.  A perfect matching in
 the auxiliary graph extends a perfect K_k-tiling to a perfect
 K_{k+1}-tiling.
 
-Augmenting paths are searched depth first with an explicit stack, so their
-length is not bounded by the interpreter's recursion limit.  Perfect
-matchings are sampled by a randomised augmenting search from the left
-vertices in random order: a left vertex takes a uniformly random free
-neighbour when it has one, and otherwise the path steps through a uniformly
-random unseen neighbour.  The law is close to uniform but not uniform
-(uniform on complete bipartite graphs), and the search is cheap at any size.
+Every matching here and in the absorber's template comes from one
+augmenting-path search, :func:`augment`: depth first with an explicit stack
+(no recursion limit on path length), with owners in a list indexed by right
+id, so right ids must be small.  Its ``pick`` chooses the bit to take:
+:func:`max_matching` takes the lowest, :func:`sample_perfect_matching` a
+uniformly random one from roots in random order, a law close to uniform but
+not uniform (uniform on complete bipartite graphs).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import count
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .bitset import pick_bit, select
+from .bitset import lowest_bit, pick_bit, select
 from .errors import InvalidInstanceError, NoPerfectMatchingError
 
 
@@ -67,34 +67,36 @@ class BipartiteGraph:
         return sum(map(int.bit_count, self.rows))
 
 
-def augment(rows: Sequence[int], root: int, owner: dict[int, int], free: int) -> int:
+def augment(
+    rows: Sequence[int], root: int, owner: list[int], free: int, pick: Callable[[int], int]
+) -> int:
     """Augmenting path from the unmatched left vertex ``root``, applied to
-    ``owner`` (matched right vertex -> left vertex); returns the free right
-    vertex it ends at, or -1 when there is none.
+    ``owner`` (right id -> left vertex, -1 while free); returns the free
+    right vertex it ends at, or -1 when there is none.
 
-    Depth first with an explicit stack and ``seen`` kept as a mask: a left
-    vertex with a free neighbour takes the lowest one, otherwise the search
-    descends through its lowest unseen neighbour.
+    A left vertex takes ``pick`` of its free neighbours when it has one;
+    otherwise the search descends through ``pick`` of its unseen (so owned)
+    neighbours to their owner, and backs up when none is left.  ``seen`` is
+    one mask per root and owners change only when a path closes, so the
+    search is complete whatever ``pick`` chooses.
     """
     lefts = [root]
     rights: list[int] = []
     seen = 0
     x = root
     while True:
-        hit = rows[x] & free
-        if hit:
-            rights.append((hit & -hit).bit_length() - 1)
-            owner.update(zip(rights, lefts))  # each left vertex takes the next right one
+        if hit := rows[x] & free:
+            rights.append(pick(hit))
+            for v, u in zip(rights, lefts):  # each left vertex takes the next right one
+                owner[v] = u
             return rights[-1]
-        cand = rows[x] & ~seen
-        if cand:
-            low = cand & -cand
-            seen |= low
-            v = low.bit_length() - 1
+        if cand := rows[x] & ~seen:
+            v = pick(cand)
+            seen |= 1 << v
             rights.append(v)
             x = owner[v]
             lefts.append(x)
-        else:
+        else:  # x has nothing left to try: back up
             lefts.pop()
             if not rights:
                 return -1
@@ -105,16 +107,17 @@ def augment(rows: Sequence[int], root: int, owner: dict[int, int], free: int) ->
 def max_matching(b: BipartiteGraph) -> list[tuple[int, int]]:
     """Maximum-cardinality matching as (left, right) pairs sorted by left.
 
-    One augmenting search per left vertex, in index order; deterministic.
+    One augmenting search per left vertex, in index order, taking the
+    lowest bit at every pick; deterministic.
     """
     rows = b.rows
-    owner: dict[int, int] = {}
+    owner = [-1] * b.right.bit_length()
     free = b.right
     for u in range(len(rows)):
-        v = augment(rows, u, owner, free)
+        v = augment(rows, u, owner, free, lowest_bit)
         if v >= 0:
             free ^= 1 << v
-    return sorted((u, v) for v, u in owner.items())
+    return sorted((u, v) for v, u in enumerate(owner) if u >= 0)
 
 
 def tiling_graph(
@@ -151,18 +154,11 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     """Sample a perfect matching as (left, right) pairs sorted by left, or
     raise :class:`NoPerfectMatchingError` when there is none.
 
-    Randomised augmenting (Kuhn) search from the left vertices in uniformly
-    random order.  A left vertex the search reaches takes a uniformly random
-    free neighbour when it has one, and the path closes.  Otherwise the
-    search steps to a uniformly random unseen neighbour, which is owned, and
-    on to its owner; it backs up from a left vertex with no unseen neighbour
-    left.  ``seen`` is one mask per root and owners change only when a path
-    closes, so the search is complete: it raises exactly when the graph has
-    no perfect matching.  The law is close to uniform but not uniform; on a
-    complete bipartite graph it is uniform.
-
-    ``owner`` is a list indexed by right id, so right ids should be small:
-    the path builder passes positions within a part.
+    One :func:`augment` per left vertex, in uniformly random order, with
+    uniformly random picks.  It raises at the first root with no augmenting
+    path, which happens exactly when there is no perfect matching.  The law
+    is close to uniform but not uniform; on a complete bipartite graph it is
+    uniform.  The path builder passes positions within a part as right ids.
     """
     if b.n_left != b.n_right:
         raise NoPerfectMatchingError("perfect matching needs equal sides")
@@ -188,27 +184,8 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     owner = [-1] * b.right.bit_length()
     free = b.right
     for root in order:
-        lefts, rights = [root], []
-        seen = 0
-        x = root
-        while True:
-            if hit := rows[x] & free:
-                v = pick(hit)
-                free ^= 1 << v
-                rights.append(v)
-                for v, u in zip(rights, lefts):  # each left vertex takes the next right one
-                    owner[v] = u
-                break
-            if cand := rows[x] & ~seen:
-                v = pick(cand)
-                seen |= 1 << v
-                rights.append(v)
-                x = owner[v]
-                lefts.append(x)
-            else:  # x has nothing left to try: back up
-                lefts.pop()
-                if not rights:
-                    raise NoPerfectMatchingError("graph has no perfect matching")
-                rights.pop()
-                x = lefts[-1]
+        v = augment(rows, root, owner, free, pick)
+        if v < 0:
+            raise NoPerfectMatchingError("graph has no perfect matching")
+        free ^= 1 << v
     return sorted((u, v) for v, u in enumerate(owner) if u >= 0)

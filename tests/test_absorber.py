@@ -17,6 +17,7 @@ from hampower.absorber import (
     build_absorbing_structure,
     build_gadget_blueprint,
     build_template,
+    chain_connectors,
     embed_by_degeneracy,
     expected_absorbed_size,
     gadget_absorb_sequence,
@@ -35,7 +36,9 @@ from hampower.core import (
     power_path,
     verify_coloured_embedding,
 )
+from hampower.connectors import embed_connector
 from hampower.errors import (
+    ConnectionFailedError,
     EmbeddingFailedError,
     HamPowerError,
     InvalidInstanceError,
@@ -486,8 +489,8 @@ class TestAbsorbingStructure:
         for chosen in itertools.combinations(interior, s):
             path = absorb(structure, chosen)
             assert verify_coloured_embedding(coll, pattern, path.vertices).ok
-            assert path.vertices[:k] == structure.boundary_first_k()
-            assert path.vertices[-k:] == structure.boundary_last_k()
+            assert path.vertices[:k] == structure.placement[:k]
+            assert path.vertices[-k:] == structure.placement[-k:]
 
     def test_degenerate_structure_without_gadgets(self):
         rng = random.Random(71)
@@ -581,6 +584,27 @@ class TestAbsorberPartition:
         for _ in range(2):
             with pytest.raises(HamPowerError, match=message):
                 Layout(shorter, layout.segments)
+
+
+class TestChainConnectors:
+    def test_failure_names_its_segment_and_pool(self):
+        # no gadgets: z1, one connector with k internals, z2; the pool holds
+        # one vertex, so the connector's second internal has no candidate
+        k = 2
+        layout = absorber_layout(k, ())
+        coll = complete_collection(10, 3)
+        pattern = random_pattern(layout.host, 3, random.Random(72))
+        placement = [0, None, None, 1]
+        with pytest.raises(ConnectionFailedError) as err:
+            chain_connectors(
+                coll, pattern, layout, placement, mask_of([5]), random.Random(73), embed_connector
+            )
+        cause = err.value.__cause__
+        assert isinstance(cause, ConnectionFailedError) and cause.position in (1, 2)
+        assert (err.value.position, err.value.segment, err.value.pool) == (
+            cause.position, "connector 0", 1
+        )
+        assert str(err.value) == f"{cause} at connector 0, pool of 1"
 
 
 class TestAbsorbValidation:

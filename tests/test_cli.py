@@ -191,35 +191,50 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("generator", ["complete", "random"])
+    @pytest.mark.parametrize("generator", ["complete", "random", "lowerbound"])
     def test_gen_order_above_file_limit_exit_1(self, tmp_path, capsys, monkeypatch, generator):
         def refuse(*args):
             raise AssertionError("a generator ran on an order the loaders refuse")
 
         monkeypatch.setattr(instances, "complete_collection", refuse)
         monkeypatch.setattr(instances, "random_min_degree_collection", refuse)
-        out = tmp_path / "inst.json"
-        argv = ["gen", generator, "--n", str(core.MAX_FILE_ORDER + 1), "--m", "1",
-                "--out-instance", str(out)]
+        monkeypatch.setattr(instances, "lowerbound_construction", refuse)
+        out, pat = tmp_path / "inst.json", tmp_path / "pat.json"
+        if generator == "lowerbound":
+            p = core.MAX_FILE_ORDER // 3 + 1  # n = 3p, one part above the limit
+            argv = ["gen", generator, "--k", "2", "--p", str(p), "--out-pattern", str(pat)]
+            size = f"--k 2 --p {p} (n = {3 * p})"
+        else:
+            argv = ["gen", generator, "--n", str(core.MAX_FILE_ORDER + 1), "--m", "1"]
+            size = f"--n {core.MAX_FILE_ORDER + 1}"
         if generator == "random":
             argv += ["--delta", "0.5"]
-        assert cli.dispatch(argv) == 1
+        assert cli.dispatch([*argv, "--out-instance", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
-            f"error: --n {core.MAX_FILE_ORDER + 1} exceeds the instance file limit"
+            f"error: {size} exceeds the instance file limit"
         )
-        assert not out.exists()
+        assert not out.exists() and not pat.exists()
 
-    @pytest.mark.parametrize("generator", ["complete", "random"])
-    def test_gen_order_at_file_limit_is_written(self, tmp_path, monkeypatch, generator):
-        monkeypatch.setattr(core, "MAX_FILE_ORDER", 6)
-        extra = ["--delta", "0.5"] if generator == "random" else []
-        at, above = tmp_path / "at.json", tmp_path / "above.json"
-        assert cli.dispatch(["gen", generator, "--n", "6", "--m", "2", *extra,
-                             "--out-instance", str(at)]) == 0
-        assert core.collection_from_dict(core.load_json(str(at))).n == 6
-        assert cli.dispatch(["gen", generator, "--n", "7", "--m", "2", *extra,
-                             "--out-instance", str(above)]) == 1
-        assert not above.exists()
+    @pytest.mark.parametrize("generator, limit, at, above", [
+        ("complete", 6, ["--n", "6", "--m", "2"], ["--n", "7", "--m", "2"]),
+        ("random", 6, ["--n", "6", "--m", "2", "--delta", "0.5"],
+         ["--n", "7", "--m", "2", "--delta", "0.5"]),
+        ("lowerbound", 9, ["--k", "2", "--p", "3"], ["--k", "2", "--p", "4"]),  # n = 3p
+    ], ids=["complete", "random", "lowerbound"])
+    def test_gen_order_at_file_limit_is_written(self, tmp_path, monkeypatch, generator, limit,
+                                                at, above):
+        monkeypatch.setattr(core, "MAX_FILE_ORDER", limit)
+
+        def gen(size, name):
+            files = ["--out-instance", str(tmp_path / f"{name}.json")]
+            if generator == "lowerbound":
+                files += ["--out-pattern", str(tmp_path / f"{name}-pattern.json")]
+            return cli.dispatch(["gen", generator, *size, *files])
+
+        assert gen(at, "at") == 0
+        assert core.collection_from_dict(core.load_json(str(tmp_path / "at.json"))).n == limit
+        assert gen(above, "above") == 1
+        assert not list(tmp_path.glob("above*"))
 
     @pytest.mark.parametrize(
         "file, field, value",

@@ -26,12 +26,13 @@ from helpers import (
     tiling_extension_instance,
 )
 from hampower import matching
-from hampower.bitset import mask_of, pick_bit, select
+from hampower.bitset import lowest_bit, mask_of, pick_bit, select
 from hampower.core import GraphCollection
 from hampower.errors import InvalidInstanceError, NoPerfectMatchingError
 from hampower.instances import complete_collection
 from hampower.matching import (
     BipartiteGraph,
+    augment,
     max_matching,
     sample_perfect_matching,
     tiling_graph,
@@ -97,6 +98,49 @@ class TestMaxMatching:
 
     def test_long_chain(self):
         assert max_matching(chain(1200)) == [(i, i) for i in range(1200)]
+
+
+def highest_bit(mask: int) -> int:
+    return mask.bit_length() - 1
+
+
+def recording(pick):
+    """``pick`` wrapped to record every mask it is given."""
+    masks = []
+
+    def spy(mask):
+        masks.append(mask)
+        return pick(mask)
+
+    return spy, masks
+
+
+class TestAugment:
+    """``augment`` takes the bit its ``pick`` chooses, both among free
+    neighbours and when it descends through an owned one."""
+
+    @pytest.mark.parametrize("pick, end, owner, masks", [
+        (lowest_bit, 2, [2, 1, 0, -1], [0b0011, 0b0100]),
+        (highest_bit, 3, [0, 2, -1, 1], [0b0011, 0b1000]),
+    ], ids=["lowest", "highest"])
+    def test_path_through_an_owned_vertex_follows_the_pick(self, pick, end, owner, masks):
+        # lefts 0 and 1 own rights 0 and 1, rights 2 and 3 are free; root 2
+        # sees only the owned rights, left 0 frees right 0 for right 2 and
+        # left 1 frees right 1 for right 3
+        rows = (mask_of([0, 2]), mask_of([1, 3]), mask_of([0, 1]))
+        spy, seen = recording(pick)
+        got = [0, 1, -1, -1]
+        assert augment(rows, 2, got, mask_of([2, 3]), spy) == end
+        assert (got, seen) == (owner, masks)
+
+    def test_dead_end_backs_up_and_takes_the_next_pick(self):
+        # left 1 frees nothing, so the highest pick backs up from it and
+        # descends through right 0 instead
+        rows = (mask_of([0, 2]), mask_of([1]), mask_of([0, 1]))
+        spy, seen = recording(highest_bit)
+        owner = [0, 1, -1]
+        assert augment(rows, 2, owner, mask_of([2]), spy) == 2
+        assert (owner, seen) == ([2, 1, 0], [0b011, 0b001, 0b100])
 
 
 class TestBipartiteGraph:
