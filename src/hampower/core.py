@@ -404,18 +404,31 @@ def _checked_table(n: int, g: int, rows: Sequence[int]) -> tuple[tuple[int, ...]
     if min(rows) < 0 or max(rows).bit_length() > n:
         v = next(v for v, row in enumerate(rows) if row < 0 or row.bit_length() > n)
         raise InvalidInstanceError(f"graph {g}: endpoint out of range at vertex {v}")
-    # the adjacency matrix as one string: row v is flat[v*n:(v+1)*n], its
-    # column v is the stride slice flat[v::n], and its diagonal flat[::n+1]
-    width = f"0{n}b"
-    flat = "".join([format(row, width)[::-1] for row in rows])
-    v = flat[:: n + 1].find("1")
-    if v >= 0:
-        raise InvalidInstanceError(f"graph {g}: self-loop at vertex {v}")
-    for v in range(n):
-        row, column = flat[v * n:(v + 1) * n], flat[v::n]
-        if row != column:
-            u = next(u for u in range(n) if row[u] != column[u])
-            raise InvalidInstanceError(f"graph {g}: asymmetric adjacency on edge ({u},{v})")
+    # Row v is packed little-endian into bytes v*size..(v+1)*size-1 of one
+    # buffer the size of the rows, byte j holding columns 8j..8j+7, and a
+    # row of 1 bytes goes on top.  Byte lo/8 of every row from lo on, that
+    # stride slice read as one little-endian int, prints as "1" and then
+    # rows n-1, ..., lo, each as its columns lo+7, ..., lo: so column lo+t
+    # from row n-1 down to row lo is every 8th character from 8-t, in the
+    # bit order of ``row >> lo``.  Columns are compared in increasing order
+    # and an asymmetric pair (w, v) with lo <= w < v is caught at column w
+    # first, so the first column that differs is the smaller end of every
+    # asymmetric pair it is in, and its lowest differing bit the smallest
+    # partner.
+    size = (n + 7) // 8
+    packed = bytearray()
+    for v, row in enumerate(rows):
+        if row >> v & 1:
+            raise InvalidInstanceError(f"graph {g}: self-loop at vertex {v}")
+        packed += row.to_bytes(size, "little")
+    packed += b"\1" * size
+    for lo in range(0, n, 8):
+        bits = format(int.from_bytes(packed[lo * size + lo // 8::size], "little"), "b")
+        for t, row in enumerate(rows[lo:lo + 8]):
+            diff = int(bits[8 - t::8], 2) ^ row >> lo
+            if diff:
+                u, v = lo - 1 + (diff & -diff).bit_length(), lo + t
+                raise InvalidInstanceError(f"graph {g}: asymmetric adjacency on edge ({u},{v})")
     return rows, min(map(int.bit_count, rows))
 
 
@@ -507,8 +520,8 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
 
 # The largest vertex count an instance file, and the largest host order a
 # pattern file, may declare.  The loaders reject larger sizes before they
-# allocate anything by them: checking one graph on n vertices builds an
-# n^2-character adjacency string (100 MB at this limit).
+# allocate anything by them: checking one graph on n vertices packs its
+# rows into n*ceil(n/8) bytes (12.5 MB at this limit), the rows' own size.
 MAX_FILE_ORDER = 10_000
 
 _KIND_TO_FILE = {POWER_PATH: "path", POWER_CYCLE: "cycle", CONNECTOR: "connector"}

@@ -7,7 +7,8 @@ functions are the plain from-scratch forms of computations the library
 shortcuts (a bit walk over the whole mask, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
 try, one interpreted ``rng.random()`` per vertex pair, a connector's
-constraints listed per call); the shortcuts must agree with them exactly.
+constraints listed per call, a symmetry check on the n^2-character
+adjacency string); the shortcuts must agree with them exactly.
 The cycle layout's segment starts are checked against the closed forms it
 was once computed by.
 ``count_perfect_matchings`` and ``sample_exact`` (permanents by subset
@@ -597,6 +598,33 @@ def reference_random_min_degree_collection(
                     rows[v] |= 1 << u
         tables.append(rows)
     return GraphCollection(n, tables)
+
+
+def reference_checked_table(n: int, g: int, rows) -> tuple[tuple[int, ...], int]:
+    """``core._checked_table`` with the symmetry check read from the whole
+    adjacency matrix as one n^2-character string."""
+    rows = tuple(rows)
+    if len(rows) != n:
+        raise InvalidInstanceError(f"graph {g}: {len(rows)} mask rows, expected {n}")
+    for v, row in enumerate(rows):
+        if type(row) is not int:
+            raise InvalidInstanceError(f"graph {g}: row {v} is not an int mask ({row!r})")
+    if min(rows) < 0 or max(rows).bit_length() > n:
+        v = next(v for v, row in enumerate(rows) if row < 0 or row.bit_length() > n)
+        raise InvalidInstanceError(f"graph {g}: endpoint out of range at vertex {v}")
+    # row v is flat[v*n:(v+1)*n], its column v the stride slice flat[v::n],
+    # and the diagonal flat[::n+1]
+    width = f"0{n}b"
+    flat = "".join([format(row, width)[::-1] for row in rows])
+    v = flat[:: n + 1].find("1")
+    if v >= 0:
+        raise InvalidInstanceError(f"graph {g}: self-loop at vertex {v}")
+    for v in range(n):
+        row, column = flat[v * n:(v + 1) * n], flat[v::n]
+        if row != column:
+            u = next(u for u in range(n) if row[u] != column[u])
+            raise InvalidInstanceError(f"graph {g}: asymmetric adjacency on edge ({u},{v})")
+    return rows, min(map(int.bit_count, rows))
 
 
 def reference_embed_connector(collection, w, y, pattern, pool, rng):

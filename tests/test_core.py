@@ -1,9 +1,11 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import min_pair_degree
+from helpers import min_pair_degree, reference_checked_table
 from hampower import core
 from hampower.core import (
     MAX_FILE_ORDER,
@@ -125,7 +127,7 @@ class TestCollectionValidation:
             GraphCollection(3, [rows])
 
     def test_rejects_self_loop(self):
-        # a wide table: the check reads the diagonal of the whole matrix
+        # a wide table: the looped bit lies past the first 64 bits of its row
         complete = complete_collection(70, 1).masks[0]
         rows = list(complete)
         rows[66] |= 1 << 66
@@ -138,6 +140,51 @@ class TestCollectionValidation:
         rows[68] = 1 << 3
         with pytest.raises(InvalidInstanceError, match=r"asymmetric adjacency on edge \(68,3\)"):
             GraphCollection(70, [rows])
+
+    def test_matches_the_flat_string_reference(self):
+        # every n up to 70 (each residue mod 8, rows past one machine word),
+        # a random density, then 0-5 flipped bits, about one in five on the
+        # diagonal: the same rows and minimum degree, or the same error
+        rng = random.Random(2022)
+        seen = Counter()
+        for n in range(1, 71):
+            for _ in range(30):
+                # each bit above the diagonal is 1 with probability ones/256,
+                # and the rows are completed by transposing those bits
+                ones = rng.randrange(257)
+                to_bits = b"1" * ones + b"0" * (256 - ones)
+                upper = [
+                    int(rng.randbytes(n).translate(to_bits), 2) >> v + 1 << v + 1 for v in range(n)
+                ]
+                columns = zip(*(format(row, f"0{n}b")[::-1] for row in upper))
+                rows = [row | int("".join(column)[::-1], 2) for row, column in zip(upper, columns)]
+                for _ in range(rng.randint(0, 5)):
+                    u = rng.randrange(n)
+                    rows[u] ^= 1 << (u if rng.random() < 0.2 else rng.randrange(n))
+                outcomes = []
+                for check in (core._checked_table, reference_checked_table):
+                    try:
+                        outcomes.append(check(n, 3, rows))
+                    except Exception as e:
+                        outcomes.append((type(e), str(e)))
+                assert outcomes[0] == outcomes[1], (n, rows)
+                first, second = outcomes[1]
+                seen["ok" if type(first) is tuple else second.split()[2]] += 1
+        assert min(seen[kind] for kind in ("ok", "self-loop", "asymmetric")) >= 300, seen
+
+    def test_check_memory_is_the_rows_own_size(self):
+        n = 4000
+        full = (1 << n) - 1
+        rows = [full ^ 1 << v for v in range(n)]
+        # built before tracing starts, so the peak is the check's own: its
+        # packed copy of the rows, n*ceil(n/8) bytes, and one stripe's strings
+        tracemalloc.start()
+        try:
+            GraphCollection(n, [rows])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * ((n + 7) // 8) + 2**20
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInstanceError):
