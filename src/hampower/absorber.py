@@ -580,7 +580,11 @@ def build_absorbing_structure(
         sub = restrict_pattern(pattern, seg.start, seg.shape)
         blueprint = build_gadget_blueprint(k, len(left_ids), sub)
         actual = tuple(u_and_w[left] for left in left_ids)
-        mapped = embed_by_degeneracy(collection, blueprint, actual, full & ~used, rng)
+        pool = full & ~used
+        try:
+            mapped = embed_by_degeneracy(collection, blueprint, actual, pool, rng)
+        except EmbeddingFailedError as exc:
+            raise at_segment(exc, seg.name, pool) from exc
         body = {v: mapped[v] for v in blueprint.r_vertices}
         used |= mask_of(body.values())
         gadgets.append(EmbeddedGadget(blueprint, MappingProxyType(body), actual, left_ids))
@@ -636,6 +640,16 @@ def _gadget_segments(layout: Layout) -> list[Segment]:
     return [seg for seg in layout.segments if seg.kind == GADGET]
 
 
+def at_segment(exc: HamPowerError, segment: str, pool: int, **fields) -> HamPowerError:
+    """A copy of a connector, greedy or gadget failure ``exc`` that names the
+    layout ``segment`` it was raised in and the popcount of the ``pool`` its
+    draw saw, in its fields (``fields`` replace others) and as an " at
+    <segment>, pool of <size>" message suffix.  Raise it ``from exc``."""
+    size = pool.bit_count()
+    fields = {**vars(exc), **fields, "segment": segment, "pool": size}
+    return type(exc)(f"{exc} at {segment}, pool of {size}", **fields)
+
+
 def chain_connectors(
     collection: GraphCollection,
     pattern: ColourPattern,
@@ -655,7 +669,8 @@ def chain_connectors(
     names it, where the benchmark's span hooks wrap it.  ``fill(segment,
     pool) -> pool``, if given, places each other segment in host order, and
     a connector is embedded once the piece after it is placed.  A failed
-    connector's error gains its segment name and its pool's popcount.
+    connector's error gains its segment name and its pool's popcount
+    (:func:`at_segment`).
     """
     n = len(placement)
 
@@ -666,10 +681,7 @@ def chain_connectors(
         try:
             internals = embed(collection, ends[:a], ends[a + k:], sub, pool, rng)
         except ConnectionFailedError as exc:
-            size = pool.bit_count()
-            raise ConnectionFailedError(
-                f"{exc} at {seg.name}, pool of {size}", exc.position, seg.name, size
-            ) from exc
+            raise at_segment(exc, seg.name, pool) from exc
         for off, v in enumerate(internals):
             placement[(seg.start + a + off) % n] = v
         return pool & ~mask_of(internals)

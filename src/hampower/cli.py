@@ -129,6 +129,7 @@ def _cmd_solve(args) -> int:
         print(f"INFEASIBLE: {exc}")
         return 2
     except StageFailedError as exc:
+        core.save_json(trace_path, {"seed": config.seed, "mode": config.mode, "events": exc.events})
         print(f"ABORT at stage {exc.stage}: {exc.cause}")
         return 2
     # re-verify in-process before claiming success
@@ -232,19 +233,14 @@ def _cmd_experiment(args) -> int:
             pattern = instances.bijective_pattern(core.power_cycle(args.n, k), rng)
             config = _config(args, r=r, seed=trial_seed)
             started = time.perf_counter()
-            stage_reached = "plan"
-            success = 0
-            retries = 0
+            stage_reached, success, events = "plan", 0, []
             try:
-                cycle, trace = pipeline.solve(collection, pattern, config)
-                stage_reached = "done"
-                success = 1
-                retries = sum(s["attempts"] - 1 for s in trace["stages"])
+                _, trace = pipeline.solve(collection, pattern, config)
+                stage_reached, success, events = "done", 1, trace["events"]
             except InfeasibleConfigError:
-                stage_reached = "plan"
+                pass
             except StageFailedError as exc:
-                stage_reached = exc.stage
-                retries = exc.attempts
+                stage_reached, events = exc.stage, exc.events
             except HamPowerError:
                 stage_reached = "error"
             runtime_ms = int((time.perf_counter() - started) * 1000)
@@ -258,7 +254,7 @@ def _cmd_experiment(args) -> int:
                     "mode": args.mode,
                     "stage_reached": stage_reached,
                     "success": success,
-                    "nodes_or_retries": retries,
+                    "nodes_or_retries": sum("error" in event for event in events),
                     "runtime_ms": runtime_ms,
                 }
             )

@@ -37,9 +37,10 @@ class NoPerfectMatchingError(HamPowerError):
 class ConnectionFailedError(HamPowerError):
     """Greedy connector/extension ran out of candidates.
 
-    ``position`` is the host position at which the candidate set became
-    empty, or ``None`` for a single-vertex extension step.  A layout's
-    connector also names its ``segment`` and the popcount of its ``pool``.
+    ``position`` is the position at which the candidate set became empty:
+    in the connector's host, or in the cycle for a greedy padding step, and
+    ``None`` for a bare single-vertex extension.  A failure inside a layout
+    also names its ``segment`` and the popcount of the ``pool`` its draw saw.
     """
 
     def __init__(self, message: str, position: int | None = None,
@@ -51,11 +52,17 @@ class ConnectionFailedError(HamPowerError):
 
 
 class EmbeddingFailedError(HamPowerError):
-    """Degeneracy-ordered greedy embedding found no image for a vertex."""
+    """Degeneracy-ordered greedy embedding found no image for a vertex.
 
-    def __init__(self, message: str, vertex: int | None = None):
+    Inside the absorber it also names its gadget's ``segment`` and the
+    popcount of the ``pool`` its draw saw."""
+
+    def __init__(self, message: str, vertex: int | None = None,
+                 segment: str | None = None, pool: int | None = None):
         super().__init__(message)
         self.vertex = vertex
+        self.segment = segment
+        self.pool = pool
 
 
 class NoMatchingError(HamPowerError):
@@ -83,14 +90,14 @@ class InfeasibleConfigError(HamPowerError):
 
 
 class StageFailedError(HamPowerError):
-    """A pipeline stage failed after exhausting its retries.
+    """A pipeline stage failed on every attempt of the last plan tried.
 
-    ``cause`` is the error of the last attempt and ``attempts`` the number
-    of attempts the stage made."""
+    ``cause`` is the error of that stage's last attempt, and ``events`` the
+    solve's log of stage attempts over every plan tried, as a solved run's
+    ``trace["events"]`` holds it (see :mod:`hampower.pipeline`)."""
 
-    def __init__(self, stage: str, cause: Exception, attempts: int, summary: str = ""):
-        super().__init__(f"stage '{stage}' failed: {cause}" + (f" [{summary}]" if summary else ""))
+    def __init__(self, stage: str, cause: Exception, events: list[dict]):
+        super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
-        self.summary = summary
-        self.attempts = attempts
+        self.events = events

@@ -125,7 +125,6 @@ def _run(
     pattern: ColourPattern,
     budget: Optional[int],
     count_all: bool,
-    use_reflection: bool,
 ) -> tuple[Optional[list[int]], int, SearchStats]:
     if pattern.host.kind != POWER_CYCLE:
         raise InvalidInstanceError("oracle needs a power-cycle pattern")
@@ -133,6 +132,8 @@ def _run(
         raise InvalidInstanceError("pattern order must equal the vertex count")
     if pattern.max_colour > collection.m:
         raise InvalidInstanceError("pattern colours exceed the number of graphs")
+    # the reflection cut halves a find; a count must see every placement
+    use_reflection = not count_all and _reflection_symmetric(pattern)
     n = collection.n
     last = n - 1
     stats = SearchStats()
@@ -245,12 +246,7 @@ def find_coloured_hamilton_power(
     ``(None, stats)`` where the result distinguishes "none" (search space
     exhausted) from "unknown" (node budget hit first).
     """
-    if pattern.host.kind != POWER_CYCLE:
-        raise InvalidInstanceError("oracle needs a power-cycle pattern")
-    found, _, stats = _run(
-        collection, pattern, budget, count_all=False,
-        use_reflection=_reflection_symmetric(pattern),
-    )
+    found, _, stats = _run(collection, pattern, budget, count_all=False)
     if found is None:
         return None, stats
     result = verify_coloured_embedding(collection, pattern, found)
@@ -278,7 +274,5 @@ def count_coloured_hamilton_powers(
     budget yields ``stats.result == "unknown"`` with the partial count,
     the canonical placements completed so far times the same product.
     """
-    _, count, stats = _run(
-        collection, pattern, budget, count_all=True, use_reflection=False
-    )
+    _, count, stats = _run(collection, pattern, budget, count_all=True)
     return count, stats

@@ -33,6 +33,14 @@ back-edges must partition the host cycle's edge set exactly.  The connect
 stage joins the pieces with :func:`absorber.chain_connectors`, the loop
 that also joins the absorbing path, drawing the leftover order and the
 greedy vertices as the chain reaches them.
+
+Each stage attempt of each plan tried logs one event: ``plan_index``,
+``stage`` and the 0-based ``attempt`` (with the seed, the labels of its
+:func:`derive_rng` stream, so it can be replayed) and ``elapsed_ms``; a
+failure adds its ``error`` class, ``message`` and attributes as ``fields``
+(a connector's ``position``, ``segment`` and ``pool``, a builder level's
+``step`` and ``level``).  The log is a solved run's ``trace["events"]``
+and a :class:`StageFailedError`'s ``events``.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .absorber import (
     AbsorbingStructure,
     Template,
     absorb,
+    at_segment,
     build_absorbing_structure,
     build_template,
     chain_connectors,
@@ -74,6 +83,7 @@ from .core import (
     verify_coloured_embedding,
 )
 from .errors import (
+    ConnectionFailedError,
     HamPowerError,
     InfeasibleConfigError,
     InvalidInstanceError,
@@ -285,10 +295,12 @@ def solve(
 ) -> tuple[PowerCycle, dict]:
     """Construct a verified coloured Hamilton k-power, or raise.
 
-    Returns the cycle together with a JSON-serialisable trace (plan sizes,
-    per-stage attempts and timings).  Raises
+    Returns the cycle together with a JSON-serialisable trace: the seed,
+    the mode, the winning plan's sizes and index, and ``events``, the log of
+    stage attempts over every plan tried (see the module docstring).  Raises
     :class:`InfeasibleConfigError` before any work when n is too small, and
-    :class:`StageFailedError` when a stage exhausts its retries.
+    :class:`StageFailedError`, carrying the same log, when a stage of the
+    last plan tried exhausts its retries.
     """
     host = pattern.host
     if host.kind != POWER_CYCLE or host.order != collection.n:
@@ -309,18 +321,13 @@ def solve(
     if config.mode == STRICT:
         plans = plans[:1]
 
-    failures: list[dict] = []
-    for plan_index, plan in enumerate(plans):
+    events: list[dict] = []
+    for plan_index, plan in enumerate(plans[:-1]):
         try:
-            cycle, trace = _solve_with_plan(collection, pattern, config, plan, plan_index)
-        except StageFailedError as exc:
-            failures.append({"plan_index": plan_index, "stage": exc.stage, "error": str(exc.cause)})
-            if plan_index == len(plans) - 1:
-                raise
-            continue
-        trace["plan_fallbacks"] = failures
-        return cycle, trace
-    raise HamPowerError("unreachable: plan loop exited without a result")
+            return _solve_with_plan(collection, pattern, config, plan, plan_index, events)
+        except StageFailedError:
+            continue  # fall back to the next plan
+    return _solve_with_plan(collection, pattern, config, plans[-1], len(plans) - 1, events)
 
 
 def _solve_with_plan(
@@ -329,40 +336,25 @@ def _solve_with_plan(
     config: PipelineConfig,
     plan: Plan,
     plan_index: int,
+    events: list[dict],
 ) -> tuple[PowerCycle, dict]:
     k, n = plan.k, plan.n
     layout = plan.layout()  # checked before any embedding
-
     attempts = 1 if config.mode == STRICT else config.max_retries
-    trace: dict = {
-        "seed": config.seed,
-        "mode": config.mode,
-        "plan": asdict(plan),
-        "plan_index": plan_index,
-        "stages": [],
-    }
 
     def run_stage(name: str, fn: Callable[[random.Random], object], tries: int = attempts):
-        last: Optional[Exception] = None
-        started = time.perf_counter()
         for attempt in range(tries):
-            rng = derive_rng(config.seed, plan_index, name, attempt)
+            event = dict(plan_index=plan_index, stage=name, attempt=attempt, elapsed_ms=0.0)
+            events.append(event)
+            started = time.perf_counter()
             try:
-                out = fn(rng)
+                return fn(derive_rng(config.seed, plan_index, name, attempt))
             except HamPowerError as exc:
-                last = exc
-                continue
-            trace["stages"].append(
-                {
-                    "name": name,
-                    "attempts": attempt + 1,
-                    "elapsed_ms": int((time.perf_counter() - started) * 1000),
-                }
-            )
-            return out
-        raise StageFailedError(
-            name, last if last else HamPowerError("unknown"), tries, summary=f"plan={asdict(plan)}"
-        )
+                cause = exc
+                event.update(error=type(exc).__name__, message=str(exc), fields=dict(vars(exc)))
+            finally:
+                event["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+        raise StageFailedError(name, cause, events)
 
     reservoir = run_stage("reservoir", lambda rng: sample_reservoir(n, plan.z_size, rng), tries=1)
     z1, z2 = run_stage("endpoints", lambda rng: tuple(rng.sample(sorted(reservoir), 2)))
@@ -425,7 +417,10 @@ def _solve_with_plan(
             for p in range(seg.start, seg.start + seg.shape.order):  # the greedy padding
                 colours = [pattern.colour_of(p - k + j, p) for j in range(k)]
                 tail = PowerPath(k, tuple(placement[p - k:p]))
-                z = extend_by_one(collection, tail, colours, pool, rng)
+                try:
+                    z = extend_by_one(collection, tail, colours, pool, rng)
+                except ConnectionFailedError as exc:
+                    raise at_segment(exc, seg.name, pool, position=p) from exc
                 pool &= ~(1 << z)
                 placement[p] = z
             return pool
@@ -449,6 +444,6 @@ def _solve_with_plan(
     result = verify_coloured_embedding(collection, pattern, vertices)
     if not result.ok:
         raise HamPowerError(f"internal error: final cycle fails verification at {result.violation}")
-    cycle = PowerCycle(k, vertices)
-    trace["verified"] = True
-    return cycle, trace
+    trace = dict(seed=config.seed, mode=config.mode, plan=asdict(plan),
+                 plan_index=plan_index, verified=True, events=events)
+    return PowerCycle(k, vertices), trace

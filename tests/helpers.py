@@ -15,6 +15,8 @@ was once computed by.
 dynamic programming, and the exactly uniform sampler they weight) are the
 reference law that the matching sampler's tests compare against, and
 ``fast_sampler_law`` enumerates the sampler's own law exactly.
+``fallback_instance`` is a solve that abandons four plans, each at a
+different stage, before the fifth succeeds.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_
 from hampower.bitset import mask_of, pick_bit, select
 from hampower.core import (
     CONNECTOR,
+    ColourPattern,
     GraphCollection,
     canonical_edge,
     host_edges,
+    power_cycle,
     verify_coloured_embedding,
 )
 from hampower.errors import (
@@ -41,6 +45,7 @@ from hampower.errors import (
     InvalidInstanceError,
     NoPerfectMatchingError,
 )
+from hampower.instances import random_min_degree_collection, random_pattern
 from hampower.matching import BipartiteGraph, max_matching
 from hampower.pipeline import PipelineConfig, Plan
 
@@ -674,3 +679,16 @@ def reference_embed_connector(collection, w, y, pattern, pool, rng):
     if not result.ok:  # greedy construction realises every edge it checked
         raise HamPowerError(f"internal error: connector failed verification at {result.violation}")
     return tuple(internals)
+
+
+def fallback_instance() -> tuple[GraphCollection, ColourPattern, PipelineConfig]:
+    """Min degree 0.8n on n = 120, k = 2, one attempt per stage: plan 0's
+    absorber finds no connector image, plan 1's path builder no perfect
+    matching, plans 2 and 3 no final connector, and plan 4 solves."""
+    rng = random.Random(5)
+    coll = random_min_degree_collection(120, 12, 0.8, rng)
+    pattern = random_pattern(power_cycle(120, 2), 12, rng)
+    config = PipelineConfig(
+        alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=5, max_retries=1
+    )
+    return coll, pattern, config

@@ -506,6 +506,24 @@ class TestAbsorbingStructure:
         assert path.order == k + 2
         assert path.vertices[0] == 0 and path.vertices[-1] == 1
 
+    def test_gadget_failure_names_its_segment_and_pool(self):
+        # on 29 vertices, Y (6 vertices) and the reservoir (6) leave 17, and
+        # gadget 0's body takes 9: gadget 1 draws from the 8 left and needs 9
+        rng = random.Random(70)
+        template = build_template(3, 1, rng)
+        m_abs = expected_absorbed_size(2, 3, template.edge_count) + 3 + 2
+        pattern = random_pattern(power_path(m_abs, 2), 5, rng)
+        assert [len(x) for x in template.x_neighbourhoods()[:2]] == [2, 2]
+        with pytest.raises(EmbeddingFailedError) as err:
+            build_absorbing_structure(
+                complete_collection(29, 5), pattern, frozenset(range(6)), 0, 1,
+                tuple(range(20, 26)), template, random.Random(1),
+            )
+        cause = err.value.__cause__
+        assert isinstance(cause, EmbeddingFailedError) and cause.segment is None
+        assert vars(err.value) == {"vertex": cause.vertex, "segment": "gadget 1", "pool": 8}
+        assert str(err.value) == f"{cause} at gadget 1, pool of 8"
+
 
 def _absorber_layout(x_degrees, k):
     """The host, gadget window starts and connector internal starts of a

@@ -1,5 +1,6 @@
 import csv
-import time
+import json
+import random
 
 import pytest
 
@@ -14,18 +15,6 @@ def write_instance(path, collection):
 
 def write_pattern(path, pattern):
     core.save_json(str(path), core.pattern_to_dict(pattern))
-
-
-@pytest.fixture
-def fixed_clock(monkeypatch):
-    state = {"t": 0.0}
-
-    def fake_perf_counter():
-        state["t"] += 0.001
-        return state["t"]
-
-    monkeypatch.setattr(time, "perf_counter", fake_perf_counter)
-    return state
 
 
 class TestGenOracle:
@@ -308,6 +297,45 @@ class TestExperiment:
             failed = [row for row in csv.DictReader(fh) if row["success"] == "0"]
         assert failed
         assert all(row["nodes_or_retries"] == "1" for row in failed)
+
+    def test_sweep_counts_the_failed_attempts_of_every_plan(self, tmp_path, fixed_clock):
+        # every trial's plan 0 fails one stage on all 8 attempts; trial 1
+        # then solves on plan 1 and the others fail plan 1 the same way
+        out = tmp_path / "sweep.csv"
+        code = cli.dispatch(
+            ["experiment", "sweep", "--k", "2", "--n", "40",
+             "--delta-from", "0.6", "--delta-to", "0.6", "--delta-step", "0.1",
+             "--trials", "4", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = [(row["success"], row["nodes_or_retries"]) for row in csv.DictReader(fh)]
+        assert rows == [("0", "16"), ("1", "8"), ("0", "16"), ("0", "16")]
+
+    def test_solve_abort_writes_the_event_log(self, tmp_path, capsys):
+        # vertex 0 is isolated in every graph, so every stage attempt that
+        # needs it fails; the trace keeps them, and no cycle is written
+        n = 60
+        rest = ((1 << n) - 1) ^ 1
+        coll = core.GraphCollection(n, [[0] + [rest ^ (1 << v) for v in range(1, n)]] * 3)
+        inst, pat = tmp_path / "inst.json", tmp_path / "pat.json"
+        write_instance(inst, coll)
+        write_pattern(pat, instances.random_pattern(core.power_cycle(n, 2), 3, random.Random(0)))
+        out, trace = tmp_path / "cycle.json", tmp_path / "trace.json"
+        code = cli.dispatch(
+            ["solve", "--instance", str(inst), "--pattern", str(pat), "--seed", "4",
+             "--out", str(out), "--trace", str(trace)]
+        )
+        assert code == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("ABORT at stage ")
+        assert not out.exists()
+        written = json.loads(trace.read_text())
+        assert written.keys() == {"seed", "mode", "events"}
+        assert (written["seed"], written["mode"]) == (4, "best-effort")
+        last = written["events"][-1]
+        assert printed == f"ABORT at stage {last['stage']}: {last['message']}\n"
+        assert len({e["plan_index"] for e in written["events"]}) > 1  # every plan's attempts
 
     def test_solve_outputs_deterministic_bytes(self, tmp_path, fixed_clock):
         inst = tmp_path / "inst.json"

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from helpers import reference_candidate_plans, reference_segment_starts
+from helpers import fallback_instance, reference_candidate_plans, reference_segment_starts
 from hampower.core import (
     ColourPattern,
     GraphCollection,
@@ -13,7 +15,9 @@ from hampower.core import (
     power_cycle,
     verify_coloured_embedding,
 )
+from hampower import pipeline
 from hampower.errors import (
+    ConnectionFailedError,
     HamPowerError,
     InfeasibleConfigError,
     InvalidInstanceError,
@@ -278,7 +282,7 @@ class TestSolve:
             alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=3, mode="strict"
         )
         cycle, trace = solve(coll, pattern, cfg)
-        assert all(stage["attempts"] == 1 for stage in trace["stages"])
+        assert all(e["attempt"] == 0 and "error" not in e for e in trace["events"])
         assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
 
     def test_infeasible_instance_rejected_before_work(self):
@@ -337,22 +341,21 @@ class TestSolve:
         # finds no connector image and the path-builder plans that follow
         # meet levels without a perfect matching; solve must back off to a
         # later plan instead of giving up
-        rng = random.Random(5)
-        n, k = 120, 2
-        coll = random_min_degree_collection(n, 12, 0.8, rng)
-        pattern = random_pattern(power_cycle(n, k), 12, rng)
-        cfg = PipelineConfig(
-            alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=5, max_retries=1
-        )
+        coll, pattern, cfg = fallback_instance()
         cycle, trace = solve(coll, pattern, cfg)
         assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
-        assert trace["plan_index"] == len(trace["plan_fallbacks"]) >= 2
-        stages = [f["stage"] for f in trace["plan_fallbacks"]]
+        # one attempt per stage: each abandoned plan failed exactly once
+        failed = [e for e in trace["events"] if "error" in e]
+        assert [e["plan_index"] for e in failed] == list(range(trace["plan_index"]))
+        assert trace["plan_index"] >= 2
+        stages = [e["stage"] for e in failed]
         assert stages[0] == "absorber" and "paths" in stages[1:]
         assert all(
-            "no perfect matching" in f["error"]
-            for f in trace["plan_fallbacks"] if f["stage"] == "paths"
+            "no perfect matching" in e["message"] and e["error"] == "NoMatchingError"
+            and e["fields"].keys() == {"step", "level"}
+            for e in failed if e["stage"] == "paths"
         )
+        json.dumps(trace)  # every event, its fields too, is plain JSON
 
     def test_dense_random_solves_on_first_plan(self):
         # min degree 0.9n in 300 graphs on 150 vertices: no reservoir passes
@@ -364,7 +367,7 @@ class TestSolve:
         cycle, trace = solve(coll, pattern, CONFIG)
         assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
         assert trace["plan_index"] == 0
-        assert trace["plan_fallbacks"] == []
+        assert {e["plan_index"] for e in trace["events"]} == {0}
 
     def test_candidate_plans_ordering(self):
         plans = candidate_plans(300, 2, CONFIG)
@@ -378,7 +381,7 @@ class TestSolve:
         pattern = bijective_pattern(power_cycle(40, 2))
         coll = complete_collection(40, pattern.max_colour)
         cycle, trace = solve(coll, pattern, CONFIG)
-        names = [s["name"] for s in trace["stages"]]
+        names = [e["stage"] for e in trace["events"] if "error" not in e]
         assert names == [
             "reservoir", "endpoints", "absorber", "paths", "connect", "absorb",
         ]
@@ -410,6 +413,85 @@ class TestSolve:
                 assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
                 solved += 1
         assert solved > 60
+
+
+STAGES = ["reservoir", "endpoints", "absorber", "paths", "connect", "absorb"]
+
+
+class TestEventLog:
+    """One event per stage attempt, over every plan a solve tries."""
+
+    def test_schema_and_values_under_a_fixed_clock(self, fixed_clock):
+        pattern = bijective_pattern(power_cycle(40, 2))
+        coll = complete_collection(40, pattern.max_colour)
+        _, trace = solve(coll, pattern, CONFIG)
+        assert trace.keys() == {"seed", "mode", "plan", "plan_index", "verified", "events"}
+        assert trace["events"] == [
+            {"plan_index": 0, "stage": stage, "attempt": 0, "elapsed_ms": 1.0}
+            for stage in STAGES
+        ]
+        coll, pattern, cfg = fallback_instance()
+        _, trace = solve(coll, pattern, cfg)
+        assert trace["events"][2] == {
+            "plan_index": 0, "stage": "absorber", "attempt": 0, "elapsed_ms": 1.0,
+            "error": "ConnectionFailedError",
+            "message": "no candidate for connector position 3 (internal 2 of 2) "
+                       "at connector 6, pool of 2",
+            "fields": {"position": 3, "segment": "connector 6", "pool": 2},
+        }
+
+    def test_attempts_count_up_within_a_stage(self):
+        # a stage's events are its attempts 0, 1, ... in order, and only the
+        # last of a stage that succeeds is not a failure
+        rng = random.Random(2)
+        coll = random_min_degree_collection(150, 4, 0.9, rng)
+        pattern = random_pattern(power_cycle(150, 3), 4, rng)
+        _, trace = solve(coll, pattern, replace(CONFIG, seed=2, r=8))
+        runs = Counter((e["plan_index"], e["stage"]) for e in trace["events"])
+        assert max(runs.values()) > 1
+        for key, tries in runs.items():
+            run = [e for e in trace["events"] if (e["plan_index"], e["stage"]) == key]
+            assert [e["attempt"] for e in run] == list(range(tries))
+            assert all("error" in e for e in run[:-1])
+
+    def test_failed_solve_carries_every_plans_events(self):
+        coll = GraphCollection(60, [_isolated_vertex_rows(60)] * 3)
+        pattern = random_pattern(power_cycle(60, 2), 3, random.Random(0))
+        with pytest.raises(StageFailedError) as err:
+            solve(coll, pattern, CONFIG)
+        events = err.value.events
+        plan_indices = [e["plan_index"] for e in events]
+        assert plan_indices == sorted(plan_indices)
+        assert set(plan_indices) == set(range(len(candidate_plans(60, 2, CONFIG))))
+        for plan_index in set(plan_indices):  # each plan ends in a failed attempt
+            assert "error" in [e for e in events if e["plan_index"] == plan_index][-1]
+        assert events[-1]["stage"] == err.value.stage
+        assert events[-1]["message"] == str(err.value.cause)
+
+    def test_greedy_padding_failure_names_its_position_segment_and_pool(self, monkeypatch):
+        # the second of two greedy steps sees an empty pool: the failure
+        # names that step's host position and the pool its draw saw
+        plan = candidate_plans(200, 3, CONFIG)[0]
+        (greedy,) = [seg for seg in plan.layout().segments if seg.name == "greedy"]
+        assert plan.g == 2
+        extend, pools = pipeline.extend_by_one, []
+
+        def dry_second_step(collection, path, colours, pool, rng):
+            pools.append(pool.bit_count())
+            return extend(collection, path, colours, pool if len(pools) == 1 else 0, rng)
+
+        monkeypatch.setattr(pipeline, "extend_by_one", dry_second_step)
+        coll = complete_collection(200, 4)
+        pattern = random_pattern(power_cycle(200, 3), 4, random.Random(1))
+        with pytest.raises(StageFailedError) as err:
+            solve(coll, pattern, replace(CONFIG, mode="strict"))
+        cause = err.value.cause
+        assert isinstance(cause, ConnectionFailedError)
+        assert pools == [5, 4]  # g + k + s_t = 5 reservoir vertices left at the first step
+        fields = {"position": greedy.start + 1, "segment": "greedy", "pool": 4}
+        assert vars(cause) == fields == err.value.events[-1]["fields"]
+        assert str(cause) == "no candidate vertex extends the path at greedy, pool of 4"
+        assert str(cause.__cause__) == "no candidate vertex extends the path"
 
 
 class TestGoldenOutput:
@@ -445,7 +527,9 @@ class TestGoldenOutput:
         coll = random_min_degree_collection(150, 4, delta, rng)
         pattern = random_pattern(power_cycle(150, k), 4, rng)
         cycle, trace = solve(coll, pattern, replace(CONFIG, seed=seed, r=r))
-        attempts = {stage["name"]: stage["attempts"] for stage in trace["stages"]}
+        attempts = Counter(
+            e["stage"] for e in trace["events"] if e["plan_index"] == trace["plan_index"]
+        )
         if k == 2:
             assert trace["plan"]["s_t"] == 1
         else:

@@ -8,9 +8,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import spans  # noqa: E402
+from helpers import fallback_instance  # noqa: E402
 from hampower import instances, oracle, pipeline  # noqa: E402
 from hampower.core import power_cycle  # noqa: E402
 from hampower.instances import complete_collection, random_pattern  # noqa: E402
@@ -28,13 +31,22 @@ def test_every_hook_resolves_and_is_restored():
     assert all(getattr(owner, attr) is fn for (owner, attr, _, _), fn in zip(hooks, originals))
 
 
+def _traced(coll, pattern, config) -> tuple[spans.Summary, dict]:
+    with spans.traced(spans.Tracer()) as tracer:
+        cycle, trace = pipeline.solve(coll, pattern, config)
+    return spans.Summary(tracer.take()), trace
+
+
 @functools.cache
 def _traced_solve(n: int, k: int, pattern_seed: int) -> tuple[spans.Summary, dict]:
     coll = complete_collection(n, 4)
     pattern = random_pattern(power_cycle(n, k), 4, random.Random(pattern_seed))
-    with spans.traced(spans.Tracer()) as tracer:
-        cycle, trace = pipeline.solve(coll, pattern, CONFIG)
-    return spans.Summary(tracer.take()), trace
+    return _traced(coll, pattern, CONFIG)
+
+
+@functools.cache
+def _traced_fallback_solve() -> tuple[spans.Summary, dict]:
+    return _traced(*fallback_instance())
 
 
 def test_solve_records_gadget_and_connector_spans():
@@ -54,7 +66,7 @@ def test_solve_records_builder_and_sampler_spans():
     # n = 200, k = 3: the first plan is all builder paths and sweep (s_t = 0)
     summary, trace = _traced_solve(200, 3, 4)
     plan = trace["plan"]
-    attempts = {stage["name"]: stage["attempts"] for stage in trace["stages"]}
+    attempts = Counter(e["stage"] for e in trace["events"])
     assert trace["plan_index"] == 0 and plan["s"] >= 1
     assert summary.calls["pathbuilder.build"] == attempts["paths"] == 1
     assert summary.calls["matching.sample"] == plan["s"] * (plan["r"] - 1)
@@ -73,3 +85,36 @@ def test_every_solver_span_records_a_call():
     names = {name for owner, _, name, _ in spans._hooks() if owner not in (instances, oracle)}
     assert "connectors.extend" in names
     assert sorted(name for name in names if calls[name] == 0) == []
+
+
+# each stage's one hooked call, made once per attempt
+STAGE_SPANS = {
+    "reservoir": "pipeline.reservoir",
+    "absorber": "absorber.build",
+    "paths": "pathbuilder.build",
+    "absorb": "absorber.absorb",
+}
+
+
+TRACED_SOLVES = {
+    "gadgets": functools.partial(_traced_solve, 150, 2, 3),
+    "builder": functools.partial(_traced_solve, 200, 3, 4),
+    "fallback": _traced_fallback_solve,
+}
+
+
+@pytest.mark.parametrize("name", TRACED_SOLVES)
+def test_events_match_the_stage_spans(name):
+    # the event log and the spans count the same attempts: one call per
+    # event, and a raised span per failed event
+    summary, trace = TRACED_SOLVES[name]()
+    events = Counter(e["stage"] for e in trace["events"])
+    failed = Counter(e["stage"] for e in trace["events"] if "error" in e)
+    assert {stage: events[stage] for stage in STAGE_SPANS} == {
+        stage: summary.calls[name] for stage, name in STAGE_SPANS.items()
+    }
+    assert {stage: failed[stage] for stage in STAGE_SPANS} == {
+        stage: summary.raised[name] for stage, name in STAGE_SPANS.items()
+    }
+    if name == "fallback":  # its abandoned plans fail in the absorber and the paths
+        assert trace["plan_index"] == 4 and failed["absorber"] == failed["paths"] == 1
