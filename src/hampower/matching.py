@@ -10,13 +10,15 @@ sorted vertex list, so its right ids are small ints below the part size.
 cliques" into a single bipartite matching problem: the auxiliary graph has
 one left vertex per tile, adjacent to a right vertex exactly when that
 vertex completes the tile (is adjacent to every tile member, each in the
-graph named for its position).  The caller hands it one row table per tile
-position, already read into the right vertices' ids.  A perfect matching in
-the auxiliary graph extends a perfect K_k-tiling to a perfect
-K_{k+1}-tiling.
+graph named for its position).  The caller hands the tiles over as columns,
+one per tile position, and one row table per column, already read into the
+right vertices' ids; a row is intersected one column at a time, in C.  A
+perfect matching in the auxiliary graph extends a perfect K_k-tiling to a
+perfect K_{k+1}-tiling.
 
 Every matching here and in the absorber's template comes from one
-augmenting-path search, :func:`augment`: depth first with an explicit stack
+augmenting-path search, :func:`augment`: a root with a free neighbour takes
+it at once; otherwise the search goes depth first with an explicit stack
 (no recursion limit on path length), with owners in a list indexed by right
 id, so right ids must be small.  Its ``pick`` chooses the bit to take:
 :func:`max_matching` takes the lowest, :func:`sample_perfect_matching` a
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
+from operator import and_
 from typing import Callable, Mapping, Sequence
 
 from .bitset import lowest_bit, pick_bit, select
@@ -78,8 +81,14 @@ def augment(
     otherwise the search descends through ``pick`` of its unseen (so owned)
     neighbours to their owner, and backs up when none is left.  ``seen`` is
     one mask per root and owners change only when a path closes, so the
-    search is complete whatever ``pick`` chooses.
+    search is complete whatever ``pick`` chooses.  A free neighbour of the
+    root itself is taken before the stack is set up, which is the same pick
+    the loop's first step would make.
     """
+    if hit := rows[root] & free:
+        v = pick(hit)
+        owner[v] = root
+        return v
     lefts = [root]
     rights: list[int] = []
     seen = 0
@@ -122,31 +131,34 @@ def max_matching(b: BipartiteGraph) -> list[tuple[int, int]]:
 
 def tiling_graph(
     tables: Sequence[Mapping[int, int]],
-    tiles: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[int]],
     right: int,
 ) -> BipartiteGraph:
     """Auxiliary graph of one tiling-extension step.
 
-    Tiles are the left vertices; ``right`` is the mask of the right ones.
-    ``tables[j]`` maps a vertex to its neighbour mask over the right ids in
-    the graph named for tile position j, so tile t is joined to right
-    vertex v when bit v is set in ``tables[j][tiles[t][j]]`` for every j.
-    A perfect matching attaches one right vertex to every tile.
+    Tiles are the left vertices, given as columns: ``columns[j][t]`` is
+    tile t's vertex at tile position j.  ``right`` is the mask of the right
+    vertices.  ``tables[j]`` maps a vertex to its neighbour mask over the
+    right ids in the graph named for tile position j, so tile t is joined
+    to right vertex v when bit v is set in ``tables[j][columns[j][t]]`` for
+    every j.  A perfect matching attaches one right vertex to every tile.
 
-    Tiles are checked to be pairwise disjoint.  Tiles and right vertices may
-    be numbered in different id spaces, so keeping them apart is the
-    caller's part: the path builder requires pairwise-disjoint parts.
+    There must be one column per table, all of one length, and the tiles
+    are checked to be pairwise disjoint.  Tiles and right vertices may be
+    numbered in different id spaces, so keeping them apart is the caller's
+    part: the path builder requires pairwise-disjoint parts.
     """
-    if any(len(tile) != len(tables) for tile in tiles):
-        raise InvalidInstanceError(f"every tile needs {len(tables)} vertices, one per colour")
-    if len({v for tile in tiles for v in tile}) != len(tiles) * len(tables):
+    if len(columns) != len(tables) or len(set(map(len, columns))) > 1:
+        raise InvalidInstanceError(
+            f"every tile needs {len(tables)} vertices, one per colour: "
+            "one column per table, all of one length"
+        )
+    n = len(columns[0]) if columns else 0
+    if len(set(chain.from_iterable(columns))) != n * len(columns):
         raise InvalidInstanceError("tiles must be pairwise disjoint")
-    rows = []
-    for tile in tiles:
-        cand = right
-        for table, u in zip(tables, tile):
-            cand &= table[u]
-        rows.append(cand)
+    rows = [right] * n
+    for table, column in zip(tables, columns):
+        rows = list(map(and_, rows, map(table.__getitem__, column)))
     return BipartiteGraph(tuple(rows), right)
 
 
@@ -188,4 +200,7 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
         if v < 0:
             raise NoPerfectMatchingError("graph has no perfect matching")
         free ^= 1 << v
-    return sorted((u, v) for v, u in enumerate(owner) if u >= 0)
+    mate = [0] * n  # every right id is owned: invert owner into left order
+    for v in ids:
+        mate[owner[v]] = v
+    return list(enumerate(mate))

@@ -18,16 +18,20 @@ checked to be edges in the pattern colours, so every host edge of a round
 is checked once.  At the end of a round one of the finished paths is
 removed uniformly at random and kept.
 
-Within one call the right-hand side of every matching is numbered by
-position in its part's sorted vertex list, so masks stay as wide as a part
-rather than the whole collection; matched positions are mapped back to
-vertex ids before every check.
+A round is held as r level columns, ``levels[j][t]`` being path t's vertex
+at level j, so the tiling graph's window is a slice of the columns and each
+step's work runs column by column in C; only the kept path is read out as a
+vertex list.  Within one call the right-hand side of every matching is
+numbered by position in its part's sorted vertex list, so masks stay as
+wide as a part rather than the whole collection; matched positions are
+mapped back to vertex ids before every check.
 """
 
 from __future__ import annotations
 
 import random
-from operator import itemgetter
+from itertools import repeat
+from operator import and_, itemgetter, rshift
 from typing import Callable, Sequence
 
 from .bitset import select
@@ -72,6 +76,8 @@ def build_path_collection(
         if seen & set(p):
             raise InvalidInstanceError("parts must be pairwise disjoint")
         seen.update(p)
+    if (v := min(seen)) < 0 or (v := max(seen)) >= collection.n:  # s >= 1, so seen is not empty
+        raise InvalidInstanceError(f"part vertex {v} is outside 0..{collection.n - 1}")
     for i, pat in enumerate(patterns):
         if pat.host != power_path(r, k):
             raise InvalidInstanceError(f"pattern {i + 1} does not live on power_path({r},{k})")
@@ -90,8 +96,9 @@ def build_path_collection(
         n_i = n1 - step + 1
         if any(p.bit_count() != n_i for p in residual):
             raise HamPowerError("internal error: residual parts lost equal sizes")
-        chains = _run_round(collection, ids, residual, rows_into, pat, k, r, step, rng)
-        chosen = chains[rng.randrange(n_i)]
+        levels = _run_round(collection, ids, residual, rows_into, pat, k, r, step, rng)
+        t = rng.randrange(n_i)
+        chosen = [column[t] for column in levels]
         result = verify_coloured_embedding(collection, pat, chosen)
         if not result.ok:
             raise HamPowerError(f"internal error: round {step} path fails at {result.violation}")
@@ -151,13 +158,13 @@ def _run_round(
     step: int,
     rng: random.Random,
 ) -> list[list[int]]:
-    """Grow n_i disjoint coloured paths across all r parts, as vertex ids."""
-    chains: list[list[int]] = [[v] for v in select(residual[0], ids[0])]
+    """Grow n_i disjoint coloured paths across all r parts, as r level
+    columns of vertex ids: ``levels[j][t]`` is path t's vertex at level j."""
+    levels: list[list[int]] = [list(select(residual[0], ids[0]))]
     for lvl in range(1, r):
         win_lo = max(0, lvl - k)
         tables = [rows_into(pat.colour_of(j, lvl), lvl) for j in range(win_lo, lvl)]
-        tiles = [chain[win_lo:] for chain in chains]
-        aux = tiling_graph(tables, tiles, residual[lvl])
+        aux = tiling_graph(tables, levels[win_lo:], residual[lvl])
         try:
             matching = sample_perfect_matching(aux, rng)
         except NoPerfectMatchingError as exc:
@@ -166,31 +173,33 @@ def _run_round(
                 step=step,
                 level=lvl,
             ) from exc
-        part = ids[lvl]
-        for (t_idx, v) in matching:
-            chains[t_idx].append(part[v])
+        # the pairs come sorted by tile, so their right ids are the new column
+        levels.append(list(map(ids[lvl].__getitem__, map(itemgetter(1), matching))))
 
-        _assert_window_tiling(collection, pat, chains, lvl, k, step)
-    return chains
+        _assert_window_tiling(collection, pat, levels, lvl, k, step)
+    return levels
 
 
 def _assert_window_tiling(
     collection: GraphCollection,
     pat: ColourPattern,
-    chains: Sequence[Sequence[int]],
+    levels: Sequence[Sequence[int]],
     lvl: int,
     k: int,
     step: int,
 ) -> None:
-    """Each chain's pairs (p, lvl), lvl - k <= p < lvl, must be edges in the
+    """Each path's pairs (p, lvl), lvl - k <= p < lvl, must be edges in the
     pattern colours: one check per level covers every host edge of the
-    round once."""
-    pairs = [(p, collection.masks[pat.colours[p, lvl] - 1]) for p in range(max(0, lvl - k), lvl)]
-    for chain in chains:
-        v = chain[lvl]
-        for (p, rows) in pairs:
-            if not (rows[chain[p]] >> v) & 1:
-                raise HamPowerError(
-                    f"internal error: step {step} tiling invariant broken at "
-                    f"levels ({p},{lvl})"
-                )
+    round once.  The error names the lowest broken pair over all paths.
+
+    It reads the collection's own rows, not the part-local rows that built
+    the tiling graph, on purpose: a fault in that gather cannot then hide
+    itself from the check.  Each pair of columns is tested in C.
+    """
+    new = levels[lvl]
+    for p in range(max(0, lvl - k), lvl):
+        rows = collection.masks[pat.colours[p, lvl] - 1]
+        if not all(map(and_, map(rshift, map(rows.__getitem__, levels[p]), new), repeat(1))):
+            raise HamPowerError(
+                f"internal error: step {step} tiling invariant broken at levels ({p},{lvl})"
+            )

@@ -390,6 +390,58 @@ def colour_rows(collection: GraphCollection, colours) -> list[list[int]]:
     return [collection.masks[c - 1] for c in colours]
 
 
+def tile_columns(tiles) -> list[tuple[int, ...]]:
+    """Tiles given one per row as the columns ``tiling_graph`` takes, one
+    per tile position."""
+    return list(zip(*tiles))
+
+
+def reference_tiling_graph(tables, tiles, right: int) -> BipartiteGraph:
+    """The tiling graph built tile by tile, from tiles given one per row:
+    each row is ``right`` and-ed with the table row of every tile member,
+    after the checks that every tile has one vertex per table and that the
+    tiles are pairwise disjoint."""
+    if any(len(tile) != len(tables) for tile in tiles):
+        raise InvalidInstanceError(f"every tile needs {len(tables)} vertices, one per colour")
+    if len({v for tile in tiles for v in tile}) != len(tiles) * len(tables):
+        raise InvalidInstanceError("tiles must be pairwise disjoint")
+    rows = []
+    for tile in tiles:
+        cand = right
+        for table, u in zip(tables, tile):
+            cand &= table[u]
+        rows.append(cand)
+    return BipartiteGraph(tuple(rows), right)
+
+
+def reference_augment(rows, root: int, owner: list[int], free: int, pick) -> int:
+    """``matching.augment`` as one loop from the root, with the stack set
+    up before the first pick: the root's free neighbour is found by the
+    loop's first step."""
+    lefts = [root]
+    rights: list[int] = []
+    seen = 0
+    x = root
+    while True:
+        if hit := rows[x] & free:
+            rights.append(pick(hit))
+            for v, u in zip(rights, lefts):  # each left vertex takes the next right one
+                owner[v] = u
+            return rights[-1]
+        if cand := rows[x] & ~seen:
+            v = pick(cand)
+            seen |= 1 << v
+            rights.append(v)
+            x = owner[v]
+            lefts.append(x)
+        else:  # x has nothing left to try: back up
+            lefts.pop()
+            if not rights:
+                return -1
+            rights.pop()
+            x = lefts[-1]
+
+
 def reference_pick_bit(mask: int, rng: random.Random) -> int:
     """Uniformly random set bit: one ``randrange`` draw for its rank, then
     a walk over every set bit of the mask."""

@@ -21,6 +21,7 @@ from helpers import (
     is_clique_tiling,
     random_bipartite,
     sample_exact,
+    tile_columns,
     tiling_extension_instance,
 )
 from hampower.absorber import (
@@ -104,7 +105,8 @@ def test_criterion_3_tiling_extension_guarantee():
                 n = rng.randint(2, 40)
                 collection, tiles = tiling_extension_instance(rng, k, n)
                 right = list(range(k * n, (k + 1) * n))
-                aux = tiling_graph(colour_rows(collection, [1] * k), tiles, mask_of(right))
+                columns = tile_columns(tiles)
+                aux = tiling_graph(colour_rows(collection, [1] * k), columns, mask_of(right))
                 pairs = sample_perfect_matching(aux, rng)
                 extended = extend_tiles(tiles, pairs)
                 assert is_clique_tiling(collection, extended, range((k + 1) * n))

@@ -21,15 +21,18 @@ from helpers import (
     fast_sampler_law,
     is_clique_tiling,
     random_bipartite,
+    reference_augment,
     reference_pick_bit,
+    reference_tiling_graph,
     sample_exact,
+    tile_columns,
     tiling_extension_instance,
 )
 from hampower import matching
 from hampower.bitset import lowest_bit, mask_of, pick_bit, select
 from hampower.core import GraphCollection
 from hampower.errors import InvalidInstanceError, NoPerfectMatchingError
-from hampower.instances import complete_collection
+from hampower.instances import complete_collection, random_min_degree_collection
 from hampower.matching import (
     BipartiteGraph,
     augment,
@@ -37,6 +40,7 @@ from hampower.matching import (
     sample_perfect_matching,
     tiling_graph,
 )
+from hampower.pathbuilder import _part_tables
 
 
 def complete_bipartite(n: int) -> BipartiteGraph:
@@ -143,6 +147,63 @@ class TestAugment:
         assert (owner, seen) == ([2, 1, 0], [0b011, 0b001, 0b100])
 
 
+class TestAugmentMatchesReference:
+    """``augment`` against ``helpers.reference_augment``, the loop that sets
+    up its stack before the root's first pick: the same end vertex, owners
+    and rng state after every root."""
+
+    @staticmethod
+    def _trail(search, b, order, make_pick, seed):
+        rng = random.Random(seed)
+        pick = make_pick(rng)
+        owner = [-1] * b.right.bit_length()
+        free = b.right
+        trail = []
+        for root in order:
+            v = search(b.rows, root, owner, free, pick)
+            if v >= 0:
+                free ^= 1 << v
+            trail.append((v, list(owner), rng.getstate()))
+        return trail
+
+    @pytest.mark.parametrize("make_pick", [
+        lambda rng: lowest_bit,
+        lambda rng: lambda mask: pick_bit(mask, rng),
+    ], ids=["lowest", "uniform"])
+    def test_same_ends_owners_and_draws(self, make_pick):
+        gen = random.Random(46)
+        for seed in range(60):
+            n_left, n_right = gen.randint(1, 30), gen.randint(1, 30)
+            b = random_bipartite(gen, n_left, n_right, gen.choice([0.05, 0.2, 0.5, 0.9]))
+            order = gen.sample(range(n_left), n_left)
+            ours = self._trail(augment, b, order, make_pick, seed)
+            assert ours == self._trail(reference_augment, b, order, make_pick, seed)
+
+    def test_sampler_pairs_are_the_sorted_owner_pairs(self, monkeypatch):
+        # the sampler against itself run on the reference search, read out
+        # the old way: its owner list sorted into (left, right) pairs
+        gen = random.Random(47)
+        cases = [
+            (_random_graph(gen, n, p, _right_ids(gen, n, holes), planted=True), gen.getrandbits(32))
+            for n in (1, 2, 7, 24, 61)
+            for p in (0.1, 0.5, 0.95)
+            for holes in (False, True)
+        ]
+        ours = [_outcome(b, seed) for b, seed in cases]
+        owners = []
+
+        def spy(rows, root, owner, free, pick):
+            owners.append(owner)
+            return reference_augment(rows, root, owner, free, pick)
+
+        monkeypatch.setattr(matching, "augment", spy)
+        for (b, seed), (pairs, state) in zip(cases, ours):
+            rng = random.Random(seed)
+            sample_perfect_matching(b, rng)
+            old = sorted((u, v) for v, u in enumerate(owners[-1]) if u >= 0)
+            assert (pairs, state) == (old, rng.getstate())
+
+
 class TestBipartiteGraph:
     def test_sizes_and_edge_count(self):
         b = BipartiteGraph((mask_of([3, 5]), 1 << 5), mask_of([3, 5, 9]))
@@ -165,14 +226,15 @@ class TestAuxiliaryGraph:
         coll = GraphCollection.from_edge_lists(
             8, [[(u, v) for u in range(4) for v in range(4, 8) if rng.random() < 0.6]]
         )
-        aux = tiling_graph(colour_rows(coll, [1]), [[u] for u in range(4)], mask_of(range(4, 8)))
+        columns = tile_columns([[u] for u in range(4)])
+        aux = tiling_graph(colour_rows(coll, [1]), columns, mask_of(range(4, 8)))
         assert aux.right == mask_of([4, 5, 6, 7])
         for u in range(4):
             assert aux.rows[u] == coll.neighbour_mask(1, u)
 
     def test_complete_graph_gives_complete_bipartite(self):
         rows = colour_rows(complete_collection(6, 1), [1, 1])
-        aux = tiling_graph(rows, [[0, 1], [2, 3]], mask_of([4, 5]))
+        aux = tiling_graph(rows, tile_columns([[0, 1], [2, 3]]), mask_of([4, 5]))
         assert aux.rows == (mask_of([4, 5]), mask_of([4, 5]))
 
     def test_hand_instance(self):
@@ -180,7 +242,8 @@ class TestAuxiliaryGraph:
         coll = GraphCollection.from_edge_lists(
             6, [[(0, 1), (2, 3), (0, 4), (1, 4), (2, 5), (3, 5)]]
         )
-        aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1], [2, 3]], mask_of([4, 5]))
+        columns = tile_columns([[0, 1], [2, 3]])
+        aux = tiling_graph(colour_rows(coll, [1, 1]), columns, mask_of([4, 5]))
         assert aux.rows == (1 << 4, 1 << 5)
 
     def test_colour_per_tile_position(self):
@@ -189,7 +252,7 @@ class TestAuxiliaryGraph:
         g1 = [(0, 4), (2, 4), (1, 5), (3, 5)]
         g2 = [(0, 5), (2, 5), (1, 4), (3, 4)]
         coll = GraphCollection.from_edge_lists(6, [g1, g2])
-        tiles = [[0, 1], [2, 3]]
+        tiles = tile_columns([[0, 1], [2, 3]])
         right = mask_of([4, 5])
         assert tiling_graph(colour_rows(coll, [1, 2]), tiles, right).rows == (1 << 4, 1 << 4)
         assert tiling_graph(colour_rows(coll, [2, 1]), tiles, right).rows == (1 << 5, 1 << 5)
@@ -197,7 +260,7 @@ class TestAuxiliaryGraph:
 
     def test_right_vertices_keep_their_ids(self):
         coll = GraphCollection.from_edge_lists(5, [[(0, 4), (1, 2)]])
-        aux = tiling_graph(colour_rows(coll, [1]), [[0], [1]], mask_of([4, 2, 3]))
+        aux = tiling_graph(colour_rows(coll, [1]), tile_columns([[0], [1]]), mask_of([4, 2, 3]))
         assert aux.rows == (1 << 4, 1 << 2)
         assert aux.right == mask_of([2, 3, 4])
         assert max_matching(aux) == [(0, 4), (1, 2)]
@@ -207,7 +270,56 @@ class TestCliqueTiling:
     def test_overlapping_tiles_rejected(self):
         rows = colour_rows(complete_collection(5, 1), [1, 1])
         with pytest.raises(InvalidInstanceError):
-            tiling_graph(rows, [[0, 1], [1, 2]], mask_of([3, 4]))
+            tiling_graph(rows, tile_columns([[0, 1], [1, 2]]), mask_of([3, 4]))
+
+
+class TestTilingGraphMatchesReference:
+    """``tiling_graph`` on level columns against
+    ``helpers.reference_tiling_graph`` on the same tiles given one per row,
+    with 1-4 window positions."""
+
+    def test_collection_rows(self):
+        gen = random.Random(48)
+        for _ in range(60):
+            w, n = gen.randint(1, 4), gen.randint(1, 8)
+            total = (w + 1) * n + gen.randint(0, 6)
+            coll = random_min_degree_collection(total, 3, gen.choice([0.3, 0.6, 0.9]), gen)
+            verts = gen.sample(range(total), total)
+            tiles = [verts[t * w:(t + 1) * w] for t in range(n)]
+            right = mask_of(verts[w * n:])
+            tables = colour_rows(coll, [gen.randint(1, 3) for _ in range(w)])
+            want = reference_tiling_graph(tables, tiles, right)
+            assert tiling_graph(tables, tile_columns(tiles), right) == want
+
+    def test_part_rows(self):
+        # the path builder's tables: rows gathered into the positions of the
+        # last part, tiles drawn column by column from the parts before it
+        gen = random.Random(49)
+        coll = random_min_degree_collection(60, 3, 0.6, gen)
+        for _ in range(40):
+            w, n = gen.randint(1, 4), gen.randint(1, 10)
+            verts = gen.sample(range(60), (w + 1) * n)
+            parts = [sorted(verts[j * n:(j + 1) * n]) for j in range(w + 1)]
+            rows_into = _part_tables(coll, parts)
+            tables = [rows_into(gen.randint(1, 3), w) for _ in range(w)]
+            columns = [gen.sample(part, n) for part in parts[:w]]
+            right = gen.getrandbits(n)  # a residual set of positions
+            want = reference_tiling_graph(tables, list(zip(*columns)), right)
+            assert tiling_graph(tables, columns, right) == want
+
+    def test_unequal_columns_rejected(self):
+        tables = colour_rows(complete_collection(6, 1), [1, 1])
+        with pytest.raises(InvalidInstanceError, match="one per colour"):
+            tiling_graph(tables, [[0, 1], [2]], mask_of([4, 5]))
+        with pytest.raises(InvalidInstanceError, match="one per colour"):
+            tiling_graph(tables, [[0, 1]], mask_of([4, 5]))
+
+    @pytest.mark.parametrize("tiles", [[[0, 1], [2, 0]], [[0, 1], [0, 2]]], ids=["across", "along"])
+    def test_shared_vertex_rejected_as_by_the_reference(self, tiles):
+        tables = colour_rows(complete_collection(6, 1), [1, 1])
+        for build, given in ((tiling_graph, tile_columns(tiles)), (reference_tiling_graph, tiles)):
+            with pytest.raises(InvalidInstanceError, match="pairwise disjoint"):
+                build(tables, given, mask_of([4, 5]))
 
 
 class TestExtendTiling:
@@ -219,7 +331,7 @@ class TestExtendTiling:
             coll = complete_collection(total, 1)
             tiles = [list(range(t * k, (t + 1) * k)) for t in range(n)]
             right = list(range(k * n, total))
-            aux = tiling_graph(colour_rows(coll, [1] * k), tiles, mask_of(right))
+            aux = tiling_graph(colour_rows(coll, [1] * k), tile_columns(tiles), mask_of(right))
             extended = extend_tiles(tiles, sample_perfect_matching(aux, rng))
             assert all(len(c) == k + 1 for c in extended)
             assert is_clique_tiling(coll, extended, range(total))
@@ -231,13 +343,13 @@ class TestExtendTiling:
                 n = rng.randint(2, 12)
                 coll, tiles = tiling_extension_instance(rng, k, n)
                 right = list(range(k * n, (k + 1) * n))
-                aux = tiling_graph(colour_rows(coll, [1] * k), tiles, mask_of(right))
+                aux = tiling_graph(colour_rows(coll, [1] * k), tile_columns(tiles), mask_of(right))
                 extended = extend_tiles(tiles, sample_perfect_matching(aux, rng))
                 assert is_clique_tiling(coll, extended, range((k + 1) * n))
 
     def test_no_cross_edges_fails(self):
         coll = GraphCollection.from_edge_lists(3, [[(0, 1)]])
-        aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1]], mask_of([2]))
+        aux = tiling_graph(colour_rows(coll, [1, 1]), tile_columns([[0, 1]]), mask_of([2]))
         with pytest.raises(NoPerfectMatchingError):
             sample_perfect_matching(aux, random.Random(0))
 
@@ -245,8 +357,8 @@ class TestExtendTiling:
         coll = complete_collection(6, 1)
         with pytest.raises(InvalidInstanceError):
             # a tile needs one vertex per colour
-            tiling_graph(colour_rows(coll, [1, 1]), [[0]], mask_of([3]))
-        aux = tiling_graph(colour_rows(coll, [1, 1]), [[0, 1]], mask_of([2, 3, 4]))
+            tiling_graph(colour_rows(coll, [1, 1]), tile_columns([[0]]), mask_of([3]))
+        aux = tiling_graph(colour_rows(coll, [1, 1]), tile_columns([[0, 1]]), mask_of([2, 3, 4]))
         with pytest.raises(NoPerfectMatchingError):  # one tile cannot take three vertices
             sample_perfect_matching(aux, random.Random(0))
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import tile_columns
 from hampower import pathbuilder
 from hampower.core import (
     ColourPattern,
@@ -129,12 +130,22 @@ class TestBuildPathCollection:
         with pytest.raises(InvalidInstanceError, match="pairwise disjoint"):
             build_path_collection(coll, [[0, 1], [2, 3], [3, 4]], patterns, 1, random.Random(88))
 
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_part_vertex_outside_the_collection_rejected(self, bad):
+        # -1 would index the gathered row string from its end and 12 would
+        # surface only as a broken tiling invariant
+        coll = complete_collection(12, 2)
+        patterns = [random_pattern(power_path(3, 2), 2, random.Random(87))]
+        with pytest.raises(InvalidInstanceError, match=rf"^part vertex {bad} is outside 0\.\.11$"):
+            build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, 1, random.Random(87))
+
 
 class TestWindowTilingCheck:
     def test_names_the_first_broken_pair_of_the_first_broken_chain(self):
         # colour 2 misses 4-7 and 5-7 (chain 1's pairs (0,3) and (1,3)),
         # 8-9 (chain 2's pair (0,1), checked at level 1, not at level 3)
-        # and 8-11 (chain 2's pair (0,3)); chains are checked one at a time
+        # and 8-11 (chain 2's pair (0,3)); the check takes level columns
+        # and names the lowest broken pair, here also chain 1's first
         full = [(u, v) for u in range(12) for v in range(u + 1, 12)]
         holes = {(4, 7), (5, 7), (8, 9), (8, 11)}
         coll = GraphCollection.from_edge_lists(12, [full, [e for e in full if e not in holes]])
@@ -142,18 +153,28 @@ class TestWindowTilingCheck:
         chains = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
         first = r"^internal error: step 7 tiling invariant broken at levels \(0,3\)$"
         with pytest.raises(HamPowerError, match=first):
-            _assert_window_tiling(coll, pattern, chains, 3, 3, 7)
-        _assert_window_tiling(coll, pattern, chains[:1], 3, 3, 7)
+            _assert_window_tiling(coll, pattern, tile_columns(chains), 3, 3, 7)
+        _assert_window_tiling(coll, pattern, tile_columns(chains[:1]), 3, 3, 7)
         # the pair k levels back is checked too
         with pytest.raises(HamPowerError, match=r"levels \(0,3\)$"):
-            _assert_window_tiling(coll, pattern, chains[2:], 3, 3, 7)
+            _assert_window_tiling(coll, pattern, tile_columns(chains[2:]), 3, 3, 7)
         # chain 2's older pair is checked when its level is attached
         with pytest.raises(HamPowerError, match=r"levels \(0,1\)$"):
-            _assert_window_tiling(coll, pattern, chains[2:], 1, 3, 7)
+            _assert_window_tiling(coll, pattern, tile_columns(chains[2:]), 1, 3, 7)
         # with k = 2 the pairs ending at level 3 start at level 1
         with pytest.raises(HamPowerError, match=r"levels \(1,3\)$"):
-            _assert_window_tiling(coll, pattern, chains, 3, 2, 7)
-        _assert_window_tiling(coll, pattern, chains[2:], 3, 2, 7)
+            _assert_window_tiling(coll, pattern, tile_columns(chains), 3, 2, 7)
+        _assert_window_tiling(coll, pattern, tile_columns(chains[2:]), 3, 2, 7)
+
+    def test_names_the_lowest_broken_pair_over_all_chains(self):
+        # chain 0 breaks only at (2,3), chain 1 only at (0,3): pairs are
+        # checked one at a time across all chains, lowest first
+        full = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        holes = {(2, 3), (4, 7)}
+        coll = GraphCollection.from_edge_lists(8, [[e for e in full if e not in holes]])
+        pattern = ColourPattern(power_path(4, 3), dict.fromkeys(host_edges(power_path(4, 3)), 1))
+        with pytest.raises(HamPowerError, match=r"levels \(0,3\)$"):
+            _assert_window_tiling(coll, pattern, [[0, 4], [1, 5], [2, 6], [3, 7]], 3, 3, 1)
 
 
 class TestPartRows:
