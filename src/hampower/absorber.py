@@ -33,9 +33,8 @@ gadgets are chained by connectors, and absorbing a set Z' reduces to
 reading off the robust matching for W' = Z'.  The template is robust by
 construction: its layout gives every W' a perfect matching (a window
 witness, see :func:`build_template`), which certification checks edge by
-edge.  Matchings search the U rows first, and those are the same for every
-W', so each template matches U once; a subset's matching copies that state
-and augments from the roots of W' alone.
+edge.  A solve absorbs once per structure, so each absorb is one fresh
+:func:`matching.max_matching` of the U rows followed by the rows of W'.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .bitset import lowest_bit, mask_of, select
-from .connectors import embed_connector, place_in_order
+from .bitset import mask_of, select
+from .connectors import embed_connector, place_in_order, placement_order
 from .core import (
     CONNECTOR,
     ColourPattern,
@@ -72,9 +71,14 @@ from .errors import (
     InvalidPatternError,
     TemplateError,
 )
-from .matching import BipartiteGraph, augment, max_matching
+from .matching import BipartiteGraph, max_matching
 
 END, GADGET = "end", "gadget"  # the absorbing path's piece segments
+
+# size rules: template degrees lie in [MIN_DEGREE, MAX_DEGREE], so the
+# window construction needs t <= MAX_T; gadgets need k >= GADGET_MIN_K
+MIN_DEGREE, MAX_DEGREE, GADGET_MIN_K = 2, 40, 2
+MAX_T = MAX_DEGREE - 1
 
 
 # --------------------------------------------------------------------------
@@ -116,8 +120,8 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
     ell >= 2.  The skeleton depends on (k, ell) only and is built and
     checked once per shape (:func:`_gadget_shape`); this fills in colours.
     """
-    if k < 2:
-        raise InvalidInstanceError(f"absorbing gadgets need k >= 2, got k={k}")
+    if k < GADGET_MIN_K:
+        raise InvalidInstanceError(f"absorbing gadgets need k >= {GADGET_MIN_K}, got k={k}")
     if ell < 2:
         raise InvalidInstanceError(f"absorbing gadgets need ell >= 2, got ell={ell}")
     r = (2 * k + 1) * ell
@@ -188,19 +192,15 @@ def _back_neighbours(
     k+2 earlier neighbours."""
     if sorted(order) != list(range(2 * (k + 1) * ell - 1)):
         raise HamPowerError("internal error: degeneracy order does not cover the gadget")
-    rank = {v: i for i, v in enumerate(order)}
-    back: dict[int, list[tuple[int, Edge]]] = {v: [] for v in order}
-    for e in edges:
-        earlier, later = sorted(e, key=rank.__getitem__)
-        back[later].append((earlier, e))
-    if any(back[v] for v in order[:ell]):
+    placed = placement_order(order, edges)
+    if any(back for _, back in placed[:ell]):
         raise HamPowerError("internal error: gadget has an edge inside A")
-    for v in order[ell:]:
-        if len(back[v]) > k + 2:
+    for v, back in placed[ell:]:
+        if len(back) > k + 2:
             raise HamPowerError(
-                f"internal error: gadget vertex {v} has {len(back[v])} > k+2 earlier neighbours"
+                f"internal error: gadget vertex {v} has {len(back)} > k+2 earlier neighbours"
             )
-    return tuple((v, tuple(back[v])) for v in order[ell:])
+    return placed[ell:]
 
 
 def gadget_absorb_sequence(blueprint: GadgetBlueprint, i: int) -> tuple[int, ...]:
@@ -284,16 +284,15 @@ class Template:
         if len(self.rows) != 3 * self.s + self.t:
             raise TemplateError("template adjacency must cover U and W")
         outside = ~self.x_mask
-        for left, row in enumerate(self.rows):
-            if row < 0 or row & outside:
-                raise TemplateError("template neighbour out of range")
-            if not (2 <= row.bit_count() <= 40):
-                raise TemplateError(
-                    f"left vertex {left} has degree {row.bit_count()} outside [2, 40]"
-                )
-        for x, d in enumerate(self.x_degrees()):
-            if not (2 <= d <= 40):
-                raise TemplateError(f"X-vertex {x} has degree {d} outside [2, 40]")
+        if any(row < 0 or row & outside for row in self.rows):
+            raise TemplateError("template neighbour out of range")
+        degrees = {"left vertex": map(int.bit_count, self.rows), "X-vertex": self.x_degrees()}
+        for side, ds in degrees.items():
+            for i, d in enumerate(ds):
+                if not (MIN_DEGREE <= d <= MAX_DEGREE):
+                    raise TemplateError(
+                        f"{side} {i} has degree {d} outside [{MIN_DEGREE}, {MAX_DEGREE}]"
+                    )
 
     @staticmethod
     def empty() -> "Template":
@@ -330,24 +329,14 @@ class Template:
                 out[x].append(left)
         return [tuple(ns) for ns in out]
 
-    @functools.cached_property
-    def _u_matching(self) -> tuple[list[int], int]:
-        """Maximum matching of (U, X) as (X vertex -> left index or -1, mask
-        of the X vertices it leaves free): the state every subset's matching
-        reaches after the U rows, which it searches first."""
-        owner, free = [-1] * self.n_x, self.x_mask
-        for u, x in max_matching(BipartiteGraph(self.rows[: self.n_u], self.x_mask)):
-            owner[x], free = u, free ^ (1 << x)
-        return owner, free
-
     def robust_matching(self, w_locals: Iterable[int]) -> Optional[list[tuple[int, int]]]:
         """Perfect matching of (U + W', X) as (left_index, x) pairs sorted
         by left index, or None.
 
         ``w_locals`` are W-local indices (0-based within W) of size s.  The
-        result is :func:`max_matching` of B[U + W', X] with U first and W'
-        in increasing order: the U matching is computed once per template,
-        and only the roots of W' are augmented per call.
+        result is one :func:`max_matching` of B[U + W', X] on the U rows
+        followed by the W' rows in increasing order, its rows mapped back to
+        template left indices; None unless it is perfect.
         """
         chosen = sorted(w_locals)
         if (
@@ -356,16 +345,10 @@ class Template:
             or any(not (0 <= w < self.n_w) for w in chosen)
         ):
             raise InvalidInstanceError("robust_matching needs s distinct W-local indices")
-        u_owner, free = self._u_matching
-        if free.bit_count() > self.n_x - self.n_u:  # some U row is unmatched
-            return None
-        owner = list(u_owner)
-        for w in chosen:
-            x = augment(self.rows, self.n_u + w, owner, free, lowest_bit)
-            if x < 0:
-                return None
-            free ^= 1 << x
-        return sorted((u, x) for x, u in enumerate(owner) if u >= 0)
+        left_ids = [*range(self.n_u), *(self.n_u + w for w in chosen)]
+        rows = tuple(self.rows[left] for left in left_ids)
+        pairs = max_matching(BipartiteGraph(rows, self.x_mask))
+        return [(left_ids[u], x) for u, x in pairs] if len(pairs) == self.n_x else None
 
 
 def template_edge_count(s: int, t: int) -> int:
@@ -388,7 +371,7 @@ def template_edge_count(s: int, t: int) -> int:
 def build_template(s: int, t: int, rng: random.Random) -> Template:
     """Randomised bounded-degree template, certified by its own layout.
 
-    Needs 1 <= t <= 39 (X-degrees are capped at 40).  The skeleton: two
+    Needs 1 <= t <= MAX_T (X-degrees are capped at MAX_DEGREE).  The skeleton: two
     cyclic perfect matchings from U onto a random 2s-subset x_m of X, and a
     sliding window from W onto the other s X-vertices x_w (W slot i sees x_w
     slots max(0, i-t)..min(s-1, i)), padded so every degree is at least 2.
@@ -401,9 +384,9 @@ def build_template(s: int, t: int, rng: random.Random) -> Template:
         raise TemplateError("build_template needs s >= 1")
     if t < 1:
         raise TemplateError(f"template needs t >= 1, got {t}")
-    if t > 39:
+    if t > MAX_T:
         raise TemplateError(
-            f"this construction needs t <= 39 to respect the degree cap (got {t})"
+            f"this construction needs t <= {MAX_T} to respect the degree cap (got {t})"
         )
     rows, layout = _random_template_adjacency(s, t, rng)
     template = Template(s, t, rows)
@@ -615,10 +598,9 @@ def build_absorbing_structure(
     )
 
 
-@functools.lru_cache(maxsize=16)
 def absorber_layout(k: int, x_degrees: tuple[int, ...]) -> Layout:
     """The absorbing path for gadgets of these X-degrees, built and checked
-    once per process: z1, a connector and a gadget window per gadget, then a
+    on every call: z1, a connector and a gadget window per gadget, then a
     connector and z2."""
     end = power_path(1, k)
     segments = [Segment("z1", END, 0, end)]

@@ -3,10 +3,12 @@
 :func:`place_in_order` places vertices one at a time: each one's candidates
 are the ``pool`` mask of free vertices intersected with the colour-specific
 neighbourhood masks of its few earlier neighbours' images, and it is drawn
-uniformly so reservoir usage spreads out.  A connector joins the tail ``w``
-of one k-power path to the head ``y`` of another through k internal
-vertices, placed left to right after both ends (an order built once per
-connector shape).  Colours outside 1..m are rejected before any draw.
+uniformly so reservoir usage spreads out.  Connectors and absorbing gadgets
+build the order it walks with one function, :func:`placement_order`.  A
+connector joins the tail ``w`` of one k-power path to the head ``y`` of
+another through k internal vertices, placed left to right after both ends
+(an order built once per connector shape).  Colours outside 1..m are
+rejected before any draw.
 """
 
 from __future__ import annotations
@@ -62,16 +64,24 @@ def place_in_order(
     return None
 
 
+def placement_order(order: Sequence[int], edges: Iterable[Edge]) -> Order:
+    """Each id of ``order`` with its earlier neighbours and the edges to
+    them, as (id, ((earlier id, edge), ...)): each edge, in the order
+    ``edges`` lists them, goes to its endpoint placed later in ``order``."""
+    rank = {v: i for i, v in enumerate(order)}
+    back: dict[int, list[tuple[int, Edge]]] = {v: [] for v in order}
+    for e in edges:
+        earlier, later = sorted(e, key=rank.__getitem__)
+        back[later].append((earlier, e))
+    return tuple((v, tuple(back[v])) for v in order)
+
+
 @functools.lru_cache(maxsize=64)
 def _connector_order(a: int, b: int, k: int) -> Order:
     """Connector(a, b, k)'s internal positions left to right, each with its
     earlier-placed neighbours (both end blocks come first) and host edges."""
-    back: dict[int, list[tuple[int, Edge]]] = {p: [] for p in range(a, a + k)}
-    for (i, j) in host_edges(connector(a, b, k)):
-        # each edge goes to its later-placed endpoint: j if internal, else i
-        later, earlier = (j, i) if j < a + k else (i, j)
-        back[later].append((earlier, (i, j)))
-    return tuple((p, tuple(back[p])) for p in range(a, a + k))
+    order = [*range(a), *range(a + k, a + k + b), *range(a, a + k)]
+    return placement_order(order, host_edges(connector(a, b, k)))[a + b:]
 
 
 def embed_connector(

@@ -32,7 +32,6 @@ from .core import (
     connector,
     host_edges,
     power_cycle,
-    restrict_pattern,
 )
 from .errors import InvalidInstanceError
 
@@ -42,7 +41,6 @@ __all__ = [
     "random_rpartite_collection",
     "random_min_degree_collection",
     "lowerbound_construction",
-    "restrict_pattern",
     "random_pattern",
     "bijective_pattern",
 ]

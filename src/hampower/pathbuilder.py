@@ -30,7 +30,7 @@ mapped back to vertex ids before every check.
 from __future__ import annotations
 
 import random
-from itertools import repeat
+from itertools import chain, repeat
 from operator import and_, itemgetter, rshift
 from typing import Callable, Sequence
 
@@ -55,8 +55,9 @@ def build_path_collection(
 ) -> list[PowerPath]:
     """Produce s disjoint coloured k-power paths, one per pattern.
 
-    ``parts`` are r pairwise-disjoint vertex sets of equal size; pattern i
-    must live on power_path(r, k) and colours index into the collection.
+    ``parts`` are r >= 1 pairwise-disjoint sets of equal size, whose
+    vertices are ``int``s in ``range(collection.n)``; pattern i must live
+    on power_path(r, k) and colours index into the collection.
     Raises :class:`NoMatchingError` (with step and level) when a level has
     no perfect matching to attach it.
     """
@@ -65,12 +66,16 @@ def build_path_collection(
     if s == 0:
         return []
     r = len(parts)
+    if r == 0:
+        raise InvalidInstanceError("no parts to build paths through")
     k = patterns[0].host.k
     n1 = len(parts[0])
     if any(len(p) != n1 for p in parts):
         raise InvalidInstanceError("all parts must have equal size")
     if s > n1:
         raise InvalidInstanceError(f"cannot build s={s} paths from parts of size {n1}")
+    if bad := [v for v in chain.from_iterable(parts) if type(v) is not int]:  # bool too
+        raise InvalidInstanceError(f"part vertex {bad[0]!r} is not an int")
     seen: set[int] = set()
     for p in parts:
         if seen & set(p):

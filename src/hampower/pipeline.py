@@ -54,6 +54,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional
 
 from .absorber import (
+    GADGET_MIN_K,
+    MAX_T,
     AbsorbingStructure,
     Template,
     absorb,
@@ -197,7 +199,7 @@ def _best_plan_for(
             t_lo = max(t_lo, -(-k * (free - s_force * (r - 1) + 1) // (k + 1)))
         t_hi = n
     else:
-        t_lo, t_hi = 1, 39
+        t_lo, t_hi = 1, MAX_T
     best: Optional[tuple] = None
     for t in range(t_lo, t_hi + 1):
         b = template_edge_count(s_t, t)
@@ -243,7 +245,7 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
     if n < 3 * k:  # the closing connector's end windows must not collide
         return []
     plans: list[Plan] = []
-    s_t_max = int(config.beta * n) if k >= 2 else 0  # gadgets need k >= 2
+    s_t_max = int(config.beta * n) if k >= GADGET_MIN_K else 0
     for s_t in range(s_t_max, 0, -1):
         plan = _best_plan_for(n, k, config, s_t)
         if plan is not None:

@@ -356,8 +356,8 @@ def random_uncertified_template(s, t, rng):
 
 
 class TestRobustMatchingWarmStart:
-    """``robust_matching`` reuses one U matching per template; it must
-    return what a fresh ``max_matching`` of B[U + W', X] returns."""
+    """``robust_matching`` must equal a fresh ``max_matching`` of
+    B[U + W', X], mapped back to template left indices."""
 
     def test_every_subset_of_small_templates(self):
         rng = random.Random(67)

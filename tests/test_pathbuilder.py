@@ -139,6 +139,25 @@ class TestBuildPathCollection:
         with pytest.raises(InvalidInstanceError, match=rf"^part vertex {bad} is outside 0\.\.11$"):
             build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, 1, random.Random(87))
 
+    def test_no_parts_rejected(self):
+        # no parts would index parts[0] and raise a raw IndexError
+        coll = complete_collection(12, 2)
+        patterns = [random_pattern(power_path(3, 2), 2, random.Random(86))]
+        with pytest.raises(InvalidInstanceError, match="^no parts to build paths through$"):
+            build_path_collection(coll, [], patterns, 1, random.Random(86))
+
+    @pytest.mark.parametrize("bad", [5.0, True, "5"])
+    def test_part_vertex_that_is_not_an_int_rejected(self, bad):
+        # 5.0 would raise a raw TypeError in the part-row gather, and True
+        # would equal vertex 1 and be reported as a shared vertex
+        coll = complete_collection(12, 2)
+        patterns = [random_pattern(power_path(3, 2), 2, random.Random(85))]
+        rng = random.Random(85)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError, match=rf"^part vertex {bad!r} is not an int$"):
+            build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, 1, rng)
+        assert rng.getstate() == state  # rejected before any draw
+
 
 class TestWindowTilingCheck:
     def test_names_the_first_broken_pair_of_the_first_broken_chain(self):

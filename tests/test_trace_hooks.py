@@ -59,6 +59,11 @@ def test_solve_records_gadget_and_connector_spans():
     # 3 s_t + 1 connectors chain the absorber; s + c + 1 join the cycle
     assert summary.calls["connectors.embed"] == (3 * s_t + 1) + (plan["s"] + plan["c"] + 1)
     assert summary.calls["connectors.extend"] == plan["g"]
+    # each absorb is one robust matching, one max_matching through absorber's name
+    absorbs = summary.calls["absorber.absorb"]
+    assert absorbs >= 1
+    assert summary.calls["absorber.robust_matching"] == absorbs
+    assert summary.calls["matching.max_matching"] == absorbs
     assert summary.raised["absorber.gadget_embed"] == summary.raised["connectors.embed"] == 0
 
 
