@@ -371,10 +371,11 @@ def template_edge_count(s: int, t: int) -> int:
 def build_template(s: int, t: int, rng: random.Random) -> Template:
     """Randomised bounded-degree template, certified by its own layout.
 
-    Needs 1 <= t <= MAX_T (X-degrees are capped at MAX_DEGREE).  The skeleton: two
-    cyclic perfect matchings from U onto a random 2s-subset x_m of X, and a
-    sliding window from W onto the other s X-vertices x_w (W slot i sees x_w
-    slots max(0, i-t)..min(s-1, i)), padded so every degree is at least 2.
+    Needs 1 <= t <= MAX_T (X-degrees are capped at MAX_DEGREE).  The
+    skeleton: two cyclic perfect matchings from U onto a random 2s-subset
+    x_m of X, and a sliding window from W onto the other s X-vertices x_w
+    (W slot i sees x_w slots max(0, i-t)..min(s-1, i)), padded so every
+    degree is at least 2.
     It proves itself robust: sort any W' by slot as i_0 < ... < i_{s-1};
     then m <= i_m <= m + t, so x_w slot m is in i_m's window, and U matches
     onto x_m.  Padding only adds edges.  Certification tests each witness
