@@ -57,6 +57,7 @@ from .core import (
     PowerPath,
     Segment,
     canonical_edge,
+    check_int,
     connector,
     host_edges,
     power_path,
@@ -120,10 +121,8 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
     ell >= 2.  The skeleton depends on (k, ell) only and is built and
     checked once per shape (:func:`_gadget_shape`); this fills in colours.
     """
-    if k < GADGET_MIN_K:
-        raise InvalidInstanceError(f"absorbing gadgets need k >= {GADGET_MIN_K}, got k={k}")
-    if ell < 2:
-        raise InvalidInstanceError(f"absorbing gadgets need ell >= 2, got ell={ell}")
+    check_int(k, "gadget k", GADGET_MIN_K)
+    check_int(ell, "gadget ell", 2)
     r = (2 * k + 1) * ell
     if pattern.host != power_path(r, k):
         raise InvalidPatternError(f"gadget pattern must live on power_path({r},{k})")
@@ -210,8 +209,7 @@ def gadget_absorb_sequence(blueprint: GadgetBlueprint, i: int) -> tuple[int, ...
     result is a pattern-coloured k-power path on B + C + {a_i} whose first
     and last k entries lie in B.
     """
-    if not (1 <= i <= blueprint.ell):
-        raise InvalidInstanceError(f"absorb index must be in [1, {blueprint.ell}], got {i}")
+    check_int(i, "absorb index", 1, blueprint.ell)
     a_index = {a: j + 1 for j, a in enumerate(blueprint.a_vertices)}
     out = []
     for v in blueprint.base_sequence:
@@ -273,14 +271,12 @@ class Template:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.s < 0 or self.t < 0:
-            raise TemplateError("template sizes must be non-negative")
+        check_int(self.s, "template s", 0, error=TemplateError)
+        check_int(self.t, "template t", 1 if self.s else 0, error=TemplateError)
         if self.s == 0:
             if self.rows:
                 raise TemplateError("an s=0 template must be empty")
             return
-        if self.t < 1:
-            raise TemplateError("template needs t >= 1")
         if len(self.rows) != 3 * self.s + self.t:
             raise TemplateError("template adjacency must cover U and W")
         outside = ~self.x_mask
@@ -381,14 +377,8 @@ def build_template(s: int, t: int, rng: random.Random) -> Template:
     onto x_m.  Padding only adds edges.  Certification tests each witness
     edge; it cannot fail on this skeleton, so a failure is an internal error.
     """
-    if s < 1:
-        raise TemplateError("build_template needs s >= 1")
-    if t < 1:
-        raise TemplateError(f"template needs t >= 1, got {t}")
-    if t > MAX_T:
-        raise TemplateError(
-            f"this construction needs t <= {MAX_T} to respect the degree cap (got {t})"
-        )
+    check_int(s, "template s", 1, error=TemplateError)
+    check_int(t, "template t", 1, MAX_T, TemplateError)
     rows, layout = _random_template_adjacency(s, t, rng)
     template = Template(s, t, rows)
     if template.edge_count != template_edge_count(s, t):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -57,6 +58,42 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def check_int(value: object, what: str, low: int | None = None, high: int | None = None,
+              error: type[HamPowerError] = InvalidInstanceError) -> int:
+    """``value`` if it is an ``int`` (a ``bool`` does not count) in [low,
+    high], a bound of None being open; otherwise raise ``error``."""
+    if type(value) is int and (low is None or low <= value) and (high is None or value <= high):
+        return value
+    raise _invalid(value, type(value) is int, "an integer", what, low, high, error)
+
+
+def check_real(value: object, what: str, low: float | None = None, high: float | None = None,
+               error: type[HamPowerError] = InvalidInstanceError) -> float:
+    """:func:`check_int` for a finite ``int`` or ``float``."""
+    real = type(value) is int or isinstance(value, float) and math.isfinite(value)
+    if real and (low is None or low <= value) and (high is None or value <= high):
+        return value
+    raise _invalid(value, real, "a finite real number", what, low, high, error)
+
+
+def _invalid(value, typed: bool, kind: str, what: str, low, high, error) -> HamPowerError:
+    """The error :func:`check_int` and :func:`check_real` raise: that ``value``
+    is not ``kind`` unless it is ``typed``, else that it is out of range."""
+    if not typed:
+        return error(f"{what} must be {kind}, got {reprlib.repr(value)}")
+    bound = f">= {low}" if high is None else f"<= {high}" if low is None else f"in [{low}, {high}]"
+    return error(f"{what} must be {bound}, got {value}")
+
+
+def only_ints(values: Iterable[object]) -> bool:
+    """Whether ``values`` iterates over ``int``s only, not ``bool``s; False
+    for a value that is not iterable."""
+    try:
+        return set(map(type, values)) <= {int}
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class HostTemplate:
     """Canonical edge-set description: a power path/cycle or a connector.
@@ -72,24 +109,15 @@ class HostTemplate:
     b: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidHostError(f"power k must be >= 1, got {self.k}")
-        if self.order < 1:
-            raise InvalidHostError(f"host order must be >= 1, got {self.order}")
-        if self.kind == POWER_CYCLE:
-            if self.order < 2 * self.k + 1:
-                raise InvalidHostError(
-                    f"power_cycle needs n >= 2k+1 (n={self.order}, k={self.k})"
-                )
-        elif self.kind == CONNECTOR:
-            if not (1 <= self.a <= self.k and 1 <= self.b <= self.k):
-                raise InvalidHostError(
-                    f"connector needs 1 <= a,b <= k (a={self.a}, b={self.b}, k={self.k})"
-                )
+        if self.kind not in (POWER_PATH, POWER_CYCLE, CONNECTOR):
+            raise InvalidHostError(f"unknown host kind {self.kind!r}")
+        check_int(self.k, "power k", 1, error=InvalidHostError)
+        low = 2 * self.k + 1 if self.kind == POWER_CYCLE else 1  # a simple cycle with kn edges
+        check_int(self.order, f"{self.kind} order", low, error=InvalidHostError)
+        if self.kind == CONNECTOR:
+            _check_ends(self.a, self.b, self.k)
             if self.order != self.a + self.k + self.b:
                 raise InvalidHostError("connector order must equal a+k+b")
-        elif self.kind != POWER_PATH:
-            raise InvalidHostError(f"unknown host kind {self.kind!r}")
 
 
 def power_path(r: int, k: int) -> HostTemplate:
@@ -101,7 +129,15 @@ def power_cycle(n: int, k: int) -> HostTemplate:
 
 
 def connector(a: int, b: int, k: int) -> HostTemplate:
+    # checked here as well, since the order a + k + b is taken before HostTemplate sees them
+    _check_ends(a, b, check_int(k, "power k", 1, error=InvalidHostError))
     return HostTemplate(CONNECTOR, k, a + k + b, a, b)
+
+
+def _check_ends(a: int, b: int, k: int) -> None:
+    """A connector's end block sizes a and b must be ints in [1, k]."""
+    check_int(a, "connector a", 1, k, InvalidHostError)
+    check_int(b, "connector b", 1, k, InvalidHostError)
 
 
 def host_edges(host: HostTemplate) -> list[Edge]:
@@ -237,9 +273,9 @@ class ColourPattern:
                 f"{len(extra)} extraneous (e.g. missing={sorted(missing)[:3]}, "
                 f"extra={sorted(extra)[:3]})"
             )
-        for e, c in self.colours.items():
-            if not isinstance(c, int) or c < 1:
-                raise InvalidPatternError(f"colour on edge {e} must be a 1-based int, got {c!r}")
+        if not only_ints(self.colours.values()) or min(self.colours.values(), default=1) < 1:
+            e, c = next((e, c) for e, c in self.colours.items() if type(c) is not int or c < 1)
+            raise InvalidPatternError(f"colour on edge {e} must be a 1-based int, got {c!r}")
         object.__setattr__(self, "colours", MappingProxyType(dict(self.colours)))
 
     def colour_of(self, i: int, j: int) -> int:
@@ -251,41 +287,36 @@ class ColourPattern:
 
 
 @dataclass(frozen=True)
-class PowerPath:
+class _Power:
+    """A k-power of a path or cycle: its distinct vertices in order, which
+    are at least 2k+1 when ``cyclic``; the k-power rule implies the edges."""
+
+    k: int
+    vertices: tuple[int, ...]
+    cyclic = False  # a class constant, not a field
+
+    def __post_init__(self) -> None:
+        name = type(self).__name__
+        check_int(self.k, f"{name} k", 1)
+        if not only_ints(self.vertices) or len(set(self.vertices)) != len(self.vertices):
+            raise InvalidInstanceError(
+                f"{name} vertices must be distinct integers, got {reprlib.repr(self.vertices)}"
+            )
+        check_int(self.order, f"{name} order", 2 * self.k + 1 if self.cyclic else 1)
+
+    @property
+    def order(self) -> int:
+        return len(self.vertices)
+
+
+class PowerPath(_Power):
     """Ordered distinct vertices; the edge set is implied by the k-power rule."""
 
-    k: int
-    vertices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 1:
-            raise InvalidInstanceError("a power path needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidInstanceError("power path vertices must be distinct")
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class PowerCycle:
+class PowerCycle(_Power):
     """Cyclically ordered distinct vertices; requires order >= 2k+1."""
 
-    k: int
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidInstanceError("power cycle vertices must be distinct")
-        if len(self.vertices) < 2 * self.k + 1:
-            raise InvalidInstanceError(
-                f"power cycle needs >= 2k+1 vertices (got {len(self.vertices)}, k={self.k})"
-            )
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
+    cyclic = True
 
 
 class GraphCollection:
@@ -304,7 +335,8 @@ class GraphCollection:
     __slots__ = ("n", "masks", "min_degrees")
 
     def __init__(self, n: int, tables: Sequence[Sequence[int]]):
-        _check_sizes(n, len(tables))
+        check_int(n, "vertex count", 1)
+        check_int(len(tables), "graph count", 1)
         checked: dict[int, tuple[tuple[int, ...], int]] = {}
         masks, min_degrees = [], []
         for gi, rows in enumerate(tables):
@@ -334,7 +366,7 @@ class GraphCollection:
     def from_edge_lists(cls, n: int, edge_lists: Sequence[Iterable[tuple[int, int]]]) -> "GraphCollection":
         """Collection from one edge list per graph; graphs with equal edge
         lists share one mask table."""
-        _check_sizes(n, len(edge_lists))
+        check_int(n, "vertex count", 1)
         built: list[tuple[list[Edge], tuple[int, ...]]] = []
         tables = []
         for edges in edge_lists:
@@ -371,13 +403,6 @@ class GraphCollection:
         return f"GraphCollection(n={self.n}, m={self.m})"
 
 
-def _check_sizes(n: int, m: int) -> None:
-    if n < 1:
-        raise InvalidInstanceError(f"vertex count must be >= 1, got {n}")
-    if m < 1:
-        raise InvalidInstanceError("a collection needs at least one graph")
-
-
 def _table_of_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Bitmask rows of the graph with these edges; repeats are merged."""
     rows = [0] * n
@@ -398,9 +423,9 @@ def _checked_table(n: int, g: int, rows: Sequence[int]) -> tuple[tuple[int, ...]
     rows = tuple(rows)
     if len(rows) != n:
         raise InvalidInstanceError(f"graph {g}: {len(rows)} mask rows, expected {n}")
-    for v, row in enumerate(rows):
-        if type(row) is not int:
-            raise InvalidInstanceError(f"graph {g}: row {v} is not an int mask ({row!r})")
+    if not only_ints(rows):
+        v = next(v for v, row in enumerate(rows) if type(row) is not int)
+        raise InvalidInstanceError(f"graph {g}: row {v} is not an int mask ({rows[v]!r})")
     if min(rows) < 0 or max(rows).bit_length() > n:
         v = next(v for v, row in enumerate(rows) if row < 0 or row.bit_length() > n)
         raise InvalidInstanceError(f"graph {g}: endpoint out of range at vertex {v}")
@@ -459,19 +484,21 @@ def verify_coloured_embedding(
 
     Returns ``(True, None)`` when every canonical host edge (i, j) with
     colour c maps to an edge of G_c, otherwise ``(False, (i, j))`` for the
-    first offending host edge in canonical order.  Raises on length mismatch
-    or repeated vertices.
+    first offending host edge in canonical order.  Raises unless the list
+    holds host.order distinct ints in range(n).
     """
-    host = pattern.host
+    host, n = pattern.host, collection.n
+    if not only_ints(vertices):
+        raise VerificationInputError(f"vertex list must hold ints, got {reprlib.repr(vertices)}")
     if len(vertices) != host.order:
         raise VerificationInputError(
             f"vertex list has length {len(vertices)}, host order is {host.order}"
         )
+    if min(vertices) < 0 or max(vertices) >= n:
+        v = next(v for v in vertices if not 0 <= v < n)
+        raise VerificationInputError(f"vertex {v} out of range for n={n}")
     if len(set(vertices)) != len(vertices):
         raise VerificationInputError("vertex list contains repeats")
-    for v in vertices:
-        if not (0 <= v < collection.n):
-            raise VerificationInputError(f"vertex {v} out of range for n={collection.n}")
     colours, masks, m = pattern.colours, collection.masks, collection.m
     for e in _host_edges(host):
         c = colours[e]
@@ -501,10 +528,9 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
     if target.order > src.order:
         raise InvalidPatternError("window longer than the source host")
     if src.kind == POWER_PATH:
-        if start < 0 or start + target.order > src.order:
-            raise InvalidPatternError(
-                f"window [{start}, {start + target.order}) out of range for order {src.order}"
-            )
+        check_int(start, "window start", 0, src.order - target.order, InvalidPatternError)
+    else:  # a cycle's window wraps
+        check_int(start, "window start", error=InvalidPatternError)
     n, off, colours = src.order, start % src.order, pattern.colours
     edges = _host_edges(target)
     if off + target.order <= n:  # no wrap: shifted edges stay canonical
@@ -532,25 +558,13 @@ def collection_to_dict(c: GraphCollection) -> dict:
     return {"n": c.n, "m": c.m, "graphs": c.edge_lists()}
 
 
-def _json_int(value: object, error: type[HamPowerError], what: str) -> int:
-    """``value`` if it is a JSON integer (an ``int``, not a ``bool``);
-    otherwise raise ``error``."""
-    if type(value) is not int:
-        raise error(f"{what} must be an integer, got {reprlib.repr(value)}")
-    return value
-
-
-def _only_ints(values: Iterable[object]) -> bool:
-    return set(map(type, values)) <= {int}
-
-
 def collection_from_dict(d: Mapping) -> GraphCollection:
     try:
         n, m, graphs = d["n"], d["m"], d["graphs"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"instance file: missing/invalid field ({exc})") from exc
-    n = _json_int(n, InvalidInstanceError, "instance file: n")
-    m = _json_int(m, InvalidInstanceError, "instance file: m")
+    n = check_int(n, "instance file: n")
+    m = check_int(m, "instance file: m")
     if n > MAX_FILE_ORDER:
         raise InvalidInstanceError(f"instance file: n={n} exceeds the limit {MAX_FILE_ORDER}")
     if not isinstance(graphs, list):
@@ -567,7 +581,7 @@ def collection_from_dict(d: Mapping) -> GraphCollection:
             pairs = [(u, v) for (u, v) in edges]
         except (TypeError, ValueError) as exc:
             raise InvalidInstanceError(f"instance file: graph {gi + 1} has a malformed edge") from exc
-        if not _only_ints(chain.from_iterable(pairs)):
+        if not only_ints(chain.from_iterable(pairs)):
             raise InvalidInstanceError(f"instance file: graph {gi + 1} has a non-integer endpoint")
         edge_lists.append(pairs)
     return GraphCollection.from_edge_lists(n, edge_lists)
@@ -582,7 +596,7 @@ def pattern_to_dict(p: ColourPattern) -> dict:
 
 def pattern_from_dict(d: Mapping) -> ColourPattern:
     def host_int(field: str) -> int:
-        return _json_int(h[field], InvalidPatternError, f"pattern file: host {field}")
+        return check_int(h[field], f"pattern file: host {field}", error=InvalidPatternError)
 
     try:
         h = d["host"]
@@ -609,7 +623,7 @@ def pattern_from_dict(d: Mapping) -> ColourPattern:
             i, j, c = entry
         except (TypeError, ValueError) as exc:
             raise InvalidPatternError(f"pattern file: malformed colour entry {reprlib.repr(entry)}") from exc
-        if not _only_ints((i, j, c)):
+        if not only_ints((i, j, c)):
             raise InvalidPatternError(f"pattern file: non-integer colour entry {reprlib.repr(entry)}")
         e = canonical_edge(i, j)
         if e in colours:
@@ -646,9 +660,6 @@ def cycle_from_dict(d: Mapping) -> PowerCycle:
         k, vertices = d["k"], tuple(d["vertices"])
     except (KeyError, TypeError) as exc:
         raise InvalidInstanceError(f"cycle file: missing/invalid field ({exc})") from exc
-    k = _json_int(k, InvalidInstanceError, "cycle file: k")
-    if not _only_ints(vertices):
-        raise InvalidInstanceError("cycle file: vertices must be integers")
     return PowerCycle(k, vertices)
 
 

@@ -29,6 +29,8 @@ from .core import (
     ColourPattern,
     GraphCollection,
     HostTemplate,
+    check_int,
+    check_real,
     connector,
     host_edges,
     power_cycle,
@@ -67,8 +69,7 @@ def _top_byte_table(threshold: int) -> bytes:
 
 def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
-        if value < 1:
-            raise InvalidInstanceError(f"{name} must be >= 1, got {value}")
+        check_int(value, name, 1)
 
 
 def _draw_flags(rng: random.Random, size: int, density: float) -> bytes:
@@ -163,8 +164,7 @@ def random_rpartite_collection(
     the pair's repair, one ``rng.sample`` per short vertex of part i and
     then of part j.
     """
-    if not (0.0 <= delta_frac <= 1.0):
-        raise InvalidInstanceError("delta_frac must lie in [0, 1]")
+    check_real(delta_frac, "delta_frac", 0, 1)
     _check_counts(r=r, part_size=part_size, m=m)
     parts = _rpartite_parts(r, part_size)
     part_masks = _part_masks(r, part_size)
@@ -211,8 +211,7 @@ def random_min_degree_collection(
     lexicographic order (edge when the draw is below ``delta_frac``), then
     one ``rng.sample`` per vertex u below the target degree, in increasing u.
     """
-    if not (0.0 <= delta_frac <= 1.0):
-        raise InvalidInstanceError("delta_frac must lie in [0, 1]")
+    check_real(delta_frac, "delta_frac", 0, 1)
     _check_counts(n=n, m=m)
     target = 0 if delta_frac <= 0 else min(n - 1, int(delta_frac * n - 1e-9) + 1)
     full = (1 << n) - 1
@@ -256,10 +255,8 @@ def lowerbound_construction(
     positions; ``orientation="text"`` removes those inside the leading k
     positions.  Requires p >= 3.
     """
-    if p < 3:
-        raise InvalidInstanceError(f"lower-bound construction needs p >= 3, got {p}")
-    if k < 1:
-        raise InvalidInstanceError("k must be >= 1")
+    check_int(p, "lower-bound part size p", 3)
+    check_int(k, "lower-bound power k", 1)
     if orientation not in ("figure", "text"):
         raise InvalidInstanceError(f"unknown orientation {orientation!r}")
     n = p * (k + 1)
@@ -294,8 +291,7 @@ def lowerbound_construction(
 
 def random_pattern(host: HostTemplate, m: int, rng: random.Random) -> ColourPattern:
     """Independent uniform colour in [m] for every canonical host edge."""
-    if m < 1:
-        raise InvalidInstanceError("need m >= 1 colours")
+    check_int(m, "colour count m", 1)
     return ColourPattern(host, {e: rng.randrange(1, m + 1) for e in host_edges(host)})
 
 

@@ -54,6 +54,7 @@ from .core import (
     ColourPattern,
     GraphCollection,
     PowerCycle,
+    check_int,
     verify_coloured_embedding,
 )
 from .errors import HamPowerError, InvalidInstanceError
@@ -132,6 +133,7 @@ def _run(
         raise InvalidInstanceError("pattern order must equal the vertex count")
     if pattern.max_colour > collection.m:
         raise InvalidInstanceError("pattern colours exceed the number of graphs")
+    limit = -1 if budget is None else check_int(budget, "node budget", 0)
     # the reflection cut halves a find; a count must see every placement
     use_reflection = not count_all and _reflection_symmetric(pattern)
     n = collection.n
@@ -184,7 +186,6 @@ def _run(
             base &= rows[assignment[q]]
         return p, live, base, key, iter(ordered)
 
-    limit = -1 if budget is None else max(budget, 0)
     nodes = count = 0
     truncated = False
     found = None

@@ -39,6 +39,8 @@ from .core import (
     ColourPattern,
     GraphCollection,
     PowerPath,
+    check_int,
+    only_ints,
     power_path,
     verify_coloured_embedding,
 )
@@ -72,10 +74,10 @@ def build_path_collection(
     n1 = len(parts[0])
     if any(len(p) != n1 for p in parts):
         raise InvalidInstanceError("all parts must have equal size")
-    if s > n1:
-        raise InvalidInstanceError(f"cannot build s={s} paths from parts of size {n1}")
-    if bad := [v for v in chain.from_iterable(parts) if type(v) is not int]:  # bool too
-        raise InvalidInstanceError(f"part vertex {bad[0]!r} is not an int")
+    check_int(s, "path count s", 0, n1)
+    if not only_ints(chain.from_iterable(parts)):
+        bad = next(v for v in chain.from_iterable(parts) if type(v) is not int)
+        raise InvalidInstanceError(f"part vertex {bad!r} is not an int")
     seen: set[int] = set()
     for p in parts:
         if seen & set(p):

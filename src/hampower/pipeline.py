@@ -78,6 +78,8 @@ from .core import (
     PowerCycle,
     PowerPath,
     Segment,
+    check_int,
+    check_real,
     connector,
     power_cycle,
     power_path,
@@ -120,14 +122,15 @@ class PipelineConfig:
     mode: str = BEST_EFFORT
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "epsilon"):
+            check_real(getattr(self, name), name)
+        check_int(self.r, "r", 2)
+        check_int(self.max_retries, "max_retries", 1)
+        check_int(self.seed, "seed")
         if not (0 < self.gamma < self.beta < self.alpha <= 1):
             raise InvalidInstanceError("need 0 < gamma < beta < alpha <= 1")
         if not (0 < self.epsilon < 1):
             raise InvalidInstanceError("need epsilon in (0, 1)")
-        if self.r < 2:
-            raise InvalidInstanceError("need r >= 2")
-        if self.max_retries < 1:
-            raise InvalidInstanceError("need max_retries >= 1")
         if self.mode not in (BEST_EFFORT, STRICT):
             raise InvalidInstanceError(f"unknown mode {self.mode!r}")
         if self.sampler_mode != "fast":
@@ -283,10 +286,8 @@ def sample_reservoir(n: int, size: int, rng: random.Random) -> frozenset[int]:
     typed errors when this draw does not serve, and the plan falls back as
     for any other stage failure.
     """
-    if size > n:
-        raise InvalidInstanceError(f"reservoir size {size} exceeds n={n}")
-    if size < 1 or size >= n:
-        raise InvalidInstanceError("reservoir must be a proper non-empty subset")
+    check_int(n, "vertex count n", 2)
+    check_int(size, "reservoir size", 1, n - 1)
     return frozenset(rng.sample(range(n), size))
 
 
@@ -308,8 +309,7 @@ def solve(
     if host.kind != POWER_CYCLE or host.order != collection.n:
         raise InvalidInstanceError("solve needs a power-cycle pattern matching the instance")
     k, n = host.k, collection.n
-    if config.r < k + 1:
-        raise InvalidInstanceError(f"need r >= k+1 = {k + 1}, got r={config.r}")
+    check_int(config.r, "r", k + 1)
     if pattern.max_colour > collection.m:
         raise InvalidInstanceError("pattern colours exceed the number of graphs")
 
@@ -364,8 +364,6 @@ def _solve_with_plan(
     def stage_absorber(rng: random.Random) -> AbsorbingStructure:
         if plan.s_t >= 1:
             template = build_template(plan.s_t, plan.w_extra, rng)
-            if template.edge_count != plan.b:
-                raise HamPowerError("internal error: template edge count diverged from the plan")
         else:
             template = Template.empty()
         candidates = sorted(set(range(n)) - reservoir)

@@ -1,0 +1,197 @@
+"""Malformed arguments to the package's entry points raise a HamPowerError
+subclass: never a raw Python exception, and never a silent acceptance.
+
+The regression table lists calls that used to escape as ``TypeError`` or
+``KeyError`` or were accepted; the surface test replaces one numeric or
+vertex-sequence argument of a valid call at a time with a drawn value.
+Its ints are small, so no call allocates by a large n.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hampower
+from hampower import (
+    ColourPattern,
+    GraphCollection,
+    HostTemplate,
+    PipelineConfig,
+    PowerCycle,
+    PowerPath,
+    connector,
+    count_coloured_hamilton_powers,
+    find_coloured_hamilton_power,
+    host_edges,
+    min_degree,
+    power_cycle,
+    power_path,
+    restrict_pattern,
+    sample_reservoir,
+    solve,
+    verify_coloured_embedding,
+)
+from hampower.core import CONNECTOR, POWER_CYCLE
+from hampower.errors import HamPowerError, InvalidInstanceError, InvalidPatternError
+from hampower.instances import (
+    __all__ as INSTANCES,
+    bijective_pattern,
+    complete_collection,
+    complete_rpartite_collection,
+    lowerbound_construction,
+    random_min_degree_collection,
+    random_pattern,
+    random_rpartite_collection,
+)
+
+CONFIG = dict(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7)
+K9 = complete_collection(9, 2)
+CYCLE9 = random_pattern(power_cycle(9, 2), 2, random.Random(0))
+PATH5 = random_pattern(power_path(5, 2), 2, random.Random(0))
+K3_ROWS = (0b110, 0b101, 0b011)
+
+
+def rng() -> random.Random:
+    return random.Random(0)
+
+
+REGRESSIONS = {
+    # each of these raised a raw TypeError
+    "reservoir-size-float": lambda: sample_reservoir(10, 2.5, rng()),
+    "solve-r-float": lambda: solve(K9, CYCLE9, PipelineConfig(**{**CONFIG, "r": 7.5})),
+    "solve-retries-float": lambda: solve(K9, CYCLE9, PipelineConfig(**CONFIG, max_retries=2.5)),
+    "config-alpha-text": lambda: PipelineConfig(**{**CONFIG, "alpha": "x"}),
+    "complete-n-float": lambda: complete_collection(10.5, 2),
+    "complete-m-float": lambda: complete_collection(10, 2.0),
+    "path-r-float": lambda: power_path(5.0, 2),
+    "collection-n-float": lambda: GraphCollection(3.0, [K3_ROWS]),
+    "min-degree-delta-text": lambda: random_min_degree_collection(10, 2, "x", rng()),
+    "min-degree-m-float": lambda: random_min_degree_collection(10, 2.0, 0.5, rng()),
+    "lowerbound-p-float": lambda: lowerbound_construction(2, 3.0),
+    "verify-vertex-float": lambda: verify_coloured_embedding(K9, PATH5, [0, 1, 2, 3, 1.5]),
+    # this raised a raw KeyError
+    "restrict-start-float": lambda: restrict_pattern(CYCLE9, 1.5, power_path(5, 2)),
+    # these were accepted
+    "config-seed-text": lambda: PipelineConfig(**CONFIG, seed="s"),
+    "config-seed-none": lambda: PipelineConfig(**CONFIG, seed=None),
+    "cycle-k-float": lambda: power_cycle(60, 2.0),
+    "connector-a-float": lambda: connector(1.0, 1, 2),
+    "pattern-m-float": lambda: random_pattern(power_cycle(9, 2), 2.0, rng()),
+    "lowerbound-k-bool": lambda: lowerbound_construction(True, 3),
+    "power-cycle-k-float": lambda: PowerCycle(2.0, tuple(range(9))),
+    "power-path-vertex-float": lambda: PowerPath(1, (0.5, 1)),
+}
+
+
+@pytest.mark.parametrize("call", REGRESSIONS.values(), ids=list(REGRESSIONS))
+def test_malformed_argument_raises_a_package_error(call):
+    with pytest.raises(HamPowerError):
+        call()
+
+
+@pytest.mark.parametrize("budget", [3.5, -1])
+@pytest.mark.parametrize("search", [find_coloured_hamilton_power, count_coloured_hamilton_powers])
+def test_oracle_rejects_a_float_or_negative_budget(search, budget):
+    # a float budget never equals the node count, so it used to turn the
+    # budget off; a negative one was clamped to 0
+    with pytest.raises(InvalidInstanceError, match="node budget"):
+        search(*lowerbound_construction(2, 3), budget=budget)
+
+
+def test_pattern_rejects_a_bool_colour():
+    message = r"colour on edge \(1, 2\) must be a 1-based int, got True"
+    with pytest.raises(InvalidPatternError, match=message):
+        ColourPattern(power_path(3, 1), {(0, 1): 1, (1, 2): True})
+
+
+# each entry point with valid baseline arguments; the drawn value replaces
+# one of them.  Object-typed arguments (collections, patterns, rngs) stay fixed.
+SURFACE = {
+    "ColourPattern": (
+        lambda colour: ColourPattern(power_path(3, 1), {(0, 1): 1, (1, 2): colour}),
+        dict(colour=2),
+    ),
+    "GraphCollection": (
+        lambda n, row: GraphCollection(n, [K3_ROWS[:2] + (row,)]), dict(n=3, row=0b011)
+    ),
+    "HostTemplate": (
+        lambda k, order, a, b: HostTemplate(CONNECTOR, k, order, a, b),
+        dict(k=2, order=5, a=1, b=2),
+    ),
+    "HostTemplate/cycle": (
+        lambda k, order: HostTemplate(POWER_CYCLE, k, order), dict(k=2, order=7)
+    ),
+    "PowerCycle": (PowerCycle, dict(k=1, vertices=(0, 1, 2))),
+    "PowerPath": (PowerPath, dict(k=2, vertices=(0, 1))),
+    "PipelineConfig": (PipelineConfig, dict(CONFIG, seed=0, max_retries=8)),
+    "connector": (connector, dict(a=1, b=2, k=2)),
+    "count_coloured_hamilton_powers": (
+        lambda budget: count_coloured_hamilton_powers(*lowerbound_construction(2, 3), budget),
+        dict(budget=None),
+    ),
+    "find_coloured_hamilton_power": (
+        lambda budget: find_coloured_hamilton_power(*lowerbound_construction(2, 3), budget),
+        dict(budget=None),
+    ),
+    "host_edges": (lambda n, k: host_edges(power_cycle(n, k)), dict(n=7, k=2)),
+    "min_degree": (lambda n: min_degree(GraphCollection(n, [K3_ROWS])), dict(n=3)),
+    "power_cycle": (power_cycle, dict(n=7, k=2)),
+    "power_path": (power_path, dict(r=5, k=2)),
+    "restrict_pattern": (
+        lambda start, r: restrict_pattern(CYCLE9, start, power_path(r, 2)),
+        dict(start=7, r=5),
+    ),
+    "restrict_pattern/path": (
+        lambda start, r: restrict_pattern(PATH5, start, power_path(r, 2)),
+        dict(start=1, r=3),
+    ),
+    "sample_reservoir": (lambda n, size: sample_reservoir(n, size, rng()), dict(n=10, size=3)),
+    "solve": (lambda **fields: solve(K9, CYCLE9, PipelineConfig(**fields)), dict(CONFIG, seed=0)),
+    "verify_coloured_embedding": (
+        lambda vertices: verify_coloured_embedding(K9, PATH5, vertices),
+        dict(vertices=[0, 1, 2, 3, 4]),
+    ),
+    "complete_collection": (complete_collection, dict(n=4, m=2)),
+    "complete_rpartite_collection": (complete_rpartite_collection, dict(r=3, part_size=2, m=2)),
+    "random_rpartite_collection": (
+        lambda **sizes: random_rpartite_collection(**sizes, rng=rng()),
+        dict(r=3, part_size=2, m=2, delta_frac=0.5),
+    ),
+    "random_min_degree_collection": (
+        lambda **sizes: random_min_degree_collection(**sizes, rng=rng()),
+        dict(n=6, m=2, delta_frac=0.5),
+    ),
+    "lowerbound_construction": (lowerbound_construction, dict(k=2, p=3)),
+    "random_pattern": (lambda m: random_pattern(power_cycle(7, 2), m, rng()), dict(m=3)),
+    "bijective_pattern": (lambda n, k: bijective_pattern(power_path(n, k), rng()), dict(n=5, k=2)),
+}
+
+SCALARS = (
+    st.integers(-4, 16)
+    | st.floats()
+    | st.sampled_from([2.0, float("nan"), float("inf"), float("-inf"), True, False, None, "", "2"])
+)
+VALUES = SCALARS | st.lists(st.integers(-2, 10) | st.floats(-1, 10) | st.booleans(), max_size=8)
+
+
+def test_surface_covers_every_entry_point():
+    names = {name.partition("/")[0] for name in SURFACE}
+    assert names == (set(hampower.__all__) - {"__version__"}) | set(INSTANCES)
+
+
+@pytest.mark.parametrize("name", list(SURFACE))
+def test_surface_baselines_are_valid(name):
+    call, baseline = SURFACE[name]
+    call(**baseline)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_drawn_arguments_raise_only_package_errors(data):
+    call, baseline = SURFACE[data.draw(st.sampled_from(list(SURFACE)))]
+    arg = data.draw(st.sampled_from(list(baseline)))
+    try:
+        call(**{**baseline, arg: data.draw(VALUES)})
+    except HamPowerError:
+        pass
