@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import compress, count, islice
-from typing import Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -36,14 +36,29 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def randbelow(n: int, getrandbits: Callable[[int], int]) -> int:
+    """Uniform draw from ``range(n)``, n >= 1, by CPython's
+    ``Random._randbelow_with_getrandbits`` rule: b = n.bit_length() bits,
+    redrawn while the value is >= n.  For ``random.Random`` the value and
+    the final state are those of ``rng.randrange(n)``, and draws below
+    len(x), ..., 3, 2, each swapped into its slot, are ``rng.shuffle(x)``.
+    """
+    b = n.bit_length()
+    x = getrandbits(b)
+    while x >= n:
+        x = getrandbits(b)
+    return x
+
+
 def pick_bit(mask: int, rng: random.Random) -> int:
     """Uniformly random set bit of a nonzero mask.
 
-    One ``randrange`` draw picks the rank of the bit.  The mask is then
-    halved, keeping the half that holds that rank, until at most 64 bits
-    are left, so only a word is decoded instead of the whole mask.
+    One :func:`randbelow` draw, the same as ``randrange``, picks the rank
+    of the bit.  The mask is then halved, keeping the half that holds that
+    rank, until at most 64 bits are left, so only a word is decoded
+    instead of the whole mask.
     """
-    idx = rng.randrange(mask.bit_count())
+    idx = randbelow(mask.bit_count(), rng.getrandbits)
     base = 0
     while (width := mask.bit_length()) > 64:
         half = width >> 1

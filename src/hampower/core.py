@@ -365,15 +365,19 @@ class GraphCollection:
     @classmethod
     def from_edge_lists(cls, n: int, edge_lists: Sequence[Iterable[tuple[int, int]]]) -> "GraphCollection":
         """Collection from one edge list per graph; graphs with equal edge
-        lists share one mask table."""
+        lists share one mask table.  Every edge must be a pair of ``int``s
+        (not ``bool``s)."""
         check_int(n, "vertex count", 1)
         built: list[tuple[list[Edge], tuple[int, ...]]] = []
         tables = []
-        for edges in edge_lists:
-            edges = list(edges)
+        for g, edges in enumerate(edge_lists, start=1):
+            try:
+                edges = list(edges)
+            except TypeError as exc:
+                raise InvalidInstanceError(f"graph {g}: the edges must be iterable") from exc
             table = next((t for prior, t in built if prior == edges), None)
             if table is None:
-                table = _table_of_edges(n, edges)
+                table = _table_of_edges(n, _checked_edges(g, edges))
                 built.append((edges, table))
             tables.append(table)
         return cls(n, tables)
@@ -401,6 +405,18 @@ class GraphCollection:
 
     def __repr__(self) -> str:
         return f"GraphCollection(n={self.n}, m={self.m})"
+
+
+def _checked_edges(g: int, edges: list) -> list[Edge]:
+    """The edges of graph ``g`` (1-based, for messages), checked to be pairs
+    of ``int``s."""
+    try:
+        pairs = set(map(len, edges)) <= {2}
+    except TypeError:  # an edge without a length
+        pairs = False
+    if not (pairs and only_ints(chain.from_iterable(edges))):
+        raise InvalidInstanceError(f"graph {g}: every edge must be a pair of integer vertices")
+    return edges
 
 
 def _table_of_edges(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -485,11 +501,13 @@ def verify_coloured_embedding(
     Returns ``(True, None)`` when every canonical host edge (i, j) with
     colour c maps to an edge of G_c, otherwise ``(False, (i, j))`` for the
     first offending host edge in canonical order.  Raises unless the list
-    holds host.order distinct ints in range(n).
+    is a list or tuple of host.order distinct ints in range(n).
     """
     host, n = pattern.host, collection.n
-    if not only_ints(vertices):
-        raise VerificationInputError(f"vertex list must hold ints, got {reprlib.repr(vertices)}")
+    if type(vertices) not in (list, tuple) or not only_ints(vertices):
+        raise VerificationInputError(
+            f"vertex list must be a list or tuple of ints, got {reprlib.repr(vertices)}"
+        )
     if len(vertices) != host.order:
         raise VerificationInputError(
             f"vertex list has length {len(vertices)}, host order is {host.order}"
@@ -571,20 +589,7 @@ def collection_from_dict(d: Mapping) -> GraphCollection:
         raise InvalidInstanceError("instance file: graphs must be a list of edge lists")
     if len(graphs) != m:
         raise InvalidInstanceError(f"instance file: m={m} but {len(graphs)} graphs present")
-    edge_lists: list[list[Edge]] = []
-    for gi, edges in enumerate(graphs):
-        same = next((j for j in range(gi) if graphs[j] == edges), None)
-        if same is not None:  # decode a repeated graph once
-            edge_lists.append(edge_lists[same])
-            continue
-        try:
-            pairs = [(u, v) for (u, v) in edges]
-        except (TypeError, ValueError) as exc:
-            raise InvalidInstanceError(f"instance file: graph {gi + 1} has a malformed edge") from exc
-        if not only_ints(chain.from_iterable(pairs)):
-            raise InvalidInstanceError(f"instance file: graph {gi + 1} has a non-integer endpoint")
-        edge_lists.append(pairs)
-    return GraphCollection.from_edge_lists(n, edge_lists)
+    return GraphCollection.from_edge_lists(n, graphs)
 
 
 def pattern_to_dict(p: ColourPattern) -> dict:

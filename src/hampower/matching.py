@@ -34,7 +34,7 @@ from itertools import chain, count
 from operator import and_
 from typing import Callable, Mapping, Sequence
 
-from .bitset import lowest_bit, pick_bit, select
+from .bitset import lowest_bit, pick_bit, randbelow, select
 from .errors import InvalidInstanceError, NoPerfectMatchingError
 
 
@@ -192,7 +192,9 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
         return pick_bit(mask, rng)
 
     order = list(range(n))
-    rng.shuffle(order)
+    for i in range(n - 1, 0, -1):  # rng.shuffle(order), the same draws
+        j = randbelow(i + 1, getrandbits)
+        order[i], order[j] = order[j], order[i]
     owner = [-1] * b.right.bit_length()
     free = b.right
     for root in order:

@@ -24,7 +24,9 @@ step's work runs column by column in C; only the kept path is read out as a
 vertex list.  Within one call the right-hand side of every matching is
 numbered by position in its part's sorted vertex list, so masks stay as
 wide as a part rather than the whole collection; matched positions are
-mapped back to vertex ids before every check.
+mapped back to vertex ids before every check.  The rows into a part are
+read once per call and colour, for the k parts before it at once, by
+symmetry from the part's own rows (:func:`_part_tables`).
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def build_path_collection(
     ids = [sorted(p) for p in parts]
     local = {v: i for part in ids for i, v in enumerate(part)}
     residual = [(1 << n1) - 1] * r
-    rows_into = _part_tables(collection, ids)
+    rows_into = _part_tables(collection, ids, k)
     out: list[PowerPath] = []
     for step, pat in enumerate(patterns, start=1):
         n_i = n1 - step + 1
@@ -115,40 +117,33 @@ def build_path_collection(
     return out
 
 
-class _PartRows(dict):
-    """Colour-c neighbourhoods into one part, as masks over the part's local
-    ids, keyed by vertex and read from the collection on first use.
-
-    A row is gathered in C: ``bin`` of the collection row with a sentinel
-    bit above the top vertex (so every vertex has a fixed string index),
-    an ``itemgetter`` over the part's vertices from its last to its first,
-    and ``int(..., 2)``.
-    """
-
-    def __init__(self, table: Sequence[int], pick: Callable, top: int) -> None:
-        super().__init__()
-        self.table, self.pick, self.top = table, pick, top
-
-    def __missing__(self, u: int) -> int:
-        row = self[u] = int("".join(self.pick(bin(self.table[u] | self.top))), 2)
-        return row
-
-
 def _part_tables(
-    collection: GraphCollection, ids: Sequence[Sequence[int]]
-) -> Callable[[int, int], _PartRows]:
-    """``rows_into(c, j)``: the rows of colour c into part j, one table per
-    (c, j), kept for the caller's lifetime."""
+    collection: GraphCollection, ids: Sequence[Sequence[int]], k: int
+) -> Callable[[int, int], dict[int, int]]:
+    """``rows_into(c, j)``: table (c, j), built on first use and kept for the
+    caller's lifetime.  It maps every vertex of the (up to) k parts before
+    part j to its colour-c neighbourhood in part j, as a mask of part j's
+    positions; a round reads no other rows.
+
+    The rows are read by symmetry, which :class:`GraphCollection` checks when
+    it is built: u's bit in x's row is x's bit in u's row.  Part j's rows,
+    last position first, are written as one string of n + 1 digits each
+    (``bin`` with a sentinel bit n, reversed, so bit v sits at offset v), so
+    u's row over the positions is ``int(digits[u::n + 1], 2)``, read in C.
+    The string is dropped once the table is filled.
+    """
     n = collection.n
     top = 1 << n
-    # bin(row | top) is "0b1" and then bits n-1 .. 0: bit v at index n + 2 - v
-    picks = [itemgetter(*[n + 2 - v for v in reversed(part)]) for part in ids]
-    tables: dict[tuple[int, int], _PartRows] = {}
+    tables: dict[tuple[int, int], dict[int, int]] = {}
 
-    def rows_into(c: int, j: int) -> _PartRows:
+    def rows_into(c: int, j: int) -> dict[int, int]:
         table = tables.get((c, j))
         if table is None:
-            table = tables[c, j] = _PartRows(collection.masks[c - 1], picks[j], top)
+            rows = collection.masks[c - 1]
+            digits = "".join([bin(rows[x] | top)[:1:-1] for x in reversed(ids[j])])
+            table = tables[c, j] = {
+                u: int(digits[u::n + 1], 2) for u in chain.from_iterable(ids[max(0, j - k):j])
+            }
         return table
 
     return rows_into
@@ -158,7 +153,7 @@ def _run_round(
     collection: GraphCollection,
     ids: Sequence[Sequence[int]],
     residual: Sequence[int],
-    rows_into: Callable[[int, int], _PartRows],
+    rows_into: Callable[[int, int], dict[int, int]],
     pat: ColourPattern,
     k: int,
     r: int,

@@ -70,6 +70,13 @@ REGRESSIONS = {
     "min-degree-m-float": lambda: random_min_degree_collection(10, 2.0, 0.5, rng()),
     "lowerbound-p-float": lambda: lowerbound_construction(2, 3.0),
     "verify-vertex-float": lambda: verify_coloured_embedding(K9, PATH5, [0, 1, 2, 3, 1.5]),
+    "verify-vertex-set": lambda: verify_coloured_embedding(K9, PATH5, {0, 1, 2, 3, 4}),
+    "verify-vertex-generator": lambda: verify_coloured_embedding(K9, PATH5, (v for v in range(5))),
+    "edge-float-end": lambda: GraphCollection.from_edge_lists(3, [[(0, 1.5)]]),
+    "edge-none": lambda: GraphCollection.from_edge_lists(3, [[(0, 1), None]]),
+    "edge-list-none": lambda: GraphCollection.from_edge_lists(3, [None]),
+    # this raised a raw ValueError
+    "edge-triple": lambda: GraphCollection.from_edge_lists(3, [[(0, 1, 2)]]),
     # this raised a raw KeyError
     "restrict-start-float": lambda: restrict_pattern(CYCLE9, 1.5, power_path(5, 2)),
     # these were accepted
@@ -81,6 +88,7 @@ REGRESSIONS = {
     "lowerbound-k-bool": lambda: lowerbound_construction(True, 3),
     "power-cycle-k-float": lambda: PowerCycle(2.0, tuple(range(9))),
     "power-path-vertex-float": lambda: PowerPath(1, (0.5, 1)),
+    "edge-bool-end": lambda: GraphCollection.from_edge_lists(3, [[(0, True)]]),
 }
 
 

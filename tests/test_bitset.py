@@ -1,7 +1,12 @@
 import random
 
 from helpers import reference_pick_bit
-from hampower.bitset import pick_bit
+from hampower.bitset import pick_bit, randbelow
+
+# every size up to 300, and each side of the powers of two up to 2^70, where
+# getrandbits takes one more bit or one more 32-bit word
+SIZES = sorted(set(range(1, 301)) | {(1 << j) + d for j in range(1, 71) for d in (-1, 1)})
+SEEDS = (0, 1, 90, 2**31 + 7)
 
 
 def assert_same_pick(mask, seed, draws=3):
@@ -12,7 +17,30 @@ def assert_same_pick(mask, seed, draws=3):
         assert ours.getstate() == ref.getstate()
 
 
+class TestRandbelow:
+    def test_same_values_and_state_as_randrange(self):
+        for seed in SEEDS:
+            ours, ref = random.Random(seed), random.Random(seed)
+            for n in SIZES:
+                assert [randbelow(n, ours.getrandbits) for _ in range(3)] == [
+                    ref.randrange(n) for _ in range(3)
+                ], (n, seed)
+                assert ours.getstate() == ref.getstate()
+
+
 class TestPickBit:
+    def test_same_rank_and_state_as_randrange(self):
+        # n set bits spread over a mask up to about 10 000 bits wide; the
+        # rank is one randrange(n)
+        gen = random.Random(82)
+        for seed in SEEDS:
+            ours, ref = random.Random(seed), random.Random(seed)
+            for n in (n for n in SIZES if n < 5000):
+                bits = sorted(gen.sample(range(2 * n + 5), n))
+                mask = sum(1 << v for v in bits)
+                assert pick_bit(mask, ours) == bits[ref.randrange(n)], (n, seed)
+                assert ours.getstate() == ref.getstate()
+
     def test_every_width_up_to_300(self):
         # covers the 64-bit cut-off of the halving: widths 63, 64, 65, 128, 129
         rng = random.Random(80)

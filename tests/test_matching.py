@@ -203,6 +203,29 @@ class TestAugmentMatchesReference:
             old = sorted((u, v) for v, u in enumerate(owners[-1]) if u >= 0)
             assert (pairs, state) == (old, rng.getstate())
 
+    def test_root_order_is_the_shuffle(self, monkeypatch):
+        # roots reach augment in rng.shuffle's order, with its state: the
+        # spy takes the lowest free vertex and draws nothing
+        roots = []
+
+        def spy(rows, root, owner, free, pick):
+            roots.append(root)
+            owner[v := lowest_bit(free)] = root
+            return v
+
+        monkeypatch.setattr(matching, "augment", spy)
+        sizes = sorted(set(range(1, 301)) | {(1 << j) + d for j in range(1, 11) for d in (-1, 1)})
+        for seed in (0, 1, 90):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for n in sizes:
+                roots.clear()
+                full = (1 << n) - 1
+                sample_perfect_matching(BipartiteGraph((full,) * n, full), ours)
+                want = list(range(n))
+                ref.shuffle(want)
+                assert roots == want, (n, seed)
+                assert ours.getstate() == ref.getstate()
+
 
 class TestBipartiteGraph:
     def test_sizes_and_edge_count(self):
@@ -300,8 +323,14 @@ class TestTilingGraphMatchesReference:
             w, n = gen.randint(1, 4), gen.randint(1, 10)
             verts = gen.sample(range(60), (w + 1) * n)
             parts = [sorted(verts[j * n:(j + 1) * n]) for j in range(w + 1)]
-            rows_into = _part_tables(coll, parts)
-            tables = [rows_into(gen.randint(1, 3), w) for _ in range(w)]
+            rows_into = _part_tables(coll, parts, w)
+            colours = [gen.randint(1, 3) for _ in range(w)]
+            tables = [rows_into(c, w) for c in colours]
+            for c, table in zip(colours, tables):  # rows of exactly the w parts before the last
+                assert table.keys() == set(verts[:w * n])
+                for u, row in table.items():
+                    want = sum(1 << i for i, v in enumerate(parts[w]) if coll.has_edge(c, u, v))
+                    assert row == want
             columns = [gen.sample(part, n) for part in parts[:w]]
             right = gen.getrandbits(n)  # a residual set of positions
             want = reference_tiling_graph(tables, list(zip(*columns)), right)

@@ -198,22 +198,22 @@ class TestWindowTilingCheck:
 
 class TestPartRows:
     def test_gathered_rows_are_neighbours_by_position(self):
-        # parts with holes, including the lowest and the highest vertex id
+        # parts with holes, including the lowest and the highest vertex id;
+        # with k = 2, table (c, j) holds the rows of parts j - 2 and j - 1
         rng = random.Random(89)
         coll = random_min_degree_collection(40, 2, 0.5, rng)
-        parts = [
-            sorted(rng.sample(range(1, 39), 9)) + [39],
-            [0] + sorted(rng.sample(range(1, 39), 9)),
+        inner = rng.sample(range(1, 39), 34)
+        parts = [sorted(inner[:8]) + [39], [0] + sorted(inner[8:16])] + [
+            sorted(inner[16 + 9 * i:25 + 9 * i]) for i in range(2)
         ]
-        rows_into = _part_tables(coll, parts)
+        rows_into = _part_tables(coll, parts, 2)
         for c in (1, 2):
             for j, part in enumerate(parts):
                 table = rows_into(c, j)
                 assert rows_into(c, j) is table
-                for u in range(40):
-                    want = sum(1 << i for i, v in enumerate(part) if coll.has_edge(c, u, v))
-                    assert table[u] == want
-                assert len(table) == 40
+                assert sorted(table) == sorted(v for p in parts[max(0, j - 2):j] for v in p)
+                for u, row in table.items():
+                    assert row == sum(1 << i for i, v in enumerate(part) if coll.has_edge(c, u, v))
 
 
 def _builder_digest(coll, r, k, n1, s, seed):
@@ -255,6 +255,14 @@ class TestBuilderDigest:
         # from its whole row, and some levels have a row below half the
         # side, some do not
         assert any(sparse) and not all(sparse)
+
+    def test_sixty_parts_of_16_near_the_threshold(self):
+        # 60 parts of 16 at k = 3 and delta = 1 - 1/2k + 0.02: the shape that
+        # paper-shaped plans give the builder
+        coll = random_min_degree_collection(960, 4, 0.853, random.Random(1))
+        assert _builder_digest(coll, 60, 3, 16, 10, 1) == (
+            "b623db887b9f3eaad8664afa80d84086c6e102d78d040dd3abd43f3e877879c5"
+        )
 
     def test_failure_names_the_same_step_and_level(self):
         coll = random_min_degree_collection(150, 4, 0.6, random.Random(1))
