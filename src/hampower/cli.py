@@ -80,6 +80,14 @@ def _build_parser() -> _Parser:
     g_random.add_argument("--seed", type=int, default=0)
     g_random.add_argument("--out-instance", required=True)
 
+    g_multi = gen_sub.add_parser("multipartite")
+    g_multi.add_argument("--n", type=int, required=True)
+    g_multi.add_argument("--parts", type=int, required=True)
+    g_multi.add_argument("--m", type=int, required=True)
+    g_multi.add_argument("--p", type=float, default=0.0, help="edge density inside the parts")
+    g_multi.add_argument("--seed", type=int, default=0)
+    g_multi.add_argument("--out-instance", required=True)
+
     g_lower = gen_sub.add_parser("lowerbound")
     g_lower.add_argument("--k", type=int, required=True)
     g_lower.add_argument("--p", type=int, required=True)
@@ -163,19 +171,20 @@ def _cmd_oracle(args) -> int:
     if args.count:
         count, stats = oracle.count_coloured_hamilton_powers(collection, pattern, args.budget)
         if stats.result == oracle.UNKNOWN:
-            print(f"UNKNOWN (budget exhausted after {stats.nodes} nodes, partial count {count})")
-            return 2
-        print(f"COUNT {count} (nodes={stats.nodes})")
-        return 0 if count > 0 else 2
-    cycle, stats = oracle.find_coloured_hamilton_power(collection, pattern, args.budget)
-    if stats.result == oracle.FOUND:
-        print(f"FOUND (nodes={stats.nodes}): {list(cycle.vertices)}")
-        return 0
-    if stats.result == oracle.NONE:
-        print(f"NONE (nodes={stats.nodes})")
-        return 2
-    print(f"UNKNOWN (budget exhausted after {stats.nodes} nodes)")
-    return 2
+            line = f"UNKNOWN (budget exhausted after {stats.nodes} nodes, partial count {count})"
+        else:
+            line = f"COUNT {count} (nodes={stats.nodes})"
+    else:
+        cycle, stats = oracle.find_coloured_hamilton_power(collection, pattern, args.budget)
+        if stats.result == oracle.FOUND:
+            line = f"FOUND (nodes={stats.nodes}): {list(cycle.vertices)}"
+        elif stats.result == oracle.NONE:
+            line = f"NONE (nodes={stats.nodes})"
+        else:
+            line = f"UNKNOWN (budget exhausted after {stats.nodes} nodes)"
+    print(line)
+    print(f"symmetries={stats.symmetries}")
+    return 0 if stats.result == oracle.FOUND else 2
 
 
 def _cmd_gen(args) -> int:
@@ -197,6 +206,15 @@ def _cmd_gen(args) -> int:
         print(
             f"random collection n={args.n} m={args.m} target delta={args.delta} "
             f"actual min degree={core.min_degree(collection)} -> {args.out_instance}"
+        )
+        return 0
+    if args.generator == "multipartite":
+        rng = pipeline.derive_rng(args.seed, "gen-multipartite")
+        collection, _ = instances.multipartite_collection(args.n, args.parts, args.m, args.p, rng)
+        core.save_json(args.out_instance, core.collection_to_dict(collection))
+        print(
+            f"multipartite collection n={args.n} parts={args.parts} m={args.m} p={args.p} "
+            f"min degree={core.min_degree(collection)} -> {args.out_instance}"
         )
         return 0
     collection, pattern = instances.lowerbound_construction(args.k, args.p, args.orientation)

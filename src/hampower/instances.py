@@ -2,9 +2,11 @@
 
 Covers the test/benchmark surface: complete collections, random collections
 with a minimum-degree floor, r-partite collections with per-pair bipartite
-degree floors, and the two-colour lower-bound family (a complete balanced
-multipartite graph paired with its matching-thinned companion plus a short
-colour-2 connector window, under which no compatible Hamilton power exists).
+degree floors, multipartite collections (each colour complete multipartite on
+its own random balanced partition, plus random edges inside the parts), and
+the two-colour lower-bound family (a complete balanced multipartite graph
+paired with its matching-thinned companion plus a short colour-2 connector
+window, under which no compatible Hamilton power exists).
 
 The random generators keep one draw order, so a seed gives the same
 collection in every version: per graph, one ``rng.random()`` draw per vertex
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import ceil
 
 from .bitset import mask_of, select
@@ -42,6 +44,7 @@ __all__ = [
     "complete_rpartite_collection",
     "random_rpartite_collection",
     "random_min_degree_collection",
+    "multipartite_collection",
     "lowerbound_construction",
     "random_pattern",
     "bijective_pattern",
@@ -236,6 +239,50 @@ def random_min_degree_collection(
                 _add_edges(rows, u, rng.sample(missing, short))
         tables.append(rows)
     return GraphCollection(n, tables)
+
+
+def multipartite_collection(
+    n: int,
+    parts: int,
+    m: int,
+    p: float,
+    rng: random.Random,
+) -> tuple[GraphCollection, list[list[list[int]]]]:
+    """m graphs on n vertices, each the complete ``parts``-partite graph on
+    its own random balanced partition plus random edges inside the parts at
+    density ``p``; returns the collection and each graph's parts.
+
+    Every vertex has degree at least n - ceil(n/parts); with parts = 2k
+    dividing n and p = 0, every degree is (1 - 1/2k)n.  Per graph: one
+    ``rng.shuffle`` of the vertices, whose i-th part is every
+    ``parts``-th vertex of the shuffled order from the i-th on, then, part
+    by part, one ``rng.random()`` per pair (u, v), u < v, of the part in
+    lexicographic order (an edge when the draw is below ``p``).
+    """
+    check_real(p, "density p", 0, 1)
+    _check_counts(n=n, m=m)
+    check_int(parts, "part count", 1, n)
+    full = (1 << n) - 1
+    tables, partitions = [], []
+    for _ in range(m):
+        order = list(range(n))
+        rng.shuffle(order)
+        split = [sorted(order[i::parts]) for i in range(parts)]
+        rows = [0] * n
+        for part in split:
+            outside = full ^ mask_of(part)
+            for v in part:
+                rows[v] = outside
+            size = len(part)
+            flags = _draw_flags(rng, size * (size - 1) // 2, p)
+            start = 0
+            for a, u in enumerate(part[:-1]):
+                later = part[a + 1:]
+                _add_edges(rows, u, list(compress(later, flags[start:start + len(later)])))
+                start += len(later)
+        tables.append(rows)
+        partitions.append(split)
+    return GraphCollection(n, tables), partitions
 
 
 def lowerbound_construction(

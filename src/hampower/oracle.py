@@ -18,27 +18,49 @@ one canonical placement, so a count is the canonical count times the
 product of |C|! over the classes C.  On a collection without twins the
 search is the plain one.
 
+Each orbit of the collection's other symmetries is tried once too.  An
+automorphism g (a permutation that keeps every graph) maps placements that
+work to placements that work, and the automorphisms are searched for once
+per call on the quotient by the twin classes, up to ``SYMMETRY_WORK``
+(see ``_automorphisms``).  Each is lifted to the permutation that maps
+every class onto its image class in increasing vertex order, so it maps
+canonical placements to canonical placements.  A frame carries the lifts
+found that fix every vertex placed so far.  They map its candidates to its
+candidates, so candidates v and w with the same least image, min_g g(v) =
+min_g g(w) = u, form one bucket and have as many canonical completions
+as u has.
+The frame tries only the first candidate of each bucket and weights its
+completions by the bucket's size.  That argument needs only that the
+lifts be automorphisms and include the identity, not that they form a
+group, so a search stopped at its work bound leaves every answer and
+count exact.  When the identity is the only automorphism found, every
+bucket is one candidate and the search is the plain one.
+
 When the pattern is invariant under the reflection through position 0,
-mirrored assignments are cut by requiring the position-(n-1) vertex's
-class to come no earlier than the position-1 vertex's class (classes are
-ordered by their smallest vertex; without twins this is "the
-position-(n-1) vertex exceeds the position-1 vertex").  Reflecting a
-solution and making it canonical again keeps each position's class, so
-some canonical solution passes both cuts.  For general patterns the rule
-is unsound and is skipped.
+and the identity is the only automorphism found, mirrored assignments are
+cut by requiring the position-(n-1) vertex's class to come no earlier than
+the position-1 vertex's class (classes are ordered by their smallest
+vertex; without twins this is "the position-(n-1) vertex exceeds the
+position-1 vertex").  Reflecting a solution and making it canonical again
+keeps each position's class, so some canonical solution passes both cuts.
+For general patterns the rule is unsound and is skipped; with the bucket
+cut it is skipped too, since no solution the buckets keep need pass it.
 
 The search is iterative, one stack frame per placed position, so no order
 reaches Python's recursion limit.  A node is one vertex placed at one
-position of a canonical partial placement, and ``SearchStats.nodes``
-counts each node once in the order of a plain depth-first recursion,
-including a node whose next position has no candidate.  A frame
-intersects the rows its children share once; each child then costs one
-AND with its predecessor's row.  Only one vertex is left for the last
-position, so a completed cycle is counted without a frame of its own.
+position of a canonical partial placement, the first of its bucket, and
+``SearchStats.nodes`` counts each node once in the order of a plain
+depth-first recursion, including a node whose next position has no
+candidate.  A frame intersects the rows its children share once; each
+child then costs one AND with its predecessor's row.  Only one vertex is
+left for the last position, so a completed cycle is counted without a
+frame of its own.
 
-Exhaustive runs stay practical only at small n: the lower-bound instances
-at n = 15 take up to 617 561 nodes.  Budgeted runs work at every order up
-to ``core.MAX_FILE_ORDER``.
+Exhaustive runs stay practical only at small n.  The lower-bound instances
+have symmetries but, at k >= 3, no twins: at n = 12 (k = 3) they take 777
+and 2 736 nodes, against 214 992 and 777 720 with the twin cut alone, and
+at n = 15 (k = 2) 1 528 and 2 653, against 352 521 and 617 561.  Budgeted
+runs work at every order up to ``core.MAX_FILE_ORDER``.
 """
 
 from __future__ import annotations
@@ -64,12 +86,19 @@ NONE = "none"
 UNKNOWN = "unknown"
 
 
+# the automorphism search stops once it has spent this much work: one unit
+# per 64-bit word of each row it intersects or counts, and n per
+# automorphism it lifts
+SYMMETRY_WORK = 1 << 15
+
+
 @dataclass
 class SearchStats:
     nodes: int = 0
     max_depth: int = 0
     elapsed: float = 0.0
     result: str = UNKNOWN
+    symmetries: int = 1
 
 
 def _back_constraints(pattern: ColourPattern) -> list[list[tuple[int, int]]]:
@@ -121,6 +150,97 @@ def _twin_classes(collection: GraphCollection) -> list[list[int]]:
     return list(classes.values())
 
 
+def _automorphisms(collection: GraphCollection, classes: list[list[int]]) -> list[list[int]]:
+    """Automorphisms of the collection found within ``SYMMETRY_WORK``, the
+    identity first; each is a list mapping every vertex to its image.
+
+    The search runs on the quotient, one vertex per twin class (its smallest
+    member), coloured by the class's size and by whether it is a clique in
+    each graph: two distinct classes are fully joined or not joined at all in
+    each graph, so a permutation of the classes that keeps colours and joins
+    is an automorphism once each class is mapped onto its image class in
+    increasing vertex order.  Colour refinement splits the representatives
+    into cells that every automorphism keeps; a cell of one vertex is fixed,
+    and since the refined cells are equitable, the backtracking search maps
+    only the other representatives, in increasing order, narrowing each
+    later one's candidates by its joins to the one just mapped.  Stopping
+    early leaves a subset of the automorphisms.
+    """
+    n = collection.n
+    found = [list(range(n))]
+    tables = list({id(rows): rows for rows in collection.masks}.values())
+    members_of = {members[0]: members for members in classes}
+    reps = list(members_of)
+    quotient = mask_of(reps)
+    joins = [{r: rows[r] & quotient for r in reps} for rows in tables]
+    # rows[first] >> last & 1 is 0 for a class of one: it has no loop
+    colour = {
+        r: (len(members), tuple(rows[r] >> members[-1] & 1 for rows in tables))
+        for r, members in members_of.items()
+    }
+    words = (n + 63) // 64
+    work = 0
+    while True:
+        cells: dict = {}
+        for r in reps:
+            cells[colour[r]] = cells.get(colour[r], 0) | 1 << r
+        if len(cells) == len(reps):
+            return found
+        order = [cells[c] for c in sorted(cells)]
+        work += len(reps) * len(joins) * len(order) * words
+        if work > SYMMETRY_WORK:
+            return found
+        signature = {
+            r: (colour[r], tuple((rows[r] & cell).bit_count() for rows in joins for cell in order))
+            for r in reps
+        }
+        if len(set(signature.values())) == len(cells):
+            break
+        rank = {c: i for i, c in enumerate(sorted(set(signature.values())))}
+        colour = {r: rank[signature[r]] for r in reps}
+    moving = [r for r in reps if cells[colour[r]] & (cells[colour[r]] - 1)]
+    image = {}
+    # one frame per mapped representative: the candidates of moving[i:]
+    # and the images of moving[i] not yet tried
+    initial = [cells[colour[r]] for r in moving]
+    frames = [(initial, initial[0])]
+    while frames:
+        i = len(frames) - 1
+        cand, options = frames[-1]
+        if not options:
+            frames.pop()
+            continue
+        low = options & -options
+        frames[-1] = cand, options ^ low
+        x, y, later = moving[i], low.bit_length() - 1, moving[i + 1:]
+        work += (1 + len(later) * len(joins)) * words
+        if work > SYMMETRY_WORK:
+            break
+        narrowed = []
+        for z, c in zip(later, cand[1:]):
+            c &= ~low
+            for rows in joins:
+                c &= rows[y] if rows[x] >> z & 1 else ~rows[y]
+            if not c:
+                break
+            narrowed.append(c)
+        else:
+            image[x] = y
+            if later:
+                frames.append((narrowed, narrowed[0]))
+                continue
+            work += n
+            if work > SYMMETRY_WORK:
+                break
+            if any(image[v] != v for v in moving):
+                lift = [0] * n
+                for r, members in members_of.items():
+                    for v, w in zip(members, members_of[image.get(r, r)]):
+                        lift[v] = w
+                found.append(lift)
+    return found
+
+
 def _run(
     collection: GraphCollection,
     pattern: ColourPattern,
@@ -134,8 +254,6 @@ def _run(
     if pattern.max_colour > collection.m:
         raise InvalidInstanceError("pattern colours exceed the number of graphs")
     limit = -1 if budget is None else check_int(budget, "node budget", 0)
-    # the reflection cut halves a find; a count must see every placement
-    use_reflection = not count_all and _reflection_symmetric(pattern)
     n = collection.n
     last = n - 1
     stats = SearchStats()
@@ -158,19 +276,29 @@ def _run(
     rep = list(range(n))
     twins = []
     orbit = 1
-    for members in _twin_classes(collection):
+    classes = _twin_classes(collection)
+    for members in classes:
         if len(members) > 1:
             twins.append(mask_of(members))
             orbit *= math.factorial(len(members))
             for v in members:
                 rep[v] = members[0]
+    lifts = _automorphisms(collection, classes)
+    stats.symmetries = len(lifts)
+    # the reflection cut halves a find; a count must see every placement,
+    # and with other symmetries cut too no kept placement need pass it
+    use_reflection = not count_all and len(lifts) == 1 and _reflection_symmetric(pattern)
 
-    def frame(p: int, cand: int, live: int) -> tuple:
+    def frame(p: int, cand: int, live: int, weight: int, lifts: list) -> tuple:
         """Position p's frame: the vertices unused before p, the rows that
         every child at p+1 shares, the table whose row at p's vertex
         completes a child's check, and p's candidates by ascending residual
         degree; of each twin class only its smallest unused vertex is a
-        candidate."""
+        candidate.  ``lifts`` are the automorphisms found that fix every
+        vertex placed before p; unless the identity is the only one, the
+        frame keeps the first candidate of each bucket, the candidates with
+        one least image, and ``sizes`` maps it to its bucket's size, by
+        which the frame's ``weight`` multiplies for its child."""
         for members in twins:
             unused = live & members
             cand &= ~(unused & (unused - 1))
@@ -181,20 +309,27 @@ def _run(
             ordered.append(((key[v] & live).bit_count(), v))
             cand ^= low
         ordered.sort()
+        sizes = None
+        if len(lifts) > 1:
+            buckets: dict[int, list[int]] = {}
+            for _, v in ordered:
+                buckets.setdefault(min(g[v] for g in lifts), []).append(v)
+            sizes = {bucket[0]: len(bucket) for bucket in buckets.values()}
+            ordered = [(d, v) for d, v in ordered if v in sizes]
         base = live
         for q, rows in fixed[p + 1]:
             base &= rows[assignment[q]]
-        return p, live, base, key, iter(ordered)
+        return p, live, base, key, iter(ordered), weight, lifts, sizes
 
     nodes = count = 0
     truncated = False
     found = None
-    stack = [frame(0, full, full)]
+    stack = [frame(0, full, full, 1, lifts)]
     # a frame's first candidate is a node unless the budget stops the
     # search before it
     max_depth = 1 if limit else 0
     while stack:
-        p, live, base, key, siblings = stack[-1]
+        p, live, base, key, siblings, weight, lifts, sizes = stack[-1]
         for _, v in siblings:
             if nodes == limit:
                 truncated = True
@@ -205,8 +340,10 @@ def _run(
             if not cand:
                 continue
             assignment[p] = v
+            placed = weight * sizes[v] if sizes else weight
             if p + 1 < last:
-                stack.append(frame(p + 1, cand, live ^ (1 << v)))
+                stabiliser = [g for g in lifts if g[v] == v] if sizes else lifts
+                stack.append(frame(p + 1, cand, live ^ (1 << v), placed, stabiliser))
                 if p + 2 > max_depth and nodes != limit:
                     max_depth = p + 2
                 break
@@ -219,7 +356,7 @@ def _run(
                 stack.clear()
                 break
             nodes += 1
-            count += 1
+            count += placed
             max_depth = n
             if not count_all:
                 assignment[last] = cand.bit_length() - 1

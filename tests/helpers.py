@@ -6,7 +6,8 @@ enumeration, Hamilton powers by permutation scan.  The ``reference_*``
 functions are the plain from-scratch forms of computations the library
 shortcuts (a bit walk over the whole mask, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
-try, one interpreted ``rng.random()`` per vertex pair, a connector's
+try, one interpreted ``rng.random()`` per vertex pair, the multipartite
+generator's edges listed pair by pair, a connector's
 constraints listed per call, a symmetry check on the n^2-character
 adjacency string); the shortcuts must agree with them exactly.
 The cycle layout's segment starts are checked against the closed forms it
@@ -655,6 +656,30 @@ def reference_random_min_degree_collection(
                     rows[v] |= 1 << u
         tables.append(rows)
     return GraphCollection(n, tables)
+
+
+def reference_multipartite_edges(
+    n: int, parts: int, m: int, p: float, rng: random.Random
+) -> list[list[tuple[int, int]]]:
+    """``multipartite_collection``'s graphs as edge lists: one
+    ``rng.shuffle``, every pair across two parts, and one interpreted
+    ``rng.random()`` per pair inside a part."""
+    edge_lists = []
+    for _ in range(m):
+        order = list(range(n))
+        rng.shuffle(order)
+        split = [sorted(order[i::parts]) for i in range(parts)]
+        part_of = {v: i for i, part in enumerate(split) for v in part}
+        inside = [
+            (u, v)
+            for part in split
+            for a, u in enumerate(part)
+            for v in part[a + 1:]
+            if rng.random() < p
+        ]
+        across = [(u, v) for u in range(n) for v in range(u + 1, n) if part_of[u] != part_of[v]]
+        edge_lists.append(across + inside)
+    return edge_lists
 
 
 def reference_checked_table(n: int, g: int, rows) -> tuple[tuple[int, ...], int]:

@@ -40,6 +40,7 @@ from hampower.instances import (
     complete_collection,
     complete_rpartite_collection,
     lowerbound_construction,
+    multipartite_collection,
     random_min_degree_collection,
     random_pattern,
     random_rpartite_collection,
@@ -169,6 +170,10 @@ SURFACE = {
     "random_min_degree_collection": (
         lambda **sizes: random_min_degree_collection(**sizes, rng=rng()),
         dict(n=6, m=2, delta_frac=0.5),
+    ),
+    "multipartite_collection": (
+        lambda **sizes: multipartite_collection(**sizes, rng=rng()),
+        dict(n=6, parts=3, m=2, p=0.5),
     ),
     "lowerbound_construction": (lowerbound_construction, dict(k=2, p=3)),
     "random_pattern": (lambda m: random_pattern(power_cycle(7, 2), m, rng()), dict(m=3)),

@@ -50,6 +50,36 @@ class TestGenOracle:
         assert code == 0
         assert "COUNT 120" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, result", [
+        ([], "NONE (nodes=777)"),
+        (["--count"], "COUNT 0 (nodes=777)"),
+        (["--budget", "5"], "UNKNOWN (budget exhausted after 5 nodes)"),
+    ])
+    def test_oracle_prints_symmetries_after_the_result(self, tmp_path, capsys, extra, result):
+        # the k = 3, p = 3 member has no twins and 288 automorphisms
+        inst, pat = tmp_path / "inst.json", tmp_path / "pat.json"
+        assert cli.dispatch(["gen", "lowerbound", "--k", "3", "--p", "3",
+                             "--out-instance", str(inst), "--out-pattern", str(pat)]) == 0
+        capsys.readouterr()
+        code = cli.dispatch(["oracle", "--instance", str(inst), "--pattern", str(pat), *extra])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [result, "symmetries=288"]
+
+    def test_gen_multipartite_then_oracle(self, tmp_path, capsys):
+        inst, pat = tmp_path / "inst.json", tmp_path / "pat.json"
+        code = cli.dispatch(["gen", "multipartite", "--n", "8", "--parts", "4", "--m", "2",
+                             "--p", "0.1", "--seed", "3", "--out-instance", str(inst)])
+        assert code == 0
+        assert "min degree=" in capsys.readouterr().out
+        collection = core.collection_from_dict(core.load_json(str(inst)))
+        rng = pipeline.derive_rng(3, "gen-multipartite")
+        assert collection == instances.multipartite_collection(8, 4, 2, 0.1, rng)[0]
+        assert core.min_degree(collection) >= 6
+        write_pattern(pat, instances.random_pattern(core.power_cycle(8, 2), 2, random.Random(0)))
+        code = cli.dispatch(["oracle", "--instance", str(inst), "--pattern", str(pat)])
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, lines[0].split()[0]) == (0, "FOUND") and lines[1].startswith("symmetries=")
+
 
 class TestSolveVerify:
     def test_solve_then_verify_round_trip(self, tmp_path, capsys):
@@ -180,13 +210,14 @@ class TestErrors:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("generator", ["complete", "random", "lowerbound"])
+    @pytest.mark.parametrize("generator", ["complete", "random", "multipartite", "lowerbound"])
     def test_gen_order_above_file_limit_exit_1(self, tmp_path, capsys, monkeypatch, generator):
         def refuse(*args):
             raise AssertionError("a generator ran on an order the loaders refuse")
 
         monkeypatch.setattr(instances, "complete_collection", refuse)
         monkeypatch.setattr(instances, "random_min_degree_collection", refuse)
+        monkeypatch.setattr(instances, "multipartite_collection", refuse)
         monkeypatch.setattr(instances, "lowerbound_construction", refuse)
         out, pat = tmp_path / "inst.json", tmp_path / "pat.json"
         if generator == "lowerbound":
@@ -198,6 +229,8 @@ class TestErrors:
             size = f"--n {core.MAX_FILE_ORDER + 1}"
         if generator == "random":
             argv += ["--delta", "0.5"]
+        if generator == "multipartite":
+            argv += ["--parts", "4"]
         assert cli.dispatch([*argv, "--out-instance", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: {size} exceeds the instance file limit"

@@ -1,9 +1,13 @@
+import hashlib
+import math
 import random
 
 import pytest
 
 from helpers import (
     min_pair_degree,
+    naive_hamilton_power_exists,
+    reference_multipartite_edges,
     reference_random_min_degree_collection,
     reference_random_rpartite_collection,
 )
@@ -25,9 +29,12 @@ from hampower.instances import (
     complete_collection,
     complete_rpartite_collection,
     lowerbound_construction,
+    multipartite_collection,
     random_min_degree_collection,
+    random_pattern,
     random_rpartite_collection,
 )
+from hampower.oracle import FOUND, find_coloured_hamilton_power
 
 
 class TestCompleteCollection:
@@ -100,6 +107,15 @@ class TestSizeErrors:
         assert rng.getstate() == state
         with pytest.raises(InvalidInstanceError):
             complete_rpartite_collection(r, part_size, m)
+
+    @pytest.mark.parametrize("n, parts, m, p", [(0, 1, 1, 0.5), (3, 0, 1, 0.5), (3, 4, 1, 0.5),
+                                                (3, 2, 0, 0.5), (3, 2, 1, -0.1), (3, 2, 1, 1.5)])
+    def test_multipartite(self, n, parts, m, p):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError):
+            multipartite_collection(n, parts, m, p, rng)
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("n, m", [(-1, 1), (0, 1), (3, 0)])
     def test_complete(self, n, m):
@@ -200,6 +216,54 @@ class TestRPartite:
         coll, parts = random_rpartite_collection(3, 4, 1, 1.0, rng)
         complete, _ = complete_rpartite_collection(3, 4, 1)
         assert coll == complete
+
+
+class TestMultipartite:
+    SHAPES = [(1, 1), (5, 2), (7, 3), (8, 4), (12, 4), (30, 4), (31, 6), (9, 9)]
+
+    def test_degree_floor_and_balanced_parts(self):
+        for n, parts in self.SHAPES:
+            for p in (0, 0.1, 0.5, 1):
+                coll, partitions = multipartite_collection(n, parts, 3, p, random.Random(n))
+                assert min_degree(coll) >= n - math.ceil(n / parts), (n, parts, p)
+                assert len(partitions) == 3
+                for split in partitions:
+                    assert sorted(v for part in split for v in part) == list(range(n))
+                    assert {len(part) for part in split} <= {n // parts, -(-n // parts)}
+                    assert all(part == sorted(part) for part in split)
+
+    def test_masks_equal_listed_edges(self):
+        # equal rng states too: the generator makes the reference's draws
+        for n, parts in self.SHAPES:
+            for p in (0, 0.3, 1):
+                for seed in range(3):
+                    got_rng, want_rng = random.Random(seed), random.Random(seed)
+                    got, _ = multipartite_collection(n, parts, 2, p, got_rng)
+                    edges = reference_multipartite_edges(n, parts, 2, p, want_rng)
+                    assert got == GraphCollection.from_edge_lists(n, edges), (n, parts, p, seed)
+                    assert got_rng.getstate() == want_rng.getstate()
+
+    def test_digest_pins_the_draw_order(self):
+        coll, partitions = multipartite_collection(40, 4, 3, 0.1, random.Random(2026))
+        blob = repr((coll.masks, partitions)).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "8d4ef0d35822a31e56a47dac56117affbe4afa45ad61bb6c2a3e660620e3d72b"
+        )
+
+    def test_oracle_agrees_with_permutation_scan(self):
+        # at k = 2, four parts put every degree at the 1 - 1/2k threshold and
+        # two parts put it at n/2, below it
+        outcomes = set()
+        for parts, p in ((4, 0.1), (2, 0.2)):
+            for seed in range(4):
+                rng = random.Random(seed)
+                coll, _ = multipartite_collection(8, parts, 2, p, rng)
+                pattern = random_pattern(power_cycle(8, 2), 2, rng)
+                _, stats = find_coloured_hamilton_power(coll, pattern)
+                expected = naive_hamilton_power_exists(coll, pattern)
+                assert (stats.result == FOUND) == expected, (parts, seed)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestLowerBound:

@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 
 import pytest
 
 from helpers import naive_hamilton_power_count, naive_hamilton_power_exists
+from hampower import oracle
+from hampower.bitset import mask_of, select
 from hampower.core import (
     ColourPattern,
     GraphCollection,
@@ -17,12 +20,14 @@ from hampower.instances import (
     bijective_pattern,
     complete_collection,
     lowerbound_construction,
+    random_min_degree_collection,
     random_pattern,
 )
 from hampower.oracle import (
     FOUND,
     NONE,
     UNKNOWN,
+    _automorphisms,
     _reflection_symmetric,
     _twin_classes,
     count_coloured_hamilton_powers,
@@ -80,6 +85,18 @@ def reflection_symmetric_pattern(n: int, k: int, m: int, rng: random.Random) -> 
         mirror = canonical_edge((-i) % n, (-j) % n)
         colours[(i, j)] = colours.get(mirror) or rng.randint(1, m)
     return ColourPattern(power_cycle(n, k), colours)
+
+
+def circulant_collection(rng: random.Random, n: int, m: int) -> GraphCollection:
+    """m circulant graphs on Z_n, each with its own random set of jumps: the
+    rotations and the reflection v -> -v keep every graph."""
+    edge_lists = []
+    for _ in range(m):
+        jumps = {d for d in range(1, n // 2 + 1) if rng.random() < 0.6}
+        edge_lists.append([
+            (u, v) for u in range(n) for v in range(u + 1, n) if min(v - u, n - v + u) in jumps
+        ])
+    return GraphCollection.from_edge_lists(n, edge_lists)
 
 
 def orbit_size(collection: GraphCollection) -> int:
@@ -144,7 +161,10 @@ class TestFind:
 
 class TestLowerBoundInstances:
     # (result, nodes, max_depth) pins the search itself: the candidate
-    # order, the pruning and the node count are all part of its contract
+    # order, the pruning and the node count are all part of its contract.
+    # symmetries counts the automorphisms found, up to relabelling twins:
+    # the k + 1 parts of G1 may be permuted as long as the pairs of G2 stay
+    # pairs, and the vertex indices within a pair together
     def test_k1_p3_none(self):
         for orientation in ("figure", "text"):
             coll, pattern = lowerbound_construction(1, 3, orientation)
@@ -154,7 +174,7 @@ class TestLowerBoundInstances:
     def test_k2_p3_none_figure(self):
         coll, pattern = lowerbound_construction(2, 3, "figure")
         _, stats = find_coloured_hamilton_power(coll, pattern)
-        assert (stats.result, stats.nodes, stats.max_depth) == (NONE, 997, 8)
+        assert (stats.result, stats.nodes, stats.max_depth, stats.symmetries) == (NONE, 88, 8, 12)
 
     def test_k2_p3_all_colour_one_found(self):
         coll, pattern = lowerbound_construction(2, 3)
@@ -165,19 +185,23 @@ class TestLowerBoundInstances:
         assert verify_coloured_embedding(coll, ones, cycle.vertices).ok
 
     def test_larger_family_members_also_none(self):
-        pinned = {(3, 3): (214_992, 10), (1, 5): (55_620, 9), (2, 4): (15_521, 11)}
-        for (k, p), (nodes, max_depth) in pinned.items():
+        pinned = {(3, 3): (777, 10, 288), (1, 5): (243, 9, 240), (2, 4): (340, 11, 48)}
+        for (k, p), (nodes, max_depth, symmetries) in pinned.items():
             coll, pattern = lowerbound_construction(k, p, "figure")
             _, stats = find_coloured_hamilton_power(coll, pattern)
-            assert (stats.result, stats.nodes, stats.max_depth) == (NONE, nodes, max_depth), (k, p)
+            assert (stats.result, stats.nodes, stats.max_depth, stats.symmetries) == (
+                NONE, nodes, max_depth, symmetries
+            ), (k, p)
 
     def test_k2_p5_none_without_budget(self):
         # n = 15: the unpaired part is one twin class of 5
-        pinned = {"figure": 352_521, "text": 617_561}
+        pinned = {"figure": 1_528, "text": 2_653}
         for orientation, nodes in pinned.items():
             coll, pattern = lowerbound_construction(2, 5, orientation)
             _, stats = find_coloured_hamilton_power(coll, pattern)
-            assert (stats.result, stats.nodes, stats.max_depth) == (NONE, nodes, 14), orientation
+            assert (stats.result, stats.nodes, stats.max_depth, stats.symmetries) == (
+                NONE, nodes, 14, 240
+            ), orientation
 
 
 class TestCount:
@@ -206,12 +230,13 @@ class TestCount:
 
     def test_budget_gives_unknown(self):
         # the unpaired part {6, 7, 8} is one twin class: a partial count is
-        # the canonical placements so far times 3!
+        # the canonical placements so far, each weighted by the buckets it
+        # stands for, times 3!
         coll, pattern = lowerbound_construction(2, 3)
         ones = all_colour_one(pattern)
         count, stats = count_coloured_hamilton_powers(coll, ones)
-        assert (count, stats.nodes, stats.result) == (1296, 1189, FOUND)
-        pinned = {1: (0, 1, 1), 10: (6, 10, 9), 100: (96, 100, 9)}
+        assert (count, stats.nodes, stats.result) == (1296, 104, FOUND)
+        pinned = {1: (0, 1, 1), 10: (72, 10, 9), 100: (1224, 100, 9)}
         for budget, (partial, nodes, max_depth) in pinned.items():
             count, stats = count_coloured_hamilton_powers(coll, ones, budget=budget)
             assert (count, stats.nodes, stats.max_depth, stats.result) == (
@@ -284,6 +309,118 @@ class TestTwinCut:
                 assert partial % orbit == 0 and partial <= exact, seed
         assert outcomes == {True, False}
         assert symmetric >= 10 and twinned >= 40
+
+
+@functools.cache
+def symmetric_instances() -> tuple:
+    """(collection, pattern, exact count, automorphisms found) for 48 seeded
+    instances with symmetries beyond twins, n <= 8: circulants, K_n minus a
+    Hamilton cycle, planted-twin blow-ups and lower-bound members, in turn.
+    Odd seeds draw reflection-symmetric patterns; even seeds draw random
+    ones, except that a lower-bound member keeps its own pattern."""
+    cases = []
+    for seed in range(48):
+        rng = random.Random(30_000 + seed)
+        n, k, m = rng.choice([5, 6, 7, 8]), rng.choice([1, 2]), rng.randint(1, 3)
+        family = seed // 2 % 4
+        pattern = None
+        if family == 0:
+            coll = circulant_collection(rng, n, m)
+        elif family == 1:
+            coll, m = complete_minus_hamilton_cycle(n), 1
+        elif family == 2:
+            coll = planted_twin_collection(rng, n, m)
+        else:
+            p, orientation = rng.choice([3, 4]), rng.choice(["figure", "text"])
+            coll, pattern = lowerbound_construction(1, p, orientation)
+            n, k, m = coll.n, 1, 2
+        if seed % 2:
+            pattern = reflection_symmetric_pattern(n, k, m, rng)
+        elif pattern is None:
+            pattern = random_pattern(power_cycle(n, k), m, rng)
+        symmetries = len(_automorphisms(coll, _twin_classes(coll)))
+        cases.append((coll, pattern, naive_hamilton_power_count(coll, pattern), symmetries))
+    return tuple(cases)
+
+
+class TestSymmetryCut:
+    def test_instances_have_symmetries_beyond_twins(self):
+        cases = symmetric_instances()
+        assert sum(symmetries > 1 for *_, symmetries in cases) >= 30
+        assert {exact > 0 for _, _, exact, _ in cases} == {True, False}
+        assert sum(_reflection_symmetric(pattern) for _, pattern, _, _ in cases) >= 24
+
+    # 0, 1 and 3 leave the identity alone; 64 and 256 stop the automorphism
+    # search part way, so a frame keeps a set that is not a group
+    @pytest.mark.parametrize("work", [None, 0, 1, 3, 64, 256])
+    def test_agrees_with_permutation_scans(self, monkeypatch, work):
+        if work is not None:
+            monkeypatch.setattr(oracle, "SYMMETRY_WORK", work)
+        rng = random.Random(31_000)
+        partial = 0
+        for seed, (coll, pattern, exact, symmetries) in enumerate(symmetric_instances()):
+            cycle, stats = find_coloured_hamilton_power(coll, pattern)
+            assert (stats.result == FOUND) == (exact > 0), seed
+            if cycle is not None:
+                assert verify_coloured_embedding(coll, pattern, cycle.vertices).ok
+            partial += 1 < stats.symmetries < symmetries
+            assert stats.symmetries <= symmetries
+
+            count, stats = count_coloured_hamilton_powers(coll, pattern)
+            assert (count, stats.result) == (exact, FOUND if exact else NONE), seed
+            if stats.nodes > 1:
+                budget = rng.randrange(1, stats.nodes)
+                part, stats = count_coloured_hamilton_powers(coll, pattern, budget=budget)
+                assert (stats.result, stats.nodes) == (UNKNOWN, budget), seed
+                assert part <= exact and part % orbit_size(coll) == 0, seed
+        if work in (64, 256):
+            assert partial >= 5
+
+    def test_lifts_are_automorphisms_keeping_class_order(self):
+        collections = [coll for coll, *_ in symmetric_instances()]
+        collections += [lowerbound_construction(k, p)[0] for k, p in ((2, 3), (2, 4), (3, 3))]
+        for coll in collections:
+            classes = _twin_classes(coll)
+            lifts = _automorphisms(coll, classes)
+            assert lifts[0] == list(range(coll.n))
+            assert len({tuple(g) for g in lifts}) == len(lifts)
+            for g in lifts:
+                assert sorted(g) == list(range(coll.n))
+                for rows in coll.masks:
+                    for u, row in enumerate(rows):
+                        assert rows[g[u]] == mask_of(g[v] for v in select(row, range(coll.n)))
+                images = {tuple(g[v] for v in members) for members in classes}
+                assert images == {tuple(members) for members in classes}
+            if len(lifts) <= 64:
+                # the search ran to the end, so the lifts form a group
+                found = {tuple(g) for g in lifts}
+                assert all(tuple(g[h[v]] for v in range(coll.n)) in found for g in lifts for h in lifts)
+
+
+class TestIdentityOnly:
+    # twin-free random collections whose only automorphism is the identity:
+    # the search is the plain one, reflection cut included, so (result,
+    # nodes, max_depth, cycle) equal those of a search with no symmetry cut
+    @pytest.mark.parametrize("seed, pinned", [
+        (9, (NONE, 1442, 9, None)),
+        (27, (FOUND, 5326, 12, (1, 5, 6, 7, 3, 8, 4, 0, 11, 2, 9, 10))),
+        (35, (NONE, 4981, 11, None)),
+        (36, (FOUND, 677, 9, (0, 4, 3, 1, 7, 8, 5, 2, 6))),
+        (6, (NONE, 1571, 10, None)),
+    ])
+    def test_search_is_the_plain_one(self, seed, pinned):
+        rng = random.Random(7000 + seed)
+        n = 9 + seed % 4
+        coll = random_min_degree_collection(n, 2, rng.uniform(0.3, 0.45), rng)
+        if seed % 2:
+            pattern = reflection_symmetric_pattern(n, 2, 2, rng)
+        else:
+            pattern = random_pattern(power_cycle(n, 2), 2, rng)
+        assert len(_twin_classes(coll)) == n
+        cycle, stats = find_coloured_hamilton_power(coll, pattern)
+        assert stats.symmetries == 1
+        vertices = cycle.vertices if cycle else None
+        assert (stats.result, stats.nodes, stats.max_depth, vertices) == pinned
 
 
 class TestLargeOrder:
