@@ -20,10 +20,15 @@ search is the plain one.
 
 Each orbit of the collection's other symmetries is tried once too.  An
 automorphism g (a permutation that keeps every graph) maps placements that
-work to placements that work, and the automorphisms are searched for once
-per call on the quotient by the twin classes, up to ``SYMMETRY_WORK``
-(see ``_automorphisms``).  Each is lifted to the permutation that maps
-every class onto its image class in increasing vertex order, so it maps
+work to placements that work, and the automorphisms are listed once per
+call on the quotient by the twin classes, along a stabiliser chain: one
+coset representative per candidate image at each level, found by a
+forward-checking search stopped at its first leaf, and the rest of the
+group as products.  The work is bounded by ``SYMMETRY_WORK`` units, one
+per 64-bit word of each row intersected or counted and n per automorphism
+listed (see ``_automorphisms``); ``SearchStats.symmetry_work`` is the work
+spent.  Each automorphism is lifted to the permutation that maps every
+class onto its image class in increasing vertex order, so it maps
 canonical placements to canonical placements.  A frame carries the lifts
 found that fix every vertex placed so far.  They map its candidates to its
 candidates, so candidates v and w with the same least image, min_g g(v) =
@@ -59,7 +64,8 @@ frame of its own.
 Exhaustive runs stay practical only at small n.  The lower-bound instances
 have symmetries but, at k >= 3, no twins: at n = 12 (k = 3) they take 777
 and 2 736 nodes, against 214 992 and 777 720 with the twin cut alone, and
-at n = 15 (k = 2) 1 528 and 2 653, against 352 521 and 617 561.  Budgeted
+at n = 15 (k = 2) 1 528 and 2 653, against 352 521 and 617 561.  Listing
+their 288 and 240 automorphisms takes about 1.5 and 1.2 ms a call.  Budgeted
 runs work at every order up to ``core.MAX_FILE_ORDER``.
 """
 
@@ -88,7 +94,7 @@ UNKNOWN = "unknown"
 
 # the automorphism search stops once it has spent this much work: one unit
 # per 64-bit word of each row it intersects or counts, and n per
-# automorphism it lifts
+# automorphism it lists
 SYMMETRY_WORK = 1 << 15
 
 
@@ -99,6 +105,7 @@ class SearchStats:
     elapsed: float = 0.0
     result: str = UNKNOWN
     symmetries: int = 1
+    symmetry_work: int = 0
 
 
 def _back_constraints(pattern: ColourPattern) -> list[list[tuple[int, int]]]:
@@ -150,9 +157,14 @@ def _twin_classes(collection: GraphCollection) -> list[list[int]]:
     return list(classes.values())
 
 
-def _automorphisms(collection: GraphCollection, classes: list[list[int]]) -> list[list[int]]:
+def _automorphisms(
+    collection: GraphCollection,
+    classes: list[list[int]],
+    stats: Optional[SearchStats] = None,
+) -> list[list[int]]:
     """Automorphisms of the collection found within ``SYMMETRY_WORK``, the
-    identity first; each is a list mapping every vertex to its image.
+    identity first, each once; each is a list mapping every vertex to its
+    image.  When ``stats`` is given, its ``symmetry_work`` is the work spent.
 
     The search runs on the quotient, one vertex per twin class (its smallest
     member), coloured by the class's size and by whether it is a clique in
@@ -161,13 +173,33 @@ def _automorphisms(collection: GraphCollection, classes: list[list[int]]) -> lis
     is an automorphism once each class is mapped onto its image class in
     increasing vertex order.  Colour refinement splits the representatives
     into cells that every automorphism keeps; a cell of one vertex is fixed,
-    and since the refined cells are equitable, the backtracking search maps
-    only the other representatives, in increasing order, narrowing each
-    later one's candidates by its joins to the one just mapped.  Stopping
-    early leaves a subset of the automorphisms.
+    and since the refined cells are equitable, only the other
+    representatives, ``moving``, are mapped, in increasing order, each
+    mapping narrowing every later one's candidates by its joins to the one
+    just mapped.
+
+    The group is listed along its stabiliser chain (Sims): G_i fixes
+    ``moving[:i]``, and G_i is the union of the cosets u G_(i+1), one per
+    image y of ``moving[i]`` under G_i.  The candidates of each level with
+    ``moving[:i]`` fixed are narrowed once along the identity.  From the
+    deepest level up, a forward-checking search for each candidate y runs to
+    its first leaf only, which is a coset representative u, and the level
+    lists u h for every h of G_(i+1); products over the chain are distinct.
+    Work is one unit per 64-bit word of each row intersected or counted and
+    n per automorphism listed.  Stopping early leaves a subset of the
+    automorphisms that contains the identity.
     """
     n = collection.n
     found = [list(range(n))]
+    stats = stats or SearchStats()
+
+    def spend(units: int) -> bool:
+        """Charge ``units`` unless that takes the work past ``SYMMETRY_WORK``."""
+        if stats.symmetry_work + units > SYMMETRY_WORK:
+            return False
+        stats.symmetry_work += units
+        return True
+
     tables = list({id(rows): rows for rows in collection.masks}.values())
     members_of = {members[0]: members for members in classes}
     reps = list(members_of)
@@ -179,7 +211,6 @@ def _automorphisms(collection: GraphCollection, classes: list[list[int]]) -> lis
         for r, members in members_of.items()
     }
     words = (n + 63) // 64
-    work = 0
     while True:
         cells: dict = {}
         for r in reps:
@@ -187,8 +218,7 @@ def _automorphisms(collection: GraphCollection, classes: list[list[int]]) -> lis
         if len(cells) == len(reps):
             return found
         order = [cells[c] for c in sorted(cells)]
-        work += len(reps) * len(joins) * len(order) * words
-        if work > SYMMETRY_WORK:
+        if not spend(len(reps) * len(joins) * len(order) * words):
             return found
         signature = {
             r: (colour[r], tuple((rows[r] & cell).bit_count() for rows in joins for cell in order))
@@ -199,45 +229,71 @@ def _automorphisms(collection: GraphCollection, classes: list[list[int]]) -> lis
         rank = {c: i for i, c in enumerate(sorted(set(signature.values())))}
         colour = {r: rank[signature[r]] for r in reps}
     moving = [r for r in reps if cells[colour[r]] & (cells[colour[r]] - 1)]
-    image = {}
-    # one frame per mapped representative: the candidates of moving[i:]
-    # and the images of moving[i] not yet tried
-    initial = [cells[colour[r]] for r in moving]
-    frames = [(initial, initial[0])]
-    while frames:
-        i = len(frames) - 1
-        cand, options = frames[-1]
-        if not options:
-            frames.pop()
-            continue
-        low = options & -options
-        frames[-1] = cand, options ^ low
-        x, y, later = moving[i], low.bit_length() - 1, moving[i + 1:]
-        work += (1 + len(later) * len(joins)) * words
-        if work > SYMMETRY_WORK:
-            break
+
+    # the work of narrowing the candidates of moving[i + 1:] by moving[i]
+    steps = [(1 + (len(moving) - i - 1) * len(joins)) * words for i in range(len(moving))]
+
+    def narrow(cand: list[int], i: int, y: int) -> Optional[list[int]]:
+        """The candidates of ``moving[i + 1:]`` once ``moving[i]`` maps to
+        y, from ``cand``, those of ``moving[i:]``; None if one is left with
+        none."""
+        x = moving[i]
         narrowed = []
-        for z, c in zip(later, cand[1:]):
-            c &= ~low
+        for z, c in zip(moving[i + 1:], cand[1:]):
+            c &= ~(1 << y)
             for rows in joins:
                 c &= rows[y] if rows[x] >> z & 1 else ~rows[y]
             if not c:
-                break
+                return None
             narrowed.append(c)
-        else:
-            image[x] = y
-            if later:
-                frames.append((narrowed, narrowed[0]))
-                continue
-            work += n
-            if work > SYMMETRY_WORK:
+        return narrowed
+
+    # levels[i] holds the candidates of moving[i:] with moving[:i] fixed
+    levels = [[cells[colour[r]] for r in moving]]
+    for i, x in enumerate(moving[:-1]):
+        if not spend(steps[i]):
+            return found
+        levels.append(narrow(levels[-1], i, x))
+    # image[j] is moving[j]'s image: j < i stay fixed while level i is searched
+    image = moving[:]
+    for i in reversed(range(len(moving))):
+        group = len(found)
+        targets = levels[i][0] ^ 1 << moving[i]
+        while targets:
+            target = targets & -targets
+            targets ^= target
+            # one frame per mapped representative from moving[i] on: the
+            # candidates of moving[j:] and the images of moving[j] not yet tried
+            frames = [(levels[i], target)]
+            while frames:
+                j = i + len(frames) - 1
+                cand, options = frames[-1]
+                if not options:
+                    frames.pop()
+                    continue
+                low = options & -options
+                frames[-1] = cand, options ^ low
+                if not spend(steps[j]):
+                    return found
+                y = low.bit_length() - 1
+                narrowed = narrow(cand, j, y)
+                if narrowed is None:
+                    continue
+                image[j] = y
+                if narrowed:
+                    frames.append((narrowed, narrowed[0]))
+                    continue
+                # a leaf: u maps moving[i] to the target and stands for its
+                # coset of the group listed so far
+                u = list(range(n))
+                for x, y in zip(moving[i:], image[i:]):
+                    for v, w in zip(members_of[x], members_of[y]):
+                        u[v] = w
+                for h in found[:group]:
+                    if not spend(n):
+                        return found
+                    found.append(list(map(u.__getitem__, h)))
                 break
-            if any(image[v] != v for v in moving):
-                lift = [0] * n
-                for r, members in members_of.items():
-                    for v, w in zip(members, members_of[image.get(r, r)]):
-                        lift[v] = w
-                found.append(lift)
     return found
 
 
@@ -283,7 +339,7 @@ def _run(
             orbit *= math.factorial(len(members))
             for v in members:
                 rep[v] = members[0]
-    lifts = _automorphisms(collection, classes)
+    lifts = _automorphisms(collection, classes, stats)
     stats.symmetries = len(lifts)
     # the reflection cut halves a find; a count must see every placement,
     # and with other symmetries cut too no kept placement need pass it

@@ -9,7 +9,8 @@ template subset, one gadget built per pattern, every t the planner could
 try, one interpreted ``rng.random()`` per vertex pair, the multipartite
 generator's edges listed pair by pair, a connector's
 constraints listed per call, a symmetry check on the n^2-character
-adjacency string); the shortcuts must agree with them exactly.
+adjacency string, every automorphism found as its own backtracking leaf);
+the shortcuts must agree with them exactly.
 The cycle layout's segment starts are checked against the closed forms it
 was once computed by.
 ``count_perfect_matchings`` and ``sample_exact`` (permanents by subset
@@ -29,6 +30,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional
 
+from hampower import oracle
 from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_edge_count
 from hampower.bitset import mask_of, pick_bit, select
 from hampower.core import (
@@ -769,3 +771,98 @@ def fallback_instance() -> tuple[GraphCollection, ColourPattern, PipelineConfig]
         alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=5, max_retries=1
     )
     return coll, pattern, config
+
+
+def reference_automorphisms(
+    collection: GraphCollection, classes: list[list[int]]
+) -> list[list[int]]:
+    """Automorphisms of the collection found within ``oracle.SYMMETRY_WORK``,
+    the identity first; each is a list mapping every vertex to its image.
+    Each is found as its own leaf of one backtracking search, where
+    ``oracle._automorphisms`` lists the group along a stabiliser chain.
+
+    The search runs on the quotient, one vertex per twin class (its smallest
+    member), coloured by the class's size and by whether it is a clique in
+    each graph: two distinct classes are fully joined or not joined at all in
+    each graph, so a permutation of the classes that keeps colours and joins
+    is an automorphism once each class is mapped onto its image class in
+    increasing vertex order.  Colour refinement splits the representatives
+    into cells that every automorphism keeps; a cell of one vertex is fixed,
+    and since the refined cells are equitable, the backtracking search maps
+    only the other representatives, in increasing order, narrowing each
+    later one's candidates by its joins to the one just mapped.  Stopping
+    early leaves a subset of the automorphisms.
+    """
+    n = collection.n
+    found = [list(range(n))]
+    tables = list({id(rows): rows for rows in collection.masks}.values())
+    members_of = {members[0]: members for members in classes}
+    reps = list(members_of)
+    quotient = mask_of(reps)
+    joins = [{r: rows[r] & quotient for r in reps} for rows in tables]
+    # rows[first] >> last & 1 is 0 for a class of one: it has no loop
+    colour = {
+        r: (len(members), tuple(rows[r] >> members[-1] & 1 for rows in tables))
+        for r, members in members_of.items()
+    }
+    words = (n + 63) // 64
+    work = 0
+    while True:
+        cells: dict = {}
+        for r in reps:
+            cells[colour[r]] = cells.get(colour[r], 0) | 1 << r
+        if len(cells) == len(reps):
+            return found
+        order = [cells[c] for c in sorted(cells)]
+        work += len(reps) * len(joins) * len(order) * words
+        if work > oracle.SYMMETRY_WORK:
+            return found
+        signature = {
+            r: (colour[r], tuple((rows[r] & cell).bit_count() for rows in joins for cell in order))
+            for r in reps
+        }
+        if len(set(signature.values())) == len(cells):
+            break
+        rank = {c: i for i, c in enumerate(sorted(set(signature.values())))}
+        colour = {r: rank[signature[r]] for r in reps}
+    moving = [r for r in reps if cells[colour[r]] & (cells[colour[r]] - 1)]
+    image = {}
+    # one frame per mapped representative: the candidates of moving[i:]
+    # and the images of moving[i] not yet tried
+    initial = [cells[colour[r]] for r in moving]
+    frames = [(initial, initial[0])]
+    while frames:
+        i = len(frames) - 1
+        cand, options = frames[-1]
+        if not options:
+            frames.pop()
+            continue
+        low = options & -options
+        frames[-1] = cand, options ^ low
+        x, y, later = moving[i], low.bit_length() - 1, moving[i + 1:]
+        work += (1 + len(later) * len(joins)) * words
+        if work > oracle.SYMMETRY_WORK:
+            break
+        narrowed = []
+        for z, c in zip(later, cand[1:]):
+            c &= ~low
+            for rows in joins:
+                c &= rows[y] if rows[x] >> z & 1 else ~rows[y]
+            if not c:
+                break
+            narrowed.append(c)
+        else:
+            image[x] = y
+            if later:
+                frames.append((narrowed, narrowed[0]))
+                continue
+            work += n
+            if work > oracle.SYMMETRY_WORK:
+                break
+            if any(image[v] != v for v in moving):
+                lift = [0] * n
+                for r, members in members_of.items():
+                    for v, w in zip(members, members_of[image.get(r, r)]):
+                        lift[v] = w
+                found.append(lift)
+    return found

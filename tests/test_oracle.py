@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from helpers import naive_hamilton_power_count, naive_hamilton_power_exists
+from helpers import (
+    naive_hamilton_power_count,
+    naive_hamilton_power_exists,
+    reference_automorphisms,
+)
 from hampower import oracle
 from hampower.bitset import mask_of, select
 from hampower.core import (
@@ -20,6 +24,7 @@ from hampower.instances import (
     bijective_pattern,
     complete_collection,
     lowerbound_construction,
+    multipartite_collection,
     random_min_degree_collection,
     random_pattern,
 )
@@ -192,6 +197,19 @@ class TestLowerBoundInstances:
             assert (stats.result, stats.nodes, stats.max_depth, stats.symmetries) == (
                 NONE, nodes, max_depth, symmetries
             ), (k, p)
+
+    def test_k3_p4_none_at_the_work_bound(self):
+        # n = 16 has 4 608 automorphisms, and listing them would cost
+        # 16 * 4 608 units, more than SYMMETRY_WORK: the search stops part
+        # way, with a subset that still leaves the answer exact
+        pinned = {"figure": 21_084, "text": 98_822}
+        for orientation, nodes in pinned.items():
+            coll, pattern = lowerbound_construction(3, 4, orientation)
+            _, stats = find_coloured_hamilton_power(coll, pattern)
+            assert (stats.result, stats.nodes, stats.max_depth, stats.symmetries) == (
+                NONE, nodes, 14, 1_858
+            ), orientation
+            assert stats.symmetry_work <= oracle.SYMMETRY_WORK
 
     def test_k2_p5_none_without_budget(self):
         # n = 15: the unpaired part is one twin class of 5
@@ -378,7 +396,9 @@ class TestSymmetryCut:
 
     def test_lifts_are_automorphisms_keeping_class_order(self):
         collections = [coll for coll, *_ in symmetric_instances()]
-        collections += [lowerbound_construction(k, p)[0] for k, p in ((2, 3), (2, 4), (3, 3))]
+        collections += [
+            lowerbound_construction(k, p)[0] for k, p in ((2, 3), (2, 4), (3, 3), (3, 4))
+        ]
         for coll in collections:
             classes = _twin_classes(coll)
             lifts = _automorphisms(coll, classes)
@@ -395,6 +415,64 @@ class TestSymmetryCut:
                 # the search ran to the end, so the lifts form a group
                 found = {tuple(g) for g in lifts}
                 assert all(tuple(g[h[v]] for v in range(coll.n)) in found for g in lifts for h in lifts)
+
+
+def multipartite_draws() -> list[GraphCollection]:
+    """Ten seeded multipartite collections at n <= 12, at densities 0 and
+    0.25 inside the parts."""
+    draws = []
+    for seed in range(10):
+        rng = random.Random(40_000 + seed)
+        n, parts, m = rng.choice([8, 9, 10, 12]), rng.choice([2, 3, 4]), rng.randint(1, 2)
+        draws.append(multipartite_collection(n, parts, m, rng.choice([0.0, 0.25]), rng)[0])
+    return draws
+
+
+def chain_cases() -> list[GraphCollection]:
+    members = [
+        lowerbound_construction(k, p, orientation)[0]
+        for k, p in ((1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3))
+        for orientation in ("figure", "text")
+    ]
+    return [coll for coll, *_ in symmetric_instances()] + members + multipartite_draws()
+
+
+class TestStabiliserChain:
+    # the chain lists each automorphism once, as a product of coset
+    # representatives; the reference finds each as its own leaf
+    def test_lists_the_reference_group(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SYMMETRY_WORK", 1 << 40)
+        nontrivial = 0
+        for coll in chain_cases():
+            classes = _twin_classes(coll)
+            lifts = _automorphisms(coll, classes)
+            assert lifts[0] == list(range(coll.n))
+            assert len({tuple(g) for g in lifts}) == len(lifts)
+            assert {tuple(g) for g in lifts} == {
+                tuple(g) for g in reference_automorphisms(coll, classes)
+            }
+            nontrivial += len(lifts) > 1
+        assert nontrivial >= 40
+
+    def test_default_bound_lists_a_subset(self, monkeypatch):
+        cases = chain_cases() + [lowerbound_construction(3, 4)[0]]
+        lists = [_automorphisms(coll, _twin_classes(coll)) for coll in cases]
+        monkeypatch.setattr(oracle, "SYMMETRY_WORK", 1 << 40)
+        for coll, lifts in zip(cases, lists):
+            group = {tuple(g) for g in reference_automorphisms(coll, _twin_classes(coll))}
+            assert lifts[0] == list(range(coll.n))
+            assert {tuple(g) for g in lifts} <= group
+        # n = 16 is the one case the bound stops short of its 4 608
+        assert [len(lifts) for lifts in lists[-1:]] == [1_858]
+
+    def test_work_is_counted(self):
+        # the k = 3, n = 12 member: the refinement, the searches for coset
+        # representatives and the 287 products, 12 units each, take 5 521
+        # units; finding all 288 automorphisms as leaves of one
+        # backtracking search takes 14 580
+        coll, pattern = lowerbound_construction(3, 3)
+        _, stats = find_coloured_hamilton_power(coll, pattern)
+        assert (stats.symmetries, stats.symmetry_work) == (288, 5_521)
 
 
 class TestIdentityOnly:
