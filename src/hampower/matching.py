@@ -23,7 +23,10 @@ it at once; otherwise the search goes depth first with an explicit stack
 id, so right ids must be small.  Its ``pick`` chooses the bit to take:
 :func:`max_matching` takes the lowest, :func:`sample_perfect_matching` a
 uniformly random one from roots in random order, a law close to uniform but
-not uniform (uniform on complete bipartite graphs).
+not uniform (uniform on complete bipartite graphs).  The sampler takes a
+root's free neighbour inline, by the same draws, and calls :func:`augment`
+only for a root with no free neighbour: on the path builder's dense tiling
+graphs nearly every root has one, and the calls cost more than the pick.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from itertools import chain, count
 from operator import and_
 from typing import Callable, Mapping, Sequence
 
-from .bitset import lowest_bit, pick_bit, randbelow, select
+from .bitset import lowest_bit, nth_bit, randbelow, select
 from .errors import InvalidInstanceError, NoPerfectMatchingError
 
 
@@ -166,7 +169,9 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     """Sample a perfect matching as (left, right) pairs sorted by left, or
     raise :class:`NoPerfectMatchingError` when there is none.
 
-    One :func:`augment` per left vertex, in uniformly random order, with
+    Left vertices are roots in uniformly random order.  A root with a free
+    neighbour takes a uniformly random one inline, the pick :func:`augment`
+    would make first; only a root with none runs :func:`augment`, with
     uniformly random picks.  It raises at the first root with no augmenting
     path, which happens exactly when there is no perfect matching.  The law
     is close to uniform but not uniform; on a complete bipartite graph it is
@@ -180,16 +185,20 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     id_bits = n.bit_length()
     getrandbits = rng.getrandbits
 
+    # A uniform pick draws the same way in ``pick`` and inline in the root
+    # loop: while the mask holds at least half the side, by rejection over
+    # the positions of all right vertices (at least a quarter of tries
+    # hit), otherwise by one rank draw.  The copy in the loop saves the
+    # calls, which cost more than the pick on a root with a free neighbour.
     def pick(mask: int) -> int:
         """Uniformly random set bit of a nonzero mask of right ids."""
-        if 2 * mask.bit_count() >= n:
-            # rejection over the positions of all right vertices: at this
-            # density at least a quarter of tries hit
+        c = mask.bit_count()
+        if 2 * c >= n:
             while True:
                 j = getrandbits(id_bits)
                 if j < n and (mask >> (v := ids[j])) & 1:
                     return v
-        return pick_bit(mask, rng)
+        return nth_bit(mask, randbelow(c, getrandbits))
 
     order = list(range(n))
     for i in range(n - 1, 0, -1):  # rng.shuffle(order), the same draws
@@ -198,8 +207,17 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     owner = [-1] * b.right.bit_length()
     free = b.right
     for root in order:
-        v = augment(rows, root, owner, free, pick)
-        if v < 0:
+        if hit := rows[root] & free:
+            c = hit.bit_count()
+            if 2 * c >= n:
+                while True:
+                    j = getrandbits(id_bits)
+                    if j < n and (hit >> (v := ids[j])) & 1:
+                        break
+            else:
+                v = nth_bit(hit, randbelow(c, getrandbits))
+            owner[v] = root
+        elif (v := augment(rows, root, owner, free, pick)) < 0:
             raise NoPerfectMatchingError("graph has no perfect matching")
         free ^= 1 << v
     mate = [0] * n  # every right id is owned: invert owner into left order

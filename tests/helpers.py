@@ -4,7 +4,8 @@ Everything here is deliberately independent of the library's own search
 paths: matchings by exhaustive recursion, permanents by permutation
 enumeration, Hamilton powers by permutation scan.  The ``reference_*``
 functions are the plain from-scratch forms of computations the library
-shortcuts (a bit walk over the whole mask, one ``max_matching`` per
+shortcuts (a bit walk over the whole mask, the matching sampler with
+every root through the augmenting search, one ``max_matching`` per
 template subset, one gadget built per pattern, every t the planner could
 try, one interpreted ``rng.random()`` per vertex pair, the multipartite
 generator's edges listed pair by pair, a connector's
@@ -32,7 +33,7 @@ from typing import Optional
 
 from hampower import oracle
 from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_edge_count
-from hampower.bitset import mask_of, pick_bit, select
+from hampower.bitset import mask_of, pick_bit, randbelow, select
 from hampower.core import (
     CONNECTOR,
     ColourPattern,
@@ -450,6 +451,54 @@ def reference_pick_bit(mask: int, rng: random.Random) -> int:
     a walk over every set bit of the mask."""
     idx = rng.randrange(mask.bit_count())
     return next(itertools.islice(select(mask, itertools.count()), idx, None))
+
+
+def reference_nth_bit(mask: int, idx: int) -> int:
+    """Position of the set bit of rank ``idx``, from the list of every set
+    bit of the mask."""
+    return list(select(mask, count()))[idx]
+
+
+def reference_sample_perfect_matching(
+    b: BipartiteGraph, rng: random.Random
+) -> list[tuple[int, int]]:
+    """``matching.sample_perfect_matching`` with every root run through
+    :func:`reference_augment` and every rank pick through
+    :func:`reference_pick_bit`, free neighbour of the root or not."""
+    if b.n_left != b.n_right:
+        raise NoPerfectMatchingError("perfect matching needs equal sides")
+    rows = b.rows
+    n = len(rows)
+    ids = list(select(b.right, count()))
+    id_bits = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def pick(mask: int) -> int:
+        """Uniformly random set bit of a nonzero mask of right ids."""
+        if 2 * mask.bit_count() >= n:
+            # rejection over the positions of all right vertices: at this
+            # density at least a quarter of tries hit
+            while True:
+                j = getrandbits(id_bits)
+                if j < n and (mask >> (v := ids[j])) & 1:
+                    return v
+        return reference_pick_bit(mask, rng)
+
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):  # rng.shuffle(order), the same draws
+        j = randbelow(i + 1, getrandbits)
+        order[i], order[j] = order[j], order[i]
+    owner = [-1] * b.right.bit_length()
+    free = b.right
+    for root in order:
+        v = reference_augment(rows, root, owner, free, pick)
+        if v < 0:
+            raise NoPerfectMatchingError("graph has no perfect matching")
+        free ^= 1 << v
+    mate = [0] * n  # every right id is owned: invert owner into left order
+    for v in ids:
+        mate[owner[v]] = v
+    return list(enumerate(mate))
 
 
 def reference_robust_matching(template, w_locals):

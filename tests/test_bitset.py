@@ -1,7 +1,10 @@
 import random
+from itertools import count
+
+import pytest
 
 from helpers import reference_pick_bit
-from hampower.bitset import pick_bit, randbelow
+from hampower.bitset import _CLEAR_BELOW, nth_bit, pick_bit, randbelow, select
 
 # every size up to 300, and each side of the powers of two up to 2^70, where
 # getrandbits takes one more bit or one more 32-bit word
@@ -26,6 +29,56 @@ class TestRandbelow:
                     ref.randrange(n) for _ in range(3)
                 ], (n, seed)
                 assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_range_raises_without_drawing(self, n):
+        # the rule would draw 0 bits (n = 0) or values never below n forever
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            randbelow(n, rng.getrandbits)
+        with pytest.raises(ValueError):
+            random.Random(5).randrange(n)
+        assert rng.getstate() == state
+
+
+def assert_every_rank(mask):
+    """nth_bit of every rank is the reference's: the list of every set bit
+    of the mask, read at that rank."""
+    ranks = range(mask.bit_count())
+    assert [nth_bit(mask, idx) for idx in ranks] == list(select(mask, count())), mask.bit_length()
+
+
+class TestNthBit:
+    def test_every_rank_at_every_width_up_to_300(self):
+        # full masks hold every rank on both sides of the clear/walk cut-off,
+        # in a word and in the words that halving leaves of wider masks
+        rng = random.Random(83)
+        for width in range(1, 301):
+            top = 1 << (width - 1)
+            for mask in (
+                top,
+                1 << rng.randrange(width),
+                top | rng.getrandbits(width),
+                (1 << width) - 1,
+            ):
+                assert_every_rank(mask)
+
+    def test_ranks_beside_the_cut_offs(self):
+        # the last cleared rank and the first walked one, in a mask of one
+        # word (64 bits) and in one that is halved first (65 and 129 bits)
+        for width in (_CLEAR_BELOW + 1, 63, 64, 65, 128, 129):
+            mask = (1 << width) - 1
+            for idx in (_CLEAR_BELOW - 1, _CLEAR_BELOW):
+                assert nth_bit(mask, idx) == idx
+                assert nth_bit(mask << 7, idx) == idx + 7
+
+    def test_dense_and_sparse_2000_bit_masks(self):
+        rng = random.Random(84)
+        for _ in range(10):
+            holes = sum(1 << v for v in rng.sample(range(2000), 60))
+            assert_every_rank(((1 << 2000) - 1) & ~holes)
+            assert_every_rank(holes | 1 << 1999)
 
 
 class TestPickBit:
@@ -61,3 +114,7 @@ class TestPickBit:
             for _ in range(60):
                 mask &= ~(1 << rng.randrange(2000))
             assert_same_pick(mask, rng.getrandbits(32), draws=20)
+
+    def test_empty_mask_raises(self):
+        with pytest.raises(ValueError):
+            pick_bit(0, random.Random(6))

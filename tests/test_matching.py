@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from helpers import (
     EXACT_SIDE_CAP,
     bipartite,
@@ -22,14 +23,15 @@ from helpers import (
     is_clique_tiling,
     random_bipartite,
     reference_augment,
-    reference_pick_bit,
+    reference_nth_bit,
+    reference_sample_perfect_matching,
     reference_tiling_graph,
     sample_exact,
     tile_columns,
     tiling_extension_instance,
 )
 from hampower import matching
-from hampower.bitset import lowest_bit, mask_of, pick_bit, select
+from hampower.bitset import lowest_bit, mask_of, nth_bit, pick_bit, select
 from hampower.core import GraphCollection
 from hampower.errors import InvalidInstanceError, NoPerfectMatchingError
 from hampower.instances import complete_collection, random_min_degree_collection
@@ -180,51 +182,57 @@ class TestAugmentMatchesReference:
             assert ours == self._trail(reference_augment, b, order, make_pick, seed)
 
     def test_sampler_pairs_are_the_sorted_owner_pairs(self, monkeypatch):
-        # the sampler against itself run on the reference search, read out
-        # the old way: its owner list sorted into (left, right) pairs
-        gen = random.Random(47)
-        cases = [
-            (_random_graph(gen, n, p, _right_ids(gen, n, holes), planted=True), gen.getrandbits(32))
-            for n in (1, 2, 7, 24, 61)
-            for p in (0.1, 0.5, 0.95)
-            for holes in (False, True)
-        ]
-        ours = [_outcome(b, seed) for b, seed in cases]
+        # the sampler against helpers.reference_sample_perfect_matching,
+        # which runs every root through the reference search, on every
+        # random family below: the same pairs, or the same error, and the
+        # same rng state; the reference's pairs, read out the old way, are
+        # its owner list sorted into (left, right) pairs
         owners = []
 
         def spy(rows, root, owner, free, pick):
             owners.append(owner)
             return reference_augment(rows, root, owner, free, pick)
 
-        monkeypatch.setattr(matching, "augment", spy)
-        for (b, seed), (pairs, state) in zip(cases, ours):
-            rng = random.Random(seed)
-            sample_perfect_matching(b, rng)
-            old = sorted((u, v) for v, u in enumerate(owners[-1]) if u >= 0)
-            assert (pairs, state) == (old, rng.getstate())
+        monkeypatch.setattr(helpers, "reference_augment", spy)
+        for b, seed in _sampler_cases(random.Random(47)):
+            owners.clear()
+            pairs, state = _outcome(b, seed, reference_sample_perfect_matching)
+            assert _outcome(b, seed) == (pairs, state), (b.n_left, seed)
+            if pairs is not None:
+                assert pairs == sorted((u, v) for v, u in enumerate(owners[-1]) if u >= 0)
 
-    def test_root_order_is_the_shuffle(self, monkeypatch):
-        # roots reach augment in rng.shuffle's order, with its state: the
-        # spy takes the lowest free vertex and draws nothing
-        roots = []
-
-        def spy(rows, root, owner, free, pick):
-            roots.append(root)
-            owner[v := lowest_bit(free)] = root
-            return v
-
-        monkeypatch.setattr(matching, "augment", spy)
+    def test_root_order_is_the_shuffle(self):
+        # roots read their rows in rng.shuffle's order: on a complete graph
+        # each root reads its row once, to take a free neighbour; draws and
+        # state are then the reference sampler's
         sizes = sorted(set(range(1, 301)) | {(1 << j) + d for j in range(1, 11) for d in (-1, 1)})
         for seed in (0, 1, 90):
             ours, ref = random.Random(seed), random.Random(seed)
             for n in sizes:
-                roots.clear()
                 full = (1 << n) - 1
-                sample_perfect_matching(BipartiteGraph((full,) * n, full), ours)
                 want = list(range(n))
-                ref.shuffle(want)
-                assert roots == want, (n, seed)
+                shuffler = random.Random()
+                shuffler.setstate(ours.getstate())
+                shuffler.shuffle(want)
+                reads = _ReadLog((full,) * n)
+                pairs = sample_perfect_matching(BipartiteGraph(reads, full), ours)
+                assert reads.log == want, (n, seed)
+                complete = BipartiteGraph((full,) * n, full)
+                assert pairs == reference_sample_perfect_matching(complete, ref)
                 assert ours.getstate() == ref.getstate()
+
+
+class _ReadLog(tuple):
+    """Rows that log the index of every row read."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.log = []
+        return self
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
 
 
 class TestBipartiteGraph:
@@ -549,10 +557,30 @@ def _compact(b: BipartiteGraph) -> tuple[BipartiteGraph, list[int]]:
     return BipartiteGraph(rows, (1 << len(ids)) - 1), ids
 
 
-def _outcome(b: BipartiteGraph, seed: int):
+def _sampler_cases(rng: random.Random) -> list[tuple[BipartiteGraph, int]]:
+    """(graph, seed) pairs: random graphs of sides 1-150 at densities
+    0.04-0.95 on right ids with and without holes, each with a planted
+    perfect matching and again spoilt so that Hall fails; K_{n,n}; and a
+    dense graph and K_{n,n} on a part of 421, the builder's part size at
+    n = 5000, k = 3."""
+    graphs = []
+    for n in (1, 2, 7, 24, 61, 150):
+        for p in (0.04, 0.1, 0.5, 0.95):
+            for holes in (False, True):
+                b = _random_graph(rng, n, p, _right_ids(rng, n, holes), planted=True)
+                graphs.append(b)
+                if n > 1:  # two left vertices confined to one right vertex
+                    lone = b.rows[0] & -b.rows[0]
+                    graphs.append(BipartiteGraph((lone, lone) + b.rows[2:], b.right))
+    graphs += [complete_bipartite(n) for n in (1, 2, 3, 7, 60, 61, 150, 421)]
+    graphs.append(_random_graph(rng, 421, 0.9, list(range(421)), planted=True))
+    return [(b, rng.getrandbits(32)) for b in graphs]
+
+
+def _outcome(b: BipartiteGraph, seed: int, sampler=sample_perfect_matching):
     rng = random.Random(seed)
     try:
-        pairs = sample_perfect_matching(b, rng)
+        pairs = sampler(b, rng)
     except NoPerfectMatchingError:
         pairs = None
     return pairs, rng.getstate()
@@ -612,25 +640,27 @@ class TestSamplerProperties:
 class TestFastSamplerMatchesReference:
     """The sampler against references, one test per branch of its uniform
     pick: rejection over right positions while a mask holds at least half
-    the side, ``pick_bit`` below that."""
+    the side, a rank draw and ``nth_bit`` below that, whether the pick is a
+    root's free neighbour taken inline or one inside ``augment``."""
 
     @staticmethod
-    def _count_pick_bit(monkeypatch, pick=pick_bit) -> list[int]:
-        """The masks ``matching.pick_bit`` gets from now on, drawn by ``pick``."""
+    def _count_nth_bit(monkeypatch, select_bit=nth_bit) -> list[int]:
+        """The masks ``matching.nth_bit`` gets from now on, read by
+        ``select_bit``."""
         masks = []
 
-        def counted(mask, rng):
+        def counted(mask, idx):
             masks.append(mask)
-            return pick(mask, rng)
+            return select_bit(mask, idx)
 
-        monkeypatch.setattr(matching, "pick_bit", counted)
+        monkeypatch.setattr(matching, "nth_bit", counted)
         return masks
 
     def test_dense_rows_take_the_rejection_branch(self, monkeypatch):
         # draws follow the exact law (helpers.fast_sampler_law); every root
-        # picks at least once, so fewer pick_bit calls than roots means the
+        # picks at least once, so fewer nth_bit calls than roots means the
         # rest took the rejection branch
-        masks = self._count_pick_bit(monkeypatch)
+        masks = self._count_nth_bit(monkeypatch)
         b = bipartite([(0, 1, 2, 3), (0, 1, 2), (0, 1, 2, 3), (1, 2, 3)], 4)
         law = fast_sampler_law(b)
         rng = random.Random(42)
@@ -640,7 +670,7 @@ class TestFastSamplerMatchesReference:
         assert len(masks) < 4 * draws
         assert all(2 * mask.bit_count() < 4 for mask in masks)
         # on K_{n,n} every root takes a free neighbour: by rejection while at
-        # least half the side is free, by pick_bit after that
+        # least half the side is free, by nth_bit after that
         masks.clear()
         n = 60
         sample_perfect_matching(complete_bipartite(n), random.Random(41))
@@ -649,8 +679,8 @@ class TestFastSamplerMatchesReference:
     def test_rows_below_half_the_side_take_pick_bit(self, monkeypatch):
         # rows of two of six right ids forming two 6-cycles: rotating either
         # one is an automorphism, so the law is uniform on the 4 matchings;
-        # every pick goes to pick_bit, at least one per root
-        masks = self._count_pick_bit(monkeypatch)
+        # every pick is a rank draw read by nth_bit, at least one per root
+        masks = self._count_nth_bit(monkeypatch)
         b = bipartite([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6)
         rng = random.Random(43)
         draws = 20_000
@@ -660,13 +690,13 @@ class TestFastSamplerMatchesReference:
         assert len(masks) >= 6 * draws
         assert all(2 * mask.bit_count() < 6 for mask in masks)
         # sparse rows on hole-y right ids up to 1199: the same pairs and rng
-        # state with pick_bit replaced by helpers.reference_pick_bit
+        # state with nth_bit replaced by helpers.reference_nth_bit
         gen = random.Random(44)
         for n in (7, 24, 60):
             b = _random_graph(gen, n, 0.04, _right_ids(gen, n, holes=True), planted=True)
-            monkeypatch.setattr(matching, "pick_bit", pick_bit)
+            monkeypatch.setattr(matching, "nth_bit", nth_bit)
             ours = _outcome(b, n)
-            masks = self._count_pick_bit(monkeypatch, reference_pick_bit)
+            masks = self._count_nth_bit(monkeypatch, reference_nth_bit)
             assert _outcome(b, n) == ours
             assert len(masks) >= n
             assert all(2 * mask.bit_count() < n for mask in masks)
