@@ -58,6 +58,7 @@ from .core import (
     Segment,
     canonical_edge,
     check_int,
+    colour_reader,
     connector,
     host_edges,
     power_path,
@@ -119,26 +120,27 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
 
     Requires k >= 2 (the gadget lacks the needed degeneracy when k = 1) and
     ell >= 2.  The skeleton depends on (k, ell) only and is built and
-    checked once per shape (:func:`_gadget_shape`); this fills in colours.
+    checked once per shape (:func:`_gadget_shape`); this reads its colours
+    from the pattern in one pass.
     """
     check_int(k, "gadget k", GADGET_MIN_K)
     check_int(ell, "gadget ell", 2)
     r = (2 * k + 1) * ell
     if pattern.host != power_path(r, k):
         raise InvalidPatternError(f"gadget pattern must live on power_path({r},{k})")
-    shape = _gadget_shape(k, ell)
-    colours = pattern.colours
-    return replace(
-        shape, edges=MappingProxyType({e: colours[src] for e, src in shape.edges.items()})
-    )
+    shape, edges, read = _gadget_shape(k, ell)
+    return replace(shape, edges=MappingProxyType(dict(zip(edges, read(pattern)))))
 
 
 @functools.lru_cache(maxsize=256)  # every ell in 2..40 at several k
-def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
+def _gadget_shape(
+    k: int, ell: int
+) -> tuple[GadgetBlueprint, tuple[Edge, ...], Callable[[ColourPattern], tuple[int, ...]]]:
     """The uncoloured (k, ell) gadget: a blueprint whose edge values are
     the host edges (p, q) of power_path((2k+1)*ell, k) whose colours the
-    edges take, with its degeneracy order and back-neighbours.  Template
-    degrees are at most 40, so the pipeline needs few shapes."""
+    edges take, with its degeneracy order and back-neighbours; then its
+    edges, and a reader of their colours from a pattern on that path.
+    Template degrees are at most 40, so the pipeline needs few shapes."""
     r = (2 * k + 1) * ell
     a_ids = tuple(range(ell))
     b_ids = tuple(range(ell, ell + 2 * k * ell))
@@ -176,10 +178,11 @@ def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
         order.extend(b(j) for j in range((2 * i - 1) * k + 1, 2 * i * k + 1))
     order.extend(b(j) for j in range(2 * k * (ell - 1) + 1, 2 * k * ell + 1))
 
-    return GadgetBlueprint(
+    shape = GadgetBlueprint(
         k, ell, a_ids, b_ids, c_ids, tuple(seq),
         MappingProxyType(edges), _back_neighbours(k, ell, order, edges),
     )
+    return shape, tuple(edges), colour_reader(power_path(r, k), edges.values())
 
 
 def _back_neighbours(

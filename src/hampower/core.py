@@ -20,11 +20,17 @@ An ordered vertex list realises the pattern when every canonical host edge
 (i, j) of colour c maps to an edge of G_c.  Patterns are anchored: position 0
 of a vertex list always corresponds to host position 0; cycle rotation and
 reflection are handled by callers (the oracle searches over placements).
+The host edge from position i to position i + d (taken mod n on a power
+cycle), 1 <= d <= k, has the *edge index* i*k + d - 1; no other module
+computes it.  A pattern stores its colours as one tuple in increasing edge
+index (:attr:`ColourPattern.colours` reads it by canonical edge), so a
+window of a pattern is a slice of it.
 A *layout* (the solver's cycle, the absorbing path) is a host plus named
 segments in host order: pieces, the connectors that join them, and runs of
 one-vertex extensions.  Their edges must tile the host's edges exactly, and
 the positions each one places must tile the host's positions, which
-:func:`check_edge_partition` checks when a :class:`Layout` is made.
+:func:`check_edge_partition` checks when a :class:`Layout` is made, on bit
+masks over edge indices and positions.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass
-from itertools import chain, repeat
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from itertools import chain, count, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .bitset import select
 from .errors import (
@@ -152,14 +158,13 @@ def host_edges(host: HostTemplate) -> list[Edge]:
 
 # A solve meets a few dozen hosts (its cycle, the absorbing and builder
 # paths, the connector shapes, one path per gadget size) and most of them
-# many times; C_2000^2's 4000 edges cost about 0.5 MB as tuple and set.
+# many times; C_2000^2's 4000 edges cost about 0.3 MB as a tuple.
 @functools.lru_cache(maxsize=128)
 def _host_edges(host: HostTemplate) -> tuple[Edge, ...]:
     """:func:`host_edges` as a shared tuple, built once per host."""
     n, k = host.order, host.k
     if host.kind == POWER_CYCLE:
-        edges = {canonical_edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1)}
-        return tuple(sorted(edges))
+        return tuple(sorted(_index_edges(host)))
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
     if host.kind == CONNECTOR:
         a, b = host.a, host.b
@@ -168,8 +173,68 @@ def _host_edges(host: HostTemplate) -> tuple[Edge, ...]:
 
 
 @functools.lru_cache(maxsize=128)
-def _host_edge_set(host: HostTemplate) -> frozenset[Edge]:
-    return frozenset(_host_edges(host))
+def _index_edges(host: HostTemplate) -> tuple[Edge, ...]:
+    """The host's canonical edges by increasing edge index, the order of a
+    pattern's colours: lexicographic, except on a power cycle."""
+    if host.kind != POWER_CYCLE:
+        return _host_edges(host)
+    n, k = host.order, host.k
+    return tuple(canonical_edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1))
+
+
+@functools.lru_cache(maxsize=128)
+def _edge_indices(host: HostTemplate) -> tuple[int, ...]:
+    """The edge index of each of :func:`_index_edges`."""
+    if host.kind == POWER_CYCLE:
+        return tuple(range(host.order * host.k))
+    k = host.k
+    return tuple(i * k + j - i - 1 for (i, j) in _host_edges(host))
+
+
+@functools.lru_cache(maxsize=128)
+def _positions(host: HostTemplate) -> dict[Edge, int]:
+    """Each canonical host edge's position in a pattern's colour tuple."""
+    return dict(zip(_index_edges(host), count()))
+
+
+@functools.lru_cache(maxsize=128)
+def _edge_getter(host: HostTemplate) -> Callable[[dict], tuple]:
+    """Reads a dict at the host's edges in edge-index order, in C; raises
+    KeyError at a missing edge."""
+    edges = _index_edges(host)
+    if len(edges) < 2:  # itemgetter returns a lone value unwrapped
+        return lambda colours: tuple(map(colours.__getitem__, edges))
+    return itemgetter(*edges)
+
+
+@functools.lru_cache(maxsize=128)
+def _canonical_positions(host: HostTemplate) -> Optional[tuple[int, ...]]:
+    """The colour tuple's positions in canonical edge order, or None where
+    that is the tuple's own order (every host but a power cycle)."""
+    if host.kind != POWER_CYCLE:
+        return None
+    return tuple(map(_positions(host).__getitem__, _host_edges(host)))
+
+
+@functools.lru_cache(maxsize=128)
+def _edge_mask(host: HostTemplate) -> int:
+    """The bit of every edge index of the host."""
+    return _bits(_edge_indices(host), host.order * host.k)
+
+
+@functools.lru_cache(maxsize=64)
+def _extend_mask(g: int, k: int) -> int:
+    """The edge-index bits of a run of g one-vertex extensions, each joined
+    to the k positions before it, counted from k positions before the run."""
+    return _bits(((p - d) * k + d - 1 for p in range(k, k + g) for d in range(1, k + 1)), (g + k) * k)
+
+
+def _bits(indices: Iterable[int], width: int) -> int:
+    """The int whose bits below ``width`` are set at these indices."""
+    digits = bytearray(b"0" * (width + 1))  # a spare 0 for the empty set
+    for i in indices:
+        digits[width - i] = 49  # "1", most significant bit first
+    return int(digits, 2)
 
 
 EXTEND = "extend"
@@ -224,66 +289,231 @@ def check_edge_partition(layout: Layout) -> None:
     edges uncovered and the edges outside the host.  Then raise unless the
     positions the segments place (:meth:`Segment.positions`) tile the
     host's positions, which catches a segment without edges at a wrong
-    start.  Positions wrap modulo the order of a power cycle."""
+    start.  Positions wrap modulo the order of a power cycle.
+
+    Each segment's edges are one cached mask of edge indices, shifted to
+    its start (and rotated within the n*k indices of a cycle), which must
+    miss the edges covered before it; its positions are a range mask
+    checked the same way.  A segment whose power is not the host's, or
+    whose shape is a cycle, is rejected."""
     host = layout.host
-    n, wrap = host.order, host.kind == POWER_CYCLE
-    covered: set[Edge] = set()
-    for seg in layout.segments:
-        for (x, y) in seg.edges():
-            e = canonical_edge(x % n, y % n) if wrap else canonical_edge(x, y)
-            if e in covered:
-                raise HamPowerError(f"layout error: host edge {e} assigned twice (at {seg.name})")
-            covered.add(e)
-    expected = _host_edge_set(host)
+    n, k, wrap = host.order, host.k, host.kind == POWER_CYCLE
+    bits = [_segment_bits(seg, k) for seg in layout.segments]
+    # off a cycle, bit 0 stands `lead` positions before position 0, so that
+    # the edges of a segment reaching before the host have bits too
+    lead = 0 if wrap else max([0, *(-base for base, _ in bits)])
+    covered = 0
+    for seg, (base, mask) in zip(layout.segments, bits):
+        mask = _rotated(mask << base % n * k, n * k) if wrap else mask << (base + lead) * k
+        if mask is None or mask & covered:
+            raise _doubled_edge(layout.host, seg, covered, lead)
+        covered |= mask
+    expected = _edge_mask(host) << lead * k
     if covered != expected:
-        missing, outside = expected - covered, covered - expected
+        missing, outside = expected & ~covered, covered & ~expected
+
+        def examples(mask: int) -> list[Edge]:
+            starts = (divmod(b, k) for b in select(mask, count()))
+            return sorted(canonical_edge(i, (i + d + 1) % n) if wrap
+                          else (i - lead, i - lead + d + 1) for i, d in starts)
+
         raise HamPowerError(
-            f"layout error: {len(missing)} host edges uncovered, {len(outside)} outside "
-            f"the host (e.g. {sorted(missing)[:4] or sorted(outside)[:4]})"
+            f"layout error: {missing.bit_count()} host edges uncovered, {outside.bit_count()} "
+            f"outside the host (e.g. {examples(missing)[:4] or examples(outside)[:4]})"
         )
-    placed: set[int] = set()
+    placed = 0
     for seg in layout.segments:
-        for p in seg.positions():
-            q = p % n if wrap else p
-            if q in placed or not 0 <= q < n:
-                raise HamPowerError(
-                    f"layout error: host position {q} placed twice or outside the host "
-                    f"(at {seg.name})"
-                )
-            placed.add(q)
-    if len(placed) != n:
-        raise HamPowerError(f"layout error: {n - len(placed)} host positions unplaced")
+        span = seg.positions()
+        mask = (1 << len(span)) - 1
+        if wrap:
+            mask = _rotated(mask << span.start % n, n)
+        elif 0 <= span.start and span.stop <= n:
+            mask <<= span.start
+        else:
+            mask = None
+        if mask is None or mask & placed:
+            raise _doubled_position(host, seg, placed)
+        placed |= mask
+    if placed != (1 << n) - 1:
+        raise HamPowerError(f"layout error: {n - placed.bit_count()} host positions unplaced")
 
 
-@dataclass(frozen=True, eq=True)
+def _segment_bits(seg: Segment, k: int) -> tuple[int, int]:
+    """The first position a segment's edges touch, and the mask of their
+    edge indices counted from there."""
+    shape = seg.shape
+    if shape.k != k:
+        raise HamPowerError(f"layout error: {seg.name} is a {shape.k}-power on a {k}-power host")
+    if seg.kind == EXTEND:
+        return seg.start - k, _extend_mask(shape.order, k)
+    if shape.kind == POWER_CYCLE:
+        raise HamPowerError(f"layout error: {seg.name} is a power cycle, not a window")
+    return seg.start, _edge_mask(shape)
+
+
+def _rotated(mask: int, width: int) -> Optional[int]:
+    """``mask`` with its bits from ``width`` on moved down by multiples of
+    ``width``, or None if two of them land on one bit."""
+    low = (1 << width) - 1
+    while mask >> width:
+        high, mask = mask >> width, mask & low
+        if mask & high:
+            return None
+        mask |= high
+    return mask
+
+
+def _doubled_edge(host: HostTemplate, seg: Segment, covered: int, lead: int) -> HamPowerError:
+    """The error for the first edge of ``seg``, in its own order, whose bit
+    is in ``covered`` or comes twice."""
+    n, k = host.order, host.k
+    for (x, y) in seg.edges():
+        if host.kind == POWER_CYCLE:
+            e, bit = canonical_edge(x % n, y % n), x % n * k + y - x - 1
+        else:
+            e, bit = (x, y), (x + lead) * k + y - x - 1
+        if covered >> bit & 1:
+            return HamPowerError(f"layout error: host edge {e} assigned twice (at {seg.name})")
+        covered |= 1 << bit
+    return HamPowerError(f"internal error: no doubled edge in {seg.name}")
+
+
+def _doubled_position(host: HostTemplate, seg: Segment, placed: int) -> HamPowerError:
+    """The error for the first position of ``seg`` that is outside the
+    host, in ``placed`` or comes twice."""
+    n, wrap = host.order, host.kind == POWER_CYCLE
+    for p in seg.positions():
+        q = p % n if wrap else p
+        if not 0 <= q < n or placed >> q & 1:
+            return HamPowerError(
+                f"layout error: host position {q} placed twice or outside the host "
+                f"(at {seg.name})"
+            )
+        placed |= 1 << q
+    return HamPowerError(f"internal error: no doubled position in {seg.name}")
+
+
+@dataclass(frozen=True, init=False)
 class ColourPattern:
-    """Total colour assignment on a host's canonical edge set."""
+    """Total colour assignment on a host's canonical edge set.
+
+    Made from a mapping of canonical host edges to 1-based ``int`` colours;
+    stored as one tuple of the colours in edge-index order, which
+    :attr:`colours` reads by canonical edge.
+    """
 
     host: HostTemplate
-    colours: Mapping[Edge, int]
+    _colours: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        expected = _host_edge_set(self.host)
-        if len(self.colours) != len(expected) or not expected.issuperset(self.colours):
-            got = set(self.colours)
-            missing = expected - got
-            extra = got - expected
+    def __init__(self, host: HostTemplate, colours: Mapping[Edge, int]) -> None:
+        if not isinstance(host, HostTemplate):
+            raise InvalidPatternError(f"pattern host must be a HostTemplate, got {reprlib.repr(host)}")
+        if not isinstance(colours, Mapping):
             raise InvalidPatternError(
-                f"pattern domain mismatch: {len(missing)} host edges missing, "
-                f"{len(extra)} extraneous (e.g. missing={sorted(missing)[:3]}, "
-                f"extra={sorted(extra)[:3]})"
+                f"pattern colours must be a mapping of host edges to colours, "
+                f"got {reprlib.repr(colours)}"
             )
-        if not only_ints(self.colours.values()) or min(self.colours.values(), default=1) < 1:
-            e, c = next((e, c) for e, c in self.colours.items() if type(c) is not int or c < 1)
-            raise InvalidPatternError(f"colour on edge {e} must be a 1-based int, got {c!r}")
-        object.__setattr__(self, "colours", MappingProxyType(dict(self.colours)))
+        if type(colours) is dict:  # no __missing__ to call: read it in C
+            try:
+                values = _edge_getter(host)(colours)
+            except KeyError:
+                values = None
+        else:  # None at a missing host edge; the keys are checked below
+            values = tuple(map(colours.get, _index_edges(host)))
+        if (
+            values is None
+            or len(colours) != len(values)
+            or not _valid_colours(values)
+            or type(colours) is not dict and not colours.keys() <= _positions(host).keys()
+        ):
+            expected = _positions(host).keys()
+            if len(colours) != len(expected) or not expected >= colours.keys():
+                got = set(colours)
+                missing = expected - got
+                extra = got - expected
+                raise InvalidPatternError(
+                    f"pattern domain mismatch: {len(missing)} host edges missing, "
+                    f"{len(extra)} extraneous (e.g. missing={sorted(missing)[:3]}, "
+                    f"extra={sorted(extra)[:3]})"
+                )
+            raise _bad_colour(colours.items())
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "_colours", values)
+
+    @classmethod
+    def _of(cls, host: HostTemplate, values: tuple[int, ...]) -> "ColourPattern":
+        """The pattern with these colours in edge-index order, checked."""
+        if not _valid_colours(values):
+            raise _bad_colour(zip(_index_edges(host), values))
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "host", host)
+        object.__setattr__(pattern, "_colours", values)
+        return pattern
+
+    @property
+    def colours(self) -> Mapping[Edge, int]:
+        """The colours as a read-only mapping from canonical host edges."""
+        return _ColourView(_positions(self.host), self._colours)
 
     def colour_of(self, i: int, j: int) -> int:
-        return self.colours[canonical_edge(i, j)]
+        return self._colours[_positions(self.host)[canonical_edge(i, j)]]
 
     @property
     def max_colour(self) -> int:
-        return max(self.colours.values(), default=1)
+        return max(self._colours, default=1)
+
+
+def colour_reader(host: HostTemplate, edges: Iterable[Edge]) -> Callable[[ColourPattern], tuple[int, ...]]:
+    """A function from a pattern on ``host`` to the colours of these
+    canonical host edges, in this order; it looks the edges up once, here,
+    and each call reads their colours in C."""
+    positions = tuple(map(_positions(host).__getitem__, edges))
+
+    def read(pattern: ColourPattern) -> tuple[int, ...]:
+        if pattern.host != host:
+            raise InvalidPatternError(f"the colours are read from a pattern on {host}")
+        return tuple(map(pattern._colours.__getitem__, positions))
+
+    return read
+
+
+def _valid_colours(values: tuple) -> bool:
+    return only_ints(values) and min(values, default=1) >= 1
+
+
+def _bad_colour(items: Iterable[tuple[Edge, object]]) -> InvalidPatternError:
+    e, c = next((e, c) for e, c in items if type(c) is not int or c < 1)
+    return InvalidPatternError(f"colour on edge {e} must be a 1-based int, got {c!r}")
+
+
+class _ColourView(Mapping):
+    """A pattern's colour tuple read by canonical host edge."""
+
+    __slots__ = ("_positions", "_colours")
+
+    def __init__(self, positions: dict[Edge, int], colours: tuple[int, ...]) -> None:
+        self._positions, self._colours = positions, colours
+
+    def __getitem__(self, edge: Edge) -> int:
+        return self._colours[self._positions[edge]]
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._colours)
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in self._positions
+
+    def values(self) -> tuple[int, ...]:  # type: ignore[override]
+        return self._colours
+
+    def items(self) -> tuple[tuple[Edge, int], ...]:  # type: ignore[override]
+        return tuple(zip(self._positions, self._colours))  # both in edge-index order
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
@@ -517,12 +747,23 @@ def verify_coloured_embedding(
         raise VerificationInputError(f"vertex {v} out of range for n={n}")
     if len(set(vertices)) != len(vertices):
         raise VerificationInputError("vertex list contains repeats")
-    colours, masks, m = pattern.colours, collection.masks, collection.m
-    for e in _host_edges(host):
-        c = colours[e]
+    colours, order = pattern._colours, _canonical_positions(host)
+    e = _first_violation(collection, _index_edges(host), colours, vertices)
+    if e is not None and order is not None:  # a cycle: the first in canonical order
+        e = _first_violation(collection, _host_edges(host), map(colours.__getitem__, order), vertices)
+    return VerifyResult(e is None, e)
+
+
+def _first_violation(
+    collection: GraphCollection, edges: Iterable[Edge], colours: Iterable[int], vertices: Sequence[int]
+) -> Optional[Edge]:
+    """The first of ``edges`` whose image is not an edge of the graph of
+    its colour (read alongside from ``colours``), or None."""
+    masks, m = collection.masks, collection.m
+    for e, c in zip(edges, colours):
         if c > m or not (masks[c - 1][vertices[e[0]]] >> vertices[e[1]]) & 1:
-            return VerifyResult(False, e)
-    return VerifyResult(True, None)
+            return e
+    return None
 
 
 def min_degree(collection: GraphCollection) -> int:
@@ -536,7 +777,10 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
     The window is ``start, start+1, ..., start+target.order-1``; it wraps
     modulo the host order for power-cycle sources and must stay in range for
     power-path sources.  The target host re-indexes positions from 0 and may
-    be a path or a connector (whose end-block edges are simply dropped).
+    be a path or a connector (whose end-block edges are simply dropped), or
+    a whole cycle rotated.  The window's colours are a slice of the
+    pattern's (two for a wrapping window), gathered by the target's edge
+    indices.
     """
     src = pattern.host
     if src.kind == CONNECTOR:
@@ -545,19 +789,34 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
         raise InvalidPatternError(f"window power mismatch: {target.k} != {src.k}")
     if target.order > src.order:
         raise InvalidPatternError("window longer than the source host")
+    if target.kind == POWER_CYCLE and target.order != src.order:
+        raise InvalidPatternError("a window shorter than its host must be a path or a connector")
     if src.kind == POWER_PATH:
         check_int(start, "window start", 0, src.order - target.order, InvalidPatternError)
     else:  # a cycle's window wraps
         check_int(start, "window start", error=InvalidPatternError)
-    n, off, colours = src.order, start % src.order, pattern.colours
-    edges = _host_edges(target)
-    if off + target.order <= n:  # no wrap: shifted edges stay canonical
-        window = {(i, j): colours[off + i, off + j] for (i, j) in edges}
-    else:
-        window = {
-            (i, j): colours[canonical_edge((off + i) % n, (off + j) % n)] for (i, j) in edges
-        }
-    return ColourPattern(target, window)
+    n, k, colours = src.order, src.k, pattern._colours
+    lo = start % n * k
+    hi = lo + target.order * k
+    stored, rest = _window_gather(src)
+    if hi <= stored:  # edge indices [lo, hi) are colour positions
+        window = colours[lo:hi]
+    elif src.kind == POWER_CYCLE:
+        window = colours[lo:] + colours[:hi - n * k]
+    else:  # the window runs into a path's last k positions, whose edges are fewer
+        last = dict(zip(rest, colours[stored:]))
+        window = colours[lo:stored] + tuple(map(last.get, range(max(lo, stored), hi)))
+    prefix, indices = _window_gather(target)
+    return ColourPattern._of(target, window[:prefix] + tuple(map(window.__getitem__, indices)))
+
+
+@functools.lru_cache(maxsize=128)
+def _window_gather(host: HostTemplate) -> tuple[int, tuple[int, ...]]:
+    """The length of the longest prefix of a pattern's colour tuple whose
+    positions are their edge indices, and the edge indices of the rest."""
+    indices = _edge_indices(host)
+    prefix = next((p for p, i in enumerate(indices) if p != i), len(indices))
+    return prefix, indices[prefix:]
 
 
 # --- instance / pattern / cycle file formats (JSON text) ------------------

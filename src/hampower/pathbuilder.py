@@ -200,7 +200,7 @@ def _assert_window_tiling(
     """
     new = levels[lvl]
     for p in range(max(0, lvl - k), lvl):
-        rows = collection.masks[pat.colours[p, lvl] - 1]
+        rows = collection.masks[pat.colour_of(p, lvl) - 1]
         if not all(map(and_, map(rshift, map(rows.__getitem__, levels[p]), new), repeat(1))):
             raise HamPowerError(
                 f"internal error: step {step} tiling invariant broken at levels ({p},{lvl})"

@@ -231,7 +231,9 @@ class TestColoursOutsideRange:
     def test_embed_connector(self, colour):
         coll = complete_collection(12, 2)
         pattern = random_pattern(connector(2, 2, 2), 2, random.Random(48))
-        object.__setattr__(pattern, "colours", _recoloured(pattern.colours, colour))
+        # forged in the pattern's colour tuple, which ColourPattern checks when made
+        object.__setattr__(pattern, "_colours", (colour, *pattern._colours[1:]))
+        assert pattern.colour_of(0, 2) == colour
         rng = random.Random(49)
         state = rng.getstate()
         with pytest.raises(InvalidInstanceError):
