@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -129,7 +129,10 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
     if pattern.host != power_path(r, k):
         raise InvalidPatternError(f"gadget pattern must live on power_path({r},{k})")
     shape, edges, read = _gadget_shape(k, ell)
-    return replace(shape, edges=MappingProxyType(dict(zip(edges, read(pattern)))))
+    return GadgetBlueprint(
+        k, ell, shape.a_vertices, shape.b_vertices, shape.c_vertices, shape.base_sequence,
+        MappingProxyType(dict(zip(edges, read(pattern)))), shape.back_neighbours,
+    )
 
 
 @functools.lru_cache(maxsize=256)  # every ell in 2..40 at several k
@@ -597,12 +600,14 @@ def absorber_layout(k: int, x_degrees: tuple[int, ...]) -> Layout:
     on every call: z1, a connector and a gadget window per gadget, then a
     connector and z2."""
     end = power_path(1, k)
+    joints = {a: connector(a, k, k) for a in (1, k)}  # each shape made once
+    windows = {ell: power_path((2 * k + 1) * ell, k) for ell in set(x_degrees)}
     segments = [Segment("z1", END, 0, end)]
     pos, a = 1, 1  # the next free position; the order of the piece before, capped at k
     for i, ell in enumerate(x_degrees):
         segments += [
-            Segment(f"connector {i}", CONNECTOR, pos - a, connector(a, k, k)),
-            Segment(f"gadget {i}", GADGET, pos + k, power_path((2 * k + 1) * ell, k)),
+            Segment(f"connector {i}", CONNECTOR, pos - a, joints[a]),
+            Segment(f"gadget {i}", GADGET, pos + k, windows[ell]),
         ]
         pos, a = pos + k + (2 * k + 1) * ell, k
     segments += [

@@ -199,12 +199,16 @@ def _positions(host: HostTemplate) -> dict[Edge, int]:
 
 @functools.lru_cache(maxsize=128)
 def _edge_getter(host: HostTemplate) -> Callable[[dict], tuple]:
-    """Reads a dict at the host's edges in edge-index order, in C; raises
+    """Reads a dict at the host's edges in edge-index order; raises
     KeyError at a missing edge."""
-    edges = _index_edges(host)
-    if len(edges) < 2:  # itemgetter returns a lone value unwrapped
-        return lambda colours: tuple(map(colours.__getitem__, edges))
-    return itemgetter(*edges)
+    return _getter(_index_edges(host))
+
+
+def _getter(keys: Sequence) -> Callable[[object], tuple]:
+    """Reads a container at these keys into a tuple, in C."""
+    if len(keys) < 2:  # itemgetter returns a lone value unwrapped
+        return lambda container: tuple(container[key] for key in keys)
+    return itemgetter(*keys)
 
 
 @functools.lru_cache(maxsize=128)
@@ -467,12 +471,12 @@ def colour_reader(host: HostTemplate, edges: Iterable[Edge]) -> Callable[[Colour
     """A function from a pattern on ``host`` to the colours of these
     canonical host edges, in this order; it looks the edges up once, here,
     and each call reads their colours in C."""
-    positions = tuple(map(_positions(host).__getitem__, edges))
+    gather = _getter(tuple(map(_positions(host).__getitem__, edges)))
 
     def read(pattern: ColourPattern) -> tuple[int, ...]:
         if pattern.host != host:
             raise InvalidPatternError(f"the colours are read from a pattern on {host}")
-        return tuple(map(pattern._colours.__getitem__, positions))
+        return gather(pattern._colours)
 
     return read
 
@@ -798,7 +802,7 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
     n, k, colours = src.order, src.k, pattern._colours
     lo = start % n * k
     hi = lo + target.order * k
-    stored, rest = _window_gather(src)
+    stored, rest, _ = _window_gather(src)
     if hi <= stored:  # edge indices [lo, hi) are colour positions
         window = colours[lo:hi]
     elif src.kind == POWER_CYCLE:
@@ -806,17 +810,18 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
     else:  # the window runs into a path's last k positions, whose edges are fewer
         last = dict(zip(rest, colours[stored:]))
         window = colours[lo:stored] + tuple(map(last.get, range(max(lo, stored), hi)))
-    prefix, indices = _window_gather(target)
-    return ColourPattern._of(target, window[:prefix] + tuple(map(window.__getitem__, indices)))
+    prefix, _, gather = _window_gather(target)
+    return ColourPattern._of(target, window[:prefix] + gather(window))
 
 
 @functools.lru_cache(maxsize=128)
-def _window_gather(host: HostTemplate) -> tuple[int, tuple[int, ...]]:
+def _window_gather(host: HostTemplate) -> tuple[int, tuple[int, ...], Callable[[Sequence], tuple]]:
     """The length of the longest prefix of a pattern's colour tuple whose
-    positions are their edge indices, and the edge indices of the rest."""
+    positions are their edge indices, the edge indices of the rest, and a
+    reader of a sequence at those."""
     indices = _edge_indices(host)
     prefix = next((p for p, i in enumerate(indices) if p != i), len(indices))
-    return prefix, indices[prefix:]
+    return prefix, indices[prefix:], _getter(indices[prefix:])
 
 
 # --- instance / pattern / cycle file formats (JSON text) ------------------

@@ -20,6 +20,11 @@ reference law that the matching sampler's tests compare against, and
 ``fast_sampler_law`` enumerates the sampler's own law exactly.
 ``fallback_instance`` is a solve that abandons four plans, each at a
 different stage, before the fifth succeeds.
+``reference_check_edge_partition``, ``reference_restrict_pattern`` and
+``reference_verify`` are the layout check, the window of a pattern and the
+embedding check as sets and dicts of edge tuples, one edge at a time; the
+library does them on edge indices, and must give the same verdicts,
+colours and messages.
 """
 
 from __future__ import annotations
@@ -36,9 +41,15 @@ from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_
 from hampower.bitset import mask_of, pick_bit, randbelow, select
 from hampower.core import (
     CONNECTOR,
+    POWER_CYCLE,
+    POWER_PATH,
     ColourPattern,
+    Edge,
     GraphCollection,
+    HostTemplate,
+    VerifyResult,
     canonical_edge,
+    check_int,
     host_edges,
     power_cycle,
     verify_coloured_embedding,
@@ -47,6 +58,7 @@ from hampower.errors import (
     ConnectionFailedError,
     HamPowerError,
     InvalidInstanceError,
+    InvalidPatternError,
     NoPerfectMatchingError,
 )
 from hampower.instances import random_min_degree_collection, random_pattern
@@ -915,3 +927,76 @@ def reference_automorphisms(
                         lift[v] = w
                 found.append(lift)
     return found
+
+
+def reference_check_edge_partition(layout) -> None:
+    """Raise unless the layout's segments tile its host's edges exactly,
+    naming the segment of an edge covered twice, or else counting the host
+    edges uncovered and the edges outside the host.  Then raise unless the
+    positions the segments place (:meth:`Segment.positions`) tile the
+    host's positions, which catches a segment without edges at a wrong
+    start.  Positions wrap modulo the order of a power cycle."""
+    host = layout.host
+    n, wrap = host.order, host.kind == POWER_CYCLE
+    covered: set[Edge] = set()
+    for seg in layout.segments:
+        for (x, y) in seg.edges():
+            e = canonical_edge(x % n, y % n) if wrap else canonical_edge(x, y)
+            if e in covered:
+                raise HamPowerError(f"layout error: host edge {e} assigned twice (at {seg.name})")
+            covered.add(e)
+    expected = frozenset(host_edges(host))
+    if covered != expected:
+        missing, outside = expected - covered, covered - expected
+        raise HamPowerError(
+            f"layout error: {len(missing)} host edges uncovered, {len(outside)} outside "
+            f"the host (e.g. {sorted(missing)[:4] or sorted(outside)[:4]})"
+        )
+    placed: set[int] = set()
+    for seg in layout.segments:
+        for p in seg.positions():
+            q = p % n if wrap else p
+            if q in placed or not 0 <= q < n:
+                raise HamPowerError(
+                    f"layout error: host position {q} placed twice or outside the host "
+                    f"(at {seg.name})"
+                )
+            placed.add(q)
+    if len(placed) != n:
+        raise HamPowerError(f"layout error: {n - len(placed)} host positions unplaced")
+
+
+def reference_restrict_pattern(pattern, start: int, target: HostTemplate) -> ColourPattern:
+    """The window of a pattern as a dict from the target's edges to the
+    source colours of the shifted edges."""
+    src = pattern.host
+    if src.kind == CONNECTOR:
+        raise InvalidPatternError("cannot restrict a connector pattern")
+    if target.k != src.k:
+        raise InvalidPatternError(f"window power mismatch: {target.k} != {src.k}")
+    if target.order > src.order:
+        raise InvalidPatternError("window longer than the source host")
+    if src.kind == POWER_PATH:
+        check_int(start, "window start", 0, src.order - target.order, InvalidPatternError)
+    else:  # a cycle's window wraps
+        check_int(start, "window start", error=InvalidPatternError)
+    n, off, colours = src.order, start % src.order, pattern.colours
+    edges = host_edges(target)
+    if off + target.order <= n:  # no wrap: shifted edges stay canonical
+        window = {(i, j): colours[off + i, off + j] for (i, j) in edges}
+    else:
+        window = {
+            (i, j): colours[canonical_edge((off + i) % n, (off + j) % n)] for (i, j) in edges
+        }
+    return ColourPattern(target, window)
+
+
+def reference_verify(collection: GraphCollection, pattern, vertices) -> VerifyResult:
+    """The first canonical host edge whose image is not an edge in its
+    colour's graph, read edge by edge from the colour mapping."""
+    colours, masks, m = pattern.colours, collection.masks, collection.m
+    for e in host_edges(pattern.host):
+        c = colours[e]
+        if c > m or not (masks[c - 1][vertices[e[0]]] >> vertices[e[1]]) & 1:
+            return VerifyResult(False, e)
+    return VerifyResult(True, None)

@@ -76,6 +76,8 @@ REGRESSIONS = {
     "edge-float-end": lambda: GraphCollection.from_edge_lists(3, [[(0, 1.5)]]),
     "edge-none": lambda: GraphCollection.from_edge_lists(3, [[(0, 1), None]]),
     "edge-list-none": lambda: GraphCollection.from_edge_lists(3, [None]),
+    "pattern-colours-none": lambda: ColourPattern(power_path(4, 2), None),
+    "pattern-colours-int": lambda: ColourPattern(power_path(4, 2), 5),
     # this raised a raw ValueError
     "edge-triple": lambda: GraphCollection.from_edge_lists(3, [[(0, 1, 2)]]),
     # this raised a raw KeyError
