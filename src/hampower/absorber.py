@@ -16,13 +16,15 @@ and robustly wherever every colour-specific degree is high enough.  Its
 skeleton (ids, layout, the host edge whose colour each gadget edge takes,
 and the degeneracy order after A with each vertex's at most k+2 earlier
 neighbours) depends on (k, ell) only, so it is built and checked once per
-shape, and each gadget only looks up its colours.  The embedding walks
-that stored order with :func:`connectors.place_in_order`, the walk that
-also places connector internals.
+shape, and each gadget reads its colours from its window of the pattern in
+one gather (:func:`core.colour_reader`).  The embedding walks that stored
+order with :func:`connectors.place_in_order`, the walk that also places
+connector internals.
 
 The absorbing path is a :class:`core.Layout`, :func:`absorber_layout`,
-and its connectors are embedded by :func:`chain_connectors`, the loop that
-also joins the solver's cycle.
+built for each template from one shape per connector and gadget size and
+checked by those shapes' cached edge masks; its connectors are embedded by
+:func:`chain_connectors`, the loop that also joins the solver's cycle.
 
 A *robustly matchable template* converts "absorb any s-subset of the
 reservoir" into one matching computation: it is a bounded-degree bipartite
@@ -596,9 +598,10 @@ def build_absorbing_structure(
 
 
 def absorber_layout(k: int, x_degrees: tuple[int, ...]) -> Layout:
-    """The absorbing path for gadgets of these X-degrees, built and checked
-    on every call: z1, a connector and a gadget window per gadget, then a
-    connector and z2."""
+    """The absorbing path for gadgets of these X-degrees: z1, a connector
+    and a gadget window per gadget, then a connector and z2.  It is built
+    on every call, each shape once, and checked by the shapes' cached edge
+    masks (:func:`core.check_edge_partition`)."""
     end = power_path(1, k)
     joints = {a: connector(a, k, k) for a in (1, k)}  # each shape made once
     windows = {ell: power_path((2 * k + 1) * ell, k) for ell in set(x_degrees)}

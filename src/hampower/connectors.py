@@ -116,8 +116,7 @@ def embed_connector(
     placed = dict(enumerate(w))
     placed.update((a + k + i, v) for i, v in enumerate(y))
     p = place_in_order(
-        collection, _connector_order(a, b, k), dict(pattern.colours.items()), placed,
-        pool & ~end_mask, rng,
+        collection, _connector_order(a, b, k), pattern.colours, placed, pool & ~end_mask, rng
     )
     if p is not None:
         raise ConnectionFailedError(

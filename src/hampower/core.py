@@ -183,10 +183,10 @@ def _index_edges(host: HostTemplate) -> tuple[Edge, ...]:
 
 
 @functools.lru_cache(maxsize=128)
-def _edge_indices(host: HostTemplate) -> tuple[int, ...]:
+def _edge_indices(host: HostTemplate) -> Sequence[int]:
     """The edge index of each of :func:`_index_edges`."""
-    if host.kind == POWER_CYCLE:
-        return tuple(range(host.order * host.k))
+    if host.kind == POWER_CYCLE:  # every index is an edge's
+        return range(host.order * host.k)
     k = host.k
     return tuple(i * k + j - i - 1 for (i, j) in _host_edges(host))
 
@@ -209,15 +209,6 @@ def _getter(keys: Sequence) -> Callable[[object], tuple]:
     if len(keys) < 2:  # itemgetter returns a lone value unwrapped
         return lambda container: tuple(container[key] for key in keys)
     return itemgetter(*keys)
-
-
-@functools.lru_cache(maxsize=128)
-def _canonical_positions(host: HostTemplate) -> Optional[tuple[int, ...]]:
-    """The colour tuple's positions in canonical edge order, or None where
-    that is the tuple's own order (every host but a power cycle)."""
-    if host.kind != POWER_CYCLE:
-        return None
-    return tuple(map(_positions(host).__getitem__, _host_edges(host)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -310,7 +301,7 @@ def check_edge_partition(layout: Layout) -> None:
     for seg, (base, mask) in zip(layout.segments, bits):
         mask = _rotated(mask << base % n * k, n * k) if wrap else mask << (base + lead) * k
         if mask is None or mask & covered:
-            raise _doubled_edge(layout.host, seg, covered, lead)
+            raise _doubled_edge(host, seg, covered, lead)
         covered |= mask
     expected = _edge_mask(host) << lead * k
     if covered != expected:
@@ -751,10 +742,10 @@ def verify_coloured_embedding(
         raise VerificationInputError(f"vertex {v} out of range for n={n}")
     if len(set(vertices)) != len(vertices):
         raise VerificationInputError("vertex list contains repeats")
-    colours, order = pattern._colours, _canonical_positions(host)
-    e = _first_violation(collection, _index_edges(host), colours, vertices)
-    if e is not None and order is not None:  # a cycle: the first in canonical order
-        e = _first_violation(collection, _host_edges(host), map(colours.__getitem__, order), vertices)
+    e = _first_violation(collection, _index_edges(host), pattern._colours, vertices)
+    if e is not None and host.kind == POWER_CYCLE:  # the first in canonical order instead
+        edges = _host_edges(host)
+        e = _first_violation(collection, edges, map(pattern.colours.__getitem__, edges), vertices)
     return VerifyResult(e is None, e)
 
 
@@ -815,7 +806,7 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
 
 
 @functools.lru_cache(maxsize=128)
-def _window_gather(host: HostTemplate) -> tuple[int, tuple[int, ...], Callable[[Sequence], tuple]]:
+def _window_gather(host: HostTemplate) -> tuple[int, Sequence[int], Callable[[Sequence], tuple]]:
     """The length of the longest prefix of a pattern's colour tuple whose
     positions are their edge indices, the edge indices of the rest, and a
     reader of a sequence at those."""

@@ -16,6 +16,7 @@ from hampower.core import (
     POWER_PATH,
     ColourPattern,
     GraphCollection,
+    Segment,
     check_edge_partition,
     connector,
     host_edges,
@@ -85,6 +86,18 @@ def test_segment_of_another_power_rejected():
     )
     with pytest.raises(HamPowerError, match="is a 3-power on a 2-power host"):
         check_edge_partition(SimpleNamespace(host=layout.host, segments=segments))
+
+
+@pytest.mark.parametrize("segment", [
+    Segment("long", "path", 3, power_path(9, 2)),
+    Segment("long greedy", EXTEND, 5, power_path(8, 2)),
+])
+def test_segment_wrapping_onto_itself_rejected(segment):
+    # its window is longer than the cycle, so the rotation folds it onto itself
+    host = power_cycle(7, 2)
+    want = _verdict(reference_check_edge_partition, host, (segment,))
+    assert want is not None and "assigned twice" in want
+    assert _verdict(check_edge_partition, host, (segment,)) == want
 
 
 @st.composite
