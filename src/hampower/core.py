@@ -498,9 +498,6 @@ class _ColourView(Mapping):
     def __len__(self) -> int:
         return len(self._colours)
 
-    def __contains__(self, edge: object) -> bool:
-        return edge in self._positions
-
     def values(self) -> tuple[int, ...]:  # type: ignore[override]
         return self._colours
 
@@ -784,8 +781,8 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
         raise InvalidPatternError(f"window power mismatch: {target.k} != {src.k}")
     if target.order > src.order:
         raise InvalidPatternError("window longer than the source host")
-    if target.kind == POWER_CYCLE and target.order != src.order:
-        raise InvalidPatternError("a window shorter than its host must be a path or a connector")
+    if target.kind == POWER_CYCLE and (src.kind != POWER_CYCLE or target.order != src.order):
+        raise InvalidPatternError("a window must be a path, a connector or its whole cycle")
     if src.kind == POWER_PATH:
         check_int(start, "window start", 0, src.order - target.order, InvalidPatternError)
     else:  # a cycle's window wraps

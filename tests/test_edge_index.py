@@ -3,8 +3,9 @@ colour patterns stored as one tuple, each against its set-and-dict
 reference in ``helpers``."""
 
 import random
+from collections.abc import Mapping
 from dataclasses import replace
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from hampower.core import (
     restrict_pattern,
     verify_coloured_embedding,
 )
-from hampower.errors import HamPowerError
+from hampower.errors import HamPowerError, InvalidPatternError
 from hampower.pipeline import PipelineConfig, candidate_plans
 
 CONFIG = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7)
@@ -127,6 +128,24 @@ class TestPatternStorage:
         assert pattern.max_colour == max(colours.values(), default=1)
         assert ColourPattern(host, dict(reversed(colours.items()))) == pattern
 
+    def test_any_mapping_is_read_and_its_keys_checked(self):
+        host = power_path(5, 2)
+        colours = _colours(host, random.Random(1))
+        assert ColourPattern(host, MappingProxyType(colours)) == ColourPattern(host, colours)
+
+        class AnswersEveryKey(Mapping):  # but lists keys outside the host
+            def __getitem__(self, edge):
+                return 1
+
+            def __iter__(self):
+                return ((i, i + 9) for i in range(len(colours)))
+
+            def __len__(self):
+                return len(colours)
+
+        with pytest.raises(InvalidPatternError, match="pattern domain mismatch: 7 host edges missing"):
+            ColourPattern(host, AnswersEveryKey())
+
     @settings(max_examples=200, deadline=None)
     @given(hosts(("path", "cycle")), st.data())
     def test_restriction_matches_the_dict_reference(self, source, data):
@@ -166,5 +185,7 @@ def test_window_of_a_cycle_must_be_a_path_a_connector_or_the_whole_cycle():
     assert restrict_pattern(pattern, 4, power_cycle(9, 2)) == reference_restrict_pattern(
         pattern, 4, power_cycle(9, 2)
     )
-    with pytest.raises(HamPowerError, match="must be a path or a connector"):
-        restrict_pattern(pattern, 0, power_cycle(7, 2))
+    path = ColourPattern(power_path(9, 2), _colours(power_path(9, 2), random.Random(0)))
+    for source, target in ((pattern, power_cycle(7, 2)), (path, power_cycle(9, 2))):
+        with pytest.raises(InvalidPatternError, match="must be a path, a connector or its whole cycle"):
+            restrict_pattern(source, 0, target)
