@@ -26,6 +26,7 @@ from hampower.errors import (
 from hampower.instances import (
     bijective_pattern,
     complete_collection,
+    multipartite_collection,
     random_min_degree_collection,
     random_pattern,
 )
@@ -492,6 +493,60 @@ class TestEventLog:
         assert vars(cause) == fields == err.value.events[-1]["fields"]
         assert str(cause) == "no candidate vertex extends the path at greedy, pool of 4"
         assert str(cause.__cause__) == "no candidate vertex extends the path"
+
+
+def _multipartite_instance(n, k, p, seed, r):
+    rng = random.Random(seed)
+    coll, _ = multipartite_collection(n, 2 * k, 3, p, rng)
+    return coll, random_pattern(power_cycle(n, k), 3, rng), replace(CONFIG, seed=seed, r=r)
+
+
+def _sweep_instance(seed):
+    rng = random.Random(seed)
+    coll = random_min_degree_collection(150, 450, 0.85, rng)
+    return coll, bijective_pattern(power_cycle(150, 3), rng), replace(CONFIG, seed=seed, r=8)
+
+
+EVENT_LOG_SOLVES = {
+    # gadget, builder, sweep and final connector failures; 3-6 plans a solve
+    "multipartite-600": lambda: [
+        _multipartite_instance(600, 2, p, seed, 7) for p in (0, 0.1) for seed in (0, 1)
+    ],
+    "fallback": lambda: [fallback_instance()],
+    # at the threshold with r = k + 1; three end in StageFailedError
+    "multipartite-12": lambda: [
+        _multipartite_instance(12, k, 0, seed, k + 1) for k in (2, 3) for seed in range(6)
+    ],
+    "sweep-k3": lambda: [_sweep_instance(seed) for seed in (200, 201)],
+}
+
+
+class TestEventLogDigest:
+    """Each solve's cycle, or the stage it failed at, with its events less
+    ``elapsed_ms``, pinned by digest: a change to a failed attempt's error,
+    message or fields, or to the order of attempts, shows here."""
+
+    @staticmethod
+    def _record(coll, pattern, config):
+        try:
+            cycle, trace = solve(coll, pattern, config)
+            outcome, events = cycle.vertices, trace["events"]
+        except StageFailedError as exc:
+            outcome, events = exc.stage, exc.events
+        return outcome, [{key: v for key, v in e.items() if key != "elapsed_ms"} for e in events]
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("multipartite-600", "10cab8bc0b83c3afde8d6974526b7084afbf83229fe752df8f7c2ca9834d3765"),
+            ("fallback", "548c0bee8ae146f9ebad21c0d9c5eb3ae8befef85c3579b677f295671017635d"),
+            ("multipartite-12", "9c93446d37100810186a888e32e869393a3e6392738e2348f5567805de5e43b4"),
+            ("sweep-k3", "16e60a34eb80fe434b6b343b0cb78019e02da4d36db7e7ef6b08c2bdca693df9"),
+        ],
+    )
+    def test_outcomes_and_events_digest(self, family, digest):
+        records = [self._record(*instance) for instance in EVENT_LOG_SOLVES[family]()]
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
 class TestGoldenOutput:
