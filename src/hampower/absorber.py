@@ -23,8 +23,8 @@ connector internals.
 
 The absorbing path is a :class:`core.Layout`, :func:`absorber_layout`,
 built for each template from one shape per connector and gadget size and
-checked by those shapes' cached edge masks; its connectors are embedded by
-:func:`chain_connectors`, the loop that also joins the solver's cycle.
+checked by those shapes' cached edge masks; its connectors are embedded
+in host order by :func:`join_connector`, which also joins the solver's cycle.
 
 A *robustly matchable template* converts "absorb any s-subset of the
 reservoir" into one matching computation: it is a bounded-degree bipartite
@@ -63,6 +63,7 @@ from .core import (
     colour_reader,
     connector,
     host_edges,
+    only_ints,
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
@@ -342,14 +343,11 @@ class Template:
         followed by the W' rows in increasing order, its rows mapped back to
         template left indices; None unless it is perfect.
         """
-        chosen = sorted(w_locals)
-        if (
-            len(chosen) != self.s
-            or len(set(chosen)) != self.s
-            or any(not (0 <= w < self.n_w) for w in chosen)
-        ):
+        chosen = tuple(w_locals) if isinstance(w_locals, Iterable) else None
+        if not (only_ints(chosen) and len(set(chosen)) == len(chosen) == self.s
+                and all(0 <= w < self.n_w for w in chosen)):
             raise InvalidInstanceError("robust_matching needs s distinct W-local indices")
-        left_ids = [*range(self.n_u), *(self.n_u + w for w in chosen)]
+        left_ids = [*range(self.n_u), *(self.n_u + w for w in sorted(chosen))]
         rows = tuple(self.rows[left] for left in left_ids)
         pairs = max_matching(BipartiteGraph(rows, self.x_mask))
         return [(left_ids[u], x) for u, x in pairs] if len(pairs) == self.n_x else None
@@ -558,7 +556,7 @@ def build_absorbing_structure(
     u_and_w = y_tuple + w_tuple  # the actual vertices of the template's left indices
 
     gadgets: list[EmbeddedGadget] = []
-    for seg, left_ids in zip(_gadget_segments(layout), x_nbrs):
+    for seg, left_ids in zip(_segments(layout, GADGET), x_nbrs):
         sub = restrict_pattern(pattern, seg.start, seg.shape)
         blueprint = build_gadget_blueprint(k, len(left_ids), sub)
         actual = tuple(u_and_w[left] for left in left_ids)
@@ -573,7 +571,9 @@ def build_absorbing_structure(
         # every B position is fixed; the A positions wait for the absorbed vertices
         placement[seg.start:seg.start + seg.shape.order] = map(body.get, blueprint.base_sequence)
 
-    chain_connectors(collection, pattern, layout, placement, full & ~used, rng, embed_connector)
+    pool = full & ~used
+    for seg in _segments(layout, CONNECTOR):  # every piece is placed: join in host order
+        pool = join_connector(collection, pattern, seg, placement, pool, rng, embed_connector)
 
     bodies = (g.images.values() for g in gadgets)
     absorbed = set(y_tuple).union(placement[1:-1], *bodies) - {None}  # z1, z2 sit at the ends
@@ -620,8 +620,8 @@ def absorber_layout(k: int, x_degrees: tuple[int, ...]) -> Layout:
     return Layout(power_path(pos + k + 1, k), tuple(segments))
 
 
-def _gadget_segments(layout: Layout) -> list[Segment]:
-    return [seg for seg in layout.segments if seg.kind == GADGET]
+def _segments(layout: Layout, kind: str) -> list[Segment]:
+    return [seg for seg in layout.segments if seg.kind == kind]
 
 
 def at_segment(exc: HamPowerError, segment: str, pool: int, **fields) -> HamPowerError:
@@ -634,52 +634,33 @@ def at_segment(exc: HamPowerError, segment: str, pool: int, **fields) -> HamPowe
     return type(exc)(f"{exc} at {segment}, pool of {size}", **fields)
 
 
-def chain_connectors(
+def join_connector(
     collection: GraphCollection,
     pattern: ColourPattern,
-    layout: Layout,
+    seg: Segment,
     placement: list[Optional[int]],
     pool: int,
     rng: random.Random,
     embed: Callable[..., tuple[int, ...]],
-    fill: Optional[Callable[[Segment, int], int]] = None,
 ) -> int:
-    """Embed the layout's connectors in host order; return the pool left.
+    """Embed the connector segment ``seg``; return the ``pool`` mask left.
 
-    A connector's ends are read from ``placement`` by host position (modulo
-    its length, so a cycle's closing connector wraps to the first piece) and
-    its internals, drawn from the ``pool`` mask by ``embed``, written back.
-    ``embed`` is :func:`connectors.embed_connector` as the caller's module
-    names it, where the benchmark's span hooks wrap it.  ``fill(segment,
-    pool) -> pool``, if given, places each other segment in host order, and
-    a connector is embedded once the piece after it is placed.  A failed
-    connector's error gains its segment name and its pool's popcount
-    (:func:`at_segment`).
-    """
+    Its ends are read from ``placement`` by host position, modulo its length
+    so a cycle's closing connector wraps, and its internals, drawn from the
+    pool by ``embed`` (:func:`connectors.embed_connector` as the caller's
+    module names it, where the benchmark's span hooks wrap it), are written
+    back.  A failure names the segment and the pool (:func:`at_segment`)."""
     n = len(placement)
-
-    def join(seg: Segment) -> int:
-        a, k = seg.shape.a, seg.shape.k
-        ends = [placement[p % n] for p in range(seg.start, seg.start + seg.shape.order)]
-        sub = restrict_pattern(pattern, seg.start, seg.shape)
-        try:
-            internals = embed(collection, ends[:a], ends[a + k:], sub, pool, rng)
-        except ConnectionFailedError as exc:
-            raise at_segment(exc, seg.name, pool) from exc
-        for off, v in enumerate(internals):
-            placement[(seg.start + a + off) % n] = v
-        return pool & ~mask_of(internals)
-
-    pending: Optional[Segment] = None
-    for seg in layout.segments:
-        if seg.kind == CONNECTOR:
-            pending = seg
-            continue
-        if fill is not None:
-            pool = fill(seg, pool)
-        if pending is not None:
-            pool, pending = join(pending), None
-    return pool if pending is None else join(pending)
+    a, k = seg.shape.a, seg.shape.k
+    ends = [placement[p % n] for p in range(seg.start, seg.start + seg.shape.order)]
+    sub = restrict_pattern(pattern, seg.start, seg.shape)
+    try:
+        internals = embed(collection, ends[:a], ends[a + k:], sub, pool, rng)
+    except ConnectionFailedError as exc:
+        raise at_segment(exc, seg.name, pool) from exc
+    for off, v in enumerate(internals):
+        placement[(seg.start + a + off) % n] = v
+    return pool & ~mask_of(internals)
 
 
 def absorb(structure: AbsorbingStructure, z_prime: Iterable[int]) -> PowerPath:
@@ -703,7 +684,7 @@ def absorb(structure: AbsorbingStructure, z_prime: Iterable[int]) -> PowerPath:
         raise HamPowerError("internal error: certified template failed to match Z'")
     x_to_left = {x: left for (left, x) in pairs}
     path = list(structure.placement)
-    for i, (gadget, seg) in enumerate(zip(structure.gadgets, _gadget_segments(structure.layout))):
+    for i, (gadget, seg) in enumerate(zip(structure.gadgets, _segments(structure.layout, GADGET))):
         a_index = gadget.l_left_indices.index(x_to_left[i]) + 1
         path[seg.start:seg.start + seg.shape.order] = gadget.absorb_path(a_index)
 

@@ -7,8 +7,8 @@ uniformly so reservoir usage spreads out.  Connectors and absorbing gadgets
 build the order it walks with one function, :func:`placement_order`.  A
 connector joins the tail ``w`` of one k-power path to the head ``y`` of
 another through k internal vertices, placed left to right after both ends
-(an order built once per connector shape).  Colours outside 1..m are
-rejected before any draw.
+(an order built once per connector shape).  Colours that are not ints in
+1..m are rejected before any draw.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     PowerPath,
     connector,
     host_edges,
+    only_ints,
     verify_coloured_embedding,
 )
 from .errors import ConnectionFailedError, HamPowerError, InvalidInstanceError
@@ -34,8 +35,9 @@ Order = Sequence[tuple[int, Sequence[tuple[int, Edge]]]]
 
 
 def _check_colours(collection: GraphCollection, colours: Iterable[int]) -> None:
-    if not (1 <= min(colours, default=1) and max(colours, default=1) <= collection.m):
-        raise InvalidInstanceError(f"edge colours must lie in 1..{collection.m}")
+    if not (only_ints(colours) and 1 <= min(colours, default=1)
+            and max(colours, default=1) <= collection.m):
+        raise InvalidInstanceError(f"edge colours must be integers in 1..{collection.m}")
 
 
 def place_in_order(

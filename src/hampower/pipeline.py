@@ -29,10 +29,11 @@ a level has no perfect matching), and the final cycle is re-verified.
 
 Before anything random happens, each plan's layout is checked by
 :func:`core.check_edge_partition`: the segments' windows and the greedy
-back-edges must partition the host cycle's edge set exactly.  The connect
-stage joins the pieces with :func:`absorber.chain_connectors`, the loop
-that also joins the absorbing path, drawing the leftover order and the
-greedy vertices as the chain reaches them.
+back-edges must partition the host cycle's edge set exactly.  Each stage
+is a module-level function of the earlier stages' outputs.  The connect
+stage walks the layout in host order, placing each piece and then joining
+the connector before it (:func:`absorber.join_connector`); it shuffles the
+leftovers at the first one and draws each greedy vertex as it reaches it.
 
 Each stage attempt of each plan tried logs one event: ``plan_index``,
 ``stage`` and the 0-based ``attempt`` (with the seed, the labels of its
@@ -51,7 +52,7 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .absorber import (
     GADGET_MIN_K,
@@ -62,8 +63,8 @@ from .absorber import (
     at_segment,
     build_absorbing_structure,
     build_template,
-    chain_connectors,
     expected_absorbed_size,
+    join_connector,
     template_edge_count,
 )
 from .bitset import mask_of, select
@@ -340,103 +341,26 @@ def _solve_with_plan(
     plan_index: int,
     events: list[dict],
 ) -> tuple[PowerCycle, dict]:
-    k, n = plan.k, plan.n
-    layout = plan.layout()  # checked before any embedding
-    attempts = 1 if config.mode == STRICT else config.max_retries
-
-    def run_stage(name: str, fn: Callable[[random.Random], object], tries: int = attempts):
-        for attempt in range(tries):
-            event = dict(plan_index=plan_index, stage=name, attempt=attempt, elapsed_ms=0.0)
-            events.append(event)
-            started = time.perf_counter()
-            try:
-                return fn(derive_rng(config.seed, plan_index, name, attempt))
-            except HamPowerError as exc:
-                cause = exc
-                event.update(error=type(exc).__name__, message=str(exc), fields=dict(vars(exc)))
-            finally:
-                event["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-        raise StageFailedError(name, cause, events)
-
-    reservoir = run_stage("reservoir", lambda rng: sample_reservoir(n, plan.z_size, rng), tries=1)
-    z1, z2 = run_stage("endpoints", lambda rng: tuple(rng.sample(sorted(reservoir), 2)))
-
-    def stage_absorber(rng: random.Random) -> AbsorbingStructure:
-        if plan.s_t >= 1:
-            template = build_template(plan.s_t, plan.w_extra, rng)
-        else:
-            template = Template.empty()
-        candidates = sorted(set(range(n)) - reservoir)
-        y = tuple(rng.sample(candidates, 2 * plan.s_t))
-        chi0 = restrict_pattern(pattern, 0, power_path(plan.m_abs, k))
-        return build_absorbing_structure(collection, chi0, reservoir, z1, z2, y, template, rng)
-
-    structure = run_stage("absorber", stage_absorber)
-
+    n = plan.n
+    plan.layout()  # checked before any embedding
+    tries = 1 if config.mode == STRICT else config.max_retries
+    run = functools.partial(_run_stage, events, config.seed, plan_index)
+    reservoir = run("reservoir", 1, sample_reservoir, n, plan.z_size)
+    z1, z2 = run("endpoints", tries, _endpoints_stage, reservoir)
+    structure = run("absorber", tries, _absorber_stage,
+                    collection, pattern, plan, reservoir, z1, z2)
     v_prime = sorted(set(range(n)) - structure.absorbed_set - reservoir)
     if len(v_prime) != plan.s * plan.r + plan.c:
         raise HamPowerError("internal error: vertex accounting broke after the absorber")
     if n != structure.a_size + plan.z_size + len(v_prime):
         raise HamPowerError("internal error: |V| != |A| + |Z| + |V'|")
-
-    def stage_paths(rng: random.Random) -> list[PowerPath]:
-        # the random equipartition of V' is redrawn on every attempt
-        pool = list(v_prime)
-        rng.shuffle(pool)
-        parts = [sorted(pool[j * plan.n1:(j + 1) * plan.n1]) for j in range(plan.r)]
-        pats = [
-            restrict_pattern(pattern, seg.start, seg.shape)
-            for seg in layout.segments
-            if seg.kind == PATH
-        ]
-        return build_path_collection(collection, parts, pats, plan.s, rng)
-
-    paths = run_stage("paths", stage_paths)
-
-    def stage_connect(rng: random.Random) -> tuple[list[Optional[int]], frozenset[int]]:
-        placement: list[Optional[int]] = [None] * n
-        leftovers = sorted(set(v_prime).difference(*(path.vertices for path in paths)))
-        if len(leftovers) != plan.c:
-            raise HamPowerError("internal error: leftover count disagrees with the plan")
-
-        def shuffled(items: list[int]) -> Iterator[tuple[int]]:
-            rng.shuffle(items)  # at the first leftover: after the path connectors
-            yield from ((v,) for v in items)
-
-        pieces = {
-            ABSORBER: iter([structure.placement]),
-            PATH: (path.vertices for path in paths),
-            LEFTOVER: shuffled(leftovers),
-        }
-
-        def fill(seg: Segment, pool: int) -> int:
-            if seg.kind != EXTEND:
-                piece = next(pieces[seg.kind])
-                placement[seg.start:seg.start + len(piece)] = piece
-                return pool
-            for p in range(seg.start, seg.start + seg.shape.order):  # the greedy padding
-                colours = [pattern.colour_of(p - k + j, p) for j in range(k)]
-                tail = PowerPath(k, tuple(placement[p - k:p]))
-                try:
-                    z = extend_by_one(collection, tail, colours, pool, rng)
-                except ConnectionFailedError as exc:
-                    raise at_segment(exc, seg.name, pool, position=p) from exc
-                pool &= ~(1 << z)
-                placement[p] = z
-            return pool
-
-        avail = mask_of(reservoir) & ~(1 << z1) & ~(1 << z2)
-        avail = chain_connectors(
-            collection, pattern, layout, placement, avail, rng, embed_connector, fill
-        )
-        if avail.bit_count() != plan.s_t:
-            raise HamPowerError("internal error: reservoir residue is not exactly s_t")
-        return placement, frozenset(select(avail, itertools.count()))
-
-    placement, z_prime = run_stage("connect", stage_connect)
-
-    absorber_path = run_stage("absorb", lambda rng: absorb(structure, z_prime), tries=1)
-    placement[:plan.m_abs] = absorber_path.vertices
+    paths = run("paths", tries, _paths_stage, collection, pattern, plan, v_prime)
+    pool = mask_of(reservoir) & ~(1 << z1) & ~(1 << z2)
+    placement, pool = run(
+        "connect", tries, _connect_stage, collection, pattern, plan, structure, paths, v_prime, pool
+    )
+    z_prime = frozenset(select(pool, itertools.count()))
+    placement[:plan.m_abs] = run("absorb", 1, _absorb_stage, structure, z_prime).vertices
 
     if any(v is None for v in placement):
         raise HamPowerError("internal error: unfilled host positions remain")
@@ -446,4 +370,97 @@ def _solve_with_plan(
         raise HamPowerError(f"internal error: final cycle fails verification at {result.violation}")
     trace = dict(seed=config.seed, mode=config.mode, plan=asdict(plan),
                  plan_index=plan_index, verified=True, events=events)
-    return PowerCycle(k, vertices), trace
+    return PowerCycle(plan.k, vertices), trace
+
+
+def _run_stage(events: list[dict], seed: int, plan_index: int, name: str, tries: int,
+               stage: Callable, *args):
+    """``stage(*args, rng)`` on attempt i's stream ``derive_rng(seed, plan_index,
+    name, i)`` for i < ``tries`` until one returns, appending one event per
+    attempt to ``events``; else :class:`StageFailedError`."""
+    for attempt in range(tries):
+        event = dict(plan_index=plan_index, stage=name, attempt=attempt, elapsed_ms=0.0)
+        events.append(event)
+        started = time.perf_counter()
+        try:
+            return stage(*args, derive_rng(seed, plan_index, name, attempt))
+        except HamPowerError as exc:
+            cause = exc
+            event.update(error=type(exc).__name__, message=str(exc), fields=dict(vars(exc)))
+        finally:
+            event["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    raise StageFailedError(name, cause, events)
+
+
+def _endpoints_stage(reservoir: frozenset[int], rng: random.Random) -> tuple[int, int]:
+    return tuple(rng.sample(sorted(reservoir), 2))
+
+
+def _absorber_stage(
+    collection: GraphCollection, pattern: ColourPattern, plan: Plan,
+    reservoir: frozenset[int], z1: int, z2: int, rng: random.Random,
+) -> AbsorbingStructure:
+    template = build_template(plan.s_t, plan.w_extra, rng) if plan.s_t else Template.empty()
+    y = tuple(rng.sample(sorted(set(range(plan.n)) - reservoir), 2 * plan.s_t))
+    chi0 = restrict_pattern(pattern, 0, power_path(plan.m_abs, plan.k))
+    return build_absorbing_structure(collection, chi0, reservoir, z1, z2, y, template, rng)
+
+
+def _paths_stage(
+    collection: GraphCollection, pattern: ColourPattern, plan: Plan,
+    v_prime: list[int], rng: random.Random,
+) -> list[PowerPath]:
+    # the random equipartition of V' is redrawn on every attempt
+    pool = list(v_prime)
+    rng.shuffle(pool)
+    parts = [sorted(pool[j * plan.n1:(j + 1) * plan.n1]) for j in range(plan.r)]
+    segments = plan.layout().segments
+    pats = [restrict_pattern(pattern, seg.start, seg.shape) for seg in segments if seg.kind == PATH]
+    return build_path_collection(collection, parts, pats, plan.s, rng)
+
+
+def _connect_stage(
+    collection: GraphCollection, pattern: ColourPattern, plan: Plan,
+    structure: AbsorbingStructure, paths: list[PowerPath], v_prime: list[int],
+    pool: int, rng: random.Random,
+) -> tuple[list[Optional[int]], int]:
+    """The cycle's placement, every piece placed and every connector joined
+    in the walk of the module docstring, and the ``pool`` mask left."""
+    k = plan.k
+    placement: list[Optional[int]] = [None] * plan.n
+    leftovers = sorted(set(v_prime).difference(*(path.vertices for path in paths)))
+    if len(leftovers) != plan.c:
+        raise HamPowerError("internal error: leftover count disagrees with the plan")
+    pieces = {ABSORBER: iter([structure.placement]), PATH: (path.vertices for path in paths)}
+    joint: Optional[Segment] = None  # the connector before the next piece
+    for seg in plan.layout().segments:
+        if seg.kind == CONNECTOR:
+            joint = seg
+            continue
+        if seg.kind == EXTEND:
+            for p in range(seg.start, seg.start + seg.shape.order):
+                colours = [pattern.colour_of(p - k + j, p) for j in range(k)]
+                tail = PowerPath(k, tuple(placement[p - k:p]))
+                try:
+                    z = extend_by_one(collection, tail, colours, pool, rng)
+                except ConnectionFailedError as exc:
+                    raise at_segment(exc, seg.name, pool, position=p) from exc
+                pool &= ~(1 << z)
+                placement[p] = z
+        else:
+            if seg.kind not in pieces:  # the first leftover
+                rng.shuffle(leftovers)
+                pieces[LEFTOVER] = ((v,) for v in leftovers)
+            piece = next(pieces[seg.kind])
+            placement[seg.start:seg.start + len(piece)] = piece
+        if joint is not None:
+            pool = join_connector(collection, pattern, joint, placement, pool, rng, embed_connector)
+            joint = None
+    pool = join_connector(collection, pattern, joint, placement, pool, rng, embed_connector)
+    if pool.bit_count() != plan.s_t:
+        raise HamPowerError("internal error: reservoir residue is not exactly s_t")
+    return placement, pool
+
+
+def _absorb_stage(structure: AbsorbingStructure, z_prime: frozenset[int], rng) -> PowerPath:
+    return absorb(structure, z_prime)  # deterministic: the stream goes unused

@@ -17,10 +17,10 @@ from hampower.absorber import (
     build_absorbing_structure,
     build_gadget_blueprint,
     build_template,
-    chain_connectors,
     embed_by_degeneracy,
     expected_absorbed_size,
     gadget_absorb_sequence,
+    join_connector,
     template_edge_count,
 )
 from hampower.absorber import (
@@ -30,6 +30,7 @@ from hampower.absorber import (
 )
 from hampower.bitset import mask_of
 from hampower.core import (
+    CONNECTOR,
     GraphCollection,
     Layout,
     canonical_edge,
@@ -341,6 +342,12 @@ class TestTemplate:
         with pytest.raises(InvalidInstanceError):
             template.robust_matching([0, 0, 1])
 
+    @pytest.mark.parametrize("w_locals", [[0.5, 1], None, [False, True], [0, 4], (1,)])
+    def test_malformed_w_indices_rejected(self, w_locals):
+        template = build_template(2, 2, random.Random(0))
+        with pytest.raises(InvalidInstanceError, match="s distinct W-local indices"):
+            template.robust_matching(w_locals)
+
 
 def random_uncertified_template(s, t, rng):
     """Template with random rows of degree 2 or 3, robust or not."""
@@ -613,9 +620,10 @@ class TestChainConnectors:
         coll = complete_collection(10, 3)
         pattern = random_pattern(layout.host, 3, random.Random(72))
         placement = [0, None, None, 1]
+        (seg,) = [seg for seg in layout.segments if seg.kind == CONNECTOR]
         with pytest.raises(ConnectionFailedError) as err:
-            chain_connectors(
-                coll, pattern, layout, placement, mask_of([5]), random.Random(73), embed_connector
+            join_connector(
+                coll, pattern, seg, placement, mask_of([5]), random.Random(73), embed_connector
             )
         cause = err.value.__cause__
         assert isinstance(cause, ConnectionFailedError) and cause.position in (1, 2)

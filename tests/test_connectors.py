@@ -224,10 +224,14 @@ def _recoloured(colours, colour):
     return MappingProxyType(out)
 
 
+# with m = 2, colour 0 would read graph 2 and colour -1 graph 1 (as
+# masks[-1] and masks[-2]); colour 3 names no graph; the rest are not ints,
+# and True would read graph 1
+BAD_COLOURS = [0, -1, 3, "a", None, 1.5, True]
+
+
 class TestColoursOutsideRange:
-    # with m = 2, colour 0 would read graph 2 and colour -1 graph 1 (as
-    # masks[-1] and masks[-2]); colour 3 names no graph
-    @pytest.mark.parametrize("colour", [0, -1, 3])
+    @pytest.mark.parametrize("colour", BAD_COLOURS)
     def test_embed_connector(self, colour):
         coll = complete_collection(12, 2)
         pattern = random_pattern(connector(2, 2, 2), 2, random.Random(48))
@@ -240,7 +244,7 @@ class TestColoursOutsideRange:
             embed_connector(coll, (0, 1), (2, 3), pattern, mask_of(range(4, 12)), rng)
         assert rng.getstate() == state
 
-    @pytest.mark.parametrize("colour", [0, -1, 3])
+    @pytest.mark.parametrize("colour", BAD_COLOURS)
     def test_embed_by_degeneracy(self, colour):
         coll = complete_collection(40, 2)
         bp = build_gadget_blueprint(2, 2, random_pattern(power_path(10, 2), 2, random.Random(50)))
@@ -251,7 +255,7 @@ class TestColoursOutsideRange:
             embed_by_degeneracy(coll, bp, (0, 1), mask_of(range(40)), rng)
         assert rng.getstate() == state
 
-    @pytest.mark.parametrize("colour", [0, -1, 3])
+    @pytest.mark.parametrize("colour", BAD_COLOURS)
     def test_extend_by_one(self, colour):
         coll = complete_collection(10, 2)
         rng = random.Random(52)
