@@ -49,7 +49,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bitset import mask_of, select
-from .connectors import embed_connector, place_in_order, placement_order
+from .connectors import embed_connector, place_in_order, placement_order, vertex_mask
 from .core import (
     CONNECTOR,
     ColourPattern,
@@ -249,11 +249,12 @@ def embed_by_degeneracy(
     Every other vertex, in the order of ``blueprint.back_neighbours``, goes
     to a uniformly random member of the ``pool`` mask joined in the right
     colour to the images of its earlier neighbours; images are distinct and
-    never flexible.  Raises :class:`EmbeddingFailedError` naming the first
-    vertex left without a candidate.
+    never flexible.  ``flexible`` must be ell distinct vertices.  Raises
+    :class:`EmbeddingFailedError` naming the first vertex left without a
+    candidate.
     """
+    pool &= ~vertex_mask(collection, flexible, "flexible", blueprint.ell)
     mapped = dict(zip(blueprint.a_vertices, flexible))
-    pool &= ~mask_of(flexible)
     v = place_in_order(collection, blueprint.back_neighbours, blueprint.edges, mapped, pool, rng)
     if v is not None:
         raise EmbeddingFailedError(f"no image available for vertex {v}", vertex=v)

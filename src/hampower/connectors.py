@@ -3,18 +3,21 @@
 :func:`place_in_order` places vertices one at a time: each one's candidates
 are the ``pool`` mask of free vertices intersected with the colour-specific
 neighbourhood masks of its few earlier neighbours' images, and it is drawn
-uniformly so reservoir usage spreads out.  Connectors and absorbing gadgets
-build the order it walks with one function, :func:`placement_order`.  A
-connector joins the tail ``w`` of one k-power path to the head ``y`` of
-another through k internal vertices, placed left to right after both ends
-(an order built once per connector shape).  Colours that are not ints in
-1..m are rejected before any draw.
+uniformly so reservoir usage spreads out.  It is the only placement walk:
+connectors and absorbing gadgets build the order it walks with one
+function, :func:`placement_order`, and :func:`extend_by_one` walks a
+one-id order.  A connector joins the tail ``w`` of one k-power path to the
+head ``y`` of another through k internal vertices, placed left to right
+after both ends (an order built once per connector shape).  Colours that are not ints in
+1..m, and given vertices that are not distinct ints in range(n)
+(:func:`vertex_mask`), are rejected before any draw.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import reprlib
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bitset import mask_of, pick_bit
@@ -38,6 +41,22 @@ def _check_colours(collection: GraphCollection, colours: Iterable[int]) -> None:
     if not (only_ints(colours) and 1 <= min(colours, default=1)
             and max(colours, default=1) <= collection.m):
         raise InvalidInstanceError(f"edge colours must be integers in 1..{collection.m}")
+
+
+def vertex_mask(collection: GraphCollection, vertices: Sequence[int], what: str,
+                count: Optional[int] = None) -> int:
+    """The mask of ``vertices``, which must be distinct ints (not ``bool``s)
+    in range(n), and ``count`` of them when given; the placement entry
+    points call it before any draw."""
+    n = collection.n
+    if only_ints(vertices) and 0 <= min(vertices, default=0) and max(vertices, default=0) < n:
+        mask = mask_of(vertices)
+        if mask.bit_count() == len(vertices) and count in (None, len(vertices)):
+            return mask
+    many = "" if count is None else f"{count} "
+    raise InvalidInstanceError(
+        f"{what} must be {many}distinct vertices in 0..{n - 1}, got {reprlib.repr(vertices)}"
+    )
 
 
 def place_in_order(
@@ -112,9 +131,7 @@ def embed_connector(
         raise InvalidInstanceError(
             f"connector host is ({a},{b}) but ends have ({len(w)},{len(y)}) vertices"
         )
-    end_mask = mask_of(w) | mask_of(y)
-    if end_mask.bit_count() != a + b:
-        raise InvalidInstanceError("connector ends must be distinct and vertex-disjoint")
+    end_mask = vertex_mask(collection, (*w, *y), "connector ends")
     placed = dict(enumerate(w))
     placed.update((a + k + i, v) for i, v in enumerate(y))
     p = place_in_order(
@@ -144,17 +161,18 @@ def extend_by_one(
     ``colours[j]`` is the required colour of the edge from the j-th of the
     last k path vertices (farthest first) to the new vertex.  The new vertex
     is drawn uniformly from the feasible members of the ``pool`` mask that
-    are not on the path.
+    are not on the path: :func:`place_in_order` places it as id k, joined
+    to ids 0..k-1, the last k path vertices.
     """
     k = path.k
     if path.order < k:
         raise InvalidInstanceError(f"path must have at least k={k} vertices")
     if len(colours) != k:
         raise InvalidInstanceError(f"need exactly k={k} edge colours, got {len(colours)}")
-    _check_colours(collection, colours)
-    cand = pool & ~mask_of(path.vertices)
-    for u, colour in zip(path.vertices[-k:], colours):
-        cand &= collection.neighbour_mask(colour, u)
-    if cand == 0:
+    pool &= ~vertex_mask(collection, path.vertices, "path")
+    edges = [(j, k) for j in range(k)]
+    placed = dict(enumerate(path.vertices[-k:]))
+    order = ((k, tuple(zip(range(k), edges))),)
+    if place_in_order(collection, order, dict(zip(edges, colours)), placed, pool, rng) is not None:
         raise ConnectionFailedError("no candidate vertex extends the path", position=None)
-    return pick_bit(cand, rng)
+    return placed[k]

@@ -24,7 +24,10 @@ The host edge from position i to position i + d (taken mod n on a power
 cycle), 1 <= d <= k, has the *edge index* i*k + d - 1; no other module
 computes it.  A pattern stores its colours as one tuple in increasing edge
 index (:attr:`ColourPattern.colours` reads it by canonical edge), so a
-window of a pattern is a slice of it.
+window of a pattern is a slice of it.  What is read by a host's edges is
+one record, built once per host; only the map from an edge to its colour
+slot is built apart, on the first read by edge, as most hosts are never
+read that way and a long cycle's map costs more than its edge tuple.
 A *layout* (the solver's cycle, the absorbing path) is a host plus named
 segments in host order: pieces, the connectors that join them, and runs of
 one-vertex extensions.  Their edges must tile the host's edges exactly, and
@@ -150,58 +153,47 @@ def host_edges(host: HostTemplate) -> list[Edge]:
     """Canonical edge list of a host, sorted lexicographically.
 
     Connector edges are the power-path edges minus those inside the first
-    ``a`` and inside the last ``b`` positions.  The list is the caller's own
-    copy.
+    ``a`` and inside the last ``b`` positions; the list is the caller's own copy.
     """
-    return list(_host_edges(host))
+    return list(_edges(host).edges)
 
 
-# A solve meets a few dozen hosts (its cycle, the absorbing and builder
-# paths, the connector shapes, one path per gadget size) and most of them
-# many times; C_2000^2's 4000 edges cost about 0.3 MB as a tuple.
+class _EdgeRecord(NamedTuple):
+    """What the package reads of one host's edges, built by :func:`_edges`."""
+
+    edges: tuple[Edge, ...]  # lexicographic, as :func:`host_edges` lists them
+    by_index: tuple[Edge, ...]  # by increasing edge index: a pattern's colour order
+    read: Callable[[dict], tuple]  # a dict at ``by_index``; KeyError at a missing edge
+    mask: int  # the bit of every edge index
+    prefix: int  # the longest prefix of ``by_index`` whose positions are their edge indices
+    rest: Sequence[int]  # the edge indices of the rest
+    gather: Callable[[Sequence], tuple]  # a sequence at ``rest``
+
+
+# A solve meets a few dozen hosts (its cycle, builder paths, connectors, one path
+# per gadget size), most many times; C_2000^2's 4000 edges take ~0.3 MB as a tuple.
 @functools.lru_cache(maxsize=128)
-def _host_edges(host: HostTemplate) -> tuple[Edge, ...]:
-    """:func:`host_edges` as a shared tuple, built once per host."""
+def _edges(host: HostTemplate) -> _EdgeRecord:
+    """The host's edge record; edge indices are lexicographic except on a cycle."""
     n, k = host.order, host.k
     if host.kind == POWER_CYCLE:
-        return tuple(sorted(_index_edges(host)))
-    edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
-    if host.kind == CONNECTOR:
-        a, b = host.a, host.b
-        edges = [(i, j) for (i, j) in edges if not (j < a or i >= n - b)]
-    return tuple(edges)
-
-
-@functools.lru_cache(maxsize=128)
-def _index_edges(host: HostTemplate) -> tuple[Edge, ...]:
-    """The host's canonical edges by increasing edge index, the order of a
-    pattern's colours: lexicographic, except on a power cycle."""
-    if host.kind != POWER_CYCLE:
-        return _host_edges(host)
-    n, k = host.order, host.k
-    return tuple(canonical_edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1))
-
-
-@functools.lru_cache(maxsize=128)
-def _edge_indices(host: HostTemplate) -> Sequence[int]:
-    """The edge index of each of :func:`_index_edges`."""
-    if host.kind == POWER_CYCLE:  # every index is an edge's
-        return range(host.order * host.k)
-    k = host.k
-    return tuple(i * k + j - i - 1 for (i, j) in _host_edges(host))
+        by_index = tuple(canonical_edge(i, (i + d) % n) for i in range(n) for d in range(1, k + 1))
+        edges, indices = tuple(sorted(by_index)), range(n * k)  # every index is an edge's
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
+        if host.kind == CONNECTOR:  # less the end blocks' edges
+            pairs = [(i, j) for (i, j) in pairs if not (j < host.a or i >= n - host.b)]
+        edges = by_index = tuple(pairs)
+        indices = tuple(i * k + j - i - 1 for (i, j) in edges)
+    prefix = next((p for p, i in enumerate(indices) if p != i), len(indices))
+    return _EdgeRecord(edges, by_index, _getter(by_index), _bits(indices, n * k),
+                       prefix, indices[prefix:], _getter(indices[prefix:]))
 
 
 @functools.lru_cache(maxsize=128)
 def _positions(host: HostTemplate) -> dict[Edge, int]:
     """Each canonical host edge's position in a pattern's colour tuple."""
-    return dict(zip(_index_edges(host), count()))
-
-
-@functools.lru_cache(maxsize=128)
-def _edge_getter(host: HostTemplate) -> Callable[[dict], tuple]:
-    """Reads a dict at the host's edges in edge-index order; raises
-    KeyError at a missing edge."""
-    return _getter(_index_edges(host))
+    return dict(zip(_edges(host).by_index, count()))
 
 
 def _getter(keys: Sequence) -> Callable[[object], tuple]:
@@ -209,12 +201,6 @@ def _getter(keys: Sequence) -> Callable[[object], tuple]:
     if len(keys) < 2:  # itemgetter returns a lone value unwrapped
         return lambda container: tuple(container[key] for key in keys)
     return itemgetter(*keys)
-
-
-@functools.lru_cache(maxsize=128)
-def _edge_mask(host: HostTemplate) -> int:
-    """The bit of every edge index of the host."""
-    return _bits(_edge_indices(host), host.order * host.k)
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,7 +240,7 @@ class Segment:
         if self.kind == EXTEND:
             own = range(start, start + self.shape.order)
             return ((p - d, p) for p in own for d in range(1, k + 1))
-        return ((start + p, start + q) for (p, q) in _host_edges(self.shape))
+        return ((start + p, start + q) for (p, q) in _edges(self.shape).edges)
 
     def positions(self) -> range:
         """The host positions this segment places: a connector's k
@@ -303,7 +289,7 @@ def check_edge_partition(layout: Layout) -> None:
         if mask is None or mask & covered:
             raise _doubled_edge(host, seg, covered, lead)
         covered |= mask
-    expected = _edge_mask(host) << lead * k
+    expected = _edges(host).mask << lead * k
     if covered != expected:
         missing, outside = expected & ~covered, covered & ~expected
 
@@ -343,7 +329,7 @@ def _segment_bits(seg: Segment, k: int) -> tuple[int, int]:
         return seg.start - k, _extend_mask(shape.order, k)
     if shape.kind == POWER_CYCLE:
         raise HamPowerError(f"layout error: {seg.name} is a power cycle, not a window")
-    return seg.start, _edge_mask(shape)
+    return seg.start, _edges(shape).mask
 
 
 def _rotated(mask: int, width: int) -> Optional[int]:
@@ -408,24 +394,16 @@ class ColourPattern:
                 f"pattern colours must be a mapping of host edges to colours, "
                 f"got {reprlib.repr(colours)}"
             )
-        if type(colours) is dict:  # no __missing__ to call: read it in C
-            try:
-                values = _edge_getter(host)(colours)
-            except KeyError:
-                values = None
-        else:  # None at a missing host edge; the keys are checked below
-            values = tuple(map(colours.get, _index_edges(host)))
-        if (
-            values is None
-            or len(colours) != len(values)
-            or not _valid_colours(values)
-            or type(colours) is not dict and not colours.keys() <= _positions(host).keys()
-        ):
+        if type(colours) is not dict:  # a plain copy, with no __missing__ to call
+            colours = dict(colours)
+        try:
+            values = _edges(host).read(colours)
+        except KeyError:
+            values = None
+        if values is None or len(colours) != len(values) or not _valid_colours(values):
             expected = _positions(host).keys()
             if len(colours) != len(expected) or not expected >= colours.keys():
-                got = set(colours)
-                missing = expected - got
-                extra = got - expected
+                missing, extra = expected - colours.keys(), colours.keys() - expected
                 raise InvalidPatternError(
                     f"pattern domain mismatch: {len(missing)} host edges missing, "
                     f"{len(extra)} extraneous (e.g. missing={sorted(missing)[:3]}, "
@@ -439,7 +417,7 @@ class ColourPattern:
     def _of(cls, host: HostTemplate, values: tuple[int, ...]) -> "ColourPattern":
         """The pattern with these colours in edge-index order, checked."""
         if not _valid_colours(values):
-            raise _bad_colour(zip(_index_edges(host), values))
+            raise _bad_colour(zip(_edges(host).by_index, values))
         pattern = object.__new__(cls)
         object.__setattr__(pattern, "host", host)
         object.__setattr__(pattern, "_colours", values)
@@ -451,7 +429,10 @@ class ColourPattern:
         return _ColourView(_positions(self.host), self._colours)
 
     def colour_of(self, i: int, j: int) -> int:
-        return self._colours[_positions(self.host)[canonical_edge(i, j)]]
+        try:
+            return self._colours[_positions(self.host)[canonical_edge(i, j)]]
+        except KeyError:
+            raise InvalidPatternError(f"({i}, {j}) is not an edge of {self.host}") from None
 
     @property
     def max_colour(self) -> int:
@@ -739,9 +720,9 @@ def verify_coloured_embedding(
         raise VerificationInputError(f"vertex {v} out of range for n={n}")
     if len(set(vertices)) != len(vertices):
         raise VerificationInputError("vertex list contains repeats")
-    e = _first_violation(collection, _index_edges(host), pattern._colours, vertices)
+    e = _first_violation(collection, _edges(host).by_index, pattern._colours, vertices)
     if e is not None and host.kind == POWER_CYCLE:  # the first in canonical order instead
-        edges = _host_edges(host)
+        edges = _edges(host).edges
         e = _first_violation(collection, edges, map(pattern.colours.__getitem__, edges), vertices)
     return VerifyResult(e is None, e)
 
@@ -774,6 +755,8 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
     pattern's (two for a wrapping window), gathered by the target's edge
     indices.
     """
+    if not (isinstance(pattern, ColourPattern) and isinstance(target, HostTemplate)):
+        raise InvalidPatternError(f"cannot restrict {reprlib.repr(pattern)} to {reprlib.repr(target)}")
     src = pattern.host
     if src.kind == CONNECTOR:
         raise InvalidPatternError("cannot restrict a connector pattern")
@@ -790,26 +773,17 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
     n, k, colours = src.order, src.k, pattern._colours
     lo = start % n * k
     hi = lo + target.order * k
-    stored, rest, _ = _window_gather(src)
+    source = _edges(src)
+    stored = source.prefix
     if hi <= stored:  # edge indices [lo, hi) are colour positions
         window = colours[lo:hi]
     elif src.kind == POWER_CYCLE:
         window = colours[lo:] + colours[:hi - n * k]
     else:  # the window runs into a path's last k positions, whose edges are fewer
-        last = dict(zip(rest, colours[stored:]))
+        last = dict(zip(source.rest, colours[stored:]))
         window = colours[lo:stored] + tuple(map(last.get, range(max(lo, stored), hi)))
-    prefix, _, gather = _window_gather(target)
-    return ColourPattern._of(target, window[:prefix] + gather(window))
-
-
-@functools.lru_cache(maxsize=128)
-def _window_gather(host: HostTemplate) -> tuple[int, Sequence[int], Callable[[Sequence], tuple]]:
-    """The length of the longest prefix of a pattern's colour tuple whose
-    positions are their edge indices, the edge indices of the rest, and a
-    reader of a sequence at those."""
-    indices = _edge_indices(host)
-    prefix = next((p for p, i in enumerate(indices) if p != i), len(indices))
-    return prefix, indices[prefix:], _getter(indices[prefix:])
+    shape = _edges(target)
+    return ColourPattern._of(target, window[:shape.prefix] + shape.gather(window))
 
 
 # --- instance / pattern / cycle file formats (JSON text) ------------------

@@ -17,16 +17,17 @@ perfect matching in the auxiliary graph extends a perfect K_k-tiling to a
 perfect K_{k+1}-tiling.
 
 Every matching here and in the absorber's template comes from one
-augmenting-path search, :func:`augment`: a root with a free neighbour takes
-it at once; otherwise the search goes depth first with an explicit stack
-(no recursion limit on path length), with owners in a list indexed by right
-id, so right ids must be small.  Its ``pick`` chooses the bit to take:
-:func:`max_matching` takes the lowest, :func:`sample_perfect_matching` a
-uniformly random one from roots in random order, a law close to uniform but
-not uniform (uniform on complete bipartite graphs).  The sampler takes a
-root's free neighbour inline, by the same draws, and calls :func:`augment`
-only for a root with no free neighbour: on the path builder's dense tiling
-graphs nearly every root has one, and the calls cost more than the pick.
+augmenting-path search, :func:`augment`: one loop that takes a free
+neighbour where it finds one and otherwise goes depth first with an
+explicit stack (no recursion limit on path length), with owners in a list
+indexed by right id, so right ids must be small.  Its ``pick`` chooses the
+bit to take: :func:`max_matching` takes the lowest,
+:func:`sample_perfect_matching` a uniformly random one from roots in random
+order, a law close to uniform but not uniform (uniform on complete
+bipartite graphs).  The sampler takes a root's free neighbour inline, by
+the same draws, and calls :func:`augment` only for a root with no free
+neighbour: on the path builder's dense tiling graphs nearly every root has
+one, and the calls cost more than the pick.
 """
 
 from __future__ import annotations
@@ -84,14 +85,8 @@ def augment(
     otherwise the search descends through ``pick`` of its unseen (so owned)
     neighbours to their owner, and backs up when none is left.  ``seen`` is
     one mask per root and owners change only when a path closes, so the
-    search is complete whatever ``pick`` chooses.  A free neighbour of the
-    root itself is taken before the stack is set up, which is the same pick
-    the loop's first step would make.
+    search is complete whatever ``pick`` chooses.
     """
-    if hit := rows[root] & free:
-        v = pick(hit)
-        owner[v] = root
-        return v
     lefts = [root]
     rights: list[int] = []
     seen = 0

@@ -246,6 +246,8 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
     plan's stages keep failing (a connector finds no image in a small
     reservoir, or a level of the path builder has no perfect matching).
     """
+    check_int(n, "vertex count n", 1)
+    check_int(k, "power k", 1)
     if n < 3 * k:  # the closing connector's end windows must not collide
         return []
     plans: list[Plan] = []
@@ -271,6 +273,7 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
 
 def feasibility_floor(k: int, config: PipelineConfig) -> int:
     """Smallest n for which the configuration admits an integer plan."""
+    check_int(k, "power k", 1)
     for n in range(2 * k + 1, 16 * (k + 2) + 64):
         if candidate_plans(n, k, config):
             return n

@@ -32,6 +32,8 @@ from hampower import (
     solve,
     verify_coloured_embedding,
 )
+from hampower.absorber import build_gadget_blueprint, embed_by_degeneracy
+from hampower.connectors import embed_connector, extend_by_one
 from hampower.core import CONNECTOR, POWER_CYCLE
 from hampower.errors import HamPowerError, InvalidInstanceError, InvalidPatternError
 from hampower.instances import (
@@ -45,6 +47,7 @@ from hampower.instances import (
     random_pattern,
     random_rpartite_collection,
 )
+from hampower.pipeline import candidate_plans, feasibility_floor
 
 CONFIG = dict(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7)
 K9 = complete_collection(9, 2)
@@ -55,6 +58,28 @@ K3_ROWS = (0b110, 0b101, 0b011)
 
 def rng() -> random.Random:
     return random.Random(0)
+
+
+K12 = complete_collection(12, 3)
+CYCLE12 = random_pattern(power_cycle(12, 2), 3, random.Random(0))
+CONNECTOR_1_1 = restrict_pattern(CYCLE12, 0, connector(1, 1, 2))
+GADGET_2_2 = build_gadget_blueprint(2, 2, random_pattern(power_path(10, 2), 2, random.Random(0)))
+FULL12 = (1 << 12) - 1
+
+# the placement entry points, each with a vertex argument that is out of
+# range, not an int, repeated or of the wrong count; each takes the rng
+PLACEMENTS = {
+    "extend-vertex-high": lambda r: extend_by_one(K12, PowerPath(2, (0, 50)), [1, 1], 0b111100, r),
+    "extend-vertex-negative": lambda r: extend_by_one(K12, PowerPath(2, (0, -1)), [1, 1], 0b111100, r),
+    "connector-end-high": lambda r: embed_connector(K12, [50], [1], CONNECTOR_1_1, FULL12, r),
+    "connector-end-negative": lambda r: embed_connector(K12, [0], [-1], CONNECTOR_1_1, FULL12, r),
+    "connector-end-float": lambda r: embed_connector(K12, [0.0], [1], CONNECTOR_1_1, FULL12, r),
+    "gadget-flexible-high": lambda r: embed_by_degeneracy(K12, GADGET_2_2, (0, 99), FULL12, r),
+    "gadget-flexible-short": lambda r: embed_by_degeneracy(K12, GADGET_2_2, (0,), FULL12, r),
+    "gadget-flexible-repeat": lambda r: embed_by_degeneracy(
+        complete_collection(40, 2), GADGET_2_2, (0, 0), (1 << 40) - 1, r
+    ),
+}
 
 
 REGRESSIONS = {
@@ -78,10 +103,15 @@ REGRESSIONS = {
     "edge-list-none": lambda: GraphCollection.from_edge_lists(3, [None]),
     "pattern-colours-none": lambda: ColourPattern(power_path(4, 2), None),
     "pattern-colours-int": lambda: ColourPattern(power_path(4, 2), 5),
+    "plans-n-float": lambda: candidate_plans(10.5, 2, PipelineConfig(**CONFIG)),
     # this raised a raw ValueError
     "edge-triple": lambda: GraphCollection.from_edge_lists(3, [[(0, 1, 2)]]),
-    # this raised a raw KeyError
+    # these raised a raw KeyError
     "restrict-start-float": lambda: restrict_pattern(CYCLE9, 1.5, power_path(5, 2)),
+    "colour-of-non-edge": lambda: CYCLE12.colour_of(0, 5),
+    # these raised a raw AttributeError
+    "restrict-target-text": lambda: restrict_pattern(CYCLE9, 0, "x"),
+    "restrict-pattern-text": lambda: restrict_pattern("x", 0, power_path(5, 2)),
     # these were accepted
     "config-seed-text": lambda: PipelineConfig(**CONFIG, seed="s"),
     "config-seed-none": lambda: PipelineConfig(**CONFIG, seed=None),
@@ -92,6 +122,11 @@ REGRESSIONS = {
     "power-cycle-k-float": lambda: PowerCycle(2.0, tuple(range(9))),
     "power-path-vertex-float": lambda: PowerPath(1, (0.5, 1)),
     "edge-bool-end": lambda: GraphCollection.from_edge_lists(3, [[(0, True)]]),
+    "plans-k-zero": lambda: candidate_plans(100, 0, PipelineConfig(**CONFIG)),
+    "floor-k-zero": lambda: feasibility_floor(0, PipelineConfig(**CONFIG)),
+    # these raised a raw IndexError, ValueError, TypeError or KeyError, or
+    # (a repeated flexible vertex) were accepted
+    **{name: lambda call=call: call(rng()) for name, call in PLACEMENTS.items()},
 }
 
 
@@ -108,6 +143,20 @@ def test_oracle_rejects_a_float_or_negative_budget(search, budget):
     # budget off; a negative one was clamped to 0
     with pytest.raises(InvalidInstanceError, match="node budget"):
         search(*lowerbound_construction(2, 3), budget=budget)
+
+
+@pytest.mark.parametrize("call", PLACEMENTS.values(), ids=list(PLACEMENTS))
+def test_placement_rejects_its_vertices_before_any_draw(call):
+    r = rng()
+    state = r.getstate()
+    with pytest.raises(InvalidInstanceError, match="distinct vertices in 0"):
+        call(r)
+    assert r.getstate() == state
+
+
+def test_colour_of_a_non_edge_names_the_pair_and_the_host():
+    with pytest.raises(InvalidPatternError, match=r"\(0, 5\) is not an edge of HostTemplate\(kind='power_cycle'"):
+        CYCLE12.colour_of(0, 5)
 
 
 def test_pattern_rejects_a_bool_colour():
