@@ -49,7 +49,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .bitset import mask_of, select
-from .connectors import embed_connector, place_in_order, placement_order, vertex_mask
+from .connectors import embed_connector, place_in_order, placement_order, pool_mask, vertex_mask
 from .core import (
     CONNECTOR,
     ColourPattern,
@@ -253,6 +253,7 @@ def embed_by_degeneracy(
     :class:`EmbeddingFailedError` naming the first vertex left without a
     candidate.
     """
+    pool = pool_mask(collection, pool)
     pool &= ~vertex_mask(collection, flexible, "flexible", blueprint.ell)
     mapped = dict(zip(blueprint.a_vertices, flexible))
     v = place_in_order(collection, blueprint.back_neighbours, blueprint.edges, mapped, pool, rng)

@@ -9,8 +9,9 @@ function, :func:`placement_order`, and :func:`extend_by_one` walks a
 one-id order.  A connector joins the tail ``w`` of one k-power path to the
 head ``y`` of another through k internal vertices, placed left to right
 after both ends (an order built once per connector shape).  Colours that are not ints in
-1..m, and given vertices that are not distinct ints in range(n)
-(:func:`vertex_mask`), are rejected before any draw.
+1..m, given vertices that are not distinct ints in range(n)
+(:func:`vertex_mask`) and a ``pool`` that is not a mask of them
+(:func:`pool_mask`) are rejected before any draw.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ def vertex_mask(collection: GraphCollection, vertices: Sequence[int], what: str,
     many = "" if count is None else f"{count} "
     raise InvalidInstanceError(
         f"{what} must be {many}distinct vertices in 0..{n - 1}, got {reprlib.repr(vertices)}"
+    )
+
+
+def pool_mask(collection: GraphCollection, pool: int) -> int:
+    """``pool``, which must be an ``int`` (not a ``bool``) mask of vertices
+    in range(n); the placement entry points call it before any draw."""
+    if type(pool) is int and 0 <= pool and pool >> collection.n == 0:
+        return pool
+    raise InvalidInstanceError(
+        f"pool must be a mask of vertices in 0..{collection.n - 1}, got {reprlib.repr(pool)}"
     )
 
 
@@ -131,12 +142,10 @@ def embed_connector(
         raise InvalidInstanceError(
             f"connector host is ({a},{b}) but ends have ({len(w)},{len(y)}) vertices"
         )
-    end_mask = vertex_mask(collection, (*w, *y), "connector ends")
+    pool = pool_mask(collection, pool) & ~vertex_mask(collection, (*w, *y), "connector ends")
     placed = dict(enumerate(w))
     placed.update((a + k + i, v) for i, v in enumerate(y))
-    p = place_in_order(
-        collection, _connector_order(a, b, k), pattern.colours, placed, pool & ~end_mask, rng
-    )
+    p = place_in_order(collection, _connector_order(a, b, k), pattern.colours, placed, pool, rng)
     if p is not None:
         raise ConnectionFailedError(
             f"no candidate for connector position {p} (internal {p - a + 1} of {k})",
@@ -169,7 +178,7 @@ def extend_by_one(
         raise InvalidInstanceError(f"path must have at least k={k} vertices")
     if len(colours) != k:
         raise InvalidInstanceError(f"need exactly k={k} edge colours, got {len(colours)}")
-    pool &= ~vertex_mask(collection, path.vertices, "path")
+    pool = pool_mask(collection, pool) & ~vertex_mask(collection, path.vertices, "path")
     edges = [(j, k) for j in range(k)]
     placed = dict(enumerate(path.vertices[-k:]))
     order = ((k, tuple(zip(range(k), edges))),)

@@ -25,9 +25,9 @@ cycle), 1 <= d <= k, has the *edge index* i*k + d - 1; no other module
 computes it.  A pattern stores its colours as one tuple in increasing edge
 index (:attr:`ColourPattern.colours` reads it by canonical edge), so a
 window of a pattern is a slice of it.  What is read by a host's edges is
-one record, built once per host; only the map from an edge to its colour
-slot is built apart, on the first read by edge, as most hosts are never
-read that way and a long cycle's map costs more than its edge tuple.
+one record, built once per host.  Its map from an edge to its colour slot
+is built on the first read by edge, as most hosts are never read that
+way and a long cycle's map costs more than its edge tuple.
 A *layout* (the solver's cycle, the absorbing path) is a host plus named
 segments in host order: pieces, the connectors that join them, and runs of
 one-vertex extensions.  Their edges must tile the host's edges exactly, and
@@ -45,7 +45,7 @@ import reprlib
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .bitset import select
 from .errors import (
@@ -57,6 +57,7 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+T = TypeVar("T")
 
 POWER_PATH = "power_path"
 POWER_CYCLE = "power_cycle"
@@ -83,6 +84,14 @@ def check_real(value: object, what: str, low: float | None = None, high: float |
     if real and (low is None or low <= value) and (high is None or value <= high):
         return value
     raise _invalid(value, real, "a finite real number", what, low, high, error)
+
+
+def check_type(value: object, kind: type[T], what: str,
+               error: type[HamPowerError] = InvalidInstanceError) -> T:
+    """``value`` if it is an instance of ``kind``; otherwise raise ``error``."""
+    if isinstance(value, kind):
+        return value
+    raise error(f"{what} must be a {kind.__name__}, got {reprlib.repr(value)}")
 
 
 def _invalid(value, typed: bool, kind: str, what: str, low, high, error) -> HamPowerError:
@@ -155,10 +164,11 @@ def host_edges(host: HostTemplate) -> list[Edge]:
     Connector edges are the power-path edges minus those inside the first
     ``a`` and inside the last ``b`` positions; the list is the caller's own copy.
     """
-    return list(_edges(host).edges)
+    return list(_edges(check_type(host, HostTemplate, "host", InvalidHostError)).edges)
 
 
-class _EdgeRecord(NamedTuple):
+@dataclass(frozen=True)
+class _EdgeRecord:
     """What the package reads of one host's edges, built by :func:`_edges`."""
 
     edges: tuple[Edge, ...]  # lexicographic, as :func:`host_edges` lists them
@@ -168,6 +178,12 @@ class _EdgeRecord(NamedTuple):
     prefix: int  # the longest prefix of ``by_index`` whose positions are their edge indices
     rest: Sequence[int]  # the edge indices of the rest
     gather: Callable[[Sequence], tuple]  # a sequence at ``rest``
+
+    @functools.cached_property
+    def slots(self) -> dict[Edge, int]:
+        """Each edge's position in a pattern's colour tuple, built on the
+        first read by edge."""
+        return dict(zip(self.by_index, count()))
 
 
 # A solve meets a few dozen hosts (its cycle, builder paths, connectors, one path
@@ -190,24 +206,11 @@ def _edges(host: HostTemplate) -> _EdgeRecord:
                        prefix, indices[prefix:], _getter(indices[prefix:]))
 
 
-@functools.lru_cache(maxsize=128)
-def _positions(host: HostTemplate) -> dict[Edge, int]:
-    """Each canonical host edge's position in a pattern's colour tuple."""
-    return dict(zip(_edges(host).by_index, count()))
-
-
 def _getter(keys: Sequence) -> Callable[[object], tuple]:
     """Reads a container at these keys into a tuple, in C."""
     if len(keys) < 2:  # itemgetter returns a lone value unwrapped
         return lambda container: tuple(container[key] for key in keys)
     return itemgetter(*keys)
-
-
-@functools.lru_cache(maxsize=64)
-def _extend_mask(g: int, k: int) -> int:
-    """The edge-index bits of a run of g one-vertex extensions, each joined
-    to the k positions before it, counted from k positions before the run."""
-    return _bits(((p - d) * k + d - 1 for p in range(k, k + g) for d in range(1, k + 1)), (g + k) * k)
 
 
 def _bits(indices: Iterable[int], width: int) -> int:
@@ -326,7 +329,9 @@ def _segment_bits(seg: Segment, k: int) -> tuple[int, int]:
     if shape.k != k:
         raise HamPowerError(f"layout error: {seg.name} is a {shape.k}-power on a {k}-power host")
     if seg.kind == EXTEND:
-        return seg.start - k, _extend_mask(shape.order, k)
+        base = seg.start - k
+        indices = ((x - base) * k + y - x - 1 for x, y in seg.edges())
+        return base, _bits(indices, (shape.order + k) * k)
     if shape.kind == POWER_CYCLE:
         raise HamPowerError(f"layout error: {seg.name} is a power cycle, not a window")
     return seg.start, _edges(shape).mask
@@ -387,21 +392,23 @@ class ColourPattern:
     _colours: tuple[int, ...]
 
     def __init__(self, host: HostTemplate, colours: Mapping[Edge, int]) -> None:
-        if not isinstance(host, HostTemplate):
-            raise InvalidPatternError(f"pattern host must be a HostTemplate, got {reprlib.repr(host)}")
+        check_type(host, HostTemplate, "pattern host", InvalidPatternError)
         if not isinstance(colours, Mapping):
             raise InvalidPatternError(
                 f"pattern colours must be a mapping of host edges to colours, "
                 f"got {reprlib.repr(colours)}"
             )
         if type(colours) is not dict:  # a plain copy, with no __missing__ to call
-            colours = dict(colours)
+            try:
+                colours = dict(colours)
+            except TypeError:
+                raise _unhashable_key(colours) from None
         try:
             values = _edges(host).read(colours)
         except KeyError:
             values = None
         if values is None or len(colours) != len(values) or not _valid_colours(values):
-            expected = _positions(host).keys()
+            expected = _edges(host).slots.keys()
             if len(colours) != len(expected) or not expected >= colours.keys():
                 missing, extra = expected - colours.keys(), colours.keys() - expected
                 raise InvalidPatternError(
@@ -426,13 +433,13 @@ class ColourPattern:
     @property
     def colours(self) -> Mapping[Edge, int]:
         """The colours as a read-only mapping from canonical host edges."""
-        return _ColourView(_positions(self.host), self._colours)
+        return _ColourView(_edges(self.host).slots, self._colours)
 
     def colour_of(self, i: int, j: int) -> int:
         try:
-            return self._colours[_positions(self.host)[canonical_edge(i, j)]]
-        except KeyError:
-            raise InvalidPatternError(f"({i}, {j}) is not an edge of {self.host}") from None
+            return self._colours[_edges(self.host).slots[canonical_edge(i, j)]]
+        except (KeyError, TypeError):  # a non-edge, or ends that do not compare or hash
+            raise _not_an_edge((i, j), self.host) from None
 
     @property
     def max_colour(self) -> int:
@@ -443,7 +450,13 @@ def colour_reader(host: HostTemplate, edges: Iterable[Edge]) -> Callable[[Colour
     """A function from a pattern on ``host`` to the colours of these
     canonical host edges, in this order; it looks the edges up once, here,
     and each call reads their colours in C."""
-    gather = _getter(tuple(map(_positions(host).__getitem__, edges)))
+    slots, positions = _edges(host).slots, []
+    for e in edges:
+        try:
+            positions.append(slots[e])
+        except (KeyError, TypeError):
+            raise _not_an_edge(e, host) from None
+    gather = _getter(tuple(positions))
 
     def read(pattern: ColourPattern) -> tuple[int, ...]:
         if pattern.host != host:
@@ -451,6 +464,23 @@ def colour_reader(host: HostTemplate, edges: Iterable[Edge]) -> Callable[[Colour
         return gather(pattern._colours)
 
     return read
+
+
+def _not_an_edge(pair: object, host: HostTemplate) -> InvalidPatternError:
+    return InvalidPatternError(f"{reprlib.repr(pair)} is not an edge of {host}")
+
+
+def _unhashable_key(colours: Mapping) -> InvalidPatternError:
+    """The error for a mapping that a dict cannot copy, naming its first
+    key that does not hash."""
+    for key in colours:
+        try:
+            hash(key)
+        except TypeError:
+            return InvalidPatternError(
+                f"pattern colours must be keyed by host edges, got {reprlib.repr(key)}"
+            )
+    return InvalidPatternError(f"pattern colours cannot be copied: {reprlib.repr(colours)}")
 
 
 def _valid_colours(values: tuple) -> bool:
@@ -465,16 +495,16 @@ def _bad_colour(items: Iterable[tuple[Edge, object]]) -> InvalidPatternError:
 class _ColourView(Mapping):
     """A pattern's colour tuple read by canonical host edge."""
 
-    __slots__ = ("_positions", "_colours")
+    __slots__ = ("_slots", "_colours")
 
-    def __init__(self, positions: dict[Edge, int], colours: tuple[int, ...]) -> None:
-        self._positions, self._colours = positions, colours
+    def __init__(self, slots: dict[Edge, int], colours: tuple[int, ...]) -> None:
+        self._slots, self._colours = slots, colours
 
     def __getitem__(self, edge: Edge) -> int:
-        return self._colours[self._positions[edge]]
+        return self._colours[self._slots[edge]]
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(self._positions)
+        return iter(self._slots)
 
     def __len__(self) -> int:
         return len(self._colours)
@@ -483,7 +513,7 @@ class _ColourView(Mapping):
         return self._colours
 
     def items(self) -> tuple[tuple[Edge, int], ...]:  # type: ignore[override]
-        return tuple(zip(self._positions, self._colours))  # both in edge-index order
+        return tuple(zip(self._slots, self._colours))  # both in edge-index order
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -703,9 +733,13 @@ def verify_coloured_embedding(
 
     Returns ``(True, None)`` when every canonical host edge (i, j) with
     colour c maps to an edge of G_c, otherwise ``(False, (i, j))`` for the
-    first offending host edge in canonical order.  Raises unless the list
-    is a list or tuple of host.order distinct ints in range(n).
+    first offending host edge in canonical order.  Raises
+    :class:`VerificationInputError` unless the collection and the pattern
+    are a :class:`GraphCollection` and a :class:`ColourPattern` and the
+    list is a list or tuple of host.order distinct ints in range(n).
     """
+    check_type(collection, GraphCollection, "collection", VerificationInputError)
+    check_type(pattern, ColourPattern, "pattern", VerificationInputError)
     host, n = pattern.host, collection.n
     if type(vertices) not in (list, tuple) or not only_ints(vertices):
         raise VerificationInputError(
@@ -720,28 +754,17 @@ def verify_coloured_embedding(
         raise VerificationInputError(f"vertex {v} out of range for n={n}")
     if len(set(vertices)) != len(vertices):
         raise VerificationInputError("vertex list contains repeats")
-    e = _first_violation(collection, _edges(host).by_index, pattern._colours, vertices)
-    if e is not None and host.kind == POWER_CYCLE:  # the first in canonical order instead
-        edges = _edges(host).edges
-        e = _first_violation(collection, edges, map(pattern.colours.__getitem__, edges), vertices)
-    return VerifyResult(e is None, e)
-
-
-def _first_violation(
-    collection: GraphCollection, edges: Iterable[Edge], colours: Iterable[int], vertices: Sequence[int]
-) -> Optional[Edge]:
-    """The first of ``edges`` whose image is not an edge of the graph of
-    its colour (read alongside from ``colours``), or None."""
     masks, m = collection.masks, collection.m
-    for e, c in zip(edges, colours):
-        if c > m or not (masks[c - 1][vertices[e[0]]] >> vertices[e[1]]) & 1:
-            return e
-    return None
+    bad = (e for e, c in zip(_edges(host).by_index, pattern._colours)
+           if c > m or not (masks[c - 1][vertices[e[0]]] >> vertices[e[1]]) & 1)
+    # edge-index order is canonical order except on a cycle, whose least edge is sought
+    e = min(bad, default=None) if host.kind == POWER_CYCLE else next(bad, None)
+    return VerifyResult(e is None, e)
 
 
 def min_degree(collection: GraphCollection) -> int:
     """Minimum degree over all graphs and all vertices."""
-    return min(collection.min_degrees)
+    return min(check_type(collection, GraphCollection, "collection").min_degrees)
 
 
 def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -> ColourPattern:
@@ -755,9 +778,8 @@ def restrict_pattern(pattern: ColourPattern, start: int, target: HostTemplate) -
     pattern's (two for a wrapping window), gathered by the target's edge
     indices.
     """
-    if not (isinstance(pattern, ColourPattern) and isinstance(target, HostTemplate)):
-        raise InvalidPatternError(f"cannot restrict {reprlib.repr(pattern)} to {reprlib.repr(target)}")
-    src = pattern.host
+    src = check_type(pattern, ColourPattern, "restricted pattern", InvalidPatternError).host
+    check_type(target, HostTemplate, "window host", InvalidPatternError)
     if src.kind == CONNECTOR:
         raise InvalidPatternError("cannot restrict a connector pattern")
     if target.k != src.k:

@@ -33,6 +33,7 @@ from .core import (
     HostTemplate,
     check_int,
     check_real,
+    check_type,
     connector,
     host_edges,
     power_cycle,
@@ -73,7 +74,6 @@ def _top_byte_table(threshold: int) -> bytes:
 def _check_counts(**counts: int) -> None:
     for name, value in counts.items():
         check_int(value, name, 1)
-
 
 def _draw_flags(rng: random.Random, size: int, density: float) -> bytes:
     """``size`` Bernoulli flags, one per ``rng.random()`` draw, in order:
@@ -117,6 +117,15 @@ def _add_edges(rows: list[int], u: int, vertices: list[int]) -> None:
     bit = 1 << u
     for v in vertices:
         rows[v] |= bit
+
+
+def _repair_degree(rows: list[int], u: int, others: int, target: int, rng: random.Random) -> None:
+    """Join u to ``rng.sample`` of its non-neighbours in the mask ``others``
+    when it has fewer than ``target`` neighbours there; no draw otherwise."""
+    have = rows[u] & others
+    short = target - have.bit_count()
+    if short > 0:
+        _add_edges(rows, u, rng.sample(list(select(others ^ have, count())), short))
 
 
 def complete_collection(n: int, m: int) -> GraphCollection:
@@ -169,6 +178,7 @@ def random_rpartite_collection(
     """
     check_real(delta_frac, "delta_frac", 0, 1)
     _check_counts(r=r, part_size=part_size, m=m)
+    check_type(rng, random.Random, "rng")
     parts = _rpartite_parts(r, part_size)
     part_masks = _part_masks(r, part_size)
     n = r * part_size
@@ -191,11 +201,7 @@ def random_rpartite_collection(
                     )
                 for side, other in ((pi, pj), (pj, pi)):
                     for u in parts[side]:
-                        have = rows[u] & part_masks[other]
-                        short = target - have.bit_count()
-                        if short > 0:
-                            missing = list(select(part_masks[other] ^ have, count()))
-                            _add_edges(rows, u, rng.sample(missing, short))
+                        _repair_degree(rows, u, part_masks[other], target, rng)
         tables.append(rows)
     return GraphCollection(n, tables), parts
 
@@ -216,6 +222,7 @@ def random_min_degree_collection(
     """
     check_real(delta_frac, "delta_frac", 0, 1)
     _check_counts(n=n, m=m)
+    check_type(rng, random.Random, "rng")
     target = 0 if delta_frac <= 0 else min(n - 1, int(delta_frac * n - 1e-9) + 1)
     full = (1 << n) - 1
     tables = []
@@ -233,10 +240,7 @@ def random_min_degree_collection(
             adjacency[(u + 1) * n + u::n] = row
         rows = [_mask_of_flags(adjacency[u * n:(u + 1) * n]) for u in range(n)]
         for u in range(n):
-            short = target - rows[u].bit_count()
-            if short > 0:
-                missing = list(select(full ^ rows[u] ^ (1 << u), count()))
-                _add_edges(rows, u, rng.sample(missing, short))
+            _repair_degree(rows, u, full ^ (1 << u), target, rng)
         tables.append(rows)
     return GraphCollection(n, tables)
 
@@ -262,6 +266,7 @@ def multipartite_collection(
     check_real(p, "density p", 0, 1)
     _check_counts(n=n, m=m)
     check_int(parts, "part count", 1, n)
+    check_type(rng, random.Random, "rng")
     full = (1 << n) - 1
     tables, partitions = [], []
     for _ in range(m):
@@ -339,6 +344,7 @@ def lowerbound_construction(
 def random_pattern(host: HostTemplate, m: int, rng: random.Random) -> ColourPattern:
     """Independent uniform colour in [m] for every canonical host edge."""
     check_int(m, "colour count m", 1)
+    check_type(rng, random.Random, "rng")
     return ColourPattern(host, {e: rng.randrange(1, m + 1) for e in host_edges(host)})
 
 
@@ -348,5 +354,6 @@ def bijective_pattern(host: HostTemplate, rng: random.Random | None = None) -> C
     edges = host_edges(host)
     ids = list(range(1, len(edges) + 1))
     if rng is not None:
+        check_type(rng, random.Random, "rng")
         rng.shuffle(ids)
     return ColourPattern(host, dict(zip(edges, ids)))

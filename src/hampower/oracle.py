@@ -83,9 +83,10 @@ from .core import (
     GraphCollection,
     PowerCycle,
     check_int,
+    check_type,
     verify_coloured_embedding,
 )
-from .errors import HamPowerError, InvalidInstanceError
+from .errors import HamPowerError, InvalidInstanceError, InvalidPatternError
 
 FOUND = "found"
 NONE = "none"
@@ -303,7 +304,8 @@ def _run(
     budget: Optional[int],
     count_all: bool,
 ) -> tuple[Optional[list[int]], int, SearchStats]:
-    if pattern.host.kind != POWER_CYCLE:
+    check_type(collection, GraphCollection, "collection")
+    if check_type(pattern, ColourPattern, "pattern", InvalidPatternError).host.kind != POWER_CYCLE:
         raise InvalidInstanceError("oracle needs a power-cycle pattern")
     if pattern.host.order != collection.n:
         raise InvalidInstanceError("pattern order must equal the vertex count")

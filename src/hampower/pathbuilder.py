@@ -42,11 +42,18 @@ from .core import (
     GraphCollection,
     PowerPath,
     check_int,
+    check_type,
     only_ints,
     power_path,
     verify_coloured_embedding,
 )
-from .errors import HamPowerError, InvalidInstanceError, NoMatchingError, NoPerfectMatchingError
+from .errors import (
+    HamPowerError,
+    InvalidInstanceError,
+    InvalidPatternError,
+    NoMatchingError,
+    NoPerfectMatchingError,
+)
 from .matching import sample_perfect_matching, tiling_graph
 
 
@@ -65,6 +72,9 @@ def build_path_collection(
     Raises :class:`NoMatchingError` (with step and level) when a level has
     no perfect matching to attach it.
     """
+    check_type(collection, GraphCollection, "collection")
+    for pat in patterns:
+        check_type(pat, ColourPattern, "path pattern", InvalidPatternError)
     if len(patterns) != s:
         raise InvalidInstanceError(f"expected {s} patterns, got {len(patterns)}")
     if s == 0:

@@ -81,6 +81,7 @@ from .core import (
     Segment,
     check_int,
     check_real,
+    check_type,
     connector,
     power_cycle,
     power_path,
@@ -92,6 +93,7 @@ from .errors import (
     HamPowerError,
     InfeasibleConfigError,
     InvalidInstanceError,
+    InvalidPatternError,
     StageFailedError,
 )
 from .pathbuilder import build_path_collection
@@ -248,6 +250,7 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
     """
     check_int(n, "vertex count n", 1)
     check_int(k, "power k", 1)
+    check_type(config, PipelineConfig, "config")
     if n < 3 * k:  # the closing connector's end windows must not collide
         return []
     plans: list[Plan] = []
@@ -292,6 +295,7 @@ def sample_reservoir(n: int, size: int, rng: random.Random) -> frozenset[int]:
     """
     check_int(n, "vertex count n", 2)
     check_int(size, "reservoir size", 1, n - 1)
+    check_type(rng, random.Random, "rng")
     return frozenset(rng.sample(range(n), size))
 
 
@@ -309,7 +313,9 @@ def solve(
     :class:`StageFailedError`, carrying the same log, when a stage of the
     last plan tried exhausts its retries.
     """
-    host = pattern.host
+    check_type(collection, GraphCollection, "collection")
+    host = check_type(pattern, ColourPattern, "pattern", InvalidPatternError).host
+    check_type(config, PipelineConfig, "config")
     if host.kind != POWER_CYCLE or host.order != collection.n:
         raise InvalidInstanceError("solve needs a power-cycle pattern matching the instance")
     k, n = host.k, collection.n

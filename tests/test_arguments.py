@@ -1,13 +1,15 @@
 """Malformed arguments to the package's entry points raise a HamPowerError
 subclass: never a raw Python exception, and never a silent acceptance.
 
-The regression table lists calls that used to escape as ``TypeError`` or
-``KeyError`` or were accepted; the surface test replaces one numeric or
-vertex-sequence argument of a valid call at a time with a drawn value.
-Its ints are small, so no call allocates by a large n.
+The regression table lists calls that used to escape as ``TypeError``,
+``KeyError`` or ``AttributeError`` or were accepted; the surface test
+replaces one argument of a valid call at a time with a drawn value: a
+number, a vertex sequence, None or a package object.  Its ints are small,
+so no call allocates by a large n.
 """
 
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +36,7 @@ from hampower import (
 )
 from hampower.absorber import build_gadget_blueprint, embed_by_degeneracy
 from hampower.connectors import embed_connector, extend_by_one
-from hampower.core import CONNECTOR, POWER_CYCLE
+from hampower.core import CONNECTOR, POWER_CYCLE, colour_reader
 from hampower.errors import HamPowerError, InvalidInstanceError, InvalidPatternError
 from hampower.instances import (
     __all__ as INSTANCES,
@@ -47,6 +49,7 @@ from hampower.instances import (
     random_pattern,
     random_rpartite_collection,
 )
+from hampower.pathbuilder import build_path_collection
 from hampower.pipeline import candidate_plans, feasibility_floor
 
 CONFIG = dict(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7)
@@ -66,8 +69,26 @@ CONNECTOR_1_1 = restrict_pattern(CYCLE12, 0, connector(1, 1, 2))
 GADGET_2_2 = build_gadget_blueprint(2, 2, random_pattern(power_path(10, 2), 2, random.Random(0)))
 FULL12 = (1 << 12) - 1
 
+
+class ListKeyed(Mapping):
+    """A mapping whose keys are lists, which a dict cannot hold."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __getitem__(self, key):
+        return next(value for k, value in self._items if k == key)
+
+    def __iter__(self):
+        return (k for k, _ in self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
 # the placement entry points, each with a vertex argument that is out of
-# range, not an int, repeated or of the wrong count; each takes the rng
+# range, not an int, repeated or of the wrong count, or a pool that is not
+# a mask of vertices; each takes the rng
 PLACEMENTS = {
     "extend-vertex-high": lambda r: extend_by_one(K12, PowerPath(2, (0, 50)), [1, 1], 0b111100, r),
     "extend-vertex-negative": lambda r: extend_by_one(K12, PowerPath(2, (0, -1)), [1, 1], 0b111100, r),
@@ -79,6 +100,10 @@ PLACEMENTS = {
     "gadget-flexible-repeat": lambda r: embed_by_degeneracy(
         complete_collection(40, 2), GADGET_2_2, (0, 0), (1 << 40) - 1, r
     ),
+    "extend-pool-float": lambda r: extend_by_one(K12, PowerPath(2, (0, 1)), [1, 1], 1.5, r),
+    "connector-pool-text": lambda r: embed_connector(K12, [0], [1], CONNECTOR_1_1, "x", r),
+    "gadget-pool-negative": lambda r: embed_by_degeneracy(K12, GADGET_2_2, (0, 1), -1, r),
+    "gadget-pool-high": lambda r: embed_by_degeneracy(K12, GADGET_2_2, (0, 1), FULL12 | 1 << 12, r),
 }
 
 
@@ -109,9 +134,25 @@ REGRESSIONS = {
     # these raised a raw KeyError
     "restrict-start-float": lambda: restrict_pattern(CYCLE9, 1.5, power_path(5, 2)),
     "colour-of-non-edge": lambda: CYCLE12.colour_of(0, 5),
+    "reader-non-edge": lambda: colour_reader(power_cycle(12, 2), [(0, 5)]),
+    # these raised a raw TypeError from comparing or hashing an edge's ends
+    "colour-of-text": lambda: CYCLE12.colour_of("a", 1),
+    "pattern-list-keys": lambda: ColourPattern(
+        power_cycle(5, 2), ListKeyed(([i, j], 1) for i, j in host_edges(power_cycle(5, 2)))
+    ),
     # these raised a raw AttributeError
     "restrict-target-text": lambda: restrict_pattern(CYCLE9, 0, "x"),
     "restrict-pattern-text": lambda: restrict_pattern("x", 0, power_path(5, 2)),
+    "solve-collection-none": lambda: solve(None, CYCLE9, PipelineConfig(**CONFIG)),
+    "solve-pattern-none": lambda: solve(K9, None, PipelineConfig(**CONFIG)),
+    "solve-config-none": lambda: solve(K9, CYCLE9, None),
+    "verify-pattern-none": lambda: verify_coloured_embedding(K9, None, [0, 1]),
+    "host-edges-none": lambda: host_edges(None),
+    "plans-config-none": lambda: candidate_plans(100, 2, None),
+    "floor-config-none": lambda: feasibility_floor(2, None),
+    "reservoir-rng-none": lambda: sample_reservoir(12, 3, None),
+    "oracle-pattern-none": lambda: find_coloured_hamilton_power(K9, None),
+    "builder-pattern-none": lambda: build_path_collection(K12, [[0, 1]], [None], 1, rng()),
     # these were accepted
     "config-seed-text": lambda: PipelineConfig(**CONFIG, seed="s"),
     "config-seed-none": lambda: PipelineConfig(**CONFIG, seed=None),
@@ -125,7 +166,8 @@ REGRESSIONS = {
     "plans-k-zero": lambda: candidate_plans(100, 0, PipelineConfig(**CONFIG)),
     "floor-k-zero": lambda: feasibility_floor(0, PipelineConfig(**CONFIG)),
     # these raised a raw IndexError, ValueError, TypeError or KeyError, or
-    # (a repeated flexible vertex) were accepted
+    # (a repeated flexible vertex, a pool that is negative or beyond n) were
+    # accepted
     **{name: lambda call=call: call(rng()) for name, call in PLACEMENTS.items()},
 }
 
@@ -149,7 +191,7 @@ def test_oracle_rejects_a_float_or_negative_budget(search, budget):
 def test_placement_rejects_its_vertices_before_any_draw(call):
     r = rng()
     state = r.getstate()
-    with pytest.raises(InvalidInstanceError, match="distinct vertices in 0"):
+    with pytest.raises(InvalidInstanceError, match=r"(distinct vertices|a mask of vertices) in 0\.\."):
         call(r)
     assert r.getstate() == state
 
@@ -166,11 +208,14 @@ def test_pattern_rejects_a_bool_colour():
 
 
 # each entry point with valid baseline arguments; the drawn value replaces
-# one of them.  Object-typed arguments (collections, patterns, rngs) stay fixed.
+# one of them, object-typed arguments (collections, patterns, hosts,
+# configs, rngs) included.  A shared rng's state does not matter here.
+LOWERBOUND = lowerbound_construction(2, 3)
+RNG = random.Random(0)
 SURFACE = {
     "ColourPattern": (
-        lambda colour: ColourPattern(power_path(3, 1), {(0, 1): 1, (1, 2): colour}),
-        dict(colour=2),
+        lambda host, colour: ColourPattern(host, {(0, 1): 1, (1, 2): colour}),
+        dict(host=power_path(3, 1), colour=2),
     ),
     "GraphCollection": (
         lambda n, row: GraphCollection(n, [K3_ROWS[:2] + (row,)]), dict(n=3, row=0b011)
@@ -187,48 +232,49 @@ SURFACE = {
     "PipelineConfig": (PipelineConfig, dict(CONFIG, seed=0, max_retries=8)),
     "connector": (connector, dict(a=1, b=2, k=2)),
     "count_coloured_hamilton_powers": (
-        lambda budget: count_coloured_hamilton_powers(*lowerbound_construction(2, 3), budget),
-        dict(budget=None),
+        count_coloured_hamilton_powers,
+        dict(collection=LOWERBOUND[0], pattern=LOWERBOUND[1], budget=None),
     ),
     "find_coloured_hamilton_power": (
-        lambda budget: find_coloured_hamilton_power(*lowerbound_construction(2, 3), budget),
-        dict(budget=None),
+        find_coloured_hamilton_power,
+        dict(collection=LOWERBOUND[0], pattern=LOWERBOUND[1], budget=None),
     ),
     "host_edges": (lambda n, k: host_edges(power_cycle(n, k)), dict(n=7, k=2)),
+    "host_edges/host": (host_edges, dict(host=power_cycle(7, 2))),
     "min_degree": (lambda n: min_degree(GraphCollection(n, [K3_ROWS])), dict(n=3)),
+    "min_degree/collection": (min_degree, dict(collection=K9)),
     "power_cycle": (power_cycle, dict(n=7, k=2)),
     "power_path": (power_path, dict(r=5, k=2)),
     "restrict_pattern": (
-        lambda start, r: restrict_pattern(CYCLE9, start, power_path(r, 2)),
-        dict(start=7, r=5),
+        lambda pattern, start, r: restrict_pattern(pattern, start, power_path(r, 2)),
+        dict(pattern=CYCLE9, start=7, r=5),
     ),
+    "restrict_pattern/target": (restrict_pattern, dict(pattern=CYCLE9, start=7, target=power_path(5, 2))),
     "restrict_pattern/path": (
         lambda start, r: restrict_pattern(PATH5, start, power_path(r, 2)),
         dict(start=1, r=3),
     ),
-    "sample_reservoir": (lambda n, size: sample_reservoir(n, size, rng()), dict(n=10, size=3)),
+    "sample_reservoir": (sample_reservoir, dict(n=10, size=3, rng=RNG)),
     "solve": (lambda **fields: solve(K9, CYCLE9, PipelineConfig(**fields)), dict(CONFIG, seed=0)),
+    "solve/objects": (
+        solve, dict(collection=K9, pattern=CYCLE9, config=PipelineConfig(**CONFIG, seed=0))
+    ),
     "verify_coloured_embedding": (
-        lambda vertices: verify_coloured_embedding(K9, PATH5, vertices),
-        dict(vertices=[0, 1, 2, 3, 4]),
+        verify_coloured_embedding, dict(collection=K9, pattern=PATH5, vertices=[0, 1, 2, 3, 4])
     ),
     "complete_collection": (complete_collection, dict(n=4, m=2)),
     "complete_rpartite_collection": (complete_rpartite_collection, dict(r=3, part_size=2, m=2)),
     "random_rpartite_collection": (
-        lambda **sizes: random_rpartite_collection(**sizes, rng=rng()),
-        dict(r=3, part_size=2, m=2, delta_frac=0.5),
+        random_rpartite_collection, dict(r=3, part_size=2, m=2, delta_frac=0.5, rng=RNG)
     ),
     "random_min_degree_collection": (
-        lambda **sizes: random_min_degree_collection(**sizes, rng=rng()),
-        dict(n=6, m=2, delta_frac=0.5),
+        random_min_degree_collection, dict(n=6, m=2, delta_frac=0.5, rng=RNG)
     ),
-    "multipartite_collection": (
-        lambda **sizes: multipartite_collection(**sizes, rng=rng()),
-        dict(n=6, parts=3, m=2, p=0.5),
-    ),
+    "multipartite_collection": (multipartite_collection, dict(n=6, parts=3, m=2, p=0.5, rng=RNG)),
     "lowerbound_construction": (lowerbound_construction, dict(k=2, p=3)),
-    "random_pattern": (lambda m: random_pattern(power_cycle(7, 2), m, rng()), dict(m=3)),
+    "random_pattern": (random_pattern, dict(host=power_cycle(7, 2), m=3, rng=RNG)),
     "bijective_pattern": (lambda n, k: bijective_pattern(power_path(n, k), rng()), dict(n=5, k=2)),
+    "bijective_pattern/objects": (bijective_pattern, dict(host=power_path(5, 2), rng=RNG)),
 }
 
 SCALARS = (
@@ -236,7 +282,15 @@ SCALARS = (
     | st.floats()
     | st.sampled_from([2.0, float("nan"), float("inf"), float("-inf"), True, False, None, "", "2"])
 )
-VALUES = SCALARS | st.lists(st.integers(-2, 10) | st.floats(-1, 10) | st.booleans(), max_size=8)
+# None is among the scalars; these stand for an object of the wrong kind
+OBJECTS = st.sampled_from(
+    [K9, LOWERBOUND[0], CYCLE9, PATH5, power_path(5, 2), PipelineConfig(**CONFIG), RNG]
+)
+VALUES = (
+    SCALARS
+    | OBJECTS
+    | st.lists(st.integers(-2, 10) | st.floats(-1, 10) | st.booleans(), max_size=8)
+)
 
 
 def test_surface_covers_every_entry_point():
