@@ -2,6 +2,15 @@
 
 Constructive solver (reservoir + absorber + random path builder +
 connectors), exhaustive small-instance oracle, and instance generators.
+
+The public interface is ``__all__`` below, the generators in
+``hampower.instances.__all__``, the file loaders ``core.collection_from_dict``,
+``core.pattern_from_dict`` and ``core.cycle_from_dict``, and the ``hampower``
+command line.  Its Python entry points raise a ``HamPowerError`` subclass
+for a malformed argument; the command line prints one error line and
+exits 1.  ``connectors``, ``absorber``, ``pathbuilder`` and ``matching`` are
+internal: ``solve`` calls them with arguments it has checked, and they do
+not check the types of their object arguments.
 """
 
 from .core import (

@@ -413,8 +413,8 @@ class ColourPattern:
                 missing, extra = expected - colours.keys(), colours.keys() - expected
                 raise InvalidPatternError(
                     f"pattern domain mismatch: {len(missing)} host edges missing, "
-                    f"{len(extra)} extraneous (e.g. missing={sorted(missing)[:3]}, "
-                    f"extra={sorted(extra)[:3]})"
+                    f"{len(extra)} extraneous (e.g. missing={sorted(missing, key=repr)[:3]}, "
+                    f"extra={sorted(extra, key=repr)[:3]})"
                 )
             raise _bad_colour(colours.items())
         object.__setattr__(self, "host", host)
@@ -569,7 +569,12 @@ class GraphCollection:
 
     def __init__(self, n: int, tables: Sequence[Sequence[int]]):
         check_int(n, "vertex count", 1)
-        check_int(len(tables), "graph count", 1)
+        try:
+            check_int(len(tables), "graph count", 1)
+        except TypeError:
+            raise InvalidInstanceError(
+                f"graph tables must be a sequence of mask-row sequences, got {reprlib.repr(tables)}"
+            ) from None
         checked: dict[int, tuple[tuple[int, ...], int]] = {}
         masks, min_degrees = [], []
         for gi, rows in enumerate(tables):
@@ -669,7 +674,12 @@ def _checked_table(n: int, g: int, rows: Sequence[int]) -> tuple[tuple[int, ...]
     """The rows of graph ``g`` (1-based, for messages) as a tuple, checked
     to be the bitmask rows of a simple graph on n vertices, and the
     graph's minimum degree."""
-    rows = tuple(rows)
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        raise InvalidInstanceError(
+            f"graph {g}: the mask rows must be a sequence, got {reprlib.repr(rows)}"
+        ) from None
     if len(rows) != n:
         raise InvalidInstanceError(f"graph {g}: {len(rows)} mask rows, expected {n}")
     if not only_ints(rows):

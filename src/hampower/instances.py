@@ -15,8 +15,11 @@ a part-pair block, in the r-partite generator) are taken together from
 ``rng.getrandbits``, 64 bits per pair, in chunks of at most 2**16 pairs.  For
 ``random.Random`` itself, which is what every caller passes
 (``pipeline.derive_rng``, the benchmark workloads), that gives the flags and
-the final rng state of the ``rng.random()`` calls.  The flags are kept as
-bytes of 0/1 until they are read back as mask rows.
+the final rng state of the ``rng.random()`` calls.  The flags are bytes of
+0/1 until they are read back as mask rows.  ``random_min_degree_collection``
+draws and places them one block of rows at a time, a block's flags and
+bytes at most ``_BLOCK_BYTES`` each (one row when a row is longer), so it
+never holds n**2 bytes; the draw chunks and the row blocks change no flag.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # ``getrandbits(64 * size)`` returns the same outputs in the same order, low
 # word first.  The top byte of w0 is x >> 45.
 _DRAW_CHUNK = 1 << 16
+# ``random_min_degree_collection`` places its flags in blocks of rows of at
+# most this many bytes (one row when a row is longer)
+_BLOCK_BYTES = 1 << 22
 _TIE = 2
 _LOW_BITS = 45
 
@@ -225,24 +231,41 @@ def random_min_degree_collection(
     check_type(rng, random.Random, "rng")
     target = 0 if delta_frac <= 0 else min(n - 1, int(delta_frac * n - 1e-9) + 1)
     full = (1 << n) - 1
+    block = max(1, _BLOCK_BYTES // n)
     tables = []
     for _ in range(m):
-        # flags hold the pairs (u, v), u < v, row after row; adjacency[u * n
-        # + v] is 1 when uv is an edge: row u's flags go into its row and, by
-        # one strided slice, into column u
-        flags = _draw_flags(rng, n * (n - 1) // 2, delta_frac)
-        adjacency = bytearray(n * n)
-        start = 0
-        for u in range(n - 1):
-            row = flags[start:start + n - 1 - u]
-            start += n - 1 - u
-            adjacency[u * n + u + 1:(u + 1) * n] = row
-            adjacency[(u + 1) * n + u::n] = row
-        rows = [_mask_of_flags(adjacency[u * n:(u + 1) * n]) for u in range(n)]
+        rows = [0] * n
+        for lo in range(0, n, block):
+            hi = min(n, lo + block)
+            pairs = (hi - lo) * (2 * n - 1 - lo - hi) // 2  # (u, v), lo <= u < hi, u < v
+            _place_row_block(rows, lo, hi, _draw_flags(rng, pairs, delta_frac))
         for u in range(n):
             _repair_degree(rows, u, full ^ (1 << u), target, rng)
         tables.append(rows)
     return GraphCollection(n, tables)
+
+
+def _place_row_block(rows: list[int], lo: int, hi: int, flags: bytes) -> None:
+    """OR the pair flags of rows lo..hi-1 into ``rows``: ``flags`` holds the
+    pairs (u, v), lo <= u < hi, u < v, row after row.
+
+    ``block[(u - lo) * n + v]`` is 1 when uv is an edge, for u in the block:
+    row u's flags go into its row and, by one strided slice, into column u
+    of the block's later rows.  Row u is then read whole, and a later row v
+    >= hi reads its bits lo..hi-1 from column v.
+    """
+    n = len(rows)
+    block = bytearray((hi - lo) * n)
+    start = 0
+    for u in range(lo, min(hi, n - 1)):
+        row = flags[start:start + n - 1 - u]
+        start += n - 1 - u
+        block[(u - lo) * n + u + 1:(u - lo + 1) * n] = row
+        block[(u - lo + 1) * n + u::n] = row[:hi - 1 - u]
+    for u in range(lo, hi):
+        rows[u] |= _mask_of_flags(block[(u - lo) * n:(u - lo + 1) * n])
+    for v in range(hi, n):
+        rows[v] |= _mask_of_flags(block[v::n]) << lo
 
 
 def multipartite_collection(

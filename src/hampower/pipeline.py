@@ -47,12 +47,21 @@ and a :class:`StageFailedError`'s ``events``.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
+
+# The builtin SHA-256, as ``random`` takes its SHA-512: ``hashlib`` loads
+# OpenSSL, several MB for one hash per stage stream
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .absorber import (
     GADGET_MIN_K,
@@ -185,7 +194,7 @@ class Plan:
 
 def derive_rng(seed: int, *labels) -> random.Random:
     """Deterministic per-stage random stream from one 64-bit seed."""
-    digest = hashlib.sha256(repr((seed,) + labels).encode("utf-8")).digest()
+    digest = sha256(repr((seed,) + labels).encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

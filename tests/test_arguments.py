@@ -4,7 +4,8 @@ subclass: never a raw Python exception, and never a silent acceptance.
 The regression table lists calls that used to escape as ``TypeError``,
 ``KeyError`` or ``AttributeError`` or were accepted; the surface test
 replaces one argument of a valid call at a time with a drawn value: a
-number, a vertex sequence, None or a package object.  Its ints are small,
+number, a vertex sequence, a table of rows, a mapping with keys of mixed
+types, None or a package object.  Its ints are small,
 so no call allocates by a large n.
 """
 
@@ -129,6 +130,13 @@ REGRESSIONS = {
     "pattern-colours-none": lambda: ColourPattern(power_path(4, 2), None),
     "pattern-colours-int": lambda: ColourPattern(power_path(4, 2), 5),
     "plans-n-float": lambda: candidate_plans(10.5, 2, PipelineConfig(**CONFIG)),
+    "collection-tables-none": lambda: GraphCollection(3, None),
+    "collection-table-none": lambda: GraphCollection(3, [None]),
+    "collection-table-int": lambda: GraphCollection(3, [5]),
+    # this raised a raw TypeError from sorting the extra keys for the message
+    "pattern-mixed-extra-keys": lambda: ColourPattern(
+        power_path(3, 1), {(0, 1): 1, (1, 2): 1, "x": 1, 5: 1}
+    ),
     # this raised a raw ValueError
     "edge-triple": lambda: GraphCollection.from_edge_lists(3, [[(0, 1, 2)]]),
     # these raised a raw KeyError
@@ -220,6 +228,10 @@ SURFACE = {
     "GraphCollection": (
         lambda n, row: GraphCollection(n, [K3_ROWS[:2] + (row,)]), dict(n=3, row=0b011)
     ),
+    "GraphCollection/tables": (GraphCollection, dict(n=3, tables=[K3_ROWS, K3_ROWS])),
+    "ColourPattern/colours": (
+        ColourPattern, dict(host=power_path(3, 1), colours={(0, 1): 1, (1, 2): 2})
+    ),
     "HostTemplate": (
         lambda k, order, a, b: HostTemplate(CONNECTOR, k, order, a, b),
         dict(k=2, order=5, a=1, b=2),
@@ -290,6 +302,13 @@ VALUES = (
     SCALARS
     | OBJECTS
     | st.lists(st.integers(-2, 10) | st.floats(-1, 10) | st.booleans(), max_size=8)
+    # a list of rows, a table's shape, and a mapping with keys of mixed types
+    | st.lists(st.lists(st.integers(-1, 8) | st.none(), max_size=4) | st.none(), max_size=3)
+    | st.dictionaries(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3)) | st.integers(-1, 3) | st.text(max_size=1),
+        st.integers(-1, 3) | st.none(),
+        max_size=4,
+    )
 )
 
 

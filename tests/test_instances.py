@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from hampower.core import (
     power_cycle,
 )
 from hampower.errors import InvalidInstanceError
+from hampower import instances
 from hampower.instances import (
     _draw_flags,
     bijective_pattern,
@@ -148,6 +150,22 @@ class TestDrawsMatchReference:
                     assert got == want, (n, m, seed, delta)
                     assert got_rng.getstate() == want_rng.getstate(), (n, m, seed, delta)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
+    @pytest.mark.parametrize("rows_per_block", ["1", "2", "3/2", "none"])
+    def test_random_min_degree_in_row_blocks(self, monkeypatch, n, rows_per_block):
+        # blocks of one row; of two rows, the last row alone when n is odd;
+        # a bound between one and two rows (one row per block, two at n <= 2)
+        # and one below a row (still one row per block)
+        block_bytes = {"1": n, "2": 2 * n, "3/2": 3 * n // 2 + 1, "none": 1}[rows_per_block]
+        monkeypatch.setattr(instances, "_BLOCK_BYTES", block_bytes)
+        for seed in range(2):
+            for delta in (0.5, 0.95, (n - 1) / n):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = random_min_degree_collection(n, 2, delta, got_rng)
+                want = reference_random_min_degree_collection(n, 2, delta, want_rng)
+                assert got == want, (seed, delta)
+                assert got_rng.getstate() == want_rng.getstate(), (seed, delta)
+
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_random_rpartite(self, r):
         for part_size in (1, 2, 7, 16):
@@ -162,6 +180,23 @@ class TestDrawsMatchReference:
                         case = (r, part_size, m, seed, delta)
                         assert got == want, case
                         assert got_rng.getstate() == want_rng.getstate(), case
+
+
+def test_random_min_degree_memory_is_one_block_not_n_squared(monkeypatch):
+    # 64-row blocks at n = 2400: one block's flags and bytes are 150 KB each,
+    # against 8.6 MB for all pairs' flags and the n*n bytes at once.  The
+    # rows (720 KB) and the collection's packed copy of them (720 KB) make
+    # most of the rest
+    n = 2400
+    monkeypatch.setattr(instances, "_BLOCK_BYTES", 64 * n)
+    rng = random.Random(0)
+    tracemalloc.start()
+    try:
+        random_min_degree_collection(n, 1, 0.9, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 CHUNK = 1 << 16

@@ -1,6 +1,10 @@
 import hashlib
+import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -41,6 +45,40 @@ from hampower.pipeline import (
 
 CONFIG = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=7, seed=0)
 CONFIG_K3 = PipelineConfig(alpha=0.2, beta=0.05, gamma=0.01, epsilon=0.1, r=8, seed=0)
+
+
+class TestDeriveRng:
+    """``derive_rng`` hashes with the builtin SHA-256, not ``hashlib``'s:
+    the streams must be the ones ``hashlib.sha256`` gives."""
+
+    LABELS = [(), ("reservoir",), ("experiment", 0, 0), ("paths", 3, 1, "retry"), (None, 2.5, -1)]
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**63 - 1, -5])
+    @pytest.mark.parametrize("labels", LABELS, ids=repr)
+    def test_matches_the_hashlib_derivation(self, seed, labels):
+        digest = hashlib.sha256(repr((seed,) + labels).encode("utf-8")).digest()
+        want = random.Random(int.from_bytes(digest[:8], "big"))
+        got = pipeline.derive_rng(seed, *labels)
+        assert got.getstate() == want.getstate()
+        assert [got.random() for _ in range(8)] == [want.random() for _ in range(8)]
+        assert got.getstate() == want.getstate()
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+        reason="no builtin SHA-256 module: derive_rng falls back to hashlib",
+    )
+    def test_import_does_not_load_hashlib(self):
+        # a fresh interpreter: the test session itself has imported hashlib
+        script = (
+            "import sys, hampower; "
+            "hampower.pipeline.derive_rng(0, 'stage').random(); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pipeline.__file__))},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestConfig:
