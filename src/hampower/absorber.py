@@ -60,10 +60,10 @@ from .core import (
     Segment,
     canonical_edge,
     check_int,
+    check_ints,
     colour_reader,
     connector,
     host_edges,
-    only_ints,
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
@@ -254,7 +254,7 @@ def embed_by_degeneracy(
     candidate.
     """
     pool = pool_mask(collection, pool)
-    pool &= ~vertex_mask(collection, flexible, "flexible", blueprint.ell)
+    pool &= ~vertex_mask(collection, flexible, "flexible vertex", blueprint.ell)
     mapped = dict(zip(blueprint.a_vertices, flexible))
     v = place_in_order(collection, blueprint.back_neighbours, blueprint.edges, mapped, pool, rng)
     if v is not None:
@@ -345,10 +345,7 @@ class Template:
         followed by the W' rows in increasing order, its rows mapped back to
         template left indices; None unless it is perfect.
         """
-        chosen = tuple(w_locals) if isinstance(w_locals, Iterable) else None
-        if not (only_ints(chosen) and len(set(chosen)) == len(chosen) == self.s
-                and all(0 <= w < self.n_w for w in chosen)):
-            raise InvalidInstanceError("robust_matching needs s distinct W-local indices")
+        chosen = check_ints(w_locals, "W-local index", 0, self.n_w - 1, distinct=True, count=self.s)
         left_ids = [*range(self.n_u), *(self.n_u + w for w in sorted(chosen))]
         rows = tuple(self.rows[left] for left in left_ids)
         pairs = max_matching(BipartiteGraph(rows, self.x_mask))

@@ -28,9 +28,9 @@ from .core import (
     Edge,
     GraphCollection,
     PowerPath,
+    check_ints,
     connector,
     host_edges,
-    only_ints,
     verify_coloured_embedding,
 )
 from .errors import ConnectionFailedError, HamPowerError, InvalidInstanceError
@@ -38,26 +38,12 @@ from .errors import ConnectionFailedError, HamPowerError, InvalidInstanceError
 Order = Sequence[tuple[int, Sequence[tuple[int, Edge]]]]
 
 
-def _check_colours(collection: GraphCollection, colours: Iterable[int]) -> None:
-    if not (only_ints(colours) and 1 <= min(colours, default=1)
-            and max(colours, default=1) <= collection.m):
-        raise InvalidInstanceError(f"edge colours must be integers in 1..{collection.m}")
-
-
 def vertex_mask(collection: GraphCollection, vertices: Sequence[int], what: str,
                 count: Optional[int] = None) -> int:
     """The mask of ``vertices``, which must be distinct ints (not ``bool``s)
     in range(n), and ``count`` of them when given; the placement entry
     points call it before any draw."""
-    n = collection.n
-    if only_ints(vertices) and 0 <= min(vertices, default=0) and max(vertices, default=0) < n:
-        mask = mask_of(vertices)
-        if mask.bit_count() == len(vertices) and count in (None, len(vertices)):
-            return mask
-    many = "" if count is None else f"{count} "
-    raise InvalidInstanceError(
-        f"{what} must be {many}distinct vertices in 0..{n - 1}, got {reprlib.repr(vertices)}"
-    )
+    return mask_of(check_ints(vertices, what, 0, collection.n - 1, distinct=True, count=count))
 
 
 def pool_mask(collection: GraphCollection, pool: int) -> int:
@@ -82,7 +68,7 @@ def place_in_order(
     on a random member of the ``pool`` mask joined in colour ``colours[key]``
     to each ``placed[earlier id]``, recording it in ``placed``.  Returns the
     first id left without a candidate, or None."""
-    _check_colours(collection, colours.values())
+    check_ints(colours.values(), "edge colour", 1, collection.m)
     masks = collection.masks
     for v, back in order:
         cand = pool
@@ -142,7 +128,7 @@ def embed_connector(
         raise InvalidInstanceError(
             f"connector host is ({a},{b}) but ends have ({len(w)},{len(y)}) vertices"
         )
-    pool = pool_mask(collection, pool) & ~vertex_mask(collection, (*w, *y), "connector ends")
+    pool = pool_mask(collection, pool) & ~vertex_mask(collection, (*w, *y), "connector end")
     placed = dict(enumerate(w))
     placed.update((a + k + i, v) for i, v in enumerate(y))
     p = place_in_order(collection, _connector_order(a, b, k), pattern.colours, placed, pool, rng)
@@ -178,7 +164,7 @@ def extend_by_one(
         raise InvalidInstanceError(f"path must have at least k={k} vertices")
     if len(colours) != k:
         raise InvalidInstanceError(f"need exactly k={k} edge colours, got {len(colours)}")
-    pool = pool_mask(collection, pool) & ~vertex_mask(collection, path.vertices, "path")
+    pool = pool_mask(collection, pool) & ~vertex_mask(collection, path.vertices, "path vertex")
     edges = [(j, k) for j in range(k)]
     placed = dict(enumerate(path.vertices[-k:]))
     order = ((k, tuple(zip(range(k), edges))),)

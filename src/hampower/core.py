@@ -77,6 +77,31 @@ def check_int(value: object, what: str, low: int | None = None, high: int | None
     raise _invalid(value, type(value) is int, "an integer", what, low, high, error)
 
 
+def check_ints(values: Iterable[object], what: str, low: int | None = None, high: int | None = None,
+               error: type[HamPowerError] = InvalidInstanceError, *, distinct: bool = False,
+               count: int | None = None) -> Sequence[int]:
+    """:func:`check_int` for each member of ``values``, which must also be
+    ``count`` members when given and distinct when asked; the error names
+    the first offender.  Returns a list or tuple as it is, not copied, and
+    any other iterable as a tuple."""
+    if type(values) not in (list, tuple):
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise error(f"{what} values must be iterable, got {reprlib.repr(values)}") from None
+    if values and not (set(map(type, values)) <= {int} and (low is None or low <= min(values))
+                       and (high is None or max(values) <= high)):
+        for v in values:
+            check_int(v, what, low, high, error)
+    if count is not None and len(values) != count:
+        raise error(f"{what} count must be {count}, got {len(values)}")
+    if distinct and len(set(values)) != len(values):
+        seen: set[int] = set()
+        twice = next(v for v in values if v in seen or seen.add(v))  # the first value met again
+        raise error(f"{what} {twice} is repeated")
+    return values
+
+
 def check_real(value: object, what: str, low: float | None = None, high: float | None = None,
                error: type[HamPowerError] = InvalidInstanceError) -> float:
     """:func:`check_int` for a finite ``int`` or ``float``."""
@@ -531,10 +556,7 @@ class _Power:
     def __post_init__(self) -> None:
         name = type(self).__name__
         check_int(self.k, f"{name} k", 1)
-        if not only_ints(self.vertices) or len(set(self.vertices)) != len(self.vertices):
-            raise InvalidInstanceError(
-                f"{name} vertices must be distinct integers, got {reprlib.repr(self.vertices)}"
-            )
+        check_ints(self.vertices, f"{name} vertex", distinct=True)
         check_int(self.order, f"{name} order", 2 * self.k + 1 if self.cyclic else 1)
 
     @property
@@ -751,19 +773,12 @@ def verify_coloured_embedding(
     check_type(collection, GraphCollection, "collection", VerificationInputError)
     check_type(pattern, ColourPattern, "pattern", VerificationInputError)
     host, n = pattern.host, collection.n
-    if type(vertices) not in (list, tuple) or not only_ints(vertices):
+    if type(vertices) not in (list, tuple):
         raise VerificationInputError(
-            f"vertex list must be a list or tuple of ints, got {reprlib.repr(vertices)}"
+            f"vertex list must be a list or tuple, got {reprlib.repr(vertices)}"
         )
-    if len(vertices) != host.order:
-        raise VerificationInputError(
-            f"vertex list has length {len(vertices)}, host order is {host.order}"
-        )
-    if min(vertices) < 0 or max(vertices) >= n:
-        v = next(v for v in vertices if not 0 <= v < n)
-        raise VerificationInputError(f"vertex {v} out of range for n={n}")
-    if len(set(vertices)) != len(vertices):
-        raise VerificationInputError("vertex list contains repeats")
+    check_ints(vertices, "vertex", 0, n - 1, VerificationInputError,
+               distinct=True, count=host.order)
     masks, m = collection.masks, collection.m
     bad = (e for e, c in zip(_edges(host).by_index, pattern._colours)
            if c > m or not (masks[c - 1][vertices[e[0]]] >> vertices[e[1]]) & 1)

@@ -42,8 +42,8 @@ from .core import (
     GraphCollection,
     PowerPath,
     check_int,
+    check_ints,
     check_type,
-    only_ints,
     power_path,
     verify_coloured_embedding,
 )
@@ -87,16 +87,7 @@ def build_path_collection(
     if any(len(p) != n1 for p in parts):
         raise InvalidInstanceError("all parts must have equal size")
     check_int(s, "path count s", 0, n1)
-    if not only_ints(chain.from_iterable(parts)):
-        bad = next(v for v in chain.from_iterable(parts) if type(v) is not int)
-        raise InvalidInstanceError(f"part vertex {bad!r} is not an int")
-    seen: set[int] = set()
-    for p in parts:
-        if seen & set(p):
-            raise InvalidInstanceError("parts must be pairwise disjoint")
-        seen.update(p)
-    if (v := min(seen)) < 0 or (v := max(seen)) >= collection.n:  # s >= 1, so seen is not empty
-        raise InvalidInstanceError(f"part vertex {v} is outside 0..{collection.n - 1}")
+    check_ints(chain.from_iterable(parts), "part vertex", 0, collection.n - 1, distinct=True)
     for i, pat in enumerate(patterns):
         if pat.host != power_path(r, k):
             raise InvalidInstanceError(f"pattern {i + 1} does not live on power_path({r},{k})")

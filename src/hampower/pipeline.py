@@ -224,8 +224,7 @@ def _best_plan_for(
         if navail < 0:  # a never falls as t grows, so navail falls strictly: all later t fail
             break
         n1 = navail // r
-        s_cap = min(n1, int((1 - config.epsilon) * n1 + 1e-9))
-        s = min(s_cap, navail // r)
+        s = int((1 - config.epsilon) * n1 + 1e-9)
         if s_force is not None:
             s = min(s, s_force)
         if best is not None:

@@ -345,7 +345,7 @@ class TestTemplate:
     @pytest.mark.parametrize("w_locals", [[0.5, 1], None, [False, True], [0, 4], (1,)])
     def test_malformed_w_indices_rejected(self, w_locals):
         template = build_template(2, 2, random.Random(0))
-        with pytest.raises(InvalidInstanceError, match="s distinct W-local indices"):
+        with pytest.raises(InvalidInstanceError, match="^W-local index "):
             template.robust_matching(w_locals)
 
 

@@ -199,7 +199,7 @@ def test_oracle_rejects_a_float_or_negative_budget(search, budget):
 def test_placement_rejects_its_vertices_before_any_draw(call):
     r = rng()
     state = r.getstate()
-    with pytest.raises(InvalidInstanceError, match=r"(distinct vertices|a mask of vertices) in 0\.\."):
+    with pytest.raises(InvalidInstanceError, match=r"^(path vertex|connector end|flexible vertex) |a mask of vertices in 0\.\."):
         call(r)
     assert r.getstate() == state
 

@@ -120,6 +120,25 @@ class TestSolveVerify:
         assert code == 2
         assert "INVALID" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("vertices, message", [
+        ([0, 1, 2, 3, 4, 5, 6, 9], "vertex must be in [0, 7], got 9"),
+        ([0, 1, 2, 3, 4, 5, 6, 3], "PowerCycle vertex 3 is repeated"),
+        ([0, 1, 2, 3, 4, 5, 6], "vertex count must be 8, got 7"),
+    ])
+    def test_verify_names_the_offending_vertex_or_count(self, tmp_path, capsys, vertices, message):
+        inst = tmp_path / "inst.json"
+        pat = tmp_path / "pat.json"
+        cyc = tmp_path / "cycle.json"
+        pattern = bijective_pattern(core.power_cycle(8, 2))
+        write_instance(inst, complete_collection(8, pattern.max_colour))
+        write_pattern(pat, pattern)
+        core.save_json(str(cyc), {"k": 2, "vertices": vertices})
+        code = cli.dispatch(
+            ["verify", "--instance", str(inst), "--pattern", str(pat), "--cycle", str(cyc)]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
     def test_infeasible_solve_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         pat = tmp_path / "pat.json"

@@ -260,6 +260,54 @@ class TestPatternValidation:
                 ColourPattern(host, colours)
 
 
+def first_ints_fault(members, low, high, distinct, count):
+    """The end of the message :func:`core.check_ints` must raise on
+    ``members``, or None if it must accept them, by a naive scan."""
+    for v in members:
+        if type(v) is not int:
+            return f"must be an integer, got {v!r}"
+        if low is not None and v < low or high is not None and v > high:
+            return f", got {v}"
+    if count is not None and len(members) != count:
+        return f"count must be {count}, got {len(members)}"
+    if distinct and len(set(members)) != len(members):
+        return f" {next(v for i, v in enumerate(members) if v in members[:i])} is repeated"
+    return None
+
+
+class TestCheckInts:
+    @given(
+        members=st.lists(st.integers(-3, 12) | st.booleans() | st.floats() | st.none(), max_size=8),
+        kind=st.sampled_from([list, tuple, set, iter]),
+        low=st.none() | st.integers(-2, 4),
+        high=st.none() | st.integers(4, 10),
+        distinct=st.booleans(),
+        count=st.none() | st.integers(0, 6),
+        error=st.sampled_from([InvalidInstanceError, VerificationInputError, InvalidPatternError]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_accepts_exactly_what_a_naive_scan_accepts(self, members, kind, low, high, distinct,
+                                                       count, error):
+        values = kind(members)
+        if kind is set:
+            members = list(values)  # what is checked first is what the set yields first
+        fault = first_ints_fault(members, low, high, distinct, count)
+        if fault is None:
+            result = core.check_ints(values, "thing", low, high, error, distinct=distinct, count=count)
+            assert list(result) == members
+            assert result is values if kind in (list, tuple) else type(result) is tuple
+        else:
+            with pytest.raises(error) as info:
+                core.check_ints(values, "thing", low, high, error, distinct=distinct, count=count)
+            assert type(info.value) is error
+            assert str(info.value).startswith("thing ") and str(info.value).endswith(fault)
+
+    @pytest.mark.parametrize("values", [None, 5, 2.5])
+    def test_a_value_that_is_not_iterable_is_rejected(self, values):
+        with pytest.raises(VerificationInputError, match=rf"^thing values must be iterable, got {values}$"):
+            core.check_ints(values, "thing", error=VerificationInputError)
+
+
 class TestVerify:
     def test_complete_collection_accepts_everything(self):
         rng = random.Random(0)

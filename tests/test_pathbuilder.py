@@ -127,8 +127,18 @@ class TestBuildPathCollection:
         # disjoint parts are what keeps a level's tiles off its right side
         coll = complete_collection(6, 1)
         patterns = [random_pattern(power_path(3, 2), 1, random.Random(88))]
-        with pytest.raises(InvalidInstanceError, match="pairwise disjoint"):
+        with pytest.raises(InvalidInstanceError, match=r"^part vertex 3 is repeated$"):
             build_path_collection(coll, [[0, 1], [2, 3], [3, 4]], patterns, 1, random.Random(88))
+
+    def test_vertex_repeated_within_a_part_rejected_before_any_draw(self):
+        # a repeat inside one part would surface only later, in the tiling check
+        coll = complete_collection(12, 2)
+        patterns = [random_pattern(power_path(3, 2), 2, random.Random(84))]
+        rng = random.Random(84)
+        state = rng.getstate()
+        with pytest.raises(InvalidInstanceError, match=r"^part vertex 0 is repeated$"):
+            build_path_collection(coll, [[0, 0], [2, 3], [4, 5]], patterns, 1, rng)
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("bad", [-1, 12])
     def test_part_vertex_outside_the_collection_rejected(self, bad):
@@ -136,7 +146,7 @@ class TestBuildPathCollection:
         # surface only as a broken tiling invariant
         coll = complete_collection(12, 2)
         patterns = [random_pattern(power_path(3, 2), 2, random.Random(87))]
-        with pytest.raises(InvalidInstanceError, match=rf"^part vertex {bad} is outside 0\.\.11$"):
+        with pytest.raises(InvalidInstanceError, match=rf"^part vertex must be in \[0, 11\], got {bad}$"):
             build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, 1, random.Random(87))
 
     def test_no_parts_rejected(self):
@@ -154,7 +164,7 @@ class TestBuildPathCollection:
         patterns = [random_pattern(power_path(3, 2), 2, random.Random(85))]
         rng = random.Random(85)
         state = rng.getstate()
-        with pytest.raises(InvalidInstanceError, match=rf"^part vertex {bad!r} is not an int$"):
+        with pytest.raises(InvalidInstanceError, match=rf"^part vertex must be an integer, got {bad!r}$"):
             build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, 1, rng)
         assert rng.getstate() == state  # rejected before any draw
 
