@@ -78,7 +78,7 @@ def place_in_order(
             return v
         img = pick_bit(cand, rng)
         placed[v] = img
-        pool &= ~(1 << img)
+        pool ^= 1 << img  # img is in cand, so in pool
     return None
 
 

@@ -95,7 +95,9 @@ UNKNOWN = "unknown"
 
 # the automorphism search stops once it has spent this much work: one unit
 # per 64-bit word of each row it intersects or counts, and n per
-# automorphism it lists
+# automorphism it lists.  It caps the listed group, which may be only part
+# of the whole: at n = 16, lowerbound_construction(3, 4) lists 1 858 of its
+# 4 608 automorphisms
 SYMMETRY_WORK = 1 << 15
 
 

@@ -199,10 +199,10 @@ def derive_rng(seed: int, *labels) -> random.Random:
 
 
 def _best_plan_for(
-    n: int, k: int, config: PipelineConfig, s_t: int, s_force: Optional[int] = None
+    n: int, k: int, gamma: float, epsilon: float, r: int, s_t: int,
+    s_force: Optional[int] = None,
 ) -> Optional[Plan]:
-    r = config.r
-    t_target = max(1, int(config.gamma * n))
+    t_target = max(1, int(gamma * n))
     if s_t == 0:
         # a = k for every t, so navail = n - k - 2 - t.  g >= 0 needs
         # t >= (s+c+1)k, where s+c = navail - s(r-1) is at least navail/r
@@ -224,7 +224,7 @@ def _best_plan_for(
         if navail < 0:  # a never falls as t grows, so navail falls strictly: all later t fail
             break
         n1 = navail // r
-        s = int((1 - config.epsilon) * n1 + 1e-9)
+        s = int((1 - epsilon) * n1 + 1e-9)
         if s_force is not None:
             s = min(s, s_force)
         if best is not None:
@@ -255,31 +255,43 @@ def candidate_plans(n: int, k: int, config: PipelineConfig) -> list[Plan]:
     pure-sweep plan.  Best-effort runs fall back along this list when a
     plan's stages keep failing (a connector finds no image in a small
     reservoir, or a level of the path builder has no perfect matching).
+
+    The list depends only on n, k and the configuration's sizes, so it is
+    worked out once per shape and a fresh copy is returned on every call.
     """
     check_int(n, "vertex count n", 1)
     check_int(k, "power k", 1)
     check_type(config, PipelineConfig, "config")
+    return list(_plans_for_shape(n, k, config.beta, config.gamma, config.epsilon, config.r))
+
+
+@functools.lru_cache(maxsize=64)
+def _plans_for_shape(
+    n: int, k: int, beta: float, gamma: float, epsilon: float, r: int
+) -> tuple[Plan, ...]:
+    """:func:`candidate_plans` for a configuration with these fields, the
+    only ones that the plans depend on."""
     if n < 3 * k:  # the closing connector's end windows must not collide
-        return []
+        return ()
     plans: list[Plan] = []
-    s_t_max = int(config.beta * n) if k >= GADGET_MIN_K else 0
+    s_t_max = int(beta * n) if k >= GADGET_MIN_K else 0
     for s_t in range(s_t_max, 0, -1):
-        plan = _best_plan_for(n, k, config, s_t)
+        plan = _best_plan_for(n, k, gamma, epsilon, r, s_t)
         if plan is not None:
             plans.append(plan)
-    base = _best_plan_for(n, k, config, 0)
+    base = _best_plan_for(n, k, gamma, epsilon, r, 0)
     if base is not None:
         plans.append(base)
         s_next = base.s // 2
         while s_next > 0:
-            plan = _best_plan_for(n, k, config, 0, s_force=s_next)
+            plan = _best_plan_for(n, k, gamma, epsilon, r, 0, s_force=s_next)
             if plan is not None and plan not in plans:
                 plans.append(plan)
             s_next //= 2
-        sweep_only = _best_plan_for(n, k, config, 0, s_force=0)
+        sweep_only = _best_plan_for(n, k, gamma, epsilon, r, 0, s_force=0)
         if sweep_only is not None and sweep_only not in plans:
             plans.append(sweep_only)
-    return plans
+    return tuple(plans)
 
 
 def feasibility_floor(k: int, config: PipelineConfig) -> int:

@@ -4,7 +4,15 @@ from itertools import count
 import pytest
 
 from helpers import reference_pick_bit
-from hampower.bitset import _CLEAR_BELOW, nth_bit, pick_bit, randbelow, select
+from hampower.bitset import (
+    _CLEAR_BELOW,
+    _WIDE,
+    mask_of,
+    nth_bit,
+    pick_bit,
+    randbelow,
+    select,
+)
 
 # every size up to 300, and each side of the powers of two up to 2^70, where
 # getrandbits takes one more bit or one more 32-bit word
@@ -43,10 +51,45 @@ class TestRandbelow:
 
 
 def assert_every_rank(mask):
-    """nth_bit of every rank is the reference's: the list of every set bit
-    of the mask, read at that rank."""
-    ranks = range(mask.bit_count())
-    assert [nth_bit(mask, idx) for idx in ranks] == list(select(mask, count())), mask.bit_length()
+    """nth_bit of every rank, with and without the popcount given, is the
+    reference's: the list of every set bit of the mask, read at that rank
+    (``reference_nth_bit``, listed once for all ranks)."""
+    total = mask.bit_count()
+    want = list(select(mask, count()))
+    assert [nth_bit(mask, idx) for idx in range(total)] == want, mask.bit_length()
+    assert [nth_bit(mask, idx, total) for idx in range(total)] == want, mask.bit_length()
+
+
+# widths on both sides of the halving's word, of the cut's threshold and of
+# the cut's word steps, up to 8192 bits
+WIDE_WIDTHS = sorted({65, 127, 128, 129, _WIDE - 1, _WIDE, _WIDE + 1, _WIDE + 2,
+                      300, 511, 512, 513, 1000, 1024, 1025, 2000, 4096, 8192})
+DENSITIES = (1 / 64, 1 / 8, 1 / 2, 7 / 8, 1)
+
+
+def random_mask(rng, width, density):
+    """A mask of the given width whose other bits are each set with the
+    given probability."""
+    bits = (v for v in range(width - 1) if rng.random() < density)
+    return mask_of(bits) | 1 << (width - 1)
+
+
+def far_from_the_cut(width):
+    """Masks of the given width whose set bits lie far from where an even
+    spread puts them, so that the cut misses their rank by many words."""
+    word = (1 << 64) - 1
+    block = (1 << 512) - 1
+    top = 1 << (width - 1)
+    blocks = mask_of(range(0, width, 1024))  # bit 0 of every other 512-bit block
+    return {
+        "top word": word << (width - 64),
+        "bottom word": word | top,
+        "single bit": top,
+        "bottom half": (1 << (width // 2)) - 1 | top,
+        "two ends": word | word << (width - 64),
+        "full blocks first": (blocks * block) & ((1 << width) - 1) | top,
+        "empty blocks first": (blocks * block << 512) & ((1 << width) - 1) | top,
+    }
 
 
 class TestNthBit:
@@ -72,6 +115,19 @@ class TestNthBit:
             for idx in (_CLEAR_BELOW - 1, _CLEAR_BELOW):
                 assert nth_bit(mask, idx) == idx
                 assert nth_bit(mask << 7, idx) == idx + 7
+
+    @pytest.mark.parametrize("width", WIDE_WIDTHS)
+    def test_every_rank_of_wide_masks_at_every_density(self, width):
+        rng = random.Random(width)
+        for density in DENSITIES:
+            assert_every_rank(random_mask(rng, width, density))
+
+    @pytest.mark.parametrize("width", [_WIDE + 1, 1000, 2000, 8192])
+    @pytest.mark.parametrize("kind", list(far_from_the_cut(8192)))
+    def test_every_rank_where_the_cut_misses_by_many_words(self, width, kind):
+        mask = far_from_the_cut(width)[kind]
+        assert mask.bit_length() == width
+        assert_every_rank(mask)
 
     def test_dense_and_sparse_2000_bit_masks(self):
         rng = random.Random(84)
@@ -114,6 +170,17 @@ class TestPickBit:
             for _ in range(60):
                 mask &= ~(1 << rng.randrange(2000))
             assert_same_pick(mask, rng.getrandbits(32), draws=20)
+
+    @pytest.mark.parametrize("width", [2000, 2048, 4096, 8192])
+    def test_wide_masks_at_every_density(self, width):
+        rng = random.Random(width)
+        for density in DENSITIES:
+            assert_same_pick(random_mask(rng, width, density), rng.getrandbits(32), draws=40)
+
+    @pytest.mark.parametrize("kind", list(far_from_the_cut(8192)))
+    def test_wide_masks_far_from_the_cut(self, kind):
+        for width in (2000, 8192):
+            assert_same_pick(far_from_the_cut(width)[kind], width, draws=40)
 
     def test_empty_mask_raises(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -181,6 +182,36 @@ class TestDrawsMatchReference:
                         assert got == want, case
                         assert got_rng.getstate() == want_rng.getstate(), case
 
+
+    @pytest.mark.parametrize("generator", ["min-degree", "rpartite"])
+    def test_repair_in_wide_rows(self, monkeypatch, generator):
+        # rows of 700 bits: a vertex a few neighbours short draws ranks and
+        # finds each with nth_bit, one short of many lists its non-neighbours;
+        # both make the reference's draws
+        paths = Counter()
+
+        def counted(name):
+            real = getattr(instances, name)
+
+            def call(*args):
+                paths[name] += 1
+                return real(*args)
+            return call
+
+        for name in ("nth_bit", "select"):
+            monkeypatch.setattr(instances, name, counted(name))
+        for seed in range(3):
+            for delta in (0.9, 0.97):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                if generator == "min-degree":
+                    got = random_min_degree_collection(700, 1, delta, got_rng)
+                    want = reference_random_min_degree_collection(700, 1, delta, want_rng)
+                else:
+                    got = random_rpartite_collection(2, 350, 1, delta, got_rng)
+                    want = reference_random_rpartite_collection(2, 350, 1, delta, want_rng)
+                assert got == want, (seed, delta)
+                assert got_rng.getstate() == want_rng.getstate(), (seed, delta)
+        assert paths["nth_bit"] and paths["select"], paths
 
 def test_random_min_degree_memory_is_one_block_not_n_squared(monkeypatch):
     # 64-row blocks at n = 2400: one block's flags and bytes are 150 KB each,

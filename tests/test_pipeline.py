@@ -211,6 +211,52 @@ class TestPlannerScan:
                 assert candidate_plans(n, k, config) == full, (n, config)
 
 
+class TestPlanCache:
+    """candidate_plans works each list out once per (n, k, beta, gamma,
+    epsilon, r) and returns a fresh copy."""
+
+    # beta and gamma change the list only at some shapes: beta where it
+    # caps the feasible template sizes, gamma where several t tie on s
+    @pytest.mark.parametrize("field, values, n", [
+        ("n", [60, 61, 200, 2000], None),
+        ("k", [1, 2, 3, 4], 400),
+        ("beta", [0.02, 0.05, 0.1, 0.45], 1000),
+        ("gamma", [0.001, 0.01, 0.1, 0.2, 0.4], 400),
+        ("epsilon", [0.05, 0.1, 0.5, 0.9], 400),
+        ("r", [5, 6, 7, 12], 400),
+    ])
+    def test_each_planner_field_on_its_own(self, field, values, n):
+        # each list is the full scan's, also when its shape is asked again
+        # after the others, and the values do not all give one list
+        config = PipelineConfig(alpha=0.5, beta=0.45, gamma=0.01, epsilon=0.1, r=7)
+        lists = set()
+        for value in [*values, *values]:
+            shape = {"n": n, "k": 2, "config": config}
+            if field in shape:
+                shape[field] = value
+            else:
+                shape["config"] = replace(config, **{field: value})
+            plans = candidate_plans(**shape)
+            assert plans == reference_candidate_plans(**shape), value
+            lists.add(tuple(plans))
+        assert len(lists) > 1
+
+    def test_fields_the_plans_do_not_read_give_equal_lists(self):
+        want = candidate_plans(500, 2, CONFIG)
+        for change in (dict(seed=12345), dict(mode="strict"), dict(max_retries=1), dict(alpha=0.9)):
+            assert candidate_plans(500, 2, replace(CONFIG, **change)) == want, change
+
+    def test_a_returned_list_is_the_caller_s_own(self):
+        want = reference_candidate_plans(400, 3, CONFIG_K3)
+        plans = candidate_plans(400, 3, CONFIG_K3)
+        plans.reverse()
+        plans.append(None)
+        del plans[:2]
+        again = candidate_plans(400, 3, CONFIG_K3)
+        assert again == want
+        assert again is not candidate_plans(400, 3, CONFIG_K3)
+
+
 class TestSampleReservoir:
     def test_complete_collection_accepts_first_sample(self):
         # one uniform draw: the first rng.sample, whatever the graphs
