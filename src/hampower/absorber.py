@@ -415,13 +415,13 @@ def _random_template_adjacency(
         for j in range(max(0, i - t), min(s - 1, i) + 1):
             rows[2 * s + w_slots[i]] |= 1 << x_w[xw_slots[j]]
 
-    # pad degree-1 W vertices with a balanced extra edge into the U-side block
+    # pad degree-1 W vertices with a balanced extra edge into the U-side block;
+    # a W vertex's one neighbour is in x_w, so every x_m vertex is new to it
     xm_load = {x: 2 for x in x_m}
     for w in range(2 * s, 3 * s + t):
         if rows[w].bit_count() < 2:
             lowest = min(xm_load.values())
-            choices = [x for x in x_m if xm_load[x] == lowest and not rows[w] >> x & 1]
-            x = rng.choice(choices if choices else [x for x in x_m if not rows[w] >> x & 1])
+            x = rng.choice([x for x in x_m if xm_load[x] == lowest])
             rows[w] |= 1 << x
             xm_load[x] += 1
     return tuple(rows), (x_m, perm, x_w, w_slots, xw_slots)

@@ -18,8 +18,9 @@ embedded:
 A *colour pattern* is a total map from the host's canonical edges to colours.
 An ordered vertex list realises the pattern when every canonical host edge
 (i, j) of colour c maps to an edge of G_c.  Patterns are anchored: position 0
-of a vertex list always corresponds to host position 0; cycle rotation and
-reflection are handled by callers (the oracle searches over placements).
+of a vertex list always corresponds to host position 0; rotated and
+mirrored copies of one cycle are distinct placements, and the oracle
+searches over all placements.
 The host edge from position i to position i + d (taken mod n on a power
 cycle), 1 <= d <= k, has the *edge index* i*k + d - 1; no other module
 computes it.  A pattern stores its colours as one tuple in increasing edge

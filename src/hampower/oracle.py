@@ -41,16 +41,6 @@ group, so a search stopped at its work bound leaves every answer and
 count exact.  When the identity is the only automorphism found, every
 bucket is one candidate and the search is the plain one.
 
-When the pattern is invariant under the reflection through position 0,
-and the identity is the only automorphism found, mirrored assignments are
-cut by requiring the position-(n-1) vertex's class to come no earlier than
-the position-1 vertex's class (classes are ordered by their smallest
-vertex; without twins this is "the position-(n-1) vertex exceeds the
-position-1 vertex").  Reflecting a solution and making it canonical again
-keeps each position's class, so some canonical solution passes both cuts.
-For general patterns the rule is unsound and is skipped; with the bucket
-cut it is skipped too, since no solution the buckets keep need pass it.
-
 The search is iterative, one stack frame per placed position, so no order
 reaches Python's recursion limit.  A node is one vertex placed at one
 position of a canonical partial placement, the first of its bucket, and
@@ -123,14 +113,6 @@ def _back_constraints(pattern: ColourPattern) -> list[list[tuple[int, int]]]:
             if p + d >= n:
                 back[p].append((p + d - n, pattern.colour_of(p, p + d - n)))
     return back
-
-
-def _reflection_symmetric(pattern: ColourPattern) -> bool:
-    n = pattern.host.order
-    return all(
-        pattern.colour_of((-i) % n, (-j) % n) == c
-        for (i, j), c in pattern.colours.items()
-    )
 
 
 def _twin_classes(collection: GraphCollection) -> list[list[int]]:
@@ -330,10 +312,8 @@ def _run(
         for p, back in enumerate(_back_constraints(pattern))
     ]
     assignment = [0] * n
-    # rep[v] is the smallest vertex of v's twin class, twins holds the
-    # classes of two or more vertices as masks, and orbit is the number of
-    # placements each canonical one stands for
-    rep = list(range(n))
+    # twins holds the classes of two or more vertices as masks, and orbit is
+    # the number of placements each canonical one stands for
     twins = []
     orbit = 1
     classes = _twin_classes(collection)
@@ -341,13 +321,8 @@ def _run(
         if len(members) > 1:
             twins.append(mask_of(members))
             orbit *= math.factorial(len(members))
-            for v in members:
-                rep[v] = members[0]
     lifts = _automorphisms(collection, classes, stats)
     stats.symmetries = len(lifts)
-    # the reflection cut halves a find; a count must see every placement,
-    # and with other symmetries cut too no kept placement need pass it
-    use_reflection = not count_all and len(lifts) == 1 and _reflection_symmetric(pattern)
 
     def frame(p: int, cand: int, live: int, weight: int, lifts: list) -> tuple:
         """Position p's frame: the vertices unused before p, the rows that
@@ -409,8 +384,6 @@ def _run(
                 break
             # one vertex is left for the last position: cand is that vertex,
             # and placing it completes the cycle
-            if use_reflection and rep[cand.bit_length() - 1] < rep[assignment[1]]:
-                continue
             if nodes == limit:
                 truncated = True
                 stack.clear()
@@ -467,9 +440,8 @@ def count_coloured_hamilton_powers(
     placements (n rotations times two directions).  The search enumerates
     the canonical placements only (one per relabelling of twins within
     their classes) and returns their number times the product of |C|!
-    over the twin classes C, which is the number of all placements.  The
-    reflection cut is disabled here so the count is exact.  A hit node
-    budget yields ``stats.result == "unknown"`` with the partial count,
+    over the twin classes C, which is the number of all placements.  A hit
+    node budget yields ``stats.result == "unknown"`` with the partial count,
     the canonical placements completed so far times the same product.
     """
     _, count, stats = _run(collection, pattern, budget, count_all=True)

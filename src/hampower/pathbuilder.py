@@ -32,6 +32,7 @@ symmetry from the part's own rows (:func:`_part_tables`).
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from itertools import chain, repeat
 from operator import and_, itemgetter, rshift
 from typing import Callable, Sequence
@@ -79,6 +80,8 @@ def build_path_collection(
         raise InvalidInstanceError(f"expected {s} patterns, got {len(patterns)}")
     if s == 0:
         return []
+    for i, part in enumerate(check_type(parts, Collection, "parts")):
+        check_type(part, Collection, f"part {i + 1}")
     r = len(parts)
     if r == 0:
         raise InvalidInstanceError("no parts to build paths through")

@@ -66,6 +66,7 @@ def rng() -> random.Random:
 
 K12 = complete_collection(12, 3)
 CYCLE12 = random_pattern(power_cycle(12, 2), 3, random.Random(0))
+PATH3 = random_pattern(power_path(3, 2), 3, random.Random(0))
 CONNECTOR_1_1 = restrict_pattern(CYCLE12, 0, connector(1, 1, 2))
 GADGET_2_2 = build_gadget_blueprint(2, 2, random_pattern(power_path(10, 2), 2, random.Random(0)))
 FULL12 = (1 << 12) - 1
@@ -133,6 +134,9 @@ REGRESSIONS = {
     "collection-tables-none": lambda: GraphCollection(3, None),
     "collection-table-none": lambda: GraphCollection(3, [None]),
     "collection-table-int": lambda: GraphCollection(3, [5]),
+    "builder-part-int": lambda: build_path_collection(K12, [[0, 1], [2, 3], 5], [PATH3], 1, rng()),
+    "builder-part-none": lambda: build_path_collection(K12, [[0, 1], [2, 3], None], [PATH3], 1, rng()),
+    "builder-parts-int": lambda: build_path_collection(K12, 7, [PATH3], 1, rng()),
     # this raised a raw TypeError from sorting the extra keys for the message
     "pattern-mixed-extra-keys": lambda: ColourPattern(
         power_path(3, 1), {(0, 1): 1, (1, 2): 1, "x": 1, 5: 1}
