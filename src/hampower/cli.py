@@ -140,11 +140,6 @@ def _cmd_solve(args) -> int:
         core.save_json(trace_path, {"seed": config.seed, "mode": config.mode, "events": exc.events})
         print(f"ABORT at stage {exc.stage}: {exc.cause}")
         return 2
-    # re-verify in-process before claiming success
-    check = core.verify_coloured_embedding(collection, pattern, cycle.vertices)
-    if not check.ok:
-        print(f"ERROR: produced cycle fails verification at {check.violation}")
-        return 2
     core.save_json(args.out, core.cycle_to_dict(cycle))
     core.save_json(trace_path, trace)
     print(f"SOLVED n={collection.n} k={cycle.k} (cycle -> {args.out})")
@@ -242,6 +237,8 @@ def _cmd_experiment(args) -> int:
     k = args.k
     r = args.r if args.r is not None else k + 5
     deltas = _sweep_deltas(args.delta_from, args.delta_to, args.delta_step)
+    if args.trials < 1 or not deltas:
+        raise UsageError("empty sweep: need --trials >= 1 and --delta-from <= --delta-to")
     rows = []
     for d_idx, delta in enumerate(deltas):
         for trial in range(args.trials):
@@ -284,21 +281,15 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+COMMANDS = {"solve": _cmd_solve, "verify": _cmd_verify, "oracle": _cmd_oracle,
+            "gen": _cmd_gen, "experiment": _cmd_experiment}
+
+
 def dispatch(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

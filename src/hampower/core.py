@@ -894,6 +894,8 @@ def pattern_from_dict(d: Mapping) -> ColourPattern:
         raise InvalidPatternError(
             f"pattern file: host order {host.order} exceeds the limit {MAX_FILE_ORDER}"
         )
+    if kind == CONNECTOR and "n_or_r" in h and host_int("n_or_r") != host.order:
+        raise InvalidPatternError(f"pattern file: connector n_or_r {h['n_or_r']} != a + k + b = {host.order}")
     if not isinstance(entries, list):
         raise InvalidPatternError("pattern file: colours must be a list of [i, j, colour] entries")
     colours: dict[Edge, int] = {}

@@ -82,7 +82,8 @@ class TemplateError(HamPowerError):
 
 
 class InfeasibleConfigError(HamPowerError):
-    """Instance too small for the requested pipeline configuration."""
+    """n is below the feasibility floor max(3k, 2k + 2), under which no
+    configuration has a plan; ``floor`` is that bound."""
 
     def __init__(self, message: str, floor: int | None = None):
         super().__init__(message)

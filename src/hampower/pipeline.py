@@ -17,10 +17,13 @@ floor(beta*n) and picks the reservoir surplus w_extra and path count s so
 that every set size is a non-negative integer (small instances therefore
 run with a degenerate s_t = 0 absorber, a single connector from z1 to z2).
 Whatever rounding slack remains is burned in the greedy padding stage (g
-vertices), exactly as the layout above prescribes.  Best-effort runs keep
-the whole ranked candidate list and fall back to the next plan when one
-plan's stages exhaust their retries; strict runs take the first plan only,
-one attempt per stage.
+vertices), exactly as the layout above prescribes.  A plan exists exactly
+when n >= max(3k, 2k + 2), whatever the configuration
+(:func:`feasibility_floor`); below it :func:`solve` raises
+:class:`InfeasibleConfigError`.  Best-effort runs keep the whole ranked
+candidate list and fall back to the next plan when one plan's stages
+exhaust their retries; strict runs take the first plan only, one attempt
+per stage.
 
 No stage is gated on a degree condition.  The reservoir is one uniform
 draw, and the path builder samples each matching directly; a stage fails
@@ -271,7 +274,7 @@ def _plans_for_shape(
 ) -> tuple[Plan, ...]:
     """:func:`candidate_plans` for a configuration with these fields, the
     only ones that the plans depend on."""
-    if n < 3 * k:  # the closing connector's end windows must not collide
+    if n < feasibility_floor(k):
         return ()
     plans: list[Plan] = []
     s_t_max = int(beta * n) if k >= GADGET_MIN_K else 0
@@ -279,28 +282,26 @@ def _plans_for_shape(
         plan = _best_plan_for(n, k, gamma, epsilon, r, s_t)
         if plan is not None:
             plans.append(plan)
+    # every template-free scan has a plan (see feasibility_floor): the base,
+    # then each halved path count down to the pure sweep
     base = _best_plan_for(n, k, gamma, epsilon, r, 0)
-    if base is not None:
-        plans.append(base)
-        s_next = base.s // 2
-        while s_next > 0:
-            plan = _best_plan_for(n, k, gamma, epsilon, r, 0, s_force=s_next)
-            if plan is not None and plan not in plans:
-                plans.append(plan)
-            s_next //= 2
-        sweep_only = _best_plan_for(n, k, gamma, epsilon, r, 0, s_force=0)
-        if sweep_only is not None and sweep_only not in plans:
-            plans.append(sweep_only)
+    plans.append(base)
+    s_force = base.s
+    while s_force:
+        s_force //= 2
+        plan = _best_plan_for(n, k, gamma, epsilon, r, 0, s_force=s_force)
+        if plan not in plans:
+            plans.append(plan)
     return tuple(plans)
 
 
-def feasibility_floor(k: int, config: PipelineConfig) -> int:
-    """Smallest n for which the configuration admits an integer plan."""
+def feasibility_floor(k: int) -> int:
+    """Smallest n with a plan, whatever the configuration: max(3k, 2k + 2).
+    Below 3k the closing connector's end windows collide; below 2k + 2 every
+    template-free t >= k leaves navail = n - k - 2 - t < 0.  From there, t =
+    n - k - 2 gives a plan without paths or leftovers, and g = n - 2k - 2."""
     check_int(k, "power k", 1)
-    for n in range(2 * k + 1, 16 * (k + 2) + 64):
-        if candidate_plans(n, k, config):
-            return n
-    raise InfeasibleConfigError("no feasible n found in the probe range")
+    return max(3 * k, 2 * k + 2)
 
 
 def sample_reservoir(n: int, size: int, rng: random.Random) -> frozenset[int]:
@@ -329,7 +330,7 @@ def solve(
     Returns the cycle together with a JSON-serialisable trace: the seed,
     the mode, the winning plan's sizes and index, and ``events``, the log of
     stage attempts over every plan tried (see the module docstring).  Raises
-    :class:`InfeasibleConfigError` before any work when n is too small, and
+    :class:`InfeasibleConfigError` before any work when n < max(3k, 2k + 2), and
     :class:`StageFailedError`, carrying the same log, when a stage of the
     last plan tried exhausts its retries.
     """
@@ -343,13 +344,10 @@ def solve(
     if pattern.max_colour > collection.m:
         raise InvalidInstanceError("pattern colours exceed the number of graphs")
 
+    floor = feasibility_floor(k)
+    if n < floor:
+        raise InfeasibleConfigError(f"n={n} is below the feasibility floor {floor}", floor=floor)
     plans = candidate_plans(n, k, config)
-    if not plans:
-        floor = feasibility_floor(k, config)
-        raise InfeasibleConfigError(
-            f"n={n} is below the feasibility floor {floor} for this configuration",
-            floor=floor,
-        )
     if config.mode == STRICT:
         plans = plans[:1]
 

@@ -35,10 +35,23 @@ from hampower import (
     solve,
     verify_coloured_embedding,
 )
-from hampower.absorber import build_gadget_blueprint, embed_by_degeneracy
+from hampower.absorber import (
+    Template,
+    build_absorbing_structure,
+    build_gadget_blueprint,
+    build_template,
+    embed_by_degeneracy,
+    expected_absorbed_size,
+)
 from hampower.connectors import embed_connector, extend_by_one
-from hampower.core import CONNECTOR, POWER_CYCLE, colour_reader
-from hampower.errors import HamPowerError, InvalidInstanceError, InvalidPatternError
+from hampower.core import CONNECTOR, POWER_CYCLE, Layout, Segment, colour_reader, pattern_from_dict
+from hampower.errors import (
+    HamPowerError,
+    InvalidHostError,
+    InvalidInstanceError,
+    InvalidPatternError,
+    TemplateError,
+)
 from hampower.instances import (
     __all__ as INSTANCES,
     bijective_pattern,
@@ -161,7 +174,6 @@ REGRESSIONS = {
     "verify-pattern-none": lambda: verify_coloured_embedding(K9, None, [0, 1]),
     "host-edges-none": lambda: host_edges(None),
     "plans-config-none": lambda: candidate_plans(100, 2, None),
-    "floor-config-none": lambda: feasibility_floor(2, None),
     "reservoir-rng-none": lambda: sample_reservoir(12, 3, None),
     "oracle-pattern-none": lambda: find_coloured_hamilton_power(K9, None),
     "builder-pattern-none": lambda: build_path_collection(K12, [[0, 1]], [None], 1, rng()),
@@ -176,7 +188,7 @@ REGRESSIONS = {
     "power-path-vertex-float": lambda: PowerPath(1, (0.5, 1)),
     "edge-bool-end": lambda: GraphCollection.from_edge_lists(3, [[(0, True)]]),
     "plans-k-zero": lambda: candidate_plans(100, 0, PipelineConfig(**CONFIG)),
-    "floor-k-zero": lambda: feasibility_floor(0, PipelineConfig(**CONFIG)),
+    "floor-k-zero": lambda: feasibility_floor(0),
     # these raised a raw IndexError, ValueError, TypeError or KeyError, or
     # (a repeated flexible vertex, a pool that is negative or beyond n) were
     # accepted
@@ -188,6 +200,113 @@ REGRESSIONS = {
 def test_malformed_argument_raises_a_package_error(call):
     with pytest.raises(HamPowerError):
         call()
+
+
+# an absorbing structure's arguments around a valid (s, t) = (1, 3)
+# template: a 6-vertex reservoir {0..5} with ends 0 and 1, and Y = {10, 11}
+TEMPLATE_1_3 = build_template(1, 3, random.Random(0))
+M_ABS = expected_absorbed_size(2, 1, TEMPLATE_1_3.edge_count) + 3
+K200 = complete_collection(200, 2)
+
+
+def absorbing(reservoir=range(6), z=(0, 1), y=(10, 11), order=M_ABS):
+    chi = random_pattern(power_path(order, 2), 2, rng())
+    return build_absorbing_structure(K200, chi, reservoir, *z, y, TEMPLATE_1_3, rng())
+
+
+# typed errors at the boundary that no solve, benchmark or CLI run reaches:
+# each call, its error class and a fragment of its message
+BOUNDARY = {
+    "solve-path-pattern": (
+        lambda: solve(K12, random_pattern(power_path(12, 2), 2, rng()), PipelineConfig(**CONFIG)),
+        InvalidInstanceError, "solve needs a power-cycle pattern",
+    ),
+    "solve-order-mismatch": (
+        lambda: solve(complete_collection(13, 2), CYCLE12, PipelineConfig(**CONFIG)),
+        InvalidInstanceError, "matching the instance",
+    ),
+    "restrict-from-connector": (
+        lambda: restrict_pattern(random_pattern(connector(2, 2, 2), 2, rng()), 0, power_path(3, 2)),
+        InvalidPatternError, "cannot restrict a connector pattern",
+    ),
+    "restrict-power-mismatch": (
+        lambda: restrict_pattern(CYCLE12, 0, power_path(3, 3)),
+        InvalidPatternError, "window power mismatch: 3 != 2",
+    ),
+    "host-kind-star": (lambda: HostTemplate("star", 2, 5), InvalidHostError, "unknown host kind"),
+    "layout-cycle-segment": (
+        lambda: Layout(power_cycle(12, 2), (Segment("whole", "x", 0, power_cycle(12, 2)),)),
+        HamPowerError, "is a power cycle, not a window",
+    ),
+    "lowerbound-orientation": (
+        lambda: lowerbound_construction(2, 3, "sideways"),
+        InvalidInstanceError, "unknown orientation 'sideways'",
+    ),
+    "builder-pattern-count": (
+        lambda: build_path_collection(K12, [[0, 1], [2, 3], [4, 5]], [PATH3], 2, rng()),
+        InvalidInstanceError, "expected 2 patterns, got 1",
+    ),
+    "builder-unequal-parts": (
+        lambda: build_path_collection(K12, [[0, 1], [2, 3], [4]], [PATH3], 1, rng()),
+        InvalidInstanceError, "all parts must have equal size",
+    ),
+    "builder-pattern-host": (
+        lambda: build_path_collection(K12, [[0, 1], [2, 3]], [PATH3], 1, rng()),
+        InvalidInstanceError, "does not live on power_path(2,2)",
+    ),
+    "builder-colour-beyond-m": (
+        lambda: build_path_collection(
+            complete_collection(12, 2), [[0, 1], [2, 3], [4, 5]],
+            [ColourPattern(power_path(3, 2), {(0, 1): 5, (0, 2): 1, (1, 2): 1})], 1, rng(),
+        ),
+        InvalidInstanceError, "uses a colour beyond m=2",
+    ),
+    "extend-one-vertex-path": (
+        lambda: extend_by_one(K12, PowerPath(2, (0,)), [1, 1], 0b111100, rng()),
+        InvalidInstanceError, "at least k=2 vertices",
+    ),
+    "extend-one-colour": (
+        lambda: extend_by_one(K12, PowerPath(2, (0, 1)), [1], 0b111100, rng()),
+        InvalidInstanceError, "exactly k=2 edge colours, got 1",
+    ),
+    "template-empty-with-rows": (lambda: Template(0, 0, (1,)), TemplateError, "must be empty"),
+    "template-short-rows": (lambda: Template(1, 1, (3,)), TemplateError, "must cover U and W"),
+    "template-row-out-of-range": (
+        lambda: Template(1, 1, (3, 3, 3, 11)), TemplateError, "neighbour out of range",
+    ),
+    "gadget-pattern-host": (
+        lambda: build_gadget_blueprint(2, 2, PATH3), InvalidPatternError, "power_path(10,2)",
+    ),
+    "absorber-equal-ends": (
+        lambda: absorbing(z=(0, 0)), InvalidInstanceError, "distinct reservoir members",
+    ),
+    "absorber-reservoir-size": (
+        lambda: absorbing(reservoir=range(7)), InvalidInstanceError, "reservoir size 7 != s + t + 2 = 6",
+    ),
+    "absorber-one-y": (lambda: absorbing(y=(10,)), InvalidInstanceError, "need |Y| = 2s = 2, got 1"),
+    "absorber-y-in-reservoir": (
+        lambda: absorbing(y=(5, 11)), InvalidInstanceError, "Y must avoid the reservoir",
+    ),
+    "absorber-pattern-too-long": (
+        lambda: absorbing(order=M_ABS + 1), InvalidPatternError, "absorbing pattern must live on",
+    ),
+    "reader-other-host": (
+        lambda: colour_reader(power_cycle(12, 2), [(0, 1)])(random_pattern(power_path(12, 2), 2, rng())),
+        InvalidPatternError, "the colours are read from a pattern on",
+    ),
+    "loader-colour-list": (
+        lambda: pattern_from_dict({"host": {"kind": "path", "n_or_r": 2, "k": 1},
+                                   "colours": [[0, 1, [0, 1]]]}),
+        InvalidPatternError, "non-integer colour entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", BOUNDARY.values(), ids=list(BOUNDARY))
+def test_boundary_raises_its_typed_error(call, error, fragment):
+    with pytest.raises(error) as raised:
+        call()
+    assert fragment in str(raised.value)
 
 
 @pytest.mark.parametrize("budget", [3.5, -1])

@@ -65,6 +65,17 @@ class TestGenOracle:
         assert code == 2
         assert capsys.readouterr().out.splitlines() == [result, "symmetries=288"]
 
+    def test_oracle_count_with_a_spent_budget(self, tmp_path, capsys):
+        inst, pat = tmp_path / "inst.json", tmp_path / "pat.json"
+        assert cli.dispatch(["gen", "lowerbound", "--k", "2", "--p", "3",
+                             "--out-instance", str(inst), "--out-pattern", str(pat)]) == 0
+        capsys.readouterr()
+        code = cli.dispatch(["oracle", "--instance", str(inst), "--pattern", str(pat),
+                             "--count", "--budget", "3"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "UNKNOWN (budget exhausted after 3 nodes, partial count 0)"
+
     def test_gen_multipartite_then_oracle(self, tmp_path, capsys):
         inst, pat = tmp_path / "inst.json", tmp_path / "pat.json"
         code = cli.dispatch(["gen", "multipartite", "--n", "8", "--parts", "4", "--m", "2",
@@ -322,6 +333,21 @@ class TestExperiment:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(cli.CSV_FIELDS)
         assert len(lines) == 1 + 3 * 5
+
+    @pytest.mark.parametrize("extra", [
+        ["--delta-from", "0.8", "--delta-to", "1.0", "--delta-step", "0", "--trials", "1"],
+        ["--delta-from", "0.8", "--delta-to", "1.0", "--delta-step", "0.1", "--trials", "-3"],
+        ["--delta-from", "0.8", "--delta-to", "1.0", "--delta-step", "0.1", "--trials", "0"],
+        ["--delta-from", "0.9", "--delta-to", "0.8", "--delta-step", "0.1", "--trials", "1"],
+    ], ids=["step-zero", "trials-negative", "trials-zero", "range-empty"])
+    def test_empty_sweep_is_a_usage_error(self, tmp_path, capsys, extra):
+        # these used to exit 0 after writing a header-only CSV
+        out = tmp_path / "sweep.csv"
+        code = cli.dispatch(["experiment", "sweep", "--k", "2", "--n", "20", *extra,
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_sweep_deterministic_bytes(self, tmp_path, fixed_clock):
         args = [

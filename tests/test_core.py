@@ -324,6 +324,12 @@ class TestVerify:
         assert not result.ok
         assert result.violation == (0, 1)
 
+    def test_result_is_false_exactly_when_it_fails(self):
+        coll = GraphCollection.from_edge_lists(3, [[(1, 2)]])
+        pattern = ColourPattern(power_path(2, 1), {(0, 1): 1})
+        assert not verify_coloured_embedding(coll, pattern, [0, 1])
+        assert verify_coloured_embedding(coll, pattern, [1, 2])
+
     def test_length_mismatch_raises(self):
         coll = complete_collection(5, 1)
         pattern = random_pattern(power_path(4, 2), 1, random.Random(1))
@@ -523,6 +529,15 @@ class TestSerialization:
     def test_pattern_above_the_size_limit_rejected(self, host):
         with pytest.raises(InvalidPatternError, match="exceeds the limit"):
             pattern_from_dict({"host": host, "colours": [[0, 1, 1]]})
+
+    def test_connector_order_must_match_its_ends(self):
+        # n_or_r is a connector's order a + k + b; it used to be ignored
+        host = {"kind": "connector", "n_or_r": 99, "k": 2, "a": 1, "b": 1}
+        colours = [[i, j, 1] for i, j in host_edges(connector(1, 1, 2))]
+        with pytest.raises(InvalidPatternError, match=r"connector n_or_r 99 != a \+ k \+ b = 4"):
+            pattern_from_dict({"host": host, "colours": colours})
+        del host["n_or_r"]  # a missing order is taken from the ends
+        assert pattern_from_dict({"host": host, "colours": colours}).host == connector(1, 1, 2)
 
     def test_pattern_at_the_size_limit_loads(self):
         pattern = ColourPattern(

@@ -108,7 +108,7 @@ class TestPlan:
         assert err.value.floor == 6
 
     def test_floor_matches_probe(self):
-        assert feasibility_floor(2, CONFIG) == 6
+        assert feasibility_floor(2) == 6
 
     def test_plan_identities(self):
         for n in (6, 10, 23, 40, 60, 77, 120):
@@ -209,6 +209,17 @@ class TestPlannerScan:
             for n in PLANNER_NS:
                 full = reference_candidate_plans(n, k, config)
                 assert candidate_plans(n, k, config) == full, (n, config)
+
+
+class TestFeasibilityFloor:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_plans_exist_exactly_from_the_floor(self, k):
+        # max(3k, 2k + 2), whatever the configuration
+        floor = feasibility_floor(k)
+        assert floor == max(3 * k, 2 * k + 2)
+        for config in _planner_configs(k):
+            for n in range(2 * k + 1, floor + 40):
+                assert bool(candidate_plans(n, k, config)) == (n >= floor), (n, config)
 
 
 class TestPlanCache:
