@@ -9,8 +9,9 @@ The public interface is ``__all__`` below, the generators in
 command line.  Its Python entry points raise a ``HamPowerError`` subclass
 for a malformed argument; the command line prints one error line and
 exits 1.  ``connectors``, ``absorber``, ``pathbuilder`` and ``matching`` are
-internal: ``solve`` calls them with arguments it has checked, and they do
-not check the types of their object arguments.
+internal: ``solve`` calls them with arguments it has checked, and only
+``pathbuilder.build_path_collection`` among them checks the types of its
+object arguments.
 """
 
 from .core import (

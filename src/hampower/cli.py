@@ -23,6 +23,11 @@ CSV_FIELDS = [
     "stage_reached", "success", "nodes_or_retries", "runtime_ms",
 ]
 
+# a sweep trial draws k*n graphs on n vertices, each n rows of ceil(n/8)
+# bytes, before solve runs; above this many bytes of rows it is refused
+# up front rather than left to exhaust memory
+SWEEP_MAX_ROW_BYTES = 1 << 30
+
 
 class UsageError(Exception):
     pass
@@ -235,6 +240,15 @@ def _sweep_deltas(lo: float, hi: float, step: float) -> list[float]:
 
 def _cmd_experiment(args) -> int:
     k = args.k
+    for flag, value in (("--k", k), ("--n", args.n)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+    row_bytes = k * args.n * args.n * -(-args.n // 8)
+    if row_bytes > SWEEP_MAX_ROW_BYTES:
+        raise UsageError(
+            f"--n {args.n} at --k {k} needs {row_bytes} bytes of graph rows per trial, "
+            f"over the sweep's limit of {SWEEP_MAX_ROW_BYTES}"
+        )
     r = args.r if args.r is not None else k + 5
     deltas = _sweep_deltas(args.delta_from, args.delta_to, args.delta_step)
     if args.trials < 1 or not deltas:

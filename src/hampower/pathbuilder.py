@@ -13,10 +13,8 @@ a randomised augmenting search: a part pair whose minimum degree reaches
 pairs below that bound usually have one too, so the sampler's own complete
 search decides, and a level without a perfect matching aborts the round
 with its step and level.
-After each level the new level's pairs with the k levels before it are
-checked to be edges in the pattern colours, so every host edge of a round
-is checked once.  At the end of a round one of the finished paths is
-removed uniformly at random and kept.
+At the end of a round one of the finished paths is removed uniformly at
+random, checked against the collection's own rows and kept.
 
 A round is held as r level columns, ``levels[j][t]`` being path t's vertex
 at level j, so the tiling graph's window is a slice of the columns and each
@@ -24,17 +22,17 @@ step's work runs column by column in C; only the kept path is read out as a
 vertex list.  Within one call the right-hand side of every matching is
 numbered by position in its part's sorted vertex list, so masks stay as
 wide as a part rather than the whole collection; matched positions are
-mapped back to vertex ids before every check.  The rows into a part are
-read once per call and colour, for the k parts before it at once, by
-symmetry from the part's own rows (:func:`_part_tables`).
+mapped back to vertex ids before the kept path is checked.  The rows into
+a part are read once per call and colour, for the k parts before it at
+once, by symmetry from the part's own rows (:func:`_part_tables`).
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Collection
-from itertools import chain, repeat
-from operator import and_, itemgetter, rshift
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .bitset import select
@@ -61,35 +59,33 @@ from .matching import sample_perfect_matching, tiling_graph
 def build_path_collection(
     collection: GraphCollection,
     parts: Sequence[Sequence[int]],
-    patterns: Sequence[ColourPattern],
-    s: int,
+    patterns: Collection[ColourPattern],
     rng: random.Random,
 ) -> list[PowerPath]:
-    """Produce s disjoint coloured k-power paths, one per pattern.
+    """Produce disjoint coloured k-power paths, one per pattern.
 
-    ``parts`` are r >= 1 pairwise-disjoint sets of equal size, whose
-    vertices are ``int``s in ``range(collection.n)``; pattern i must live
-    on power_path(r, k) and colours index into the collection.
+    ``parts`` are r >= 1 pairwise-disjoint sets of equal size n1, whose
+    vertices are ``int``s in ``range(collection.n)``; there are at most n1
+    patterns, pattern i must live on power_path(r, k) and colours index
+    into the collection.
     Raises :class:`NoMatchingError` (with step and level) when a level has
     no perfect matching to attach it.
     """
     check_type(collection, GraphCollection, "collection")
-    for pat in patterns:
+    for pat in check_type(patterns, Collection, "patterns"):
         check_type(pat, ColourPattern, "path pattern", InvalidPatternError)
-    if len(patterns) != s:
-        raise InvalidInstanceError(f"expected {s} patterns, got {len(patterns)}")
-    if s == 0:
+    if not patterns:
         return []
     for i, part in enumerate(check_type(parts, Collection, "parts")):
         check_type(part, Collection, f"part {i + 1}")
     r = len(parts)
     if r == 0:
         raise InvalidInstanceError("no parts to build paths through")
-    k = patterns[0].host.k
+    k = next(iter(patterns)).host.k
     n1 = len(parts[0])
     if any(len(p) != n1 for p in parts):
         raise InvalidInstanceError("all parts must have equal size")
-    check_int(s, "path count s", 0, n1)
+    check_int(len(patterns), "path pattern count", 1, n1)
     check_ints(chain.from_iterable(parts), "part vertex", 0, collection.n - 1, distinct=True)
     for i, pat in enumerate(patterns):
         if pat.host != power_path(r, k):
@@ -109,7 +105,7 @@ def build_path_collection(
         n_i = n1 - step + 1
         if any(p.bit_count() != n_i for p in residual):
             raise HamPowerError("internal error: residual parts lost equal sizes")
-        levels = _run_round(collection, ids, residual, rows_into, pat, k, r, step, rng)
+        levels = _run_round(ids, residual, rows_into, pat, k, r, step, rng)
         t = rng.randrange(n_i)
         chosen = [column[t] for column in levels]
         result = verify_coloured_embedding(collection, pat, chosen)
@@ -154,7 +150,6 @@ def _part_tables(
 
 
 def _run_round(
-    collection: GraphCollection,
     ids: Sequence[Sequence[int]],
     residual: Sequence[int],
     rows_into: Callable[[int, int], dict[int, int]],
@@ -181,31 +176,4 @@ def _run_round(
             ) from exc
         # the pairs come sorted by tile, so their right ids are the new column
         levels.append(list(map(ids[lvl].__getitem__, map(itemgetter(1), matching))))
-
-        _assert_window_tiling(collection, pat, levels, lvl, k, step)
     return levels
-
-
-def _assert_window_tiling(
-    collection: GraphCollection,
-    pat: ColourPattern,
-    levels: Sequence[Sequence[int]],
-    lvl: int,
-    k: int,
-    step: int,
-) -> None:
-    """Each path's pairs (p, lvl), lvl - k <= p < lvl, must be edges in the
-    pattern colours: one check per level covers every host edge of the
-    round once.  The error names the lowest broken pair over all paths.
-
-    It reads the collection's own rows, not the part-local rows that built
-    the tiling graph, on purpose: a fault in that gather cannot then hide
-    itself from the check.  Each pair of columns is tested in C.
-    """
-    new = levels[lvl]
-    for p in range(max(0, lvl - k), lvl):
-        rows = collection.masks[pat.colour_of(p, lvl) - 1]
-        if not all(map(and_, map(rshift, map(rows.__getitem__, levels[p]), new), repeat(1))):
-            raise HamPowerError(
-                f"internal error: step {step} tiling invariant broken at levels ({p},{lvl})"
-            )

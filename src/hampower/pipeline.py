@@ -443,7 +443,7 @@ def _paths_stage(
     parts = [sorted(pool[j * plan.n1:(j + 1) * plan.n1]) for j in range(plan.r)]
     segments = plan.layout().segments
     pats = [restrict_pattern(pattern, seg.start, seg.shape) for seg in segments if seg.kind == PATH]
-    return build_path_collection(collection, parts, pats, plan.s, rng)
+    return build_path_collection(collection, parts, pats, rng)
 
 
 def _connect_stage(

@@ -121,7 +121,7 @@ def test_criterion_4_path_builder():
             rng = random.Random(4_000 + seed)
             coll, parts = complete_rpartite_collection(r, part, 8)
             patterns = [random_pattern(power_path(r, k), 8, rng) for _ in range(s)]
-            paths = build_path_collection(coll, parts, patterns, s, rng)
+            paths = build_path_collection(coll, parts, patterns, rng)
             seen: set = set()
             for path, pattern in zip(paths, patterns):
                 assert verify_coloured_embedding(coll, pattern, path.vertices).ok
@@ -136,7 +136,7 @@ def test_criterion_4_path_builder():
             coll, parts = random_rpartite_collection(r, part, 6, frac, rng)
             patterns = [random_pattern(power_path(r, k), 6, rng) for _ in range(s)]
             try:
-                paths = build_path_collection(coll, parts, patterns, s, rng)
+                paths = build_path_collection(coll, parts, patterns, rng)
             except Exception:
                 continue
             if all(

@@ -147,9 +147,12 @@ REGRESSIONS = {
     "collection-tables-none": lambda: GraphCollection(3, None),
     "collection-table-none": lambda: GraphCollection(3, [None]),
     "collection-table-int": lambda: GraphCollection(3, [5]),
-    "builder-part-int": lambda: build_path_collection(K12, [[0, 1], [2, 3], 5], [PATH3], 1, rng()),
-    "builder-part-none": lambda: build_path_collection(K12, [[0, 1], [2, 3], None], [PATH3], 1, rng()),
-    "builder-parts-int": lambda: build_path_collection(K12, 7, [PATH3], 1, rng()),
+    "builder-part-int": lambda: build_path_collection(K12, [[0, 1], [2, 3], 5], [PATH3], rng()),
+    "builder-part-none": lambda: build_path_collection(K12, [[0, 1], [2, 3], None], [PATH3], rng()),
+    "builder-parts-int": lambda: build_path_collection(K12, 7, [PATH3], rng()),
+    "builder-patterns-generator": lambda: build_path_collection(K12, [[0, 1]], (p for p in [PATH3]), rng()),
+    "builder-patterns-int": lambda: build_path_collection(K12, [[0, 1]], 5, rng()),
+    "builder-patterns-none": lambda: build_path_collection(K12, [[0, 1]], None, rng()),
     # this raised a raw TypeError from sorting the extra keys for the message
     "pattern-mixed-extra-keys": lambda: ColourPattern(
         power_path(3, 1), {(0, 1): 1, (1, 2): 1, "x": 1, 5: 1}
@@ -176,7 +179,7 @@ REGRESSIONS = {
     "plans-config-none": lambda: candidate_plans(100, 2, None),
     "reservoir-rng-none": lambda: sample_reservoir(12, 3, None),
     "oracle-pattern-none": lambda: find_coloured_hamilton_power(K9, None),
-    "builder-pattern-none": lambda: build_path_collection(K12, [[0, 1]], [None], 1, rng()),
+    "builder-pattern-none": lambda: build_path_collection(K12, [[0, 1]], [None], rng()),
     # these were accepted
     "config-seed-text": lambda: PipelineConfig(**CONFIG, seed="s"),
     "config-seed-none": lambda: PipelineConfig(**CONFIG, seed=None),
@@ -242,22 +245,18 @@ BOUNDARY = {
         lambda: lowerbound_construction(2, 3, "sideways"),
         InvalidInstanceError, "unknown orientation 'sideways'",
     ),
-    "builder-pattern-count": (
-        lambda: build_path_collection(K12, [[0, 1], [2, 3], [4, 5]], [PATH3], 2, rng()),
-        InvalidInstanceError, "expected 2 patterns, got 1",
-    ),
     "builder-unequal-parts": (
-        lambda: build_path_collection(K12, [[0, 1], [2, 3], [4]], [PATH3], 1, rng()),
+        lambda: build_path_collection(K12, [[0, 1], [2, 3], [4]], [PATH3], rng()),
         InvalidInstanceError, "all parts must have equal size",
     ),
     "builder-pattern-host": (
-        lambda: build_path_collection(K12, [[0, 1], [2, 3]], [PATH3], 1, rng()),
+        lambda: build_path_collection(K12, [[0, 1], [2, 3]], [PATH3], rng()),
         InvalidInstanceError, "does not live on power_path(2,2)",
     ),
     "builder-colour-beyond-m": (
         lambda: build_path_collection(
             complete_collection(12, 2), [[0, 1], [2, 3], [4, 5]],
-            [ColourPattern(power_path(3, 2), {(0, 1): 5, (0, 2): 1, (1, 2): 1})], 1, rng(),
+            [ColourPattern(power_path(3, 2), {(0, 1): 5, (0, 2): 1, (1, 2): 1})], rng(),
         ),
         InvalidInstanceError, "uses a colour beyond m=2",
     ),

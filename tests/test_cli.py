@@ -349,6 +349,46 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("size, flag", [
+        (["--k", "0", "--n", "20"], "--k must be >= 1, got 0"),
+        (["--k", "-2", "--n", "20"], "--k must be >= 1, got -2"),
+        (["--k", "2", "--n", "0"], "--n must be >= 1, got 0"),
+    ], ids=["k-zero", "k-negative", "n-zero"])
+    def test_sweep_size_below_one_is_a_usage_error(self, tmp_path, capsys, size, flag):
+        # --k 0 would otherwise be refused by the generator as "m must be >= 1",
+        # an argument the user never passed
+        out = tmp_path / "sweep.csv"
+        code = cli.dispatch(["experiment", "sweep", *size, "--delta-from", "0.9",
+                             "--delta-to", "0.9", "--delta-step", "0.1", "--trials", "1",
+                             "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit, code", [(2399, 1), (2400, 0)])
+    def test_sweep_refuses_graph_rows_beyond_the_limit_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, fixed_clock, limit, code
+    ):
+        # --k 2 --n 20 draws 40 graphs of 20 rows of 3 bytes: 2400 bytes
+        drawn = []
+        draw = instances.random_min_degree_collection
+        monkeypatch.setattr(cli, "SWEEP_MAX_ROW_BYTES", limit)
+        monkeypatch.setattr(
+            instances, "random_min_degree_collection", lambda *a: drawn.append(a) or draw(*a)
+        )
+        out = tmp_path / "sweep.csv"
+        assert cli.dispatch(["experiment", "sweep", "--k", "2", "--n", "20", "--delta-from", "0.9",
+                             "--delta-to", "0.9", "--delta-step", "0.1", "--trials", "1",
+                             "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "usage error: --n 20 at --k 2 needs 2400 bytes of graph rows per trial, "
+                "over the sweep's limit of 2399\n"
+            )
+            assert not out.exists() and not drawn
+        else:
+            assert out.exists() and len(drawn) == 1
+
     def test_sweep_deterministic_bytes(self, tmp_path, fixed_clock):
         args = [
             "experiment", "sweep", "--k", "2", "--n", "20",

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from helpers import tile_columns
 from hampower import pathbuilder
 from hampower.core import (
     ColourPattern,
@@ -20,7 +19,7 @@ from hampower.instances import (
     random_pattern,
     random_rpartite_collection,
 )
-from hampower.pathbuilder import _assert_window_tiling, _part_tables, build_path_collection
+from hampower.pathbuilder import _part_tables, build_path_collection
 
 
 def _three_parts_with_sparse_pair(cross):
@@ -49,7 +48,7 @@ class TestBuildPathCollection:
         rng = random.Random(80)
         coll, parts = complete_rpartite_collection(4, 6, 5)
         patterns = [random_pattern(power_path(4, 2), 5, rng) for _ in range(4)]
-        paths = build_path_collection(coll, parts, patterns, 4, rng)
+        paths = build_path_collection(coll, parts, patterns, rng)
         seen = set()
         for path, pattern in zip(paths, patterns):
             assert verify_coloured_embedding(coll, pattern, path.vertices).ok
@@ -59,13 +58,13 @@ class TestBuildPathCollection:
     def test_zero_paths(self):
         rng = random.Random(81)
         coll, parts = complete_rpartite_collection(3, 4, 2)
-        assert build_path_collection(coll, parts, [], 0, rng) == []
+        assert build_path_collection(coll, parts, [], rng) == []
 
     def test_each_path_takes_one_vertex_per_part(self):
         rng = random.Random(82)
         coll, parts = complete_rpartite_collection(5, 5, 3)
         patterns = [random_pattern(power_path(5, 2), 3, rng) for _ in range(3)]
-        paths = build_path_collection(coll, parts, patterns, 3, rng)
+        paths = build_path_collection(coll, parts, patterns, rng)
         for path in paths:
             for j, part in enumerate(parts):
                 assert path.vertices[j] in part
@@ -75,7 +74,7 @@ class TestBuildPathCollection:
         rng = random.Random(83)
         coll, parts = complete_rpartite_collection(3, 4, 3)
         patterns = [random_pattern(power_path(3, 2), 3, rng) for _ in range(4)]
-        paths = build_path_collection(coll, parts, patterns, 4, rng)
+        paths = build_path_collection(coll, parts, patterns, rng)
         used = {v for p in paths for v in p.vertices}
         assert used == {v for part in parts for v in part}
 
@@ -85,7 +84,7 @@ class TestBuildPathCollection:
         # builder does not abort and returns a verified path
         parts, coll = _three_parts_with_sparse_pair([(u, u + 4) for u in range(4)])
         pattern = _pattern_with_sparse_pair()
-        [path] = build_path_collection(coll, parts, [pattern], 1, random.Random(84))
+        [path] = build_path_collection(coll, parts, [pattern], random.Random(84))
         assert verify_coloured_embedding(coll, pattern, path.vertices).ok
         assert path.vertices[1] - path.vertices[0] == 4
 
@@ -95,7 +94,7 @@ class TestBuildPathCollection:
         cross = [(0, 4), (1, 4), (2, 6), (3, 7), (2, 5)]
         parts, coll = _three_parts_with_sparse_pair(cross)
         with pytest.raises(NoMatchingError) as err:
-            build_path_collection(coll, parts, [_pattern_with_sparse_pair()], 1, random.Random(85))
+            build_path_collection(coll, parts, [_pattern_with_sparse_pair()], random.Random(85))
         assert (err.value.step, err.value.level) == (1, 1)
 
     def test_random_rpartite_high_density(self):
@@ -106,7 +105,7 @@ class TestBuildPathCollection:
             coll, parts = random_rpartite_collection(5, 12, 4, 0.9, local)
             patterns = [random_pattern(power_path(5, 2), 4, local) for _ in range(6)]
             try:
-                paths = build_path_collection(coll, parts, patterns, 6, local)
+                paths = build_path_collection(coll, parts, patterns, local)
             except NoMatchingError:
                 continue
             assert all(
@@ -121,40 +120,40 @@ class TestBuildPathCollection:
         coll, parts = complete_rpartite_collection(3, 2, 2)
         patterns = [random_pattern(power_path(3, 1), 2, rng) for _ in range(3)]
         with pytest.raises(InvalidInstanceError):
-            build_path_collection(coll, parts, patterns, 3, rng)
+            build_path_collection(coll, parts, patterns, rng)
 
     def test_overlapping_parts_rejected(self):
         # disjoint parts are what keeps a level's tiles off its right side
         coll = complete_collection(6, 1)
         patterns = [random_pattern(power_path(3, 2), 1, random.Random(88))]
         with pytest.raises(InvalidInstanceError, match=r"^part vertex 3 is repeated$"):
-            build_path_collection(coll, [[0, 1], [2, 3], [3, 4]], patterns, 1, random.Random(88))
+            build_path_collection(coll, [[0, 1], [2, 3], [3, 4]], patterns, random.Random(88))
 
     def test_vertex_repeated_within_a_part_rejected_before_any_draw(self):
-        # a repeat inside one part would surface only later, in the tiling check
+        # a repeat inside one part would surface only later, in the tiling graph
         coll = complete_collection(12, 2)
         patterns = [random_pattern(power_path(3, 2), 2, random.Random(84))]
         rng = random.Random(84)
         state = rng.getstate()
         with pytest.raises(InvalidInstanceError, match=r"^part vertex 0 is repeated$"):
-            build_path_collection(coll, [[0, 0], [2, 3], [4, 5]], patterns, 1, rng)
+            build_path_collection(coll, [[0, 0], [2, 3], [4, 5]], patterns, rng)
         assert rng.getstate() == state
 
     @pytest.mark.parametrize("bad", [-1, 12])
     def test_part_vertex_outside_the_collection_rejected(self, bad):
         # -1 would index the gathered row string from its end and 12 would
-        # surface only as a broken tiling invariant
+        # raise a raw IndexError in the part-row gather
         coll = complete_collection(12, 2)
         patterns = [random_pattern(power_path(3, 2), 2, random.Random(87))]
         with pytest.raises(InvalidInstanceError, match=rf"^part vertex must be in \[0, 11\], got {bad}$"):
-            build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, 1, random.Random(87))
+            build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, random.Random(87))
 
     def test_no_parts_rejected(self):
         # no parts would index parts[0] and raise a raw IndexError
         coll = complete_collection(12, 2)
         patterns = [random_pattern(power_path(3, 2), 2, random.Random(86))]
         with pytest.raises(InvalidInstanceError, match="^no parts to build paths through$"):
-            build_path_collection(coll, [], patterns, 1, random.Random(86))
+            build_path_collection(coll, [], patterns, random.Random(86))
 
     @pytest.mark.parametrize("bad", [5.0, True, "5"])
     def test_part_vertex_that_is_not_an_int_rejected(self, bad):
@@ -165,45 +164,32 @@ class TestBuildPathCollection:
         rng = random.Random(85)
         state = rng.getstate()
         with pytest.raises(InvalidInstanceError, match=rf"^part vertex must be an integer, got {bad!r}$"):
-            build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, 1, rng)
+            build_path_collection(coll, [[0, 1], [2, 3], [4, bad]], patterns, rng)
         assert rng.getstate() == state  # rejected before any draw
 
 
-class TestWindowTilingCheck:
-    def test_names_the_first_broken_pair_of_the_first_broken_chain(self):
-        # colour 2 misses 4-7 and 5-7 (chain 1's pairs (0,3) and (1,3)),
-        # 8-9 (chain 2's pair (0,1), checked at level 1, not at level 3)
-        # and 8-11 (chain 2's pair (0,3)); the check takes level columns
-        # and names the lowest broken pair, here also chain 1's first
+class TestCorruptedPartTable:
+    def test_the_kept_path_check_catches_a_table_with_false_edges(self, monkeypatch):
+        # colour 2 has no edge between parts 0 and 1, but every gathered row
+        # claims the whole part: the builder attaches level 1 through
+        # non-edges, and the kept path's check against the collection's own
+        # rows names the pair
         full = [(u, v) for u in range(12) for v in range(u + 1, 12)]
-        holes = {(4, 7), (5, 7), (8, 9), (8, 11)}
-        coll = GraphCollection.from_edge_lists(12, [full, [e for e in full if e not in holes]])
-        pattern = ColourPattern(power_path(4, 3), dict.fromkeys(host_edges(power_path(4, 3)), 2))
-        chains = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
-        first = r"^internal error: step 7 tiling invariant broken at levels \(0,3\)$"
-        with pytest.raises(HamPowerError, match=first):
-            _assert_window_tiling(coll, pattern, tile_columns(chains), 3, 3, 7)
-        _assert_window_tiling(coll, pattern, tile_columns(chains[:1]), 3, 3, 7)
-        # the pair k levels back is checked too
-        with pytest.raises(HamPowerError, match=r"levels \(0,3\)$"):
-            _assert_window_tiling(coll, pattern, tile_columns(chains[2:]), 3, 3, 7)
-        # chain 2's older pair is checked when its level is attached
-        with pytest.raises(HamPowerError, match=r"levels \(0,1\)$"):
-            _assert_window_tiling(coll, pattern, tile_columns(chains[2:]), 1, 3, 7)
-        # with k = 2 the pairs ending at level 3 start at level 1
-        with pytest.raises(HamPowerError, match=r"levels \(1,3\)$"):
-            _assert_window_tiling(coll, pattern, tile_columns(chains), 3, 2, 7)
-        _assert_window_tiling(coll, pattern, tile_columns(chains[2:]), 3, 2, 7)
+        cut = [(u, v) for u, v in full if not (u < 4 <= v < 8)]
+        coll = GraphCollection.from_edge_lists(12, [full, cut])
+        colours = dict.fromkeys(host_edges(power_path(3, 2)), 1)
+        colours[(0, 1)] = 2
+        pattern = ColourPattern(power_path(3, 2), colours)
+        parts = [list(range(4)), list(range(4, 8)), list(range(8, 12))]
 
-    def test_names_the_lowest_broken_pair_over_all_chains(self):
-        # chain 0 breaks only at (2,3), chain 1 only at (0,3): pairs are
-        # checked one at a time across all chains, lowest first
-        full = [(u, v) for u in range(8) for v in range(u + 1, 8)]
-        holes = {(2, 3), (4, 7)}
-        coll = GraphCollection.from_edge_lists(8, [[e for e in full if e not in holes]])
-        pattern = ColourPattern(power_path(4, 3), dict.fromkeys(host_edges(power_path(4, 3)), 1))
-        with pytest.raises(HamPowerError, match=r"levels \(0,3\)$"):
-            _assert_window_tiling(coll, pattern, [[0, 4], [1, 5], [2, 6], [3, 7]], 3, 3, 1)
+        def full_tables(collection, ids, k):
+            return lambda c, j: {
+                u: (1 << len(ids[j])) - 1 for part in ids[max(0, j - k):j] for u in part
+            }
+
+        monkeypatch.setattr(pathbuilder, "_part_tables", full_tables)
+        with pytest.raises(HamPowerError, match=r"^internal error: round 1 path fails at \(0, 1\)$"):
+            build_path_collection(coll, parts, [pattern], random.Random(0))
 
 
 class TestPartRows:
@@ -233,7 +219,7 @@ def _builder_digest(coll, r, k, n1, s, seed):
     pool = rng.sample(range(coll.n), r * n1)
     parts = [sorted(pool[j * n1:(j + 1) * n1]) for j in range(r)]
     patterns = [random_pattern(power_path(r, k), coll.m, rng) for _ in range(s)]
-    paths = build_path_collection(coll, parts, patterns, s, rng)
+    paths = build_path_collection(coll, parts, patterns, rng)
     blob = repr(([p.vertices for p in paths], rng.getstate()))
     return hashlib.sha256(blob.encode()).hexdigest()
 
