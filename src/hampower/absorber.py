@@ -22,9 +22,10 @@ order with :func:`connectors.place_in_order`, the walk that also places
 connector internals.
 
 The absorbing path is a :class:`core.Layout`, :func:`absorber_layout`,
-built for each template from one shape per connector and gadget size and
-checked by those shapes' cached edge masks; its connectors are embedded
-in host order by :func:`join_connector`, which also joins the solver's cycle.
+built for each template from its parts in host order, which derives the
+starts and connector shapes and checks the shapes' cached edge masks; its
+connectors are embedded in host order by :func:`join_connector`, which
+also joins the solver's cycle.
 
 A *robustly matchable template* converts "absorb any s-subset of the
 reservoir" into one matching computation: it is a bounded-degree bipartite
@@ -62,7 +63,6 @@ from .core import (
     check_int,
     check_ints,
     colour_reader,
-    connector,
     host_edges,
     power_path,
     restrict_pattern,
@@ -599,24 +599,15 @@ def build_absorbing_structure(
 def absorber_layout(k: int, x_degrees: tuple[int, ...]) -> Layout:
     """The absorbing path for gadgets of these X-degrees: z1, a connector
     and a gadget window per gadget, then a connector and z2.  It is built
-    on every call, each shape once, and checked by the shapes' cached edge
-    masks (:func:`core.check_edge_partition`)."""
+    on every call, each shape once, and :class:`core.Layout` derives the
+    starts and connector shapes from that order."""
     end = power_path(1, k)
-    joints = {a: connector(a, k, k) for a in (1, k)}  # each shape made once
     windows = {ell: power_path((2 * k + 1) * ell, k) for ell in set(x_degrees)}
-    segments = [Segment("z1", END, 0, end)]
-    pos, a = 1, 1  # the next free position; the order of the piece before, capped at k
+    parts = [("z1", END, end)]
     for i, ell in enumerate(x_degrees):
-        segments += [
-            Segment(f"connector {i}", CONNECTOR, pos - a, joints[a]),
-            Segment(f"gadget {i}", GADGET, pos + k, windows[ell]),
-        ]
-        pos, a = pos + k + (2 * k + 1) * ell, k
-    segments += [
-        Segment(f"connector {len(x_degrees)}", CONNECTOR, pos - a, connector(a, 1, k)),
-        Segment("z2", END, pos + k, end),
-    ]
-    return Layout(power_path(pos + k + 1, k), tuple(segments))
+        parts += [(f"connector {i}", CONNECTOR, None), (f"gadget {i}", GADGET, windows[ell])]
+    parts += [(f"connector {len(x_degrees)}", CONNECTOR, None), ("z2", END, end)]
+    return Layout(k, parts)
 
 
 def _segments(layout: Layout, kind: str) -> list[Segment]:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import core, instances, oracle, pipeline
 from .errors import HamPowerError, InfeasibleConfigError, InvalidInstanceError, StageFailedError
@@ -227,15 +229,18 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _sweep_deltas(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0:
-        raise UsageError("--delta-step must be positive")
-    out = []
-    x = lo
-    while x <= hi + 1e-9:
-        out.append(round(x, 9))
-        x += step
-    return out
+def _sweep_deltas(lo: float, hi: float, step: float) -> Iterator[float]:
+    """The sweep's δ values, lo, lo + step, ... up to hi (with 1e-9 slack),
+    each rounded to 9 places, made one at a time; a usage error unless lo
+    and hi are in the generator's [0, 1] and step is positive, finite and
+    moves lo."""
+    for flag, value in (("--delta-from", lo), ("--delta-to", hi)):
+        if not 0 <= value <= 1:
+            raise UsageError(f"{flag} must be a finite value in [0, 1], got {value}")
+    if not 0 < step < math.inf or lo + step == lo:
+        raise UsageError(f"--delta-step must be positive, finite and move --delta-from, got {step}")
+    sums = itertools.accumulate(itertools.repeat(step), initial=lo)
+    return (round(x, 9) for x in itertools.takewhile(lambda x: x <= hi + 1e-9, sums))
 
 
 def _cmd_experiment(args) -> int:
@@ -251,7 +256,7 @@ def _cmd_experiment(args) -> int:
         )
     r = args.r if args.r is not None else k + 5
     deltas = _sweep_deltas(args.delta_from, args.delta_to, args.delta_step)
-    if args.trials < 1 or not deltas:
+    if args.trials < 1 or args.delta_from > args.delta_to + 1e-9:
         raise UsageError("empty sweep: need --trials >= 1 and --delta-from <= --delta-to")
     rows = []
     for d_idx, delta in enumerate(deltas):

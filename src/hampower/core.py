@@ -31,10 +31,11 @@ is built on the first read by edge, as most hosts are never read that
 way and a long cycle's map costs more than its edge tuple.
 A *layout* (the solver's cycle, the absorbing path) is a host plus named
 segments in host order: pieces, the connectors that join them, and runs of
-one-vertex extensions.  Their edges must tile the host's edges exactly, and
-the positions each one places must tile the host's positions, which
-:func:`check_edge_partition` checks when a :class:`Layout` is made, on bit
-masks over edge indices and positions.
+one-vertex extensions.  A :class:`Layout` is made from that order alone and
+derives every start, connector shape and its host, so the positions tile
+by construction; their edges must tile the host's edges exactly, which
+:func:`check_edge_partition` checks when it is made, on bit masks over edge
+indices.
 """
 
 from __future__ import annotations
@@ -254,9 +255,9 @@ EXTEND = "extend"
 class Segment:
     """A run of a layout's host positions; ``shape`` sits at ``start``.
 
-    A connector shape's window begins with the last ``shape.a`` positions of
-    the piece before it.  An EXTEND segment places its ``shape.order``
-    positions a vertex at a time, each joined to the k positions before it.
+    A connector shape's window begins with the last ``shape.a`` positions
+    before it.  An EXTEND segment places its ``shape.order`` positions a
+    vertex at a time, each joined to the k positions before it.
     """
 
     name: str
@@ -271,81 +272,84 @@ class Segment:
             return ((p - d, p) for p in own for d in range(1, k + 1))
         return ((start + p, start + q) for (p, q) in _edges(self.shape).edges)
 
-    def positions(self) -> range:
-        """The host positions this segment places: a connector's k
-        internals, or every position of any other segment's window."""
-        if self.kind == CONNECTOR:
-            first = self.start + self.shape.a
-            return range(first, first + self.shape.k)
-        return range(self.start, self.start + self.shape.order)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Layout:
-    """Named segments in host order whose edges tile the host's edges and
-    whose placed positions tile its positions, exactly;
-    :func:`check_edge_partition` checks this on construction."""
+    """Named segments in host order, made from ``parts`` in host order.
+
+    A piece or an EXTEND run is ``(name, kind, shape)`` and places
+    ``shape.order`` positions from the number placed before it.  A joint
+    is ``(name, CONNECTOR, None)`` and places k internals; its shape is
+    ``connector(min(k, placed), min(k, order of the next part), k)``, its
+    window starting ``a`` positions before its internals, and on a cycle
+    the part after the last is the first.  The host is a k-power path of
+    the positions placed, or with ``n`` given a k-power cycle, which they
+    must fill.  :func:`check_edge_partition` then checks that the segments
+    tile the host's edges exactly.
+    """
 
     host: HostTemplate
     segments: tuple[Segment, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: int, parts: Sequence[tuple[str, str, Optional[HostTemplate]]],
+                 n: Optional[int] = None) -> None:
+        wrap, placed = n is not None, 0
+        joints: dict[tuple[int, int], HostTemplate] = {}  # each shape made once
+        segments = []
+        for i, (name, kind, shape) in enumerate(parts):
+            reach = 1 if kind == CONNECTOR else k if kind == EXTEND and not wrap else 0
+            if placed < reach:
+                raise HamPowerError(f"layout error: {name} reaches before position 0")
+            if kind == CONNECTOR:
+                after = parts[(i + 1) % len(parts)] if wrap or i + 1 < len(parts) else None
+                if after is None or after[1] == CONNECTOR:
+                    raise HamPowerError(f"layout error: {name} is not followed by a piece")
+                a, b = min(k, placed), min(k, after[2].order)
+                shape = joints.get((a, b)) or joints.setdefault((a, b), connector(a, b, k))
+                segments.append(Segment(name, kind, placed - a, shape))
+                placed += k
+            else:
+                segments.append(Segment(name, kind, placed, shape))
+                placed += shape.order
+        if wrap and placed != n:
+            raise HamPowerError(f"layout error: the parts place {placed} positions on a cycle of {n}")
+        object.__setattr__(self, "host", power_cycle(n, k) if wrap else power_path(placed, k))
+        object.__setattr__(self, "segments", tuple(segments))
         check_edge_partition(self)
 
 
 def check_edge_partition(layout: Layout) -> None:
     """Raise unless the layout's segments tile its host's edges exactly,
     naming the segment of an edge covered twice, or else counting the host
-    edges uncovered and the edges outside the host.  Then raise unless the
-    positions the segments place (:meth:`Segment.positions`) tile the
-    host's positions, which catches a segment without edges at a wrong
-    start.  Positions wrap modulo the order of a power cycle.
+    edges uncovered and the edges outside the host.  Positions wrap modulo
+    the order of a power cycle.
 
     Each segment's edges are one cached mask of edge indices, shifted to
     its start (and rotated within the n*k indices of a cycle), which must
-    miss the edges covered before it; its positions are a range mask
-    checked the same way.  A segment whose power is not the host's, or
-    whose shape is a cycle, is rejected."""
+    miss the edges covered before it.  A segment whose power is not the
+    host's, or whose shape is a cycle, is rejected."""
     host = layout.host
     n, k, wrap = host.order, host.k, host.kind == POWER_CYCLE
-    bits = [_segment_bits(seg, k) for seg in layout.segments]
-    # off a cycle, bit 0 stands `lead` positions before position 0, so that
-    # the edges of a segment reaching before the host have bits too
-    lead = 0 if wrap else max([0, *(-base for base, _ in bits)])
     covered = 0
-    for seg, (base, mask) in zip(layout.segments, bits):
-        mask = _rotated(mask << base % n * k, n * k) if wrap else mask << (base + lead) * k
+    for seg in layout.segments:
+        base, mask = _segment_bits(seg, k)
+        mask = _rotated(mask << base % n * k, n * k) if wrap else mask << base * k
         if mask is None or mask & covered:
-            raise _doubled_edge(host, seg, covered, lead)
+            raise _doubled_edge(host, seg, covered)
         covered |= mask
-    expected = _edges(host).mask << lead * k
+    expected = _edges(host).mask
     if covered != expected:
         missing, outside = expected & ~covered, covered & ~expected
 
         def examples(mask: int) -> list[Edge]:
             starts = (divmod(b, k) for b in select(mask, count()))
-            return sorted(canonical_edge(i, (i + d + 1) % n) if wrap
-                          else (i - lead, i - lead + d + 1) for i, d in starts)
+            return sorted(canonical_edge(i, (i + d + 1) % n) if wrap else (i, i + d + 1)
+                          for i, d in starts)
 
         raise HamPowerError(
             f"layout error: {missing.bit_count()} host edges uncovered, {outside.bit_count()} "
             f"outside the host (e.g. {examples(missing)[:4] or examples(outside)[:4]})"
         )
-    placed = 0
-    for seg in layout.segments:
-        span = seg.positions()
-        mask = (1 << len(span)) - 1
-        if wrap:
-            mask = _rotated(mask << span.start % n, n)
-        elif 0 <= span.start and span.stop <= n:
-            mask <<= span.start
-        else:
-            mask = None
-        if mask is None or mask & placed:
-            raise _doubled_position(host, seg, placed)
-        placed |= mask
-    if placed != (1 << n) - 1:
-        raise HamPowerError(f"layout error: {n - placed.bit_count()} host positions unplaced")
 
 
 def _segment_bits(seg: Segment, k: int) -> tuple[int, int]:
@@ -375,7 +379,7 @@ def _rotated(mask: int, width: int) -> Optional[int]:
     return mask
 
 
-def _doubled_edge(host: HostTemplate, seg: Segment, covered: int, lead: int) -> HamPowerError:
+def _doubled_edge(host: HostTemplate, seg: Segment, covered: int) -> HamPowerError:
     """The error for the first edge of ``seg``, in its own order, whose bit
     is in ``covered`` or comes twice."""
     n, k = host.order, host.k
@@ -383,26 +387,11 @@ def _doubled_edge(host: HostTemplate, seg: Segment, covered: int, lead: int) -> 
         if host.kind == POWER_CYCLE:
             e, bit = canonical_edge(x % n, y % n), x % n * k + y - x - 1
         else:
-            e, bit = (x, y), (x + lead) * k + y - x - 1
+            e, bit = (x, y), x * k + y - x - 1
         if covered >> bit & 1:
             return HamPowerError(f"layout error: host edge {e} assigned twice (at {seg.name})")
         covered |= 1 << bit
     return HamPowerError(f"internal error: no doubled edge in {seg.name}")
-
-
-def _doubled_position(host: HostTemplate, seg: Segment, placed: int) -> HamPowerError:
-    """The error for the first position of ``seg`` that is outside the
-    host, in ``placed`` or comes twice."""
-    n, wrap = host.order, host.kind == POWER_CYCLE
-    for p in seg.positions():
-        q = p % n if wrap else p
-        if not 0 <= q < n or placed >> q & 1:
-            return HamPowerError(
-                f"layout error: host position {q} placed twice or outside the host "
-                f"(at {seg.name})"
-            )
-        placed |= 1 << q
-    return HamPowerError(f"internal error: no doubled position in {seg.name}")
 
 
 @dataclass(frozen=True, init=False)

@@ -30,10 +30,10 @@ once, by symmetry from the part's own rows (:func:`_part_tables`).
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 from .bitset import select
 from .core import (
@@ -64,10 +64,11 @@ def build_path_collection(
 ) -> list[PowerPath]:
     """Produce disjoint coloured k-power paths, one per pattern.
 
-    ``parts`` are r >= 1 pairwise-disjoint sets of equal size n1, whose
-    vertices are ``int``s in ``range(collection.n)``; there are at most n1
-    patterns, pattern i must live on power_path(r, k) and colours index
-    into the collection.
+    ``parts`` are a sequence of r >= 1 pairwise-disjoint sets of equal
+    size n1, in the order the paths visit them, whose vertices are
+    ``int``s in ``range(collection.n)``; there are at most n1 patterns,
+    pattern i must live on power_path(r, k) and colours index into the
+    collection.
     Raises :class:`NoMatchingError` (with step and level) when a level has
     no perfect matching to attach it.
     """
@@ -76,7 +77,7 @@ def build_path_collection(
         check_type(pat, ColourPattern, "path pattern", InvalidPatternError)
     if not patterns:
         return []
-    for i, part in enumerate(check_type(parts, Collection, "parts")):
+    for i, part in enumerate(check_type(parts, Sequence, "parts")):
         check_type(part, Collection, f"part {i + 1}")
     r = len(parts)
     if r == 0:

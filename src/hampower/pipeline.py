@@ -30,13 +30,15 @@ draw, and the path builder samples each matching directly; a stage fails
 only when its own construction does (a connector or gadget finds no image,
 a level has no perfect matching), and the final cycle is re-verified.
 
-Before anything random happens, each plan's layout is checked by
-:func:`core.check_edge_partition`: the segments' windows and the greedy
-back-edges must partition the host cycle's edge set exactly.  Each stage
-is a module-level function of the earlier stages' outputs.  The connect
-stage walks the layout in host order, placing each piece and then joining
-the connector before it (:func:`absorber.join_connector`); it shuffles the
-leftovers at the first one and draws each greedy vertex as it reaches it.
+:meth:`Plan.layout` lists those parts in order, and :class:`core.Layout`
+derives each start and connector shape from it.  Before anything random
+happens, each plan's layout is checked by :func:`core.check_edge_partition`:
+the segments' windows and the greedy back-edges must partition the host
+cycle's edge set exactly.  Each stage is a module-level function of the
+earlier stages' outputs.  The connect stage walks the layout in host
+order, placing each piece and then joining the connector before it
+(:func:`absorber.join_connector`); it shuffles the leftovers at the first
+one and draws each greedy vertex as it reaches it.
 
 Each stage attempt of each plan tried logs one event: ``plan_index``,
 ``stage`` and the 0-based ``attempt`` (with the seed, the labels of its
@@ -94,8 +96,6 @@ from .core import (
     check_int,
     check_real,
     check_type,
-    connector,
-    power_cycle,
     power_path,
     restrict_pattern,
     verify_coloured_embedding,
@@ -175,24 +175,20 @@ class Plan:
 
     @functools.lru_cache(maxsize=16)
     def layout(self) -> Layout:
-        """The cycle's segments (see the module docstring), built and checked
-        once per plan; a broken layout raises on every call."""
+        """The cycle's parts in host order (see the module docstring), laid
+        out and checked once per plan; a broken layout raises on every call."""
         k = self.k
-        segments = [Segment("absorber", ABSORBER, 0, power_path(self.m_abs, k))]
-        pos = self.m_abs  # the next free position
+        parts = [("absorber", ABSORBER, power_path(self.m_abs, k))]
         # s paths of r vertices, then c leftovers, each after its connector
         for joint, kind, order, count in (("connector", PATH, self.r, self.s),
                                           ("sweep", LEFTOVER, 1, self.c)):
+            shape = power_path(order, k)
             for i in range(1, count + 1):
-                segments += [
-                    Segment(f"{joint} {i}", CONNECTOR, pos - k, connector(k, min(k, order), k)),
-                    Segment(f"{kind} {i}", kind, pos + k, power_path(order, k)),
-                ]
-                pos += k + order
+                parts += [(f"{joint} {i}", CONNECTOR, None), (f"{kind} {i}", kind, shape)]
         if self.g:
-            segments.append(Segment("greedy", EXTEND, pos, power_path(self.g, k)))
-        segments.append(Segment("final", CONNECTOR, self.n - 2 * k, connector(k, k, k)))
-        return Layout(power_cycle(self.n, k), tuple(segments))
+            parts.append(("greedy", EXTEND, power_path(self.g, k)))
+        parts.append(("final", CONNECTOR, None))
+        return Layout(k, parts, self.n)
 
 
 def derive_rng(seed: int, *labels) -> random.Random:
@@ -379,8 +375,6 @@ def _solve_with_plan(
     v_prime = sorted(set(range(n)) - structure.absorbed_set - reservoir)
     if len(v_prime) != plan.s * plan.r + plan.c:
         raise HamPowerError("internal error: vertex accounting broke after the absorber")
-    if n != structure.a_size + plan.z_size + len(v_prime):
-        raise HamPowerError("internal error: |V| != |A| + |Z| + |V'|")
     paths = run("paths", tries, _paths_stage, collection, pattern, plan, v_prime)
     pool = mask_of(reservoir) & ~(1 << z1) & ~(1 << z2)
     placement, pool = run(

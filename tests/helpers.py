@@ -20,10 +20,11 @@ reference law that the matching sampler's tests compare against, and
 ``fast_sampler_law`` enumerates the sampler's own law exactly.
 ``fallback_instance`` is a solve that abandons four plans, each at a
 different stage, before the fifth succeeds.
-``reference_check_edge_partition``, ``reference_restrict_pattern`` and
-``reference_verify`` are the layout check, the window of a pattern and the
-embedding check as sets and dicts of edge tuples, one edge at a time; the
-library does them on edge indices, and must give the same verdicts,
+``reference_layout`` places a layout's parts from running sums of their
+sizes.  ``reference_check_edge_partition``, ``reference_restrict_pattern``
+and ``reference_verify`` are the layout check, the window of a pattern and
+the embedding check as sets and dicts of edge tuples, one edge at a time;
+the library does them on edge indices, and must give the same verdicts,
 colours and messages.
 """
 
@@ -34,6 +35,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import count
+from types import SimpleNamespace
 from typing import Optional
 
 from hampower import oracle
@@ -41,17 +43,21 @@ from hampower.absorber import GadgetBlueprint, expected_absorbed_size, template_
 from hampower.bitset import mask_of, pick_bit, randbelow, select
 from hampower.core import (
     CONNECTOR,
+    EXTEND,
     POWER_CYCLE,
     POWER_PATH,
     ColourPattern,
     Edge,
     GraphCollection,
     HostTemplate,
+    Segment,
     VerifyResult,
     canonical_edge,
     check_int,
+    connector,
     host_edges,
     power_cycle,
+    power_path,
     verify_coloured_embedding,
 )
 from hampower.errors import (
@@ -929,13 +935,36 @@ def reference_automorphisms(
     return found
 
 
+def reference_layout(k: int, parts, n: Optional[int] = None) -> SimpleNamespace:
+    """The host and segments of ``core.Layout(k, parts, n)``, unchecked,
+    from each part's first position: the positions the parts before it
+    place, k for a joint and the shape's order otherwise.  A joint's window
+    begins min(k, first) positions before its first position.  Then the
+    placed-count rule: a cycle's parts place exactly n positions."""
+    sizes = [k if kind == CONNECTOR else shape.order for _, kind, shape in parts]
+    firsts = list(itertools.accumulate(sizes, initial=0))
+    segments = []
+    for i, ((name, kind, shape), first) in enumerate(zip(parts, firsts)):
+        if first < (1 if kind == CONNECTOR else k if kind == EXTEND and n is None else 0):
+            raise HamPowerError(f"layout error: {name} reaches before position 0")
+        if kind == CONNECTOR:
+            following = parts[i + 1:] or (parts[:1] if n is not None else [])
+            if not following or following[0][1] == CONNECTOR:
+                raise HamPowerError(f"layout error: {name} is not followed by a piece")
+            a, b = min(k, first), min(k, following[0][2].order)
+            shape, first = connector(a, b, k), first - a
+        segments.append(Segment(name, kind, first, shape))
+    if n is not None and firsts[-1] != n:
+        raise HamPowerError(f"layout error: the parts place {firsts[-1]} positions on a cycle of {n}")
+    host = power_path(firsts[-1], k) if n is None else power_cycle(n, k)
+    return SimpleNamespace(host=host, segments=tuple(segments))
+
+
 def reference_check_edge_partition(layout) -> None:
     """Raise unless the layout's segments tile its host's edges exactly,
     naming the segment of an edge covered twice, or else counting the host
-    edges uncovered and the edges outside the host.  Then raise unless the
-    positions the segments place (:meth:`Segment.positions`) tile the
-    host's positions, which catches a segment without edges at a wrong
-    start.  Positions wrap modulo the order of a power cycle."""
+    edges uncovered and the edges outside the host.  Positions wrap modulo
+    the order of a power cycle."""
     host = layout.host
     n, wrap = host.order, host.kind == POWER_CYCLE
     covered: set[Edge] = set()
@@ -952,18 +981,6 @@ def reference_check_edge_partition(layout) -> None:
             f"layout error: {len(missing)} host edges uncovered, {len(outside)} outside "
             f"the host (e.g. {sorted(missing)[:4] or sorted(outside)[:4]})"
         )
-    placed: set[int] = set()
-    for seg in layout.segments:
-        for p in seg.positions():
-            q = p % n if wrap else p
-            if q in placed or not 0 <= q < n:
-                raise HamPowerError(
-                    f"layout error: host position {q} placed twice or outside the host "
-                    f"(at {seg.name})"
-                )
-            placed.add(q)
-    if len(placed) != n:
-        raise HamPowerError(f"layout error: {n - len(placed)} host positions unplaced")
 
 
 def reference_restrict_pattern(pattern, start: int, target: HostTemplate) -> ColourPattern:

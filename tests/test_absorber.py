@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -32,7 +31,6 @@ from hampower.bitset import mask_of
 from hampower.core import (
     CONNECTOR,
     GraphCollection,
-    Layout,
     canonical_edge,
     power_path,
     verify_coloured_embedding,
@@ -562,53 +560,6 @@ class TestAbsorberPartition:
                     starts[f"connector {i}"] + (1 if i == 0 else k) for i in range(len(connectors))
                 ] == list(connectors)
                 assert (starts["z1"], starts["z2"]) == (0, host.order - 1)
-
-    def test_doubled_edge_raises_on_every_call(self):
-        layout = absorber_layout(2, (2, 1, 3))
-        # the second gadget one position early overlaps the connector before it
-        shifted = tuple(
-            replace(seg, start=seg.start - 1) if seg.name == "gadget 1" else seg
-            for seg in layout.segments
-        )
-        for _ in range(2):
-            with pytest.raises(HamPowerError, match="assigned twice"):
-                Layout(layout.host, shifted)
-
-    @pytest.mark.parametrize("end, shift, message", [
-        ("z2", 1, "host position 40 placed twice or outside the host"),
-        ("z2", -1, "host position 38 placed twice"),
-        ("z1", 1, "host position 1 placed twice"),
-    ])
-    def test_shifted_end_raises(self, end, shift, message):
-        # z1 and z2 have no edges of their own, so only their positions
-        # show the shift
-        layout = absorber_layout(2, (2, 1, 3))
-        assert layout.host.order == 40
-        shifted = tuple(
-            replace(seg, start=seg.start + shift) if seg.name == end else seg
-            for seg in layout.segments
-        )
-        with pytest.raises(HamPowerError, match=f"^layout error: {message}"):
-            Layout(layout.host, shifted)
-
-    def test_missing_edge_raises_on_every_call(self):
-        layout = absorber_layout(2, (2, 1, 3))
-        # a host one position longer has k edges no window covers
-        longer = power_path(layout.host.order + 1, 2)
-        message = "^layout error: 2 host edges uncovered, 0 outside"
-        for _ in range(2):
-            with pytest.raises(HamPowerError, match=message):
-                Layout(longer, layout.segments)
-
-    def test_window_past_the_path_end_raises_on_every_call(self):
-        layout = absorber_layout(2, (2, 1, 3))
-        # on a host one position shorter, the last connector's window runs
-        # past the path end: its k edges into the last position lie outside
-        shorter = power_path(layout.host.order - 1, 2)
-        message = "^layout error: 0 host edges uncovered, 2 outside"
-        for _ in range(2):
-            with pytest.raises(HamPowerError, match=message):
-                Layout(shorter, layout.segments)
 
 
 class TestChainConnectors:

@@ -44,7 +44,7 @@ from hampower.absorber import (
     expected_absorbed_size,
 )
 from hampower.connectors import embed_connector, extend_by_one
-from hampower.core import CONNECTOR, POWER_CYCLE, Layout, Segment, colour_reader, pattern_from_dict
+from hampower.core import CONNECTOR, POWER_CYCLE, Layout, colour_reader, pattern_from_dict
 from hampower.errors import (
     HamPowerError,
     InvalidHostError,
@@ -150,6 +150,9 @@ REGRESSIONS = {
     "builder-part-int": lambda: build_path_collection(K12, [[0, 1], [2, 3], 5], [PATH3], rng()),
     "builder-part-none": lambda: build_path_collection(K12, [[0, 1], [2, 3], None], [PATH3], rng()),
     "builder-parts-int": lambda: build_path_collection(K12, 7, [PATH3], rng()),
+    "builder-parts-set": lambda: build_path_collection(
+        complete_collection(12, 2), {(0, 1), (2, 3), (4, 5)}, [PATH3], rng()
+    ),
     "builder-patterns-generator": lambda: build_path_collection(K12, [[0, 1]], (p for p in [PATH3]), rng()),
     "builder-patterns-int": lambda: build_path_collection(K12, [[0, 1]], 5, rng()),
     "builder-patterns-none": lambda: build_path_collection(K12, [[0, 1]], None, rng()),
@@ -238,7 +241,7 @@ BOUNDARY = {
     ),
     "host-kind-star": (lambda: HostTemplate("star", 2, 5), InvalidHostError, "unknown host kind"),
     "layout-cycle-segment": (
-        lambda: Layout(power_cycle(12, 2), (Segment("whole", "x", 0, power_cycle(12, 2)),)),
+        lambda: Layout(2, (("whole", "x", power_cycle(12, 2)),), 12),
         HamPowerError, "is a power cycle, not a window",
     ),
     "lowerbound-orientation": (

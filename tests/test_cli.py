@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import random
 
@@ -364,6 +365,32 @@ class TestExperiment:
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {flag}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("deltas, flag", [
+        (["0.9", "inf", "0.1"], "--delta-to must be a finite value in [0, 1], got inf"),
+        (["0.9", "5", "1e-9"], "--delta-to must be a finite value in [0, 1], got 5.0"),
+        (["nan", "0.9", "0.1"], "--delta-from must be a finite value in [0, 1], got nan"),
+        (["-0.1", "0.9", "0.1"], "--delta-from must be a finite value in [0, 1], got -0.1"),
+        (["0.9", "0.9", "inf"], "--delta-step must be positive, finite and move --delta-from, got inf"),
+        (["0.9", "0.9", "-0.1"], "--delta-step must be positive, finite and move --delta-from, got -0.1"),
+        (["0.9", "1", "1e-17"], "--delta-step must be positive, finite and move --delta-from, got 1e-17"),
+    ], ids=["to-inf", "to-above-one", "from-nan", "from-negative", "step-inf", "step-negative",
+            "step-below-resolution"])
+    def test_sweep_delta_range_is_a_usage_error_before_any_trial(self, tmp_path, capsys, deltas, flag):
+        # --delta-to inf looped forever, and --delta-to 5 --delta-step 1e-9
+        # ran out of memory listing the values
+        out = tmp_path / "sweep.csv"
+        code = cli.dispatch(["experiment", "sweep", "--k", "2", "--n", "20",
+                             "--delta-from", deltas[0], "--delta-to", deltas[1],
+                             "--delta-step", deltas[2], "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {flag}\n"
+        assert not out.exists()
+
+    def test_sweep_deltas_are_made_one_at_a_time(self):
+        deltas = cli._sweep_deltas(0.0, 1.0, 1e-9)
+        assert list(itertools.islice(deltas, 3)) == [0.0, 1e-9, 2e-9]
+        assert list(cli._sweep_deltas(0.8, 1.0, 0.1)) == [0.8, 0.9, 1.0]
 
     @pytest.mark.parametrize("limit, code", [(2399, 1), (2400, 0)])
     def test_sweep_refuses_graph_rows_beyond_the_limit_before_any_draw(

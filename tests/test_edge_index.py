@@ -10,13 +10,21 @@ from types import MappingProxyType, SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_check_edge_partition, reference_restrict_pattern, reference_verify
+from helpers import (
+    reference_check_edge_partition,
+    reference_layout,
+    reference_restrict_pattern,
+    reference_verify,
+)
 from hampower.absorber import absorber_layout
 from hampower.core import (
+    CONNECTOR,
     EXTEND,
+    POWER_CYCLE,
     POWER_PATH,
     ColourPattern,
     GraphCollection,
+    Layout,
     Segment,
     check_edge_partition,
     connector,
@@ -45,17 +53,25 @@ def _real_layouts():
     return layouts
 
 
-def _mutants(segments):
-    """Each segment shifted by -2, -1, 1 or 2, dropped, doubled, and (a
-    path shape of two or more positions) one position shorter."""
-    for i, seg in enumerate(segments):
-        before, after = segments[:i], segments[i + 1:]
-        for shift in (-2, -1, 1, 2):
-            yield before + (replace(seg, start=seg.start + shift),) + after
+def _parts(layout):
+    """The parts a layout is made from, and its n (None on a path)."""
+    parts = tuple((seg.name, seg.kind, None if seg.kind == CONNECTOR else seg.shape)
+                  for seg in layout.segments)
+    return parts, layout.host.order if layout.host.kind == POWER_CYCLE else None
+
+
+def _mutants(parts):
+    """Each part dropped and doubled, each piece of two or more positions
+    one position shorter, and each two adjacent parts swapped."""
+    for i, part in enumerate(parts):
+        before, after = parts[:i], parts[i + 1:]
         yield before + after
-        yield before + (seg, seg) + after
-        if seg.shape.kind == POWER_PATH and seg.shape.order >= 2:
-            yield before + (replace(seg, shape=power_path(seg.shape.order - 1, seg.shape.k)),) + after
+        yield before + (part, part) + after
+        name, kind, shape = part
+        if kind != CONNECTOR and shape.order >= 2:
+            yield before + ((name, kind, power_path(shape.order - 1, shape.k)),) + after
+        if after:
+            yield before + (after[0], part) + after[1:]
 
 
 def _verdict(check, host, segments):
@@ -66,17 +82,34 @@ def _verdict(check, host, segments):
     return None
 
 
+def _built(k, parts, n):
+    """The message of the error that building ``Layout(k, parts, n)`` raises
+    and of the one its reference raises, or None for each that builds."""
+    verdicts = []
+    for build in (Layout, lambda *args: reference_check_edge_partition(reference_layout(*args))):
+        try:
+            build(k, parts, n)
+            verdicts.append(None)
+        except HamPowerError as exc:
+            verdicts.append(str(exc))
+    return verdicts
+
+
 def test_mask_check_agrees_with_the_set_check_on_mutated_layouts():
     layouts = _real_layouts()
-    mutants = 0
+    mutants = accepted = 0
     for layout in layouts:
-        assert _verdict(reference_check_edge_partition, layout.host, layout.segments) is None
-        for segments in _mutants(layout.segments):
-            want = _verdict(reference_check_edge_partition, layout.host, segments)
-            assert _verdict(check_edge_partition, layout.host, segments) == want
-            assert want is not None  # no mutant tiles the host
+        parts, n = _parts(layout)
+        assert Layout(layout.host.k, parts, n) == layout
+        assert _built(layout.host.k, parts, n) == [None, None]
+        for mutant in _mutants(parts):
+            got, want = _built(layout.host.k, mutant, n)
+            assert got == want
             mutants += 1
-    assert len(layouts) == 33 and mutants == 2415
+            if want is None:  # a shorter piece on a path tiles a shorter path
+                assert n is None and [p[0] for p in mutant] == [p[0] for p in parts]
+                accepted += 1
+    assert len(layouts) == 33 and (mutants, accepted) == (1227, 78)
 
 
 def test_segment_of_another_power_rejected():
@@ -110,6 +143,52 @@ def hosts(draw, kinds=("path", "cycle", "connector")):
     if kind == "cycle":
         return power_cycle(draw(st.integers(2 * k + 1, 14)), k)
     return connector(draw(st.integers(1, k)), draw(st.integers(1, k)), k)
+
+
+PIECE, JOINT = ("piece", "path", power_path(3, 2)), ("joint", CONNECTOR, None)
+
+
+@pytest.mark.parametrize("parts, n, message", [
+    ((JOINT, PIECE), None, "joint reaches before position 0"),
+    ((("run", EXTEND, power_path(2, 2)), JOINT, PIECE), None, "run reaches before position 0"),
+    ((PIECE, JOINT, JOINT, PIECE), None, "joint is not followed by a piece"),
+    ((PIECE, JOINT, PIECE, JOINT), None, "joint is not followed by a piece"),
+    ((PIECE, JOINT, PIECE, JOINT), 9, "the parts place 10 positions on a cycle of 9"),
+    ((PIECE, JOINT, PIECE, JOINT), 11, "the parts place 10 positions on a cycle of 11"),
+])
+def test_misordered_parts_raise_on_every_call(parts, n, message):
+    assert Layout(2, (PIECE, JOINT, PIECE, JOINT), 10).host == power_cycle(10, 2)
+    for _ in range(2):
+        with pytest.raises(HamPowerError, match=f"^layout error: {message}$"):
+            Layout(2, parts, n)
+
+
+@st.composite
+def parts_lists(draw):
+    """A power k, a list of joints, pieces (k-power paths, or any host)
+    and EXTEND runs, and None, the order the parts place or any cycle
+    order."""
+    k = draw(st.integers(1, 3))
+    part = st.one_of(
+        st.just(JOINT),
+        st.integers(1, 6).map(lambda order: ("piece", "path", power_path(order, k))),
+        hosts().map(lambda shape: ("piece", "path", shape)),
+        st.integers(1, 6).map(lambda order: ("run", EXTEND, power_path(order, k))),
+    )
+    parts = draw(st.lists(part, max_size=8))
+    placed = sum(k if kind == CONNECTOR else shape.order for _, kind, shape in parts)
+    return k, parts, draw(st.sampled_from((None, placed)) | st.integers(0, 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(parts_lists())
+def test_any_parts_build_a_tiling_or_raise_a_layout_error(case):
+    k, parts, n = case
+    try:
+        layout = Layout(k, parts, n)
+    except HamPowerError:
+        return
+    reference_check_edge_partition(layout)
 
 
 def _colours(host, rng, m=4):
