@@ -23,8 +23,10 @@ vertex list.  Within one call the right-hand side of every matching is
 numbered by position in its part's sorted vertex list, so masks stay as
 wide as a part rather than the whole collection; matched positions are
 mapped back to vertex ids before the kept path is checked.  The rows into
-a part are read once per call and colour, for the k parts before it at
-once, by symmetry from the part's own rows (:func:`_part_tables`).
+a part are read once per call and distinct graph, for the k parts before it
+at once, by symmetry from the part's own rows (:func:`_part_tables`):
+colours that name one row table, as the m copies of K_n do, share one
+table per part.
 """
 
 from __future__ import annotations
@@ -121,10 +123,13 @@ def build_path_collection(
 def _part_tables(
     collection: GraphCollection, ids: Sequence[Sequence[int]], k: int
 ) -> Callable[[int, int], dict[int, int]]:
-    """``rows_into(c, j)``: table (c, j), built on first use and kept for the
-    caller's lifetime.  It maps every vertex of the (up to) k parts before
-    part j to its colour-c neighbourhood in part j, as a mask of part j's
-    positions; a round reads no other rows.
+    """``rows_into(c, j)``: the table of colour c's graph into part j, built
+    on first use and kept for the caller's lifetime.  It maps every vertex
+    of the (up to) k parts before part j to its colour-c neighbourhood in
+    part j, as a mask of part j's positions; a round reads no other rows.
+    Tables are keyed on the graph's row table (``collection.masks[c - 1]``)
+    and the part, not on the colour, so colours that share a row table
+    share one table per part and read its rows once.
 
     The rows are read by symmetry, which :class:`GraphCollection` checks when
     it is built: u's bit in x's row is x's bit in u's row.  Part j's rows,
@@ -135,14 +140,16 @@ def _part_tables(
     """
     n = collection.n
     top = 1 << n
+    # keyed by the row table's id: the collection holds every row table, so
+    # no id is reused while the tables live
     tables: dict[tuple[int, int], dict[int, int]] = {}
 
     def rows_into(c: int, j: int) -> dict[int, int]:
-        table = tables.get((c, j))
+        rows = collection.masks[c - 1]
+        table = tables.get((id(rows), j))
         if table is None:
-            rows = collection.masks[c - 1]
             digits = "".join([bin(rows[x] | top)[:1:-1] for x in reversed(ids[j])])
-            table = tables[c, j] = {
+            table = tables[id(rows), j] = {
                 u: int(digits[u::n + 1], 2) for u in chain.from_iterable(ids[max(0, j - k):j])
             }
         return table

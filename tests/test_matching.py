@@ -250,6 +250,15 @@ class TestBipartiteGraph:
         with pytest.raises(InvalidInstanceError):
             BipartiteGraph((), -1)
 
+    @pytest.mark.parametrize("bad", [mask_of([1, 4]), -2])
+    def test_error_names_the_first_bad_row_after_valid_rows(self, bad):
+        # rows 0-2 are valid, row 3 has a neighbour outside the right set or
+        # is negative, and row 4 is bad too: the message names row 3
+        right = mask_of([0, 1, 2])
+        rows = (mask_of([0, 1]), 0, right, bad, 1 << 9)
+        with pytest.raises(InvalidInstanceError, match=r"^left vertex 3: neighbour outside the right set$"):
+            BipartiteGraph(rows, right)
+
 
 class TestAuxiliaryGraph:
     def test_singleton_tiles_reproduce_bipartite_restriction(self):

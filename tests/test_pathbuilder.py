@@ -212,6 +212,37 @@ class TestPartRows:
                     assert row == sum(1 << i for i, v in enumerate(part) if coll.has_edge(c, u, v))
 
 
+class TestSharedPartTables:
+    """Part tables are keyed on the graph's row table, not on the colour."""
+
+    def test_shared_and_equal_but_distinct_tables_give_the_same_paths(self):
+        shared = complete_collection(300, 4)
+        copies = GraphCollection(300, [list(t) for t in shared.masks])
+        assert len(set(map(id, shared.masks))) == 1
+        assert len(set(map(id, copies.masks))) == 4
+        assert _builder_digest(shared, 5, 3, 20, 8, 3) == _builder_digest(copies, 5, 3, 20, 8, 3)
+
+    @pytest.mark.parametrize("family", ["complete", "mixed", "random"])
+    def test_colours_share_a_table_exactly_when_they_share_row_tables(self, family):
+        # "mixed": colours 1 and 3 share one row table, 2 and 4 are equal
+        # copies of it with a table each
+        rows = complete_collection(40, 1).masks[0]
+        coll = {
+            "complete": lambda: complete_collection(40, 4),
+            "mixed": lambda: GraphCollection(40, [rows, list(rows), rows, list(rows)]),
+            "random": lambda: random_min_degree_collection(40, 4, 0.7, random.Random(5)),
+        }[family]()
+        parts = [list(range(10 * i, 10 * i + 10)) for i in range(4)]
+        rows_into = _part_tables(coll, parts, 2)
+        distinct_rows = len(set(map(id, coll.masks)))
+        for j in range(1, 4):
+            for c in (2, 3, 4):
+                assert (rows_into(1, j) is rows_into(c, j)) == (coll.masks[0] is coll.masks[c - 1])
+            assert len({id(rows_into(c, j)) for c in range(1, 5)}) == distinct_rows
+        if family == "random":
+            assert distinct_rows == 4  # one table per colour
+
+
 def _builder_digest(coll, r, k, n1, s, seed):
     """Digest of the paths and the rng state after one builder call on r
     random parts of n1 vertices drawn from the whole collection."""
