@@ -70,12 +70,6 @@ _WIDE = 256
 # about 8% faster than 32, and 8 no faster than 16
 _CUT_BELOW = 16
 
-# word steps from the cut before the rest of that side is halved instead:
-# each step shifts the whole mask.  Of the 5 757 picks of one absorber-k2
-# round, 5 616 take at most one step and 61 took three to 20; an 8 192-bit
-# mask with only its top word set took 116 (about 14 us, 5 us halved)
-_WORD_STEPS = 2
-
 _WORD = (1 << 64) - 1
 
 
@@ -90,52 +84,40 @@ def nth_bit(mask: int, idx: int, total: Optional[int] = None) -> int:
     and one popcount, ``_CUT_BELOW`` bits below where the rank would lie if
     its set bits were spread evenly; then the 64-bit words above the cut,
     or below it if the cut overshot, are counted until the one holding the
-    rank, for at most ``_WORD_STEPS`` steps: a rank further off is found by
-    halving the rest of that side of the cut, as a narrow mask is.  In the
-    word a small rank clears the lowest set bit idx times; a larger one
-    walks the set bits with :func:`select`.
+    rank.  In that word a small rank clears the lowest set bit idx times;
+    a larger one walks the set bits with :func:`select`.
     """
     base = 0
     if (width := mask.bit_length()) > _WIDE:
         if total is None:
             total = mask.bit_count()
-        cut = base = max(0, (2 * idx + 1) * width // (2 * total) - _CUT_BELOW)
+        base = max(0, (2 * idx + 1) * width // (2 * total) - _CUT_BELOW)
         above = mask >> base
         idx -= total - above.bit_count()  # the rank among the bits from base up
         if idx < 0:  # the cut overshot: count the words below it
             while idx < 0:
-                if base == cut - 64 * _WORD_STEPS:  # halve the bits below base
-                    mask &= (1 << base) - 1
-                    idx += mask.bit_count()
-                    base = 0
-                    break
                 step = min(64, base)
                 base -= step
                 word = (mask >> base) & ((1 << step) - 1)
                 idx += word.bit_count()
-            else:
-                mask = word
         else:
             while idx >= (c := (word := above & _WORD).bit_count()):
-                if base == cut + 64 * _WORD_STEPS:  # halve the bits from base up
-                    word = above
-                    break
                 idx -= c
                 above >>= 64
                 base += 64
-            mask = word
-        width = mask.bit_length()
-    while width > 64:
-        half = width >> 1
-        low = mask & ((1 << half) - 1)
-        below = low.bit_count()
-        if idx < below:
-            mask = low
-        else:
-            idx -= below
-            mask >>= half
-            base += half
-        width = mask.bit_length()
+        mask = word
+    else:
+        while width > 64:
+            half = width >> 1
+            low = mask & ((1 << half) - 1)
+            below = low.bit_count()
+            if idx < below:
+                mask = low
+            else:
+                idx -= below
+                mask >>= half
+                base += half
+            width = mask.bit_length()
     if idx < _CLEAR_BELOW:
         for _ in range(idx):
             mask &= mask - 1

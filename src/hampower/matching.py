@@ -27,19 +27,15 @@ order, a law close to uniform but not uniform (uniform on complete
 bipartite graphs).  The sampler takes a root's free neighbour inline, by
 the same draws, and calls :func:`augment` only for a root with no free
 neighbour: on the path builder's dense tiling graphs nearly every root has
-one, and the calls cost more than the pick.  For the same reason the root
-shuffle and the inline rank draw follow :func:`bitset.randbelow`'s rule
-written out in the loop, with the same ``getrandbits`` calls in the same
-order.
+one, and the calls cost more than the pick.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, count
-from operator import and_, or_
+from operator import and_
 from typing import Callable, Mapping, Sequence
 
 from .bitset import lowest_bit, nth_bit, randbelow, select
@@ -61,12 +57,9 @@ class BipartiteGraph:
         if self.right < 0:
             raise InvalidInstanceError("the right vertex mask must be non-negative")
         outside = ~self.right
-        # one pass in C; a negative row makes the union negative, and so
-        # also meets ``outside``.  Only a bad row is looked for by index.
-        if reduce(or_, self.rows, 0) & outside:
-            for u, row in enumerate(self.rows):
-                if row < 0 or row & outside:
-                    raise InvalidInstanceError(f"left vertex {u}: neighbour outside the right set")
+        for u, row in enumerate(self.rows):
+            if row < 0 or row & outside:
+                raise InvalidInstanceError(f"left vertex {u}: neighbour outside the right set")
 
     @property
     def n_left(self) -> int:
@@ -191,8 +184,7 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
     # loop: while the mask holds at least half the side, by rejection over
     # the positions of all right vertices (at least a quarter of tries
     # hit), otherwise by one rank draw.  The copy in the loop saves the
-    # calls, which cost more than the pick on a root with a free neighbour;
-    # its rank draw, like the shuffle's, is ``randbelow`` written out.
+    # calls, which cost more than the pick on a root with a free neighbour.
     def pick(mask: int) -> int:
         """Uniformly random set bit of a nonzero mask of right ids."""
         c = mask.bit_count()
@@ -205,10 +197,7 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
 
     order = list(range(n))
     for i in range(n - 1, 0, -1):  # rng.shuffle(order), the same draws
-        bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
-            j = getrandbits(bits)
+        j = randbelow(i + 1, getrandbits)
         order[i], order[j] = order[j], order[i]
     owner = [-1] * b.right.bit_length()
     free = b.right
@@ -221,11 +210,7 @@ def sample_perfect_matching(b: BipartiteGraph, rng: random.Random) -> list[tuple
                     if j < n and (hit >> (v := ids[j])) & 1:
                         break
             else:
-                bits = c.bit_length()
-                x = getrandbits(bits)
-                while x >= c:
-                    x = getrandbits(bits)
-                v = nth_bit(hit, x)
+                v = nth_bit(hit, randbelow(c, getrandbits))
             owner[v] = root
         elif (v := augment(rows, root, owner, free, pick)) < 0:
             raise NoPerfectMatchingError("graph has no perfect matching")
