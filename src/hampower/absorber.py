@@ -13,13 +13,13 @@ corresponding a-edge).  Absorbing a_i means substituting c_j for a_j
 The gadget has degeneracy k+2 with the A-vertices first (this fails for
 k = 1, which is why gadgets require k >= 2), so it can be embedded greedily
 and robustly wherever every colour-specific degree is high enough.  Its
-skeleton (ids, layout, the host edge whose colour each gadget edge takes,
-and the degeneracy order after A with each vertex's at most k+2 earlier
-neighbours) depends on (k, ell) only, so it is built and checked once per
-shape, and each gadget reads its colours from its window of the pattern in
-one gather (:func:`core.colour_reader`).  The embedding walks that stored
-order with :func:`connectors.place_in_order`, the walk that also places
-connector internals.
+skeleton (ids, layout, the slot of the host edge whose colour each gadget
+edge takes, and the degeneracy order after A with each vertex's at most
+k+2 earlier neighbours, named by slot) depends on (k, ell) only, so it is
+built and checked once per shape (:func:`core.colour_slots` names the
+slots), and each gadget keeps its window pattern's own colour tuple.  The
+embedding walks that stored order with :func:`connectors.place_in_order`,
+the walk that also places connector internals.
 
 The absorbing path is a :class:`core.Layout`, :func:`absorber_layout`,
 built for each template from its parts in host order, which derives the
@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -62,7 +62,7 @@ from .core import (
     canonical_edge,
     check_int,
     check_ints,
-    colour_reader,
+    colour_slots,
     host_edges,
     power_path,
     restrict_pattern,
@@ -96,8 +96,11 @@ class GadgetBlueprint:
 
     Ids: A = 0..ell-1, B = ell..ell+2k*ell-1, C = the remaining ell-1.
     ``base_sequence`` is the underlying path layout over A and B.
-    ``back_neighbours`` is the degeneracy order after A: each B/C id with
-    its at most k+2 earlier neighbours, as (neighbour, edge) pairs.
+    ``colours`` is the colour tuple of the window pattern on
+    power_path((2k+1)*ell, k) the gadget is built from, and ``edges`` maps
+    each gadget edge to the slot of its colour there.  ``back_neighbours``
+    is the degeneracy order after A: each B/C id with its at most k+2
+    earlier neighbours, as (neighbour, slot) pairs.
     """
 
     k: int
@@ -107,7 +110,8 @@ class GadgetBlueprint:
     c_vertices: tuple[int, ...]
     base_sequence: tuple[int, ...]
     edges: Mapping[Edge, int]
-    back_neighbours: tuple[tuple[int, tuple[tuple[int, Edge], ...]], ...]
+    back_neighbours: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    colours: Sequence[int] = ()
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -123,30 +127,24 @@ def build_gadget_blueprint(k: int, ell: int, pattern: ColourPattern) -> GadgetBl
 
     Requires k >= 2 (the gadget lacks the needed degeneracy when k = 1) and
     ell >= 2.  The skeleton depends on (k, ell) only and is built and
-    checked once per shape (:func:`_gadget_shape`); this reads its colours
-    from the pattern in one pass.
+    checked once per shape (:func:`_gadget_shape`); the gadget's colours
+    are the pattern's own tuple.
     """
     check_int(k, "gadget k", GADGET_MIN_K)
     check_int(ell, "gadget ell", 2)
     r = (2 * k + 1) * ell
     if pattern.host != power_path(r, k):
         raise InvalidPatternError(f"gadget pattern must live on power_path({r},{k})")
-    shape, edges, read = _gadget_shape(k, ell)
-    return GadgetBlueprint(
-        k, ell, shape.a_vertices, shape.b_vertices, shape.c_vertices, shape.base_sequence,
-        MappingProxyType(dict(zip(edges, read(pattern)))), shape.back_neighbours,
-    )
+    return replace(_gadget_shape(k, ell), colours=pattern.colours.values())
 
 
 @functools.lru_cache(maxsize=256)  # every ell in 2..40 at several k
-def _gadget_shape(
-    k: int, ell: int
-) -> tuple[GadgetBlueprint, tuple[Edge, ...], Callable[[ColourPattern], tuple[int, ...]]]:
-    """The uncoloured (k, ell) gadget: a blueprint whose edge values are
-    the host edges (p, q) of power_path((2k+1)*ell, k) whose colours the
-    edges take, with its degeneracy order and back-neighbours; then its
-    edges, and a reader of their colours from a pattern on that path.
-    Template degrees are at most 40, so the pipeline needs few shapes."""
+def _gadget_shape(k: int, ell: int) -> GadgetBlueprint:
+    """The uncoloured (k, ell) gadget: a blueprint with no colours whose
+    edge values are the slots of the host edges (p, q) of
+    power_path((2k+1)*ell, k) whose colours the edges take, with its
+    degeneracy order and back-neighbours.  Template degrees are at most
+    40, so the pipeline needs few shapes."""
     r = (2 * k + 1) * ell
     a_ids = tuple(range(ell))
     b_ids = tuple(range(ell, ell + 2 * k * ell))
@@ -162,18 +160,20 @@ def _gadget_shape(
     if len(seq) != r:
         raise HamPowerError("internal error: gadget sequence has the wrong length")
 
-    edges: dict[Edge, Edge] = {}
-    for (p, q) in host_edges(power_path(r, k)):
-        edges[canonical_edge(seq[p], seq[q])] = (p, q)
+    host = power_path(r, k)
+    path_edges = host_edges(host)
+    slots: dict[Edge, int] = {}
+    for (p, q), slot in zip(path_edges, colour_slots(host, path_edges)):
+        slots[canonical_edge(seq[p], seq[q])] = slot
 
-    # c_i inherits the neighbourhoods (and edge colours) of a_i and a_{i+1}
+    # c_i inherits the neighbourhoods (and edge colour slots) of a_i and a_{i+1}
     for i in range(1, ell):
         c = c_ids[i - 1]
         for a in (a_ids[i - 1], a_ids[i]):
-            for (x, y), source in list(edges.items()):
+            for (x, y), slot in list(slots.items()):
                 if x == a or y == a:
                     other = y if x == a else x
-                    edges[canonical_edge(c, other)] = source
+                    slots[canonical_edge(c, other)] = slot
 
     # A first, then per i: the B run before a_i's slot, c_i, the B run after
     b = lambda j: b_ids[j - 1]  # 1-based
@@ -184,23 +184,22 @@ def _gadget_shape(
         order.extend(b(j) for j in range((2 * i - 1) * k + 1, 2 * i * k + 1))
     order.extend(b(j) for j in range(2 * k * (ell - 1) + 1, 2 * k * ell + 1))
 
-    shape = GadgetBlueprint(
+    return GadgetBlueprint(
         k, ell, a_ids, b_ids, c_ids, tuple(seq),
-        MappingProxyType(edges), _back_neighbours(k, ell, order, edges),
+        MappingProxyType(slots), _back_neighbours(k, ell, order, slots),
     )
-    return shape, tuple(edges), colour_reader(power_path(r, k), edges.values())
 
 
 def _back_neighbours(
-    k: int, ell: int, order: Sequence[int], edges: Iterable[Edge]
-) -> tuple[tuple[int, tuple[tuple[int, Edge], ...]], ...]:
+    k: int, ell: int, order: Sequence[int], slots: Mapping[Edge, int]
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """Each vertex of ``order`` after its first ell (A) with its earlier
-    neighbours and the edges to them.  Raises unless ``order`` lists every
-    gadget vertex once, no edge lies inside A, and no vertex has more than
-    k+2 earlier neighbours."""
+    neighbours and the colour slots of the edges to them.  Raises unless
+    ``order`` lists every gadget vertex once, no edge lies inside A, and no
+    vertex has more than k+2 earlier neighbours."""
     if sorted(order) != list(range(2 * (k + 1) * ell - 1)):
         raise HamPowerError("internal error: degeneracy order does not cover the gadget")
-    placed = placement_order(order, edges)
+    placed = placement_order(order, slots.items())
     if any(back for _, back in placed[:ell]):
         raise HamPowerError("internal error: gadget has an edge inside A")
     for v, back in placed[ell:]:
@@ -256,7 +255,7 @@ def embed_by_degeneracy(
     pool = pool_mask(collection, pool)
     pool &= ~vertex_mask(collection, flexible, "flexible vertex", blueprint.ell)
     mapped = dict(zip(blueprint.a_vertices, flexible))
-    v = place_in_order(collection, blueprint.back_neighbours, blueprint.edges, mapped, pool, rng)
+    v = place_in_order(collection, blueprint.back_neighbours, blueprint.colours, mapped, pool, rng)
     if v is not None:
         raise EmbeddingFailedError(f"no image available for vertex {v}", vertex=v)
     return mapped

@@ -52,11 +52,11 @@ def _build_parser() -> _Parser:
     solver.add_argument("--epsilon", type=float, default=0.1)
     solver.add_argument("--seed", type=int, default=0)
     solver.add_argument("--mode", choices=["strict", "best-effort"], default="best-effort")
+    solver.add_argument("--r", type=int, default=None, help="default k+5")
 
     p_solve = sub.add_parser("solve", parents=[solver], help="run the constructive solver")
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--pattern", required=True)
-    p_solve.add_argument("--r", type=int, default=7)
     p_solve.add_argument("--retries", type=int, default=8)
     p_solve.add_argument("--out", required=True, help="cycle JSON output path")
     p_solve.add_argument("--trace", help="trace JSON output path (default: <out>.trace.json)")
@@ -111,7 +111,6 @@ def _build_parser() -> _Parser:
     e_sweep.add_argument("--delta-to", type=float, required=True)
     e_sweep.add_argument("--delta-step", type=float, required=True)
     e_sweep.add_argument("--trials", type=int, required=True)
-    e_sweep.add_argument("--r", type=int, default=None, help="default k+5")
     e_sweep.add_argument("--out", required=True, help="CSV output path")
     return parser
 
@@ -124,11 +123,12 @@ def _load_pattern(path: str) -> core.ColourPattern:
     return core.pattern_from_dict(core.load_json(path))
 
 
-def _config(args, **fields) -> pipeline.PipelineConfig:
-    """The solver configuration of the shared flags, updated by ``fields``."""
+def _config(args, k: int, **fields) -> pipeline.PipelineConfig:
+    """The solver configuration of the shared flags for k-powers, ``--r``
+    defaulting to k + 5, updated by ``fields``."""
     shared = dict(
         alpha=args.alpha, beta=args.beta, gamma=args.gamma, epsilon=args.epsilon,
-        seed=args.seed, mode=args.mode,
+        seed=args.seed, mode=args.mode, r=k + 5 if args.r is None else args.r,
     )
     return pipeline.PipelineConfig(**{**shared, **fields})
 
@@ -136,7 +136,7 @@ def _config(args, **fields) -> pipeline.PipelineConfig:
 def _cmd_solve(args) -> int:
     collection = _load_instance(args.instance)
     pattern = _load_pattern(args.pattern)
-    config = _config(args, r=args.r, max_retries=args.retries)
+    config = _config(args, pattern.host.k, max_retries=args.retries)
     trace_path = args.trace or (args.out + ".trace.json")
     try:
         cycle, trace = pipeline.solve(collection, pattern, config)
@@ -248,13 +248,14 @@ def _cmd_experiment(args) -> int:
     for flag, value in (("--k", k), ("--n", args.n)):
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
+    if args.n < 2 * k + 1:  # the k-power cycle needs it; refused before k*n graphs are drawn
+        raise UsageError(f"--n must be >= 2k+1 = {2 * k + 1} at --k {k}, got {args.n}")
     row_bytes = k * args.n * args.n * -(-args.n // 8)
     if row_bytes > SWEEP_MAX_ROW_BYTES:
         raise UsageError(
             f"--n {args.n} at --k {k} needs {row_bytes} bytes of graph rows per trial, "
             f"over the sweep's limit of {SWEEP_MAX_ROW_BYTES}"
         )
-    r = args.r if args.r is not None else k + 5
     deltas = _sweep_deltas(args.delta_from, args.delta_to, args.delta_step)
     if args.trials < 1 or args.delta_from > args.delta_to + 1e-9:
         raise UsageError("empty sweep: need --trials >= 1 and --delta-from <= --delta-to")
@@ -265,7 +266,7 @@ def _cmd_experiment(args) -> int:
             trial_seed = rng.getrandbits(63)
             collection = instances.random_min_degree_collection(args.n, k * args.n, delta, rng)
             pattern = instances.bijective_pattern(core.power_cycle(args.n, k), rng)
-            config = _config(args, r=r, seed=trial_seed)
+            config = _config(args, k, seed=trial_seed)
             started = time.perf_counter()
             stage_reached, success, events = "plan", 0, []
             try:
@@ -283,7 +284,7 @@ def _cmd_experiment(args) -> int:
                     "seed": trial_seed,
                     "n": args.n,
                     "k": k,
-                    "r": r,
+                    "r": config.r,
                     "delta_frac": f"{delta:.6g}",
                     "mode": args.mode,
                     "stage_reached": stage_reached,

@@ -6,10 +6,12 @@ neighbourhood masks of its few earlier neighbours' images, and it is drawn
 uniformly so reservoir usage spreads out.  It is the only placement walk:
 connectors and absorbing gadgets build the order it walks with one
 function, :func:`placement_order`, and :func:`extend_by_one` walks a
-one-id order.  A connector joins the tail ``w`` of one k-power path to the
-head ``y`` of another through k internal vertices, placed left to right
-after both ends (an order built once per connector shape).  Colours that are not ints in
-1..m, given vertices that are not distinct ints in range(n)
+one-id order.  Each step names the slot of its colour in one tuple: a
+connector pattern's, a gadget's window pattern's, or an extension's k
+colours.  A connector joins the tail ``w`` of one k-power path to the head
+``y`` of another through k internal vertices, placed left to right after
+both ends (an order built once per connector shape).  Colours that are not
+ints in 1..m, given vertices that are not distinct ints in range(n)
 (:func:`vertex_mask`) and a ``pool`` that is not a mask of them
 (:func:`pool_mask`) are rejected before any draw.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import random
 import reprlib
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bitset import mask_of, pick_bit
 from .core import (
@@ -29,13 +31,14 @@ from .core import (
     GraphCollection,
     PowerPath,
     check_ints,
+    colour_slots,
     connector,
     host_edges,
     verify_coloured_embedding,
 )
 from .errors import ConnectionFailedError, HamPowerError, InvalidInstanceError
 
-Order = Sequence[tuple[int, Sequence[tuple[int, Edge]]]]
+Order = Sequence[tuple[int, Sequence[tuple[int, int]]]]
 
 
 def vertex_mask(collection: GraphCollection, vertices: Sequence[int], what: str,
@@ -59,21 +62,21 @@ def pool_mask(collection: GraphCollection, pool: int) -> int:
 def place_in_order(
     collection: GraphCollection,
     order: Order,
-    colours: Mapping[Edge, int],
+    colours: Sequence[int],
     placed: dict[int, int],
     pool: int,
     rng: random.Random,
 ) -> Optional[int]:
-    """Place each id of ``order``, a list of (id, ((earlier id, key), ...)),
-    on a random member of the ``pool`` mask joined in colour ``colours[key]``
+    """Place each id of ``order``, a list of (id, ((earlier id, slot), ...)),
+    on a random member of the ``pool`` mask joined in colour ``colours[slot]``
     to each ``placed[earlier id]``, recording it in ``placed``.  Returns the
     first id left without a candidate, or None."""
-    check_ints(colours.values(), "edge colour", 1, collection.m)
+    check_ints(colours, "edge colour", 1, collection.m)
     masks = collection.masks
     for v, back in order:
         cand = pool
-        for u, key in back:
-            cand &= masks[colours[key] - 1][placed[u]]
+        for u, slot in back:
+            cand &= masks[colours[slot] - 1][placed[u]]
         if cand == 0:
             return v
         img = pick_bit(cand, rng)
@@ -82,24 +85,28 @@ def place_in_order(
     return None
 
 
-def placement_order(order: Sequence[int], edges: Iterable[Edge]) -> Order:
-    """Each id of ``order`` with its earlier neighbours and the edges to
-    them, as (id, ((earlier id, edge), ...)): each edge, in the order
-    ``edges`` lists them, goes to its endpoint placed later in ``order``."""
+def placement_order(order: Sequence[int], slots: Iterable[tuple[Edge, int]]) -> Order:
+    """Each id of ``order`` with its earlier neighbours and the colour
+    slots of the edges to them, as (id, ((earlier id, slot), ...)): each
+    (edge, slot) of ``slots``, in its order, goes to the edge's endpoint
+    placed later in ``order``."""
     rank = {v: i for i, v in enumerate(order)}
-    back: dict[int, list[tuple[int, Edge]]] = {v: [] for v in order}
-    for e in edges:
+    back: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
+    for e, slot in slots:
         earlier, later = sorted(e, key=rank.__getitem__)
-        back[later].append((earlier, e))
+        back[later].append((earlier, slot))
     return tuple((v, tuple(back[v])) for v in order)
 
 
 @functools.lru_cache(maxsize=64)
 def _connector_order(a: int, b: int, k: int) -> Order:
     """Connector(a, b, k)'s internal positions left to right, each with its
-    earlier-placed neighbours (both end blocks come first) and host edges."""
+    earlier-placed neighbours (both end blocks come first) and the slots of
+    the host edges to them."""
+    host = connector(a, b, k)
+    edges = host_edges(host)
     order = [*range(a), *range(a + k, a + k + b), *range(a, a + k)]
-    return placement_order(order, host_edges(connector(a, b, k)))[a + b:]
+    return placement_order(order, zip(edges, colour_slots(host, edges)))[a + b:]
 
 
 def embed_connector(
@@ -131,7 +138,8 @@ def embed_connector(
     pool = pool_mask(collection, pool) & ~vertex_mask(collection, (*w, *y), "connector end")
     placed = dict(enumerate(w))
     placed.update((a + k + i, v) for i, v in enumerate(y))
-    p = place_in_order(collection, _connector_order(a, b, k), pattern.colours, placed, pool, rng)
+    order = _connector_order(a, b, k)
+    p = place_in_order(collection, order, pattern.colours.values(), placed, pool, rng)
     if p is not None:
         raise ConnectionFailedError(
             f"no candidate for connector position {p} (internal {p - a + 1} of {k})",
@@ -157,7 +165,7 @@ def extend_by_one(
     last k path vertices (farthest first) to the new vertex.  The new vertex
     is drawn uniformly from the feasible members of the ``pool`` mask that
     are not on the path: :func:`place_in_order` places it as id k, joined
-    to ids 0..k-1, the last k path vertices.
+    to ids 0..k-1, the last k path vertices, id j in colour slot j.
     """
     k = path.k
     if path.order < k:
@@ -165,9 +173,8 @@ def extend_by_one(
     if len(colours) != k:
         raise InvalidInstanceError(f"need exactly k={k} edge colours, got {len(colours)}")
     pool = pool_mask(collection, pool) & ~vertex_mask(collection, path.vertices, "path vertex")
-    edges = [(j, k) for j in range(k)]
     placed = dict(enumerate(path.vertices[-k:]))
-    order = ((k, tuple(zip(range(k), edges))),)
-    if place_in_order(collection, order, dict(zip(edges, colours)), placed, pool, rng) is not None:
+    order = ((k, tuple((j, j) for j in range(k))),)
+    if place_in_order(collection, order, colours, placed, pool, rng) is not None:
         raise ConnectionFailedError("no candidate vertex extends the path", position=None)
     return placed[k]

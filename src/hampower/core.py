@@ -461,24 +461,16 @@ class ColourPattern:
         return max(self._colours, default=1)
 
 
-def colour_reader(host: HostTemplate, edges: Iterable[Edge]) -> Callable[[ColourPattern], tuple[int, ...]]:
-    """A function from a pattern on ``host`` to the colours of these
-    canonical host edges, in this order; it looks the edges up once, here,
-    and each call reads their colours in C."""
+def colour_slots(host: HostTemplate, edges: Iterable[Edge]) -> tuple[int, ...]:
+    """The slots of these canonical host edges, in this order, in the
+    colour tuple of a pattern on ``host`` (its ``colours.values()``)."""
     slots, positions = _edges(host).slots, []
     for e in edges:
         try:
             positions.append(slots[e])
         except (KeyError, TypeError):
             raise _not_an_edge(e, host) from None
-    gather = _getter(tuple(positions))
-
-    def read(pattern: ColourPattern) -> tuple[int, ...]:
-        if pattern.host != host:
-            raise InvalidPatternError(f"the colours are read from a pattern on {host}")
-        return gather(pattern._colours)
-
-    return read
+    return tuple(positions)
 
 
 def _not_an_edge(pair: object, host: HostTemplate) -> InvalidPatternError:

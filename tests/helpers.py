@@ -538,7 +538,9 @@ def reference_gadget_blueprint(k: int, ell: int, pattern) -> GadgetBlueprint:
     edges, then c_i given the edges of a_i and a_{i+1} with their colours.
     The embedding order is A, then the base sequence with c_i in place of
     a_i (i < ell) and a_ell left out; each vertex after A lists the edges
-    to earlier vertices in edge order."""
+    to earlier vertices in edge order.  It is in colour form, to compare a
+    blueprint's reads against: ``edges`` maps each gadget edge to its
+    colour, each back entry names its edge, and ``colours`` is empty."""
     a_ids = tuple(range(ell))
     b_ids = tuple(range(ell, ell + 2 * k * ell))
     c_ids = tuple(range(ell + 2 * k * ell, ell + 2 * k * ell + ell - 1))

@@ -57,6 +57,11 @@ def role_names(bp):
     return names
 
 
+def edge_colours(bp):
+    """The blueprint's colours by gadget edge, the reference gadget's form."""
+    return {e: bp.colours[slot] for e, slot in bp.edges.items()}
+
+
 def assert_valid_absorb_sequence(bp, pattern, seq):
     """The sequence must be a pattern-coloured k-power path inside the gadget."""
     k = bp.k
@@ -64,7 +69,7 @@ def assert_valid_absorb_sequence(bp, pattern, seq):
         for q in range(p + 1, min(p + k, len(seq) - 1) + 1):
             e = canonical_edge(seq[p], seq[q])
             assert e in bp.edges, (p, q)
-            assert bp.edges[e] == pattern.colour_of(p, q)
+            assert bp.colours[bp.edges[e]] == pattern.colour_of(p, q)
 
 
 class TestGadgetBlueprint:
@@ -115,7 +120,7 @@ class TestGadgetBlueprint:
                 seen = set(bp.a_vertices)
                 for v, back in bp.back_neighbours:
                     assert len(back) <= k + 2
-                    assert all(e == canonical_edge(u, v) and e in bp.edges for u, e in back)
+                    assert all(bp.edges.get(canonical_edge(u, v)) == slot for u, slot in back)
                     earlier = {u for e in bp.edges if v in e for u in e if u in seen}
                     assert {u for u, _ in back} == earlier
                     seen.add(v)
@@ -124,17 +129,16 @@ class TestGadgetBlueprint:
         # k=2, ell=2: A = {0, 1}, nine more vertices 2..10
         order = list(range(11))
         with pytest.raises(HamPowerError):
-            _back_neighbours(2, 2, order[:-1], [])  # order misses a vertex
+            _back_neighbours(2, 2, order[:-1], {})  # order misses a vertex
         with pytest.raises(HamPowerError):
-            _back_neighbours(2, 2, order[:-1] + [9], [])  # order repeats a vertex
+            _back_neighbours(2, 2, order[:-1] + [9], {})  # order repeats a vertex
         with pytest.raises(HamPowerError):
-            _back_neighbours(2, 2, order, [(0, 1)])  # edge inside A
-        star = [(u, 10) for u in range(5)]
+            _back_neighbours(2, 2, order, {(0, 1): 0})  # edge inside A
+        star = {(u, 10): u for u in range(5)}  # each edge's slot is u
         with pytest.raises(HamPowerError):
             _back_neighbours(2, 2, order, star)  # 5 > k+2 earlier neighbours
-        assert _back_neighbours(2, 2, order, star[1:])[-1] == (
-            10, tuple((u, (u, 10)) for u in range(1, 5))
-        )
+        del star[(0, 10)]
+        assert _back_neighbours(2, 2, order, star)[-1] == (10, tuple((u, u) for u in range(1, 5)))
 
     def test_matches_from_scratch_reference(self):
         rng = random.Random(58)
@@ -143,9 +147,11 @@ class TestGadgetBlueprint:
                 pattern = random_pattern(power_path((2 * k + 1) * ell, k), 5, rng)
                 bp = build_gadget_blueprint(k, ell, pattern)
                 ref = reference_gadget_blueprint(k, ell, pattern)
-                assert list(bp.edges.items()) == list(ref.edges.items()), (k, ell)
+                assert list(edge_colours(bp).items()) == list(ref.edges.items()), (k, ell)
                 assert bp.base_sequence == ref.base_sequence
-                assert bp.back_neighbours == ref.back_neighbours
+                assert bp.back_neighbours == tuple(
+                    (v, tuple((u, bp.edges[e]) for u, e in back)) for v, back in ref.back_neighbours
+                )
                 assert bp.vertices == ref.vertices
 
     def test_blueprints_of_one_shape_share_no_mutable_mapping(self):
@@ -155,12 +161,14 @@ class TestGadgetBlueprint:
         assert first.colours != second.colours
         bp1 = build_gadget_blueprint(2, 3, first)
         bp2 = build_gadget_blueprint(2, 3, second)
-        assert bp1.edges is not bp2.edges
-        for bp in (bp1, bp2):
-            with pytest.raises(TypeError):
-                bp.edges[next(iter(bp.edges))] = 1
-        assert dict(bp1.edges) == reference_gadget_blueprint(2, 3, first).edges
-        assert dict(bp2.edges) == reference_gadget_blueprint(2, 3, second).edges
+        # one read-only edge-to-slot map per shape; each gadget has its own colours
+        assert bp1.edges is bp2.edges
+        with pytest.raises(TypeError):
+            bp1.edges[next(iter(bp1.edges))] = 1
+        assert type(bp1.colours) is tuple and bp1.colours == first.colours.values()
+        assert type(bp2.colours) is tuple and bp2.colours == second.colours.values()
+        assert edge_colours(bp1) == reference_gadget_blueprint(2, 3, first).edges
+        assert edge_colours(bp2) == reference_gadget_blueprint(2, 3, second).edges
 
 
 class TestAbsorbSequence:
@@ -206,7 +214,7 @@ class TestAbsorbSequence:
         for i in (1, 2):
             seq = gadget_absorb_sequence(bp, i)
             colour_seqs.append(
-                [bp.edges[canonical_edge(seq[p], seq[p + 1])] for p in range(len(seq) - 1)]
+                [bp.colours[bp.edges[canonical_edge(seq[p], seq[p + 1])]] for p in range(len(seq) - 1)]
             )
         assert colour_seqs[0] == colour_seqs[1]
 
@@ -233,7 +241,7 @@ class TestEmbedByDegeneracy:
         mapped = embed_by_degeneracy(coll, bp, (0, 1), mask_of(range(n)), rng)
         assert mapped[bp.a_vertices[0]] == 0 and mapped[bp.a_vertices[1]] == 1
         assert sorted(mapped.values()) == sorted(set(mapped.values()))
-        for (u, v), c in bp.edges.items():
+        for (u, v), c in edge_colours(bp).items():
             assert coll.has_edge(c, mapped[u], mapped[v])
         a1_nbrs = [u for e in bp.edges if a1 in e for u in e if u != a1]
         keep = set(range(7, 19))
@@ -251,7 +259,7 @@ class TestEmbedByDegeneracy:
         mapped = embed_by_degeneracy(coll, bp, (0, 1, 2, 3), mask_of(range(100)), rng)
         assert [mapped[a] for a in bp.a_vertices] == [0, 1, 2, 3]
         assert len(set(mapped.values())) == len(bp.vertices)
-        for (u, v), c in bp.edges.items():
+        for (u, v), c in edge_colours(bp).items():
             assert coll.has_edge(c, mapped[u], mapped[v])
 
     def test_pigeonhole_failure(self):

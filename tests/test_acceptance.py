@@ -85,7 +85,7 @@ def test_criterion_1_gadget_absorption_exhaustive():
                     for p in range(len(seq)):
                         for q in range(p + 1, min(p + k, len(seq) - 1) + 1):
                             e = canonical_edge(seq[p], seq[q])
-                            assert bp.edges.get(e) == pattern.colour_of(p, q)
+                            assert e in bp.edges and bp.colours[bp.edges[e]] == pattern.colour_of(p, q)
 
 
 def test_criterion_2_connector_counts():

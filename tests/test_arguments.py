@@ -44,7 +44,7 @@ from hampower.absorber import (
     expected_absorbed_size,
 )
 from hampower.connectors import embed_connector, extend_by_one
-from hampower.core import CONNECTOR, POWER_CYCLE, Layout, colour_reader, pattern_from_dict
+from hampower.core import CONNECTOR, POWER_CYCLE, Layout, colour_slots, pattern_from_dict
 from hampower.errors import (
     HamPowerError,
     InvalidHostError,
@@ -165,7 +165,7 @@ REGRESSIONS = {
     # these raised a raw KeyError
     "restrict-start-float": lambda: restrict_pattern(CYCLE9, 1.5, power_path(5, 2)),
     "colour-of-non-edge": lambda: CYCLE12.colour_of(0, 5),
-    "reader-non-edge": lambda: colour_reader(power_cycle(12, 2), [(0, 5)]),
+    "slots-non-edge": lambda: colour_slots(power_cycle(12, 2), [(0, 5)]),
     # these raised a raw TypeError from comparing or hashing an edge's ends
     "colour-of-text": lambda: CYCLE12.colour_of("a", 1),
     "pattern-list-keys": lambda: ColourPattern(
@@ -291,10 +291,6 @@ BOUNDARY = {
     ),
     "absorber-pattern-too-long": (
         lambda: absorbing(order=M_ABS + 1), InvalidPatternError, "absorbing pattern must live on",
-    ),
-    "reader-other-host": (
-        lambda: colour_reader(power_cycle(12, 2), [(0, 1)])(random_pattern(power_path(12, 2), 2, rng())),
-        InvalidPatternError, "the colours are read from a pattern on",
     ),
     "loader-colour-list": (
         lambda: pattern_from_dict({"host": {"kind": "path", "n_or_r": 2, "k": 1},

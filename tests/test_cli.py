@@ -366,6 +366,23 @@ class TestExperiment:
         assert capsys.readouterr().err == f"usage error: {flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("k, n", [(2, 4), (2000, 20)])
+    def test_sweep_order_below_2k_plus_1_is_a_usage_error_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, k, n
+    ):
+        # --k 2000 --n 20 drew 40 000 graphs before power_cycle refused the order
+        streams = []
+        monkeypatch.setattr(pipeline, "derive_rng", lambda *a: streams.append(a))
+        out = tmp_path / "sweep.csv"
+        code = cli.dispatch(["experiment", "sweep", "--k", str(k), "--n", str(n),
+                             "--delta-from", "0.9", "--delta-to", "0.9", "--delta-step", "0.1",
+                             "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --n must be >= 2k+1 = {2 * k + 1} at --k {k}, got {n}\n"
+        )
+        assert not out.exists() and streams == []
+
     @pytest.mark.parametrize("deltas, flag", [
         (["0.9", "inf", "0.1"], "--delta-to must be a finite value in [0, 1], got inf"),
         (["0.9", "5", "1e-9"], "--delta-to must be a finite value in [0, 1], got 5.0"),
@@ -556,6 +573,27 @@ class TestSharedSolverFlags:
         assert {name: getattr(config, name) for name in fields} == fields
         trial_seed = pipeline.derive_rng(seed, "experiment", 0, 0).getrandbits(63)
         assert (config.seed, config.r) == (trial_seed, 7)
+
+    @pytest.mark.parametrize("k, flags, r", [(3, [], 8), (7, [], 12), (3, ["--r", "11"], 11)])
+    def test_r_defaults_to_k_plus_5(self, tmp_path, configs, k, flags, r):
+        # one --r for both commands (k = 2 is the cases above); solve's
+        # default was 7 whatever the power
+        n = 2 * k + 1
+        inst, pat, out = tmp_path / "inst.json", tmp_path / "pat.json", tmp_path / "sweep.csv"
+        pattern = bijective_pattern(core.power_cycle(n, k))
+        write_instance(inst, complete_collection(n, pattern.max_colour))
+        write_pattern(pat, pattern)
+        assert cli.dispatch(
+            ["solve", "--instance", str(inst), "--pattern", str(pat),
+             "--out", str(tmp_path / "cycle.json"), *flags]
+        ) == 2
+        assert cli.dispatch(
+            ["experiment", "sweep", "--k", str(k), "--n", str(n), "--delta-from", "0.9",
+             "--delta-to", "0.9", "--delta-step", "0.1", "--trials", "1", "--out", str(out), *flags]
+        ) == 0
+        assert [config.r for config in configs] == [r, r]
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["r"] == str(r)
 
     @pytest.mark.parametrize("value", ["fast", "exact"])
     def test_sampler_flag_is_a_usage_error(self, tmp_path, configs, capsys, value):

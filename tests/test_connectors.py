@@ -1,17 +1,18 @@
 import random
 from dataclasses import replace
-from types import MappingProxyType
 
 import pytest
 
-from helpers import reference_embed_connector
+from helpers import reference_embed_connector, reference_gadget_blueprint
 from hampower.absorber import build_gadget_blueprint, embed_by_degeneracy
 from hampower.bitset import mask_of
-from hampower.connectors import embed_connector, extend_by_one
+from hampower.connectors import _connector_order, embed_connector, extend_by_one
 from hampower.core import (
     GraphCollection,
     PowerPath,
+    canonical_edge,
     connector,
+    host_edges,
     power_path,
     verify_coloured_embedding,
 )
@@ -216,14 +217,6 @@ class TestMatchesReference:
         assert outcomes == {"placed", "failed"}
 
 
-def _recoloured(colours, colour):
-    """A read-only copy of ``colours`` with its first edge given ``colour``;
-    ``ColourPattern`` itself refuses colours below 1."""
-    out = dict(colours)
-    out[next(iter(out))] = colour
-    return MappingProxyType(out)
-
-
 # with m = 2, colour 0 would read graph 2 and colour -1 graph 1 (as
 # masks[-1] and masks[-2]); colour 3 names no graph; the rest are not ints,
 # and True would read graph 1
@@ -248,7 +241,8 @@ class TestColoursOutsideRange:
     def test_embed_by_degeneracy(self, colour):
         coll = complete_collection(40, 2)
         bp = build_gadget_blueprint(2, 2, random_pattern(power_path(10, 2), 2, random.Random(50)))
-        bp = replace(bp, edges=_recoloured(bp.edges, colour))
+        # forged in the blueprint's colour tuple, which ColourPattern checks when made
+        bp = replace(bp, colours=(colour, *bp.colours[1:]))
         rng = random.Random(51)
         state = rng.getstate()
         with pytest.raises(InvalidInstanceError):
@@ -263,3 +257,28 @@ class TestColoursOutsideRange:
         with pytest.raises(InvalidInstanceError):
             extend_by_one(coll, PowerPath(2, (0, 1)), [colour, 2], mask_of(range(2, 10)), rng)
         assert rng.getstate() == state
+
+
+class TestOrderSlots:
+    def test_every_back_entry_reads_its_edge_colour(self):
+        # each step of a placement order names the slot of its edge's colour
+        # in the tuple the walk reads: the connector pattern's or the gadget's
+        rng = random.Random(70)
+        for k in range(1, 5):
+            for a in range(1, k + 1):
+                for b in range(1, k + 1):
+                    pattern = random_pattern(connector(a, b, k), 9, rng)
+                    colours = pattern.colours.values()
+                    steps = [(u, v, slot) for v, back in _connector_order(a, b, k) for u, slot in back]
+                    assert sorted(canonical_edge(u, v) for u, v, _ in steps) == host_edges(pattern.host)
+                    for u, v, slot in steps:
+                        assert colours[slot] == pattern.colour_of(u, v), (a, b, k, u, v)
+        for k in (2, 3):
+            for ell in range(2, 9):
+                pattern = random_pattern(power_path((2 * k + 1) * ell, k), 9, rng)
+                bp = build_gadget_blueprint(k, ell, pattern)
+                ref = reference_gadget_blueprint(k, ell, pattern).edges
+                assert sum(len(back) for _, back in bp.back_neighbours) == len(ref)
+                for v, back in bp.back_neighbours:
+                    for u, slot in back:
+                        assert bp.colours[slot] == ref[canonical_edge(u, v)], (k, ell, u, v)
